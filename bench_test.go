@@ -287,7 +287,7 @@ func fleetSize() int {
 // endhosts (50 per stub domain), deploys an anycast group over the
 // transit core, and bulk-registers every stub endhost so the delivery
 // plane carries one /128 per fleet member.
-func fleetWorld(b *testing.B, hosts int, cfg core.Config) (*topology.Network, *core.Evolution) {
+func fleetWorld(b *testing.B, hosts int) (*topology.Network, *core.Evolution) {
 	b.Helper()
 	const hostsPer = 50
 	domains := hosts / hostsPer
@@ -304,9 +304,7 @@ func fleetWorld(b *testing.B, hosts int, cfg core.Config) (*topology.Network, *c
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.Option = anycast.Option2
-	cfg.DefaultAS = net.DomainByName("T0").ASN
-	evo, err := core.New(net, cfg)
+	evo, err := core.New(net, core.Config{Option: anycast.Option2, DefaultAS: net.DomainByName("T0").ASN})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -319,80 +317,62 @@ func fleetWorld(b *testing.B, hosts int, cfg core.Config) (*topology.Network, *c
 	return net, evo
 }
 
-// BenchmarkFleetSend is the tentpole's acceptance benchmark: a
-// fleet-scale internet (FLEET_HOSTS endhosts, 1M for the headline run,
-// every one registered) hammered by 64 concurrent senders over a fixed
-// working set of flows. The unsharded arm is the pre-sharding delivery
-// plane — one shard, one counter stripe, no flow memoisation — and the
-// sharded arm is the default configuration; the ratio of their sends/sec
-// is the tentpole's ≥2× bar. Steady state on the sharded arm must report
-// 0 allocs/op.
+// BenchmarkFleetSend hammers a fleet-scale internet (FLEET_HOSTS
+// endhosts, every one registered) with 64 concurrent senders over a fixed
+// working set of flows, on the default configuration. Steady state must
+// report 0 allocs/op. (cmd/bench's fleet_warm workload is the ledger
+// form of this; the benchmark stays for `go test -bench` profiling.)
 func BenchmarkFleetSend(b *testing.B) {
-	hosts := fleetSize()
-	for _, arm := range []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"unsharded", core.Config{DeliveryShards: 1, DisableDeliveryCache: true}},
-		{"sharded", core.Config{}},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			net, evo := fleetWorld(b, hosts, arm.cfg)
-			if arm.name == "unsharded" {
-				evo.Counters().SetStripes(1)
-			}
-			// The senders cycle a fixed flow working set spanning the
-			// whole fleet, so the sharded arm exercises memoised flows the
-			// way a steady traffic matrix would.
-			const flows = 1024
-			type pair struct{ src, dst *topology.Host }
-			pairs := make([]pair, flows)
-			stride := len(net.Hosts)/flows + 1
-			for i := range pairs {
-				pairs[i] = pair{
-					src: net.Hosts[(i*stride)%len(net.Hosts)],
-					dst: net.Hosts[(i*stride+len(net.Hosts)/2)%len(net.Hosts)],
-				}
-			}
-			payload := make([]byte, 256)
-			for i := 0; i < flows; i++ { // warm every flow once
-				if _, err := evo.Send(pairs[i].src, pairs[i].dst, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// 64 concurrent senders regardless of GOMAXPROCS.
-			para := 64 / runtime.GOMAXPROCS(0)
-			if para < 1 {
-				para = 1
-			}
-			b.SetParallelism(para)
-			var next atomic.Uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					p := pairs[next.Add(1)%flows]
-					if _, err := evo.Send(p.src, p.dst, payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sends/sec")
-		})
+	net, evo := fleetWorld(b, fleetSize())
+	// The senders cycle a fixed flow working set spanning the whole
+	// fleet, the way a steady traffic matrix would.
+	const flows = 1024
+	type pair struct{ src, dst *topology.Host }
+	pairs := make([]pair, flows)
+	stride := len(net.Hosts)/flows + 1
+	for i := range pairs {
+		pairs[i] = pair{
+			src: net.Hosts[(i*stride)%len(net.Hosts)],
+			dst: net.Hosts[(i*stride+len(net.Hosts)/2)%len(net.Hosts)],
+		}
 	}
+	payload := make([]byte, 256)
+	for i := 0; i < flows; i++ { // warm every flow once
+		if _, err := evo.Send(pairs[i].src, pairs[i].dst, payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// 64 concurrent senders regardless of GOMAXPROCS.
+	para := 64 / runtime.GOMAXPROCS(0)
+	if para < 1 {
+		para = 1
+	}
+	b.SetParallelism(para)
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			p := pairs[next.Add(1)%flows]
+			if _, err := evo.Send(p.src, p.dst, payload); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sends/sec")
 }
 
-// BenchmarkSendBatch compares the batched send path against the
-// equivalent Send loop on 64-packet bursts over the fleet world — the
-// batch tentpole's acceptance pair. Every iteration is one burst; the
-// packets/sec metric is what the ≥2× batch-over-loop bar is measured on.
+// BenchmarkSendBatch compares batched sends against the equivalent Send
+// loop on 64-packet bursts over the fleet world, default configuration:
+// one engine driven 64 times by 64 calls or by one. Every iteration is
+// one burst, reported as packets/sec.
 // The burst cycles 8 distinct destinations (8 flow skeletons per batch,
 // 8 packets riding each), and the single-destination SendBurst arm is
 // the best case (one flow, 64 packets).
 func BenchmarkSendBatch(b *testing.B) {
 	const burst = 64
-	net, evo := fleetWorld(b, fleetSize(), core.Config{})
+	net, evo := fleetWorld(b, fleetSize())
 	src := net.Hosts[0]
 	dsts := make([]*topology.Host, burst)
 	for i := range dsts {
@@ -447,7 +427,7 @@ func BenchmarkSendBatch(b *testing.B) {
 // churnWorld builds the stock 15-domain transit–stub internet with an
 // option-1 deployment over the first 7 domains, plus one intra link of a
 // deployed stub domain to flap.
-func churnWorld(b *testing.B, full bool) (*topology.Network, *core.Evolution, topology.RouterID, topology.RouterID, int64) {
+func churnWorld(b *testing.B) (*topology.Network, *core.Evolution, topology.RouterID, topology.RouterID, int64) {
 	b.Helper()
 	net, err := topology.TransitStub(3, 4, 0.4, topology.GenConfig{
 		Seed:             42,
@@ -457,7 +437,7 @@ func churnWorld(b *testing.B, full bool) (*topology.Network, *core.Evolution, to
 	if err != nil {
 		b.Fatal(err)
 	}
-	evo, err := core.New(net, core.Config{Option: anycast.Option1, FullReconverge: full})
+	evo, err := core.New(net, core.Config{Option: anycast.Option1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -478,36 +458,28 @@ func churnWorld(b *testing.B, full bool) (*topology.Network, *core.Evolution, to
 
 // BenchmarkChurnSend measures delivery under reconvergence churn: every
 // iteration flaps one intra-domain link (two epoch rebuilds) and then
-// sends a burst of packets. The scoped/full pair quantifies what
-// per-domain invalidation buys over dump-everything reconvergence; the
-// dijkstras/op metric is the recomputation count the scoped path saves.
+// sends a burst of packets. The dijkstras/op metric is the recomputation
+// count of the scoped rebuilds.
 func BenchmarkChurnSend(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		full bool
-	}{{"scoped", false}, {"full", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			net, evo, ra, rb, lat := churnWorld(b, mode.full)
-			payload := []byte("churn-bench")
-			if _, err := evo.Send(net.Hosts[0], net.Hosts[1], payload); err != nil {
+	net, evo, ra, rb, lat := churnWorld(b)
+	payload := []byte("churn-bench")
+	if _, err := evo.Send(net.Hosts[0], net.Hosts[1], payload); err != nil {
+		b.Fatal(err)
+	}
+	start := evo.IGP.DijkstraRuns()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evo.FailIntraLink(ra, rb)
+		evo.RestoreIntraLink(ra, rb, lat)
+		for j := 0; j < 8; j++ {
+			src := net.Hosts[(i+j)%len(net.Hosts)]
+			dst := net.Hosts[(i+j+1)%len(net.Hosts)]
+			if _, err := evo.Send(src, dst, payload); err != nil {
 				b.Fatal(err)
 			}
-			start := evo.IGP.DijkstraRuns()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				evo.FailIntraLink(ra, rb)
-				evo.RestoreIntraLink(ra, rb, lat)
-				for j := 0; j < 8; j++ {
-					src := net.Hosts[(i+j)%len(net.Hosts)]
-					dst := net.Hosts[(i+j+1)%len(net.Hosts)]
-					if _, err := evo.Send(src, dst, payload); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(evo.IGP.DijkstraRuns()-start)/float64(b.N), "dijkstras/op")
-		})
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(evo.IGP.DijkstraRuns()-start)/float64(b.N), "dijkstras/op")
 }

@@ -37,8 +37,8 @@
 // skeletons inside the immutable routing epoch, runs the wire path on
 // pooled buffers (zero allocations at steady state) and counts into
 // striped counters, so 64 concurrent senders scale without sharing
-// cache lines (cmd/deliverybench; Config.DeliveryShards and
-// Config.DisableDeliveryCache are the ablation knobs, and
+// cache lines (`go run ./cmd/bench run -workloads fleet_warm,fleet_burst`
+// measures it; Config.DeliveryShards sets the shard count, and
 // Evolution.RegisterEndhosts bulk-registers a fleet as one epoch).
 package evolve
 

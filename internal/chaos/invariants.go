@@ -392,10 +392,12 @@ func fmtRouterSet(rs []topology.RouterID) string {
 // full fault schedule: after every event, a SendBatch burst on the live
 // Evolution must agree packet-for-packet with the equivalent singleton
 // Send loop — same per-packet success/failure (same error text on
-// failure), same delivery modulo the random trace tag. The bursts carry
-// in-batch duplicate destinations, so a batch torn across routing state
-// or a flow skeleton reused across the wrong destination surfaces here
-// against whatever topology the schedule has mangled.
+// failure), same delivery modulo the random trace tag. Both drive one
+// engine, so what can differ is what batching adds: the pinned epoch and
+// the per-flow skeleton reuse. The bursts carry in-batch duplicate
+// destinations, so a batch torn across routing state or a flow skeleton
+// reused across the wrong destination surfaces here against whatever
+// topology the schedule has mangled.
 type batchSendInvariant struct{}
 
 func (batchSendInvariant) Name() string { return "batchsend" }

@@ -8,23 +8,14 @@ import (
 	"sync"
 
 	"github.com/evolvable-net/evolve/internal/addr"
+	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/metrics"
 	"github.com/evolvable-net/evolve/internal/packet"
 	"github.com/evolvable-net/evolve/internal/topology"
 	"github.com/evolvable-net/evolve/internal/trace"
 	"github.com/evolvable-net/evolve/internal/tunnel"
+	"github.com/evolvable-net/evolve/internal/vnbone"
 )
-
-// redirectCounter abstracts the Redirect tally so the flow-resolution
-// path can count into the shared striped Counters (loop sends) or a
-// per-batch CounterBatch accumulator (batched sends) without branching.
-// Both implementations are pointer receivers, so passing either through
-// the interface allocates nothing.
-type redirectCounter interface {
-	// Redirect counts one anycast redirect resolution; hit reports
-	// whether it was served from the redirect cache.
-	Redirect(hit bool)
-}
 
 // BatchError reports the per-packet failures of a SendBatch, SendBurst
 // or their Append variants. One bad destination never poisons the rest
@@ -53,16 +44,19 @@ func (b *BatchError) Error() string {
 	return fmt.Sprintf("core: batch: %d of %d packets dropped", b.Failed, len(b.Errs))
 }
 
-// batchFlow is one flow skeleton materialized for a batch: the memoised
-// routing decisions (fe) plus the wire-level precomputation the loop
-// path redoes per packet — the serialized header template and the
-// underlay loopback of every bone hop. All packets of the batch to the
+// batchFlow is one flow skeleton materialized for a send: the memoised
+// routing decisions (fe) plus the wire-level precomputation shared by
+// every packet of the flow — the serialized header template and the
+// underlay loopback of every bone hop. All packets of a batch to the
 // same destination reuse one batchFlow, so the whole burst observes one
 // consistent routing decision even if the epoch churns mid-batch.
 type batchFlow struct {
 	dst  topology.HostID
 	fe   *flowEntry
 	tmpl packet.VNTemplate
+	// bone is the vN-Bone of the epoch fe was computed on; hop costs in
+	// span events are read from it.
+	bone *vnbone.Bone
 	// hops[0] is the ingress member's loopback; hops[1:] follow
 	// fe.eg.BonePath[1:]. The relay pass walks it with ForwardShared.
 	hops []addr.V4
@@ -73,21 +67,25 @@ type batchFlow struct {
 	self  bool
 }
 
-// batchCtx is the pooled per-batch working set: one walking tunnel
-// endpoint for the relay pass, one destination endpoint for the final
-// decap, the reusable wire buffer the header template emits into, the
-// per-batch counter accumulator and event buffer, and the flow table.
-// With the pool warm, a steady-state all-success batch allocates
-// nothing.
+// batchCtx is the pooled working set of the send engine, one per Send or
+// per batch: one walking tunnel endpoint for the relay pass, one
+// destination endpoint for the final decap, the reusable wire buffer the
+// header template emits into, the counter accumulator and event buffer,
+// and the flow table. With the pool warm, a steady-state all-success
+// send allocates nothing.
 type batchCtx struct {
-	ep    *tunnel.Endpoint
-	epDst *tunnel.Endpoint
-	wire  []byte
-	opts  []packet.Option
+	// ingress is the frozen deployment (the shared one, or a provider's)
+	// every packet of this send encapsulates toward; its address keys the
+	// flows.
+	ingress *anycast.Deployment
+	ep      *tunnel.Endpoint
+	epDst   *tunnel.Endpoint
+	wire    []byte
+	opts    []packet.Option
 	// flows is a tiny linear-scan assoc array keyed by destination:
 	// bursts group naturally by flow, so for realistic batch sizes a
 	// scan beats hashing and keeps recycled entries' template and hop
-	// storage alive across batches.
+	// storage alive across sends.
 	flows    []batchFlow
 	counters trace.CounterBatch
 	events   trace.EventBuffer
@@ -112,14 +110,17 @@ var batchCtxPool = sync.Pool{
 	},
 }
 
-// reset readies a pooled context for the next batch, keeping every
-// backing array (flow templates and hop lists included).
-func (bc *batchCtx) reset() {
+// getBatchCtx takes a pooled context readied for a send through ingress,
+// keeping every backing array (flow templates and hop lists included).
+func getBatchCtx(ingress *anycast.Deployment) *batchCtx {
+	bc := batchCtxPool.Get().(*batchCtx)
+	bc.ingress = ingress
 	bc.flows = bc.flows[:0]
 	bc.counters.Reset()
+	return bc
 }
 
-// flowFor returns the batch's flow skeleton for dst, materializing it
+// flowFor returns the send's flow skeleton for dst, materializing it
 // from fe on first sight: header template (serialized once through the
 // real layer serializers, then patched per packet) and the bone path's
 // loopback addresses. Recycled entries keep their storage, so a warm
@@ -138,13 +139,15 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 	bf := &bc.flows[len(bc.flows)-1]
 	bf.dst = dst.ID
 	bf.fe = fe
+	bf.bone = ep.bone
 	bf.self = fe.dstVN.IsSelf()
 	bf.final = dst.Addr
 
-	// The template freezes the packet as it leaves leg 1: the inner hop
+	// Leg 1 — universal access: the host encapsulates toward the
+	// deployment's anycast address; routing finds the ingress (§3.1). The
+	// template freezes the packet as it leaves that leg: the inner hop
 	// limit already decremented once by the source's encapsulation, the
-	// outer addressed from the source host to the deployment's anycast
-	// address.
+	// outer addressed from the source host to the anycast address.
 	hdr := packet.VNHeader{
 		Version:  e.cfg.Version,
 		HopLimit: packet.DefaultHopLimit - 1,
@@ -153,13 +156,17 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 	}
 	opts := bc.hdrOpts[:0]
 	if bf.self {
+		// Carry the destination's IPv(N-1) address for the egress
+		// (§3.3.2's "carried in a separate option field").
 		binary.BigEndian.PutUint32(bc.underBuf[:], uint32(dst.Addr))
 		opts = append(opts, packet.Option{Type: packet.OptUnderlayDst, Value: bc.underBuf[:]})
 	}
+	// Every packet is tagged so the final check can assert the header
+	// options survive every encap/decap stage bit-for-bit.
 	bc.tagBuf = [4]byte{}
 	opts = append(opts, packet.Option{Type: packet.OptTraceTag, Value: bc.tagBuf[:]})
 	hdr.Options = opts
-	outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: src.Addr, Dst: ep.dep.Addr}
+	outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: src.Addr, Dst: bc.ingress.Addr}
 	if err := bf.tmpl.Build(outer, hdr); err != nil {
 		bc.flows = bc.flows[:len(bc.flows)-1]
 		return nil, err
@@ -171,6 +178,18 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 	}
 	bf.hops = hops
 	return bf, nil
+}
+
+// sendSingle drives the engine once: Send, SendTraced and SendVia are
+// this call with their ingress deployment and tracer. Span events go
+// straight to tr, the error is the packet's own, and the batch gauges
+// stay untouched.
+func (e *Evolution) sendSingle(ep *routingEpoch, src, dst *topology.Host, payload []byte, ingress *anycast.Deployment, tr trace.Tracer) (Delivery, error) {
+	bc := getBatchCtx(ingress)
+	d, err := e.sendOne(bc, ep, src, dst, payload, tr)
+	bc.counters.FlushTo(&e.counters)
+	batchCtxPool.Put(bc)
+	return d, err
 }
 
 // SendBatch delivers one payload to each destination from a single
@@ -227,38 +246,20 @@ func growDeliveries(out []Delivery, n int) []Delivery {
 	return append(out, make([]Delivery, n)...)
 }
 
-// sendBatch is the shared batch engine: dsts per-packet destinations, or
+// sendBatch drives the engine n times: dsts per-packet destinations, or
 // dst1 for every packet when dsts is nil. It loads one routing epoch and
 // runs the whole burst against it — a mutation mid-batch never tears the
 // batch across epochs (later packets just lose cache-store eligibility,
-// exactly like a loop send racing the same mutation).
+// exactly like a Send racing the same mutation). Counters fold into the
+// shared tally with one flush and span events reach tr in one batch.
 func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topology.Host, dst1 *topology.Host, payloads [][]byte, n int, tr trace.Tracer) ([]Delivery, error) {
 	if n == 0 {
 		return out, nil
 	}
 	ep := e.epoch.Load()
-	if ep.err != nil {
-		if e.health != nil {
-			// The graceful-degradation layer turns an error epoch from a
-			// whole-batch failure into per-packet baseline deliveries.
-			return e.sendBatchErrEpoch(out, ep, src, dsts, dst1, payloads, n, tr)
-		}
-		// Each packet fails exactly as its loop Send would: counted as a
-		// send dropped not-deployed, no span events.
-		var cb trace.CounterBatch
-		for i := 0; i < n; i++ {
-			cb.Send()
-			cb.Drop(trace.DropNotDeployed)
-		}
-		cb.BatchPackets(n)
-		cb.FlushTo(&e.counters)
-		return out, ep.err
-	}
-
 	base := len(out)
-	out = growDeliveries(out, n)
-	bc := batchCtxPool.Get().(*batchCtx)
-	bc.reset()
+	res := growDeliveries(out, n)
+	bc := getBatchCtx(ep.dep)
 	var btr trace.Tracer
 	if tr != nil {
 		btr = &bc.events
@@ -278,7 +279,7 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 		if payloads != nil {
 			pl = payloads[i]
 		}
-		d, err := e.sendBatchOne(bc, ep, src, dst, pl, btr)
+		d, err := e.sendOne(bc, ep, src, dst, pl, btr)
 		if err != nil {
 			if errs == nil {
 				errs = make([]error, n)
@@ -287,7 +288,7 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 			failed++
 			continue
 		}
-		out[base+i] = d
+		res[base+i] = d
 	}
 
 	bc.counters.BatchFlows(len(bc.flows))
@@ -296,112 +297,175 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 	bc.events.Flush(tr)
 	batchCtxPool.Put(bc)
 
-	if failed > 0 {
-		return out, &BatchError{Errs: errs, Failed: failed}
+	if ep.err != nil && e.health == nil {
+		// Every packet failed identically with the epoch's error: report
+		// that, and leave out unextended.
+		return out, ep.err
 	}
-	return out, nil
+	if failed > 0 {
+		return res, &BatchError{Errs: errs, Failed: failed}
+	}
+	return res, nil
 }
 
-// dropBatch closes one batched packet as a failure, mirroring dropSend:
-// counted under its reason into the batch accumulator, traced as a
-// KindDrop event when tracing.
-func dropBatch(cb *trace.CounterBatch, btr trace.Tracer, seq uint32, reason trace.DropReason, err error) (Delivery, error) {
-	cb.Drop(reason)
-	if btr != nil {
-		btr.Event(trace.Event{Kind: trace.KindDrop, Seq: seq, Router: -1, Reason: reason})
+// drop closes one packet as a failure: counted under its reason, traced
+// as a KindDrop event when tracing.
+func (bc *batchCtx) drop(tr trace.Tracer, seq uint32, reason trace.DropReason, err error) (Delivery, error) {
+	bc.counters.Drop(reason)
+	if tr != nil {
+		tr.Event(trace.Event{Kind: trace.KindDrop, Seq: seq, Router: -1, Reason: reason})
 	}
 	return Delivery{}, err
 }
 
-// sendBatchOne runs one packet of a batch. It is the batched mirror of
-// send(): it opens the span (send tally, per-delivery tag) and hands off
-// to the vN path — directly when the graceful-degradation layer is off,
-// through the flow's health decision when it is on, mirroring
-// sendWithHealth tallied into the batch accumulator.
-func (e *Evolution) sendBatchOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, btr trace.Tracer) (Delivery, error) {
+// sendOne delivers one packet on ep: the only delivery implementation,
+// under Send and under every packet of a batch alike. It opens the span
+// (send tally, per-delivery tag) and runs the vN path — directly when the
+// graceful-degradation layer is off, through the flow's health decision
+// when it is on: the health record decides whether to attempt the vN path
+// at all, a vN failure (other than a missing baseline) is rescued in-line
+// over the baseline, a flow in fallback skips the vN path except for its
+// backoff probes, and an error epoch rides the baseline instead of
+// failing (the underlay does not care that the vN deployment is broken)
+// while the flow takes the failure, so it probes back as soon as a usable
+// epoch publishes.
+func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, tr trace.Tracer) (Delivery, error) {
 	cb := &bc.counters
 	cb.Send()
+	if ep.err != nil && e.health == nil {
+		// Fail fast: a send dropped not-deployed, no span events.
+		cb.Drop(trace.DropNotDeployed)
+		return Delivery{}, ep.err
+	}
+	// The per-delivery tag distinguishes concurrent sends' spans and
+	// integrity checks from one another; math/rand/v2 draws it from a
+	// per-P generator, so unlike a shared atomic sequence the stamp
+	// costs no cross-sender cache-line traffic.
 	seq := rand.Uint32()
-	if btr != nil {
-		btr.Event(trace.Event{Kind: trace.KindSend, Seq: seq, Router: src.Attach, AS: src.Domain})
+	if tr != nil {
+		tr.Event(trace.Event{Kind: trace.KindSend, Seq: seq, Router: src.Attach, AS: src.Domain})
 	}
 	if e.health == nil {
-		d, _, reason, err := e.sendBatchOneVN(bc, ep, src, dst, payload, btr, seq)
+		d, _, reason, err := e.deliverVN(bc, ep, src, dst, payload, tr, seq)
 		if err != nil {
-			return dropBatch(cb, btr, seq, reason, err)
+			return bc.drop(tr, seq, reason, err)
 		}
 		return d, nil
 	}
+
 	fc := &e.cfg.Fallback
-	h := e.health.get(flowKey{src: src.ID, dst: dst.ID, dep: ep.dep.Addr})
-	attempt, probe := h.decide(ep.seq, fc, ep.addrs.addrOf(dst), cb)
-	if attempt {
-		d, fe, reason, err := e.sendBatchOneVN(bc, ep, src, dst, payload, btr, seq)
+	h := e.health.get(flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr})
+	vnReason, detail, mark := trace.DropNone, trace.DetailFallbackState, packet.FallbackMarkState
+	if ep.err != nil {
+		h.observeDst(ep.addrs.addrOf(dst))
+		h.noteFailure(nil, ep.seq, fc, cb, tr, seq)
+		vnReason, detail, mark = trace.DropNotDeployed, trace.DetailFallbackErrEpoch, packet.FallbackMarkRescue
+	} else if attempt, probe := h.decide(ep.seq, fc, ep.addrs.addrOf(dst), cb); attempt {
+		d, fe, reason, err := e.deliverVN(bc, ep, src, dst, payload, tr, seq)
 		if err == nil {
-			h.noteSuccess(fe, probe, fc, cb, btr, seq)
+			h.noteSuccess(fe, probe, fc, cb, tr, seq)
 			return d, nil
 		}
 		if reason == trace.DropNoBaseline {
-			// Nothing to rescue over, and nothing learned about the vN path.
-			return dropBatch(cb, btr, seq, reason, err)
+			// The vN skeleton was fine and only the baseline is missing:
+			// nothing to rescue over, and nothing learned about the vN path.
+			return bc.drop(tr, seq, reason, err)
 		}
-		h.noteFailure(fe, ep.seq, fc, cb, btr, seq)
-		d, dropReason, ferr := e.deliverFallback(ep, h, src, dst, payload,
-			seq, reason, trace.DetailFallbackRescue, packet.FallbackMarkRescue,
-			btr, cb, bc.ep, bc.epDst, bc.opts[:0], bc.hdrOpts[:0], bc.markBuf[:], bc.tagBuf[:])
-		if ferr != nil {
-			return dropBatch(cb, btr, seq, dropReason, ferr)
-		}
-		return d, nil
+		h.noteFailure(fe, ep.seq, fc, cb, tr, seq)
+		vnReason, detail, mark = reason, trace.DetailFallbackRescue, packet.FallbackMarkRescue
 	}
-	d, dropReason, ferr := e.deliverFallback(ep, h, src, dst, payload,
-		seq, trace.DropNone, trace.DetailFallbackState, packet.FallbackMarkState,
-		btr, cb, bc.ep, bc.epDst, bc.opts[:0], bc.hdrOpts[:0], bc.markBuf[:], bc.tagBuf[:])
-	if ferr != nil {
-		return dropBatch(cb, btr, seq, dropReason, ferr)
+	d, reason, err := e.deliverFallback(bc, ep, h, src, dst, payload, seq, vnReason, detail, mark, tr)
+	if err != nil {
+		return bc.drop(tr, seq, reason, err)
 	}
 	return d, nil
 }
 
-// sendBatchOneVN runs the vN delivery of one batched packet: same flow
-// resolution as the loop path (epoch flow cache, computeFlow, gated
-// stores), same counter tallies (via the batch accumulator), same span
-// events in the same order (via the batch event buffer), same drop
-// taxonomy and error wrapping — but the wire pass emits from the flow's
-// header template and patches the packet in place per leg instead of
-// re-serializing and re-parsing at every hop. Like sendVN, failures are
-// returned with their drop reason neither counted nor traced, and the
-// returned flowEntry feeds the health layer's signal matching.
-func (e *Evolution) sendBatchOneVN(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, btr trace.Tracer, seq uint32) (Delivery, *flowEntry, trace.DropReason, error) {
+// flowSkeleton returns the routing skeleton of the (src, dst) flow
+// through bc.ingress: from the epoch's sharded flow cache when this flow
+// has delivered before (routing is deterministic within an epoch, so the
+// cached skeleton is exact), computed and memoised otherwise. Like the
+// redirect cache, a skeleton computed after a mutator has already moved
+// on is correct to use but must not be stored.
+//
+// computeFlow reads forwarding state that mutators edit in place, so a
+// computation that overlaps a mutation can see it half-applied (an
+// inter-link removed, BGP not yet refreshed) and fail on a flow that
+// routes fine before and after. Such an error — mutSeq has moved past the
+// epoch's seq — is not returned: the computation runs once more on the
+// freshly published epoch with mutators locked out, and that verdict
+// stands. It returns the epoch the skeleton belongs to.
+func (e *Evolution) flowSkeleton(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host) (*flowEntry, *routingEpoch, trace.DropReason, error) {
 	cb := &bc.counters
-	fk := flowKey{src: src.ID, dst: dst.ID, dep: ep.dep.Addr}
-	var fe *flowEntry
-	if !e.cfg.DisableDeliveryCache {
-		fe, _ = ep.flow.load(fk)
-	}
-	if fe != nil {
+	fk := flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr}
+	if fe, ok := ep.flow.load(fk); ok {
 		cb.FlowHit()
+		// A flow hit is served entirely from memoised state, redirect
+		// decision included — count it so the redirect hit-rate stays
+		// meaningful.
 		cb.Redirect(true)
-	} else {
-		cb.FlowMiss()
-		var reason trace.DropReason
-		var err error
-		fe, reason, err = e.computeFlow(ep, src, dst, ep.dep, cb)
-		if err != nil {
-			return Delivery{}, nil, reason, err
+		return fe, ep, trace.DropNone, nil
+	}
+	cb.FlowMiss()
+	before := *cb
+	fe, reason, err := e.computeFlow(ep, src, dst, bc.ingress, cb)
+	if err != nil && e.mutSeq.Load() != ep.seq {
+		e.mu.Lock()
+		if now := e.epoch.Load(); now.err == nil {
+			if ingress := now.ingressAt(bc.ingress.Addr); ingress != nil {
+				// The torn attempt leaves no tally behind.
+				*cb = before
+				ep = now
+				fe, reason, err = e.computeFlow(ep, src, dst, ingress, cb)
+			}
 		}
-		if !e.cfg.DisableDeliveryCache && e.mutSeq.Load() == ep.seq {
-			ep.flow.store(fk, fe)
+		e.mu.Unlock()
+	}
+	if err != nil {
+		return nil, ep, reason, err
+	}
+	if e.mutSeq.Load() == ep.seq {
+		ep.flow.store(fk, fe)
+	}
+	return fe, ep, trace.DropNone, nil
+}
+
+// ingressAt returns the epoch's frozen deployment serving anycast
+// address a, nil when it has none.
+func (ep *routingEpoch) ingressAt(a addr.V4) *anycast.Deployment {
+	if ep.dep.Addr == a {
+		return ep.dep
+	}
+	for _, pd := range ep.provDeps {
+		if pd.Addr == a {
+			return pd
 		}
 	}
+	return nil
+}
 
+// deliverVN runs the vN delivery of one packet: flow skeleton, then the
+// wire pass for real — the packet is emitted from the flow's header
+// template and patched in place per leg, and the arriving bytes are
+// parsed and checked at the destination. With the pool warm, a
+// steady-state delivery allocates nothing. Failures are returned with
+// their drop reason neither counted nor traced: the caller decides
+// whether the packet drops or gets rescued over the baseline. The
+// returned flowEntry (nil when flow resolution itself failed) feeds the
+// health layer's signal matching.
+func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, tr trace.Tracer, seq uint32) (Delivery, *flowEntry, trace.DropReason, error) {
+	cb := &bc.counters
+	fe, ep, reason, err := e.flowSkeleton(bc, ep, src, dst)
+	if err != nil {
+		return Delivery{}, nil, reason, err
+	}
 	bf, err := bc.flowFor(e, ep, src, dst, fe)
 	if err != nil {
 		return Delivery{}, fe, trace.DropEncap, err
 	}
-	// All wire-level state comes from the batch's first skeleton for
-	// this destination — within one epoch any recomputation agrees with
-	// it, so this is a no-op beyond pointer identity.
+	// All wire-level state comes from the send's first skeleton for this
+	// destination — within one epoch any recomputation agrees with it, so
+	// this is a no-op beyond pointer identity.
 	fe = bf.fe
 	cb.Ingress(fe.ingressAS)
 	cb.BoneHops(fe.vnHops)
@@ -420,27 +484,29 @@ func (e *Evolution) sendBatchOneVN(bc *batchCtx, ep *routingEpoch, src, dst *top
 	d.Stretch = metrics.Stretch(d.TotalCost, d.BaselineCost)
 
 	// Leg 1 — emit from the template: header prefix plus payload, with
-	// lengths, trace tag and checksum patched. Byte-identical to the
-	// loop path's serialization, including its overflow errors.
+	// lengths, trace tag and checksum patched. Byte-identical to
+	// serializing both headers around the payload, overflow errors
+	// included.
 	wire, err := bf.tmpl.Emit(bc.wire, payload, seq)
 	if err != nil {
 		return Delivery{}, fe, trace.DropEncap, err
 	}
 	bc.wire = wire
 	cb.Encap()
-	if btr != nil {
-		btr.Event(trace.Event{
+	if tr != nil {
+		tr.Event(trace.Event{
 			Kind: trace.KindEncap, Seq: seq, Router: -1,
-			Src: src.Addr, Dst: ep.dep.Addr,
+			Src: src.Addr, Dst: bc.ingress.Addr,
 		})
-		btr.Event(trace.Event{
+		tr.Event(trace.Event{
 			Kind: trace.KindRedirect, Seq: seq,
 			Router: fe.ing.Member, AS: fe.ingressAS, Cost: fe.ing.Cost,
 		})
-		// The ingress decap is validity-checked by construction (the
-		// template's outer destination is the anycast address), so like
-		// the loop path it is neither counted nor traced.
-		btr.Event(trace.Event{
+		// The ingress accepts anycast-addressed packets and decapsulates
+		// there. That decap is valid by construction (the template's outer
+		// destination is the anycast address), so it is neither counted
+		// nor traced.
+		tr.Event(trace.Event{
 			Kind: trace.KindEgress, Seq: seq,
 			Router: fe.eg.Member, AS: e.Net.DomainOf(fe.eg.Member),
 			Cost: fe.eg.BoneCost, Detail: fe.egDetail,
@@ -449,10 +515,10 @@ func (e *Evolution) sendBatchOneVN(bc *batchCtx, ep *routingEpoch, src, dst *top
 
 	// Leg 2 — walk the bone path in place: each ForwardShared is one
 	// complete relay hop (re-encapsulation toward the next loopback plus
-	// arrival accounting), byte- and event-identical to the loop's
-	// ping-pong encap/decap pair.
+	// arrival accounting), byte- and event-identical to an
+	// EncapToShared/DecapShared pair.
 	bc.ep.Local = bf.hops[0]
-	bc.ep.Observe(btr, nil, seq)
+	bc.ep.Observe(tr, nil, seq)
 	path := fe.eg.BonePath
 	for j := 1; j < len(bf.hops); j++ {
 		if err := bc.ep.ForwardShared(wire, bf.hops[j]); err != nil {
@@ -460,17 +526,19 @@ func (e *Evolution) sendBatchOneVN(bc *batchCtx, ep *routingEpoch, src, dst *top
 		}
 		cb.Encap()
 		cb.Decap()
-		if btr != nil {
+		if tr != nil {
 			hop := path[j]
-			btr.Event(trace.Event{
+			tr.Event(trace.Event{
 				Kind: trace.KindBoneHop, Seq: seq,
 				Router: hop, AS: e.Net.DomainOf(hop),
-				Cost: ep.bone.Dist(path[j-1], hop),
+				Cost: bf.bone.Dist(path[j-1], hop),
 			})
 		}
 	}
 
-	// Leg 3 — exit toward the destination host's underlay address.
+	// Leg 3 — exit the vN-Bone toward the destination host's underlay
+	// address (for a self-addressed destination, the one its header
+	// option carries).
 	if err := bc.ep.PatchEncap(wire, bf.final); err != nil {
 		if bf.self {
 			return Delivery{}, fe, trace.DropTail, fmt.Errorf("core: final tunnel: %w", err)
@@ -480,7 +548,7 @@ func (e *Evolution) sendBatchOneVN(bc *batchCtx, ep *routingEpoch, src, dst *top
 	cb.Encap()
 
 	bc.epDst.Local = dst.Addr
-	bc.epDst.Observe(btr, nil, seq)
+	bc.epDst.Observe(tr, nil, seq)
 	_, inner, rpl, err := bc.epDst.DecapShared(wire, bc.opts[:0])
 	if err != nil {
 		return Delivery{}, fe, trace.DropTail, fmt.Errorf("core: final decap: %w", err)
@@ -499,14 +567,17 @@ func (e *Evolution) sendBatchOneVN(bc *batchCtx, ep *routingEpoch, src, dst *top
 	if d.TraceTag != seq {
 		return Delivery{}, fe, trace.DropIntegrity, fmt.Errorf("core: trace tag corrupted in transit (%d != %d)", d.TraceTag, seq)
 	}
+	// The arrived payload aliases the pooled wire buffer; verify the
+	// round-trip was bit-exact, then hand the caller back their own
+	// bytes so the Delivery outlives the pooled working set.
 	if !bytes.Equal(rpl, payload) {
 		return Delivery{}, fe, trace.DropIntegrity, fmt.Errorf("core: payload corrupted in transit")
 	}
 	d.Payload = payload
 	cb.PayloadBytes(len(payload))
 	cb.Deliver()
-	if btr != nil {
-		btr.Event(trace.Event{
+	if tr != nil {
+		tr.Event(trace.Event{
 			Kind: trace.KindDeliver, Seq: seq,
 			Router: dst.Attach, AS: dst.Domain, Cost: d.TotalCost,
 		})

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/topology"
+	"github.com/evolvable-net/evolve/internal/trace"
 )
 
 // TestTraceTagInterleavedSends is the regression test for the trace-tag
@@ -178,7 +179,8 @@ func TestConcurrentReadersDuringRebuild(t *testing.T) {
 }
 
 // TestUndeployAllThenSendFails: when churn empties the deployment, Sends
-// must fail with ErrNotDeployed, not hang or panic.
+// must fail with ErrNotDeployed, not hang or panic. Every single-send
+// entry point returns the packet's own error, never a *BatchError.
 func TestUndeployAllThenSendFails(t *testing.T) {
 	n := world(t)
 	e := newEvo(t, n, Config{})
@@ -187,13 +189,33 @@ func TestUndeployAllThenSendFails(t *testing.T) {
 	if err := e.Ready(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := e.EnableProviderChoice(def.ASN); err != nil {
+		t.Fatal(err)
+	}
+	src, dst := n.Hosts[0], n.Hosts[1]
+	entryPoints := map[string]func(payload []byte) error{
+		"Send":       func(pl []byte) error { _, err := e.Send(src, dst, pl); return err },
+		"SendTraced": func(pl []byte) error { _, err := e.SendTraced(src, dst, pl, trace.NewRecorder()); return err },
+		"SendVia":    func(pl []byte) error { _, err := e.SendVia(src, dst, def.ASN, pl); return err },
+	}
+	var be *BatchError
+	for name, send := range entryPoints {
+		// A per-packet failure on a usable epoch: the payload overflows the
+		// IPvN length field.
+		err := send(make([]byte, 0x10000))
+		if err == nil || errors.As(err, &be) || errors.Is(err, ErrNotDeployed) {
+			t.Errorf("%s with an oversized payload: err = %v, want the packet's own encapsulation error", name, err)
+		}
+	}
 	var members []topology.RouterID
 	members = append(members, e.Dep.Members()...)
 	for _, m := range members {
 		e.UndeployRouter(m)
 	}
-	_, err := e.Send(n.Hosts[0], n.Hosts[1], nil)
-	if !errors.Is(err, ErrNotDeployed) {
-		t.Fatalf("err = %v, want ErrNotDeployed", err)
+	for name, send := range entryPoints {
+		err := send(nil)
+		if !errors.Is(err, ErrNotDeployed) || errors.As(err, &be) {
+			t.Errorf("%s: err = %v, want ErrNotDeployed itself", name, err)
+		}
 	}
 }

@@ -9,11 +9,8 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,8 +18,6 @@ import (
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/forward"
-	"github.com/evolvable-net/evolve/internal/metrics"
-	"github.com/evolvable-net/evolve/internal/packet"
 	"github.com/evolvable-net/evolve/internal/routing/bgp"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
 	"github.com/evolvable-net/evolve/internal/topology"
@@ -49,23 +44,11 @@ type Config struct {
 	Egress bgpvn.EgressPolicy
 	// Bone configures vN-Bone construction.
 	Bone vnbone.Config
-	// FullReconverge disables scoped invalidation: every event dumps all
-	// SPT caches, refreshes BGP, rebuilds the bone from scratch and
-	// flushes the whole redirect cache — the pre-epoch behaviour. It
-	// exists as the ablation baseline for the churn benchmarks and as a
-	// debugging escape hatch; leave it false in production use.
-	FullReconverge bool
 	// DeliveryShards is the shard count of the epoch-interior send-path
 	// structures (endhost registry, redirect cache, flow cache). 0 means
 	// the default (16); values are clamped to [1, 256] and rounded down
-	// to a power of two. DeliveryShards(1) is the unsharded ablation
-	// baseline for the delivery benchmarks.
+	// to a power of two.
 	DeliveryShards int
-	// DisableDeliveryCache turns off the per-epoch flow cache so every
-	// send recomputes its full routing skeleton — the pre-sharding
-	// behaviour, kept as the honest baseline arm of the delivery
-	// benchmarks.
-	DisableDeliveryCache bool
 	// Fallback configures the graceful-degradation layer (DESIGN.md §12):
 	// per-flow health tracking and automatic delivery over the IPv(N-1)
 	// baseline when the vN path is broken. The zero value disables it —
@@ -105,7 +88,9 @@ type routingEpoch struct {
 	addrs *addrShards
 	// dep and provDeps are deep clones frozen at publication; anycast
 	// capture on the send path resolves against them, never against the
-	// live (mutable) deployments.
+	// live (mutable) deployments. dep is set on every epoch, error epochs
+	// included (sends key their flows by its address); provDeps may be nil
+	// on an epoch with no members.
 	dep      *anycast.Deployment
 	provDeps map[topology.ASN]*anycast.Deployment
 	// resolve memoises anycast resolutions per (host, anycast address)
@@ -129,9 +114,11 @@ type tracerBox struct{ tr trace.Tracer }
 // one Evolution while membership and topology mutations (DeployRouter,
 // UndeployRouter, DeployDomain, RegisterEndhost, Fail*/Restore* links,
 // ...) run concurrently. The send path is lock-free: it loads the
-// current routing epoch with a single atomic pointer read and never
-// takes the Evolution's mutex; mutators serialize among themselves on
-// that mutex and publish each new epoch atomically. Direct access to the
+// current routing epoch with a single atomic pointer read, and takes the
+// Evolution's mutex only to recompute a flow whose first computation
+// failed while a mutation was in flight (see flowSkeleton); mutators
+// serialize among themselves on that mutex and publish each new epoch
+// atomically. Direct access to the
 // exported routing substrate fields (Net, BGP, IGP, Anycast, Fwd, Dep)
 // bypasses all of this and is only safe while no other goroutine is
 // mutating the Evolution.
@@ -147,7 +134,7 @@ type Evolution struct {
 
 	// mu serialises mutators (and guards the canonical mutable state
 	// below: the live membership maps inside Dep/providerDeps, vnAddrs,
-	// pools, registered). Sends never touch it.
+	// pools, registered). Sends take it only on the torn-computation retry.
 	mu sync.Mutex
 	// epoch is the published routing snapshot senders run on.
 	epoch atomic.Pointer[routingEpoch]
@@ -250,6 +237,7 @@ func New(net *topology.Network, cfg Config) (*Evolution, error) {
 	e.epoch.Store(&routingEpoch{
 		err:     ErrNotDeployed,
 		addrs:   e.native,
+		dep:     dep.Clone(),
 		resolve: newResolveShards(shardN),
 		flow:    newFlowShards(shardN),
 	})
@@ -321,11 +309,7 @@ func (e *Evolution) DeployRouters(ids []topology.RouterID) {
 		e.republishLocked()
 		return
 	}
-	if e.cfg.FullReconverge {
-		e.counters.InvalFull()
-	} else {
-		e.counters.InvalDomain()
-	}
+	e.counters.InvalDomain()
 	_ = e.buildEpochLocked(nil, changed, changed, flush)
 }
 
@@ -345,11 +329,7 @@ func (e *Evolution) UndeployRouter(id topology.RouterID) {
 	// The last member leaving toggles the domain out of participation —
 	// the global analogue of joining (see DeployRouters).
 	flush := len(e.Dep.MembersIn(asn)) == 0
-	if e.cfg.FullReconverge {
-		e.counters.InvalFull()
-	} else {
-		e.counters.InvalDomain()
-	}
+	e.counters.InvalDomain()
 	scope := map[topology.ASN]bool{asn: true}
 	_ = e.buildEpochLocked(nil, scope, scope, flush)
 }
@@ -418,23 +398,16 @@ func (e *Evolution) ProviderMembers(asn topology.ASN) []topology.RouterID {
 // regardless of proximity.
 func (e *Evolution) SendVia(src, dst *topology.Host, provider topology.ASN, payload []byte) (Delivery, error) {
 	ep := e.epoch.Load()
-	if ep.err != nil {
-		if e.health != nil {
-			dep := e.Dep.Addr
-			if pd, ok := ep.provDeps[provider]; ok {
-				dep = pd.Addr
-			}
-			return e.sendErrEpoch(ep, src, dst, dep, payload, e.tracerNow())
-		}
-		e.counters.Send()
-		e.counters.Drop(trace.DropNotDeployed)
-		return Delivery{}, ep.err
-	}
 	pd, ok := ep.provDeps[provider]
 	if !ok {
-		return Delivery{}, fmt.Errorf("core: provider choice not enabled for AS%d", provider)
+		if ep.err == nil {
+			return Delivery{}, fmt.Errorf("core: provider choice not enabled for AS%d", provider)
+		}
+		// An error epoch may have frozen no provider clones; the send then
+		// fails, or rides the baseline, keyed to the shared address.
+		pd = ep.dep
 	}
-	return e.send(ep, src, dst, payload, pd, e.tracerNow())
+	return e.sendSingle(ep, src, dst, payload, pd, e.tracerNow())
 }
 
 // DeployDomain deploys IPvN in count routers of a domain (all when count
@@ -597,15 +570,13 @@ func (e *Evolution) publishRegistrationLocked() {
 func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool, flush bool) error {
 	prev := e.epoch.Load()
 	seq := e.mutSeq.Load()
-	if e.cfg.FullReconverge {
-		dirty, evict, flush = nil, nil, true
-	}
 	if len(e.Dep.Members()) == 0 {
 		e.counters.Epoch()
 		e.epoch.Store(&routingEpoch{
 			seq:     seq,
 			err:     ErrNotDeployed,
 			addrs:   prev.addrs,
+			dep:     e.Dep.Clone(),
 			resolve: newResolveShards(e.shardN),
 			flow:    newFlowShards(e.shardN),
 		})
@@ -623,7 +594,7 @@ func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool
 	boneCfg := e.cfg.Bone
 	boneCfg.Trace = e.tracerNow()
 	var prevBone *vnbone.Bone
-	if !e.cfg.FullReconverge && prev.err == nil {
+	if prev.err == nil {
 		prevBone = prev.bone
 	}
 	bone, stats, err := vnbone.BuildIncremental(e.Anycast, e.IGP, dep, boneCfg, prevBone, dirty)
@@ -652,16 +623,6 @@ func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool
 		vn:       bgpvn.New(bone, e.Fwd, e.Net),
 		dep:      dep,
 		provDeps: provs,
-	}
-	if e.cfg.FullReconverge {
-		// The ablation baseline re-examines every domain, like the
-		// pre-scoping full relabel pass did. The per-domain address pools
-		// draw in the same order either way, so the resulting addresses
-		// are identical to a scoped pass.
-		relabel = map[topology.ASN]bool{}
-		for _, asn := range e.Net.ASNs() {
-			relabel[asn] = true
-		}
 	}
 	e.relabelScoped(relabel)
 	ep.addrs = e.native
@@ -866,15 +827,7 @@ type Delivery struct {
 // SetTracer, if any.
 func (e *Evolution) Send(src, dst *topology.Host, payload []byte) (Delivery, error) {
 	ep := e.epoch.Load()
-	if ep.err != nil {
-		if e.health != nil {
-			return e.sendErrEpoch(ep, src, dst, e.Dep.Addr, payload, e.tracerNow())
-		}
-		e.counters.Send()
-		e.counters.Drop(trace.DropNotDeployed)
-		return Delivery{}, ep.err
-	}
-	return e.send(ep, src, dst, payload, ep.dep, e.tracerNow())
+	return e.sendSingle(ep, src, dst, payload, ep.dep, e.tracerNow())
 }
 
 // SendTraced is Send with a per-delivery Tracer: tr receives this
@@ -883,15 +836,7 @@ func (e *Evolution) Send(src, dst *topology.Host, payload []byte) (Delivery, err
 // trace.Recorder per call yields exactly one delivery's path trace.
 func (e *Evolution) SendTraced(src, dst *topology.Host, payload []byte, tr trace.Tracer) (Delivery, error) {
 	ep := e.epoch.Load()
-	if ep.err != nil {
-		if e.health != nil {
-			return e.sendErrEpoch(ep, src, dst, e.Dep.Addr, payload, tr)
-		}
-		e.counters.Send()
-		e.counters.Drop(trace.DropNotDeployed)
-		return Delivery{}, ep.err
-	}
-	return e.send(ep, src, dst, payload, ep.dep, tr)
+	return e.sendSingle(ep, src, dst, payload, ep.dep, tr)
 }
 
 // resolveIngress is the redirect decision of the send path: the anycast
@@ -903,30 +848,21 @@ func (e *Evolution) SendTraced(src, dst *topology.Host, payload []byte, tr trace
 // store is gated on the mutation sequence still matching the epoch's,
 // and any store that races past the gate is shed by the next epoch's
 // entry-by-entry carry-over.
-func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src *topology.Host, rc redirectCounter) (anycast.Resolution, error) {
+func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src *topology.Host, cb *trace.CounterBatch) (anycast.Resolution, error) {
 	k := resolveKey{src.ID, d.Addr}
 	if v, ok := ep.resolve.load(k); ok {
-		rc.Redirect(true)
+		cb.Redirect(true)
 		return *v, nil
 	}
 	res, err := e.Anycast.ResolveFromHostVia(d, src)
 	if err != nil {
 		return anycast.Resolution{}, err
 	}
-	rc.Redirect(false)
+	cb.Redirect(false)
 	if e.mutSeq.Load() == ep.seq {
 		ep.resolve.store(k, &res)
 	}
 	return res, nil
-}
-
-// dropSend closes a delivery as a failure, counted under its stage.
-func (e *Evolution) dropSend(tr trace.Tracer, seq uint32, reason trace.DropReason, err error) (Delivery, error) {
-	e.counters.Drop(reason)
-	if tr != nil {
-		tr.Event(trace.Event{Kind: trace.KindDrop, Seq: seq, Router: -1, Reason: reason})
-	}
-	return Delivery{}, err
 }
 
 // computeFlow computes one flow's delivery skeleton against ep: the
@@ -936,12 +872,12 @@ func (e *Evolution) dropSend(tr trace.Tracer, seq uint32, reason trace.DropReaso
 // native routing then takes precedence over egress-policy guesswork),
 // the tail leg (leg 3) and the IPv(N-1) baseline. Every path computation
 // of a send happens here and none of the wire-level work; see flowEntry.
-func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingressDep *anycast.Deployment, rc redirectCounter) (*flowEntry, trace.DropReason, error) {
+func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingressDep *anycast.Deployment, cb *trace.CounterBatch) (*flowEntry, trace.DropReason, error) {
 	fe := &flowEntry{
 		srcVN: ep.addrs.addrOf(src),
 		dstVN: ep.addrs.addrOf(dst),
 	}
-	ing, err := e.resolveIngress(ep, ingressDep, src, rc)
+	ing, err := e.resolveIngress(ep, ingressDep, src, cb)
 	if err != nil {
 		return nil, trace.DropNoIngress, fmt.Errorf("core: ingress: %w", err)
 	}
@@ -989,230 +925,6 @@ func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingre
 	}
 	fe.baseline = base.Cost
 	return fe, trace.DropNone, nil
-}
-
-// send runs the delivery on one routing epoch with the given ingress
-// deployment (the shared one, or a provider-specific one) and optional
-// tracer. It opens the span (send tally, per-delivery tag), acquires the
-// pooled wire-path working set, and hands off to the vN path — directly
-// when the graceful-degradation layer is off, through the flow's health
-// decision (sendWithHealth) when it is on.
-func (e *Evolution) send(ep *routingEpoch, src, dst *topology.Host, payload []byte, ingressDep *anycast.Deployment, tr trace.Tracer) (Delivery, error) {
-	e.counters.Send()
-	// The per-delivery tag distinguishes concurrent sends' spans and
-	// integrity checks from one another; math/rand/v2 draws it from a
-	// per-P generator, so unlike a shared atomic sequence the stamp
-	// costs no cross-sender cache-line traffic.
-	seq := rand.Uint32()
-	if tr != nil {
-		tr.Event(trace.Event{Kind: trace.KindSend, Seq: seq, Router: src.Attach, AS: src.Domain})
-	}
-	ctx := sendCtxPool.Get().(*sendCtx)
-	defer sendCtxPool.Put(ctx)
-	if e.health != nil {
-		return e.sendWithHealth(ctx, ep, src, dst, payload, ingressDep, tr, seq)
-	}
-	d, _, reason, err := e.sendVN(ctx, ep, src, dst, payload, ingressDep, tr, seq)
-	if err != nil {
-		return e.dropSend(tr, seq, reason, err)
-	}
-	return d, nil
-}
-
-// sendVN runs the vN delivery proper. The routing skeleton comes from
-// the epoch's sharded flow cache when this flow has delivered before
-// (routing is deterministic within an epoch, so the cached skeleton is
-// exact) and is computed and memoised otherwise. The wire-level
-// encapsulation path runs for real either way, ping-ponging between the
-// two pooled tunnel endpoints — with the pool warm, a steady-state Send
-// allocates nothing. Failures are returned with their drop reason
-// neither counted nor traced: the caller decides whether the packet
-// drops (dropSend) or gets rescued over the baseline. The returned
-// flowEntry (nil when flow resolution itself failed) feeds the health
-// layer's signal matching.
-func (e *Evolution) sendVN(ctx *sendCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, ingressDep *anycast.Deployment, tr trace.Tracer, seq uint32) (Delivery, *flowEntry, trace.DropReason, error) {
-	fk := flowKey{src: src.ID, dst: dst.ID, dep: ingressDep.Addr}
-	var fe *flowEntry
-	if !e.cfg.DisableDeliveryCache {
-		fe, _ = ep.flow.load(fk)
-	}
-	if fe != nil {
-		e.counters.FlowHit()
-		// A flow hit is served entirely from memoised state, redirect
-		// decision included — count it so the redirect hit-rate stays
-		// meaningful.
-		e.counters.Redirect(true)
-	} else {
-		e.counters.FlowMiss()
-		var reason trace.DropReason
-		var err error
-		fe, reason, err = e.computeFlow(ep, src, dst, ingressDep, &e.counters)
-		if err != nil {
-			return Delivery{}, nil, reason, err
-		}
-		// Like the redirect cache, a skeleton computed after a mutator
-		// has already moved on is correct to use but must not be stored.
-		if !e.cfg.DisableDeliveryCache && e.mutSeq.Load() == ep.seq {
-			ep.flow.store(fk, fe)
-		}
-	}
-	e.counters.Ingress(fe.ingressAS)
-	e.counters.BoneHops(fe.vnHops)
-
-	d := Delivery{
-		SrcVN:        fe.srcVN,
-		DstVN:        fe.dstVN,
-		Ingress:      fe.ing,
-		Egress:       fe.eg,
-		VNHops:       fe.vnHops,
-		TailCost:     fe.tailCost,
-		TailPath:     fe.tailPath,
-		BaselineCost: fe.baseline,
-	}
-	d.TotalCost = fe.ing.Cost + fe.eg.BoneCost + fe.tailCost
-	d.Stretch = metrics.Stretch(d.TotalCost, d.BaselineCost)
-
-	// Leg 1 — universal access: the host encapsulates toward the
-	// deployment's anycast address; routing finds the ingress (§3.1).
-	hdr := packet.VNHeader{
-		Version: e.cfg.Version,
-		Src:     fe.srcVN,
-		Dst:     fe.dstVN,
-	}
-	opts := ctx.hdrOpts[:0]
-	if fe.dstVN.IsSelf() {
-		// Carry the destination's IPv(N-1) address for the egress
-		// (§3.3.2's "carried in a separate option field").
-		binary.BigEndian.PutUint32(ctx.underBuf[:], uint32(dst.Addr))
-		opts = append(opts, packet.Option{Type: packet.OptUnderlayDst, Value: ctx.underBuf[:]})
-	}
-	// Tag the packet so the harness can assert the header options
-	// survive every encap/decap stage bit-for-bit. The expected tag
-	// stays local to this delivery; concurrent sends each draw their own.
-	binary.BigEndian.PutUint32(ctx.tagBuf[:], seq)
-	opts = append(opts, packet.Option{Type: packet.OptTraceTag, Value: ctx.tagBuf[:]})
-	hdr.Options = opts
-
-	ingressAddr := ingressDep.Addr
-	hostEP := ctx.epA
-	hostEP.Local = src.Addr
-	hostEP.Observe(tr, &e.counters, seq)
-	wire, err := hostEP.EncapToShared(ingressAddr, hdr, payload)
-	if err != nil {
-		return Delivery{}, fe, trace.DropEncap, err
-	}
-	if tr != nil {
-		tr.Event(trace.Event{
-			Kind: trace.KindRedirect, Seq: seq,
-			Router: fe.ing.Member, AS: fe.ingressAS, Cost: fe.ing.Cost,
-		})
-	}
-
-	// The ingress accepts anycast-addressed packets: decapsulate there.
-	// (Outer dst is the anycast address the member serves.)
-	outer, inner, pl, err := packet.DecapVNShared(wire, ctx.optA[:0])
-	if err != nil {
-		return Delivery{}, fe, trace.DropDecap, fmt.Errorf("core: ingress decap: %w", err)
-	}
-	if outer.Dst != ingressAddr {
-		return Delivery{}, fe, trace.DropDecap, fmt.Errorf("core: ingress got packet for %s", outer.Dst)
-	}
-	if tr != nil {
-		tr.Event(trace.Event{
-			Kind: trace.KindEgress, Seq: seq,
-			Router: fe.eg.Member, AS: e.Net.DomainOf(fe.eg.Member),
-			Cost: fe.eg.BoneCost, Detail: fe.egDetail,
-		})
-	}
-
-	// Leg 2 — relay the wire packet member-to-member along the bone
-	// path. The two pooled endpoints alternate: each re-encapsulation
-	// serializes into one endpoint's buffer while reading the header and
-	// payload that still alias the other's, so no hop copies anything.
-	relayEP, spareEP := ctx.epB, ctx.epA
-	relayOpt, spareOpt := ctx.optB, ctx.optA
-	prevLoop := e.Net.Router(fe.ing.Member).Loopback
-	for i := 1; i < len(fe.eg.BonePath); i++ {
-		hop := fe.eg.BonePath[i]
-		nextLoop := e.Net.Router(hop).Loopback
-		relayEP.Local = prevLoop
-		relayEP.Observe(tr, &e.counters, seq)
-		wire, err = relayEP.EncapToShared(nextLoop, inner, pl)
-		if err != nil {
-			return Delivery{}, fe, trace.DropRelay, fmt.Errorf("core: bone relay %d: %w", i, err)
-		}
-		relayEP.Local = nextLoop
-		_, inner, pl, err = relayEP.DecapShared(wire, relayOpt[:0])
-		if err != nil {
-			return Delivery{}, fe, trace.DropRelay, fmt.Errorf("core: bone decap %d: %w", i, err)
-		}
-		if tr != nil {
-			tr.Event(trace.Event{
-				Kind: trace.KindBoneHop, Seq: seq,
-				Router: hop, AS: e.Net.DomainOf(hop),
-				Cost: ep.bone.Dist(fe.eg.BonePath[i-1], hop),
-			})
-		}
-		prevLoop = nextLoop
-		relayEP, spareEP = spareEP, relayEP
-		relayOpt, spareOpt = spareOpt, relayOpt
-	}
-
-	// Leg 3 — exit the vN-Bone and reach the destination host. After the
-	// loop relayEP's buffer is the free one; the current header and
-	// payload alias spareEP's.
-	relayEP.Local = prevLoop
-	relayEP.Observe(tr, &e.counters, seq)
-	if fe.dstVN.IsSelf() {
-		under, ok := inner.UnderlayDst()
-		if !ok {
-			return Delivery{}, fe, trace.DropTail, fmt.Errorf("core: self-addressed destination without underlay address")
-		}
-		// Final tunnel: egress → destination host over IPv(N-1), an
-		// ad-hoc encapsulation toward the host's underlay address.
-		wire, err = relayEP.EncapToShared(under, inner, pl)
-		if err != nil {
-			return Delivery{}, fe, trace.DropTail, fmt.Errorf("core: final tunnel: %w", err)
-		}
-	} else {
-		wire, err = relayEP.EncapToShared(dst.Addr, inner, pl)
-		if err != nil {
-			return Delivery{}, fe, trace.DropTail, fmt.Errorf("core: native delivery encap: %w", err)
-		}
-	}
-	dstEP := spareEP
-	dstEP.Local = dst.Addr
-	dstEP.Observe(tr, &e.counters, seq)
-	_, inner, pl, err = dstEP.DecapShared(wire, spareOpt[:0])
-	if err != nil {
-		return Delivery{}, fe, trace.DropTail, fmt.Errorf("core: final decap: %w", err)
-	}
-
-	// The trace tag must have survived the whole wire path.
-	for _, o := range inner.Options {
-		if o.Type == packet.OptTraceTag && len(o.Value) == 4 {
-			d.TraceTag = binary.BigEndian.Uint32(o.Value)
-		}
-	}
-	if d.TraceTag != seq {
-		return Delivery{}, fe, trace.DropIntegrity, fmt.Errorf("core: trace tag corrupted in transit (%d != %d)", d.TraceTag, seq)
-	}
-	// The arrived payload aliases the pooled wire buffer; verify the
-	// round-trip was bit-exact, then hand the caller back their own
-	// bytes so the Delivery outlives the pooled working set.
-	if !bytes.Equal(pl, payload) {
-		return Delivery{}, fe, trace.DropIntegrity, fmt.Errorf("core: payload corrupted in transit")
-	}
-	d.Payload = payload
-	e.counters.PayloadBytes(len(payload))
-	e.counters.Deliver()
-	if tr != nil {
-		tr.Event(trace.Event{
-			Kind: trace.KindDeliver, Seq: seq,
-			Router: dst.Attach, AS: dst.Domain, Cost: d.TotalCost,
-		})
-	}
-	return d, fe, trace.DropNone, nil
 }
 
 // FormatTrace renders a recorded event sequence as a per-hop path trace
@@ -1311,13 +1023,6 @@ func (e *Evolution) RestoreInterLink(l topology.InterLink) {
 // referees that claim on every schedule. Callers hold mu and have bumped
 // mutSeq.
 func (e *Evolution) reconvergeIntraLocked(asn topology.ASN) {
-	if e.cfg.FullReconverge {
-		e.counters.InvalFull()
-		e.IGP.Invalidate()
-		e.BGP.Refresh()
-		_ = e.buildEpochLocked(nil, nil, nil, true)
-		return
-	}
 	e.counters.InvalDomain()
 	e.IGP.InvalidateDomain(asn)
 	scope := map[topology.ASN]bool{asn: true}
@@ -1330,13 +1035,8 @@ func (e *Evolution) reconvergeIntraLocked(asn topology.ASN) {
 // Redirect trajectories can change anywhere, so the cache flushes
 // wholesale. Callers hold mu and have bumped mutSeq.
 func (e *Evolution) reconvergeInterLocked() {
-	if e.cfg.FullReconverge {
-		e.counters.InvalFull()
-		e.IGP.Invalidate()
-	} else {
-		e.counters.InvalInter()
-		e.IGP.InvalidateInter()
-	}
+	e.counters.InvalInter()
+	e.IGP.InvalidateInter()
 	e.BGP.Refresh()
 	_ = e.buildEpochLocked(nil, nil, nil, true)
 }

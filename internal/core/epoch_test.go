@@ -8,10 +8,8 @@ import (
 	"github.com/evolvable-net/evolve/internal/topology"
 )
 
-// transitStubEvo builds the stock 15-domain transit–stub internet with an
-// option-1 deployment over the first 7 domains, either with scoped
-// reconvergence (the default) or the full-dump baseline.
-func transitStubEvo(t *testing.T, full bool) (*topology.Network, *Evolution) {
+// transitStubNet generates the stock 15-domain transit–stub internet.
+func transitStubNet(t *testing.T) *topology.Network {
 	t.Helper()
 	net, err := topology.TransitStub(3, 4, 0.4, topology.GenConfig{
 		Seed:             42,
@@ -21,14 +19,30 @@ func transitStubEvo(t *testing.T, full bool) (*topology.Network, *Evolution) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evo, err := New(net, Config{Option: anycast.Option1, FullReconverge: full})
+	return net
+}
+
+// deployFirstSeven puts an option-1 deployment over net's first 7
+// domains, as one membership event.
+func deployFirstSeven(t *testing.T, net *topology.Network) *Evolution {
+	t.Helper()
+	evo, err := New(net, Config{Option: anycast.Option1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var routers []topology.RouterID
 	for _, asn := range net.ASNs()[:7] {
-		evo.DeployDomain(asn, 0)
+		routers = append(routers, net.Domain(asn).Routers...)
 	}
-	return net, evo
+	evo.DeployRouters(routers)
+	return evo
+}
+
+// transitStubEvo is deployFirstSeven over a fresh transitStubNet.
+func transitStubEvo(t *testing.T) (*topology.Network, *Evolution) {
+	t.Helper()
+	net := transitStubNet(t)
+	return net, deployFirstSeven(t, net)
 }
 
 // findIntraLink returns one intra-domain link of asn.
@@ -113,65 +127,67 @@ func TestUnregisterWithdrawsInPlace(t *testing.T) {
 	}
 }
 
-// TestScopedIntraReconvergenceRunsFewerDijkstras drives the same
-// single-domain link failure through a scoped-invalidation Evolution and
-// a FullReconverge baseline over identical topologies, and asserts the
-// scoped path recomputes at least 5× fewer shortest-path trees.
+// TestScopedIntraReconvergenceRunsFewerDijkstras fails one intra-domain
+// link on a running Evolution and checks the scoped reconvergence against
+// the full cost of the same world: an Evolution built from scratch on the
+// post-failure topology, whose every shortest-path tree is computed fresh.
+// The scoped path must recompute at least 5× fewer trees than that, and
+// the two must agree on every delivery.
 func TestScopedIntraReconvergenceRunsFewerDijkstras(t *testing.T) {
-	netS, scoped := transitStubEvo(t, false)
-	netF, fullEvo := transitStubEvo(t, true)
+	netS, scoped := transitStubEvo(t)
 	if _, err := scoped.Bone(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fullEvo.Bone(); err != nil {
 		t.Fatal(err)
 	}
 
 	// A deployed stub domain's intra link; same seed, so the link exists
-	// in both networks.
+	// in the reference network too.
 	asn := netS.ASNs()[6]
 	a, b := findIntraLink(t, netS, asn)
 
-	sBase, fBase := scoped.IGP.DijkstraRuns(), fullEvo.IGP.DijkstraRuns()
-	cs, cf := scoped.Snapshot(), fullEvo.Snapshot()
+	sBase := scoped.IGP.DijkstraRuns()
+	cs := scoped.Snapshot()
 	if !scoped.FailIntraLink(a, b) {
 		t.Fatal("intra link not found (scoped)")
 	}
-	if !fullEvo.FailIntraLink(a, b) {
-		t.Fatal("intra link not found (full)")
-	}
 	sDelta := scoped.IGP.DijkstraRuns() - sBase
-	fDelta := fullEvo.IGP.DijkstraRuns() - fBase
+
+	netF := transitStubNet(t)
+	if !netF.FailIntraLink(a, b) {
+		t.Fatal("intra link not found (from scratch)")
+	}
+	fresh := deployFirstSeven(t, netF)
+	if _, err := fresh.Bone(); err != nil {
+		t.Fatal(err)
+	}
+	fDelta := fresh.IGP.DijkstraRuns()
+
 	if sDelta == 0 {
 		t.Fatal("scoped reconvergence ran no dijkstras — nothing was recomputed")
 	}
 	if fDelta < 5*sDelta {
-		t.Errorf("full dump ran %d dijkstras, scoped ran %d — want ≥5× savings", fDelta, sDelta)
+		t.Errorf("building from scratch ran %d dijkstras, scoped ran %d — want ≥5× savings", fDelta, sDelta)
 	}
 
 	ds := scoped.Snapshot().Sub(cs)
-	if ds.InvalDomain != 1 || ds.InvalInter != 0 || ds.InvalFull != 0 {
-		t.Errorf("scoped invalidation counters = %d/%d/%d (domain/inter/full), want 1/0/0",
-			ds.InvalDomain, ds.InvalInter, ds.InvalFull)
+	if ds.InvalDomain != 1 || ds.InvalInter != 0 {
+		t.Errorf("scoped invalidation counters = %d/%d (domain/inter), want 1/0",
+			ds.InvalDomain, ds.InvalInter)
 	}
 	if ds.BoneDomainsReused == 0 {
 		t.Error("scoped rebuild reused no domain meshes")
 	}
-	df := fullEvo.Snapshot().Sub(cf)
-	if df.InvalFull != 1 {
-		t.Errorf("full-dump invalidation counter = %d, want 1", df.InvalFull)
-	}
 
-	// Both reconverged systems must still agree on deliveries.
+	// The reconverged system must agree with the from-scratch one on
+	// deliveries.
 	for i := 0; i < len(netS.Hosts); i++ {
 		src, dst := netS.Hosts[i], netS.Hosts[(i+1)%len(netS.Hosts)]
 		dS, errS := scoped.Send(src, dst, []byte("x"))
-		dF, errF := fullEvo.Send(netF.Hosts[src.ID], netF.Hosts[dst.ID], []byte("x"))
+		dF, errF := fresh.Send(netF.Hosts[src.ID], netF.Hosts[dst.ID], []byte("x"))
 		if (errS != nil) != (errF != nil) {
-			t.Fatalf("h%d→h%d: scoped err=%v, full err=%v", src.ID, dst.ID, errS, errF)
+			t.Fatalf("h%d→h%d: scoped err=%v, from scratch err=%v", src.ID, dst.ID, errS, errF)
 		}
 		if errS == nil && (dS.Ingress.Member != dF.Ingress.Member || dS.TotalCost != dF.TotalCost) {
-			t.Fatalf("h%d→h%d: scoped r%d/%d, full r%d/%d",
+			t.Fatalf("h%d→h%d: scoped r%d/%d, from scratch r%d/%d",
 				src.ID, dst.ID, dS.Ingress.Member, dS.TotalCost, dF.Ingress.Member, dF.TotalCost)
 		}
 	}
@@ -182,7 +198,7 @@ func TestScopedIntraReconvergenceRunsFewerDijkstras(t *testing.T) {
 // holds the mutator lock, because the send path only loads the published
 // epoch pointer.
 func TestSendCompletesWhileMutatorLockHeld(t *testing.T) {
-	net, evo := transitStubEvo(t, false)
+	net, evo := transitStubEvo(t)
 	src, dst := net.Hosts[0], net.Hosts[1]
 	if _, err := evo.Send(src, dst, []byte("warm")); err != nil {
 		t.Fatal(err)

@@ -4,15 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math/rand/v2"
 
-	"github.com/evolvable-net/evolve/internal/addr"
-	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/metrics"
 	"github.com/evolvable-net/evolve/internal/packet"
 	"github.com/evolvable-net/evolve/internal/topology"
 	"github.com/evolvable-net/evolve/internal/trace"
-	"github.com/evolvable-net/evolve/internal/tunnel"
 )
 
 // fallbackBaseline returns the flow's IPv(N-1) baseline cost, memoised in
@@ -28,6 +24,13 @@ func (e *Evolution) fallbackBaseline(h *flowHealth, ep *routingEpoch, src, dst *
 	}
 	h.mu.Unlock()
 	base, err := e.Fwd.HostToHost(src, dst)
+	if err != nil && e.mutSeq.Load() != ep.seq {
+		// Torn by a mutation in flight (see flowSkeleton): once more with
+		// mutators locked out.
+		e.mu.Lock()
+		base, err = e.Fwd.HostToHost(src, dst)
+		e.mu.Unlock()
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -41,21 +44,18 @@ func (e *Evolution) fallbackBaseline(h *flowHealth, ep *routingEpoch, src, dst *
 
 // deliverFallback runs one delivery over the IPv(N-1) baseline: a direct
 // tunnel from the source host to the destination host's underlay address,
-// carrying the IPvN header marked with OptFallback. It is the shared wire
-// path of every degradation mode — fallback-state sends, in-line rescues
-// of failed vN attempts, and error-epoch sends — and of both the loop and
-// batch engines: callers hand in their own endpoints, scratch buffers,
-// tracer and counter sink, so tallies and span events land wherever the
-// surrounding send path's do and the batch≡loop contract extends to
-// degraded deliveries. vnReason carries the vN failure that triggered a
-// rescue (DropNone for state sends); on failure the drop reason is
-// returned for the caller's dropSend/dropBatch.
+// carrying the IPvN header marked with OptFallback, serialized and parsed
+// through the layer serializers. It is the wire path of every degradation
+// mode — fallback-state sends, in-line rescues of failed vN attempts, and
+// error-epoch sends — run on the send's own context, so tallies and span
+// events land where the vN path's do. vnReason carries the vN failure
+// that triggered a rescue (DropNone for state sends); on failure the drop
+// reason is returned for the caller's drop.
 func (e *Evolution) deliverFallback(
-	ep *routingEpoch, h *flowHealth, src, dst *topology.Host, payload []byte,
-	seq uint32, vnReason trace.DropReason, detail string, mark uint8,
-	tr trace.Tracer, sc sendCounter, epA, epB *tunnel.Endpoint,
-	scratch []packet.Option, hdrOpts []packet.Option, markBuf, tagBuf []byte,
+	bc *batchCtx, ep *routingEpoch, h *flowHealth, src, dst *topology.Host, payload []byte,
+	seq uint32, vnReason trace.DropReason, detail string, mark uint8, tr trace.Tracer,
 ) (Delivery, trace.DropReason, error) {
+	cb := &bc.counters
 	cost, err := e.fallbackBaseline(h, ep, src, dst)
 	if err != nil {
 		return Delivery{}, trace.DropNoBaseline, fmt.Errorf("core: baseline: %w", err)
@@ -69,26 +69,26 @@ func (e *Evolution) deliverFallback(
 		Src:     ep.addrs.addrOf(src),
 		Dst:     ep.addrs.addrOf(dst),
 	}
-	markBuf[0] = mark
-	opts := append(hdrOpts, packet.Option{Type: packet.OptFallback, Value: markBuf})
-	binary.BigEndian.PutUint32(tagBuf, seq)
-	opts = append(opts, packet.Option{Type: packet.OptTraceTag, Value: tagBuf})
+	bc.markBuf[0] = mark
+	opts := append(bc.hdrOpts[:0], packet.Option{Type: packet.OptFallback, Value: bc.markBuf[:]})
+	binary.BigEndian.PutUint32(bc.tagBuf[:], seq)
+	opts = append(opts, packet.Option{Type: packet.OptTraceTag, Value: bc.tagBuf[:]})
 	hdr.Options = opts
 
-	epA.Local = src.Addr
-	epA.Observe(tr, nil, seq)
-	wire, err := epA.EncapToShared(dst.Addr, hdr, payload)
+	bc.ep.Local = src.Addr
+	bc.ep.Observe(tr, nil, seq)
+	wire, err := bc.ep.EncapToShared(dst.Addr, hdr, payload)
 	if err != nil {
 		return Delivery{}, trace.DropEncap, fmt.Errorf("core: fallback encap: %w", err)
 	}
-	sc.Encap()
-	epB.Local = dst.Addr
-	epB.Observe(tr, nil, seq)
-	_, inner, pl, err := epB.DecapShared(wire, scratch)
+	cb.Encap()
+	bc.epDst.Local = dst.Addr
+	bc.epDst.Observe(tr, nil, seq)
+	_, inner, pl, err := bc.epDst.DecapShared(wire, bc.opts[:0])
 	if err != nil {
 		return Delivery{}, trace.DropTail, fmt.Errorf("core: fallback decap: %w", err)
 	}
-	sc.Decap()
+	cb.Decap()
 
 	var tag uint32
 	for _, o := range inner.Options {
@@ -113,142 +113,14 @@ func (e *Evolution) deliverFallback(
 		TraceTag:     seq,
 		Payload:      payload,
 	}
-	sc.FallbackSend()
+	cb.FallbackSend()
 	if mark == packet.FallbackMarkRescue {
-		sc.FallbackRescue()
+		cb.FallbackRescue()
 	}
-	sc.PayloadBytes(len(payload))
-	sc.Deliver()
+	cb.PayloadBytes(len(payload))
+	cb.Deliver()
 	if tr != nil {
 		tr.Event(trace.Event{Kind: trace.KindDeliver, Seq: seq, Router: dst.Attach, AS: dst.Domain, Cost: cost})
 	}
 	return d, trace.DropNone, nil
-}
-
-// sendWithHealth is the loop send path with the graceful-degradation
-// layer engaged: the flow's health record decides whether to attempt the
-// vN path, a vN failure (other than a missing baseline) is rescued
-// in-line over the baseline, and a flow in fallback skips the vN path
-// entirely except for its backoff probes.
-func (e *Evolution) sendWithHealth(ctx *sendCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, ingressDep *anycast.Deployment, tr trace.Tracer, seq uint32) (Delivery, error) {
-	fc := &e.cfg.Fallback
-	h := e.health.get(flowKey{src: src.ID, dst: dst.ID, dep: ingressDep.Addr})
-	attempt, probe := h.decide(ep.seq, fc, ep.addrs.addrOf(dst), &e.counters)
-	if attempt {
-		d, fe, reason, err := e.sendVN(ctx, ep, src, dst, payload, ingressDep, tr, seq)
-		if err == nil {
-			h.noteSuccess(fe, probe, fc, &e.counters, tr, seq)
-			return d, nil
-		}
-		if reason == trace.DropNoBaseline {
-			// The vN skeleton was fine and only the baseline is missing:
-			// nothing to rescue over, and nothing learned about the vN path.
-			return e.dropSend(tr, seq, reason, err)
-		}
-		h.noteFailure(fe, ep.seq, fc, &e.counters, tr, seq)
-		d, dropReason, ferr := e.deliverFallback(ep, h, src, dst, payload,
-			seq, reason, trace.DetailFallbackRescue, packet.FallbackMarkRescue,
-			tr, &e.counters, ctx.epA, ctx.epB, ctx.optA[:0], ctx.hdrOpts[:0], ctx.markBuf[:], ctx.tagBuf[:])
-		if ferr != nil {
-			return e.dropSend(tr, seq, dropReason, ferr)
-		}
-		return d, nil
-	}
-	d, dropReason, ferr := e.deliverFallback(ep, h, src, dst, payload,
-		seq, trace.DropNone, trace.DetailFallbackState, packet.FallbackMarkState,
-		tr, &e.counters, ctx.epA, ctx.epB, ctx.optA[:0], ctx.hdrOpts[:0], ctx.markBuf[:], ctx.tagBuf[:])
-	if ferr != nil {
-		return e.dropSend(tr, seq, dropReason, ferr)
-	}
-	return d, nil
-}
-
-// sendErrEpoch is the loop send path against an error epoch with the
-// graceful-degradation layer engaged: instead of failing fast with the
-// epoch error, the delivery rides the baseline (the underlay does not
-// care that the vN deployment is broken), and the flow's health record
-// takes the failure so it probes back as soon as a usable epoch
-// publishes. dep keys the flow (the shared deployment address, or a
-// provider-specific one for SendVia).
-func (e *Evolution) sendErrEpoch(ep *routingEpoch, src, dst *topology.Host, dep addr.V4, payload []byte, tr trace.Tracer) (Delivery, error) {
-	e.counters.Send()
-	seq := rand.Uint32()
-	if tr != nil {
-		tr.Event(trace.Event{Kind: trace.KindSend, Seq: seq, Router: src.Attach, AS: src.Domain})
-	}
-	ctx := sendCtxPool.Get().(*sendCtx)
-	defer sendCtxPool.Put(ctx)
-	h := e.health.get(flowKey{src: src.ID, dst: dst.ID, dep: dep})
-	h.observeDst(ep.addrs.addrOf(dst))
-	h.noteFailure(nil, ep.seq, &e.cfg.Fallback, &e.counters, tr, seq)
-	d, reason, err := e.deliverFallback(ep, h, src, dst, payload,
-		seq, trace.DropNotDeployed, trace.DetailFallbackErrEpoch, packet.FallbackMarkRescue,
-		tr, &e.counters, ctx.epA, ctx.epB, ctx.optA[:0], ctx.hdrOpts[:0], ctx.markBuf[:], ctx.tagBuf[:])
-	if err != nil {
-		return e.dropSend(tr, seq, reason, err)
-	}
-	return d, nil
-}
-
-// sendBatchErrEpoch is sendErrEpoch's batch mirror: every packet of the
-// burst rides the baseline individually (so one unreachable destination
-// never poisons the rest), tallied through the batch accumulator and
-// event buffer exactly like a healthy-epoch batch.
-func (e *Evolution) sendBatchErrEpoch(out []Delivery, ep *routingEpoch, src *topology.Host, dsts []*topology.Host, dst1 *topology.Host, payloads [][]byte, n int, tr trace.Tracer) ([]Delivery, error) {
-	base := len(out)
-	out = growDeliveries(out, n)
-	bc := batchCtxPool.Get().(*batchCtx)
-	bc.reset()
-	var btr trace.Tracer
-	if tr != nil {
-		btr = &bc.events
-	}
-	cb := &bc.counters
-
-	var errs []error
-	failed := 0
-	dst := dst1
-	var pl []byte
-	for i := 0; i < n; i++ {
-		if e.testBatchHook != nil {
-			e.testBatchHook(i)
-		}
-		if dsts != nil {
-			dst = dsts[i]
-		}
-		if payloads != nil {
-			pl = payloads[i]
-		}
-		cb.Send()
-		seq := rand.Uint32()
-		if btr != nil {
-			btr.Event(trace.Event{Kind: trace.KindSend, Seq: seq, Router: src.Attach, AS: src.Domain})
-		}
-		h := e.health.get(flowKey{src: src.ID, dst: dst.ID, dep: e.Dep.Addr})
-		h.observeDst(ep.addrs.addrOf(dst))
-		h.noteFailure(nil, ep.seq, &e.cfg.Fallback, cb, btr, seq)
-		d, reason, err := e.deliverFallback(ep, h, src, dst, pl,
-			seq, trace.DropNotDeployed, trace.DetailFallbackErrEpoch, packet.FallbackMarkRescue,
-			btr, cb, bc.ep, bc.epDst, bc.opts[:0], bc.hdrOpts[:0], bc.markBuf[:], bc.tagBuf[:])
-		if err != nil {
-			_, err = dropBatch(cb, btr, seq, reason, err)
-			if errs == nil {
-				errs = make([]error, n)
-			}
-			errs[i] = err
-			failed++
-			continue
-		}
-		out[base+i] = d
-	}
-
-	cb.BatchPackets(n)
-	cb.FlushTo(&e.counters)
-	bc.events.Flush(tr)
-	batchCtxPool.Put(bc)
-
-	if failed > 0 {
-		return out, &BatchError{Errs: errs, Failed: failed}
-	}
-	return out, nil
 }

@@ -104,37 +104,6 @@ func (s HealthState) String() string {
 	}
 }
 
-// sendCounter abstracts the send-path tally set so the health and
-// fallback machinery counts into the shared striped Counters (loop
-// sends) or a per-batch CounterBatch accumulator (batched sends) without
-// branching. Both implementations are pointer receivers, so passing
-// either through the interface allocates nothing.
-type sendCounter interface {
-	redirectCounter
-	// Send counts one delivery attempt entering the send path.
-	Send()
-	// Deliver counts one successful end-to-end delivery.
-	Deliver()
-	// Drop counts one failed delivery under its reason.
-	Drop(trace.DropReason)
-	// Encap/Decap count tunnel operations.
-	Encap()
-	Decap()
-	// PayloadBytes counts payload bytes carried by deliveries.
-	PayloadBytes(int)
-	// FallbackSend/FallbackRescue/FallbackProbe count baseline-path
-	// deliveries, in-line rescues and vN probes from fallback.
-	FallbackSend()
-	FallbackRescue()
-	FallbackProbe()
-	// HealthSuspect/HealthFallback/HealthProbation/HealthRecovered count
-	// flow-health state transitions.
-	HealthSuspect()
-	HealthFallback()
-	HealthProbation()
-	HealthRecovered()
-}
-
 // flowHealth is the health record of one delivery flow. It lives on the
 // Evolution (not the epoch — flow caches are rebuilt every epoch, health
 // history must survive them) and is mutated under its own mutex by
@@ -281,7 +250,7 @@ func healthEvent(tr trace.Tracer, seq uint32, detail string) {
 // identity. The decision depends only on the flow's state, the epoch
 // sequence and the flow's own send count, so twin worlds replaying the
 // same sends decide identically.
-func (h *flowHealth) decide(epSeq uint64, fc *FallbackConfig, dstVN addr.VN, sc sendCounter) (attemptVN, probe bool) {
+func (h *flowHealth) decide(epSeq uint64, fc *FallbackConfig, dstVN addr.VN, cb *trace.CounterBatch) (attemptVN, probe bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.dstVN = dstVN
@@ -298,7 +267,7 @@ func (h *flowHealth) decide(epSeq uint64, fc *FallbackConfig, dstVN addr.VN, sc 
 			h.probeEvery = fc.ProbeMax
 		}
 		h.jit = h.nextJitter(h.probeEvery/2 + 1)
-		sc.FallbackProbe()
+		cb.FallbackProbe()
 		return true, true
 	}
 	return false, false
@@ -306,7 +275,7 @@ func (h *flowHealth) decide(epSeq uint64, fc *FallbackConfig, dstVN addr.VN, sc 
 
 // noteSuccess records a successful vN delivery: probes enter probation,
 // probation accumulates toward healthy, suspicion clears.
-func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, fc *FallbackConfig, sc sendCounter, tr trace.Tracer, seq uint32) {
+func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, fc *FallbackConfig, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if fe != nil {
@@ -317,11 +286,11 @@ func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, fc *FallbackConfig, 
 	case probe && h.state == HealthFallback:
 		h.state = HealthProbation
 		h.okRun = 1
-		sc.HealthProbation()
+		cb.HealthProbation()
 		healthEvent(tr, seq, trace.DetailHealthProbation)
 		if h.okRun >= fc.ProbationSends {
 			h.state = HealthHealthy
-			sc.HealthRecovered()
+			cb.HealthRecovered()
 			healthEvent(tr, seq, trace.DetailHealthRecovered)
 		}
 	case h.state == HealthProbation:
@@ -329,12 +298,12 @@ func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, fc *FallbackConfig, 
 		if h.okRun >= fc.ProbationSends {
 			h.state = HealthHealthy
 			h.okRun = 0
-			sc.HealthRecovered()
+			cb.HealthRecovered()
 			healthEvent(tr, seq, trace.DetailHealthRecovered)
 		}
 	case h.state == HealthSuspect:
 		h.state = HealthHealthy
-		sc.HealthRecovered()
+		cb.HealthRecovered()
 		healthEvent(tr, seq, trace.DetailHealthRecovered)
 	}
 }
@@ -343,7 +312,7 @@ func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, fc *FallbackConfig, 
 // an external signal): suspicion accumulates, and past FallbackAfter the
 // flow enters fallback with a fresh probe schedule. dstVN may be the
 // zero value when the caller has no epoch at hand (external signals).
-func (h *flowHealth) noteFailure(fe *flowEntry, epSeq uint64, fc *FallbackConfig, sc sendCounter, tr trace.Tracer, seq uint32) {
+func (h *flowHealth) noteFailure(fe *flowEntry, epSeq uint64, fc *FallbackConfig, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if fe != nil {
@@ -358,16 +327,16 @@ func (h *flowHealth) noteFailure(fe *flowEntry, epSeq uint64, fc *FallbackConfig
 	case HealthProbation:
 		// Relapse: straight back to fallback.
 		h.enterFallbackLocked(fc)
-		sc.HealthFallback()
+		cb.HealthFallback()
 		healthEvent(tr, seq, trace.DetailHealthFallback)
 	default:
 		if h.fails >= fc.FallbackAfter {
 			h.enterFallbackLocked(fc)
-			sc.HealthFallback()
+			cb.HealthFallback()
 			healthEvent(tr, seq, trace.DetailHealthFallback)
 		} else if h.state == HealthHealthy && h.fails >= fc.SuspectAfter {
 			h.state = HealthSuspect
-			sc.HealthSuspect()
+			cb.HealthSuspect()
 			healthEvent(tr, seq, trace.DetailHealthSuspect)
 		}
 	}
@@ -427,22 +396,11 @@ func (e *Evolution) FlowHealth(src, dst *topology.Host) (FlowHealthInfo, bool) {
 // returns the number of flows signalled; a no-op (0) when the fallback
 // layer is disabled.
 func (e *Evolution) ReportUnackedVN(dst addr.VN) int {
-	if e.health == nil {
-		return 0
-	}
-	epSeq := e.epoch.Load().seq
-	n := 0
-	e.health.each(func(k flowKey, h *flowHealth) {
+	return e.signalFailure(func(h *flowHealth) bool {
 		h.mu.Lock()
-		match := h.dstVN == dst
-		h.mu.Unlock()
-		if match {
-			h.noteFailure(nil, epSeq, &e.cfg.Fallback, &e.counters, nil, 0)
-			n++
-		}
+		defer h.mu.Unlock()
+		return h.dstVN == dst
 	})
-	e.counters.HealthSignal(n)
-	return n
 }
 
 // ReportPeerSuspect feeds an overlay peer-suspicion signal into the
@@ -452,32 +410,41 @@ func (e *Evolution) ReportUnackedVN(dst addr.VN) int {
 // table. It returns the number of flows signalled; a no-op (0) when the
 // fallback layer is disabled.
 func (e *Evolution) ReportPeerSuspect(id topology.RouterID) int {
-	if e.health == nil {
-		return 0
-	}
-	epSeq := e.epoch.Load().seq
-	n := 0
-	e.health.each(func(k flowKey, h *flowHealth) {
+	return e.signalFailure(func(h *flowHealth) bool {
 		h.mu.Lock()
 		fe := h.lastFE
 		h.mu.Unlock()
 		if fe == nil {
-			return
+			return false
 		}
-		match := fe.ing.Member == id
-		if !match {
-			for _, r := range fe.eg.BonePath {
-				if r == id {
-					match = true
-					break
-				}
+		if fe.ing.Member == id {
+			return true
+		}
+		for _, r := range fe.eg.BonePath {
+			if r == id {
+				return true
 			}
 		}
-		if match {
-			h.noteFailure(nil, epSeq, &e.cfg.Fallback, &e.counters, nil, 0)
+		return false
+	})
+}
+
+// signalFailure applies one external failure signal to every flow whose
+// health record match selects, and returns how many it signalled.
+func (e *Evolution) signalFailure(match func(*flowHealth) bool) int {
+	if e.health == nil {
+		return 0
+	}
+	epSeq := e.epoch.Load().seq
+	var cb trace.CounterBatch
+	n := 0
+	e.health.each(func(_ flowKey, h *flowHealth) {
+		if match(h) {
+			h.noteFailure(nil, epSeq, &e.cfg.Fallback, &cb, nil, 0)
 			n++
 		}
 	})
+	cb.FlushTo(&e.counters)
 	e.counters.HealthSignal(n)
 	return n
 }

@@ -114,11 +114,11 @@ func TestCountersUnderConcurrentSends(t *testing.T) {
 	if got := s.Redirects - base.Redirects; got != total {
 		t.Errorf("redirects: got %d, want %d (one per send)", got, total)
 	}
-	// Each distinct source host misses the redirect cache at most once;
-	// everything else must be a hit.
-	distinctSrcs := uint64(len(hosts))
-	if hits := s.RedirectCacheHits - base.RedirectCacheHits; hits < total-distinctSrcs {
-		t.Errorf("cache hits: got %d, want ≥ %d", hits, total-distinctSrcs)
+	// A sender can miss the redirect cache on its first send only (senders
+	// sharing a source host may all start before the first of them has
+	// stored); everything else must be a hit.
+	if hits := s.RedirectCacheHits - base.RedirectCacheHits; hits < total-senders {
+		t.Errorf("cache hits: got %d, want ≥ %d", hits, total-senders)
 	}
 	var ingress uint64
 	for _, v := range s.IngressByAS {

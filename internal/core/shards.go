@@ -5,10 +5,8 @@ import (
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
-	"github.com/evolvable-net/evolve/internal/packet"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
 	"github.com/evolvable-net/evolve/internal/topology"
-	"github.com/evolvable-net/evolve/internal/tunnel"
 )
 
 // defaultDeliveryShards is the shard count used when
@@ -215,34 +213,4 @@ func (s *flowShards) store(k flowKey, v *flowEntry) {
 	sh.mu.Lock()
 	sh.m[k] = v
 	sh.mu.Unlock()
-}
-
-// sendCtx is the pooled per-send working set: two tunnel endpoints used
-// ping-pong fashion along the wire path (each encapsulation serializes
-// into its endpoint's buffer while reading the header and payload that
-// alias the other endpoint's), plus option scratch space so building and
-// decoding IPvN header options touches no fresh memory. With the pool
-// warm, a steady-state Send allocates nothing.
-type sendCtx struct {
-	epA, epB *tunnel.Endpoint
-	// optA/optB are the decode scratches for epA/epB's DecapShared.
-	optA, optB []packet.Option
-	// hdrOpts, underBuf and tagBuf build the source header's options
-	// (OptUnderlayDst for self-addressed destinations, OptTraceTag);
-	// markBuf holds the OptFallback marker byte of baseline deliveries.
-	hdrOpts  [2]packet.Option
-	underBuf [4]byte
-	tagBuf   [4]byte
-	markBuf  [1]byte
-}
-
-var sendCtxPool = sync.Pool{
-	New: func() any {
-		return &sendCtx{
-			epA:  tunnel.NewEndpoint(0),
-			epB:  tunnel.NewEndpoint(0),
-			optA: make([]packet.Option, 0, 8),
-			optB: make([]packet.Option, 0, 8),
-		}
-	},
 }

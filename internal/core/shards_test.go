@@ -77,10 +77,11 @@ func runDeliveryScript(t *testing.T, e *Evolution) ([]Delivery, []string) {
 	return deliveries, addrs
 }
 
-// TestShardEquivalence runs the same script at shard counts 1, 4 and 16
-// and with the flow cache disabled entirely; every delivery and every
-// address must be identical. Sharding and memoisation are layout and
-// speed, never routing.
+// TestShardEquivalence runs the same script at shard counts 1, 4 and 16;
+// every delivery and every address must be identical. Sharding is layout
+// and speed, never routing. (That memoisation is not routing either is
+// the script's own miss-then-hit comparison, and TestFlowCacheCounters'
+// recomputation after a routing-neutral republish.)
 func TestShardEquivalence(t *testing.T) {
 	type arm struct {
 		name string
@@ -90,7 +91,6 @@ func TestShardEquivalence(t *testing.T) {
 		{"shards=1", Config{DeliveryShards: 1}},
 		{"shards=4", Config{DeliveryShards: 4}},
 		{"shards=16", Config{DeliveryShards: 16}},
-		{"uncached", Config{DeliveryShards: 1, DisableDeliveryCache: true}},
 	}
 	var refDel []Delivery
 	var refAddrs []string
@@ -115,23 +115,43 @@ func TestShardEquivalence(t *testing.T) {
 	}
 }
 
-// TestFlowCacheCounters checks the delivery flow cache's own accounting:
-// a repeated flow is one miss then hits, and disabling the cache turns
-// every send into a miss.
+// TestFlowCacheCounters checks the delivery flow cache's own accounting
+// and exactness: a repeated flow is one miss then hits, and a skeleton
+// recomputed on a fresh flow cache over unchanged routing delivers exactly
+// what the hits did.
 func TestFlowCacheCounters(t *testing.T) {
 	n := world(t)
 	e := newEvo(t, n, Config{})
 	e.DeployDomain(n.DomainByName("T0").ASN, 0)
 	src := n.HostsIn(n.DomainByName("S0.0").ASN)[0]
 	dst := n.HostsIn(n.DomainByName("S1.1").ASN)[0]
+	var hit Delivery
 	for i := 0; i < 5; i++ {
-		if _, err := e.Send(src, dst, []byte("x")); err != nil {
+		d, err := e.Send(src, dst, []byte("x"))
+		if err != nil {
 			t.Fatal(err)
 		}
+		hit = d
 	}
 	s := e.Snapshot()
 	if s.DeliveryFlowMisses != 1 || s.DeliveryFlowHits != 4 {
 		t.Errorf("misses=%d hits=%d, want 1/4", s.DeliveryFlowMisses, s.DeliveryFlowHits)
+	}
+	// An empty registration republishes the same routing with the flow
+	// cache started over: the next send recomputes, and must agree with
+	// the memoised skeleton the hits were served from.
+	if err := e.RegisterEndhosts(nil); err != nil {
+		t.Fatal(err)
+	}
+	recomputed, err := e.Send(src, dst, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s = e.Snapshot(); s.DeliveryFlowMisses != 2 {
+		t.Errorf("misses=%d after republish, want 2", s.DeliveryFlowMisses)
+	}
+	if !reflect.DeepEqual(stripTag(hit), stripTag(recomputed)) {
+		t.Errorf("recomputed delivery differs from the cached one:\n%+v\n%+v", hit, recomputed)
 	}
 	// A routing mutation invalidates the flow: the next send is a miss.
 	rts := n.DomainByName("T0").Routers
@@ -139,48 +159,46 @@ func TestFlowCacheCounters(t *testing.T) {
 	if _, err := e.Send(src, dst, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if s = e.Snapshot(); s.DeliveryFlowMisses != 2 {
-		t.Errorf("misses=%d after link event, want 2", s.DeliveryFlowMisses)
-	}
-
-	un := newEvo(t, world(t), Config{DisableDeliveryCache: true})
-	un.DeployDomain(un.Net.DomainByName("T0").ASN, 0)
-	usrc := un.Net.HostsIn(un.Net.DomainByName("S0.0").ASN)[0]
-	udst := un.Net.HostsIn(un.Net.DomainByName("S1.1").ASN)[0]
-	for i := 0; i < 3; i++ {
-		if _, err := un.Send(usrc, udst, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s = un.Snapshot(); s.DeliveryFlowHits != 0 || s.DeliveryFlowMisses != 3 {
-		t.Errorf("uncached: hits=%d misses=%d, want 0/3", s.DeliveryFlowHits, s.DeliveryFlowMisses)
+	if s = e.Snapshot(); s.DeliveryFlowMisses != 3 {
+		t.Errorf("misses=%d after link event, want 3", s.DeliveryFlowMisses)
 	}
 }
 
-// TestSendZeroAlloc pins the tentpole's steady-state claim: once the flow
-// is memoised and the buffer pools are warm, Send allocates nothing.
+// TestSendZeroAlloc pins the steady-state claim: once the flow is
+// memoised and the buffer pools are warm, a single send allocates
+// nothing, through any of its entry points.
 func TestSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	n := world(t)
 	e := newEvo(t, n, Config{})
-	e.DeployDomain(n.DomainByName("T0").ASN, 0)
+	t0 := n.DomainByName("T0").ASN
+	e.DeployDomain(t0, 0)
+	if _, err := e.EnableProviderChoice(t0); err != nil {
+		t.Fatal(err)
+	}
 	src := n.HostsIn(n.DomainByName("S0.0").ASN)[0]
 	dst := n.HostsIn(n.DomainByName("S1.1").ASN)[0]
 	payload := []byte("zero-alloc steady state")
-	for i := 0; i < 10; i++ {
-		if _, err := e.Send(src, dst, payload); err != nil {
-			t.Fatal(err)
+	for name, send := range map[string]func() (Delivery, error){
+		"Send":       func() (Delivery, error) { return e.Send(src, dst, payload) },
+		"SendTraced": func() (Delivery, error) { return e.SendTraced(src, dst, payload, nil) },
+		"SendVia":    func() (Delivery, error) { return e.SendVia(src, dst, t0, payload) },
+	} {
+		for i := 0; i < 10; i++ {
+			if _, err := send(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := e.Send(src, dst, payload); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := send(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("steady-state %s allocates %.1f objects per op, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Send allocates %.1f objects per op, want 0", allocs)
 	}
 }
 

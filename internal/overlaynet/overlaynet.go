@@ -623,14 +623,10 @@ func (n *Node) handle(wire []byte) {
 			return
 		}
 		for _, b := range st.branches {
-			if n.relay(nextHops{primary: b}, inner, payload) {
-				n.count(func(s *Stats) { s.Forwarded++ })
-			}
+			n.relay(nextHops{primary: b}, inner, payload, forwarded)
 		}
 		for _, l := range st.leaves {
-			if n.relay(nextHops{primary: l}, inner, payload) {
-				n.count(func(s *Stats) { s.Exited++ })
-			}
+			n.relay(nextHops{primary: l}, inner, payload, exited)
 		}
 		return
 	}
@@ -652,10 +648,11 @@ func (n *Node) handle(wire []byte) {
 		n.mu.RUnlock()
 		if echoOn && len(payload) >= len(pingMagic) && string(payload[:len(pingMagic)]) == string(pingMagic) {
 			reply := append(append([]byte(nil), pongMagic...), payload[len(pingMagic):]...)
+			// Counted before the reply leaves, like every stat a datagram's
+			// receiver could read (see relay).
+			n.count(func(s *Stats) { s.Delivered++ })
 			if err := n.SendVN(echoVia, inner.Src, reply); err != nil {
-				n.count(func(s *Stats) { s.Dropped++ })
-			} else {
-				n.count(func(s *Stats) { s.Delivered++ })
+				n.count(func(s *Stats) { s.Delivered--; s.Dropped++ })
 			}
 			return
 		}
@@ -668,46 +665,51 @@ func (n *Node) handle(wire []byte) {
 	nh, _, haveRoute := n.routes.Lookup(inner.Dst)
 	n.mu.RUnlock()
 	if haveRoute {
-		if !n.relay(nh, inner, payload) {
-			return
-		}
-		n.count(func(s *Stats) { s.Forwarded++ })
+		n.relay(nh, inner, payload, forwarded)
 		return
 	}
 
 	// No bone route: exit toward the destination's underlay address
 	// (self-addressed destinations carry it).
 	if u, ok := inner.UnderlayDst(); ok {
-		if !n.relay(nextHops{primary: u}, inner, payload) {
-			return
-		}
-		n.count(func(s *Stats) { s.Exited++ })
+		n.relay(nextHops{primary: u}, inner, payload, exited)
 		return
 	}
 	n.count(func(s *Stats) { s.Dropped++ })
 }
 
-// deliver hands a payload to the inbox, counting overflow as a drop.
+// deliver hands a payload to the inbox, counting overflow as a drop. The
+// delivery is counted before the inbox send, which wakes the reader, and
+// taken back on overflow.
 func (n *Node) deliver(rcv Received) bool {
+	n.count(func(s *Stats) { s.Delivered++ })
 	select {
 	case n.Inbox <- rcv:
-		n.count(func(s *Stats) { s.Delivered++ })
 		return true
 	default:
-		n.count(func(s *Stats) { s.Dropped++ })
+		n.count(func(s *Stats) { s.Delivered--; s.Dropped++ })
 		return false
 	}
 }
 
+// forwarded and exited select the Stats field a relay counts under: a
+// hop further along the bone, or the exit toward an underlay address.
+func forwarded(s *Stats) *uint64 { return &s.Forwarded }
+func exited(s *Stats) *uint64    { return &s.Exited }
+
 // relay re-encapsulates toward the next live underlay hop, decrementing
-// the inner hop limit; it reports success. The primary next hop is
-// preferred; a dead or suspected primary fails over to the first live
-// alternate (counted), and as a last resort any registered candidate is
-// tried in order.
-func (n *Node) relay(nh nextHops, inner packet.VNHeader, payload []byte) bool {
+// the inner hop limit. The primary next hop is preferred; a dead or
+// suspected primary fails over to the first live alternate (counted), and
+// as a last resort any registered candidate is tried in order.
+//
+// relay owns the relay's counters: the field as selects (and a failover)
+// is counted before the datagram is written and taken back as a drop if
+// the write fails. Counting after the write would let the downstream node
+// deliver, and its reader look at this node's Stats, before they moved.
+func (n *Node) relay(nh nextHops, inner packet.VNHeader, payload []byte, as func(*Stats) *uint64) {
 	if inner.HopLimit <= 1 {
 		n.count(func(s *Stats) { s.Dropped++ })
-		return false
+		return
 	}
 	inner.HopLimit--
 	next, failover := n.pickNextHop(nh)
@@ -719,16 +721,15 @@ func (n *Node) relay(nh nextHops, inner packet.VNHeader, payload []byte) bool {
 	buf := packet.NewSerializeBuffer()
 	if err := packet.Serialize(buf, payload, &outer, &inner); err != nil {
 		n.count(func(s *Stats) { s.Dropped++ })
-		return false
-	}
-	if err := n.sendWire(next, buf.Bytes()); err != nil {
-		n.count(func(s *Stats) { s.Dropped++ })
-		return false
+		return
 	}
 	if failover {
 		n.ctr().FailoverRoute()
 	}
-	return true
+	n.count(func(s *Stats) { *as(s)++ })
+	if err := n.sendWire(next, buf.Bytes()); err != nil {
+		n.count(func(s *Stats) { *as(s)--; s.Dropped++ })
+	}
 }
 
 // pickNextHop chooses the forwarding target from a route's next-hop set:

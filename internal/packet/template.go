@@ -7,8 +7,8 @@ import (
 	"github.com/evolvable-net/evolve/internal/addr"
 )
 
-// VNTemplate is a pre-serialized vn-encap header prefix for the batched
-// send path. A flow's headers (outer V4, inner VN, options) are constant
+// VNTemplate is a pre-serialized vn-encap header prefix for core's send
+// engine. A flow's headers (outer V4, inner VN, options) are constant
 // across every packet of a burst except three fields: the V4 total
 // length, the VN payload length, and the 4-byte OptTraceTag value.
 // Build serializes the headers once through the ordinary layer
@@ -84,7 +84,7 @@ func (t *VNTemplate) Emit(buf []byte, payload []byte, tag uint32) ([]byte, error
 }
 
 // RewriteOuter re-addresses a serialized vn-encap packet in place for
-// its next tunnel leg, as the batched relay path does: source and
+// its next tunnel leg, as the send engine's relay pass does: source and
 // destination are replaced, the TTL is reset to DefaultTTL (each leg is
 // a fresh underlay packet, exactly as a per-leg re-encapsulation would
 // serialize it) and the checksum is recomputed. It reports false when

@@ -3,16 +3,12 @@ package trace
 import "github.com/evolvable-net/evolve/internal/topology"
 
 // CounterBatch is a plain, single-goroutine accumulator for the send-path
-// counters. The batched delivery path tallies every packet of a burst
-// into one CounterBatch with ordinary integer adds, then folds the whole
-// burst into the shared striped Counters with one FlushTo — one striped
-// add per touched counter per batch instead of one per packet. A
-// CounterBatch is not safe for concurrent use; each batch owns its own
-// (pooled alongside the batch's wire buffers).
-//
-// The method set mirrors the send-path subset of Counters exactly, so
-// the core can count through either behind one interface and the
-// batch≡loop differential contract holds counter by counter.
+// counters, and the one sink the delivery engine counts into. A send
+// tallies its packet — or every packet of its burst — into one
+// CounterBatch with ordinary integer adds, then folds the lot into the
+// shared striped Counters with one FlushTo: one striped add per touched
+// counter per send or batch. A CounterBatch is not safe for concurrent
+// use; each send owns its own (pooled alongside its wire buffers).
 type CounterBatch struct {
 	sends           uint64
 	deliveries      uint64
@@ -152,76 +148,77 @@ func (b *CounterBatch) Reset() {
 // non-zero counter. After FlushTo, c's Snapshot reflects the batch
 // exactly as if every packet had counted through c directly.
 func (b *CounterBatch) FlushTo(c *Counters) {
-	m := c.mask()
 	if b.sends > 0 {
-		c.sends.add(m, b.sends)
+		c.sends.add(b.sends)
 	}
 	if b.deliveries > 0 {
-		c.deliveries.add(m, b.deliveries)
+		c.deliveries.add(b.deliveries)
 	}
 	if b.redirects > 0 {
-		c.redirects.add(m, b.redirects)
+		c.redirects.add(b.redirects)
 	}
 	if b.redirectHits > 0 {
-		c.redirectHits.add(m, b.redirectHits)
+		c.redirectHits.add(b.redirectHits)
 	}
 	if b.encaps > 0 {
-		c.encaps.add(m, b.encaps)
+		c.encaps.add(b.encaps)
 	}
 	if b.decaps > 0 {
-		c.decaps.add(m, b.decaps)
+		c.decaps.add(b.decaps)
 	}
 	if b.boneHops > 0 {
-		c.boneHops.add(m, b.boneHops)
+		c.boneHops.add(b.boneHops)
 	}
 	if b.flowHits > 0 {
-		c.flowHits.add(m, b.flowHits)
+		c.flowHits.add(b.flowHits)
 	}
 	if b.flowMisses > 0 {
-		c.flowMisses.add(m, b.flowMisses)
+		c.flowMisses.add(b.flowMisses)
 	}
 	if b.payloadBytes > 0 {
-		c.payloadBytes.add(m, b.payloadBytes)
+		c.payloadBytes.add(b.payloadBytes)
 	}
 	if b.batchFlows > 0 {
-		c.batchFlows.add(m, b.batchFlows)
+		c.batchFlows.add(b.batchFlows)
 	}
 	if b.batchPackets > 0 {
-		c.batchPackets.add(m, b.batchPackets)
+		c.batchPackets.add(b.batchPackets)
 	}
 	if b.fallbackSends > 0 {
-		c.fallbackSends.add(m, b.fallbackSends)
+		c.fallbackSends.add(b.fallbackSends)
 	}
 	if b.fallbackRescues > 0 {
-		c.fallbackRescues.add(m, b.fallbackRescues)
+		c.fallbackRescues.add(b.fallbackRescues)
 	}
 	if b.fallbackProbes > 0 {
-		c.fallbackProbes.add(m, b.fallbackProbes)
+		c.fallbackProbes.add(b.fallbackProbes)
 	}
 	if b.healthSuspect > 0 {
-		c.healthSuspect.add(m, b.healthSuspect)
+		c.healthSuspect.add(b.healthSuspect)
 	}
 	if b.healthFallback > 0 {
-		c.healthFallback.add(m, b.healthFallback)
+		c.healthFallback.add(b.healthFallback)
 	}
 	if b.healthProbation > 0 {
-		c.healthProbation.add(m, b.healthProbation)
+		c.healthProbation.add(b.healthProbation)
 	}
 	if b.healthRecovered > 0 {
-		c.healthRecovered.add(m, b.healthRecovered)
+		c.healthRecovered.add(b.healthRecovered)
 	}
 	for r := DropNotDeployed; r < numDropReasons; r++ {
 		if n := b.drops[r]; n > 0 {
-			c.drops[r].add(m, n)
+			c.drops[r].add(n)
 		}
 	}
 	for _, d := range b.ingress {
-		c.ingressN(d.as, d.n, m)
+		c.ingressN(d.as, d.n)
 	}
 }
 
-// ingressN adds n to the per-AS ingress tally in one striped add.
-func (c *Counters) ingressN(as topology.ASN, n uint64, m uint32) {
+// ingressN adds n to the per-AS ingress tally in one striped add. The
+// map probe is an RLock plus one typed lookup, so counting an ingress
+// allocates nothing once the AS has been seen.
+func (c *Counters) ingressN(as topology.ASN, n uint64) {
 	c.ingressMu.RLock()
 	v := c.ingressByAS[as]
 	c.ingressMu.RUnlock()
@@ -236,7 +233,7 @@ func (c *Counters) ingressN(as topology.ASN, n uint64, m uint32) {
 		}
 		c.ingressMu.Unlock()
 	}
-	v.add(m, n)
+	v.add(n)
 }
 
 // BulkTracer is an optional Tracer extension: sinks that can ingest a

@@ -97,10 +97,6 @@ func DropReasons() []DropReason {
 // live-plane events) stay single atomics — they are rare and their exact
 // single-cell form is occasionally read in tests via deltas.
 type Counters struct {
-	// stripeEnc holds the configured stripe count (0 = default); see
-	// SetStripes.
-	stripeEnc atomic.Uint32
-
 	sends        striped
 	deliveries   striped
 	redirects    striped
@@ -133,7 +129,6 @@ type Counters struct {
 	epochs        atomic.Uint64
 	invalDomain   atomic.Uint64
 	invalInter    atomic.Uint64
-	invalFull     atomic.Uint64
 	boneReused    atomic.Uint64
 	boneRebuilt   atomic.Uint64
 	// Live-plane fault-tolerance tallies (internal/overlaynet,
@@ -163,80 +158,35 @@ type Counters struct {
 }
 
 // Send counts one delivery attempt entering the send path.
-func (c *Counters) Send() { c.sends.add(c.mask(), 1) }
+func (c *Counters) Send() { c.sends.add(1) }
 
 // Deliver counts one successful end-to-end delivery.
-func (c *Counters) Deliver() { c.deliveries.add(c.mask(), 1) }
+func (c *Counters) Deliver() { c.deliveries.add(1) }
 
 // Drop counts one failed delivery under its reason.
 func (c *Counters) Drop(r DropReason) {
 	if r == DropNone || r >= numDropReasons {
 		return
 	}
-	c.drops[r].add(c.mask(), 1)
+	c.drops[r].add(1)
 }
 
 // Redirect counts one anycast redirect resolution; hit reports whether
 // it was served from the redirect cache.
 func (c *Counters) Redirect(hit bool) {
-	m := c.mask()
-	c.redirects.add(m, 1)
+	c.redirects.add(1)
 	if hit {
-		c.redirectHits.add(m, 1)
+		c.redirectHits.add(1)
 	}
 }
 
 // FlowHit counts one send whose full delivery skeleton (ingress, egress,
 // tail, baseline) was served from the epoch's flow cache.
-func (c *Counters) FlowHit() { c.flowHits.add(c.mask(), 1) }
+func (c *Counters) FlowHit() { c.flowHits.add(1) }
 
 // FlowMiss counts one send that had to compute its delivery skeleton
 // from the routing substrate (and, mutations permitting, cached it).
-func (c *Counters) FlowMiss() { c.flowMisses.add(c.mask(), 1) }
-
-// BatchFlows counts n distinct flow skeletons materialized by batched
-// sends (one per (src, dst) pair that appeared in a SendBatch burst).
-func (c *Counters) BatchFlows(n int) {
-	if n > 0 {
-		c.batchFlows.add(c.mask(), uint64(n))
-	}
-}
-
-// BatchPackets counts n packets carried by batched sends (every packet
-// handed to SendBatch/SendBurst, delivered or dropped).
-func (c *Counters) BatchPackets(n int) {
-	if n > 0 {
-		c.batchPackets.add(c.mask(), uint64(n))
-	}
-}
-
-// FallbackSend counts one delivery carried over the IPv(N-1) baseline
-// path instead of the vN-Bone (the flow was in the fallback state, or an
-// error epoch was bridged).
-func (c *Counters) FallbackSend() { c.fallbackSends.add(c.mask(), 1) }
-
-// FallbackRescue counts one delivery whose vN attempt failed and was
-// rescued in-line over the baseline path. Every rescue is also a
-// FallbackSend.
-func (c *Counters) FallbackRescue() { c.fallbackRescues.add(c.mask(), 1) }
-
-// FallbackProbe counts one vN probe attempted by a flow in the fallback
-// state (seeded-jitter backoff schedule).
-func (c *Counters) FallbackProbe() { c.fallbackProbes.add(c.mask(), 1) }
-
-// HealthSuspect counts one flow transitioning healthy → suspect.
-func (c *Counters) HealthSuspect() { c.healthSuspect.add(c.mask(), 1) }
-
-// HealthFallback counts one flow transitioning into the fallback state.
-func (c *Counters) HealthFallback() { c.healthFallback.add(c.mask(), 1) }
-
-// HealthProbation counts one flow whose fallback probe succeeded,
-// entering probation.
-func (c *Counters) HealthProbation() { c.healthProbation.add(c.mask(), 1) }
-
-// HealthRecovered counts one flow returning to the healthy state (from
-// suspect or probation).
-func (c *Counters) HealthRecovered() { c.healthRecovered.add(c.mask(), 1) }
+func (c *Counters) FlowMiss() { c.flowMisses.add(1) }
 
 // HealthSignal counts n external failure signals (unacked reliable
 // sends, overlay peer suspicion) applied to flow-health records.
@@ -249,39 +199,23 @@ func (c *Counters) HealthSignal(n int) {
 // PayloadBytes counts n payload bytes carried by successful deliveries.
 func (c *Counters) PayloadBytes(n int) {
 	if n > 0 {
-		c.payloadBytes.add(c.mask(), uint64(n))
+		c.payloadBytes.add(uint64(n))
 	}
 }
 
 // Ingress counts one delivery entering the deployment in domain as.
-func (c *Counters) Ingress(as topology.ASN) {
-	c.ingressMu.RLock()
-	v := c.ingressByAS[as]
-	c.ingressMu.RUnlock()
-	if v == nil {
-		c.ingressMu.Lock()
-		if c.ingressByAS == nil {
-			c.ingressByAS = map[topology.ASN]*striped{}
-		}
-		if v = c.ingressByAS[as]; v == nil {
-			v = new(striped)
-			c.ingressByAS[as] = v
-		}
-		c.ingressMu.Unlock()
-	}
-	v.add(c.mask(), 1)
-}
+func (c *Counters) Ingress(as topology.ASN) { c.ingressN(as, 1) }
 
 // Encap counts one tunnel encapsulation.
-func (c *Counters) Encap() { c.encaps.add(c.mask(), 1) }
+func (c *Counters) Encap() { c.encaps.add(1) }
 
 // Decap counts one tunnel decapsulation.
-func (c *Counters) Decap() { c.decaps.add(c.mask(), 1) }
+func (c *Counters) Decap() { c.decaps.add(1) }
 
 // BoneHops counts n vN-Bone virtual hops traversed by one delivery.
 func (c *Counters) BoneHops(n int) {
 	if n > 0 {
-		c.boneHops.add(c.mask(), uint64(n))
+		c.boneHops.add(uint64(n))
 	}
 }
 
@@ -309,11 +243,6 @@ func (c *Counters) InvalDomain() { c.invalDomain.Add(1) }
 // event that refreshed BGP and the cross-domain SPTs while every
 // intra-domain SPT survived.
 func (c *Counters) InvalInter() { c.invalInter.Add(1) }
-
-// InvalFull counts one whole-world invalidation — the legacy dirty-flag
-// behaviour, now reserved for events with global reach (or the
-// FullReconverge ablation mode).
-func (c *Counters) InvalFull() { c.invalFull.Add(1) }
 
 // BoneDomains records, for one incremental bone build, how many
 // per-domain intra meshes were reused from the previous bone versus
@@ -427,10 +356,9 @@ type Snapshot struct {
 	// Epochs counts routing-epoch publications (atomic snapshot swaps on
 	// the send path).
 	Epochs uint64
-	// InvalDomain/InvalInter/InvalFull classify reconvergence events by
-	// invalidation scope: one domain, the inter-domain mesh, or the whole
-	// world.
-	InvalDomain, InvalInter, InvalFull uint64
+	// InvalDomain/InvalInter classify reconvergence events by
+	// invalidation scope: one domain, or the inter-domain mesh.
+	InvalDomain, InvalInter uint64
 	// BoneDomainsReused/BoneDomainsRebuilt count per-domain intra meshes
 	// carried over from the previous bone versus recomputed, across all
 	// incremental builds.
@@ -487,7 +415,6 @@ func (c *Counters) Snapshot() Snapshot {
 		Epochs:                  c.epochs.Load(),
 		InvalDomain:             c.invalDomain.Load(),
 		InvalInter:              c.invalInter.Load(),
-		InvalFull:               c.invalFull.Load(),
 		BoneDomainsReused:       c.boneReused.Load(),
 		BoneDomainsRebuilt:      c.boneRebuilt.Load(),
 		ProbesSent:              c.probesSent.Load(),
@@ -561,7 +488,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		Epochs:                  sub(s.Epochs, prev.Epochs, "epochs"),
 		InvalDomain:             sub(s.InvalDomain, prev.InvalDomain, "invalidate.domain"),
 		InvalInter:              sub(s.InvalInter, prev.InvalInter, "invalidate.inter"),
-		InvalFull:               sub(s.InvalFull, prev.InvalFull, "invalidate.full"),
 		BoneDomainsReused:       sub(s.BoneDomainsReused, prev.BoneDomainsReused, "bone.domains_reused"),
 		BoneDomainsRebuilt:      sub(s.BoneDomainsRebuilt, prev.BoneDomainsRebuilt, "bone.domains_rebuilt"),
 		ProbesSent:              sub(s.ProbesSent, prev.ProbesSent, "live.probes_sent"),
@@ -633,7 +559,6 @@ func (s Snapshot) String() string {
 	fmt.Fprintf(&b, "epochs %d\n", s.Epochs)
 	fmt.Fprintf(&b, "invalidate.domain %d\n", s.InvalDomain)
 	fmt.Fprintf(&b, "invalidate.inter %d\n", s.InvalInter)
-	fmt.Fprintf(&b, "invalidate.full %d\n", s.InvalFull)
 	fmt.Fprintf(&b, "live.probes_sent %d\n", s.ProbesSent)
 	fmt.Fprintf(&b, "live.probes_missed %d\n", s.ProbesMissed)
 	fmt.Fprintf(&b, "live.peers_suspected %d\n", s.PeersSuspected)

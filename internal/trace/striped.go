@@ -5,15 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// maxStripes is the fixed stripe capacity of every striped counter. The
+// stripes is the fixed stripe count of every striped counter. The
 // stripes live in a fixed array so the zero value is ready to use and
-// aggregation never chases pointers; unused stripes cost idle memory
-// only. Must be a power of two.
-const maxStripes = 16
-
-// defaultStripes is the stripe count used when SetStripes was never
-// called. Power of two, ≤ maxStripes.
-const defaultStripes = 16
+// aggregation never chases pointers. Must be a power of two.
+const stripes = 16
 
 // paddedUint64 is one stripe, padded out to its own cache line so two
 // stripes never share one — the whole point of striping is that 64
@@ -31,58 +26,19 @@ type paddedUint64 struct {
 // can never be smaller — so sequential Snapshots stay monotonic, under
 // -race included, even though the sum is not a global atomic snapshot.
 type striped struct {
-	s [maxStripes]paddedUint64
+	s [stripes]paddedUint64
 }
 
-// add increments one stripe selected by mask (stripeCount-1).
-func (c *striped) add(mask uint32, n uint64) {
-	c.s[rand.Uint32()&mask].v.Add(n)
+// add increments one randomly chosen stripe.
+func (c *striped) add(n uint64) {
+	c.s[rand.Uint32()&(stripes-1)].v.Add(n)
 }
 
-// load sums every stripe, regardless of the current mask, so counts
-// recorded under a previous SetStripes configuration are never lost.
+// load sums every stripe.
 func (c *striped) load() uint64 {
 	var t uint64
 	for i := range c.s {
 		t += c.s[i].v.Load()
 	}
 	return t
-}
-
-// SetStripes sets the number of stripes hot-path counters spread over:
-// n is clamped to [1, 16] and rounded down to a power of two. It exists
-// as the ablation baseline for the delivery benchmarks — SetStripes(1)
-// restores the single-atomic-per-counter behaviour so the contention win
-// is measurable — and may be called at any time: counts already recorded
-// on other stripes keep being aggregated by Snapshot.
-func (c *Counters) SetStripes(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxStripes {
-		n = maxStripes
-	}
-	p := 1
-	for p*2 <= n {
-		p *= 2
-	}
-	// Stored as stripeCount (= mask+1); 0 means "default".
-	c.stripeEnc.Store(uint32(p))
-}
-
-// Stripes reports the stripe count hot-path increments currently spread
-// over.
-func (c *Counters) Stripes() int {
-	if m := c.stripeEnc.Load(); m != 0 {
-		return int(m)
-	}
-	return defaultStripes
-}
-
-// mask returns the current stripe-selection mask.
-func (c *Counters) mask() uint32 {
-	if m := c.stripeEnc.Load(); m != 0 {
-		return m - 1
-	}
-	return defaultStripes - 1
 }

@@ -116,41 +116,3 @@ func TestStripedCountersMonotonicUnderLoad(t *testing.T) {
 		t.Fatalf("sends %d != deliveries %d after quiescence", final.Sends, final.Deliveries)
 	}
 }
-
-// TestSetStripesAblation pins the SetStripes contract: stripe counts are
-// clamped to [1,16] and rounded down to powers of two, SetStripes(1)
-// behaves exactly like a single global atomic (every increment lands on
-// stripe zero), and counts recorded under one configuration survive a
-// reconfiguration because load() always sums every stripe.
-func TestSetStripesAblation(t *testing.T) {
-	var c Counters
-	if got := c.Stripes(); got != defaultStripes {
-		t.Fatalf("default Stripes() = %d, want %d", got, defaultStripes)
-	}
-	for _, tc := range []struct{ in, want int }{
-		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {3, 2}, {5, 4}, {8, 8}, {9, 8}, {16, 16}, {100, 16},
-	} {
-		c.SetStripes(tc.in)
-		if got := c.Stripes(); got != tc.want {
-			t.Errorf("SetStripes(%d): Stripes() = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-
-	// Single-stripe mode must place everything on stripe zero.
-	c.SetStripes(1)
-	for i := 0; i < 100; i++ {
-		c.Send()
-	}
-	if got := c.sends.s[0].v.Load(); got != 100 {
-		t.Fatalf("with 1 stripe, stripe[0] = %d, want 100", got)
-	}
-
-	// Widening back to 16 must not lose the 100 already recorded.
-	c.SetStripes(16)
-	for i := 0; i < 100; i++ {
-		c.Send()
-	}
-	if got := c.Snapshot().Sends; got != 200 {
-		t.Fatalf("after restripe, sends = %d, want 200", got)
-	}
-}

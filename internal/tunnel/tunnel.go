@@ -202,7 +202,7 @@ func (e *Endpoint) EncapToShared(outerDst addr.V4, inner packet.VNHeader, payloa
 }
 
 // PatchEncap re-encapsulates a serialized vn-encap packet in place for
-// its next tunnel leg, the batched form of EncapToShared: instead of
+// its next tunnel leg, the in-place form of EncapToShared: instead of
 // re-serializing both headers around the payload, it decrements the
 // inner hop limit and rewrites the outer addresses/TTL/checksum directly
 // in the wire bytes. The result is byte-identical to decapsulating and
@@ -240,9 +240,10 @@ func (e *Endpoint) PatchEncap(wire []byte, outerDst addr.V4) error {
 // re-encapsulated toward next (PatchEncap) and its arrival there is
 // accounted as a decapsulation, after which the endpoint itself stands
 // at next (Local advances). One ForwardShared is observationally
-// identical — counters, stats and span events — to the ping-pong
-// EncapToShared/DecapShared pair the loop send path runs per bone hop;
-// the wire bytes are valid by construction, so no re-parse is needed.
+// identical — counters, stats and span events — to an EncapToShared on
+// one endpoint answered by a DecapShared on the next (the package's
+// differential test holds the two chains equal); the wire bytes are valid
+// by construction, so no re-parse is needed.
 func (e *Endpoint) ForwardShared(wire []byte, next addr.V4) error {
 	from := e.Local
 	if err := e.PatchEncap(wire, next); err != nil {
