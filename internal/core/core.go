@@ -392,24 +392,6 @@ func (e *Evolution) ProviderMembers(asn topology.ASN) []topology.RouterID {
 	return pd.Members()
 }
 
-// SendVia delivers like Send but lets the user choose the IPvN provider:
-// the packet is encapsulated toward provider's specific anycast address,
-// so its ingress is guaranteed to be one of that provider's routers
-// regardless of proximity.
-func (e *Evolution) SendVia(src, dst *topology.Host, provider topology.ASN, payload []byte) (Delivery, error) {
-	ep := e.epoch.Load()
-	pd, ok := ep.provDeps[provider]
-	if !ok {
-		if ep.err == nil {
-			return Delivery{}, fmt.Errorf("core: provider choice not enabled for AS%d", provider)
-		}
-		// An error epoch may have frozen no provider clones; the send then
-		// fails, or rides the baseline, keyed to the shared address.
-		pd = ep.dep
-	}
-	return e.sendSingle(ep, src, dst, payload, pd, e.tracerNow())
-}
-
 // DeployDomain deploys IPvN in count routers of a domain (all when count
 // ≤ 0), modelling an ISP's partial internal rollout (assumption A1).
 func (e *Evolution) DeployDomain(asn topology.ASN, count int) {
@@ -779,152 +761,6 @@ func (e *Evolution) HostVNAddr(h *topology.Host) (addr.VN, error) {
 		return addr.VN{}, ep.err
 	}
 	return ep.addrs.addrOf(h), nil
-}
-
-// Delivery is one end-to-end IPvN transmission.
-type Delivery struct {
-	SrcVN, DstVN addr.VN
-	// Ingress is the anycast leg: host to the first IPvN router.
-	Ingress anycast.Resolution
-	// Egress is the vN-Bone leg and exit decision.
-	Egress bgpvn.Egress
-	// TailCost is the final leg: egress router to the destination host
-	// (zero when the egress domain is the destination's own and the
-	// destination is natively addressed — then the tail is the intra
-	// leg counted here too).
-	TailCost int64
-	// TotalCost is the full IPvN path cost.
-	TotalCost int64
-	// BaselineCost is the direct IPv(N-1) unicast cost between the hosts.
-	BaselineCost int64
-	// Stretch is TotalCost / BaselineCost.
-	Stretch float64
-	// Payload is the bytes that arrived, after all encap/decap layers —
-	// the wire path runs for real.
-	Payload []byte
-	// VNHops is the number of vN-Bone virtual hops traversed.
-	VNHops int
-	// TailPath is the router-level path of the final leg, from the
-	// egress member to the destination's attach router.
-	TailPath []topology.RouterID
-	// TraceTag is the per-delivery random tag stamped into the header
-	// options at the source and verified at the destination.
-	TraceTag uint32
-	// Fallback reports that this delivery rode the IPv(N-1) baseline path
-	// instead of the vN-Bone — the graceful-degradation layer engaged
-	// (because the flow was in the fallback state, the vN attempt was
-	// rescued in-line, or the routing epoch was an error epoch). TotalCost
-	// then equals BaselineCost, Stretch is 1 and the vN-Bone fields
-	// (Ingress, Egress, VNHops, TailCost, TailPath) are zero.
-	Fallback bool
-}
-
-// Send delivers an IPvN packet with the given payload from src to dst,
-// running the actual wire-level encapsulation at every stage, and returns
-// the full accounting. Send is safe for concurrent use and lock-free: it
-// loads the published routing epoch with one atomic pointer read and
-// never blocks on mutators. Span events go to the Tracer installed with
-// SetTracer, if any.
-func (e *Evolution) Send(src, dst *topology.Host, payload []byte) (Delivery, error) {
-	ep := e.epoch.Load()
-	return e.sendSingle(ep, src, dst, payload, ep.dep, e.tracerNow())
-}
-
-// SendTraced is Send with a per-delivery Tracer: tr receives this
-// delivery's span events (redirect decision, every vN-Bone hop, egress
-// selection, each encap/decap) regardless of the default tracer. A fresh
-// trace.Recorder per call yields exactly one delivery's path trace.
-func (e *Evolution) SendTraced(src, dst *topology.Host, payload []byte, tr trace.Tracer) (Delivery, error) {
-	ep := e.epoch.Load()
-	return e.sendSingle(ep, src, dst, payload, ep.dep, tr)
-}
-
-// resolveIngress is the redirect decision of the send path: the anycast
-// resolution from src toward d's address, memoised in the epoch's
-// sharded redirect cache (routing is deterministic within an epoch, so
-// the cache is exact, not a heuristic). A resolution computed while a
-// mutator has already moved on is still correct to return — it resolved
-// against the epoch's frozen deployment — but must not be cached: the
-// store is gated on the mutation sequence still matching the epoch's,
-// and any store that races past the gate is shed by the next epoch's
-// entry-by-entry carry-over.
-func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src *topology.Host, cb *trace.CounterBatch) (anycast.Resolution, error) {
-	k := resolveKey{src.ID, d.Addr}
-	if v, ok := ep.resolve.load(k); ok {
-		cb.Redirect(true)
-		return *v, nil
-	}
-	res, err := e.Anycast.ResolveFromHostVia(d, src)
-	if err != nil {
-		return anycast.Resolution{}, err
-	}
-	cb.Redirect(false)
-	if e.mutSeq.Load() == ep.seq {
-		ep.resolve.store(k, &res)
-	}
-	return res, nil
-}
-
-// computeFlow computes one flow's delivery skeleton against ep: the
-// redirect resolution (leg 1, memoised separately in the redirect
-// cache), the vN-Bone egress pick (leg 2, §3.3.2 — a self-addressed
-// destination may still have a registered /128 in the IPvN fabric, and
-// native routing then takes precedence over egress-policy guesswork),
-// the tail leg (leg 3) and the IPv(N-1) baseline. Every path computation
-// of a send happens here and none of the wire-level work; see flowEntry.
-func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingressDep *anycast.Deployment, cb *trace.CounterBatch) (*flowEntry, trace.DropReason, error) {
-	fe := &flowEntry{
-		srcVN: ep.addrs.addrOf(src),
-		dstVN: ep.addrs.addrOf(dst),
-	}
-	ing, err := e.resolveIngress(ep, ingressDep, src, cb)
-	if err != nil {
-		return nil, trace.DropNoIngress, fmt.Errorf("core: ingress: %w", err)
-	}
-	fe.ing = ing
-	fe.ingressAS = e.Net.DomainOf(ing.Member)
-
-	var eg bgpvn.Egress
-	egDetail := trace.EgressNative
-	if fe.dstVN.IsSelf() {
-		eg, err = ep.vn.RouteNative(ing.Member, fe.dstVN)
-		egDetail = trace.EgressRegistered
-		if errors.Is(err, bgpvn.ErrNoVNRoute) {
-			eg, err = ep.vn.SelectEgress(ing.Member, dst.Addr, e.cfg.Egress)
-			egDetail = eg.Policy.String()
-		}
-	} else {
-		eg, err = ep.vn.RouteNative(ing.Member, fe.dstVN)
-	}
-	if err != nil {
-		return nil, trace.DropNoVNRoute, fmt.Errorf("core: vn routing: %w", err)
-	}
-	fe.eg = eg
-	fe.egDetail = egDetail
-	fe.vnHops = len(eg.BonePath) - 1
-	if fe.vnHops < 0 {
-		fe.vnHops = 0
-	}
-
-	if fe.dstVN.IsSelf() {
-		tail, err := e.Fwd.FromRouter(eg.Member, dst.Addr)
-		if err != nil {
-			return nil, trace.DropTail, fmt.Errorf("core: tail: %w", err)
-		}
-		fe.tailCost = tail.Cost
-		fe.tailPath = tail.Routers
-	} else {
-		// Egress is in dst's own (participating) domain: IGP delivers.
-		fe.tailCost = e.IGP.IntraDist(eg.Member, dst.Attach) + dst.AccessLatency
-		fe.tailPath = e.IGP.IntraPath(eg.Member, dst.Attach)
-	}
-
-	base, err := e.Fwd.HostToHost(src, dst)
-	if err != nil {
-		return nil, trace.DropNoBaseline, fmt.Errorf("core: baseline: %w", err)
-	}
-	fe.baseline = base.Cost
-	return fe, trace.DropNone, nil
 }
 
 // FormatTrace renders a recorded event sequence as a per-hop path trace
