@@ -61,7 +61,8 @@ type Delivery struct {
 // running the actual wire-level encapsulation at every stage, and returns
 // the full accounting. Send is safe for concurrent use and lock-free: it
 // loads the published routing epoch with one atomic pointer read and
-// never blocks on mutators. Span events go to the Tracer installed with
+// waits for a mutator only to redo a flow computation the mutation tore
+// (see flowSkeleton). Span events go to the Tracer installed with
 // SetTracer, if any.
 func (e *Evolution) Send(src, dst *topology.Host, payload []byte) (Delivery, error) {
 	ep := e.epoch.Load()

@@ -29,12 +29,16 @@ type chainResult struct {
 
 func (r *chainResult) fail(stage string, err error) { r.failed = fmt.Sprintf("%s: %v", stage, err) }
 
+// leg records the wire as it stands after one leg; both chains reuse the
+// buffer for the next.
+func (r *chainResult) leg(wire []byte) { r.wires = append(r.wires, bytes.Clone(wire)) }
+
 func (r *chainResult) arrive(from addr.V4, inner packet.VNHeader, payload []byte) {
 	r.from = from
-	r.payload = append([]byte{}, payload...)
+	r.payload = bytes.Clone(payload)
 	opts := make([]packet.Option, len(inner.Options))
 	for i, o := range inner.Options {
-		opts[i] = packet.Option{Type: o.Type, Value: append([]byte{}, o.Value...)}
+		opts[i] = packet.Option{Type: o.Type, Value: bytes.Clone(o.Value)}
 	}
 	inner.Options = opts
 	r.inner = inner
@@ -80,7 +84,7 @@ func serializerChain(c chainCase) chainResult {
 		r.fail("emit", err)
 		return r
 	}
-	r.wires = append(r.wires, append([]byte{}, wire...))
+	r.leg(wire)
 	_, inner, pl, err := packet.DecapVNShared(wire, nil)
 	if err != nil {
 		r.fail("ingress", err)
@@ -94,7 +98,7 @@ func serializerChain(c chainCase) chainResult {
 			r.fail(fmt.Sprintf("relay %d", j), err)
 			return r
 		}
-		r.wires = append(r.wires, append([]byte{}, wire...))
+		r.leg(wire)
 		relay.Local = c.hops[j]
 		if _, inner, pl, err = relay.DecapShared(wire, nil); err != nil {
 			r.fail(fmt.Sprintf("relay decap %d", j), err)
@@ -108,7 +112,7 @@ func serializerChain(c chainCase) chainResult {
 		r.fail("final", err)
 		return r
 	}
-	r.wires = append(r.wires, append([]byte{}, wire...))
+	r.leg(wire)
 	spare.Local = c.dst
 	from, inner, pl, err := spare.DecapShared(wire, nil)
 	if err != nil {
@@ -150,20 +154,20 @@ func templateChain(c chainCase) chainResult {
 		r.fail("emit", err)
 		return r
 	}
-	r.wires = append(r.wires, append([]byte{}, wire...))
+	r.leg(wire)
 	ep.Local = c.hops[0]
 	for j := 1; j < len(c.hops); j++ {
 		if err := ep.ForwardShared(wire, c.hops[j]); err != nil {
 			r.fail(fmt.Sprintf("relay %d", j), err)
 			return r
 		}
-		r.wires = append(r.wires, append([]byte{}, wire...))
+		r.leg(wire)
 	}
 	if err := ep.PatchEncap(wire, c.dst); err != nil {
 		r.fail("final", err)
 		return r
 	}
-	r.wires = append(r.wires, append([]byte{}, wire...))
+	r.leg(wire)
 	epDst.Local = c.dst
 	from, inner, pl, err := epDst.DecapShared(wire, nil)
 	if err != nil {
