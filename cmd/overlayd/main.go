@@ -241,9 +241,8 @@ func main() {
 			got++
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("%d/%d messages acked in %v (mean ack RTT %.1f µs)\n",
-			got, *messages, elapsed.Round(time.Millisecond),
-			float64(rttSum.Microseconds())/float64(got))
+		fmt.Printf("%d/%d messages acked in %v (mean ack RTT %s)\n",
+			got, *messages, elapsed.Round(time.Millisecond), meanRTT(rttSum, got))
 	} else {
 		// Host B answers pings; RTTs traverse the bone twice.
 		hostB.EnableEcho(anycastAddr)
@@ -267,9 +266,8 @@ func main() {
 			}
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("%d/%d pings answered in %v (mean RTT %.1f µs through 2×%d relays)\n",
-			got, *messages, elapsed.Round(time.Millisecond),
-			float64(rttSum.Microseconds())/float64(got), len(bone))
+		fmt.Printf("%d/%d pings answered in %v (mean RTT %s through 2×%d relays)\n",
+			got, *messages, elapsed.Round(time.Millisecond), meanRTT(rttSum, got), len(bone))
 	}
 	for i, n := range bone {
 		s := n.Stats()
@@ -286,4 +284,16 @@ func main() {
 		fmt.Printf("holding for %v (debug endpoints stay live; ^C to quit)\n", *hold)
 		time.Sleep(*hold)
 	}
+	if !*reliable && got == 0 && *messages > 0 {
+		log.Fatal("no ping was answered: the run is lost")
+	}
+}
+
+// meanRTT renders sum/n in microseconds, or "n/a" when nothing was
+// answered and there is no mean to take.
+func meanRTT(sum time.Duration, n int) string {
+	if n == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f µs", float64(sum.Microseconds())/float64(n))
 }

@@ -41,7 +41,6 @@ type peerState struct {
 type livenessState struct {
 	cfg   LivenessConfig
 	nonce uint64
-	stop  chan struct{}
 }
 
 // addPeerLocked registers a probing target. Callers hold n.mu.
@@ -74,7 +73,7 @@ func (n *Node) EnableLiveness(cfg LivenessConfig) {
 		n.mu.Unlock()
 		return
 	}
-	n.live = &livenessState{cfg: cfg.withDefaults(), stop: make(chan struct{})}
+	n.live = &livenessState{cfg: cfg.withDefaults()}
 	st := n.live
 	n.mu.Unlock()
 
@@ -89,8 +88,6 @@ func (n *Node) probeLoop(st *livenessState) {
 	for {
 		select {
 		case <-n.done:
-			return
-		case <-st.stop:
 			return
 		case <-tick.C:
 			n.probeRound(st)

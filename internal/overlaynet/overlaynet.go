@@ -28,6 +28,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -312,12 +313,10 @@ type Stats struct {
 	Dropped   uint64
 }
 
-// nextHops is one bone route's forwarding set: the primary next hop plus
-// ordered alternates used when the primary is dead or suspected.
-type nextHops struct {
-	primary addr.V4
-	alts    []addr.V4
-}
+// nextHops is one bone route's forwarding set, in order of preference:
+// the primary next hop, then the alternates used when it is dead or
+// suspected. Never empty.
+type nextHops []addr.V4
 
 // Node is one live overlay participant (vN router or endhost).
 type Node struct {
@@ -350,8 +349,11 @@ type Node struct {
 	// is dropped and counted.
 	Inbox chan Received
 
-	statsMu sync.Mutex
-	stats   Stats
+	// stats holds the Stats tallies, one atomic cell each. A tally moves
+	// before its datagram leaves (or its inbox send wakes a reader):
+	// counted afterwards, the receiver could look at this node's Stats
+	// before they moved.
+	stats struct{ delivered, forwarded, exited, dropped atomic.Uint64 }
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -468,7 +470,7 @@ func (n *Node) EnableEcho(via addr.V4) {
 func (n *Node) AddVNRoute(p addr.VNPrefix, via addr.V4, alts ...addr.V4) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.routes.Insert(p, nextHops{primary: via, alts: append([]addr.V4(nil), alts...)})
+	n.routes.Insert(p, append(nextHops{via}, alts...))
 	n.addPeerLocked(via)
 	for _, a := range alts {
 		n.addPeerLocked(a)
@@ -484,17 +486,23 @@ func (n *Node) ClearVNRoutes() {
 	n.routes = rib.TableVN[nextHops]{}
 }
 
-// Stats returns a snapshot of the node's counters.
+// Stats returns a snapshot of the node's counters. Each field is read
+// atomically; the four are not one atomic snapshot.
 func (n *Node) Stats() Stats {
-	n.statsMu.Lock()
-	defer n.statsMu.Unlock()
-	return n.stats
+	return Stats{
+		Delivered: n.stats.delivered.Load(),
+		Forwarded: n.stats.forwarded.Load(),
+		Exited:    n.stats.exited.Load(),
+		Dropped:   n.stats.dropped.Load(),
+	}
 }
 
-func (n *Node) count(f func(*Stats)) {
-	n.statsMu.Lock()
-	f(&n.stats)
-	n.statsMu.Unlock()
+// uncount takes back a tally counted ahead of a write that then failed,
+// and counts the packet as dropped instead — the drop first, so a reader
+// in between sees the packet twice rather than not at all.
+func (n *Node) uncount(tally *atomic.Uint64) {
+	n.stats.dropped.Add(1)
+	tally.Add(^uint64(0))
 }
 
 // SendVN originates an IPvN packet from this node: encapsulated toward
@@ -582,7 +590,7 @@ func (n *Node) readLoop() {
 func (n *Node) handle(wire []byte) {
 	outer, rest, err := packet.DecodeV4(wire)
 	if err != nil {
-		n.count(func(s *Stats) { s.Dropped++ })
+		n.stats.dropped.Add(1)
 		return
 	}
 	switch outer.Proto {
@@ -594,12 +602,12 @@ func (n *Node) handle(wire []byte) {
 		return
 	case packet.ProtoVNEncap:
 	default:
-		n.count(func(s *Stats) { s.Dropped++ })
+		n.stats.dropped.Add(1)
 		return
 	}
 	inner, payload, err := packet.DecodeVN(rest)
 	if err != nil {
-		n.count(func(s *Stats) { s.Dropped++ })
+		n.stats.dropped.Add(1)
 		return
 	}
 	n.mu.RLock()
@@ -607,7 +615,7 @@ func (n *Node) handle(wire []byte) {
 	self := n.vnAddr
 	n.mu.RUnlock()
 	if !acceptable {
-		n.count(func(s *Stats) { s.Dropped++ })
+		n.stats.dropped.Add(1)
 		return
 	}
 
@@ -623,10 +631,10 @@ func (n *Node) handle(wire []byte) {
 			return
 		}
 		for _, b := range st.branches {
-			n.relay(nextHops{primary: b}, inner, payload, forwarded)
+			n.relay(nextHops{b}, inner, payload, &n.stats.forwarded)
 		}
 		for _, l := range st.leaves {
-			n.relay(nextHops{primary: l}, inner, payload, exited)
+			n.relay(nextHops{l}, inner, payload, &n.stats.exited)
 		}
 		return
 	}
@@ -648,11 +656,9 @@ func (n *Node) handle(wire []byte) {
 		n.mu.RUnlock()
 		if echoOn && len(payload) >= len(pingMagic) && string(payload[:len(pingMagic)]) == string(pingMagic) {
 			reply := append(append([]byte(nil), pongMagic...), payload[len(pingMagic):]...)
-			// Counted before the reply leaves, like every stat a datagram's
-			// receiver could read (see relay).
-			n.count(func(s *Stats) { s.Delivered++ })
+			n.stats.delivered.Add(1)
 			if err := n.SendVN(echoVia, inner.Src, reply); err != nil {
-				n.count(func(s *Stats) { s.Delivered--; s.Dropped++ })
+				n.uncount(&n.stats.delivered)
 			}
 			return
 		}
@@ -665,50 +671,43 @@ func (n *Node) handle(wire []byte) {
 	nh, _, haveRoute := n.routes.Lookup(inner.Dst)
 	n.mu.RUnlock()
 	if haveRoute {
-		n.relay(nh, inner, payload, forwarded)
+		n.relay(nh, inner, payload, &n.stats.forwarded)
 		return
 	}
 
 	// No bone route: exit toward the destination's underlay address
 	// (self-addressed destinations carry it).
 	if u, ok := inner.UnderlayDst(); ok {
-		n.relay(nextHops{primary: u}, inner, payload, exited)
+		n.relay(nextHops{u}, inner, payload, &n.stats.exited)
 		return
 	}
-	n.count(func(s *Stats) { s.Dropped++ })
+	n.stats.dropped.Add(1)
 }
 
-// deliver hands a payload to the inbox, counting overflow as a drop. The
-// delivery is counted before the inbox send, which wakes the reader, and
-// taken back on overflow.
+// deliver hands a payload to the inbox, counting overflow as a drop.
 func (n *Node) deliver(rcv Received) bool {
-	n.count(func(s *Stats) { s.Delivered++ })
+	n.stats.delivered.Add(1)
 	select {
 	case n.Inbox <- rcv:
 		return true
 	default:
-		n.count(func(s *Stats) { s.Delivered--; s.Dropped++ })
+		n.uncount(&n.stats.delivered)
 		return false
 	}
 }
-
-// forwarded and exited select the Stats field a relay counts under: a
-// hop further along the bone, or the exit toward an underlay address.
-func forwarded(s *Stats) *uint64 { return &s.Forwarded }
-func exited(s *Stats) *uint64    { return &s.Exited }
 
 // relay re-encapsulates toward the next live underlay hop, decrementing
 // the inner hop limit. The primary next hop is preferred; a dead or
 // suspected primary fails over to the first live alternate (counted), and
 // as a last resort any registered candidate is tried in order.
 //
-// relay owns the relay's counters: the field as selects (and a failover)
-// is counted before the datagram is written and taken back as a drop if
-// the write fails. Counting after the write would let the downstream node
-// deliver, and its reader look at this node's Stats, before they moved.
-func (n *Node) relay(nh nextHops, inner packet.VNHeader, payload []byte, as func(*Stats) *uint64) {
+// relay owns the relay's counters: as — stats.forwarded for a hop further
+// along the bone, stats.exited for the exit toward an underlay address —
+// and a failover are counted before the datagram is written, and as is
+// taken back as a drop if the write fails.
+func (n *Node) relay(nh nextHops, inner packet.VNHeader, payload []byte, as *atomic.Uint64) {
 	if inner.HopLimit <= 1 {
-		n.count(func(s *Stats) { s.Dropped++ })
+		n.stats.dropped.Add(1)
 		return
 	}
 	inner.HopLimit--
@@ -720,15 +719,15 @@ func (n *Node) relay(nh nextHops, inner packet.VNHeader, payload []byte, as func
 	}
 	buf := packet.NewSerializeBuffer()
 	if err := packet.Serialize(buf, payload, &outer, &inner); err != nil {
-		n.count(func(s *Stats) { s.Dropped++ })
+		n.stats.dropped.Add(1)
 		return
 	}
 	if failover {
 		n.ctr().FailoverRoute()
 	}
-	n.count(func(s *Stats) { *as(s)++ })
+	as.Add(1)
 	if err := n.sendWire(next, buf.Bytes()); err != nil {
-		n.count(func(s *Stats) { *as(s)--; s.Dropped++ })
+		n.uncount(as)
 	}
 }
 
@@ -741,20 +740,17 @@ func (n *Node) pickNextHop(nh nextHops) (addr.V4, bool) {
 	r := n.reg
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	candidates := make([]addr.V4, 0, 1+len(nh.alts))
-	candidates = append(candidates, nh.primary)
-	candidates = append(candidates, nh.alts...)
-	for _, c := range candidates {
+	for _, c := range nh {
 		if r.aliveLocked(c) {
-			return c, c != nh.primary
+			return c, c != nh[0]
 		}
 	}
-	for _, c := range candidates {
+	for _, c := range nh {
 		if _, ok := r.unicast[c]; ok {
-			return c, c != nh.primary
+			return c, c != nh[0]
 		}
 	}
-	return nh.primary, false
+	return nh[0], false
 }
 
 // WaitInbox receives from the node's inbox with a timeout, for tests and

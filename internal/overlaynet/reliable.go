@@ -226,6 +226,6 @@ func (n *Node) handleSeqDelivery(inner packet.VNHeader, payload []byte, outerSrc
 // packet routed back through the configured anycast address.
 func (n *Node) sendAck(to addr.VN, seq uint32, rel *reliableState) {
 	if err := n.sendVN(rel.cfg.AckVia, to, nil, []packet.Option{seqOption(packet.OptDeliveryAck, seq)}); err != nil {
-		n.count(func(s *Stats) { s.Dropped++ })
+		n.stats.dropped.Add(1)
 	}
 }

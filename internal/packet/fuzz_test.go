@@ -199,18 +199,33 @@ func FuzzFallbackMarker(f *testing.F) {
 	})
 }
 
+// FuzzDecrementTTLPreservesValidity holds the in-place outer rewrite to
+// any valid underlay packet, not only the template's own output
+// (FuzzVNTemplateEmit covers that): after RewriteOuter the packet still
+// decodes, under the new addresses and a fresh TTL, payload untouched.
+// The name is from packet.DecrementTTL, whose TTL-and-checksum patch
+// RewriteOuter took over; it is kept so the fuzz target's seeds and
+// corpus keep their identity.
 func FuzzDecrementTTLPreservesValidity(f *testing.F) {
 	seedWires(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, err := DecodeV4(data); err != nil {
+		before, payload, err := DecodeV4(data)
+		if err != nil {
 			return
 		}
 		wire := append([]byte(nil), data...)
-		if !DecrementTTL(wire) {
-			return
+		src, dst := before.Dst+1, before.Src+1
+		if !RewriteOuter(wire, src, dst) {
+			t.Fatal("RewriteOuter rejected a packet DecodeV4 accepts")
 		}
-		if _, _, err := DecodeV4(wire); err != nil {
-			t.Fatalf("TTL decrement broke the checksum: %v", err)
+		after, got, err := DecodeV4(wire)
+		if err != nil {
+			t.Fatalf("in-place rewrite broke the packet: %v", err)
+		}
+		want := before
+		want.Src, want.Dst, want.TTL = src, dst, DefaultTTL
+		if after != want || !bytes.Equal(got, payload) {
+			t.Fatalf("rewrite changed more than addresses and TTL:\n before %+v\n after  %+v", before, after)
 		}
 	})
 }

@@ -69,28 +69,6 @@ func TestV4DecodeErrors(t *testing.T) {
 	}
 }
 
-func TestDecrementTTL(t *testing.T) {
-	h := V4Header{Proto: ProtoPayload, TTL: 2, Src: 1, Dst: 2}
-	b := NewSerializeBuffer()
-	if err := Serialize(b, nil, &h); err != nil {
-		t.Fatal(err)
-	}
-	wire := append([]byte(nil), b.Bytes()...)
-	if !DecrementTTL(wire) {
-		t.Fatal("first decrement should succeed")
-	}
-	got, _, err := DecodeV4(wire)
-	if err != nil {
-		t.Fatalf("checksum not fixed up: %v", err)
-	}
-	if got.TTL != 1 {
-		t.Errorf("TTL = %d", got.TTL)
-	}
-	if DecrementTTL(wire) {
-		t.Error("TTL 1 should not be decrementable")
-	}
-}
-
 func TestVNRoundTrip(t *testing.T) {
 	h := VNHeader{
 		Version:  8,
@@ -202,25 +180,6 @@ func TestVNDecodeErrors(t *testing.T) {
 	wire[5] = 200 // options length
 	if _, _, err := DecodeVN(wire); err == nil {
 		t.Error("overlong options accepted")
-	}
-}
-
-func TestDecrementHopLimit(t *testing.T) {
-	h := VNHeader{Version: 8, HopLimit: 2}
-	b := NewSerializeBuffer()
-	if err := Serialize(b, nil, &h); err != nil {
-		t.Fatal(err)
-	}
-	wire := append([]byte(nil), b.Bytes()...)
-	if !DecrementHopLimit(wire) {
-		t.Fatal("decrement should succeed")
-	}
-	got, _, _ := DecodeVN(wire)
-	if got.HopLimit != 1 {
-		t.Errorf("HopLimit = %d", got.HopLimit)
-	}
-	if DecrementHopLimit(wire) {
-		t.Error("hop limit 1 should not be decrementable")
 	}
 }
 

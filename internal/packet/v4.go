@@ -129,17 +129,3 @@ func DecodeV4(data []byte) (V4Header, []byte, error) {
 	}
 	return h, data[V4HeaderLen:total], nil
 }
-
-// DecrementTTL rewrites the TTL and checksum of a serialized V4 packet in
-// place, as a forwarding router would. It reports false when the TTL would
-// reach zero, in which case the packet must be dropped.
-func DecrementTTL(wire []byte) bool {
-	if len(wire) < V4HeaderLen || wire[4] <= 1 {
-		return false
-	}
-	wire[4]--
-	wire[6], wire[7] = 0, 0
-	sum := Checksum(wire[:V4HeaderLen])
-	binary.BigEndian.PutUint16(wire[6:8], sum)
-	return true
-}

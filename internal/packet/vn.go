@@ -241,16 +241,6 @@ func DecodeVNShared(data []byte, scratch []Option) (VNHeader, []byte, error) {
 	return h, data[VNHeaderLen+optLen : total], nil
 }
 
-// DecrementHopLimit rewrites the hop limit of a serialized VN packet in
-// place; it reports false when the packet must be dropped.
-func DecrementHopLimit(wire []byte) bool {
-	if len(wire) < VNHeaderLen || wire[1] <= 1 {
-		return false
-	}
-	wire[1]--
-	return true
-}
-
 // EncapVN builds the full on-the-wire form of an IPvN packet tunnelled
 // inside an underlay packet: V4Header{Proto: ProtoVNEncap}(VNHeader(payload)).
 // This is the packet an endhost emits toward the anycast address, and the

@@ -10,26 +10,9 @@ import "github.com/evolvable-net/evolve/internal/topology"
 // counter per send or batch. A CounterBatch is not safe for concurrent
 // use; each send owns its own (pooled alongside its wire buffers).
 type CounterBatch struct {
-	sends           uint64
-	deliveries      uint64
-	redirects       uint64
-	redirectHits    uint64
-	encaps          uint64
-	decaps          uint64
-	boneHops        uint64
-	flowHits        uint64
-	flowMisses      uint64
-	payloadBytes    uint64
-	batchFlows      uint64
-	batchPackets    uint64
-	fallbackSends   uint64
-	fallbackRescues uint64
-	fallbackProbes  uint64
-	healthSuspect   uint64
-	healthFallback  uint64
-	healthProbation uint64
-	healthRecovered uint64
-	drops           [numDropReasons]uint64
+	// n holds the send path's scalar counters, indexed by counterID.
+	n     [numBatched]uint64
+	drops [numDropReasons]uint64
 	// ingress is a tiny assoc array: bursts touch one (or very few)
 	// ingress domains, so a linear scan beats a map and allocates
 	// nothing once the slice has grown.
@@ -42,10 +25,10 @@ type ingressDelta struct {
 }
 
 // Send counts one delivery attempt entering the send path.
-func (b *CounterBatch) Send() { b.sends++ }
+func (b *CounterBatch) Send() { b.n[cSends]++ }
 
 // Deliver counts one successful end-to-end delivery.
-func (b *CounterBatch) Deliver() { b.deliveries++ }
+func (b *CounterBatch) Deliver() { b.n[cDeliveries]++ }
 
 // Drop counts one failed delivery under its reason.
 func (b *CounterBatch) Drop(r DropReason) {
@@ -58,60 +41,60 @@ func (b *CounterBatch) Drop(r DropReason) {
 // Redirect counts one anycast redirect resolution; hit reports whether
 // it was served from the redirect cache.
 func (b *CounterBatch) Redirect(hit bool) {
-	b.redirects++
+	b.n[cRedirects]++
 	if hit {
-		b.redirectHits++
+		b.n[cRedirectHits]++
 	}
 }
 
 // FlowHit counts one send served from the epoch's flow cache.
-func (b *CounterBatch) FlowHit() { b.flowHits++ }
+func (b *CounterBatch) FlowHit() { b.n[cFlowHits]++ }
 
 // FlowMiss counts one send that computed its delivery skeleton.
-func (b *CounterBatch) FlowMiss() { b.flowMisses++ }
+func (b *CounterBatch) FlowMiss() { b.n[cFlowMisses]++ }
 
 // PayloadBytes counts n payload bytes carried by successful deliveries.
 func (b *CounterBatch) PayloadBytes(n int) {
 	if n > 0 {
-		b.payloadBytes += uint64(n)
+		b.n[cPayloadBytes] += uint64(n)
 	}
 }
 
 // BatchFlows counts n distinct flow skeletons materialized by this batch.
 func (b *CounterBatch) BatchFlows(n int) {
 	if n > 0 {
-		b.batchFlows += uint64(n)
+		b.n[cBatchFlows] += uint64(n)
 	}
 }
 
 // BatchPackets counts n packets carried by this batch.
 func (b *CounterBatch) BatchPackets(n int) {
 	if n > 0 {
-		b.batchPackets += uint64(n)
+		b.n[cBatchPackets] += uint64(n)
 	}
 }
 
 // FallbackSend counts one delivery carried over the baseline path.
-func (b *CounterBatch) FallbackSend() { b.fallbackSends++ }
+func (b *CounterBatch) FallbackSend() { b.n[cFallbackSends]++ }
 
 // FallbackRescue counts one in-line baseline rescue of a failed vN
 // attempt.
-func (b *CounterBatch) FallbackRescue() { b.fallbackRescues++ }
+func (b *CounterBatch) FallbackRescue() { b.n[cFallbackRescues]++ }
 
 // FallbackProbe counts one vN probe attempted by a flow in fallback.
-func (b *CounterBatch) FallbackProbe() { b.fallbackProbes++ }
+func (b *CounterBatch) FallbackProbe() { b.n[cFallbackProbes]++ }
 
 // HealthSuspect counts one flow transitioning healthy → suspect.
-func (b *CounterBatch) HealthSuspect() { b.healthSuspect++ }
+func (b *CounterBatch) HealthSuspect() { b.n[cHealthSuspect]++ }
 
 // HealthFallback counts one flow transitioning into the fallback state.
-func (b *CounterBatch) HealthFallback() { b.healthFallback++ }
+func (b *CounterBatch) HealthFallback() { b.n[cHealthFallback]++ }
 
 // HealthProbation counts one flow entering probation.
-func (b *CounterBatch) HealthProbation() { b.healthProbation++ }
+func (b *CounterBatch) HealthProbation() { b.n[cHealthProbation]++ }
 
 // HealthRecovered counts one flow returning to the healthy state.
-func (b *CounterBatch) HealthRecovered() { b.healthRecovered++ }
+func (b *CounterBatch) HealthRecovered() { b.n[cHealthRecovered]++ }
 
 // Ingress counts one delivery entering the deployment in domain as.
 func (b *CounterBatch) Ingress(as topology.ASN) {
@@ -125,15 +108,15 @@ func (b *CounterBatch) Ingress(as topology.ASN) {
 }
 
 // Encap counts one tunnel encapsulation.
-func (b *CounterBatch) Encap() { b.encaps++ }
+func (b *CounterBatch) Encap() { b.n[cEncaps]++ }
 
 // Decap counts one tunnel decapsulation.
-func (b *CounterBatch) Decap() { b.decaps++ }
+func (b *CounterBatch) Decap() { b.n[cDecaps]++ }
 
 // BoneHops counts n vN-Bone virtual hops traversed by one delivery.
 func (b *CounterBatch) BoneHops(n int) {
 	if n > 0 {
-		b.boneHops += uint64(n)
+		b.n[cBoneHops] += uint64(n)
 	}
 }
 
@@ -148,62 +131,10 @@ func (b *CounterBatch) Reset() {
 // non-zero counter. After FlushTo, c's Snapshot reflects the batch
 // exactly as if every packet had counted through c directly.
 func (b *CounterBatch) FlushTo(c *Counters) {
-	if b.sends > 0 {
-		c.sends.add(b.sends)
-	}
-	if b.deliveries > 0 {
-		c.deliveries.add(b.deliveries)
-	}
-	if b.redirects > 0 {
-		c.redirects.add(b.redirects)
-	}
-	if b.redirectHits > 0 {
-		c.redirectHits.add(b.redirectHits)
-	}
-	if b.encaps > 0 {
-		c.encaps.add(b.encaps)
-	}
-	if b.decaps > 0 {
-		c.decaps.add(b.decaps)
-	}
-	if b.boneHops > 0 {
-		c.boneHops.add(b.boneHops)
-	}
-	if b.flowHits > 0 {
-		c.flowHits.add(b.flowHits)
-	}
-	if b.flowMisses > 0 {
-		c.flowMisses.add(b.flowMisses)
-	}
-	if b.payloadBytes > 0 {
-		c.payloadBytes.add(b.payloadBytes)
-	}
-	if b.batchFlows > 0 {
-		c.batchFlows.add(b.batchFlows)
-	}
-	if b.batchPackets > 0 {
-		c.batchPackets.add(b.batchPackets)
-	}
-	if b.fallbackSends > 0 {
-		c.fallbackSends.add(b.fallbackSends)
-	}
-	if b.fallbackRescues > 0 {
-		c.fallbackRescues.add(b.fallbackRescues)
-	}
-	if b.fallbackProbes > 0 {
-		c.fallbackProbes.add(b.fallbackProbes)
-	}
-	if b.healthSuspect > 0 {
-		c.healthSuspect.add(b.healthSuspect)
-	}
-	if b.healthFallback > 0 {
-		c.healthFallback.add(b.healthFallback)
-	}
-	if b.healthProbation > 0 {
-		c.healthProbation.add(b.healthProbation)
-	}
-	if b.healthRecovered > 0 {
-		c.healthRecovered.add(b.healthRecovered)
+	for i := range b.n {
+		if n := b.n[i]; n > 0 {
+			c.cells[i].add(n)
+		}
 	}
 	for r := DropNotDeployed; r < numDropReasons; r++ {
 		if n := b.drops[r]; n > 0 {

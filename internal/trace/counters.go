@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"github.com/evolvable-net/evolve/internal/topology"
 )
@@ -86,68 +85,139 @@ func DropReasons() []DropReason {
 	return out
 }
 
+// counterID indexes one scalar counter's cell. The send path's counters
+// come first, so a CounterBatch carries exactly the prefix below
+// numBatched and folds into the same index space.
+type counterID uint8
+
+const (
+	cSends counterID = iota
+	cDeliveries
+	cRedirects
+	cRedirectHits
+	cEncaps
+	cDecaps
+	cBoneHops
+	cFlowHits
+	cFlowMisses
+	cPayloadBytes
+	cBatchFlows
+	cBatchPackets
+	cFallbackSends
+	cFallbackRescues
+	cFallbackProbes
+	cHealthSuspect
+	cHealthFallback
+	cHealthProbation
+	cHealthRecovered
+	// numBatched ends the send path's counters: a send tallies these in
+	// its CounterBatch. The rest move on mutator-side and live-plane
+	// events and count straight into Counters.
+	numBatched
+)
+
+const (
+	cHealthSignals counterID = numBatched + iota
+	cBoneRebuilds
+	cRebuildsFail
+	cEpochs
+	cInvalDomain
+	cInvalInter
+	cBoneReused
+	cBoneRebuilt
+	cProbesSent
+	cProbesMissed
+	cPeersSuspected
+	cPeersRecovered
+	cFailoverAny
+	cFailoverRoute
+	cRetransmits
+	cDedupDrops
+	cReconDeltas
+	cReconFallbacks
+	cFaultDropped
+	cFaultDup
+	cFaultDelayed
+	numCounters
+)
+
+// counterRow declares one scalar counter: the cell it counts in, the
+// dotted name String prints and OBSERVABILITY.md documents, and the
+// Snapshot field that carries its value.
+type counterRow struct {
+	id    counterID
+	name  string
+	field func(*Snapshot) *uint64
+}
+
+// counterTable is the one declaration of the scalar counter set, in the
+// order String prints it. Snapshot, Sub, String and the doc check in
+// counters_test.go walk it; adding a counter is a row here, its
+// counterID, its Snapshot field, its method and its OBSERVABILITY.md row
+// (TestCounterTable and TestCounterDocs hold the five together).
+var counterTable = [numCounters]counterRow{
+	{cSends, "sends", func(s *Snapshot) *uint64 { return &s.Sends }},
+	{cDeliveries, "deliveries", func(s *Snapshot) *uint64 { return &s.Deliveries }},
+	// String prints the drops total and its per-reason lines here, ahead
+	// of dropsBefore.
+	{cRedirects, "redirects", func(s *Snapshot) *uint64 { return &s.Redirects }},
+	{cRedirectHits, "redirects.cache_hits", func(s *Snapshot) *uint64 { return &s.RedirectCacheHits }},
+	{cFlowHits, "delivery.flow_hits", func(s *Snapshot) *uint64 { return &s.DeliveryFlowHits }},
+	{cFlowMisses, "delivery.flow_misses", func(s *Snapshot) *uint64 { return &s.DeliveryFlowMisses }},
+	{cPayloadBytes, "delivery.payload_bytes", func(s *Snapshot) *uint64 { return &s.DeliveryPayloadBytes }},
+	{cBatchFlows, "delivery.batch_flows", func(s *Snapshot) *uint64 { return &s.DeliveryBatchFlows }},
+	{cBatchPackets, "delivery.batch_packets", func(s *Snapshot) *uint64 { return &s.DeliveryBatchPackets }},
+	{cFallbackSends, "delivery.fallback_sends", func(s *Snapshot) *uint64 { return &s.DeliveryFallbackSends }},
+	{cFallbackRescues, "delivery.fallback_rescues", func(s *Snapshot) *uint64 { return &s.DeliveryFallbackRescues }},
+	{cFallbackProbes, "health.probes", func(s *Snapshot) *uint64 { return &s.HealthProbes }},
+	{cHealthSuspect, "health.suspect", func(s *Snapshot) *uint64 { return &s.HealthSuspects }},
+	{cHealthFallback, "health.fallback", func(s *Snapshot) *uint64 { return &s.HealthFallbacks }},
+	{cHealthProbation, "health.probation", func(s *Snapshot) *uint64 { return &s.HealthProbations }},
+	{cHealthRecovered, "health.recovered", func(s *Snapshot) *uint64 { return &s.HealthRecovered }},
+	{cHealthSignals, "health.signals", func(s *Snapshot) *uint64 { return &s.HealthSignals }},
+	{cEncaps, "tunnel.encaps", func(s *Snapshot) *uint64 { return &s.Encaps }},
+	{cDecaps, "tunnel.decaps", func(s *Snapshot) *uint64 { return &s.Decaps }},
+	{cBoneHops, "bone.hops", func(s *Snapshot) *uint64 { return &s.BoneHops }},
+	{cBoneRebuilds, "bone.rebuilds", func(s *Snapshot) *uint64 { return &s.BoneRebuilds }},
+	{cRebuildsFail, "bone.rebuilds_failed", func(s *Snapshot) *uint64 { return &s.RebuildsFailed }},
+	{cBoneReused, "bone.domains_reused", func(s *Snapshot) *uint64 { return &s.BoneDomainsReused }},
+	{cBoneRebuilt, "bone.domains_rebuilt", func(s *Snapshot) *uint64 { return &s.BoneDomainsRebuilt }},
+	{cEpochs, "epochs", func(s *Snapshot) *uint64 { return &s.Epochs }},
+	{cInvalDomain, "invalidate.domain", func(s *Snapshot) *uint64 { return &s.InvalDomain }},
+	{cInvalInter, "invalidate.inter", func(s *Snapshot) *uint64 { return &s.InvalInter }},
+	{cProbesSent, "live.probes_sent", func(s *Snapshot) *uint64 { return &s.ProbesSent }},
+	{cProbesMissed, "live.probes_missed", func(s *Snapshot) *uint64 { return &s.ProbesMissed }},
+	{cPeersSuspected, "live.peers_suspected", func(s *Snapshot) *uint64 { return &s.PeersSuspected }},
+	{cPeersRecovered, "live.peers_recovered", func(s *Snapshot) *uint64 { return &s.PeersRecovered }},
+	{cFailoverAny, "live.failover_anycast", func(s *Snapshot) *uint64 { return &s.FailoversAnycast }},
+	{cFailoverRoute, "live.failover_route", func(s *Snapshot) *uint64 { return &s.FailoversRoute }},
+	{cRetransmits, "live.retransmits", func(s *Snapshot) *uint64 { return &s.Retransmits }},
+	{cDedupDrops, "live.dedup_drops", func(s *Snapshot) *uint64 { return &s.DedupDrops }},
+	{cReconDeltas, "live.reconcile_deltas", func(s *Snapshot) *uint64 { return &s.ReconcileDeltas }},
+	{cReconFallbacks, "live.reconcile_fallbacks", func(s *Snapshot) *uint64 { return &s.ReconcileFallbacks }},
+	{cFaultDropped, "fault.dropped", func(s *Snapshot) *uint64 { return &s.FaultDropped }},
+	{cFaultDup, "fault.duplicated", func(s *Snapshot) *uint64 { return &s.FaultDuplicated }},
+	{cFaultDelayed, "fault.delayed", func(s *Snapshot) *uint64 { return &s.FaultDelayed }},
+}
+
+// dropsBefore is the row String prints the drops block ahead of, and
+// dropsName the key of the drops total.
+const (
+	dropsBefore = cRedirects
+	dropsName   = "drops"
+)
+
 // Counters is the evolution-wide tally set. All methods are safe for
 // concurrent use and never allocate on the hot path except the first
 // time a given AS appears as an ingress. The zero value is ready to use.
 //
-// Counters touched on the send path are striped (see striped.go): each
-// increment lands on one of several cache-line-padded cells and Snapshot
-// aggregates them, so 64+ concurrent senders do not serialize on shared
-// cache lines. Mutator-side counters (rebuilds, epochs, invalidations,
-// live-plane events) stay single atomics — they are rare and their exact
-// single-cell form is occasionally read in tests via deltas.
+// Every cell is striped (see striped.go): an increment lands on one of
+// several cache-line-padded stripes and Snapshot sums them, so 64+
+// concurrent senders do not serialize on shared cache lines.
 type Counters struct {
-	sends        striped
-	deliveries   striped
-	redirects    striped
-	redirectHits striped
-	encaps       striped
-	decaps       striped
-	boneHops     striped
-	flowHits     striped
-	flowMisses   striped
-	payloadBytes striped
-	batchFlows   striped
-	batchPackets striped
-	// Graceful-degradation tallies (internal/core health/fallback layer):
-	// baseline-path deliveries, in-line rescues, vN probes from fallback,
-	// and flow-health state transitions. All ride the send path, so they
-	// stripe like the delivery counters above.
-	fallbackSends   striped
-	fallbackRescues striped
-	fallbackProbes  striped
-	healthSuspect   striped
-	healthFallback  striped
-	healthProbation striped
-	healthRecovered striped
-	// healthSignals counts external failure signals (unacked reliable
-	// sends, overlay peer suspicion) fed into the health layer by the live
-	// plane — mutator-side, so a single atomic suffices.
-	healthSignals atomic.Uint64
-	boneRebuilds  atomic.Uint64
-	rebuildsFail  atomic.Uint64
-	epochs        atomic.Uint64
-	invalDomain   atomic.Uint64
-	invalInter    atomic.Uint64
-	boneReused    atomic.Uint64
-	boneRebuilt   atomic.Uint64
-	// Live-plane fault-tolerance tallies (internal/overlaynet,
-	// internal/livebridge): liveness probing, failover, retransmission,
-	// epoch reconciliation and injected wire faults.
-	probesSent     atomic.Uint64
-	probesMissed   atomic.Uint64
-	peersSuspected atomic.Uint64
-	peersRecovered atomic.Uint64
-	failoverAny    atomic.Uint64
-	failoverRoute  atomic.Uint64
-	retransmits    atomic.Uint64
-	dedupDrops     atomic.Uint64
-	reconDeltas    atomic.Uint64
-	reconFallbacks atomic.Uint64
-	faultDropped   atomic.Uint64
-	faultDup       atomic.Uint64
-	faultDelayed   atomic.Uint64
-	drops          [numDropReasons]striped
+	// cells holds the scalar counters, indexed by counterID.
+	cells [numCounters]striped
+	drops [numDropReasons]striped
 	// ingressByAS is the per-AS ingress load: how many deliveries
 	// entered the bone in each domain. A plain map under an RWMutex
 	// rather than a sync.Map — the hot path is then an RLock plus one
@@ -158,10 +228,10 @@ type Counters struct {
 }
 
 // Send counts one delivery attempt entering the send path.
-func (c *Counters) Send() { c.sends.add(1) }
+func (c *Counters) Send() { c.cells[cSends].add(1) }
 
 // Deliver counts one successful end-to-end delivery.
-func (c *Counters) Deliver() { c.deliveries.add(1) }
+func (c *Counters) Deliver() { c.cells[cDeliveries].add(1) }
 
 // Drop counts one failed delivery under its reason.
 func (c *Counters) Drop(r DropReason) {
@@ -174,32 +244,32 @@ func (c *Counters) Drop(r DropReason) {
 // Redirect counts one anycast redirect resolution; hit reports whether
 // it was served from the redirect cache.
 func (c *Counters) Redirect(hit bool) {
-	c.redirects.add(1)
+	c.cells[cRedirects].add(1)
 	if hit {
-		c.redirectHits.add(1)
+		c.cells[cRedirectHits].add(1)
 	}
 }
 
 // FlowHit counts one send whose full delivery skeleton (ingress, egress,
 // tail, baseline) was served from the epoch's flow cache.
-func (c *Counters) FlowHit() { c.flowHits.add(1) }
+func (c *Counters) FlowHit() { c.cells[cFlowHits].add(1) }
 
 // FlowMiss counts one send that had to compute its delivery skeleton
 // from the routing substrate (and, mutations permitting, cached it).
-func (c *Counters) FlowMiss() { c.flowMisses.add(1) }
+func (c *Counters) FlowMiss() { c.cells[cFlowMisses].add(1) }
 
 // HealthSignal counts n external failure signals (unacked reliable
 // sends, overlay peer suspicion) applied to flow-health records.
 func (c *Counters) HealthSignal(n int) {
 	if n > 0 {
-		c.healthSignals.Add(uint64(n))
+		c.cells[cHealthSignals].add(uint64(n))
 	}
 }
 
 // PayloadBytes counts n payload bytes carried by successful deliveries.
 func (c *Counters) PayloadBytes(n int) {
 	if n > 0 {
-		c.payloadBytes.add(uint64(n))
+		c.cells[cPayloadBytes].add(uint64(n))
 	}
 }
 
@@ -207,106 +277,106 @@ func (c *Counters) PayloadBytes(n int) {
 func (c *Counters) Ingress(as topology.ASN) { c.ingressN(as, 1) }
 
 // Encap counts one tunnel encapsulation.
-func (c *Counters) Encap() { c.encaps.add(1) }
+func (c *Counters) Encap() { c.cells[cEncaps].add(1) }
 
 // Decap counts one tunnel decapsulation.
-func (c *Counters) Decap() { c.decaps.add(1) }
+func (c *Counters) Decap() { c.cells[cDecaps].add(1) }
 
 // BoneHops counts n vN-Bone virtual hops traversed by one delivery.
 func (c *Counters) BoneHops(n int) {
 	if n > 0 {
-		c.boneHops.add(uint64(n))
+		c.cells[cBoneHops].add(uint64(n))
 	}
 }
 
 // BoneRebuild counts one successful vN-Bone reconstruction (deployment
 // change or topology reconvergence). Failed build attempts are counted
 // separately by RebuildFailed, never here.
-func (c *Counters) BoneRebuild() { c.boneRebuilds.Add(1) }
+func (c *Counters) BoneRebuild() { c.cells[cBoneRebuilds].add(1) }
 
 // RebuildFailed counts one vN-Bone reconstruction attempt that errored
 // (e.g. the candidate membership partitions the bone). The previous
 // routing state stays live, so failures must not inflate BoneRebuilds.
-func (c *Counters) RebuildFailed() { c.rebuildsFail.Add(1) }
+func (c *Counters) RebuildFailed() { c.cells[cRebuildsFail].add(1) }
 
 // Epoch counts one routing-epoch publication: any mutation that swapped
 // in a new immutable snapshot for the send path, whether or not the
 // bone itself was rebuilt.
-func (c *Counters) Epoch() { c.epochs.Add(1) }
+func (c *Counters) Epoch() { c.cells[cEpochs].add(1) }
 
 // InvalDomain counts one domain-scoped invalidation: an event confined
 // to a single AS (intra-link flap, membership change) that dropped only
 // that domain's derived state.
-func (c *Counters) InvalDomain() { c.invalDomain.Add(1) }
+func (c *Counters) InvalDomain() { c.cells[cInvalDomain].add(1) }
 
 // InvalInter counts one inter-scope invalidation: an inter-domain link
 // event that refreshed BGP and the cross-domain SPTs while every
 // intra-domain SPT survived.
-func (c *Counters) InvalInter() { c.invalInter.Add(1) }
+func (c *Counters) InvalInter() { c.cells[cInvalInter].add(1) }
 
 // BoneDomains records, for one incremental bone build, how many
 // per-domain intra meshes were reused from the previous bone versus
 // recomputed from scratch.
 func (c *Counters) BoneDomains(reused, rebuilt int) {
 	if reused > 0 {
-		c.boneReused.Add(uint64(reused))
+		c.cells[cBoneReused].add(uint64(reused))
 	}
 	if rebuilt > 0 {
-		c.boneRebuilt.Add(uint64(rebuilt))
+		c.cells[cBoneRebuilt].add(uint64(rebuilt))
 	}
 }
 
 // ProbeSent counts one liveness keepalive probe emitted toward a peer.
-func (c *Counters) ProbeSent() { c.probesSent.Add(1) }
+func (c *Counters) ProbeSent() { c.cells[cProbesSent].add(1) }
 
 // ProbeMissed counts one probe round that elapsed without the previous
 // probe to that peer being acknowledged.
-func (c *Counters) ProbeMissed() { c.probesMissed.Add(1) }
+func (c *Counters) ProbeMissed() { c.cells[cProbesMissed].add(1) }
 
 // PeerSuspected counts one peer transitioning healthy → suspected after
 // accumulating the configured number of consecutive misses.
-func (c *Counters) PeerSuspected() { c.peersSuspected.Add(1) }
+func (c *Counters) PeerSuspected() { c.cells[cPeersSuspected].add(1) }
 
 // PeerRecovered counts one suspected peer answering a probe again.
-func (c *Counters) PeerRecovered() { c.peersRecovered.Add(1) }
+func (c *Counters) PeerRecovered() { c.cells[cPeersRecovered].add(1) }
 
 // FailoverAnycast counts one anycast resolution that skipped a dead or
 // suspected member (including a per-source resolver nomination that was
 // overridden) and landed on the next-closest live member.
-func (c *Counters) FailoverAnycast() { c.failoverAny.Add(1) }
+func (c *Counters) FailoverAnycast() { c.cells[cFailoverAny].add(1) }
 
 // FailoverRoute counts one bone relay that bypassed a dead or suspected
 // primary next-hop via an alternate.
-func (c *Counters) FailoverRoute() { c.failoverRoute.Add(1) }
+func (c *Counters) FailoverRoute() { c.cells[cFailoverRoute].add(1) }
 
 // Retransmit counts one retransmission attempt of an acked send.
-func (c *Counters) Retransmit() { c.retransmits.Add(1) }
+func (c *Counters) Retransmit() { c.cells[cRetransmits].add(1) }
 
 // DedupDrop counts one duplicate delivery suppressed by the receiver's
 // dedup window (the duplicate is re-acked, never re-delivered).
-func (c *Counters) DedupDrop() { c.dedupDrops.Add(1) }
+func (c *Counters) DedupDrop() { c.cells[cDedupDrops].add(1) }
 
 // ReconcileDeltas counts n membership/route/address deltas applied to a
 // running overlay by one epoch reconciliation.
 func (c *Counters) ReconcileDeltas(n int) {
 	if n > 0 {
-		c.reconDeltas.Add(uint64(n))
+		c.cells[cReconDeltas].add(uint64(n))
 	}
 }
 
 // ReconcileFallback counts one reconciliation that kept the last-good
 // configuration because the published epoch was unusable.
-func (c *Counters) ReconcileFallback() { c.reconFallbacks.Add(1) }
+func (c *Counters) ReconcileFallback() { c.cells[cReconFallbacks].add(1) }
 
 // FaultDrop counts one packet discarded by injected wire faults
 // (drop-rate or partition).
-func (c *Counters) FaultDrop() { c.faultDropped.Add(1) }
+func (c *Counters) FaultDrop() { c.cells[cFaultDropped].add(1) }
 
 // FaultDuplicate counts one packet duplicated by injected wire faults.
-func (c *Counters) FaultDuplicate() { c.faultDup.Add(1) }
+func (c *Counters) FaultDuplicate() { c.cells[cFaultDup].add(1) }
 
 // FaultDelay counts one packet deferred by injected wire faults.
-func (c *Counters) FaultDelay() { c.faultDelayed.Add(1) }
+func (c *Counters) FaultDelay() { c.cells[cFaultDelayed].add(1) }
 
 // Snapshot is a point-in-time copy of a Counters. Each field is read
 // atomically; the set as a whole is not a global atomic snapshot (see
@@ -390,48 +460,11 @@ type Snapshot struct {
 // Snapshot returns a point-in-time copy of the counters.
 func (c *Counters) Snapshot() Snapshot {
 	s := Snapshot{
-		Sends:                   c.sends.load(),
-		Deliveries:              c.deliveries.load(),
-		Redirects:               c.redirects.load(),
-		RedirectCacheHits:       c.redirectHits.load(),
-		Encaps:                  c.encaps.load(),
-		Decaps:                  c.decaps.load(),
-		BoneHops:                c.boneHops.load(),
-		DeliveryFlowHits:        c.flowHits.load(),
-		DeliveryFlowMisses:      c.flowMisses.load(),
-		DeliveryPayloadBytes:    c.payloadBytes.load(),
-		DeliveryBatchFlows:      c.batchFlows.load(),
-		DeliveryBatchPackets:    c.batchPackets.load(),
-		DeliveryFallbackSends:   c.fallbackSends.load(),
-		DeliveryFallbackRescues: c.fallbackRescues.load(),
-		HealthProbes:            c.fallbackProbes.load(),
-		HealthSuspects:          c.healthSuspect.load(),
-		HealthFallbacks:         c.healthFallback.load(),
-		HealthProbations:        c.healthProbation.load(),
-		HealthRecovered:         c.healthRecovered.load(),
-		HealthSignals:           c.healthSignals.Load(),
-		BoneRebuilds:            c.boneRebuilds.Load(),
-		RebuildsFailed:          c.rebuildsFail.Load(),
-		Epochs:                  c.epochs.Load(),
-		InvalDomain:             c.invalDomain.Load(),
-		InvalInter:              c.invalInter.Load(),
-		BoneDomainsReused:       c.boneReused.Load(),
-		BoneDomainsRebuilt:      c.boneRebuilt.Load(),
-		ProbesSent:              c.probesSent.Load(),
-		ProbesMissed:            c.probesMissed.Load(),
-		PeersSuspected:          c.peersSuspected.Load(),
-		PeersRecovered:          c.peersRecovered.Load(),
-		FailoversAnycast:        c.failoverAny.Load(),
-		FailoversRoute:          c.failoverRoute.Load(),
-		Retransmits:             c.retransmits.Load(),
-		DedupDrops:              c.dedupDrops.Load(),
-		ReconcileDeltas:         c.reconDeltas.Load(),
-		ReconcileFallbacks:      c.reconFallbacks.Load(),
-		FaultDropped:            c.faultDropped.Load(),
-		FaultDuplicated:         c.faultDup.Load(),
-		FaultDelayed:            c.faultDelayed.Load(),
-		DropsByReason:           map[DropReason]uint64{},
-		IngressByAS:             map[topology.ASN]uint64{},
+		DropsByReason: map[DropReason]uint64{},
+		IngressByAS:   map[topology.ASN]uint64{},
+	}
+	for _, r := range counterTable {
+		*r.field(&s) = c.cells[r.id].load()
 	}
 	for r := DropNotDeployed; r < numDropReasons; r++ {
 		if n := c.drops[r].load(); n > 0 {
@@ -462,52 +495,15 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		return a - b
 	}
 	d := Snapshot{
-		Sends:                   sub(s.Sends, prev.Sends, "sends"),
-		Deliveries:              sub(s.Deliveries, prev.Deliveries, "deliveries"),
-		Drops:                   sub(s.Drops, prev.Drops, "drops"),
-		Redirects:               sub(s.Redirects, prev.Redirects, "redirects"),
-		RedirectCacheHits:       sub(s.RedirectCacheHits, prev.RedirectCacheHits, "redirects.cache_hits"),
-		Encaps:                  sub(s.Encaps, prev.Encaps, "tunnel.encaps"),
-		Decaps:                  sub(s.Decaps, prev.Decaps, "tunnel.decaps"),
-		BoneHops:                sub(s.BoneHops, prev.BoneHops, "bone.hops"),
-		DeliveryFlowHits:        sub(s.DeliveryFlowHits, prev.DeliveryFlowHits, "delivery.flow_hits"),
-		DeliveryFlowMisses:      sub(s.DeliveryFlowMisses, prev.DeliveryFlowMisses, "delivery.flow_misses"),
-		DeliveryPayloadBytes:    sub(s.DeliveryPayloadBytes, prev.DeliveryPayloadBytes, "delivery.payload_bytes"),
-		DeliveryBatchFlows:      sub(s.DeliveryBatchFlows, prev.DeliveryBatchFlows, "delivery.batch_flows"),
-		DeliveryBatchPackets:    sub(s.DeliveryBatchPackets, prev.DeliveryBatchPackets, "delivery.batch_packets"),
-		DeliveryFallbackSends:   sub(s.DeliveryFallbackSends, prev.DeliveryFallbackSends, "delivery.fallback_sends"),
-		DeliveryFallbackRescues: sub(s.DeliveryFallbackRescues, prev.DeliveryFallbackRescues, "delivery.fallback_rescues"),
-		HealthProbes:            sub(s.HealthProbes, prev.HealthProbes, "health.probes"),
-		HealthSuspects:          sub(s.HealthSuspects, prev.HealthSuspects, "health.suspect"),
-		HealthFallbacks:         sub(s.HealthFallbacks, prev.HealthFallbacks, "health.fallback"),
-		HealthProbations:        sub(s.HealthProbations, prev.HealthProbations, "health.probation"),
-		HealthRecovered:         sub(s.HealthRecovered, prev.HealthRecovered, "health.recovered"),
-		HealthSignals:           sub(s.HealthSignals, prev.HealthSignals, "health.signals"),
-		BoneRebuilds:            sub(s.BoneRebuilds, prev.BoneRebuilds, "bone.rebuilds"),
-		RebuildsFailed:          sub(s.RebuildsFailed, prev.RebuildsFailed, "bone.rebuilds_failed"),
-		Epochs:                  sub(s.Epochs, prev.Epochs, "epochs"),
-		InvalDomain:             sub(s.InvalDomain, prev.InvalDomain, "invalidate.domain"),
-		InvalInter:              sub(s.InvalInter, prev.InvalInter, "invalidate.inter"),
-		BoneDomainsReused:       sub(s.BoneDomainsReused, prev.BoneDomainsReused, "bone.domains_reused"),
-		BoneDomainsRebuilt:      sub(s.BoneDomainsRebuilt, prev.BoneDomainsRebuilt, "bone.domains_rebuilt"),
-		ProbesSent:              sub(s.ProbesSent, prev.ProbesSent, "live.probes_sent"),
-		ProbesMissed:            sub(s.ProbesMissed, prev.ProbesMissed, "live.probes_missed"),
-		PeersSuspected:          sub(s.PeersSuspected, prev.PeersSuspected, "live.peers_suspected"),
-		PeersRecovered:          sub(s.PeersRecovered, prev.PeersRecovered, "live.peers_recovered"),
-		FailoversAnycast:        sub(s.FailoversAnycast, prev.FailoversAnycast, "live.failover_anycast"),
-		FailoversRoute:          sub(s.FailoversRoute, prev.FailoversRoute, "live.failover_route"),
-		Retransmits:             sub(s.Retransmits, prev.Retransmits, "live.retransmits"),
-		DedupDrops:              sub(s.DedupDrops, prev.DedupDrops, "live.dedup_drops"),
-		ReconcileDeltas:         sub(s.ReconcileDeltas, prev.ReconcileDeltas, "live.reconcile_deltas"),
-		ReconcileFallbacks:      sub(s.ReconcileFallbacks, prev.ReconcileFallbacks, "live.reconcile_fallbacks"),
-		FaultDropped:            sub(s.FaultDropped, prev.FaultDropped, "fault.dropped"),
-		FaultDuplicated:         sub(s.FaultDuplicated, prev.FaultDuplicated, "fault.duplicated"),
-		FaultDelayed:            sub(s.FaultDelayed, prev.FaultDelayed, "fault.delayed"),
-		DropsByReason:           map[DropReason]uint64{},
-		IngressByAS:             map[topology.ASN]uint64{},
+		Drops:         sub(s.Drops, prev.Drops, dropsName),
+		DropsByReason: map[DropReason]uint64{},
+		IngressByAS:   map[topology.ASN]uint64{},
+	}
+	for _, r := range counterTable {
+		*r.field(&d) = sub(*r.field(&s), *r.field(&prev), r.name)
 	}
 	for r, n := range s.DropsByReason {
-		if delta := sub(n, prev.DropsByReason[r], "drops."+r.String()); delta > 0 {
+		if delta := sub(n, prev.DropsByReason[r], dropsName+"."+r.String()); delta > 0 {
 			d.DropsByReason[r] = delta
 		}
 	}
@@ -523,55 +519,20 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 // the format cmd/overlayd serves on its debug address.
 func (s Snapshot) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sends %d\n", s.Sends)
-	fmt.Fprintf(&b, "deliveries %d\n", s.Deliveries)
-	fmt.Fprintf(&b, "drops %d\n", s.Drops)
-	reasons := make([]DropReason, 0, len(s.DropsByReason))
-	for r := range s.DropsByReason {
-		reasons = append(reasons, r)
+	for _, r := range counterTable {
+		if r.id == dropsBefore {
+			fmt.Fprintf(&b, "%s %d\n", dropsName, s.Drops)
+			reasons := make([]DropReason, 0, len(s.DropsByReason))
+			for reason := range s.DropsByReason {
+				reasons = append(reasons, reason)
+			}
+			sort.Slice(reasons, func(i, j int) bool { return reasons[i] < reasons[j] })
+			for _, reason := range reasons {
+				fmt.Fprintf(&b, "%s.%s %d\n", dropsName, reason, s.DropsByReason[reason])
+			}
+		}
+		fmt.Fprintf(&b, "%s %d\n", r.name, *r.field(&s))
 	}
-	sort.Slice(reasons, func(i, j int) bool { return reasons[i] < reasons[j] })
-	for _, r := range reasons {
-		fmt.Fprintf(&b, "drops.%s %d\n", r, s.DropsByReason[r])
-	}
-	fmt.Fprintf(&b, "redirects %d\n", s.Redirects)
-	fmt.Fprintf(&b, "redirects.cache_hits %d\n", s.RedirectCacheHits)
-	fmt.Fprintf(&b, "delivery.flow_hits %d\n", s.DeliveryFlowHits)
-	fmt.Fprintf(&b, "delivery.flow_misses %d\n", s.DeliveryFlowMisses)
-	fmt.Fprintf(&b, "delivery.payload_bytes %d\n", s.DeliveryPayloadBytes)
-	fmt.Fprintf(&b, "delivery.batch_flows %d\n", s.DeliveryBatchFlows)
-	fmt.Fprintf(&b, "delivery.batch_packets %d\n", s.DeliveryBatchPackets)
-	fmt.Fprintf(&b, "delivery.fallback_sends %d\n", s.DeliveryFallbackSends)
-	fmt.Fprintf(&b, "delivery.fallback_rescues %d\n", s.DeliveryFallbackRescues)
-	fmt.Fprintf(&b, "health.probes %d\n", s.HealthProbes)
-	fmt.Fprintf(&b, "health.suspect %d\n", s.HealthSuspects)
-	fmt.Fprintf(&b, "health.fallback %d\n", s.HealthFallbacks)
-	fmt.Fprintf(&b, "health.probation %d\n", s.HealthProbations)
-	fmt.Fprintf(&b, "health.recovered %d\n", s.HealthRecovered)
-	fmt.Fprintf(&b, "health.signals %d\n", s.HealthSignals)
-	fmt.Fprintf(&b, "tunnel.encaps %d\n", s.Encaps)
-	fmt.Fprintf(&b, "tunnel.decaps %d\n", s.Decaps)
-	fmt.Fprintf(&b, "bone.hops %d\n", s.BoneHops)
-	fmt.Fprintf(&b, "bone.rebuilds %d\n", s.BoneRebuilds)
-	fmt.Fprintf(&b, "bone.rebuilds_failed %d\n", s.RebuildsFailed)
-	fmt.Fprintf(&b, "bone.domains_reused %d\n", s.BoneDomainsReused)
-	fmt.Fprintf(&b, "bone.domains_rebuilt %d\n", s.BoneDomainsRebuilt)
-	fmt.Fprintf(&b, "epochs %d\n", s.Epochs)
-	fmt.Fprintf(&b, "invalidate.domain %d\n", s.InvalDomain)
-	fmt.Fprintf(&b, "invalidate.inter %d\n", s.InvalInter)
-	fmt.Fprintf(&b, "live.probes_sent %d\n", s.ProbesSent)
-	fmt.Fprintf(&b, "live.probes_missed %d\n", s.ProbesMissed)
-	fmt.Fprintf(&b, "live.peers_suspected %d\n", s.PeersSuspected)
-	fmt.Fprintf(&b, "live.peers_recovered %d\n", s.PeersRecovered)
-	fmt.Fprintf(&b, "live.failover_anycast %d\n", s.FailoversAnycast)
-	fmt.Fprintf(&b, "live.failover_route %d\n", s.FailoversRoute)
-	fmt.Fprintf(&b, "live.retransmits %d\n", s.Retransmits)
-	fmt.Fprintf(&b, "live.dedup_drops %d\n", s.DedupDrops)
-	fmt.Fprintf(&b, "live.reconcile_deltas %d\n", s.ReconcileDeltas)
-	fmt.Fprintf(&b, "live.reconcile_fallbacks %d\n", s.ReconcileFallbacks)
-	fmt.Fprintf(&b, "fault.dropped %d\n", s.FaultDropped)
-	fmt.Fprintf(&b, "fault.duplicated %d\n", s.FaultDuplicated)
-	fmt.Fprintf(&b, "fault.delayed %d\n", s.FaultDelayed)
 	ases := make([]topology.ASN, 0, len(s.IngressByAS))
 	for as := range s.IngressByAS {
 		ases = append(ases, as)

@@ -12,7 +12,7 @@ const stripes = 16
 
 // paddedUint64 is one stripe, padded out to its own cache line so two
 // stripes never share one — the whole point of striping is that 64
-// senders incrementing "sends" do not serialize on a single line.
+// senders incrementing one counter do not serialize on a single line.
 type paddedUint64 struct {
 	v atomic.Uint64
 	_ [56]byte

@@ -95,32 +95,34 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
-// TestCountersSnapshot exercises every counter method and the snapshot
-// totals.
+// TestCountersSnapshot covers what TestCounterTable's single bumps do
+// not: totals above one, the no-op arguments, and the two map-shaped
+// families (drop reasons, per-AS ingress).
 func TestCountersSnapshot(t *testing.T) {
 	var c Counters
 	c.Send()
 	c.Send()
 	c.Send()
-	c.Deliver()
 	c.Drop(DropNoIngress)
 	c.Drop(DropTail)
 	c.Drop(DropNone)        // never counted
 	c.Drop(DropReason(200)) // out of range: ignored
-	c.Redirect(false)
-	c.Redirect(true)
 	c.Ingress(topology.ASN(3))
 	c.Ingress(topology.ASN(3))
 	c.Ingress(topology.ASN(9))
-	c.Encap()
-	c.Decap()
 	c.BoneHops(4)
 	c.BoneHops(0) // no-op
-	c.BoneRebuild()
+	c.PayloadBytes(-1)
+	c.HealthSignal(0)
+	c.ReconcileDeltas(-2)
+	c.BoneDomains(0, -1)
 
 	s := c.Snapshot()
-	if s.Sends != 3 || s.Deliveries != 1 {
-		t.Errorf("sends/deliveries = %d/%d, want 3/1", s.Sends, s.Deliveries)
+	if s.Sends != 3 || s.BoneHops != 4 {
+		t.Errorf("sends/hops = %d/%d, want 3/4", s.Sends, s.BoneHops)
+	}
+	if s.DeliveryPayloadBytes+s.HealthSignals+s.ReconcileDeltas+s.BoneDomainsReused+s.BoneDomainsRebuilt != 0 {
+		t.Errorf("a non-positive argument counted: %+v", s)
 	}
 	if s.Drops != 2 || s.DropsByReason[DropNoIngress] != 1 || s.DropsByReason[DropTail] != 1 {
 		t.Errorf("drops = %d %v, want 2 split over no-ingress and tail", s.Drops, s.DropsByReason)
@@ -128,35 +130,66 @@ func TestCountersSnapshot(t *testing.T) {
 	if len(s.DropsByReason) != 2 {
 		t.Errorf("zero-count reasons leaked into the snapshot: %v", s.DropsByReason)
 	}
-	if s.Redirects != 2 || s.RedirectCacheHits != 1 {
-		t.Errorf("redirects = %d hits %d, want 2/1", s.Redirects, s.RedirectCacheHits)
-	}
 	if s.IngressByAS[3] != 2 || s.IngressByAS[9] != 1 {
 		t.Errorf("ingress by AS = %v", s.IngressByAS)
 	}
-	if s.Encaps != 1 || s.Decaps != 1 || s.BoneHops != 4 || s.BoneRebuilds != 1 {
-		t.Errorf("encaps/decaps/hops/rebuilds = %d/%d/%d/%d",
-			s.Encaps, s.Decaps, s.BoneHops, s.BoneRebuilds)
-	}
 }
 
-// TestSnapshotString pins the expvar-style line format overlayd serves.
+// TestSnapshotString pins the expvar-style output overlayd serves, byte
+// for byte: key order, the drops block between deliveries and
+// redirects, the ingress lines last.
 func TestSnapshotString(t *testing.T) {
 	var c Counters
 	c.Send()
 	c.Deliver()
 	c.Drop(DropTail)
 	c.Ingress(topology.ASN(2))
-	out := c.Snapshot().String()
-	for _, line := range []string{
-		"sends 1\n", "deliveries 1\n", "drops 1\n", "drops.tail 1\n",
-		"redirects 0\n", "redirects.cache_hits 0\n",
-		"tunnel.encaps 0\n", "tunnel.decaps 0\n",
-		"bone.hops 0\n", "bone.rebuilds 0\n", "ingress.as2 1\n",
-	} {
-		if !strings.Contains(out, line) {
-			t.Errorf("snapshot output missing %q:\n%s", line, out)
-		}
+	const want = `sends 1
+deliveries 1
+drops 1
+drops.tail 1
+redirects 0
+redirects.cache_hits 0
+delivery.flow_hits 0
+delivery.flow_misses 0
+delivery.payload_bytes 0
+delivery.batch_flows 0
+delivery.batch_packets 0
+delivery.fallback_sends 0
+delivery.fallback_rescues 0
+health.probes 0
+health.suspect 0
+health.fallback 0
+health.probation 0
+health.recovered 0
+health.signals 0
+tunnel.encaps 0
+tunnel.decaps 0
+bone.hops 0
+bone.rebuilds 0
+bone.rebuilds_failed 0
+bone.domains_reused 0
+bone.domains_rebuilt 0
+epochs 0
+invalidate.domain 0
+invalidate.inter 0
+live.probes_sent 0
+live.probes_missed 0
+live.peers_suspected 0
+live.peers_recovered 0
+live.failover_anycast 0
+live.failover_route 0
+live.retransmits 0
+live.dedup_drops 0
+live.reconcile_deltas 0
+live.reconcile_fallbacks 0
+fault.dropped 0
+fault.duplicated 0
+fault.delayed 0
+ingress.as2 1
+`
+	if got := c.Snapshot().String(); got != want {
+		t.Errorf("snapshot output changed:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -184,6 +217,9 @@ func TestFormat(t *testing.T) {
 	}
 }
 
+// TestSnapshotSub checks deltas against a non-zero previous snapshot
+// (TestCounterTable takes every scalar's delta from zero) and the map
+// families' omit-when-zero rule.
 func TestSnapshotSub(t *testing.T) {
 	var c Counters
 	c.Send()
@@ -197,8 +233,6 @@ func TestSnapshotSub(t *testing.T) {
 	c.Redirect(true)
 	c.Ingress(7)
 	c.Ingress(9)
-	c.Encap()
-	c.BoneHops(3)
 	cur := c.Snapshot()
 
 	d := cur.Sub(prev)
@@ -210,9 +244,6 @@ func TestSnapshotSub(t *testing.T) {
 	}
 	if d.Redirects != 1 || d.RedirectCacheHits != 1 {
 		t.Errorf("delta redirects = %d hits %d", d.Redirects, d.RedirectCacheHits)
-	}
-	if d.Encaps != 1 || d.BoneHops != 3 {
-		t.Errorf("delta encaps/bonehops = %d/%d", d.Encaps, d.BoneHops)
 	}
 	if d.IngressByAS[7] != 1 || d.IngressByAS[9] != 1 {
 		t.Errorf("delta ingress = %v", d.IngressByAS)

@@ -1,15 +1,15 @@
-// Package tunnel manages IPvN-in-IPv(N-1) tunnels: the encapsulation an
-// endhost uses to reach the anycast-addressed IPvN ingress, and the
-// configured tunnels that stitch vN-Bone routers together across
-// non-participating infrastructure (§3.3, §3.4). It operates at the wire
-// level on the formats of internal/packet.
+// Package tunnel is the IPvN-in-IPv(N-1) tunnel endpoint: the
+// encapsulation an endhost uses to reach the anycast-addressed IPvN
+// ingress, and the per-leg re-encapsulation that carries a packet
+// between vN-Bone routers across non-participating infrastructure (§3.3,
+// §3.4). It operates at the wire level on the formats of internal/packet,
+// and also holds the liveness-probe codec of the live overlay.
 package tunnel
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/packet"
@@ -23,19 +23,7 @@ var (
 	ErrNotForUs = errors.New("tunnel: outer destination is not local")
 	// ErrHopLimit is returned when the inner hop limit expires.
 	ErrHopLimit = errors.New("tunnel: inner hop limit exceeded")
-	// ErrNoTunnel is returned when sending to an unconfigured remote.
-	ErrNoTunnel = errors.New("tunnel: no tunnel to remote")
 )
-
-// Tunnel is one configured point-to-point tunnel.
-type Tunnel struct {
-	// Name is a human label ("Q-to-D").
-	Name string
-	// Local and Remote are the underlay endpoints.
-	Local, Remote addr.V4
-	// TTL is the outer packet's hop limit (0 = default).
-	TTL uint8
-}
 
 // Stats counts per-endpoint tunnel activity.
 type Stats struct {
@@ -49,9 +37,8 @@ type Endpoint struct {
 	// Local is the node's underlay address.
 	Local addr.V4
 
-	tunnels map[addr.V4]*Tunnel
-	stats   Stats
-	buf     *packet.SerializeBuffer
+	stats Stats
+	buf   *packet.SerializeBuffer
 
 	// Observability hooks, set by Observe. Both are optional and nil by
 	// default; the encap/decap hot path only pays a nil check then.
@@ -71,104 +58,55 @@ func (e *Endpoint) Observe(tr trace.Tracer, c *trace.Counters, seq uint32) {
 
 // NewEndpoint returns the tunnel endpoint for a node.
 func NewEndpoint(local addr.V4) *Endpoint {
-	return &Endpoint{
-		Local:   local,
-		tunnels: map[addr.V4]*Tunnel{},
-		buf:     packet.NewSerializeBuffer(),
-	}
-}
-
-// Add configures a tunnel to remote, replacing any existing one.
-func (e *Endpoint) Add(name string, remote addr.V4, ttl uint8) *Tunnel {
-	t := &Tunnel{Name: name, Local: e.Local, Remote: remote, TTL: ttl}
-	e.tunnels[remote] = t
-	return t
-}
-
-// Remove tears down the tunnel to remote; it reports whether one existed.
-func (e *Endpoint) Remove(remote addr.V4) bool {
-	if _, ok := e.tunnels[remote]; !ok {
-		return false
-	}
-	delete(e.tunnels, remote)
-	return true
-}
-
-// Lookup returns the tunnel to remote.
-func (e *Endpoint) Lookup(remote addr.V4) (*Tunnel, bool) {
-	t, ok := e.tunnels[remote]
-	return t, ok
-}
-
-// List returns the configured tunnels sorted by remote address.
-func (e *Endpoint) List() []*Tunnel {
-	out := make([]*Tunnel, 0, len(e.tunnels))
-	for _, t := range e.tunnels {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Remote < out[j].Remote })
-	return out
+	return &Endpoint{Local: local, buf: packet.NewSerializeBuffer()}
 }
 
 // Stats returns a copy of the endpoint's counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
 
-// Encap wraps an IPvN packet for transmission through the tunnel to
-// remote. The inner hop limit is decremented (the tunnel transit is one
-// IPvN hop); ErrHopLimit is returned when it expires.
-func (e *Endpoint) Encap(remote addr.V4, inner packet.VNHeader, payload []byte) ([]byte, error) {
-	t, ok := e.tunnels[remote]
-	if !ok {
-		return nil, ErrNoTunnel
-	}
-	return e.encap(t.Remote, t.TTL, inner, payload)
-}
-
-// EncapTo wraps an IPvN packet toward an arbitrary underlay destination
-// without a configured tunnel — the endhost's "encapsulate toward the
-// anycast address" operation (§3.1), where no provisioning exists by
-// design.
-func (e *Endpoint) EncapTo(outerDst addr.V4, inner packet.VNHeader, payload []byte) ([]byte, error) {
-	return e.encap(outerDst, 0, inner, payload)
-}
-
-func (e *Endpoint) encap(outerDst addr.V4, ttl uint8, inner packet.VNHeader, payload []byte) ([]byte, error) {
-	if inner.HopLimit == 0 {
-		inner.HopLimit = packet.DefaultHopLimit
-	}
-	if inner.HopLimit <= 1 {
-		e.stats.Rejected++
-		return nil, ErrHopLimit
-	}
-	inner.HopLimit--
-	outer := packet.V4Header{
-		Proto: packet.ProtoVNEncap,
-		TTL:   ttl,
-		Src:   e.Local,
-		Dst:   outerDst,
-	}
-	if err := packet.Serialize(e.buf, payload, &outer, &inner); err != nil {
-		e.stats.Rejected++
-		return nil, err
-	}
+// encapped accounts one encapsulation toward outerDst. It and decapped
+// are small enough to inline, so an unobserved endpoint — the send
+// engine's, outside a traced send — pays two nil checks and no call.
+func (e *Endpoint) encapped(outerDst addr.V4) {
 	e.stats.Encapsulated++
+	if e.counters != nil || e.tracer != nil {
+		e.observe(trace.KindEncap, e.Local, outerDst)
+	}
+}
+
+// decapped accounts one decapsulation at to of a packet sent by from.
+func (e *Endpoint) decapped(from, to addr.V4) {
+	e.stats.Decapsulated++
+	if e.counters != nil || e.tracer != nil {
+		e.observe(trace.KindDecap, from, to)
+	}
+}
+
+// observe counts and traces one encap or decap for whatever Observe
+// attached.
+func (e *Endpoint) observe(kind trace.Kind, src, dst addr.V4) {
 	if e.counters != nil {
-		e.counters.Encap()
+		if kind == trace.KindEncap {
+			e.counters.Encap()
+		} else {
+			e.counters.Decap()
+		}
 	}
 	if e.tracer != nil {
-		e.tracer.Event(trace.Event{
-			Kind: trace.KindEncap, Seq: e.seq, Router: -1,
-			Src: e.Local, Dst: outerDst,
-		})
+		e.tracer.Event(trace.Event{Kind: kind, Seq: e.seq, Router: -1, Src: src, Dst: dst})
 	}
-	return append([]byte(nil), e.buf.Bytes()...), nil
 }
 
-// EncapToShared is the zero-copy form of EncapTo: the returned wire bytes
-// alias the endpoint's internal serialize buffer and are valid only until
-// the endpoint's next encapsulation. Callers that hand the bytes to
-// another endpoint's Decap before re-encapsulating (the ping-pong pattern
-// of a relay loop) never need the copy.
+// EncapToShared wraps an IPvN packet toward an arbitrary underlay
+// destination — the endhost's "encapsulate toward the anycast address"
+// operation (§3.1), where no provisioning exists by design, and equally
+// one tunnel leg between bone routers. The inner hop limit is decremented
+// (the tunnel transit is one IPvN hop); ErrHopLimit is returned when it
+// expires. The returned wire bytes alias the endpoint's internal
+// serialize buffer and are valid only until the endpoint's next
+// encapsulation: callers that hand the bytes to another endpoint's
+// DecapShared before re-encapsulating (the ping-pong pattern of a relay
+// loop) never need a copy.
 func (e *Endpoint) EncapToShared(outerDst addr.V4, inner packet.VNHeader, payload []byte) ([]byte, error) {
 	if inner.HopLimit == 0 {
 		inner.HopLimit = packet.DefaultHopLimit
@@ -188,16 +126,7 @@ func (e *Endpoint) EncapToShared(outerDst addr.V4, inner packet.VNHeader, payloa
 		e.stats.Rejected++
 		return nil, err
 	}
-	e.stats.Encapsulated++
-	if e.counters != nil {
-		e.counters.Encap()
-	}
-	if e.tracer != nil {
-		e.tracer.Event(trace.Event{
-			Kind: trace.KindEncap, Seq: e.seq, Router: -1,
-			Src: e.Local, Dst: outerDst,
-		})
-	}
+	e.encapped(outerDst)
 	return e.buf.Bytes(), nil
 }
 
@@ -223,16 +152,7 @@ func (e *Endpoint) PatchEncap(wire []byte, outerDst addr.V4) error {
 	}
 	*hop--
 	packet.RewriteOuter(wire, e.Local, outerDst)
-	e.stats.Encapsulated++
-	if e.counters != nil {
-		e.counters.Encap()
-	}
-	if e.tracer != nil {
-		e.tracer.Event(trace.Event{
-			Kind: trace.KindEncap, Seq: e.seq, Router: -1,
-			Src: e.Local, Dst: outerDst,
-		})
-	}
+	e.encapped(outerDst)
 	return nil
 }
 
@@ -250,48 +170,15 @@ func (e *Endpoint) ForwardShared(wire []byte, next addr.V4) error {
 		return err
 	}
 	e.Local = next
-	e.stats.Decapsulated++
-	if e.counters != nil {
-		e.counters.Decap()
-	}
-	if e.tracer != nil {
-		e.tracer.Event(trace.Event{
-			Kind: trace.KindDecap, Seq: e.seq, Router: -1,
-			Src: from, Dst: next,
-		})
-	}
+	e.decapped(from, next)
 	return nil
 }
 
-// Decap unwraps a tunnelled packet addressed to this endpoint, returning
-// the outer source, the inner IPvN header and the innermost payload.
-func (e *Endpoint) Decap(wire []byte) (from addr.V4, inner packet.VNHeader, payload []byte, err error) {
-	outer, vn, pl, err := packet.DecapVN(wire)
-	if err != nil {
-		e.stats.Rejected++
-		return 0, packet.VNHeader{}, nil, err
-	}
-	if outer.Dst != e.Local {
-		e.stats.Rejected++
-		return 0, packet.VNHeader{}, nil, fmt.Errorf("%w: %s", ErrNotForUs, outer.Dst)
-	}
-	e.stats.Decapsulated++
-	if e.counters != nil {
-		e.counters.Decap()
-	}
-	if e.tracer != nil {
-		e.tracer.Event(trace.Event{
-			Kind: trace.KindDecap, Seq: e.seq, Router: -1,
-			Src: outer.Src, Dst: e.Local,
-		})
-	}
-	return outer.Src, vn, pl, nil
-}
-
-// DecapShared is the zero-copy form of Decap: the inner header's option
-// values and the payload alias wire, and the Options slice appends to
-// scratch (pass a reused scratch[:0]). See packet.DecodeVNShared for the
-// aliasing contract.
+// DecapShared unwraps a tunnelled packet addressed to this endpoint,
+// returning the outer source, the inner IPvN header and the innermost
+// payload. The inner header's option values and the payload alias wire,
+// and the Options slice appends to scratch (pass a reused scratch[:0]).
+// See packet.DecodeVNShared for the aliasing contract.
 func (e *Endpoint) DecapShared(wire []byte, scratch []packet.Option) (from addr.V4, inner packet.VNHeader, payload []byte, err error) {
 	outer, vn, pl, err := packet.DecapVNShared(wire, scratch)
 	if err != nil {
@@ -302,23 +189,8 @@ func (e *Endpoint) DecapShared(wire []byte, scratch []packet.Option) (from addr.
 		e.stats.Rejected++
 		return 0, packet.VNHeader{}, nil, fmt.Errorf("%w: %s", ErrNotForUs, outer.Dst)
 	}
-	e.stats.Decapsulated++
-	if e.counters != nil {
-		e.counters.Decap()
-	}
-	if e.tracer != nil {
-		e.tracer.Event(trace.Event{
-			Kind: trace.KindDecap, Seq: e.seq, Router: -1,
-			Src: outer.Src, Dst: e.Local,
-		})
-	}
+	e.decapped(outer.Src, e.Local)
 	return outer.Src, vn, pl, nil
-}
-
-// Relay re-encapsulates a just-decapsulated packet into the tunnel toward
-// next — the per-hop operation of a vN-Bone transit router.
-func (e *Endpoint) Relay(next addr.V4, inner packet.VNHeader, payload []byte) ([]byte, error) {
-	return e.Encap(next, inner, payload)
 }
 
 // ProbeNonceLen is the keepalive payload size: one big-endian nonce.

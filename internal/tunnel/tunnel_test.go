@@ -7,6 +7,7 @@ import (
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/packet"
+	"github.com/evolvable-net/evolve/internal/trace"
 )
 
 var (
@@ -27,13 +28,15 @@ func vnHeader() packet.VNHeader {
 func TestEncapDecapAcrossTunnel(t *testing.T) {
 	a := NewEndpoint(locA)
 	b := NewEndpoint(locB)
-	a.Add("a-b", locB, 0)
+	var counters trace.Counters
+	a.Observe(nil, &counters, 0)
+	b.Observe(nil, &counters, 0)
 
-	wire, err := a.Encap(locB, vnHeader(), []byte("data"))
+	wire, err := a.EncapToShared(locB, vnHeader(), []byte("data"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, inner, payload, err := b.Decap(wire)
+	from, inner, payload, err := b.DecapShared(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,19 +52,15 @@ func TestEncapDecapAcrossTunnel(t *testing.T) {
 	if a.Stats().Encapsulated != 1 || b.Stats().Decapsulated != 1 {
 		t.Errorf("stats: %+v %+v", a.Stats(), b.Stats())
 	}
-}
-
-func TestEncapWithoutTunnelFails(t *testing.T) {
-	a := NewEndpoint(locA)
-	if _, err := a.Encap(locB, vnHeader(), nil); !errors.Is(err, ErrNoTunnel) {
-		t.Errorf("err = %v", err)
+	if snap := counters.Snapshot(); snap.Encaps != 1 || snap.Decaps != 1 {
+		t.Errorf("observed counters: encaps %d decaps %d, want 1/1", snap.Encaps, snap.Decaps)
 	}
 }
 
 func TestEncapToAnycastNeedsNoTunnel(t *testing.T) {
 	a := NewEndpoint(locA)
 	any, _ := addr.Option1Address(0)
-	wire, err := a.EncapTo(any, vnHeader(), []byte("x"))
+	wire, err := a.EncapToShared(any, vnHeader(), []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,96 +76,88 @@ func TestEncapToAnycastNeedsNoTunnel(t *testing.T) {
 func TestDecapRejectsForeignDestination(t *testing.T) {
 	a := NewEndpoint(locA)
 	c := NewEndpoint(locC)
-	a.Add("a-b", locB, 0)
-	wire, err := a.Encap(locB, vnHeader(), nil)
+	wire, err := a.EncapToShared(locB, vnHeader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Decap(wire); !errors.Is(err, ErrNotForUs) {
+	if _, _, _, err := c.DecapShared(wire, nil); !errors.Is(err, ErrNotForUs) {
 		t.Errorf("err = %v", err)
 	}
-	if c.Stats().Rejected != 1 {
-		t.Errorf("rejected = %d", c.Stats().Rejected)
+	if c.Stats().Rejected != 1 || c.Stats().Decapsulated != 0 {
+		t.Errorf("stats = %+v, want one rejection and no decapsulation", c.Stats())
 	}
 }
 
 func TestDecapRejectsGarbage(t *testing.T) {
 	a := NewEndpoint(locA)
-	if _, _, _, err := a.Decap([]byte{1, 2, 3}); err == nil {
+	if _, _, _, err := a.DecapShared([]byte{1, 2, 3}, nil); err == nil {
 		t.Error("garbage decapped")
+	}
+	if err := a.PatchEncap([]byte{1, 2, 3}, locB); !errors.Is(err, packet.ErrTruncated) {
+		t.Errorf("PatchEncap of garbage: err = %v, want ErrTruncated", err)
+	}
+	if a.Stats().Rejected != 2 {
+		t.Errorf("rejected = %d, want 2", a.Stats().Rejected)
 	}
 }
 
 func TestHopLimitExpiresAcrossRelays(t *testing.T) {
-	// A three-node chain; hop limit 3 permits exactly two tunnel transits
-	// (decremented on each encap): A→B ok, B→C ok, C→… fails.
+	// Hop limit 3 permits exactly two tunnel transits (decremented on each
+	// encap): A→B ok, B→C ok, C→… fails. The relay legs patch the wire in
+	// place, as the send engine's do.
 	a := NewEndpoint(locA)
-	b := NewEndpoint(locB)
-	c := NewEndpoint(locC)
-	a.Add("", locB, 0)
-	b.Add("", locC, 0)
-	c.Add("", locA, 0)
+	relay := NewEndpoint(locB)
 
 	h := vnHeader()
 	h.HopLimit = 3
-	wire, err := a.Encap(locB, h, nil)
+	wire, err := a.EncapToShared(locB, h, []byte("data"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, inner, payload, err := b.Decap(wire)
-	if err != nil {
+	if _, _, _, err := relay.DecapShared(wire, nil); err != nil {
 		t.Fatal(err)
 	}
-	wire, err = b.Relay(locC, inner, payload)
-	if err != nil {
+	if err := relay.ForwardShared(wire, locC); err != nil {
 		t.Fatal(err)
 	}
-	_, inner, payload, err = c.Decap(wire)
+	if relay.Local != locC {
+		t.Fatalf("relay stands at %s after forwarding to %s", relay.Local, locC)
+	}
+	// Every leg is a fresh, valid underlay packet.
+	outer, inner, payload, err := packet.DecapVN(wire)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("patched wire no longer parses: %v", err)
 	}
-	if inner.HopLimit != 1 {
-		t.Fatalf("hop limit = %d", inner.HopLimit)
+	if outer.Src != locB || outer.Dst != locC || outer.TTL != packet.DefaultTTL {
+		t.Errorf("outer after relay = %+v", outer)
 	}
-	if _, err := c.Relay(locA, inner, payload); !errors.Is(err, ErrHopLimit) {
+	if inner.HopLimit != 1 || !bytes.Equal(payload, []byte("data")) {
+		t.Fatalf("inner after relay: hop limit %d payload %q", inner.HopLimit, payload)
+	}
+	before := bytes.Clone(wire)
+	if err := relay.ForwardShared(wire, locA); !errors.Is(err, ErrHopLimit) {
 		t.Errorf("err = %v, want ErrHopLimit", err)
 	}
-}
-
-func TestTableOperations(t *testing.T) {
-	a := NewEndpoint(locA)
-	a.Add("to-b", locB, 32)
-	a.Add("to-c", locC, 0)
-	if got := a.List(); len(got) != 2 || got[0].Remote != locB || got[1].Remote != locC {
-		t.Errorf("List = %v", got)
+	if !bytes.Equal(wire, before) || relay.Local != locC {
+		t.Error("an expired relay still rewrote the packet or moved the endpoint")
 	}
-	tn, ok := a.Lookup(locB)
-	if !ok || tn.Name != "to-b" || tn.TTL != 32 {
-		t.Errorf("Lookup = %+v ok %v", tn, ok)
+	if _, err := relay.EncapToShared(locA, inner, payload); !errors.Is(err, ErrHopLimit) {
+		t.Errorf("serializing encap: err = %v, want ErrHopLimit", err)
 	}
-	if !a.Remove(locB) || a.Remove(locB) {
-		t.Error("Remove semantics wrong")
-	}
-	if _, ok := a.Lookup(locB); ok {
-		t.Error("removed tunnel still present")
-	}
-	// Replacing a tunnel keeps one entry.
-	a.Add("to-c2", locC, 0)
-	if len(a.List()) != 1 {
-		t.Error("replacement duplicated tunnel")
+	if got, want := relay.Stats(), (Stats{Encapsulated: 1, Decapsulated: 2, Rejected: 2}); got != want {
+		t.Errorf("relay stats = %+v, want %+v", got, want)
 	}
 }
 
 func TestUnderlayDstOptionSurvivesTunnel(t *testing.T) {
 	a := NewEndpoint(locA)
 	b := NewEndpoint(locB)
-	a.Add("", locB, 0)
 	h := vnHeader().WithUnderlayDst(locC)
-	wire, err := a.Encap(locB, h, nil)
+	wire, err := a.EncapToShared(locB, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, inner, _, err := b.Decap(wire)
+	_, inner, _, err := b.DecapShared(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,20 +170,19 @@ func TestUnderlayDstOptionSurvivesTunnel(t *testing.T) {
 func BenchmarkEncapDecapRelay(b *testing.B) {
 	a := NewEndpoint(locA)
 	m := NewEndpoint(locB)
-	a.Add("", locB, 0)
-	m.Add("", locC, 0)
 	payload := make([]byte, 256)
+	scratch := make([]packet.Option, 0, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		wire, err := a.Encap(locB, vnHeader(), payload)
+		wire, err := a.EncapToShared(locB, vnHeader(), payload)
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, inner, pl, err := m.Decap(wire)
-		if err != nil {
+		m.Local = locB
+		if _, _, _, err := m.DecapShared(wire, scratch[:0]); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Relay(locC, inner, pl); err != nil {
+		if err := m.ForwardShared(wire, locC); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +220,7 @@ func TestProbeRoundTrip(t *testing.T) {
 
 func TestDecodeProbeRejectsNonProbe(t *testing.T) {
 	ep := NewEndpoint(addr.V4FromOctets(10, 0, 0, 1))
-	wire, err := ep.EncapTo(addr.V4FromOctets(10, 0, 0, 2), packet.VNHeader{Version: 8}, []byte("data"))
+	wire, err := ep.EncapToShared(addr.V4FromOctets(10, 0, 0, 2), packet.VNHeader{Version: 8}, []byte("data"))
 	if err != nil {
 		t.Fatal(err)
 	}
