@@ -96,6 +96,9 @@ func BenchmarkMulticastPayoff(b *testing.B) { benchExperiment(b, "E19") }
 // BenchmarkDefaultDomainDependence regenerates E20.
 func BenchmarkDefaultDomainDependence(b *testing.B) { benchExperiment(b, "E20") }
 
+// BenchmarkFallbackAvailability regenerates E21.
+func BenchmarkFallbackAvailability(b *testing.B) { benchExperiment(b, "E21") }
+
 // BenchmarkSendEndToEnd measures the full data path (ingress anycast,
 // bone relay with real encap/decap, egress, tail) per delivery, at three
 // deployment levels.

@@ -11,7 +11,6 @@
 //	go run ./cmd/chaos -runs 200 -steps 50
 //	go run ./cmd/chaos -seed 7 -invariants ua,oracle -v
 //	go run ./cmd/chaos -list-invariants   # print the invariant registry
-//	go run ./cmd/chaos -inject-bug   # demo: catches a skipped reconvergence
 //	go run ./cmd/chaos -fallback     # fallback-enabled world under the availability SLO
 //	go run ./cmd/chaos -session-runs 20   # BGP session sweep: faults mid-convergence
 //
@@ -40,7 +39,6 @@ func main() {
 		invariants = flag.String("invariants", "", "comma-separated invariants to check (default all: "+strings.Join(chaos.InvariantNames(), ",")+")")
 		shrink     = flag.Bool("shrink", true, "shrink a violating schedule to a minimal reproducer")
 		topoSeed   = flag.Int64("topo-seed", 42, "seed for the stock 15-ISP transit-stub topology")
-		injectBug  = flag.Bool("inject-bug", false, "deliberately skip reconvergence on link restores (harness self-test)")
 		out        = flag.String("out", "", "also write a violation report to this file")
 		verbose    = flag.Bool("v", false, "log every run")
 		listInvs   = flag.Bool("list-invariants", false, "print the invariant registry with one-line docs and exit")
@@ -49,7 +47,6 @@ func main() {
 		sessionRuns   = flag.Int("session-runs", 0, "BGP session chaos runs (faults injected mid-convergence); 0 disables")
 		sessionAS     = flag.Int("session-as", 12, "internet size (ASes) for the session sweep")
 		sessionEvents = flag.Int("session-events", 14, "faults per session run")
-		sessionLegacy = flag.Bool("session-legacy", false, "ablation: run the session sweep against the fire-and-forget speaker (expected to fail)")
 	)
 	flag.Parse()
 
@@ -63,7 +60,7 @@ func main() {
 	if *sessionRuns > 0 {
 		failed := 0
 		for r := 0; r < *sessionRuns; r++ {
-			rep, err := chaos.RunSessionChaos(*seed+int64(r), *sessionAS, *sessionEvents, *sessionLegacy)
+			rep, err := chaos.RunSessionChaos(*seed+int64(r), *sessionAS, *sessionEvents, false)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "chaos: session run %d: %v\n", r, err)
 				os.Exit(2)
@@ -99,9 +96,6 @@ func main() {
 		}
 	}
 	opts := chaos.Options{Invariants: names, Shrink: *shrink}
-	if *injectBug {
-		opts.Apply = chaos.BuggyRestoreApply
-	}
 
 	for r := 0; r < *runs; r++ {
 		rep, err := chaos.Run(sc, *seed+int64(r), *steps, opts)

@@ -32,8 +32,9 @@
 // behind RunExperiment / Experiments; see DESIGN.md and EXPERIMENTS.md.
 //
 // The library is built to hold fleet-scale internets: the routing plane
-// scales to 10k+ domains (cmd/topobench) and the delivery plane to
-// million-endhost fleets — Send is lock-free, memoises per-flow routing
+// scales to 10k+ domains (the benchmark's cold_start workload builds 4000
+// with 200k hosts) and the delivery plane to million-endhost fleets —
+// Send is lock-free, memoises per-flow routing
 // skeletons inside the immutable routing epoch, runs the wire path on
 // pooled buffers (zero allocations at steady state) and counts into
 // striped counters, so 64 concurrent senders scale without sharing
@@ -300,7 +301,7 @@ func Experiments() []string {
 	return out
 }
 
-// RunExperiment runs one experiment by id ("E1".."E12") with the given
+// RunExperiment runs one experiment by id ("E1".."E21") with the given
 // seed and returns its table.
 func RunExperiment(id string, seed int64) (*Table, error) {
 	for _, e := range experiments.All() {

@@ -83,7 +83,7 @@ func TestAddressHelpers(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	ids := Experiments()
-	if len(ids) < 13 || ids[0] != "E1" || ids[12] != "E13" {
+	if len(ids) != 21 || ids[0] != "E1" || ids[12] != "E13" || ids[20] != "E21" {
 		t.Fatalf("ids = %v", ids)
 	}
 	tbl, err := RunExperiment("E1", 1)

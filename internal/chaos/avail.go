@@ -9,21 +9,21 @@ import (
 // AvailArm tallies one arm of the availability differential.
 type AvailArm struct {
 	// Scenario names the arm's world.
-	Scenario string `json:"scenario"`
+	Scenario string
 	// Sent counts delivery attempts.
-	Sent int `json:"sent"`
+	Sent int
 	// Delivered counts successful deliveries (vN or baseline).
-	Delivered int `json:"delivered"`
+	Delivered int
 	// Lost counts failed sends.
-	Lost int `json:"lost"`
+	Lost int
 	// BaselineIntactLost counts losses on pairs whose IPv(N-1) baseline
 	// was intact at send time — black holes the fallback layer is
 	// contractually required to prevent.
-	BaselineIntactLost int `json:"baseline_intact_lost"`
+	BaselineIntactLost int
 	// FallbackDeliveries counts deliveries that rode the baseline.
-	FallbackDeliveries int `json:"fallback_deliveries"`
+	FallbackDeliveries int
 	// DeliveredFraction is Delivered / Sent.
-	DeliveredFraction float64 `json:"delivered_fraction"`
+	DeliveredFraction float64
 }
 
 // AvailReport is the outcome of one availability differential run: twin
@@ -33,33 +33,33 @@ type AvailArm struct {
 // tallied per step on both arms.
 type AvailReport struct {
 	// TopoSeed seeds the shared topology; Seed seeds the fault schedule.
-	TopoSeed int64 `json:"topo_seed"`
-	Seed     int64 `json:"seed"`
+	TopoSeed int64
+	Seed     int64
 	// Steps is the number of schedule events actually applied.
-	Steps int `json:"steps"`
+	Steps int
 	// PairsPerStep is the number of ring pairs exercised after each event.
-	PairsPerStep int `json:"pairs_per_step"`
+	PairsPerStep int
 	// OutageStart/OutageEnd delimit the forced full-undeploy window
 	// (deploy events inside it are suppressed so the deployment stays
 	// dark in both arms).
-	OutageStart int `json:"outage_start"`
-	OutageEnd   int `json:"outage_end"`
+	OutageStart int
+	OutageEnd   int
 
 	// Fallback is the arm with the degradation layer enabled; Ablation is
 	// the fail-fast twin.
-	Fallback AvailArm `json:"fallback"`
-	Ablation AvailArm `json:"ablation"`
+	Fallback AvailArm
+	Ablation AvailArm
 
 	// DegradedSteps counts steps during which the fallback arm made at
 	// least one baseline delivery; FallbackWindows counts maximal runs of
 	// such steps and LongestWindowSteps the longest one.
-	DegradedSteps      int `json:"degraded_steps"`
-	FallbackWindows    int `json:"fallback_windows"`
-	LongestWindowSteps int `json:"longest_window_steps"`
+	DegradedSteps      int
+	FallbackWindows    int
+	LongestWindowSteps int
 	// TimeToRepairSteps is the number of steps after the outage's
 	// redeploy until the fallback arm's first fully-vN step (no baseline
 	// deliveries); -1 if it never fully recovered within the run.
-	TimeToRepairSteps int `json:"time_to_repair_steps"`
+	TimeToRepairSteps int
 }
 
 // Gate validates the availability SLO differential, returning a non-nil

@@ -1,9 +1,6 @@
 package chaos
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestAvailabilityDifferential is the acceptance proof of the graceful-
 // degradation contract: under a seeded schedule whose forced outage
@@ -38,10 +35,6 @@ func TestAvailabilityDifferential(t *testing.T) {
 		t.Errorf("fallback delivered %.4f < ablation %.4f",
 			rep.Fallback.DeliveredFraction, rep.Ablation.DeliveredFraction)
 	}
-	// The report must serialize (availbench writes it as BENCH_avail.json).
-	if _, err := json.Marshal(rep); err != nil {
-		t.Fatalf("report not serializable: %v", err)
-	}
 }
 
 // TestAvailabilityDifferentialDeterministic pins replayability: same
@@ -55,10 +48,8 @@ func TestAvailabilityDifferentialDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("twin runs diverge:\n%s\n%s", ja, jb)
+	if *a != *b {
+		t.Fatalf("twin runs diverge:\n%+v\n%+v", *a, *b)
 	}
 }
 

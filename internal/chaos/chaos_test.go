@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/evolvable-net/evolve/internal/anycast"
+	"github.com/evolvable-net/evolve/internal/core"
 	"github.com/evolvable-net/evolve/internal/topology"
 )
 
@@ -222,5 +224,45 @@ func TestGoLiteralRoundTrip(t *testing.T) {
 		if !strings.Contains(lit, want) {
 			t.Fatalf("literal missing %q:\n%s", want, lit)
 		}
+	}
+}
+
+// TestChaosAtScale runs a short schedule over a 1000-domain transit–stub
+// internet with the invariants that stay cheap at that size (the oracle
+// sweeps are quadratic in hosts and belong to the stock topology): no
+// packet unaccounted for, and every event ticks the epoch. CI's
+// scale-smoke job runs it.
+func TestChaosAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1000-domain internet")
+	}
+	sc := Scenario{
+		Name: "transit-stub-1000",
+		Build: func() (*topology.Network, *core.Evolution, error) {
+			net, err := topology.TransitStub(10, 99, 0.3, topology.GenConfig{
+				Seed: 7, RoutersPerDomain: 2, HostsPerDomain: 1,
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			evo, err := core.New(net, core.Config{Option: anycast.Option1})
+			if err != nil {
+				return nil, nil, err
+			}
+			for _, asn := range net.ASNs()[:8] {
+				evo.DeployDomain(asn, 0)
+			}
+			return net, evo, evo.Ready()
+		},
+	}
+	rep, err := Run(sc, 8, 40, Options{Invariants: []string{"conserve", "epochtick"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violation != nil {
+		t.Fatalf("unexpected violation:\n%s", FormatReport(rep))
+	}
+	if rep.Checks == 0 || rep.EventsApplied != 40 {
+		t.Fatalf("%d checks over %d events, want 40 events", rep.Checks, rep.EventsApplied)
 	}
 }

@@ -268,10 +268,8 @@ func RunSessionChaos(seed int64, nAS, events int, legacy bool) (*SessionReport, 
 		}
 	}
 
-	rep.Updates = ss.TotalUpdates()
-	rep.Withdrawals = ss.TotalWithdrawals()
-	rep.Resyncs = ss.TotalResyncs()
-	_, rep.Downs = ss.SessionTransitions()
+	tot := ss.Totals()
+	rep.Updates, rep.Withdrawals, rep.Resyncs, rep.Downs = tot.Updates, tot.Withdrawals, tot.Resyncs, tot.Downs
 	return rep, nil
 }
 

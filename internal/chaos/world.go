@@ -304,7 +304,7 @@ func StockScenario(seed int64) Scenario {
 // StockFallbackScenario is StockScenario with the core's graceful-
 // degradation layer enabled (per-flow health plus universal-access
 // fallback): the live arm of availability sweeps, and the twin of the
-// ablation-configured StockScenario in the availbench differential.
+// fail-fast StockScenario in RunAvailability's differential (E21).
 func StockFallbackScenario(seed int64) Scenario {
 	return stockScenario(seed, true)
 }

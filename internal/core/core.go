@@ -49,11 +49,12 @@ type Config struct {
 	// the default (16); values are clamped to [1, 256] and rounded down
 	// to a power of two.
 	DeliveryShards int
-	// Fallback configures the graceful-degradation layer (DESIGN.md §12):
+	// Fallback configures the graceful-degradation layer (DESIGN.md §8.3):
 	// per-flow health tracking and automatic delivery over the IPv(N-1)
-	// baseline when the vN path is broken. The zero value disables it —
-	// sends fail fast exactly as without the layer, the ablation arm of
-	// the availability experiments.
+	// baseline when the vN path is broken. The zero value disables it:
+	// sends fail fast, the default every benchmark workload and E1–E20
+	// run on and the twin chaos's availability invariant compares a
+	// fallback world against.
 	Fallback FallbackConfig
 }
 
@@ -172,8 +173,8 @@ type Evolution struct {
 	tracer   atomic.Pointer[tracerBox]
 
 	// health is the per-flow health registry of the graceful-degradation
-	// layer; nil when Config.Fallback.Enabled is false (the ablation),
-	// which is also the send path's branch condition.
+	// layer; nil when Config.Fallback.Enabled is false (fail fast), which
+	// is also the send path's branch condition.
 	health *healthShards
 
 	// testBatchHook, when non-nil, runs before each packet of a batched

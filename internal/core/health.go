@@ -10,14 +10,16 @@ import (
 )
 
 // FallbackConfig parameterises the delivery plane's graceful-degradation
-// layer (DESIGN.md §12): per-flow health tracking and automatic
+// layer (DESIGN.md §8.3): per-flow health tracking and automatic
 // universal-access fallback over the IPv(N-1) baseline path when the vN
-// path is broken. The zero value disables the layer entirely — sends
-// fail fast exactly as they always did, which is the ablation arm of the
-// availability experiments.
+// path is broken. The zero value disables the layer entirely and sends
+// fail fast. That is the default — every benchmark workload and
+// experiments E1–E20 run on it — and the reference the layer is defined
+// against: chaos's availability invariant and E21 compare a fallback
+// world with its fail-fast twin.
 type FallbackConfig struct {
 	// Enabled turns the health/fallback layer on. All other fields are
-	// ignored (and the zero value is the ablation) when false.
+	// ignored when false.
 	Enabled bool
 	// SuspectAfter is the number of consecutive vN failures after which a
 	// healthy flow becomes suspect. Default 1.

@@ -162,5 +162,6 @@ func All() []struct {
 		{"E18", AnycastFailoverDynamics},
 		{"E19", MulticastPayoff},
 		{"E20", DefaultDomainDependence},
+		{"E21", FallbackAvailability},
 	}
 }

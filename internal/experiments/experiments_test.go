@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -113,6 +114,88 @@ func TestE7LinearityVisible(t *testing.T) {
 	}
 	if len(tbl.Rows) != 5 {
 		t.Errorf("rows = %d", len(tbl.Rows))
+	}
+}
+
+// simTime parses a netsim.Time cell ("1.102ms") back to microseconds.
+func simTime(t *testing.T, cell string) float64 {
+	t.Helper()
+	ms, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(cell), "ms"), 64)
+	if err != nil {
+		t.Fatalf("not a sim time: %q", cell)
+	}
+	return ms * 1000
+}
+
+func TestE18Rows(t *testing.T) {
+	tbl, err := AnycastFailoverDynamics(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := []string{"cold start", "leaf origination", "leaf withdrawal", "hub-link flaps"}
+	sizes := []string{"10 AS", "20 AS", "40 AS"}
+	if len(tbl.Rows) != len(sizes)*len(phases) {
+		t.Fatalf("rows = %d, want %d", len(tbl.Rows), len(sizes)*len(phases))
+	}
+	for i, row := range tbl.Rows {
+		size, phase := sizes[i/len(phases)], phases[i%len(phases)]
+		if row[0] != size || row[1] != phase {
+			t.Fatalf("row %d is %q / %q, want %q / %q", i, row[0], row[1], size, phase)
+		}
+		window := strings.Split(row[4], " / ")
+		switch phase {
+		case "leaf origination":
+			if len(window) != 3 || simTime(t, window[0]) > simTime(t, window[1]) || simTime(t, window[1]) > simTime(t, window[2]) {
+				t.Errorf("%s: first-route window %q is not min ≤ mean ≤ max", size, row[4])
+			}
+			if simTime(t, window[2]) > simTime(t, row[2]) {
+				t.Errorf("%s: last first route %s after quiescence %s", size, window[2], row[2])
+			}
+			if n := strings.TrimSuffix(size, " AS"); row[5] != n+"/"+n+" reached" {
+				t.Errorf("%s: %q, want every AS reached", size, row[5])
+			}
+		case "leaf withdrawal":
+			if row[6] != "0" {
+				t.Errorf("%s: %s AS stale at quiescence", size, row[6])
+			}
+			if len(window) != 3 || simTime(t, window[2]) > simTime(t, row[2]) {
+				t.Errorf("%s: black-hole max %q exceeds the withdrawal's quiescence time %s", size, row[4], row[2])
+			}
+			if !strings.HasSuffix(row[5], " affected") || strings.HasPrefix(row[5], "0 ") {
+				t.Errorf("%s: %q: the withdrawal affected nobody", size, row[5])
+			}
+		case "hub-link flaps":
+			if !strings.HasSuffix(row[7], "matches fixpoint") {
+				t.Errorf("%s: flap row %q does not match the fixpoint", size, row[7])
+			}
+			if strings.HasPrefix(row[7], "resyncs 0,") || strings.Contains(row[7], "downs 0,") {
+				t.Errorf("%s: flap row %q: the short flap must resync and the long one take a session down", size, row[7])
+			}
+		}
+	}
+}
+
+// TestE21Rows checks the table's shape only; the gate it renders is
+// pinned by chaos.TestAvailabilityDifferential.
+func TestE21Rows(t *testing.T) {
+	tbl, err := FallbackAvailability(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.OK {
+		t.Fatalf("verdict: %s", tbl.Verdict)
+	}
+	var lost []string
+	for _, row := range tbl.Rows {
+		if len(row) != len(tbl.Columns) {
+			t.Fatalf("row %q has %d cells, want %d", row[0], len(row), len(tbl.Columns))
+		}
+		if row[0] == "lost with the baseline intact" {
+			lost = row
+		}
+	}
+	if lost == nil || lost[1] != "0" || lost[2] == "0" {
+		t.Errorf("baseline-intact losses = %v, want 0 with fallback and some without", lost)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/core"
 	"github.com/evolvable-net/evolve/internal/netsim"
-	"github.com/evolvable-net/evolve/internal/routing/bgp"
 	"github.com/evolvable-net/evolve/internal/routing/distvec"
 	"github.com/evolvable-net/evolve/internal/routing/linkstate"
 	"github.com/evolvable-net/evolve/internal/topology"
@@ -276,22 +275,15 @@ func ConvergenceDynamics(seed int64) (*Table, error) {
 		nAS := nAS
 		jobs = append(jobs, Job[block]{Seed: seed, Run: func(_ *rand.Rand) (block, error) {
 			b := block{ok: true}
-			net, err := topology.BarabasiAlbert(nAS, 2, topology.GenConfig{
-				Seed: seed, RoutersPerDomain: 1,
-			})
+			w, err := coldSessionWorld(nAS, seed)
 			if err != nil {
 				return block{}, err
 			}
-			eng := netsim.NewEngine()
-			fab := netsim.NewFabric(eng)
-			ss := bgp.NewSessionSystem(net, fab)
-			quiet, converged := ss.RunToConvergence(0)
-			if !converged {
-				b.ok = false
-			}
-			cold := ss.TotalUpdates()
+			b.ok = w.converged
+			net, eng, ss := w.net, w.eng, w.ss
+			cold := ss.Totals().Updates
 			b.rows = append(b.rows, []string{"BGP (sessions)", fmt.Sprintf("%d AS", nAS), "cold start",
-				quiet.String(), fmt.Sprintf("%d", cold)})
+				w.quiet.String(), fmt.Sprintf("%d", cold)})
 			// A new anycast origination at a leaf: incremental convergence.
 			a, err := addr.Option1Address(0)
 			if err != nil {
@@ -300,12 +292,12 @@ func ConvergenceDynamics(seed int64) (*Table, error) {
 			leaf := net.ASNs()[len(net.ASNs())-1]
 			start := eng.Now()
 			ss.Speakers[leaf].Originate(addr.HostPrefix(a))
-			quiet, converged = ss.RunToConvergence(0)
+			quiet, converged := ss.RunToConvergence(0)
 			if !converged {
 				b.ok = false
 			}
 			b.rows = append(b.rows, []string{"BGP (sessions)", fmt.Sprintf("%d AS", nAS), "anycast origination",
-				(quiet - start).String(), fmt.Sprintf("%d", ss.TotalUpdates()-cold)})
+				(quiet - start).String(), fmt.Sprintf("%d", ss.Totals().Updates-cold)})
 			// Everyone must hold the anycast route (provider tree reachability).
 			for _, asn := range net.ASNs() {
 				if _, ok := ss.Speakers[asn].Best(addr.HostPrefix(a)); !ok {

@@ -12,7 +12,7 @@
 // the documented substitution for a real multi-ISP underlay (DESIGN.md
 // §2): the code paths above the socket layer are identical.
 //
-// The data plane is self-healing (DESIGN.md §8): nodes probe their active
+// The data plane is self-healing (DESIGN.md §9): nodes probe their active
 // peers (EnableLiveness) and report suspected-dead peers to the Registry,
 // which routes anycast resolution and bone relays around them; SendVN
 // gains an opt-in acked/retransmitting mode (EnableReliable) with
@@ -35,6 +35,7 @@ import (
 	"github.com/evolvable-net/evolve/internal/packet"
 	"github.com/evolvable-net/evolve/internal/rib"
 	"github.com/evolvable-net/evolve/internal/trace"
+	"github.com/evolvable-net/evolve/internal/tunnel"
 )
 
 // Errors.
@@ -610,6 +611,9 @@ func (n *Node) handle(wire []byte) {
 		n.stats.dropped.Add(1)
 		return
 	}
+	// What a relay carries on is the packet, not whatever the datagram
+	// held beyond the outer header's total length.
+	wire = wire[:packet.V4HeaderLen+len(rest)]
 	n.mu.RLock()
 	acceptable := outer.Dst == n.Underlay || n.served[outer.Dst]
 	self := n.vnAddr
@@ -630,11 +634,14 @@ func (n *Node) handle(wire []byte) {
 			n.deliver(Received{From: inner.Src, To: inner.Dst, Payload: payload, OuterSrc: outer.Src})
 			return
 		}
+		if !n.spendHop(wire) {
+			return
+		}
 		for _, b := range st.branches {
-			n.relay(nextHops{b}, inner, payload, &n.stats.forwarded)
+			n.relay(nextHops{b}, wire, &n.stats.forwarded)
 		}
 		for _, l := range st.leaves {
-			n.relay(nextHops{l}, inner, payload, &n.stats.exited)
+			n.relay(nextHops{l}, wire, &n.stats.exited)
 		}
 		return
 	}
@@ -671,14 +678,18 @@ func (n *Node) handle(wire []byte) {
 	nh, _, haveRoute := n.routes.Lookup(inner.Dst)
 	n.mu.RUnlock()
 	if haveRoute {
-		n.relay(nh, inner, payload, &n.stats.forwarded)
+		if n.spendHop(wire) {
+			n.relay(nh, wire, &n.stats.forwarded)
+		}
 		return
 	}
 
 	// No bone route: exit toward the destination's underlay address
 	// (self-addressed destinations carry it).
 	if u, ok := inner.UnderlayDst(); ok {
-		n.relay(nextHops{u}, inner, payload, &n.stats.exited)
+		if n.spendHop(wire) {
+			n.relay(nextHops{u}, wire, &n.stats.exited)
+		}
 		return
 	}
 	n.stats.dropped.Add(1)
@@ -696,37 +707,36 @@ func (n *Node) deliver(rcv Received) bool {
 	}
 }
 
-// relay re-encapsulates toward the next live underlay hop, decrementing
-// the inner hop limit. The primary next hop is preferred; a dead or
-// suspected primary fails over to the first live alternate (counted), and
-// as a last resort any registered candidate is tried in order.
+// spendHop spends the one IPvN hop a datagram costs at this node, in
+// place and once however many next hops it is then relayed to; a datagram
+// with none left is dropped (counted) and false returned.
+func (n *Node) spendHop(wire []byte) bool {
+	if err := tunnel.DecrementHop(wire); err != nil {
+		n.stats.dropped.Add(1)
+		return false
+	}
+	return true
+}
+
+// relay re-addresses wire — the datagram handle owns, its hop already
+// spent — toward the next live underlay hop and writes it: the same
+// in-place hop as tunnel.Endpoint.PatchEncap, no header re-serialized.
+// The primary next hop is preferred; a dead or suspected primary fails
+// over to the first live alternate (counted), and as a last resort any
+// registered candidate is tried in order.
 //
 // relay owns the relay's counters: as — stats.forwarded for a hop further
 // along the bone, stats.exited for the exit toward an underlay address —
 // and a failover are counted before the datagram is written, and as is
 // taken back as a drop if the write fails.
-func (n *Node) relay(nh nextHops, inner packet.VNHeader, payload []byte, as *atomic.Uint64) {
-	if inner.HopLimit <= 1 {
-		n.stats.dropped.Add(1)
-		return
-	}
-	inner.HopLimit--
+func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64) {
 	next, failover := n.pickNextHop(nh)
-	outer := packet.V4Header{
-		Proto: packet.ProtoVNEncap,
-		Src:   n.Underlay,
-		Dst:   next,
-	}
-	buf := packet.NewSerializeBuffer()
-	if err := packet.Serialize(buf, payload, &outer, &inner); err != nil {
-		n.stats.dropped.Add(1)
-		return
-	}
+	packet.RewriteOuter(wire, n.Underlay, next)
 	if failover {
 		n.ctr().FailoverRoute()
 	}
 	as.Add(1)
-	if err := n.sendWire(next, buf.Bytes()); err != nil {
+	if err := n.sendWire(next, wire); err != nil {
 		n.uncount(as)
 	}
 }
@@ -756,10 +766,14 @@ func (n *Node) pickNextHop(nh nextHops) (addr.V4, bool) {
 // WaitInbox receives from the node's inbox with a timeout, for tests and
 // examples.
 func (n *Node) WaitInbox(timeout time.Duration) (Received, error) {
+	// A stopped timer is freed at once; time.After's would be held by the
+	// runtime until timeout elapsed, however soon the inbox answered.
+	t := time.NewTimer(timeout)
+	defer t.Stop()
 	select {
 	case r := <-n.Inbox:
 		return r, nil
-	case <-time.After(timeout):
+	case <-t.C:
 		return Received{}, fmt.Errorf("overlaynet: timeout waiting for delivery at %s", n.Underlay)
 	case <-n.done:
 		return Received{}, ErrClosed

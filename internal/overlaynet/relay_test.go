@@ -1,0 +1,181 @@
+package overlaynet
+
+import (
+	"bytes"
+	"math/rand"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"github.com/evolvable-net/evolve/internal/addr"
+	"github.com/evolvable-net/evolve/internal/packet"
+	"github.com/evolvable-net/evolve/internal/tunnel"
+)
+
+// wireSink registers a bare UDP socket under a, so that what a node writes
+// toward a can be read back byte for byte.
+func wireSink(t *testing.T, reg *Registry, a addr.V4) *net.UDPConn {
+	t.Helper()
+	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	reg.Register(a, c.LocalAddr().(*net.UDPAddr))
+	return c
+}
+
+func readWire(t *testing.T, c *net.UDPConn) []byte {
+	t.Helper()
+	buf := make([]byte, 64*1024)
+	if err := c.SetReadDeadline(time.Now().Add(waitShort)); err != nil {
+		t.Fatal(err)
+	}
+	n, _, err := c.ReadFromUDP(buf)
+	if err != nil {
+		t.Fatalf("nothing relayed: %v", err)
+	}
+	return buf[:n]
+}
+
+// randomEncap serializes a random valid vn-encap datagram addressed to
+// outerDst for the IPvN destination dst.
+func randomEncap(t *testing.T, rng *rand.Rand, outerDst addr.V4, dst addr.VN, hop uint8) []byte {
+	t.Helper()
+	inner := packet.VNHeader{
+		Version:  8,
+		HopLimit: hop,
+		Src:      addr.SelfAddress(addr.V4(rng.Uint32())),
+		Dst:      dst,
+	}
+	if rng.Intn(2) == 0 {
+		inner = inner.WithUnderlayDst(addr.V4(rng.Uint32()))
+	}
+	if rng.Intn(2) == 0 {
+		tag := make([]byte, 4)
+		rng.Read(tag)
+		inner.Options = append(inner.Options, packet.Option{Type: packet.OptTraceTag, Value: tag})
+	}
+	payload := make([]byte, rng.Intn(1400))
+	rng.Read(payload)
+	wire, err := packet.EncapVN(packet.V4Header{Src: addr.V4(rng.Uint32()), Dst: outerDst, TTL: uint8(rng.Intn(256))}, inner, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// TestRelayMatchesPatchEncap holds the live plane's hop to the
+// simulator's: for random valid vn-encap datagrams, what a node relays is
+// byte for byte what tunnel.Endpoint.PatchEncap makes of the same input,
+// and a datagram PatchEncap expires is dropped.
+func TestRelayMatchesPatchEncap(t *testing.T) {
+	reg := NewRegistry()
+	r, err := NewNode(reg, u(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	next := u(51)
+	sink := wireSink(t, reg, next)
+	dst := addr.SelfAddress(u(99))
+	r.AddVNRoute(addr.HostVNPrefix(dst), next)
+
+	rng := rand.New(rand.NewSource(1))
+	ep := tunnel.NewEndpoint(r.Underlay)
+	for i := 0; i < 200; i++ {
+		// Hop limits 0 (the serializer's "default") to 4, so expiry (1)
+		// comes up as often as relaying, plus the full range.
+		hop := uint8(rng.Intn(5))
+		if i%2 == 0 {
+			hop = uint8(rng.Intn(256))
+		}
+		wire := randomEncap(t, rng, r.Underlay, dst, hop)
+		want := append([]byte(nil), wire...)
+		dropped := r.Stats().Dropped
+		r.handle(wire)
+		if err := ep.PatchEncap(want, next); err != nil {
+			if got := r.Stats().Dropped; got != dropped+1 {
+				t.Fatalf("datagram %d (hop limit %d): PatchEncap says %v, relay dropped %d", i, hop, err, got-dropped)
+			}
+			continue
+		}
+		if got := readWire(t, sink); !bytes.Equal(got, want) {
+			t.Fatalf("datagram %d (hop limit %d): relayed bytes differ from PatchEncap\n got %x\nwant %x", i, hop, got, want)
+		}
+	}
+	if s := r.Stats(); s.Forwarded+s.Dropped != 200 || s.Forwarded == 0 || s.Dropped == 0 {
+		t.Errorf("stats = %+v, want 200 datagrams split between forwarded and dropped", s)
+	}
+}
+
+// TestMulticastFanOutSpendsOneHop: every copy of a replicated datagram
+// leaves with the hop limit decremented exactly once, whatever its place
+// in the fan-out, and is otherwise PatchEncap's output toward its own
+// next hop.
+func TestMulticastFanOutSpendsOneHop(t *testing.T) {
+	reg := NewRegistry()
+	r, err := NewNode(reg, u(60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	targets := []addr.V4{u(61), u(62), u(63)}
+	var sinks []*net.UDPConn
+	for _, a := range targets {
+		sinks = append(sinks, wireSink(t, reg, a))
+	}
+	group := addr.MulticastVN(7)
+	r.SetMulticastRoute(group, targets[:2], targets[2:])
+
+	rng := rand.New(rand.NewSource(2))
+	const hop = 9
+	wire := randomEncap(t, rng, r.Underlay, group, hop)
+	orig := append([]byte(nil), wire...)
+	r.handle(wire)
+	for i, c := range sinks {
+		got := readWire(t, c)
+		if h := got[packet.V4HeaderLen+1]; h != hop-1 {
+			t.Errorf("copy %d left with hop limit %d, want %d", i, h, hop-1)
+		}
+		want := append([]byte(nil), orig...)
+		if err := tunnel.NewEndpoint(r.Underlay).PatchEncap(want, targets[i]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("copy %d differs from PatchEncap toward %s", i, targets[i])
+		}
+	}
+	if s := r.Stats(); s.Forwarded != 2 || s.Exited != 1 || s.Dropped != 0 {
+		t.Errorf("stats = %+v, want 2 forwarded, 1 exited", s)
+	}
+}
+
+// TestWaitInboxReleasesTimer: a WaitInbox the inbox answers at once must
+// not leave its timeout's timer behind. With time.After the runtime held
+// one per call until the minute elapsed — over 2 MB after 10k calls.
+func TestWaitInboxReleasesTimer(t *testing.T) {
+	reg := NewRegistry()
+	n, err := NewNode(reg, u(70))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < 10000; i++ {
+		n.Inbox <- Received{}
+		if _, err := n.WaitInbox(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := heap(); after > before+512<<10 {
+		t.Errorf("heap grew %d KiB over 10k answered WaitInbox calls", (after-before)>>10)
+	}
+}

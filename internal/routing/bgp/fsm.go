@@ -49,13 +49,16 @@ func (s SessState) String() string {
 }
 
 // SessionConfig sets the session timers. The zero value of Keepalive
-// disables the session machinery entirely, reproducing the legacy
-// fire-and-forget speaker (no FSM, no loss detection) — kept as an
-// ablation arm so tests can demonstrate the permanent-black-hole failure
-// mode the sessions exist to fix.
+// disables the session machinery entirely: a fire-and-forget speaker
+// with no FSM and no loss detection. It stays as the reference tests
+// compare against — the negative one of the session chaos self-test and
+// TestLostWithdrawPermanentInLegacy (a lost WITHDRAW is a permanent
+// black hole without sessions), and the timer-free speaker whose exact
+// message counts the chainSystem(t, SessionConfig{}) tests pin.
 type SessionConfig struct {
 	// Keepalive is the keepalive/hold-check tick interval in simulated
-	// microseconds. Zero disables sessions (legacy mode).
+	// microseconds. Zero disables sessions (the fire-and-forget
+	// reference).
 	Keepalive netsim.Time
 	// Hold is how long silence from a peer is tolerated before the
 	// session is declared down. Defaults to 3×Keepalive.

@@ -72,7 +72,7 @@ type Speaker struct {
 	Downs       uint64
 
 	// OnLocChange, when set, observes every loc-RIB change — the hook
-	// cmd/bgpbench uses to timestamp route arrival and black-hole
+	// experiment E18 uses to timestamp route arrival and black-hole
 	// windows. have is false when the prefix was deleted (r is the old
 	// route in that case).
 	OnLocChange func(p addr.Prefix, r Route, have bool)
@@ -691,49 +691,22 @@ func (ss *SessionSystem) SessionState(owner, nb topology.ASN) SessState {
 	return sp.SessionState(nb)
 }
 
-// TotalUpdates sums UPDATE messages (adverts + withdrawals) across
-// speakers.
-func (ss *SessionSystem) TotalUpdates() uint64 {
-	var n uint64
-	for _, s := range ss.Speakers {
-		n += s.Updates
-	}
-	return n
+// SessionTotals is every speaker's message and transition tally summed:
+// the fields mirror Speaker's counters of the same names.
+type SessionTotals struct {
+	Updates, Withdrawals, Keepalives, Resyncs, Establishes, Downs uint64
 }
 
-// TotalWithdrawals sums withdrawal messages across speakers.
-func (ss *SessionSystem) TotalWithdrawals() uint64 {
-	var n uint64
+// Totals sums the speakers' counters.
+func (ss *SessionSystem) Totals() SessionTotals {
+	var t SessionTotals
 	for _, s := range ss.Speakers {
-		n += s.Withdrawals
+		t.Updates += s.Updates
+		t.Withdrawals += s.Withdrawals
+		t.Keepalives += s.Keepalives
+		t.Resyncs += s.Resyncs
+		t.Establishes += s.Establishes
+		t.Downs += s.Downs
 	}
-	return n
-}
-
-// TotalKeepalives sums keepalive messages across speakers.
-func (ss *SessionSystem) TotalKeepalives() uint64 {
-	var n uint64
-	for _, s := range ss.Speakers {
-		n += s.Keepalives
-	}
-	return n
-}
-
-// TotalResyncs sums sequence-gap route-refresh resyncs across speakers.
-func (ss *SessionSystem) TotalResyncs() uint64 {
-	var n uint64
-	for _, s := range ss.Speakers {
-		n += s.Resyncs
-	}
-	return n
-}
-
-// SessionTransitions returns the total Established and Down transitions
-// across speakers.
-func (ss *SessionSystem) SessionTransitions() (established, downs uint64) {
-	for _, s := range ss.Speakers {
-		established += s.Establishes
-		downs += s.Downs
-	}
-	return established, downs
+	return t
 }

@@ -210,7 +210,7 @@ func TestSessionUpdateCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	ss, eng := runSessions(net)
-	if ss.TotalUpdates() == 0 {
+	if ss.Totals().Updates == 0 {
 		t.Error("no updates counted")
 	}
 	if eng.Processed() == 0 {
@@ -218,7 +218,7 @@ func TestSessionUpdateCounts(t *testing.T) {
 	}
 	// A clean cold start advertises only — with Adj-RIB-Out diffing
 	// there is nothing to withdraw, gratuitously or otherwise.
-	if w := ss.TotalWithdrawals(); w != 0 {
+	if w := ss.Totals().Withdrawals; w != 0 {
 		t.Errorf("cold start sent %d withdrawals, want 0", w)
 	}
 }
@@ -286,19 +286,19 @@ func TestNoGratuitousWithdraws(t *testing.T) {
 	_, ss, _, _, _, asS := chainSystem(t, SessionConfig{})
 	eng := ss.Engine()
 	eng.Run(0)
-	if u, w := ss.TotalUpdates(), ss.TotalWithdrawals(); u != 6 || w != 0 {
-		t.Fatalf("cold start: %d updates %d withdrawals, want 6 and 0", u, w)
+	if tot := ss.Totals(); tot.Updates != 6 || tot.Withdrawals != 0 {
+		t.Fatalf("cold start: %d updates %d withdrawals, want 6 and 0", tot.Updates, tot.Withdrawals)
 	}
 	hp := addr.MustParsePrefix("200.0.0.1/32")
 	ss.Speakers[asS].Originate(hp)
 	eng.Run(0)
-	if u, w := ss.TotalUpdates(), ss.TotalWithdrawals(); u != 8 || w != 0 {
-		t.Fatalf("after anycast originate: %d updates %d withdrawals, want 8 and 0", u, w)
+	if tot := ss.Totals(); tot.Updates != 8 || tot.Withdrawals != 0 {
+		t.Fatalf("after anycast originate: %d updates %d withdrawals, want 8 and 0", tot.Updates, tot.Withdrawals)
 	}
 	ss.Speakers[asS].Withdraw(hp)
 	eng.Run(0)
-	if u, w := ss.TotalUpdates(), ss.TotalWithdrawals(); u != 10 || w != 2 {
-		t.Fatalf("after withdraw: %d updates %d withdrawals, want 10 and 2", u, w)
+	if tot := ss.Totals(); tot.Updates != 10 || tot.Withdrawals != 2 {
+		t.Fatalf("after withdraw: %d updates %d withdrawals, want 10 and 2", tot.Updates, tot.Withdrawals)
 	}
 }
 
@@ -357,7 +357,7 @@ func TestLostWithdrawRecoveredByDownResync(t *testing.T) {
 			t.Errorf("AS%d still routes the withdrawn prefix: %+v", asn, r)
 		}
 	}
-	if _, downs := ss.SessionTransitions(); downs == 0 {
+	if ss.Totals().Downs == 0 {
 		t.Error("expected hold-timer expiry to take the session down")
 	}
 	if ss.SessionState(asM, asS) != SessEstablished || ss.SessionState(asS, asM) != SessEstablished {
@@ -387,7 +387,7 @@ func TestLostWithdrawRecoveredBySeqResync(t *testing.T) {
 	if _, ok := ss.Speakers[asT].Best(hp); !ok {
 		t.Fatal("anycast route did not reach T")
 	}
-	_, downsBefore := ss.SessionTransitions()
+	downsBefore := ss.Totals().Downs
 
 	now := eng.Now()
 	eng.At(now+10, func() { fab.FailLink(int(asM), int(asS)) })
@@ -400,10 +400,10 @@ func TestLostWithdrawRecoveredBySeqResync(t *testing.T) {
 			t.Errorf("AS%d still routes the withdrawn prefix: %+v", asn, r)
 		}
 	}
-	if ss.TotalResyncs() == 0 {
+	if ss.Totals().Resyncs == 0 {
 		t.Error("expected a sequence-gap resync to have fired")
 	}
-	if _, downs := ss.SessionTransitions(); downs != downsBefore {
+	if ss.Totals().Downs != downsBefore {
 		t.Error("flap shorter than hold should not drop the session — " +
 			"recovery must come from the sequence-gap path")
 	}
@@ -460,8 +460,7 @@ func TestMRAICoalesces(t *testing.T) {
 	mustConverge(t, ss)
 	hp := addr.MustParsePrefix("200.0.0.1/32")
 
-	updatesBefore := ss.TotalUpdates()
-	withdrawalsBefore := ss.TotalWithdrawals()
+	before := ss.Totals()
 	now := eng.Now()
 	eng.At(now+10, func() {
 		sp := ss.Speakers[asS]
@@ -474,12 +473,12 @@ func TestMRAICoalesces(t *testing.T) {
 	if _, ok := ss.Speakers[asM].Best(hp); !ok {
 		t.Fatal("M never learned the (re-)originated prefix")
 	}
-	if w := ss.TotalWithdrawals() - withdrawalsBefore; w != 0 {
+	if w := ss.Totals().Withdrawals - before.Withdrawals; w != 0 {
 		t.Errorf("MRAI window leaked %d withdrawals for a net no-op churn", w)
 	}
 	// S advertises hp to M once; M re-exports to T once. The withdraw and
 	// re-originate inside the window must not add messages.
-	if u := ss.TotalUpdates() - updatesBefore; u != 2 {
+	if u := ss.Totals().Updates - before.Updates; u != 2 {
 		t.Errorf("churn inside one MRAI window cost %d updates, want 2", u)
 	}
 }

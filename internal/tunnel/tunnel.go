@@ -130,6 +130,28 @@ func (e *Endpoint) EncapToShared(outerDst addr.V4, inner packet.VNHeader, payloa
 	return e.buf.Bytes(), nil
 }
 
+// DecrementHop spends one IPvN hop of a serialized vn-encap packet in
+// place: the inner hop limit (0 standing for packet.DefaultHopLimit, as
+// the serializer writes it) is decremented, or ErrHopLimit returned when
+// the packet has none left to spend. It is the hop arithmetic of both
+// planes: PatchEncap in the simulator, the relay of the live overlay,
+// which spends the hop once and then re-addresses the packet with
+// packet.RewriteOuter once per next hop.
+func DecrementHop(wire []byte) error {
+	if len(wire) < packet.V4HeaderLen+packet.VNHeaderLen {
+		return packet.ErrTruncated
+	}
+	hop := &wire[packet.V4HeaderLen+1]
+	if *hop == 0 {
+		*hop = packet.DefaultHopLimit
+	}
+	if *hop <= 1 {
+		return ErrHopLimit
+	}
+	*hop--
+	return nil
+}
+
 // PatchEncap re-encapsulates a serialized vn-encap packet in place for
 // its next tunnel leg, the in-place form of EncapToShared: instead of
 // re-serializing both headers around the payload, it decrements the
@@ -138,19 +160,10 @@ func (e *Endpoint) EncapToShared(outerDst addr.V4, inner packet.VNHeader, payloa
 // re-encapsulating through the serializers, and the encap is counted and
 // traced exactly as EncapToShared would.
 func (e *Endpoint) PatchEncap(wire []byte, outerDst addr.V4) error {
-	if len(wire) < packet.V4HeaderLen+packet.VNHeaderLen {
+	if err := DecrementHop(wire); err != nil {
 		e.stats.Rejected++
-		return packet.ErrTruncated
+		return err
 	}
-	hop := &wire[packet.V4HeaderLen+1]
-	if *hop == 0 {
-		*hop = packet.DefaultHopLimit
-	}
-	if *hop <= 1 {
-		e.stats.Rejected++
-		return ErrHopLimit
-	}
-	*hop--
 	packet.RewriteOuter(wire, e.Local, outerDst)
 	e.encapped(outerDst)
 	return nil
