@@ -120,7 +120,9 @@ func (t *trie[V]) matches(k key, fn func(key, V) bool) {
 		k key
 		n *node[V]
 	}
-	var hits []hit
+	// Chains are short (an aggregate, a host route); eight stay on the
+	// stack, so a walk allocates nothing.
+	hits := make([]hit, 0, 8)
 	if n.set {
 		hits = append(hits, hit{key{}, n})
 	}

@@ -15,8 +15,10 @@
 // The engine computes the stable routing by synchronous fixpoint
 // iteration: in each round every AS selects best routes from the adverts
 // of the previous round and re-exports under Gao-Rexford rules, until
-// nothing changes. For policy-safe configurations (customer routes
-// preferred, no peer/provider transit) this converges and is
+// nothing changes. An AS's selection is a function of its neighbours'
+// previous-round routes, so a round re-evaluates only the ASes next to a
+// change (see fixpointLocked). For policy-safe configurations (customer
+// routes preferred, no peer/provider transit) this converges and is
 // deterministic.
 //
 // Convergence is lazy and per-prefix: distinct prefixes never interact
@@ -31,6 +33,7 @@ package bgp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -49,25 +52,46 @@ const (
 	prefSelf     = 1000
 )
 
-func prefFor(rel topology.Rel) int {
+// The preference tiers in ascending order, the one-byte form of
+// LocalPref a routeRec stores; tier 0 means "no route".
+const (
+	tierNone uint8 = iota
+	tierProvider
+	tierPeer
+	tierCustomer
+	tierSelf
+)
+
+var tierPref = [...]int{
+	tierNone:     0,
+	tierProvider: prefProvider,
+	tierPeer:     prefPeer,
+	tierCustomer: prefCustomer,
+	tierSelf:     prefSelf,
+}
+
+func tierFor(rel topology.Rel) uint8 {
 	switch rel {
 	case topology.RelProvider: // neighbour is our customer? No:
 		// Rel is *our* relationship toward the neighbour. If we are the
 		// provider, the neighbour is our customer.
-		return prefCustomer
+		return tierCustomer
 	case topology.RelCustomer:
-		return prefProvider
+		return tierProvider
 	default:
-		return prefPeer
+		return tierPeer
 	}
 }
+
+func prefFor(rel topology.Rel) int { return tierPref[tierFor(rel)] }
 
 // Route is one BGP route as held by an AS.
 type Route struct {
 	Prefix addr.Prefix
 	// Path is the AS path from the holder (exclusive) to the origin
 	// (inclusive); it is empty for self-originated routes. Path[0] is the
-	// next-hop AS.
+	// next-hop AS. A route returned by a System shares its Path with the
+	// System's converged state: read-only.
 	Path []topology.ASN
 	// LocalPref encodes the Gao-Rexford preference tier.
 	LocalPref int
@@ -96,14 +120,7 @@ func (r Route) NextHop() topology.ASN {
 	return r.Path[0]
 }
 
-func (r Route) hasLoop(asn topology.ASN) bool {
-	for _, a := range r.Path {
-		if a == asn {
-			return true
-		}
-	}
-	return false
-}
+func (r Route) hasLoop(asn topology.ASN) bool { return slices.Contains(r.Path, asn) }
 
 // better reports whether a beats b under the decision process:
 // local-pref, then AS-path length, then lowest next hop.
@@ -125,11 +142,71 @@ type origination struct {
 	exportTo map[topology.ASN]bool
 }
 
+// routeRec is one AS's selected route for one prefix, without pointers:
+// the AS path is arena[off:off+n] of the owning prefixState.
+type routeRec struct {
+	off   uint32
+	n     uint16 // path length; 0 for a self-originated route
+	tier  uint8  // tierNone when the AS holds no route
+	flags uint8
+}
+
+const (
+	flagNoExport uint8 = 1 << iota
+	flagFromCustomer
+)
+
 // prefixState is the converged routing for one prefix: each AS's
-// selected route (absent = no route). States are built lazily per prefix
-// and discarded whenever something that could affect the prefix changes.
+// selected route, indexed by the AS's position in net.ASNs(), and the one
+// arena their paths live in. Neither slice holds a pointer, so the
+// collector never scans a converged state. States are built lazily per
+// prefix, immutable once built, and discarded whenever something that
+// could affect the prefix changes.
 type prefixState struct {
-	best map[topology.ASN]Route
+	recs  []routeRec
+	arena []topology.ASN
+}
+
+// route returns the route of the AS at position i. Route.Path is a
+// capacity-clipped view of the arena: read-only, and an append to it
+// copies.
+func (st *prefixState) route(p addr.Prefix, i int32) (Route, bool) {
+	rec := st.recs[i]
+	if rec.tier == tierNone {
+		return Route{}, false
+	}
+	r := Route{
+		Prefix:       p,
+		LocalPref:    tierPref[rec.tier],
+		NoExport:     rec.flags&flagNoExport != 0,
+		FromCustomer: rec.flags&flagFromCustomer != 0,
+	}
+	if rec.n > 0 {
+		end := rec.off + uint32(rec.n)
+		r.Path = st.arena[rec.off:end:end]
+	}
+	return r, true
+}
+
+// nbrRef is one entry of an AS's dense neighbour table: what the AS needs
+// to know about a neighbour to pull that neighbour's advert.
+type nbrRef struct {
+	idx int32 // the neighbour's position in net.ASNs()
+	// tier and flags (flagFromCustomer or none) are what the AS stamps on
+	// a route learned from this neighbour.
+	tier  uint8
+	flags uint8
+	// downhill: the neighbour is the AS's provider, so it exports its
+	// peer- and provider-learned routes here too, not only customer and
+	// own ones.
+	downhill bool
+}
+
+// stagedRec is a selection made in the current round, committed when the
+// round ends.
+type stagedRec struct {
+	idx int32
+	rec routeRec
 }
 
 // System is the BGP of a whole internet. Queries are safe for concurrent
@@ -147,17 +224,29 @@ type System struct {
 	// states holds the lazily-converged per-prefix routing.
 	states map[addr.Prefix]*prefixState
 	// index longest-prefix-matches over every prefix originated anywhere;
-	// the value counts live originations so withdrawal of the last one
-	// removes the entry. Lookup walks its match chain instead of a per-AS
-	// FIB — per-AS tables would be #prefixes × #ASes state at scale.
-	index rib.Table4[int]
-	// neighbors caches topology adjacency.
+	// the value lists the originating AS once per live origination, so
+	// withdrawal of the last one removes the entry. Lookup walks its match
+	// chain instead of a per-AS FIB — per-AS tables would be #prefixes ×
+	// #ASes state at scale.
+	index rib.Table4[[]topology.ASN]
+	// neighbors caches topology adjacency, each neighbour's Links sorted
+	// by (From, To).
 	neighbors map[topology.ASN][]topology.ASNeighbor
 
-	// Rounds records how many fixpoint rounds the most recent per-prefix
-	// convergence took; read it only after convergence, not while queries
-	// are in flight.
-	Rounds int
+	// The dense view of net and neighbors the fixpoint runs on, rebuilt by
+	// reindexLocked: asns is net.ASNs(), asIdx its inverse, nbrs[i] the
+	// neighbours of asns[i] in ascending position.
+	asns  []topology.ASN
+	asIdx map[topology.ASN]int32
+	nbrs  [][]nbrRef
+
+	// Scratch of fixpointLocked, reused across prefixes; between runs
+	// marked is all false and every pOrigs[i] is empty.
+	dirty, next []int32
+	marked      []bool
+	stage       []stagedRec
+	pOrigs      [][]origination
+	arena       []topology.ASN
 }
 
 // NewSystem builds the BGP system; every domain originates its own
@@ -166,26 +255,80 @@ func NewSystem(net *topology.Network) *System {
 	s := &System{
 		net:        net,
 		originated: map[topology.ASN][]origination{},
-		states:     map[addr.Prefix]*prefixState{},
-		neighbors:  net.AllNeighbors(),
 	}
+	s.reindexLocked()
 	for _, asn := range net.ASNs() {
 		s.Originate(asn, net.Domain(asn).Prefix)
 	}
 	return s
 }
 
+// reindexLocked re-reads the topology's inter-domain adjacency, rebuilds
+// the dense tables over it and drops every converged state (their records
+// are positions in the old tables).
+func (s *System) reindexLocked() {
+	s.neighbors = s.net.AllNeighbors()
+	s.states = map[addr.Prefix]*prefixState{}
+	s.asns = s.net.ASNs()
+	n := len(s.asns)
+	s.asIdx = make(map[topology.ASN]int32, n)
+	for i, asn := range s.asns {
+		s.asIdx[asn] = int32(i)
+	}
+	// One backing array for every table: adjacency is symmetric, so an
+	// AS's table is as long as its own neighbour list.
+	edges := 0
+	for _, nbs := range s.neighbors {
+		edges += len(nbs)
+	}
+	refs := make([]nbrRef, 0, edges)
+	s.nbrs = make([][]nbrRef, n)
+	for i, asn := range s.asns {
+		end := len(refs) + len(s.neighbors[asn])
+		s.nbrs[i] = refs[len(refs):len(refs):end]
+		refs = refs[:end]
+	}
+	// Transposed from the sender's side: walking senders in position
+	// order leaves every receiver's table in ascending sender position —
+	// the order the round-robin fixpoint filled an inbox in.
+	for i, from := range s.asns {
+		for _, nb := range s.neighbors[from] {
+			if links := nb.Links; len(links) > 1 {
+				sort.Slice(links, func(a, b int) bool {
+					if links[a].From != links[b].From {
+						return links[a].From < links[b].From
+					}
+					return links[a].To < links[b].To
+				})
+			}
+			rel := nb.Rel // from's relationship toward nb
+			ref := nbrRef{
+				idx:      int32(i),
+				tier:     tierFor(rel.Invert()),
+				downhill: rel == topology.RelProvider,
+			}
+			if ref.tier == tierCustomer {
+				ref.flags = flagFromCustomer
+			}
+			to := s.asIdx[nb.ASN]
+			s.nbrs[to] = append(s.nbrs[to], ref)
+		}
+	}
+	s.marked = make([]bool, n)
+	s.pOrigs = make([][]origination, n)
+}
+
 // addOrigLocked registers an origination and invalidates exactly the
 // state the new advert can affect: prefix p's.
 func (s *System) addOrigLocked(asn topology.ASN, o origination) {
 	s.originated[asn] = append(s.originated[asn], o)
-	n, _ := s.index.Exact(o.prefix)
-	s.index.Insert(o.prefix, n+1)
+	at, _ := s.index.Exact(o.prefix)
+	s.index.Insert(o.prefix, append(at, asn))
 	delete(s.states, o.prefix)
 }
 
 // removeOrigsLocked removes every origination of p at asn, returning the
-// removed entries and maintaining index counts and state invalidation.
+// removed entries and maintaining the index and state invalidation.
 func (s *System) removeOrigsLocked(asn topology.ASN, p addr.Prefix) []origination {
 	var removed []origination
 	out := s.originated[asn][:0]
@@ -198,8 +341,15 @@ func (s *System) removeOrigsLocked(asn topology.ASN, p addr.Prefix) []originatio
 	}
 	s.originated[asn] = out
 	if len(removed) > 0 {
-		if n, _ := s.index.Exact(p); n > len(removed) {
-			s.index.Insert(p, n-len(removed))
+		at, _ := s.index.Exact(p)
+		var rest []topology.ASN
+		for _, a := range at {
+			if a != asn {
+				rest = append(rest, a)
+			}
+		}
+		if len(rest) > 0 {
+			s.index.Insert(p, rest)
 		} else {
 			s.index.Delete(p)
 		}
@@ -237,13 +387,12 @@ func (s *System) Withdraw(asn topology.ASN, p addr.Prefix) bool {
 }
 
 // Refresh re-reads the topology's inter-domain adjacency (after link
-// failures or repairs) and forces re-convergence on the next query.
-// Originations are preserved.
+// failures or repairs), rebuilds the index tables over it and forces
+// re-convergence on the next query. Originations are preserved.
 func (s *System) Refresh() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.neighbors = s.net.AllNeighbors()
-	s.states = map[addr.Prefix]*prefixState{}
+	s.reindexLocked()
 }
 
 // SuspendOriginations temporarily removes every origination of p at asn
@@ -295,7 +444,7 @@ func (s *System) Converge() {
 func (s *System) convergeAllLocked() {
 	// Walk order (bit order over the index) is deterministic.
 	var prefixes []addr.Prefix
-	s.index.Walk(func(p addr.Prefix, _ int) bool {
+	s.index.Walk(func(p addr.Prefix, _ []topology.ASN) bool {
 		prefixes = append(prefixes, p)
 		return true
 	})
@@ -304,116 +453,197 @@ func (s *System) convergeAllLocked() {
 	}
 }
 
-// convergePrefixLocked runs the synchronous fixpoint restricted to one
-// prefix — the old whole-internet iteration with every other prefix's
-// (non-interacting) work removed — and caches the result. In each round
-// every AS selects its best route for p from the previous round's
-// adverts and re-exports under Gao-Rexford rules, until nothing changes.
-func (s *System) convergePrefixLocked(p addr.Prefix) *prefixState {
-	if st, ok := s.states[p]; ok {
-		return st
+// convergePrefixLocked makes sure p's converged state is cached. A prefix
+// nobody originates gets none: a query that saw p in the index before a
+// withdrawal retries and no longer finds it.
+func (s *System) convergePrefixLocked(p addr.Prefix) {
+	if _, ok := s.states[p]; ok {
+		return
 	}
-	asns := s.net.ASNs()
+	if _, ok := s.index.Exact(p); !ok {
+		return
+	}
+	s.states[p], _ = s.fixpointLocked(p)
+}
 
-	// ASes holding an origination of p, with the entries in injection
-	// order. Precomputed so each round touches origination state only
-	// where it exists.
-	origs := map[topology.ASN][]origination{}
-	for _, asn := range asns {
+// fixpointLocked runs the synchronous fixpoint restricted to one prefix:
+// in each round an AS selects its best route for p from what its
+// neighbours held after the previous round and could export to it under
+// Gao-Rexford rules, until a round changes nothing. It returns the
+// converged state and the number of rounds, the unchanged one included.
+//
+// An AS's selection reads only its neighbours' previous-round routes and
+// the (fixed) originations of p, so it can differ from its own previous
+// selection only when a neighbour's route changed in the previous round.
+// A round therefore re-evaluates just those ASes; round 1, run against
+// the empty state, evaluates the originators and the targets of their
+// selective adverts. The skipped ASes would have selected what they
+// already hold, so every round's state, and the round count, equal the
+// evaluate-everyone iteration's.
+//
+// An evaluated AS pulls its candidates instead of being pushed an inbox:
+// neighbours in ascending position, each one's ordinary advert before its
+// selective ones — the order the inbox was filled in, so the first-seen
+// tie-break picks the same winner. (The AS's own originations sat at its
+// own position in the inbox; they beat every learned route on local
+// preference, so where they are tried does not matter.) A candidate is
+// its (tier, length, advertiser) and the advertiser's stored path; a path
+// is written only for a winner that differs from the AS's previous
+// selection. Selections are staged and committed when the round ends, so
+// every evaluation of a round reads the previous round's state.
+func (s *System) fixpointLocked(p addr.Prefix) (*prefixState, int) {
+	n := len(s.asns)
+	recs := make([]routeRec, n)
+	arena := s.arena[:0]
+	dirty, next := s.dirty[:0], s.next[:0]
+
+	// pOrigs[i]: the originations of p at asns[i], in injection order.
+	origins, _ := s.index.Exact(p)
+	for _, asn := range origins {
+		i, ok := s.asIdx[asn]
+		if !ok || s.marked[i] {
+			continue
+		}
+		s.marked[i] = true
+		dirty = append(dirty, i)
 		for _, o := range s.originated[asn] {
 			if o.prefix == p {
-				origs[asn] = append(origs[asn], o)
+				s.pOrigs[i] = append(s.pOrigs[i], o)
+			}
+		}
+	}
+	originators := len(dirty)
+	for _, i := range dirty[:originators] {
+		for _, o := range s.pOrigs[i] {
+			if o.exportTo == nil {
+				continue
+			}
+			for _, nb := range s.nbrs[i] {
+				if !s.marked[nb.idx] && o.exportTo[s.asns[nb.idx]] {
+					s.marked[nb.idx] = true
+					dirty = append(dirty, nb.idx)
+				}
 			}
 		}
 	}
 
-	best := map[topology.ASN]Route{}
 	rounds := 0
 	for {
 		rounds++
-		changed := false
-		// Gather adverts destined to each AS from the previous round.
-		// Self-originations advertise into one's own inbox at LocalPref
-		// prefSelf so they always win locally. Selective originations
-		// carry NO_EXPORT so the ordinary export below never
-		// re-advertises them; only the dedicated selective-advert loop
-		// does.
-		inbox := map[topology.ASN][]Route{}
-		for _, from := range asns {
-			fromOrigs := origs[from]
-			for _, o := range fromOrigs {
-				inbox[from] = append(inbox[from], Route{
-					Prefix:    p,
-					LocalPref: prefSelf,
-					NoExport:  o.exportTo != nil,
-				})
+		stage := s.stage[:0]
+		for _, i := range dirty {
+			s.marked[i] = false
+			win, adv := s.selectLocked(i, recs, arena)
+			prev := recs[i]
+			// The winner's path after its next hop; a selective advert's
+			// path is the advertiser alone.
+			var tail []topology.ASN
+			if win.n > 1 {
+				r := recs[adv]
+				tail = arena[r.off : r.off+uint32(r.n)]
 			}
-			r, has := best[from]
-			if !has && len(fromOrigs) == 0 {
-				continue
-			}
-			for _, nb := range s.neighbors[from] {
-				rel := nb.Rel // from's relationship toward nb
-				// Ordinary best route.
-				if has && exportsTo(r, rel) {
-					inbox[nb.ASN] = append(inbox[nb.ASN], Route{
-						Prefix:       p,
-						Path:         append([]topology.ASN{from}, r.Path...),
-						LocalPref:    prefFor(rel.Invert()),
-						FromCustomer: rel.Invert() == topology.RelProvider,
-					})
-				}
-				// Selective originations.
-				for _, o := range fromOrigs {
-					if o.exportTo == nil || !o.exportTo[nb.ASN] {
-						continue
-					}
-					inbox[nb.ASN] = append(inbox[nb.ASN], Route{
-						Prefix:       p,
-						Path:         []topology.ASN{from},
-						LocalPref:    prefFor(rel.Invert()),
-						NoExport:     true,
-						FromCustomer: rel.Invert() == topology.RelProvider,
-					})
-				}
-			}
-		}
-		// Decision process per AS: first-seen wins ties, matching the
-		// inbox build order above.
-		for _, asn := range asns {
-			var cur Route
-			curOK := false
-			for _, cand := range inbox[asn] {
-				if cand.hasLoop(asn) {
+			if prev.tier == win.tier && prev.flags == win.flags && prev.n == win.n {
+				if win.n == 0 {
 					continue
 				}
-				if !curOK || better(cand, cur) {
-					cur, curOK = cand, true
+				was := arena[prev.off : prev.off+uint32(prev.n)]
+				if was[0] == s.asns[adv] && slices.Equal(was[1:], tail) {
+					continue
 				}
 			}
-			prev, prevOK := best[asn]
-			if curOK != prevOK || (curOK && !routeEqual(prev, cur)) {
-				changed = true
+			if win.n > 0 {
+				win.off = uint32(len(arena))
+				arena = append(append(arena, s.asns[adv]), tail...)
 			}
-			if curOK {
-				best[asn] = cur
-			} else {
-				delete(best, asn)
-			}
+			stage = append(stage, stagedRec{idx: i, rec: win})
 		}
-		if !changed {
+		s.stage = stage
+		if len(stage) == 0 {
 			break
 		}
-		if rounds > 4*len(asns)+8 {
+		if rounds > 4*n+8 {
 			// Gao-Rexford-safe configurations converge in O(diameter);
 			// this bound only trips on genuinely unsafe policy.
 			panic(fmt.Sprintf("bgp: no convergence after %d rounds", rounds))
 		}
+		next = next[:0]
+		for _, c := range stage {
+			recs[c.idx] = c.rec
+			for _, nb := range s.nbrs[c.idx] {
+				if !s.marked[nb.idx] {
+					s.marked[nb.idx] = true
+					next = append(next, nb.idx)
+				}
+			}
+		}
+		dirty, next = next, dirty
 	}
-	st := &prefixState{best: best}
-	s.states[p] = st
-	s.Rounds = rounds
-	return st
+
+	for _, asn := range origins {
+		if i, ok := s.asIdx[asn]; ok {
+			s.pOrigs[i] = s.pOrigs[i][:0]
+		}
+	}
+	s.dirty, s.next, s.arena = dirty, next, arena
+
+	// The scratch arena also holds the paths of superseded selections;
+	// the state keeps an exact-size copy of the live ones.
+	total := 0
+	for i := range recs {
+		total += int(recs[i].n)
+	}
+	st := &prefixState{recs: recs, arena: make([]topology.ASN, 0, total)}
+	for i := range recs {
+		r := &recs[i]
+		if r.n > 0 {
+			path := arena[r.off : r.off+uint32(r.n)]
+			r.off = uint32(len(st.arena))
+			st.arena = append(st.arena, path...)
+		}
+	}
+	return st, rounds
+}
+
+// selectLocked is the decision process of the AS at position i over the
+// previous round's recs: its selection (path offset unset) and the
+// position of the AS it was learned from, -1 for none or self.
+func (s *System) selectLocked(i int32, recs []routeRec, arena []topology.ASN) (win routeRec, adv int32) {
+	adv = -1
+	if own := s.pOrigs[i]; len(own) > 0 {
+		win.tier = tierSelf
+		if own[0].exportTo != nil {
+			win.flags = flagNoExport
+		}
+		return win, adv
+	}
+	self := s.asns[i]
+	for _, nb := range s.nbrs[i] {
+		// beats: the candidate of length n from nb wins on local-pref,
+		// then path length, then lowest next hop.
+		beats := func(n uint16) bool {
+			switch {
+			case nb.tier != win.tier:
+				return nb.tier > win.tier
+			case n != win.n:
+				return n < win.n
+			}
+			return s.asns[nb.idx] < s.asns[adv]
+		}
+		r := recs[nb.idx]
+		if r.tier != tierNone && r.flags&flagNoExport == 0 &&
+			(r.n == 0 || r.flags&flagFromCustomer != 0 || nb.downhill) &&
+			beats(r.n+1) && !slices.Contains(arena[r.off:r.off+uint32(r.n)], self) {
+			win = routeRec{n: r.n + 1, tier: nb.tier, flags: nb.flags}
+			adv = nb.idx
+		}
+		for _, o := range s.pOrigs[nb.idx] {
+			if o.exportTo != nil && o.exportTo[self] && beats(1) {
+				win = routeRec{n: 1, tier: nb.tier, flags: nb.flags | flagNoExport}
+				adv = nb.idx
+			}
+		}
+	}
+	return win, adv
 }
 
 // RouteEqual reports whether two routes are identical in every
@@ -421,80 +651,79 @@ func (s *System) convergePrefixLocked(p addr.Prefix) *prefixState {
 func RouteEqual(a, b Route) bool { return routeEqual(a, b) }
 
 func routeEqual(a, b Route) bool {
-	if a.Prefix != b.Prefix || a.LocalPref != b.LocalPref ||
-		a.NoExport != b.NoExport || a.FromCustomer != b.FromCustomer ||
-		len(a.Path) != len(b.Path) {
-		return false
-	}
-	for i := range a.Path {
-		if a.Path[i] != b.Path[i] {
-			return false
-		}
-	}
-	return true
+	return a.Prefix == b.Prefix && a.LocalPref == b.LocalPref &&
+		a.NoExport == b.NoExport && a.FromCustomer == b.FromCustomer &&
+		slices.Equal(a.Path, b.Path)
 }
 
-// statesFor returns the converged states for the given prefixes,
-// converging any that are missing. It takes the write lock only when
-// something actually needs converging.
-func (s *System) statesFor(prefixes []addr.Prefix) []*prefixState {
-	for {
-		s.mu.RLock()
-		out := make([]*prefixState, len(prefixes))
-		missing := false
-		for i, p := range prefixes {
-			st, ok := s.states[p]
-			if !ok {
-				missing = true
-				break
-			}
-			out[i] = st
-		}
-		if !missing {
-			s.mu.RUnlock()
-			return out
-		}
-		s.mu.RUnlock()
-		s.mu.Lock()
-		for _, p := range prefixes {
-			s.convergePrefixLocked(p)
-		}
-		s.mu.Unlock()
-		// Loop: a mutator may have invalidated between Unlock and RLock.
-	}
+// convergeMissing is the write-lock pass of a query that found p's state
+// missing. The query then retries from the top: a mutator may have
+// invalidated again between this Unlock and its RLock.
+func (s *System) convergeMissing(p addr.Prefix) {
+	s.mu.Lock()
+	s.convergePrefixLocked(p)
+	s.mu.Unlock()
 }
 
 // BestRoute returns asn's selected route for exactly prefix p.
 func (s *System) BestRoute(asn topology.ASN, p addr.Prefix) (Route, bool) {
-	st := s.statesFor([]addr.Prefix{p})[0]
-	r, ok := st.best[asn]
-	return r, ok
+	for {
+		s.mu.RLock()
+		st, converged := s.states[p]
+		if converged {
+			var r Route
+			i, ok := s.asIdx[asn]
+			if ok {
+				r, ok = st.route(p, i)
+			}
+			s.mu.RUnlock()
+			return r, ok
+		}
+		_, originated := s.index.Exact(p)
+		s.mu.RUnlock()
+		if !originated {
+			return Route{}, false
+		}
+		s.convergeMissing(p)
+	}
 }
 
-// matchChain returns dst's longest-prefix match chain — every originated
-// prefix containing dst, longest first.
-func (s *System) matchChain(dst addr.V4) []addr.Prefix {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var chain []addr.Prefix
-	s.index.Matches(dst, func(p addr.Prefix, _ int) bool {
-		chain = append(chain, p)
-		return true
+// lookupLocked longest-prefix-matches dst in the routing of the AS at
+// position i, answering from the states that exist. When it reaches a
+// prefix on dst's match chain whose state is missing it stops and
+// returns that prefix as need; the caller converges it and asks again.
+func (s *System) lookupLocked(i int32, dst addr.V4) (r Route, ok bool, need addr.Prefix, missing bool) {
+	s.index.Matches(dst, func(p addr.Prefix, _ []topology.ASN) bool {
+		st := s.states[p]
+		if st == nil {
+			need, missing = p, true
+			return false
+		}
+		r, ok = st.route(p, i)
+		return !ok
 	})
-	return chain
+	return r, ok, need, missing
 }
 
 // Lookup longest-prefix-matches dst in asn's routing: the most specific
-// prefix on dst's match chain for which asn holds a route. Only the
-// chain's prefixes are converged, never the whole table.
+// prefix on dst's match chain for which asn holds a route. Only prefixes
+// on the chain are converged, never the whole table, and a warm lookup
+// takes one read lock and allocates nothing.
 func (s *System) Lookup(asn topology.ASN, dst addr.V4) (Route, bool) {
-	chain := s.matchChain(dst)
-	for _, st := range s.statesFor(chain) {
-		if r, ok := st.best[asn]; ok {
-			return r, true
+	for {
+		s.mu.RLock()
+		i, known := s.asIdx[asn]
+		if !known {
+			s.mu.RUnlock()
+			return Route{}, false
 		}
+		r, ok, need, missing := s.lookupLocked(i, dst)
+		s.mu.RUnlock()
+		if !missing {
+			return r, ok
+		}
+		s.convergeMissing(need)
 	}
-	return Route{}, false
 }
 
 // TableSize returns the number of prefixes in asn's loc-RIB (routing-state
@@ -502,10 +731,14 @@ func (s *System) Lookup(asn topology.ASN, dst addr.V4) (Route, bool) {
 func (s *System) TableSize(asn topology.ASN) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	i, known := s.asIdx[asn]
+	if !known {
+		return 0
+	}
 	s.convergeAllLocked()
 	n := 0
 	for _, st := range s.states {
-		if _, ok := st.best[asn]; ok {
+		if st.recs[i].tier != tierNone {
 			n++
 		}
 	}
@@ -516,52 +749,58 @@ func (s *System) TableSize(asn topology.ASN) int {
 // follows toward dst, starting with from itself. ok is false when from
 // has no route.
 func (s *System) ASPath(from topology.ASN, dst addr.V4) ([]topology.ASN, bool) {
-	// Every AS on the walk resolves dst against the same match chain, so
-	// one statesFor covers the whole hop-by-hop traversal.
-	chain := s.matchChain(dst)
-	states := s.statesFor(chain)
-	lookup := func(asn topology.ASN) (Route, bool) {
-		for _, st := range states {
-			if r, ok := st.best[asn]; ok {
-				return r, true
-			}
+	for {
+		s.mu.RLock()
+		path, ok, need, missing := s.asPathLocked(from, dst)
+		s.mu.RUnlock()
+		if !missing {
+			return path, ok
 		}
-		return Route{}, false
+		s.convergeMissing(need)
 	}
+}
 
-	r, ok := lookup(from)
-	if !ok {
-		return nil, false
+func (s *System) asPathLocked(from topology.ASN, dst addr.V4) (path []topology.ASN, ok bool, need addr.Prefix, missing bool) {
+	i, known := s.asIdx[from]
+	if !known {
+		return nil, false, need, false
 	}
-	path := append([]topology.ASN{from}, r.Path...)
+	r, ok, need, missing := s.lookupLocked(i, dst)
+	if !ok {
+		return nil, false, need, missing
+	}
+	path = append([]topology.ASN{from}, r.Path...)
 	// Downstream ASes may match a more specific prefix than `from` did
 	// (e.g. a NO_EXPORT host route covering an aggregate another AS
 	// holds). Walk hop by hop and splice when the next AS diverges.
-	maxLen := 2*len(s.net.ASNs()) + 2 // guards against pathological splicing
+	maxLen := 2*len(s.asns) + 2 // guards against pathological splicing
 	for i := 0; i+1 < len(path) && len(path) <= maxLen; i++ {
 		cur := path[i+1]
 		if i+2 == len(path) {
 			break
 		}
-		nr, ok := lookup(cur)
+		nr, ok, need, missing := s.lookupLocked(s.asIdx[cur], dst)
+		if missing {
+			return nil, false, need, true
+		}
 		if !ok {
-			return path[:i+2], true
+			return path[:i+2], true, need, false
 		}
 		want := nr.NextHop()
 		if want == -1 {
-			return path[:i+2], true
+			return path[:i+2], true, need, false
 		}
 		if want != path[i+2] {
 			// Splice in cur's actual continuation.
 			path = append(path[:i+2], nr.Path...)
 		}
 	}
-	return path, true
+	return path, true, need, false
 }
 
 // LinksBetween returns every border link between adjacent domains a and
-// b, oriented From-in-a and deterministically sorted. Empty when not
-// adjacent.
+// b, oriented From-in-a and sorted by (From, To). Empty when not
+// adjacent. The slice is shared with the system: read-only.
 func (s *System) LinksBetween(a, b topology.ASN) []topology.InterLink {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -570,15 +809,8 @@ func (s *System) LinksBetween(a, b topology.ASN) []topology.InterLink {
 
 func (s *System) linksBetweenLocked(a, b topology.ASN) []topology.InterLink {
 	for _, nb := range s.neighbors[a] {
-		if nb.ASN == b && len(nb.Links) > 0 {
-			links := append([]topology.InterLink(nil), nb.Links...)
-			sort.Slice(links, func(i, j int) bool {
-				if links[i].From != links[j].From {
-					return links[i].From < links[j].From
-				}
-				return links[i].To < links[j].To
-			})
-			return links
+		if nb.ASN == b {
+			return nb.Links
 		}
 	}
 	return nil

@@ -348,7 +348,7 @@ func (s *Speaker) TableSize() int { return len(s.loc) }
 // Gao-Rexford export of the best route when eligible, else a scoped
 // NO_EXPORT advert when a selective origination names the neighbor.
 // Ordinary-before-selective matches the fixpoint receiver's tie-break
-// (its inbox sees ordinary exports first).
+// (it tries a neighbour's ordinary export before its selective ones).
 func (s *Speaker) exportRoute(nb topology.ASN, p addr.Prefix) (advert, bool) {
 	rel := s.neighbors[nb]
 	if best, have := s.loc[p]; have && exportsTo(best, rel) && !best.hasLoop(nb) {
@@ -535,7 +535,8 @@ func (s *Speaker) processUpdate(nbr topology.ASN, rel topology.Rel, sess *sessio
 
 // reselect re-runs the decision process for p and re-announces on
 // change. Originations are considered first-injected-first (ties keep
-// the earlier entry), matching the fixpoint solver's inbox order.
+// the earlier entry), matching the fixpoint solver, where an AS's first
+// origination is its self route.
 func (s *Speaker) reselect(p addr.Prefix) {
 	var best Route
 	have := false
