@@ -285,11 +285,15 @@ func (w *World) BuildOracleWith(mutate func(*core.Config)) (*core.Evolution, err
 		// the live side's membership bookkeeping, not the oracle's.
 		_, _ = oracle.EnableProviderChoice(asn)
 	}
-	for _, hid := range w.RegisteredHosts() {
-		// Best effort, mirroring the live best-effort re-registration:
-		// a host whose domain is currently severed registers nothing.
-		_ = oracle.RegisterEndhost(w.Net.Hosts[hid])
+	// One batch, one epoch. Best effort, mirroring the live best-effort
+	// re-registration: a host whose domain is currently severed registers
+	// nothing, and an undeployed oracle refuses the whole batch.
+	ids := w.RegisteredHosts()
+	hosts := make([]*topology.Host, len(ids))
+	for i, hid := range ids {
+		hosts[i] = w.Net.Hosts[hid]
 	}
+	_ = oracle.RegisterEndhosts(hosts)
 	return oracle, nil
 }
 

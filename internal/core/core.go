@@ -94,10 +94,11 @@ type routingEpoch struct {
 	// on an epoch with no members.
 	dep      *anycast.Deployment
 	provDeps map[topology.ASN]*anycast.Deployment
-	// resolve memoises anycast resolutions per (host, anycast address)
-	// for this epoch's routing state (routing is deterministic between
-	// reconvergences, so the cache is exact). Entries whose trajectory
-	// the next event cannot have touched are carried into the next epoch.
+	// resolve memoises anycast resolutions per (attach router, anycast
+	// address) for this epoch's routing state (routing is deterministic
+	// between reconvergences, so the cache is exact). Registration fills
+	// it as well as sends; entries whose trajectory the next event cannot
+	// have touched are carried into the next epoch.
 	resolve *resolveShards
 	// flow memoises whole delivery skeletons per (src, dst, deployment)
 	// flow. Fresh every time routing state changes; see flowShards.
@@ -146,8 +147,8 @@ type Evolution struct {
 	// native is the mutator-side canonical endhost registry (sharded
 	// per-host native IPvN addresses); pools allocate native addresses
 	// per participant domain. Epochs publish copy-on-write snapshots:
-	// relabelScoped clones only the shards it writes, so untouched
-	// shards are shared structurally across epochs.
+	// relabelScoped forks it and copies only the shards it writes, so
+	// untouched shards are shared structurally across epochs.
 	native *addrShards
 	// shardN is the normalized Config.DeliveryShards.
 	shardN int
@@ -512,11 +513,15 @@ func (e *Evolution) publishProvidersLocked() {
 	e.notifyEpoch()
 }
 
-// publishRegistrationLocked publishes a registration-only epoch: same
-// bone, same addresses, same redirect cache, fresh BGPvN tables with the
-// current registration set applied in place. No bone rebuild happens
-// (and none is counted) — registrations ride on the existing bone.
-func (e *Evolution) publishRegistrationLocked() {
+// publishRegistrationLocked publishes a registration-only epoch as a
+// delta on the current one: same bone, same addresses, same redirect
+// cache, and a fork of its BGPvN tables with the /128s of add advertised
+// and that of drop (nil for none) withdrawn. Nothing else can have
+// changed — every mutator that touches deployment or forwarding state
+// goes through buildEpochLocked, which renews every registrant — so the
+// cost is proportional to the batch, not to the registered set. No bone
+// rebuild happens (and none is counted).
+func (e *Evolution) publishRegistrationLocked(add []*topology.Host, drop *topology.Host) {
 	prev := e.epoch.Load()
 	if prev.err != nil {
 		// No usable routing state to advertise into; the registration set
@@ -526,13 +531,20 @@ func (e *Evolution) publishRegistrationLocked() {
 	}
 	ep := *prev
 	ep.seq = e.mutSeq.Load()
-	ep.vn = bgpvn.New(prev.bone, e.Fwd, e.Net)
+	ep.vn = prev.vn.Fork()
 	// Registrations change the natives table, which flow skeletons bake
-	// in — the flow cache starts over (the redirect cache is untouched:
-	// anycast resolution does not depend on registrations).
+	// in — the flow cache starts over. The redirect cache is shared with
+	// prev: anycast resolution does not depend on registrations, and the
+	// entries applyRegistration adds are computed under mu on forwarding
+	// state no mutator has touched, so they are exact for both epochs.
 	ep.flow = newFlowShards(e.shardN)
-	for _, h := range e.registered {
-		_ = e.applyRegistration(&ep, h)
+	for _, h := range add {
+		e.applyRegistration(&ep, h)
+	}
+	if drop != nil {
+		if v := ep.addrOf(drop); v.IsSelf() {
+			ep.vn.WithdrawNative(addr.HostVNPrefix(v))
+		}
 	}
 	e.counters.Epoch()
 	e.epoch.Store(&ep)
@@ -553,12 +565,17 @@ func (e *Evolution) publishRegistrationLocked() {
 func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool, flush bool) error {
 	prev := e.epoch.Load()
 	seq := e.mutSeq.Load()
+	// Addresses follow participation whether or not this build yields a
+	// usable epoch: a domain that left in a failed build is not in the
+	// scope of the build that heals it, and its hosts would otherwise
+	// keep native addresses nothing advertises.
+	e.relabelScoped(relabel)
 	if len(e.Dep.Members()) == 0 {
 		e.counters.Epoch()
 		e.epoch.Store(&routingEpoch{
 			seq:     seq,
 			err:     ErrNotDeployed,
-			addrs:   prev.addrs,
+			addrs:   e.native,
 			dep:     e.Dep.Clone(),
 			resolve: newResolveShards(e.shardN),
 			flow:    newFlowShards(e.shardN),
@@ -589,7 +606,7 @@ func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool
 		e.epoch.Store(&routingEpoch{
 			seq:      seq,
 			err:      err,
-			addrs:    prev.addrs,
+			addrs:    e.native,
 			dep:      dep,
 			provDeps: provs,
 			resolve:  newResolveShards(e.shardN),
@@ -604,25 +621,27 @@ func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool
 		seq:      seq,
 		bone:     bone,
 		vn:       bgpvn.New(bone, e.Fwd, e.Net),
+		addrs:    e.native,
 		dep:      dep,
 		provDeps: provs,
-	}
-	e.relabelScoped(relabel)
-	ep.addrs = e.native
-	// Re-register endhost routes against the fresh vN routing state —
-	// the paper's "endhost would periodically repeat this process in
-	// order to adapt to spread in deployment" (§3.3.2). A host that
-	// cannot currently reach the deployment (its domain severed by link
-	// failures, say) simply advertises nothing this convergence epoch:
-	// its registration stays on file for the next epoch, and the failure
-	// must not take down delivery for every other sender.
-	for _, h := range e.registered {
-		_ = e.applyRegistration(ep, h)
 	}
 	if flush || prev.err != nil {
 		ep.resolve = newResolveShards(e.shardN)
 	} else {
 		ep.resolve = prev.resolve.carry(evict)
+	}
+	// Re-register endhost routes against the fresh vN routing state —
+	// the paper's "endhost would periodically repeat this process in
+	// order to adapt to spread in deployment" (§3.3.2). Each registrant's
+	// anycast walk goes through the redirect cache just built, so only
+	// attach routers whose trajectory the event evicted are re-walked and
+	// the fleet's next sends find their ingress resolved. A host that
+	// cannot currently reach the deployment (its domain severed by link
+	// failures, say) simply advertises nothing this convergence epoch:
+	// its registration stays on file for the next epoch, and the failure
+	// must not take down delivery for every other sender.
+	for _, h := range e.registered {
+		e.applyRegistration(ep, h)
 	}
 	// Flow skeletons bake in every routing input at once (bone, BGPvN,
 	// IGP, baseline); any rebuild starts the flow cache over.
@@ -648,11 +667,10 @@ func (e *Evolution) RegisterEndhost(h *topology.Host) error {
 	return e.RegisterEndhosts([]*topology.Host{h})
 }
 
-// RegisterEndhosts registers a batch of hosts as one mutation: the
-// registration epoch is published once, not once per host. Registering a
-// fleet host-by-host is quadratic — every publication re-applies the
-// whole registration set against fresh BGPvN tables — so bulk setup
-// (benchmarks, topology loaders) must use the batch form.
+// RegisterEndhosts registers a batch of hosts as one mutation and one
+// published epoch, at a cost proportional to the batch: the epoch is the
+// current one with these hosts' /128s added (see
+// publishRegistrationLocked), whatever else is already registered.
 func (e *Evolution) RegisterEndhosts(hosts []*topology.Host) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -660,16 +678,20 @@ func (e *Evolution) RegisterEndhosts(hosts []*topology.Host) error {
 		return ep.err
 	}
 	e.mutSeq.Add(1)
+	if len(e.registered) == 0 {
+		// A fleet's first batch: size the map once instead of growing it.
+		e.registered = make(map[topology.HostID]*topology.Host, len(hosts))
+	}
 	for _, h := range hosts {
 		e.registered[h.ID] = h
 	}
-	e.publishRegistrationLocked()
+	e.publishRegistrationLocked(hosts, nil)
 	return nil
 }
 
-// UnregisterEndhost withdraws a host's advertised route in place: the
-// BGPvN natives table is rebuilt from the remaining registrations on the
-// existing bone, without any bone rebuild.
+// UnregisterEndhost withdraws a host's advertised route: one mutation,
+// one epoch that differs from the current one by that /128, no bone
+// rebuild.
 func (e *Evolution) UnregisterEndhost(h *topology.Host) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -678,25 +700,26 @@ func (e *Evolution) UnregisterEndhost(h *topology.Host) {
 	}
 	e.mutSeq.Add(1)
 	delete(e.registered, h.ID)
-	e.publishRegistrationLocked()
+	e.publishRegistrationLocked(nil, h)
 }
 
-// applyRegistration advertises h's /128 into ep's BGPvN tables, resolving
-// the advertising domain against the epoch's frozen deployment. Callers
-// hold mu; ep is not yet published.
-func (e *Evolution) applyRegistration(ep *routingEpoch, h *topology.Host) error {
-	v := ep.addrs.addrOf(h)
+// applyRegistration advertises h's /128 into ep's BGPvN tables on behalf
+// of the domain h's anycast resolution lands in, read through (and
+// filling) ep's redirect cache. Best effort: a host that cannot presently
+// reach the deployment advertises nothing. Callers hold mu, so the
+// forwarding state the walk reads is at rest; ep.vn is not yet published.
+func (e *Evolution) applyRegistration(ep *routingEpoch, h *topology.Host) {
+	v := ep.addrOf(h)
 	if !v.IsSelf() {
 		// The host's provider adopted IPvN; its native address is
 		// routable without any registration.
-		return nil
+		return
 	}
-	res, err := e.Anycast.ResolveFromHostVia(ep.dep, h)
+	res, _, err := e.resolveAt(ep, ep.dep, h.Attach, false)
 	if err != nil {
-		return err
+		return
 	}
 	ep.vn.AdvertiseNative(addr.HostVNPrefix(v), e.Net.DomainOf(res.Member))
-	return nil
 }
 
 // relabelScoped updates host IPvN addresses after participation changes
@@ -715,24 +738,11 @@ func (e *Evolution) relabelScoped(scope map[topology.ASN]bool) {
 	if len(scope) == 0 {
 		return
 	}
-	next := e.native.cow()
-	cloned := make([]bool, len(next.shards))
-	shardFor := func(id topology.HostID) map[topology.HostID]addr.VN {
-		i := uint32(id) & next.mask
-		if !cloned[i] {
-			clone := make(map[topology.HostID]addr.VN, len(next.shards[i])+1)
-			for k, v := range next.shards[i] {
-				clone[k] = v
-			}
-			next.shards[i] = clone
-			cloned[i] = true
-		}
-		return next.shards[i]
-	}
+	next := e.native.Fork()
 	for asn := range scope {
 		participates := e.participatesLocked(asn)
 		for _, h := range e.Net.HostsIn(asn) {
-			_, native := next.shards[uint32(h.ID)&next.mask][h.ID]
+			_, native := next.Get(h.ID)
 			switch {
 			case participates && !native:
 				pool, ok := e.pools[asn]
@@ -745,9 +755,9 @@ func (e *Evolution) relabelScoped(scope map[topology.ASN]bool) {
 					// A /40 per domain cannot exhaust at simulated scales.
 					panic(fmt.Sprintf("core: native pool exhausted for AS%d: %v", asn, err))
 				}
-				shardFor(h.ID)[h.ID] = v
+				next.Set(h.ID, v)
 			case !participates && native:
-				delete(shardFor(h.ID), h.ID)
+				next.Delete(h.ID)
 			}
 		}
 	}
@@ -761,7 +771,7 @@ func (e *Evolution) HostVNAddr(h *topology.Host) (addr.VN, error) {
 	if ep.err != nil {
 		return addr.VN{}, ep.err
 	}
-	return ep.addrs.addrOf(h), nil
+	return ep.addrOf(h), nil
 }
 
 // FormatTrace renders a recorded event sequence as a per-hop path trace
@@ -886,15 +896,21 @@ func (e *Evolution) IngressShare() (map[topology.ASN]float64, error) {
 	if ep.err != nil {
 		return nil, ep.err
 	}
+	// The ingress is a function of the attach router: count hosts per
+	// router, then resolve each router once through the epoch's cache.
+	perRouter := map[topology.RouterID]int{}
+	for _, h := range e.Net.Hosts {
+		perRouter[h.Attach]++
+	}
 	counts := map[topology.ASN]int{}
 	total := 0
-	for _, h := range e.Net.Hosts {
-		res, err := e.Anycast.ResolveFromHostVia(ep.dep, h)
+	for r, n := range perRouter {
+		res, _, err := e.resolveAt(ep, ep.dep, r, true)
 		if err != nil {
 			continue
 		}
-		counts[e.Net.DomainOf(res.Member)]++
-		total++
+		counts[e.Net.DomainOf(res.Member)] += n
+		total += n
 	}
 	out := map[topology.ASN]float64{}
 	if total == 0 {

@@ -66,8 +66,8 @@ func (e *Evolution) deliverFallback(
 
 	hdr := packet.VNHeader{
 		Version: e.cfg.Version,
-		Src:     ep.addrs.addrOf(src),
-		Dst:     ep.addrs.addrOf(dst),
+		Src:     ep.addrOf(src),
+		Dst:     ep.addrOf(dst),
 	}
 	bc.markBuf[0] = mark
 	opts := append(bc.hdrOpts[:0], packet.Option{Type: packet.OptFallback, Value: bc.markBuf[:]})

@@ -436,10 +436,10 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 	h := e.health.get(flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr})
 	vnReason, detail, mark := trace.DropNone, trace.DetailFallbackState, packet.FallbackMarkState
 	if ep.err != nil {
-		h.observeDst(ep.addrs.addrOf(dst))
+		h.observeDst(ep.addrOf(dst))
 		h.noteFailure(nil, ep.seq, fc, cb, tr, seq)
 		vnReason, detail, mark = trace.DropNotDeployed, trace.DetailFallbackErrEpoch, packet.FallbackMarkRescue
-	} else if attempt, probe := h.decide(ep.seq, fc, ep.addrs.addrOf(dst), cb); attempt {
+	} else if attempt, probe := h.decide(ep.seq, fc, ep.addrOf(dst), cb); attempt {
 		d, fe, reason, err := e.deliverVN(bc, ep, src, dst, payload, tr, seq)
 		if err == nil {
 			h.noteSuccess(fe, probe, fc, cb, tr, seq)
@@ -664,29 +664,47 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	return d, fe, trace.DropNone, nil
 }
 
-// resolveIngress is the redirect decision of the send path: the anycast
-// resolution from src toward d's address, memoised in the epoch's
-// sharded redirect cache (routing is deterministic within an epoch, so
-// the cache is exact, not a heuristic). A resolution computed while a
-// mutator has already moved on is still correct to return — it resolved
-// against the epoch's frozen deployment — but must not be cached: the
-// store is gated on the mutation sequence still matching the epoch's,
-// and any store that races past the gate is shed by the next epoch's
-// entry-by-entry carry-over.
-func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src *topology.Host, cb *trace.CounterBatch) (anycast.Resolution, error) {
-	k := resolveKey{src.ID, d.Addr}
+// resolveAt is the redirect decision every consumer shares: the
+// router-level anycast resolution (no access-link cost) from attach
+// router r toward d's address, memoised in the epoch's sharded redirect
+// cache (routing is deterministic within an epoch, so the cache is exact,
+// not a heuristic). The returned Resolution is the cached one: read-only.
+// hit reports whether the cache answered.
+//
+// gated is for callers that do not hold mu. A resolution they compute
+// while a mutator has already moved on is still correct to return — it
+// resolved against the epoch's frozen deployment — but must not be
+// cached: the store is gated on the mutation sequence still matching the
+// epoch's, and any store that races past the gate is shed by the next
+// epoch's entry-by-entry carry-over. Callers under mu read forwarding
+// state at rest and store unconditionally.
+func (e *Evolution) resolveAt(ep *routingEpoch, d *anycast.Deployment, r topology.RouterID, gated bool) (res *anycast.Resolution, hit bool, err error) {
+	k := resolveKey{r, d.Addr}
 	if v, ok := ep.resolve.load(k); ok {
-		cb.Redirect(true)
-		return *v, nil
+		return v, true, nil
 	}
-	res, err := e.Anycast.ResolveFromHostVia(d, src)
+	walked, err := e.Anycast.ResolveFromRouterVia(d, r)
+	if err != nil {
+		return nil, false, err
+	}
+	if !gated || e.mutSeq.Load() == ep.seq {
+		ep.resolve.store(k, &walked)
+	}
+	return &walked, false, nil
+}
+
+// resolveIngress is the redirect decision of the send path: src's attach
+// router's resolution toward d's address plus src's own access link —
+// what anycast.Service.ResolveFromHostVia computes, one walk per router
+// instead of one per host.
+func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src *topology.Host, cb *trace.CounterBatch) (anycast.Resolution, error) {
+	v, hit, err := e.resolveAt(ep, d, src.Attach, true)
 	if err != nil {
 		return anycast.Resolution{}, err
 	}
-	cb.Redirect(false)
-	if e.mutSeq.Load() == ep.seq {
-		ep.resolve.store(k, &res)
-	}
+	cb.Redirect(hit)
+	res := *v
+	res.Cost += src.AccessLatency
 	return res, nil
 }
 
@@ -699,8 +717,8 @@ func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src 
 // of a send happens here and none of the wire-level work; see flowEntry.
 func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingressDep *anycast.Deployment, cb *trace.CounterBatch) (*flowEntry, trace.DropReason, error) {
 	fe := &flowEntry{
-		srcVN: ep.addrs.addrOf(src),
-		dstVN: ep.addrs.addrOf(dst),
+		srcVN: ep.addrOf(src),
+		dstVN: ep.addrOf(dst),
 	}
 	ing, err := e.resolveIngress(ep, ingressDep, src, cb)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
+	"github.com/evolvable-net/evolve/internal/cowmap"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
 	"github.com/evolvable-net/evolve/internal/topology"
 )
@@ -39,44 +40,32 @@ func normalizeShards(n int) int {
 // IS the self-addressed state and a fleet of a million unregistered
 // hosts costs nothing.
 //
-// Published addrShards are immutable. Mutators copy-on-write at shard
-// granularity (see Evolution.relabelScoped): an epoch build that touches
-// two domains clones only the shards holding those domains' hosts, and a
-// link event clones nothing at all.
-type addrShards struct {
-	mask   uint32
-	shards []map[topology.HostID]addr.VN
-}
+// Published registries are immutable. Mutators fork and write the fork
+// (see Evolution.relabelScoped): an epoch build that touches two domains
+// copies only the shards holding those domains' hosts, and a link event
+// copies nothing at all.
+type addrShards = cowmap.Map[topology.HostID, addr.VN]
 
 func newAddrShards(n int) *addrShards {
-	s := &addrShards{mask: uint32(n - 1), shards: make([]map[topology.HostID]addr.VN, n)}
-	for i := range s.shards {
-		s.shards[i] = map[topology.HostID]addr.VN{}
-	}
-	return s
+	return cowmap.New[topology.HostID, addr.VN](n, func(id topology.HostID) uint32 { return uint32(id) })
 }
 
-// addrOf returns h's current IPvN address: the stored native address
-// when one exists, the derived self-address otherwise.
-func (s *addrShards) addrOf(h *topology.Host) addr.VN {
-	if v, ok := s.shards[uint32(h.ID)&s.mask][h.ID]; ok {
+// addrOf returns h's IPvN address in this epoch: the stored native
+// address when one exists, the derived self-address otherwise.
+func (ep *routingEpoch) addrOf(h *topology.Host) addr.VN {
+	if v, ok := ep.addrs.Get(h.ID); ok {
 		return v
 	}
 	return addr.SelfAddress(h.Addr)
 }
 
-// cow returns a copy of s sharing every shard map. The caller clones
-// individual shards before writing to them.
-func (s *addrShards) cow() *addrShards {
-	ns := &addrShards{mask: s.mask, shards: make([]map[topology.HostID]addr.VN, len(s.shards))}
-	copy(ns.shards, s.shards)
-	return ns
-}
-
-// resolveKey identifies one memoised redirect decision.
+// resolveKey identifies one memoised redirect decision: the trajectory of
+// an anycast packet is a function of the router it enters the network at
+// and the address it is sent to, so every host behind one attach router
+// shares the entry.
 type resolveKey struct {
-	host topology.HostID
-	a    addr.V4
+	router topology.RouterID
+	a      addr.V4
 }
 
 // resolveShard is one lock-striped partition of the redirect cache.
@@ -88,9 +77,10 @@ type resolveShard struct {
 	m  map[resolveKey]*anycast.Resolution
 }
 
-// resolveShards is the epoch's redirect cache, split into
-// host-ID-hashed shards so 64 concurrent senders do not serialize on one
-// lock or one map.
+// resolveShards is the epoch's redirect cache: router-level resolutions
+// (no access-link cost), split into attach-router-hashed shards so 64
+// concurrent senders do not serialize on one lock or one map. Sends and
+// endhost registration fill and read the same entries.
 type resolveShards struct {
 	mask   uint32
 	shards []resolveShard
@@ -105,7 +95,7 @@ func newResolveShards(n int) *resolveShards {
 }
 
 func (s *resolveShards) load(k resolveKey) (*anycast.Resolution, bool) {
-	sh := &s.shards[uint32(k.host)&s.mask]
+	sh := &s.shards[uint32(k.router)&s.mask]
 	sh.mu.RLock()
 	v, ok := sh.m[k]
 	sh.mu.RUnlock()
@@ -113,7 +103,7 @@ func (s *resolveShards) load(k resolveKey) (*anycast.Resolution, bool) {
 }
 
 func (s *resolveShards) store(k resolveKey, v *anycast.Resolution) {
-	sh := &s.shards[uint32(k.host)&s.mask]
+	sh := &s.shards[uint32(k.router)&s.mask]
 	sh.mu.Lock()
 	sh.m[k] = v
 	sh.mu.Unlock()

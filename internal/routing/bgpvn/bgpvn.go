@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"github.com/evolvable-net/evolve/internal/addr"
+	"github.com/evolvable-net/evolve/internal/cowmap"
 	"github.com/evolvable-net/evolve/internal/forward"
 	"github.com/evolvable-net/evolve/internal/graph"
 	"github.com/evolvable-net/evolve/internal/rib"
@@ -88,15 +89,43 @@ type Egress struct {
 }
 
 // System answers routing questions over one constructed bone.
+//
+// Concurrency: the Route*/Select*/Participates queries may run from any
+// number of goroutines, concurrently with Fork on the same System and
+// with every operation on its forks. AdvertiseNative, WithdrawNative and
+// Fork on one System need external serialization, and a System other
+// goroutines query must not be written — fork it and write the fork.
 type System struct {
 	bone *vnbone.Bone
 	fwd  *forward.Engine
 	net  *topology.Network
 
-	// natives maps advertised IPvN prefixes to their origin domain.
-	natives rib.TableVN[topology.ASN]
-	// participants caches membership by domain.
+	// natives maps advertised IPvN prefixes shorter than /128 to their
+	// origin domain. Forks share the trie (ownNatives false on both
+	// sides) and copy it whole before the first write — blocks change
+	// with the bone, which builds a new System anyway.
+	natives    *rib.TableVN[topology.ASN]
+	ownNatives bool
+	// hosts maps advertised /128s to their origin domain: an exact-match
+	// table probed before the trie (a /128 is the longest possible
+	// match), copy-on-write by shard across forks.
+	hosts *cowmap.Map[addr.VN, topology.ASN]
+	// participants, members and byDomain are fixed at New and shared by
+	// every fork: the bone's members in id order, whole and by domain.
 	participants map[topology.ASN]bool
+	members      []topology.RouterID
+	byDomain     map[topology.ASN][]topology.RouterID
+}
+
+// hostShards is the shard count of the /128 table: a single registration
+// on a forked System copies 1/hostShards of the host routes.
+const hostShards = 64
+
+// hashVN spreads IPvN addresses over the host-route shards. Self-addresses
+// differ only in their low 32 bits and natives in a domain are sequential,
+// so the bits are mixed rather than masked.
+func hashVN(v addr.VN) uint32 {
+	return uint32(((v.Hi ^ v.Lo) * 0x9E3779B97F4A7C15) >> 32)
 }
 
 // New builds the BGPvN view of a bone. Every participant domain
@@ -106,48 +135,100 @@ func New(bone *vnbone.Bone, fwd *forward.Engine, net *topology.Network) *System 
 		bone:         bone,
 		fwd:          fwd,
 		net:          net,
+		natives:      &rib.TableVN[topology.ASN]{},
+		ownNatives:   true,
+		hosts:        cowmap.New[addr.VN, topology.ASN](hostShards, hashVN),
 		participants: map[topology.ASN]bool{},
+		members:      bone.Members(),
+		byDomain:     map[topology.ASN][]topology.RouterID{},
 	}
-	seen := map[topology.ASN]bool{}
-	for _, m := range bone.Members() {
+	for _, m := range s.members {
 		asn := net.DomainOf(m)
-		s.participants[asn] = true
-		if !seen[asn] {
-			seen[asn] = true
+		if !s.participants[asn] {
+			s.participants[asn] = true
 			s.natives.Insert(addr.DomainVNPrefix(int(asn)), asn)
 		}
+		s.byDomain[asn] = append(s.byDomain[asn], m)
 	}
 	return s
+}
+
+// Fork returns a System answering exactly what s answers now, sharing the
+// bone, the membership index, the prefix trie and every host-route shard
+// with s. Advertising or withdrawing on the fork copies only what the
+// write lands in and never changes what s answers.
+func (s *System) Fork() *System {
+	f := *s
+	f.hosts = s.hosts.Fork()
+	s.ownNatives, f.ownNatives = false, false
+	return &f
+}
+
+// writableNatives returns the prefix trie, copied first if a fork shares it.
+func (s *System) writableNatives() *rib.TableVN[topology.ASN] {
+	if !s.ownNatives {
+		clone := &rib.TableVN[topology.ASN]{}
+		s.natives.Walk(func(p addr.VNPrefix, asn topology.ASN) bool {
+			clone.Insert(p, asn)
+			return true
+		})
+		s.natives, s.ownNatives = clone, true
+	}
+	return s.natives
 }
 
 // AdvertiseNative injects an additional IPvN prefix originated by asn
 // (e.g. a host /128 for an endhost whose temporary address a participant
 // agreed to carry).
 func (s *System) AdvertiseNative(p addr.VNPrefix, asn topology.ASN) {
-	s.natives.Insert(p, asn)
+	if p.Len == 128 {
+		s.hosts.Set(p.Addr, asn)
+		return
+	}
+	s.writableNatives().Insert(p, asn)
+}
+
+// WithdrawNative removes the advertisement of exactly p and reports
+// whether there was one. Destinations under p fall back to the next
+// covering prefix, or to ErrNoVNRoute.
+func (s *System) WithdrawNative(p addr.VNPrefix) bool {
+	if p.Len == 128 {
+		return s.hosts.Delete(p.Addr)
+	}
+	if _, ok := s.natives.Exact(p); !ok {
+		return false
+	}
+	return s.writableNatives().Delete(p)
 }
 
 // Participates reports whether a domain has vN-Bone presence.
 func (s *System) Participates(asn topology.ASN) bool { return s.participants[asn] }
 
-// RouteNative routes from an ingress member to a natively addressed IPvN
-// destination: longest-prefix match in the IPvN fabric, then cheapest bone
-// path to a member of the origin domain.
-func (s *System) RouteNative(ingress topology.RouterID, dst addr.VN) (Egress, error) {
-	asn, _, ok := s.natives.Lookup(dst)
-	if !ok {
-		return Egress{}, ErrNoVNRoute
-	}
+// closestIn returns the member of asn cheapest to reach from ingress over
+// the bone (ties: lowest member id), Member -1 when asn has no member the
+// bone reaches.
+func (s *System) closestIn(ingress topology.RouterID, asn topology.ASN) Egress {
 	best := Egress{Member: -1, BoneCost: graph.Inf}
-	for _, m := range s.bone.Members() {
-		if s.net.DomainOf(m) != asn {
-			continue
-		}
+	for _, m := range s.byDomain[asn] {
 		if d := s.bone.Dist(ingress, m); d < best.BoneCost {
 			best = Egress{Member: m, BoneCost: d}
 		}
 	}
-	if best.Member < 0 || best.BoneCost >= graph.Inf {
+	return best
+}
+
+// RouteNative routes from an ingress member to a natively addressed IPvN
+// destination: longest-prefix match in the IPvN fabric, then cheapest bone
+// path to a member of the origin domain.
+func (s *System) RouteNative(ingress topology.RouterID, dst addr.VN) (Egress, error) {
+	asn, ok := s.hosts.Get(dst)
+	if !ok {
+		if asn, _, ok = s.natives.Lookup(dst); !ok {
+			return Egress{}, ErrNoVNRoute
+		}
+	}
+	best := s.closestIn(ingress, asn)
+	if best.Member < 0 {
 		return Egress{}, ErrUnreachableOnBone
 	}
 	best.BonePath = s.bone.Path(ingress, best.Member)
@@ -191,20 +272,13 @@ func (s *System) pathInformed(ingress topology.RouterID, dstV4 addr.V4) (Egress,
 	if lastParticipant == -1 || lastParticipant == s.net.DomainOf(ingress) {
 		return Egress{Member: ingress, BonePath: []topology.RouterID{ingress}, Policy: PathInformed}, nil
 	}
-	best := Egress{Member: -1, BoneCost: graph.Inf, Policy: PathInformed}
-	for _, m := range s.bone.Members() {
-		if s.net.DomainOf(m) != lastParticipant {
-			continue
-		}
-		if d := s.bone.Dist(ingress, m); d < best.BoneCost {
-			best = Egress{Member: m, BoneCost: d, Policy: PathInformed}
-		}
-	}
-	if best.Member < 0 || best.BoneCost >= graph.Inf {
+	best := s.closestIn(ingress, lastParticipant)
+	if best.Member < 0 {
 		// The bone cannot reach that domain (partition): degrade to
 		// exit-early rather than blackholing.
 		return Egress{Member: ingress, BonePath: []topology.RouterID{ingress}, Policy: PathInformed}, nil
 	}
+	best.Policy = PathInformed
 	best.BonePath = s.bone.Path(ingress, best.Member)
 	return best, nil
 }
@@ -215,7 +289,7 @@ func (s *System) pathInformed(ingress topology.RouterID, dstV4 addr.V4) (Egress,
 func (s *System) proxyInformed(ingress topology.RouterID, dstV4 addr.V4) (Egress, error) {
 	bestDist := int(^uint(0) >> 1)
 	best := Egress{Member: -1, BoneCost: graph.Inf, Policy: ProxyInformed}
-	for _, m := range s.bone.Members() {
+	for _, m := range s.members {
 		adv, ok := s.fwd.DomainDistance(s.net.DomainOf(m), dstV4)
 		if !ok {
 			continue // this proxy has no route to advertise

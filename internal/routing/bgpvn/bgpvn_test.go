@@ -2,6 +2,8 @@ package bgpvn
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -286,5 +288,146 @@ func TestProxyFallsBackWhenNoProxyHasRoute(t *testing.T) {
 	}
 	if eg.Member != x {
 		t.Errorf("egress = %d, want ingress fallback", eg.Member)
+	}
+}
+
+// TestHostRouteBeatsCoveringBlock: a /128 inside O's native block,
+// advertised by M, wins over the block (it is the longest possible
+// match); withdrawing it falls back to the block, and withdrawing a /128
+// nothing covers falls back to ErrNoVNRoute.
+func TestHostRouteBeatsCoveringBlock(t *testing.T) {
+	e, x, c := figure3(t)
+	mASN, oASN := e.net.DomainByName("M").ASN, e.net.DomainByName("O").ASN
+	y := e.dep.MembersIn(oASN)[0]
+	inO, _ := addr.NewVNPool(addr.DomainVNPrefix(int(oASN))).Next()
+
+	e.sys.AdvertiseNative(addr.HostVNPrefix(inO), mASN)
+	if eg, err := e.sys.RouteNative(x, inO); err != nil || eg.Member != x {
+		t.Fatalf("/128 in M under O's block: egress %+v err %v, want M's member %d", eg, err, x)
+	}
+	if !e.sys.WithdrawNative(addr.HostVNPrefix(inO)) {
+		t.Fatal("withdrawing an advertised /128 reported nothing withdrawn")
+	}
+	if eg, err := e.sys.RouteNative(x, inO); err != nil || eg.Member != y {
+		t.Fatalf("after withdrawal: egress %+v err %v, want the block's member %d", eg, err, y)
+	}
+	if e.sys.WithdrawNative(addr.HostVNPrefix(inO)) {
+		t.Error("second withdrawal reported a route")
+	}
+
+	self := addr.SelfAddress(c.Addr)
+	e.sys.AdvertiseNative(addr.HostVNPrefix(self), oASN)
+	if eg, err := e.sys.RouteNative(x, self); err != nil || eg.Member != y {
+		t.Fatalf("registered self-address: egress %+v err %v", eg, err)
+	}
+	e.sys.WithdrawNative(addr.HostVNPrefix(self))
+	if _, err := e.sys.RouteNative(x, self); !errors.Is(err, ErrNoVNRoute) {
+		t.Errorf("withdrawn uncovered /128: err = %v, want ErrNoVNRoute", err)
+	}
+
+	// A block withdraws like a host route.
+	if !e.sys.WithdrawNative(addr.DomainVNPrefix(int(oASN))) {
+		t.Fatal("withdrawing O's block reported nothing withdrawn")
+	}
+	if _, err := e.sys.RouteNative(x, inO); !errors.Is(err, ErrNoVNRoute) {
+		t.Errorf("withdrawn block: err = %v, want ErrNoVNRoute", err)
+	}
+}
+
+// TestForkNeverChangesParent writes host routes and blocks to a fork (and
+// to a fork of the fork) while goroutines keep querying the parent: the
+// parent's answers never move, each fork sees its own writes, and under
+// -race the shared shards and trie are never written in place.
+func TestForkNeverChangesParent(t *testing.T) {
+	e, x, _ := figure3(t)
+	mASN, oASN := e.net.DomainByName("M").ASN, e.net.DomainByName("O").ASN
+	y := e.dep.MembersIn(oASN)[0]
+	const n = 500
+	self := func(i int) addr.VN { return addr.SelfAddress(addr.V4(1000 + i)) }
+	for i := 0; i < n; i++ {
+		e.sys.AdvertiseNative(addr.HostVNPrefix(self(i)), oASN)
+	}
+	stranger := addr.DomainVNPrefix(9999)
+
+	check := func(s *System, i int, want topology.RouterID) error {
+		eg, err := s.RouteNative(x, self(i))
+		if err != nil || eg.Member != want {
+			return fmt.Errorf("host %d: egress %+v err %v, want member %d", i, eg, err, want)
+		}
+		return nil
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i = (i + 1) % n {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(e.sys, i, y); err != nil {
+					errs <- fmt.Errorf("parent changed: %w", err)
+					return
+				}
+				if _, err := e.sys.RouteNative(x, stranger.Addr); !errors.Is(err, ErrNoVNRoute) {
+					errs <- fmt.Errorf("parent routes the fork's block: %v", err)
+					return
+				}
+			}
+		}()
+	}
+
+	f := e.sys.Fork()
+	for i := 0; i < n; i += 2 {
+		f.AdvertiseNative(addr.HostVNPrefix(self(i)), mASN) // moved to M
+	}
+	for i := 1; i < n; i += 4 {
+		f.WithdrawNative(addr.HostVNPrefix(self(i)))
+	}
+	f.AdvertiseNative(stranger, mASN)
+	g := f.Fork()
+	g.WithdrawNative(stranger)
+	g.AdvertiseNative(addr.HostVNPrefix(self(1)), mASN)
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	for i := 0; i < n; i++ {
+		if err := check(e.sys, i, y); err != nil {
+			t.Fatalf("parent after fork writes: %v", err)
+		}
+		switch {
+		case i%2 == 0:
+			if err := check(f, i, x); err != nil {
+				t.Fatalf("fork: %v", err)
+			}
+		case i%4 == 1:
+			if _, err := f.RouteNative(x, self(i)); !errors.Is(err, ErrNoVNRoute) {
+				t.Fatalf("fork host %d: err = %v, want withdrawn", i, err)
+			}
+		default:
+			if err := check(f, i, y); err != nil {
+				t.Fatalf("fork (untouched entry): %v", err)
+			}
+		}
+	}
+	if eg, err := f.RouteNative(x, stranger.Addr); err != nil || eg.Member != x {
+		t.Errorf("fork's own block: egress %+v err %v", eg, err)
+	}
+	if _, err := g.RouteNative(x, stranger.Addr); !errors.Is(err, ErrNoVNRoute) {
+		t.Errorf("second fork withdrew the block: err = %v", err)
+	}
+	if err := check(g, 1, x); err != nil {
+		t.Errorf("second fork: %v", err)
+	}
+	if _, err := f.RouteNative(x, self(1)); !errors.Is(err, ErrNoVNRoute) {
+		t.Errorf("second fork's write reached the first: err = %v", err)
 	}
 }
