@@ -49,10 +49,11 @@ func main() {
 		for _, r := range deploy {
 			evo.DeployRouter(r)
 		}
-		res, err := evo.Anycast.ResolveFromHost(c, evo.AnycastAddr())
+		res, err := evo.ResolveAnycast(c.Attach, evo.AnycastAddr())
 		if err != nil {
 			log.Fatal(err)
 		}
+		res.Cost += c.AccessLatency
 		cVN, _ := evo.HostVNAddr(c)
 		d, err := evo.Send(c, srv, []byte("GET /"))
 		if err != nil {

@@ -57,11 +57,12 @@ func main() {
 	fmt.Printf("client lives in multihomed stub %s\n\n", net.Domain(clientASN).Name)
 
 	report := func(phase string) {
-		res, err := evo.Anycast.ResolveFromHost(client, evo.AnycastAddr())
+		res, err := evo.ResolveAnycast(client.Attach, evo.AnycastAddr())
 		if err != nil {
 			fmt.Printf("%-28s client cannot reach IPv8: %v\n", phase, err)
 			return
 		}
+		res.Cost += client.AccessLatency
 		d, err := evo.Send(client, server, []byte("GET /")) // full delivery
 		if err != nil {
 			fmt.Printf("%-28s ingress %s but delivery failed: %v\n",

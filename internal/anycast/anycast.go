@@ -25,7 +25,7 @@ import (
 	"sort"
 
 	"github.com/evolvable-net/evolve/internal/addr"
-	"github.com/evolvable-net/evolve/internal/graph"
+	"github.com/evolvable-net/evolve/internal/forward"
 	"github.com/evolvable-net/evolve/internal/routing/bgp"
 	"github.com/evolvable-net/evolve/internal/topology"
 	"github.com/evolvable-net/evolve/internal/underlay"
@@ -128,6 +128,8 @@ type Service struct {
 	net *topology.Network
 	bgp *bgp.System
 	igp *underlay.View
+	// fwd is the unicast walk anycast resolution rides.
+	fwd *forward.Engine
 
 	deployments map[addr.V4]*Deployment
 }
@@ -138,6 +140,7 @@ func NewService(net *topology.Network, bgpSys *bgp.System, igp *underlay.View) *
 		net:         net,
 		bgp:         bgpSys,
 		igp:         igp,
+		fwd:         forward.NewEngine(net, bgpSys, igp),
 		deployments: map[addr.V4]*Deployment{},
 	}
 }
@@ -313,28 +316,17 @@ func (s *Service) ResolveFromRouter(from topology.RouterID, a addr.V4) (Resoluti
 // which may be a frozen Clone rather than the live deployment. The
 // lock-free send path uses this with each epoch's clone so concurrent
 // membership churn cannot tear a resolution.
+//
+// The trajectory is forward's unicast walk toward the address, stopped
+// early: at each domain it enters, a participant domain captures the
+// packet and its IGP delivers to the closest member.
 func (s *Service) ResolveFromRouterVia(d *Deployment, from topology.RouterID) (Resolution, error) {
-	a := d.Addr
-	res := Resolution{RouterPath: []topology.RouterID{from}}
-	entry := from
-	visited := map[topology.ASN]bool{}
+	w := s.fwd.Begin(from)
 	for {
-		asn := s.net.DomainOf(entry)
-		res.ASPath = append(res.ASPath, asn)
-		if visited[asn] {
-			return Resolution{}, ErrForwardingLoop
-		}
-		visited[asn] = true
-
-		// Capture: the first traversed participant domain delivers to its
-		// closest member via its IGP.
-		if members := d.membersByAS[asn]; len(members) > 0 {
-			m, dist, ok := s.igp.ClosestIn(entry, members)
-			if ok {
-				res.Member = m
-				res.Cost += dist
-				res.RouterPath = appendPath(res.RouterPath, s.igp.IntraPath(entry, m))
-				return res, nil
+		if members := d.membersByAS[w.Domain()]; len(members) > 0 {
+			if m, _, ok := s.igp.ClosestIn(w.At(), members); ok {
+				s.fwd.Intra(&w, m)
+				return Resolution{Member: m, RouterPath: w.Routers, ASPath: w.ASPath, Cost: w.Cost}, nil
 			}
 		}
 
@@ -342,32 +334,24 @@ func (s *Service) ResolveFromRouterVia(d *Deployment, from topology.RouterID) (R
 		// address lies outside every unicast aggregate, so when no
 		// (search-advertised) anycast route exists the router derives the
 		// fallback from the address itself: toward the home domain.
-		route, ok := s.bgp.Lookup(asn, a)
-		if !ok && d.Option == OptionGIA {
-			home := s.net.Domain(d.DefaultAS)
-			route, ok = s.bgp.Lookup(asn, home.Prefix.Addr+1)
+		local, err := s.fwd.Hop(&w, d.Addr)
+		if errors.Is(err, forward.ErrNoRoute) && d.Option == OptionGIA {
+			local, err = s.fwd.Hop(&w, s.net.Domain(d.DefaultAS).Prefix.Addr+1)
 		}
-		if !ok {
+		switch {
+		case errors.Is(err, forward.ErrNoRoute), errors.Is(err, forward.ErrUnreachable):
+			// No covering route, or intra-domain failures severed the way
+			// to the border.
 			return Resolution{}, ErrNoRoute
-		}
-		next := route.NextHop()
-		if next == -1 {
+		case errors.Is(err, forward.ErrLoop):
+			return Resolution{}, ErrForwardingLoop
+		case err != nil:
+			return Resolution{}, fmt.Errorf("anycast: %w", err)
+		case local:
 			// The domain itself originates the covering prefix but has no
 			// member: the unicast trajectory ends here.
 			return Resolution{}, ErrDeadEnd
 		}
-		link, ok := s.igp.HotPotato(entry, s.bgp.LinksBetween(asn, next))
-		if !ok {
-			return Resolution{}, fmt.Errorf("anycast: BGP chose non-adjacent AS%d from AS%d", next, asn)
-		}
-		if s.igp.IntraDist(entry, link.From) >= graph.Inf {
-			// Intra-domain failures severed the way to the border.
-			return Resolution{}, ErrNoRoute
-		}
-		res.Cost += s.igp.IntraDist(entry, link.From) + link.Latency
-		res.RouterPath = appendPath(res.RouterPath, s.igp.IntraPath(entry, link.From))
-		res.RouterPath = append(res.RouterPath, link.To)
-		entry = link.To
 	}
 }
 
@@ -427,27 +411,4 @@ func (s *Service) ResolveFromHost(h *topology.Host, a addr.V4) (Resolution, erro
 	}
 	res.Cost += h.AccessLatency
 	return res, nil
-}
-
-// ResolveFromHostVia traces from a host against a specific (possibly
-// frozen) deployment, adding the host's access-link cost.
-func (s *Service) ResolveFromHostVia(d *Deployment, h *topology.Host) (Resolution, error) {
-	res, err := s.ResolveFromRouterVia(d, h.Attach)
-	if err != nil {
-		return Resolution{}, err
-	}
-	res.Cost += h.AccessLatency
-	return res, nil
-}
-
-// appendPath appends p to path, dropping p's first element when it
-// duplicates path's last.
-func appendPath(path, p []topology.RouterID) []topology.RouterID {
-	for i, r := range p {
-		if i == 0 && len(path) > 0 && path[len(path)-1] == r {
-			continue
-		}
-		path = append(path, r)
-	}
-	return path
 }

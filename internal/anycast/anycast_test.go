@@ -467,3 +467,35 @@ func TestResolveErrors(t *testing.T) {
 		t.Error("peering advert on option-1 deployment accepted")
 	}
 }
+
+// TestSeveredBorderIsNoRoute: when intra-domain failures cut a
+// non-participant domain's router off from its border, the anycast walk
+// reports no route (the unicast walk's "unreachable", under anycast's own
+// sentinel).
+func TestSeveredBorderIsNoRoute(t *testing.T) {
+	b := topology.NewBuilder()
+	dA := b.AddDomain("A")
+	dB := b.AddDomain("B")
+	rA := b.AddRouters(dA, 2)
+	rB := b.AddRouter(dB, "")
+	b.IntraLink(rA[0], rA[1], 1)
+	b.Provide(rB, rA[1], 10) // A's border is rA[1]
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newService(t, n)
+	dep, err := s.DeployOption1(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AddMember(dep, rB)
+	if res, err := s.ResolveFromRouter(rA[0], dep.Addr); err != nil || res.Member != rB || res.Cost != 11 {
+		t.Fatalf("precondition: %+v, %v", res, err)
+	}
+	n.FailIntraLink(rA[0], rA[1])
+	s.igp.Invalidate()
+	if _, err := s.ResolveFromRouter(rA[0], dep.Addr); !errors.Is(err, ErrNoRoute) {
+		t.Errorf("err = %v, want ErrNoRoute", err)
+	}
+}

@@ -324,10 +324,11 @@ func (ci *conserveInvariant) Check(c *CheckContext) (f *Failure) {
 }
 
 // oracleInvariant is the pure routing-state comparison: every host's
-// anycast resolution (the redirect decision of §3.1) on the live
-// services must match the from-scratch oracle's — same reachability,
-// same chosen member, same cost. It catches stale IGP/BGP state even
-// for hosts that never send.
+// anycast resolution (the redirect decision of §3.1) as the live world's
+// current epoch answers it — through the redirect cache Send uses,
+// carried entries included — must match the from-scratch oracle's: same
+// reachability, same chosen member, same cost. It catches stale IGP/BGP
+// state and stale carried redirects even for hosts that never send.
 type oracleInvariant struct{}
 
 func (oracleInvariant) Name() string { return "oracle" }
@@ -340,8 +341,8 @@ func (oracleInvariant) Check(c *CheckContext) *Failure {
 	liveAddr := c.W.Evo.AnycastAddr()
 	oraAddr := oracle.AnycastAddr()
 	for _, h := range c.W.Net.Hosts {
-		liveRes, liveErr := c.W.Evo.Anycast.ResolveFromHost(h, liveAddr)
-		oraRes, oraErr := oracle.Anycast.ResolveFromHost(h, oraAddr)
+		liveRes, liveErr := c.W.Evo.ResolveAnycast(h.Attach, liveAddr)
+		oraRes, oraErr := oracle.ResolveAnycast(h.Attach, oraAddr)
 		if (liveErr != nil) != (oraErr != nil) {
 			return &Failure{Detail: fmt.Sprintf("h%d anycast resolution: live err=%v, oracle err=%v", h.ID, liveErr, oraErr)}
 		}

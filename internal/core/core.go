@@ -62,6 +62,10 @@ type Config struct {
 // router.
 var ErrNotDeployed = errors.New("core: IPvN has no deployed routers")
 
+// ErrNotAnycast is returned by ResolveAnycast for an address that is
+// neither the deployment's anycast address nor a provider-specific one.
+var ErrNotAnycast = errors.New("core: not an anycast address of this deployment")
+
 // routingEpoch is one immutable generation of everything the send path
 // needs: the bone, the BGPvN system, the per-host IPvN addresses, frozen
 // clones of the main and provider deployments, and the redirect cache.
@@ -112,18 +116,21 @@ type tracerBox struct{ tr trace.Tracer }
 // Evolution is one IPvN deployment over one internet.
 //
 // Concurrency: any number of goroutines may Send (and SendVia,
-// SendTraced, HostVNAddr, Bone, VN, IngressShare, StretchSample) against
-// one Evolution while membership and topology mutations (DeployRouter,
-// UndeployRouter, DeployDomain, RegisterEndhost, Fail*/Restore* links,
-// ...) run concurrently. The send path is lock-free: it loads the
+// SendTraced, ResolveAnycast, HostVNAddr, Bone, VN, IngressShare,
+// StretchSample) against one Evolution while membership, topology and
+// routing mutations (DeployRouter, UndeployRouter, DeployDomain,
+// RegisterEndhost, Fail*/Restore* links, AdvertiseToNeighbors, ...) run
+// concurrently. The send path is lock-free: it loads the
 // current routing epoch with a single atomic pointer read, and takes the
 // Evolution's mutex only to recompute a flow whose first computation
 // failed while a mutation was in flight (see flowSkeleton); mutators
 // serialize among themselves on that mutex and publish each new epoch
-// atomically. Direct access to the
-// exported routing substrate fields (Net, BGP, IGP, Anycast, Fwd, Dep)
-// bypasses all of this and is only safe while no other goroutine is
-// mutating the Evolution.
+// atomically. Anycast routing has one door each way: readers ask
+// ResolveAnycast, the peering advert goes through AdvertiseToNeighbors.
+// Direct access to the exported routing substrate fields (Net, BGP, IGP,
+// Anycast, Fwd, Dep) bypasses all of this: it is for single-goroutine
+// inspection (bench layers, tests) and only safe while no other goroutine
+// is mutating the Evolution.
 type Evolution struct {
 	Net     *topology.Network
 	BGP     *bgp.System
@@ -236,13 +243,7 @@ func New(net *topology.Network, cfg Config) (*Evolution, error) {
 	if cfg.Fallback.Enabled {
 		e.health = newHealthShards(shardN, cfg.Fallback.ProbeJitterSeed)
 	}
-	e.epoch.Store(&routingEpoch{
-		err:     ErrNotDeployed,
-		addrs:   e.native,
-		dep:     dep.Clone(),
-		resolve: newResolveShards(shardN),
-		flow:    newFlowShards(shardN),
-	})
+	e.epoch.Store(e.errorEpoch(ErrNotDeployed, dep.Clone(), nil))
 	return e, nil
 }
 
@@ -473,7 +474,7 @@ func (e *Evolution) WatchEpochs() (<-chan struct{}, func()) {
 }
 
 // notifyEpoch ticks every watcher, non-blocking (coalescing into the
-// one-slot buffer). Called by every epoch publish site after the store.
+// one-slot buffer). Called by publishLocked after the store.
 func (e *Evolution) notifyEpoch() {
 	e.watchMu.Lock()
 	defer e.watchMu.Unlock()
@@ -493,9 +494,30 @@ func (e *Evolution) notifyEpoch() {
 func (e *Evolution) republishLocked() {
 	ep := *e.epoch.Load()
 	ep.seq = e.mutSeq.Load()
+	e.publishLocked(&ep)
+}
+
+// publishLocked is the one place an epoch becomes the published one:
+// counted, stored, watchers ticked. Callers hold mu.
+func (e *Evolution) publishLocked(ep *routingEpoch) {
 	e.counters.Epoch()
-	e.epoch.Store(&ep)
+	e.epoch.Store(ep)
 	e.notifyEpoch()
+}
+
+// errorEpoch returns an epoch no send can route on (see routingEpoch.err),
+// sealed under the current mutation sequence: current addresses, the given
+// frozen deployments, empty caches.
+func (e *Evolution) errorEpoch(err error, dep *anycast.Deployment, provs map[topology.ASN]*anycast.Deployment) *routingEpoch {
+	return &routingEpoch{
+		seq:      e.mutSeq.Load(),
+		err:      err,
+		addrs:    e.native,
+		dep:      dep,
+		provDeps: provs,
+		resolve:  newResolveShards(e.shardN),
+		flow:     newFlowShards(e.shardN),
+	}
 }
 
 // publishProvidersLocked publishes an epoch differing only in the frozen
@@ -508,9 +530,7 @@ func (e *Evolution) publishProvidersLocked() {
 	for asn, pd := range e.providerDeps {
 		ep.provDeps[asn] = pd.Clone()
 	}
-	e.counters.Epoch()
-	e.epoch.Store(&ep)
-	e.notifyEpoch()
+	e.publishLocked(&ep)
 }
 
 // publishRegistrationLocked publishes a registration-only epoch as a
@@ -546,9 +566,7 @@ func (e *Evolution) publishRegistrationLocked(add []*topology.Host, drop *topolo
 			ep.vn.WithdrawNative(addr.HostVNPrefix(v))
 		}
 	}
-	e.counters.Epoch()
-	e.epoch.Store(&ep)
-	e.notifyEpoch()
+	e.publishLocked(&ep)
 }
 
 // buildEpochLocked constructs and atomically publishes the next routing
@@ -564,23 +582,13 @@ func (e *Evolution) publishRegistrationLocked(add []*topology.Host, drop *topolo
 // it until a mutation heals it.
 func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool, flush bool) error {
 	prev := e.epoch.Load()
-	seq := e.mutSeq.Load()
 	// Addresses follow participation whether or not this build yields a
 	// usable epoch: a domain that left in a failed build is not in the
 	// scope of the build that heals it, and its hosts would otherwise
 	// keep native addresses nothing advertises.
 	e.relabelScoped(relabel)
 	if len(e.Dep.Members()) == 0 {
-		e.counters.Epoch()
-		e.epoch.Store(&routingEpoch{
-			seq:     seq,
-			err:     ErrNotDeployed,
-			addrs:   e.native,
-			dep:     e.Dep.Clone(),
-			resolve: newResolveShards(e.shardN),
-			flow:    newFlowShards(e.shardN),
-		})
-		e.notifyEpoch()
+		e.publishLocked(e.errorEpoch(ErrNotDeployed, e.Dep.Clone(), nil))
 		return ErrNotDeployed
 	}
 	// Freeze the deployments: this epoch's send path keeps resolving
@@ -602,23 +610,13 @@ func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool
 		// Count the failure, not a rebuild: BoneRebuild ticks only for
 		// builds that produced a usable bone.
 		e.counters.RebuildFailed()
-		e.counters.Epoch()
-		e.epoch.Store(&routingEpoch{
-			seq:      seq,
-			err:      err,
-			addrs:    e.native,
-			dep:      dep,
-			provDeps: provs,
-			resolve:  newResolveShards(e.shardN),
-			flow:     newFlowShards(e.shardN),
-		})
-		e.notifyEpoch()
+		e.publishLocked(e.errorEpoch(err, dep, provs))
 		return err
 	}
 	e.counters.BoneRebuild()
 	e.counters.BoneDomains(stats.DomainsReused, stats.DomainsRebuilt)
 	ep := &routingEpoch{
-		seq:      seq,
+		seq:      e.mutSeq.Load(),
 		bone:     bone,
 		vn:       bgpvn.New(bone, e.Fwd, e.Net),
 		addrs:    e.native,
@@ -646,9 +644,7 @@ func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool
 	// Flow skeletons bake in every routing input at once (bone, BGPvN,
 	// IGP, baseline); any rebuild starts the flow cache over.
 	ep.flow = newFlowShards(e.shardN)
-	e.counters.Epoch()
-	e.epoch.Store(ep)
-	e.notifyEpoch()
+	e.publishLocked(ep)
 	return nil
 }
 
@@ -862,6 +858,24 @@ func (e *Evolution) RestoreInterLink(l topology.InterLink) {
 	e.reconvergeInterLocked()
 }
 
+// AdvertiseToNeighbors has participant asn advertise the deployment's
+// anycast host route to the listed neighbours, NO_EXPORT — Figure 2's
+// peering advert under option 2, the "search" extension under GIA. BGP
+// reach changes, topology does not: like an inter-domain link event the
+// next epoch reuses every intra mesh and starts with empty redirect and
+// flow caches. An error (option 1, or asn has no members) changes nothing.
+func (e *Evolution) AdvertiseToNeighbors(asn topology.ASN, neighbors ...topology.ASN) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.mutSeq.Add(1)
+	if err := e.Anycast.AdvertiseToNeighbors(e.Dep, asn, neighbors...); err != nil {
+		e.republishLocked()
+		return err
+	}
+	_ = e.buildEpochLocked(nil, nil, nil, true)
+	return nil
+}
+
 // reconvergeIntraLocked reacts to an intra-domain link event in asn:
 // only that domain's IGP SPTs and bone intra mesh are recomputed, and
 // only redirect-cache entries whose trajectory crosses asn are dropped.
@@ -886,6 +900,34 @@ func (e *Evolution) reconvergeInterLocked() {
 	e.IGP.InvalidateInter()
 	e.BGP.Refresh()
 	_ = e.buildEpochLocked(nil, nil, nil, true)
+}
+
+// ResolveAnycast answers where a packet sent from router from to anycast
+// address a lands on the current routing epoch, and how it gets there: the
+// redirect decision Send makes for a host attached at from (which adds
+// its own AccessLatency to Cost), read through the same per-epoch cache.
+// It is the one door to anycast routing for everything outside this
+// package, safe beside any mutator; the Resolution's slices are the
+// cache's own, read-only. ErrNotAnycast (allocation-free: a caller may
+// probe every destination with it) when a is not an anycast address of
+// this epoch, ErrNotDeployed while there are no members; an epoch whose
+// bone failed to build still resolves — redirection needs membership and
+// IPv(N-1) routing, not the bone. It counts nothing: redirects.* tally
+// sends.
+func (e *Evolution) ResolveAnycast(from topology.RouterID, a addr.V4) (anycast.Resolution, error) {
+	ep := e.epoch.Load()
+	d := ep.ingressAt(a)
+	if d == nil {
+		return anycast.Resolution{}, ErrNotAnycast
+	}
+	if errors.Is(ep.err, ErrNotDeployed) {
+		return anycast.Resolution{}, ErrNotDeployed
+	}
+	res, _, err := e.resolveAt(ep, d, from, true)
+	if err != nil {
+		return anycast.Resolution{}, err
+	}
+	return *res, nil
 }
 
 // IngressShare returns, for every participating domain, the fraction of

@@ -239,13 +239,13 @@ func TestResolutionSharedPerAttachRouter(t *testing.T) {
 		if hit := delta.RedirectCacheHits == 1; delta.Redirects != 1 || hit != wantHit {
 			t.Errorf("first send from %s: %d redirect decisions, cache hit=%v, want hit=%v", src.Name, delta.Redirects, hit, wantHit)
 		}
-		want, err := evo.Anycast.ResolveFromHostVia(evo.Dep, src)
+		want, err := evo.Anycast.ResolveFromRouterVia(evo.Dep, src.Attach)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Ingress.Member != want.Member || d.Ingress.Cost != want.Cost {
-			t.Errorf("%s: ingress r%d cost %d, ResolveFromHostVia says r%d cost %d",
-				src.Name, d.Ingress.Member, d.Ingress.Cost, want.Member, want.Cost)
+		if wantCost := want.Cost + src.AccessLatency; d.Ingress.Member != want.Member || d.Ingress.Cost != wantCost {
+			t.Errorf("%s: ingress r%d cost %d, ResolveFromRouterVia + access link says r%d cost %d",
+				src.Name, d.Ingress.Member, d.Ingress.Cost, want.Member, wantCost)
 		}
 	}
 	send(near, false)

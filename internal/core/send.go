@@ -694,9 +694,8 @@ func (e *Evolution) resolveAt(ep *routingEpoch, d *anycast.Deployment, r topolog
 }
 
 // resolveIngress is the redirect decision of the send path: src's attach
-// router's resolution toward d's address plus src's own access link —
-// what anycast.Service.ResolveFromHostVia computes, one walk per router
-// instead of one per host.
+// router's resolution toward d's address plus src's own access link: one
+// walk per router instead of one per host.
 func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src *topology.Host, cb *trace.CounterBatch) (anycast.Resolution, error) {
 	v, hit, err := e.resolveAt(ep, d, src.Attach, true)
 	if err != nil {

@@ -93,14 +93,14 @@ func DefaultDomainDependence(seed int64) (*Table, error) {
 				for _, nb := range net.Neighbors(dQ.ASN) {
 					nbrs = append(nbrs, nb.ASN)
 				}
-				if err := evo.Anycast.AdvertiseToNeighbors(evo.Dep, dQ.ASN, nbrs...); err != nil {
+				if err := evo.AdvertiseToNeighbors(dQ.ASN, nbrs...); err != nil {
 					return result{}, err
 				}
 			}
 
 			measure := func(phase string) (okN int, failed []string) {
 				for _, h := range net.Hosts {
-					if _, err := evo.Anycast.ResolveFromHost(h, evo.Dep.Addr); err != nil {
+					if _, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr()); err != nil {
 						failed = append(failed, net.Domain(h.Domain).Name)
 						continue
 					}

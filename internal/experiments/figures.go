@@ -78,10 +78,11 @@ func Fig1SeamlessSpread(seed int64) (*Table, error) {
 			deployedNames += "+"
 		}
 		deployedNames += net.Domain(st.want).Name
-		res, err := evo.Anycast.ResolveFromHost(c, anycastAddr)
+		res, err := evo.ResolveAnycast(c.Attach, anycastAddr)
 		if err != nil {
 			return nil, fmt.Errorf("stage %s: %w", st.name, err)
 		}
+		res.Cost += c.AccessLatency
 		ingress := net.Domain(net.DomainOf(res.Member)).Name
 		// The endhost's configuration is the anycast address; it never
 		// changes across stages.

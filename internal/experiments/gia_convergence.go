@@ -78,7 +78,7 @@ func GIAComparison(seed int64) (*Table, error) {
 					for _, nb := range net.Neighbors(asn) {
 						nbrs = append(nbrs, nb.ASN)
 					}
-					if err := evo.Anycast.AdvertiseToNeighbors(evo.Dep, asn, nbrs...); err != nil {
+					if err := evo.AdvertiseToNeighbors(asn, nbrs...); err != nil {
 						return result{}, err
 					}
 				}
@@ -86,12 +86,12 @@ func GIAComparison(seed int64) (*Table, error) {
 			var sum int64
 			okN := 0
 			for _, h := range net.Hosts {
-				res, err := evo.Anycast.ResolveFromHost(h, evo.Dep.Addr)
+				res, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr())
 				if err != nil {
 					continue
 				}
 				okN++
-				sum += res.Cost
+				sum += res.Cost + h.AccessLatency
 			}
 			return result{
 				okN:  okN,

@@ -55,12 +55,12 @@ func FailureResilience(seed int64) (*Table, error) {
 		okN, moved := 0, 0
 		var costSum int64
 		for _, h := range clients {
-			res, err := evo.Anycast.ResolveFromHost(h, evo.AnycastAddr())
+			res, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr())
 			if err != nil {
 				continue
 			}
 			okN++
-			costSum += res.Cost
+			costSum += res.Cost + h.AccessLatency
 			landing[h.ID] = res.Member
 			if baseline != nil && baseline[h.ID] != res.Member {
 				moved++

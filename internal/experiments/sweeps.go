@@ -120,7 +120,7 @@ func UAStretchVsDeploymentWorkers(seed int64, nWorkers int) (*Table, error) {
 					for _, nb := range net.Neighbors(order[i]) {
 						nbrs = append(nbrs, nb.ASN)
 					}
-					if err := evo.Anycast.AdvertiseToNeighbors(evo.Dep, order[i], nbrs...); err != nil {
+					if err := evo.AdvertiseToNeighbors(order[i], nbrs...); err != nil {
 						return cell{}, err
 					}
 				}
@@ -138,12 +138,12 @@ func UAStretchVsDeploymentWorkers(seed int64, nWorkers int) (*Table, error) {
 			var ingressSum int64
 			var ingressN int
 			for _, h := range net.Hosts {
-				res, err := evo.Anycast.ResolveFromHost(h, evo.Dep.Addr)
+				res, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr())
 				if err != nil {
 					c.resolveOK = false
 					continue
 				}
-				ingressSum += res.Cost
+				ingressSum += res.Cost + h.AccessLatency
 				ingressN++
 			}
 			c.ingress = float64(ingressSum) / float64(ingressN)

@@ -9,6 +9,7 @@ package forward
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/graph"
@@ -60,65 +61,125 @@ func NewEngine(net *topology.Network, bgpSys *bgp.System, igp *underlay.View) *E
 	return &Engine{net: net, bgp: bgpSys, igp: igp}
 }
 
-// FromRouter traces a packet from a router to the destination address.
-func (e *Engine) FromRouter(from topology.RouterID, dst addr.V4) (Path, error) {
-	p := Path{Routers: []topology.RouterID{from}}
-	cur := from
-	visited := map[topology.ASN]bool{}
-	for {
-		asn := e.net.DomainOf(cur)
-		p.ASPath = append(p.ASPath, asn)
-		if visited[asn] {
-			return Path{}, ErrLoop
-		}
-		visited[asn] = true
+// Walk is a unicast trajectory under construction. Hop and Intra are the
+// only two ways a packet moves, so every trajectory in the simulator —
+// baseline unicast here, anycast redirection in internal/anycast, which is
+// this walk with a capture test at each domain entry (§3.2: "unicast
+// routing delivers them to the closest IPvN router") — is priced and
+// loop-checked by the same code.
+type Walk struct {
+	// Routers is the router-level path so far, from the source router.
+	Routers []topology.RouterID
+	// ASPath is the domain-level path so far.
+	ASPath []topology.ASN
+	// Cost is the summed link cost of Routers.
+	Cost int64
+}
 
-		route, ok := e.bgp.Lookup(asn, dst)
-		if !ok {
-			return Path{}, ErrNoRoute
-		}
-		if route.NextHop() == -1 {
-			// Destination is in this domain.
-			return e.finish(p, cur, asn, dst)
-		}
-		link, ok := e.igp.HotPotato(cur, e.bgp.LinksBetween(asn, route.NextHop()))
-		if !ok {
-			return Path{}, fmt.Errorf("forward: BGP chose non-adjacent AS%d from AS%d", route.NextHop(), asn)
-		}
-		if e.igp.IntraDist(cur, link.From) >= graph.Inf {
-			return Path{}, ErrUnreachable
-		}
-		p.Cost += e.igp.IntraDist(cur, link.From) + link.Latency
-		p.Routers = appendPath(p.Routers, e.igp.IntraPath(cur, link.From))
-		p.Routers = append(p.Routers, link.To)
-		cur = link.To
+// At is the router the packet stands at.
+func (w *Walk) At() topology.RouterID { return w.Routers[len(w.Routers)-1] }
+
+// Domain is the domain the packet stands in.
+func (w *Walk) Domain() topology.ASN { return w.ASPath[len(w.ASPath)-1] }
+
+// Begin opens a walk at router from.
+func (e *Engine) Begin(from topology.RouterID) Walk {
+	return Walk{
+		Routers: []topology.RouterID{from},
+		ASPath:  []topology.ASN{e.net.DomainOf(from)},
 	}
 }
 
-// finish completes the intra-domain tail of the walk.
-func (e *Engine) finish(p Path, cur topology.RouterID, asn topology.ASN, dst addr.V4) (Path, error) {
-	// A router loopback?
+// Hop forwards the packet one inter-domain hop toward dst: the domain's
+// BGP route names the next-hop AS, hot-potato routing picks the border
+// link toward it, and the packet crosses the domain to that border and
+// the link to the neighbour's router. local reports instead (nothing
+// moved) that the domain the packet stands in originates the covering
+// prefix itself. On an error the walk is unchanged: ErrNoRoute when no
+// BGP route covers dst, ErrUnreachable when intra-domain failures sever
+// the way to the border, ErrLoop when the next domain is one the walk
+// has already crossed.
+func (e *Engine) Hop(w *Walk, dst addr.V4) (local bool, err error) {
+	at, asn := w.At(), w.Domain()
+	route, ok := e.bgp.Lookup(asn, dst)
+	if !ok {
+		return false, ErrNoRoute
+	}
+	next := route.NextHop()
+	if next == -1 {
+		return true, nil
+	}
+	link, ok := e.igp.HotPotato(at, e.bgp.LinksBetween(asn, next))
+	if !ok {
+		return false, fmt.Errorf("forward: BGP chose non-adjacent AS%d from AS%d", next, asn)
+	}
+	d := e.igp.IntraDist(at, link.From)
+	if d >= graph.Inf {
+		return false, ErrUnreachable
+	}
+	if slices.Contains(w.ASPath, next) {
+		return false, ErrLoop
+	}
+	w.Cost += d + link.Latency
+	w.Routers = append(appendPath(w.Routers, e.igp.IntraPath(at, link.From)), link.To)
+	w.ASPath = append(w.ASPath, next)
+	return false, nil
+}
+
+// Intra moves the packet to router to of the domain it stands in, over
+// the converged IGP. It reports false, moving nothing, when link failures
+// have severed the way.
+func (e *Engine) Intra(w *Walk, to topology.RouterID) bool {
+	d := e.igp.IntraDist(w.At(), to)
+	if d >= graph.Inf {
+		return false
+	}
+	w.Cost += d
+	w.Routers = appendPath(w.Routers, e.igp.IntraPath(w.At(), to))
+	return true
+}
+
+// appendPath appends p to path, dropping p's first element when it
+// duplicates path's last.
+func appendPath(path, p []topology.RouterID) []topology.RouterID {
+	if len(p) > 0 && len(path) > 0 && path[len(path)-1] == p[0] {
+		p = p[1:]
+	}
+	return append(path, p...)
+}
+
+// FromRouter traces a packet from a router to the destination address.
+func (e *Engine) FromRouter(from topology.RouterID, dst addr.V4) (Path, error) {
+	w := e.Begin(from)
+	for {
+		local, err := e.Hop(&w, dst)
+		if err != nil {
+			return Path{}, err
+		}
+		if local {
+			return e.finish(w, dst)
+		}
+	}
+}
+
+// finish completes the intra-domain tail of the walk: dst is a router
+// loopback or a host address of the domain the walk ended in.
+func (e *Engine) finish(w Walk, dst addr.V4) (Path, error) {
+	asn := w.Domain()
+	p := Path{}
+	var access int64
 	if r := e.net.RouterByLoopback(dst); r != nil && r.Domain == asn {
-		if e.igp.IntraDist(cur, r.ID) >= graph.Inf {
-			return Path{}, ErrUnreachable
-		}
-		p.Cost += e.igp.IntraDist(cur, r.ID)
-		p.Routers = appendPath(p.Routers, e.igp.IntraPath(cur, r.ID))
 		p.DstRouter = r.ID
-		return p, nil
+	} else if h := e.net.FindHost(dst); h != nil && h.Domain == asn {
+		p.DstRouter, p.DstHost, access = h.Attach, h, h.AccessLatency
+	} else {
+		return Path{}, ErrHostNotFound
 	}
-	// A host?
-	if h := e.net.FindHost(dst); h != nil && h.Domain == asn {
-		if e.igp.IntraDist(cur, h.Attach) >= graph.Inf {
-			return Path{}, ErrUnreachable
-		}
-		p.Cost += e.igp.IntraDist(cur, h.Attach) + h.AccessLatency
-		p.Routers = appendPath(p.Routers, e.igp.IntraPath(cur, h.Attach))
-		p.DstRouter = h.Attach
-		p.DstHost = h
-		return p, nil
+	if !e.Intra(&w, p.DstRouter) {
+		return Path{}, ErrUnreachable
 	}
-	return Path{}, ErrHostNotFound
+	p.Routers, p.ASPath, p.Cost = w.Routers, w.ASPath, w.Cost+access
+	return p, nil
 }
 
 // HostToHost traces a packet between two hosts, including both access
@@ -147,14 +208,4 @@ func (e *Engine) DomainDistance(from topology.ASN, dst addr.V4) (int, bool) {
 // starting at from.
 func (e *Engine) DomainPath(from topology.ASN, dst addr.V4) ([]topology.ASN, bool) {
 	return e.bgp.ASPath(from, dst)
-}
-
-func appendPath(path, p []topology.RouterID) []topology.RouterID {
-	for i, r := range p {
-		if i == 0 && len(path) > 0 && path[len(path)-1] == r {
-			continue
-		}
-		path = append(path, r)
-	}
-	return path
 }

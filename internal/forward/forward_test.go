@@ -156,3 +156,26 @@ func TestBaselineMatchesGroundTruthOnTree(t *testing.T) {
 		t.Errorf("policy cost %d != ground truth %d", p.Cost, want)
 	}
 }
+
+// TestSeveredBorder: intra-domain failures between the packet and the
+// hot-potato border fail the hop as unreachable and leave the walk where
+// it stood.
+func TestSeveredBorder(t *testing.T) {
+	n, e := world(t)
+	rX := n.DomainByName("X").Routers
+	hy := n.HostsIn(n.DomainByName("Y").ASN)[0]
+	if !n.FailIntraLink(rX[0], rX[1]) {
+		t.Fatal("no such link")
+	}
+	e.igp.Invalidate()
+	w := e.Begin(rX[1])
+	if _, err := e.Hop(&w, hy.Addr); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("hop toward a severed border: err = %v, want ErrUnreachable", err)
+	}
+	if w.At() != rX[1] || len(w.Routers) != 1 || len(w.ASPath) != 1 || w.Cost != 0 {
+		t.Errorf("failed hop moved the walk: %+v", w)
+	}
+	if _, err := e.FromRouter(rX[1], hy.Addr); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("FromRouter = %v, want ErrUnreachable", err)
+	}
+}

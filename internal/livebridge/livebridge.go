@@ -136,23 +136,24 @@ func Provision(evo *core.Evolution) (*Overlay, error) {
 
 	// Anycast resolution delegates to the simulator's routing: the
 	// ingress for a packet from src is whatever the simulated anycast
-	// trajectory says. A nominee the live plane has suspected dead is
-	// overridden by the Registry's proximity fallthrough.
+	// trajectory says on the Evolution's current epoch (a unicast
+	// destination — every relay hop — is turned away at the door). A
+	// nominee the live plane has suspected dead is overridden by the
+	// Registry's proximity fallthrough.
 	o.Reg.SetResolver(func(src, anycastAddr addr.V4) (addr.V4, bool) {
-		var res topology.RouterID = -1
+		var from topology.RouterID
 		if h := evo.Net.FindHost(src); h != nil {
-			if r, err := evo.Anycast.ResolveFromHost(h, anycastAddr); err == nil {
-				res = r.Member
-			}
+			from = h.Attach
 		} else if r := evo.Net.RouterByLoopback(src); r != nil {
-			if rr, err := evo.Anycast.ResolveFromRouter(r.ID, anycastAddr); err == nil {
-				res = rr.Member
-			}
-		}
-		if res < 0 {
+			from = r.ID
+		} else {
 			return 0, false
 		}
-		return evo.Net.Router(res).Loopback, true
+		res, err := evo.ResolveAnycast(from, anycastAddr)
+		if err != nil {
+			return 0, false
+		}
+		return evo.Net.Router(res.Member).Loopback, true
 	})
 
 	if err := o.Reconcile(); err != nil {

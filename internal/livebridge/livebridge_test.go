@@ -2,6 +2,7 @@ package livebridge
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -612,5 +613,50 @@ func TestReliableSendOverBridge(t *testing.T) {
 	}
 	if string(got.Payload) != "acked" {
 		t.Errorf("payload = %q", got.Payload)
+	}
+}
+
+// TestLiveSendsBesideMembershipChurn: the live resolver asks the
+// Evolution's published epoch, so datagrams may flow while another
+// goroutine deploys and undeploys a router — no read of the registry the
+// mutator is editing (the race detector referees), and every delivery
+// still carries its own payload.
+func TestLiveSendsBesideMembershipChurn(t *testing.T) {
+	net, evo := buildEvo(t, bgpvn.PathInformed)
+	o, err := Provision(evo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+
+	src := net.HostsIn(net.DomainByName("S0.0").ASN)[0]
+	dst := net.HostsIn(net.DomainByName("S0.1").ASN)[0]
+	// The overlay is not watching: the toggled router's node stays up, so
+	// whichever epoch the resolver reads, its nominee can take the packet.
+	victim := net.DomainByName("S1.0").Routers[1]
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for i := 0; i < 200; i++ {
+			evo.UndeployRouter(victim)
+			evo.DeployRouter(victim)
+		}
+	}()
+	defer func() { <-churned }()
+	delivered := 0
+	for churning := true; churning; delivered++ {
+		select {
+		case <-churned:
+			churning = false
+		default:
+		}
+		payload := []byte(fmt.Sprintf("beside churn %d", delivered))
+		got, err := o.Send(src, dst, payload, timeout)
+		if err != nil {
+			t.Fatalf("send %d: %v", delivered, err)
+		}
+		if !bytes.Equal(got.Payload, payload) {
+			t.Fatalf("send %d delivered %q, want %q", delivered, got.Payload, payload)
+		}
 	}
 }

@@ -1,12 +1,11 @@
 // Package metrics provides the measurement primitives the experiment
-// harness reports: path stretch, summary statistics and histograms.
+// harness reports: path stretch and summary statistics.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Stretch is the ratio of an achieved path cost to the optimal path cost.
@@ -91,57 +90,4 @@ func (s Summary) String() string {
 	}
 	return fmt.Sprintf("n=%d mean=%.3f p50=%.3f p95=%.3f max=%.3f",
 		s.N, s.Mean, s.P50, s.P95, s.Max)
-}
-
-// Histogram counts observations in fixed-width buckets.
-type Histogram struct {
-	Width   float64
-	buckets map[int]int
-	n       int
-}
-
-// NewHistogram returns a histogram with the given bucket width.
-func NewHistogram(width float64) *Histogram {
-	if width <= 0 {
-		width = 1
-	}
-	return &Histogram{Width: width, buckets: map[int]int{}}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(x float64) {
-	h.buckets[int(math.Floor(x/h.Width))]++
-	h.n++
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int { return h.n }
-
-// Count returns the observations in the bucket containing x.
-func (h *Histogram) Count(x float64) int {
-	return h.buckets[int(math.Floor(x/h.Width))]
-}
-
-// String renders an ASCII bar chart, one row per non-empty bucket.
-func (h *Histogram) String() string {
-	if h.n == 0 {
-		return "(empty)"
-	}
-	keys := make([]int, 0, len(h.buckets))
-	maxCount := 0
-	for k, c := range h.buckets {
-		keys = append(keys, k)
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	sort.Ints(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		c := h.buckets[k]
-		bar := strings.Repeat("#", int(math.Ceil(float64(c)/float64(maxCount)*40)))
-		fmt.Fprintf(&b, "[%8.2f, %8.2f) %6d %s\n",
-			float64(k)*h.Width, float64(k+1)*h.Width, c, bar)
-	}
-	return b.String()
 }

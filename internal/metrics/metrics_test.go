@@ -120,26 +120,3 @@ func sortFloats(xs []float64) {
 		}
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0.5)
-	for _, x := range []float64{0.1, 0.2, 0.6, 1.2, 1.3, 1.4} {
-		h.Observe(x)
-	}
-	if h.N() != 6 {
-		t.Errorf("N = %d", h.N())
-	}
-	if h.Count(0.3) != 2 || h.Count(0.7) != 1 || h.Count(1.1) != 3 {
-		t.Errorf("bucket counts wrong: %v %v %v", h.Count(0.3), h.Count(0.7), h.Count(1.1))
-	}
-	out := h.String()
-	if !strings.Contains(out, "#") {
-		t.Errorf("String = %q", out)
-	}
-	if NewHistogram(0).Width != 1 {
-		t.Error("zero width should default to 1")
-	}
-	if NewHistogram(1).String() != "(empty)" {
-		t.Error("empty histogram String wrong")
-	}
-}

@@ -66,14 +66,17 @@ type Resolver func(src, anycastAddr addr.V4) (addr.V4, bool)
 // relays route around them), an optional FaultTransport every wire write
 // passes through, and the always-on live-plane counters.
 type Registry struct {
-	mu       sync.RWMutex
-	unicast  map[addr.V4]*net.UDPAddr
-	anycast  map[addr.V4][]addr.V4
-	resolver Resolver
+	mu      sync.RWMutex
+	unicast map[addr.V4]*net.UDPAddr
+	anycast map[addr.V4][]addr.V4
 	// suspected maps a peer to the set of reporting nodes that currently
 	// consider it dead; a peer with any reporter is routed around.
 	suspected map[addr.V4]map[addr.V4]bool
-	faults    *FaultTransport
+
+	// resolver and faults are installed once and read per datagram, so
+	// they sit outside mu: a send takes the lock once, for the tables.
+	resolver atomic.Pointer[Resolver]
+	faults   atomic.Pointer[FaultTransport]
 
 	counters trace.Counters
 }
@@ -95,12 +98,10 @@ func (r *Registry) Counters() *trace.Counters { return &r.counters }
 // SetFaultTransport installs (or, with nil, removes) the wire-fault
 // injection layer every node send passes through.
 func (r *Registry) SetFaultTransport(ft *FaultTransport) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if ft != nil {
 		ft.counters = &r.counters
 	}
-	r.faults = ft
+	r.faults.Store(ft)
 }
 
 // Register binds an underlay address to a UDP endpoint.
@@ -171,9 +172,11 @@ func (r *Registry) AnycastMembers(a addr.V4) []addr.V4 {
 // SetResolver installs a per-source anycast resolver; a nil resolver
 // reverts to the static member ordering.
 func (r *Registry) SetResolver(f Resolver) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.resolver = f
+	if f == nil {
+		r.resolver.Store(nil)
+		return
+	}
+	r.resolver.Store(&f)
 }
 
 // suspect records reporter's verdict that peer is dead.
@@ -251,50 +254,37 @@ func (r *Registry) resolveAnycastLocked(a addr.V4) (addr.V4, bool) {
 // first. A resolver nomination wins only while the nominee is registered
 // and not suspected dead; otherwise resolution falls through to the
 // proximity-ordered member list, so a stale control-plane answer cannot
-// black-hole traffic the static ordering could still deliver.
+// black-hole traffic the static ordering could still deliver. The resolver
+// runs outside the lock (it calls into the control plane); everything it
+// is checked against is read in one locked pass.
 func (r *Registry) resolveFrom(src, dst addr.V4) (addr.V4, *net.UDPAddr, error) {
+	var nominee addr.V4
+	nominated := false
+	if res := r.resolver.Load(); res != nil {
+		nominee, nominated = (*res)(src, dst)
+	}
 	r.mu.RLock()
-	res := r.resolver
-	r.mu.RUnlock()
-	if res != nil {
-		if m, ok := res(src, dst); ok {
-			r.mu.RLock()
-			alive := r.aliveLocked(m)
-			_, registered := r.unicast[m]
-			var fallback addr.V4
-			var haveFallback bool
-			if !alive {
-				fallback, haveFallback = r.resolveAnycastLocked(dst)
-			}
-			r.mu.RUnlock()
-			switch {
-			case alive:
-				dst = m
-			case haveFallback && fallback != m:
+	defer r.mu.RUnlock()
+	if nominated {
+		if r.aliveLocked(nominee) {
+			dst = nominee
+		} else if fallback, ok := r.resolveAnycastLocked(dst); ok {
+			if fallback != nominee {
 				r.counters.FailoverAnycast()
-				dst = fallback
-			case haveFallback:
-				dst = fallback
-			case registered:
-				dst = m // nothing better on file; try the nominee anyway
 			}
+			dst = fallback
+		} else if _, registered := r.unicast[nominee]; registered {
+			dst = nominee // nothing better on file; try the nominee anyway
 		}
 	}
-	if m, ok := r.ResolveAnycast(dst); ok {
+	if m, ok := r.resolveAnycastLocked(dst); ok {
 		dst = m
 	}
-	ep, ok := r.Endpoint(dst)
+	ep, ok := r.unicast[dst]
 	if !ok {
 		return 0, nil, fmt.Errorf("%w: %s", ErrUnknownUnderlay, dst)
 	}
 	return dst, ep, nil
-}
-
-// faultsNow returns the installed fault layer, nil when the wire is clean.
-func (r *Registry) faultsNow() *FaultTransport {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.faults
 }
 
 // Received is one payload delivered to a node as final destination.
@@ -560,7 +550,7 @@ func (n *Node) writeWire(member addr.V4, ep *net.UDPAddr, wire []byte) {
 		// delayed writes racing Close); loss is the retransmit layer's job.
 		_, _ = n.conn.WriteToUDP(w, ep)
 	}
-	if ft := n.reg.faultsNow(); ft != nil {
+	if ft := n.reg.faults.Load(); ft != nil {
 		ft.apply(n.Underlay, member, wire, write)
 		return
 	}

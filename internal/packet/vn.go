@@ -165,40 +165,9 @@ func (h *VNHeader) SerializeTo(b *SerializeBuffer) error {
 	return nil
 }
 
-// DecodeVN parses an IPvN header and returns it plus the payload.
-func DecodeVN(data []byte) (VNHeader, []byte, error) {
-	if len(data) < VNHeaderLen {
-		return VNHeader{}, nil, ErrTruncated
-	}
-	payloadLen := int(binary.BigEndian.Uint16(data[2:4]))
-	optLen := int(binary.BigEndian.Uint16(data[4:6]))
-	total := VNHeaderLen + optLen + payloadLen
-	if total > len(data) {
-		return VNHeader{}, nil, ErrTruncated
-	}
-	h := VNHeader{
-		Version:  data[0],
-		HopLimit: data[1],
-		Src:      getVN(data[8:24]),
-		Dst:      getVN(data[24:40]),
-	}
-	opts := data[VNHeaderLen : VNHeaderLen+optLen]
-	for len(opts) > 0 {
-		if len(opts) < 2 {
-			return VNHeader{}, nil, fmt.Errorf("packet: vn option truncated")
-		}
-		vlen := int(opts[1])
-		if len(opts) < 2+vlen {
-			return VNHeader{}, nil, fmt.Errorf("packet: vn option value truncated")
-		}
-		h.Options = append(h.Options, Option{
-			Type:  opts[0],
-			Value: append([]byte(nil), opts[2:2+vlen]...),
-		})
-		opts = opts[2+vlen:]
-	}
-	return h, data[VNHeaderLen+optLen : total], nil
-}
+// DecodeVN parses an IPvN header and returns it plus the payload. The
+// header owns its option values: they are copied off the wire.
+func DecodeVN(data []byte) (VNHeader, []byte, error) { return decodeVN(data, nil, true) }
 
 // DecodeVNShared parses an IPvN header like DecodeVN but without copying:
 // option values alias the wire bytes, and the Options slice is built by
@@ -207,6 +176,12 @@ func DecodeVN(data []byte) (VNHeader, []byte, error) {
 // the caller holds data unmodified — callers that retain either past the
 // wire buffer's lifetime must use DecodeVN.
 func DecodeVNShared(data []byte, scratch []Option) (VNHeader, []byte, error) {
+	return decodeVN(data, scratch, false)
+}
+
+// decodeVN is the one IPvN header parser; own selects whether option
+// values are copied off the wire or alias it.
+func decodeVN(data []byte, scratch []Option, own bool) (VNHeader, []byte, error) {
 	if len(data) < VNHeaderLen {
 		return VNHeader{}, nil, ErrTruncated
 	}
@@ -232,10 +207,11 @@ func DecodeVNShared(data []byte, scratch []Option) (VNHeader, []byte, error) {
 		if len(opts) < 2+vlen {
 			return VNHeader{}, nil, fmt.Errorf("packet: vn option value truncated")
 		}
-		h.Options = append(h.Options, Option{
-			Type:  opts[0],
-			Value: opts[2 : 2+vlen : 2+vlen],
-		})
+		v := opts[2 : 2+vlen : 2+vlen]
+		if own {
+			v = append([]byte(nil), v...)
+		}
+		h.Options = append(h.Options, Option{Type: opts[0], Value: v})
 		opts = opts[2+vlen:]
 	}
 	return h, data[VNHeaderLen+optLen : total], nil
@@ -256,26 +232,18 @@ func EncapVN(outer V4Header, inner VNHeader, payload []byte) ([]byte, error) {
 }
 
 // DecapVN unwraps an encapsulated IPvN packet, returning outer header,
-// inner header and innermost payload.
-func DecapVN(wire []byte) (V4Header, VNHeader, []byte, error) {
-	outer, inner, err := DecodeV4(wire)
-	if err != nil {
-		return V4Header{}, VNHeader{}, nil, err
-	}
-	if outer.Proto != ProtoVNEncap {
-		return V4Header{}, VNHeader{}, nil, fmt.Errorf("packet: protocol %s is not vn-encap", outer.Proto)
-	}
-	vn, payload, err := DecodeVN(inner)
-	if err != nil {
-		return V4Header{}, VNHeader{}, nil, err
-	}
-	return outer, vn, payload, nil
-}
+// inner header (owning its option values, like DecodeVN's) and innermost
+// payload.
+func DecapVN(wire []byte) (V4Header, VNHeader, []byte, error) { return decapVN(wire, nil, true) }
 
 // DecapVNShared is the zero-copy form of DecapVN: the inner header's
 // option values and the returned payload alias wire, and the Options
 // slice appends to scratch. See DecodeVNShared for the aliasing contract.
 func DecapVNShared(wire []byte, scratch []Option) (V4Header, VNHeader, []byte, error) {
+	return decapVN(wire, scratch, false)
+}
+
+func decapVN(wire []byte, scratch []Option, own bool) (V4Header, VNHeader, []byte, error) {
 	outer, inner, err := DecodeV4(wire)
 	if err != nil {
 		return V4Header{}, VNHeader{}, nil, err
@@ -283,7 +251,7 @@ func DecapVNShared(wire []byte, scratch []Option) (V4Header, VNHeader, []byte, e
 	if outer.Proto != ProtoVNEncap {
 		return V4Header{}, VNHeader{}, nil, fmt.Errorf("packet: protocol %s is not vn-encap", outer.Proto)
 	}
-	vn, payload, err := DecodeVNShared(inner, scratch)
+	vn, payload, err := decodeVN(inner, scratch, own)
 	if err != nil {
 		return V4Header{}, VNHeader{}, nil, err
 	}

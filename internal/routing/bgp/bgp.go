@@ -122,16 +122,27 @@ func (r Route) NextHop() topology.ASN {
 
 func (r Route) hasLoop(asn topology.ASN) bool { return slices.Contains(r.Path, asn) }
 
+// prefers is the decision process's one comparison, shared by the
+// fixpoint and the session speakers: a candidate of preference rank,
+// AS-path length n and advertising neighbour adv beats the incumbent on
+// higher rank, then shorter path, then lowest advertiser. rank is
+// LocalPref or the tier byte — both ascend with the Gao-Rexford
+// preference — and adv an ASN or a position in the sorted net.ASNs(), as
+// long as one call compares like with like.
+func prefers[A topology.ASN | int32](rank, n int, adv A, curRank, curN int, curAdv A) bool {
+	if rank != curRank {
+		return rank > curRank
+	}
+	if n != curN {
+		return n < curN
+	}
+	return adv < curAdv
+}
+
 // better reports whether a beats b under the decision process:
 // local-pref, then AS-path length, then lowest next hop.
 func better(a, b Route) bool {
-	if a.LocalPref != b.LocalPref {
-		return a.LocalPref > b.LocalPref
-	}
-	if len(a.Path) != len(b.Path) {
-		return len(a.Path) < len(b.Path)
-	}
-	return a.NextHop() < b.NextHop()
+	return prefers(a.LocalPref, len(a.Path), a.NextHop(), b.LocalPref, len(b.Path), b.NextHop())
 }
 
 // origination is a prefix an AS injects into BGP.
@@ -421,15 +432,14 @@ func (s *System) SuspendOriginations(asn topology.ASN, p addr.Prefix) (restore f
 // under Gao-Rexford: customer-learned and self-originated routes go to
 // everyone; peer- and provider-learned routes go only to customers.
 func exportsTo(r Route, rel topology.Rel) bool {
-	if r.NoExport {
-		return false
-	}
-	if len(r.Path) == 0 || r.FromCustomer {
-		return true
-	}
-	// Routes from peers/providers: export only to customers, i.e. when we
-	// are the provider on this adjacency.
-	return rel == topology.RelProvider
+	return exportable(r.NoExport, len(r.Path) == 0, r.FromCustomer, rel == topology.RelProvider)
+}
+
+// exportable is the export policy itself, over the four facts it reads:
+// a NO_EXPORT route goes nowhere; an own or customer-learned route goes to
+// everyone; a peer- or provider-learned one only down to a customer.
+func exportable(noExport, own, fromCustomer, toCustomer bool) bool {
+	return !noExport && (own || fromCustomer || toCustomer)
 }
 
 // Converge materialises the routing for every originated prefix. It is
@@ -618,20 +628,12 @@ func (s *System) selectLocked(i int32, recs []routeRec, arena []topology.ASN) (w
 	}
 	self := s.asns[i]
 	for _, nb := range s.nbrs[i] {
-		// beats: the candidate of length n from nb wins on local-pref,
-		// then path length, then lowest next hop.
 		beats := func(n uint16) bool {
-			switch {
-			case nb.tier != win.tier:
-				return nb.tier > win.tier
-			case n != win.n:
-				return n < win.n
-			}
-			return s.asns[nb.idx] < s.asns[adv]
+			return prefers(int(nb.tier), int(n), nb.idx, int(win.tier), int(win.n), adv)
 		}
 		r := recs[nb.idx]
-		if r.tier != tierNone && r.flags&flagNoExport == 0 &&
-			(r.n == 0 || r.flags&flagFromCustomer != 0 || nb.downhill) &&
+		if r.tier != tierNone &&
+			exportable(r.flags&flagNoExport != 0, r.n == 0, r.flags&flagFromCustomer != 0, nb.downhill) &&
 			beats(r.n+1) && !slices.Contains(arena[r.off:r.off+uint32(r.n)], self) {
 			win = routeRec{n: r.n + 1, tier: nb.tier, flags: nb.flags}
 			adv = nb.idx

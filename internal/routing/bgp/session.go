@@ -547,8 +547,10 @@ func (s *Speaker) reselect(p addr.Prefix) {
 			break
 		}
 	}
-	for _, cand := range s.ribInSorted(p) {
-		if cand.hasLoop(s.asn) {
+	in := s.ribIn[p]
+	for _, nb := range s.nbrOrder {
+		cand, heard := in[nb]
+		if !heard || cand.hasLoop(s.asn) {
 			continue
 		}
 		if !have || better(cand, best) {
@@ -575,20 +577,6 @@ func (s *Speaker) reselect(p addr.Prefix) {
 		}
 	}
 	s.announce(p)
-}
-
-func (s *Speaker) ribInSorted(p addr.Prefix) []Route {
-	in := s.ribIn[p]
-	nbrs := make([]topology.ASN, 0, len(in))
-	for n := range in {
-		nbrs = append(nbrs, n)
-	}
-	sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
-	out := make([]Route, 0, len(in))
-	for _, n := range nbrs {
-		out = append(out, in[n])
-	}
-	return out
 }
 
 // SessionSystem wires one Speaker per AS over a fabric whose node ids are

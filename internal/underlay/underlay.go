@@ -58,8 +58,12 @@ func buildDomainGraph(net *topology.Network, asn topology.ASN) *domainGraph {
 // invalidation publishes the next generation.
 type viewState struct {
 	domains map[topology.ASN]*domainGraph
-	full    *graph.Graph
-	fullSPT *sync.Map // topology.RouterID → *graph.SPT
+	// full is the whole-internet router graph, snapshotted by the
+	// generation's first ground-truth query: only bone partition repair
+	// and the congruence metric ask, so most generations never build it.
+	fullOnce sync.Once
+	full     *graph.Graph
+	fullSPT  sync.Map // topology.RouterID → *graph.SPT
 }
 
 // View caches single-source shortest-path trees lazily. Queries are
@@ -67,7 +71,10 @@ type viewState struct {
 // invalidation: readers that loaded the previous state finish on its
 // snapshot. The Invalidate* methods themselves must be serialized by the
 // caller (internal/core holds its mutator lock across the topology
-// change and the invalidation).
+// change and the invalidation). The ground-truth queries are the
+// exception: a generation snapshots the whole-internet graph on their
+// first use, from the live topology, so they belong on the mutator's side
+// of that lock (bone construction) or in single-goroutine code.
 type View struct {
 	net   *topology.Network
 	state atomic.Pointer[viewState]
@@ -89,11 +96,7 @@ func (v *View) freshDomains() map[topology.ASN]*domainGraph {
 // NewView returns a view over net.
 func NewView(net *topology.Network) *View {
 	v := &View{net: net}
-	v.state.Store(&viewState{
-		domains: v.freshDomains(),
-		full:    net.RouterGraph(),
-		fullSPT: &sync.Map{},
-	})
+	v.state.Store(&viewState{domains: v.freshDomains()})
 	return v
 }
 
@@ -110,11 +113,7 @@ func (v *View) DijkstraRuns() uint64 { return v.dijkstras.Load() }
 // or global; for single-domain or inter-only events the scoped variants
 // below preserve the unaffected trees.
 func (v *View) Invalidate() {
-	v.state.Store(&viewState{
-		domains: v.freshDomains(),
-		full:    v.net.RouterGraph(),
-		fullSPT: &sync.Map{},
-	})
+	v.state.Store(&viewState{domains: v.freshDomains()})
 }
 
 // InvalidateDomain discards state affected by an intra-domain change in
@@ -131,11 +130,7 @@ func (v *View) InvalidateDomain(asn topology.ASN) {
 		domains[a] = dg
 	}
 	domains[asn] = buildDomainGraph(v.net, asn)
-	v.state.Store(&viewState{
-		domains: domains,
-		full:    v.net.RouterGraph(),
-		fullSPT: &sync.Map{},
-	})
+	v.state.Store(&viewState{domains: domains})
 }
 
 // InvalidateInter discards state affected by an inter-domain link
@@ -143,12 +138,7 @@ func (v *View) InvalidateDomain(asn topology.ASN) {
 // subgraph and SPT survives untouched — inter links do not appear in the
 // intra graphs — which is the bulk of the savings under border flaps.
 func (v *View) InvalidateInter() {
-	old := v.state.Load()
-	v.state.Store(&viewState{
-		domains: old.domains,
-		full:    v.net.RouterGraph(),
-		fullSPT: &sync.Map{},
-	})
+	v.state.Store(&viewState{domains: v.state.Load().domains})
 }
 
 // intraFor returns the SPT rooted at src within its domain's subgraph,
@@ -171,6 +161,7 @@ func (v *View) fullFrom(src topology.RouterID) *graph.SPT {
 	if t, ok := st.fullSPT.Load(src); ok {
 		return t.(*graph.SPT)
 	}
+	st.fullOnce.Do(func() { st.full = v.net.RouterGraph() })
 	v.dijkstras.Add(1)
 	t := st.full.Dijkstra(int(src))
 	st.fullSPT.Store(src, t)

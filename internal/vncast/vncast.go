@@ -86,11 +86,11 @@ func (s *Service) Subscribe(grp *Group, h *topology.Host) error {
 	if !grp.Addr.IsMulticast() {
 		return ErrNotMulticast
 	}
-	res, err := s.evo.Anycast.ResolveFromHost(h, s.evo.AnycastAddr())
+	res, err := s.evo.ResolveAnycast(h.Attach, s.evo.AnycastAddr())
 	if err != nil {
 		return fmt.Errorf("vncast: subscribe %s: %w", h.Name, err)
 	}
-	grp.subs[h.ID] = subscription{host: h, egress: res.Member, tailCost: res.Cost}
+	grp.subs[h.ID] = subscription{host: h, egress: res.Member, tailCost: res.Cost + h.AccessLatency}
 	return nil
 }
 
@@ -156,7 +156,7 @@ func (s *Service) BuildTree(grp *Group, src *topology.Host) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	ing, err := s.evo.Anycast.ResolveFromHost(src, s.evo.AnycastAddr())
+	ing, err := s.evo.ResolveAnycast(src.Attach, s.evo.AnycastAddr())
 	if err != nil {
 		return nil, fmt.Errorf("vncast: ingress: %w", err)
 	}
@@ -164,7 +164,7 @@ func (s *Service) BuildTree(grp *Group, src *topology.Host) (*Tree, error) {
 		Ingress:     ing.Member,
 		Branches:    map[topology.RouterID][]topology.RouterID{},
 		Leaves:      map[topology.RouterID][]*topology.Host{},
-		IngressCost: ing.Cost,
+		IngressCost: ing.Cost + src.AccessLatency,
 	}
 	type edge struct{ a, b topology.RouterID }
 	seen := map[edge]bool{}
