@@ -39,8 +39,8 @@
 // pooled buffers (zero allocations at steady state) and counts into
 // striped counters, so 64 concurrent senders scale without sharing
 // cache lines (`go run ./cmd/bench run -workloads fleet_warm,fleet_burst`
-// measures it; Config.DeliveryShards sets the shard count, and
-// Evolution.RegisterEndhosts bulk-registers a fleet as one epoch).
+// measures it, and Evolution.RegisterEndhosts bulk-registers a fleet as
+// one epoch).
 package evolve
 
 import (

@@ -55,10 +55,10 @@ type diffWorld struct {
 	republish func()
 }
 
-func newDiffWorld(t *testing.T, cfg Config) *diffWorld {
+func newDiffWorld(t *testing.T, cfg Config, shards int) *diffWorld {
 	t.Helper()
 	n := world(t)
-	e := newEvo(t, n, cfg)
+	e := newEvoShards(t, n, cfg, shards)
 	t0 := n.DomainByName("T0")
 	e.DeployDomain(t0.ASN, 0)
 	e.DeployDomain(n.DomainByName("S0.0").ASN, 0)
@@ -84,35 +84,37 @@ func newDiffWorld(t *testing.T, cfg Config) *diffWorld {
 // pins is that batching (one pinned epoch, per-flow template reuse, one
 // counter flush, buffered events) changes nothing the engine produces.
 func TestSendBatchDifferential(t *testing.T) {
+	fallback := Config{Fallback: FallbackConfig{Enabled: true}}
 	arms := []struct {
-		name  string
-		cfg   Config
-		churn bool
+		name   string
+		cfg    Config
+		shards int
+		churn  bool
 	}{
-		{"shards=1", Config{DeliveryShards: 1}, false},
-		{"shards=4", Config{DeliveryShards: 4}, false},
-		{"shards=16", Config{DeliveryShards: 16}, false},
-		{"churn/shards=4", Config{DeliveryShards: 4}, true},
+		{"shards=1", Config{}, 1, false},
+		{"shards=4", Config{}, 4, false},
+		{"shards=16", Config{}, 16, false},
+		{"churn/shards=4", Config{}, 4, true},
 		// The graceful-degradation arms: the health layer's decisions are a
 		// pure function of the flow's history and the epoch sequence, so the
 		// batch≡loop contract must extend to suspect transitions, rescues
 		// and fallback-state sends. (No churn arm here: a mid-batch epoch
 		// republish legitimately diverges probe timing between the pinned
 		// batch epoch and the loop's per-send reload.)
-		{"fallback/shards=1", Config{DeliveryShards: 1, Fallback: FallbackConfig{Enabled: true}}, false},
-		{"fallback/shards=4", Config{DeliveryShards: 4, Fallback: FallbackConfig{Enabled: true}}, false},
-		{"fallback/shards=16", Config{DeliveryShards: 16, Fallback: FallbackConfig{Enabled: true}}, false},
+		{"fallback/shards=1", fallback, 1, false},
+		{"fallback/shards=4", fallback, 4, false},
+		{"fallback/shards=16", fallback, 16, false},
 	}
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
-			runBatchDifferential(t, arm.cfg, arm.churn)
+			runBatchDifferential(t, arm.cfg, arm.shards, arm.churn)
 		})
 	}
 }
 
-func runBatchDifferential(t *testing.T, cfg Config, churn bool) {
-	loop := newDiffWorld(t, cfg)
-	batch := newDiffWorld(t, cfg)
+func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
+	loop := newDiffWorld(t, cfg, shards)
+	batch := newDiffWorld(t, cfg, shards)
 
 	// The churn hook republishes the epoch before packets 2 and 5 of a
 	// burst. The batch path fires it via testBatchHook inside sendBatch;

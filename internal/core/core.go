@@ -44,11 +44,6 @@ type Config struct {
 	Egress bgpvn.EgressPolicy
 	// Bone configures vN-Bone construction.
 	Bone vnbone.Config
-	// DeliveryShards is the shard count of the epoch-interior send-path
-	// structures (endhost registry, redirect cache, flow cache). 0 means
-	// the default (16); values are clamped to [1, 256] and rounded down
-	// to a power of two.
-	DeliveryShards int
 	// Fallback configures the graceful-degradation layer (DESIGN.md §8.3):
 	// per-flow health tracking and automatic delivery over the IPv(N-1)
 	// baseline when the vN path is broken. The zero value disables it:
@@ -98,15 +93,21 @@ type routingEpoch struct {
 	// on an epoch with no members.
 	dep      *anycast.Deployment
 	provDeps map[topology.ASN]*anycast.Deployment
-	// resolve memoises anycast resolutions per (attach router, anycast
-	// address) for this epoch's routing state (routing is deterministic
-	// between reconvergences, so the cache is exact). Registration fills
-	// it as well as sends; entries whose trajectory the next event cannot
-	// have touched are carried into the next epoch.
-	resolve *resolveShards
-	// flow memoises whole delivery skeletons per (src, dst, deployment)
-	// flow. Fresh every time routing state changes; see flowShards.
-	flow *flowShards
+	// resolve is the redirect cache: router-level anycast resolutions (no
+	// access-link cost) per (attach router, anycast address) for this
+	// epoch's routing state (routing is deterministic between
+	// reconvergences, so the cache is exact), striped by attach router.
+	// Registration fills it as well as sends; entries whose trajectory the
+	// next event cannot have touched are carried into the next epoch.
+	resolve *striped[resolveKey, *anycast.Resolution]
+	// flow is the flow cache: whole delivery skeletons per (src, dst,
+	// deployment) flow, striped by source host. It starts over whenever
+	// routing state changes (epoch builds, registrations) — unlike the
+	// redirect cache there is no per-entry carry-over, because a skeleton
+	// depends on bone meshes, BGPvN tables, IGP trees and the baseline at
+	// once and scoping an eviction over all four buys nothing over
+	// recomputing on first miss.
+	flow *striped[flowKey, *flowEntry]
 }
 
 // tracerBox wraps the tracer interface so it can live in an
@@ -157,8 +158,6 @@ type Evolution struct {
 	// relabelScoped forks it and copies only the shards it writes, so
 	// untouched shards are shared structurally across epochs.
 	native *addrShards
-	// shardN is the normalized Config.DeliveryShards.
-	shardN int
 	pools  map[topology.ASN]*addr.VNPool
 	// registered holds endhosts using the §3.3.2 anycast-based route
 	// advertisement; re-applied on every epoch build.
@@ -181,9 +180,11 @@ type Evolution struct {
 	tracer   atomic.Pointer[tracerBox]
 
 	// health is the per-flow health registry of the graceful-degradation
-	// layer; nil when Config.Fallback.Enabled is false (fail fast), which
-	// is also the send path's branch condition.
-	health *healthShards
+	// layer, striped by source host like the flow cache; nil when
+	// Config.Fallback.Enabled is false (fail fast), which is also the send
+	// path's branch condition. Records are created on a flow's first send
+	// and live as long as the Evolution: health history must span epochs.
+	health *striped[flowKey, *flowHealth]
 
 	// testBatchHook, when non-nil, runs before each packet of a batched
 	// send with the packet's index. Tests use it to inject epoch churn at
@@ -193,6 +194,13 @@ type Evolution struct {
 
 // New creates an Evolution with no routers deployed yet.
 func New(net *topology.Network, cfg Config) (*Evolution, error) {
+	return newEvolution(net, cfg, deliveryShards)
+}
+
+// newEvolution is New at a given shard count (a power of two) for the send
+// path's tables; every later epoch's caches take their width from the
+// first one's.
+func newEvolution(net *topology.Network, cfg Config, shards int) (*Evolution, error) {
 	if cfg.Version == 0 {
 		cfg.Version = 8
 	}
@@ -225,7 +233,6 @@ func New(net *topology.Network, cfg Config) (*Evolution, error) {
 	if err != nil {
 		return nil, err
 	}
-	shardN := normalizeShards(cfg.DeliveryShards)
 	e := &Evolution{
 		Net:          net,
 		BGP:          bgpSys,
@@ -234,16 +241,21 @@ func New(net *topology.Network, cfg Config) (*Evolution, error) {
 		Fwd:          forward.NewEngine(net, bgpSys, igp),
 		Dep:          dep,
 		cfg:          cfg,
-		native:       newAddrShards(shardN),
-		shardN:       shardN,
+		native:       newAddrShards(shards),
 		pools:        map[topology.ASN]*addr.VNPool{},
 		registered:   map[topology.HostID]*topology.Host{},
 		providerDeps: map[topology.ASN]*anycast.Deployment{},
 	}
 	if cfg.Fallback.Enabled {
-		e.health = newHealthShards(shardN, cfg.Fallback.ProbeJitterSeed)
+		e.health = newStriped[flowKey, *flowHealth](shards)
 	}
-	e.epoch.Store(e.errorEpoch(ErrNotDeployed, dep.Clone(), nil))
+	e.epoch.Store(&routingEpoch{
+		err:     ErrNotDeployed,
+		addrs:   e.native,
+		dep:     dep.Clone(),
+		resolve: newStriped[resolveKey, *anycast.Resolution](shards),
+		flow:    newStriped[flowKey, *flowEntry](shards),
+	})
 	return e, nil
 }
 
@@ -509,14 +521,15 @@ func (e *Evolution) publishLocked(ep *routingEpoch) {
 // sealed under the current mutation sequence: current addresses, the given
 // frozen deployments, empty caches.
 func (e *Evolution) errorEpoch(err error, dep *anycast.Deployment, provs map[topology.ASN]*anycast.Deployment) *routingEpoch {
+	prev := e.epoch.Load()
 	return &routingEpoch{
 		seq:      e.mutSeq.Load(),
 		err:      err,
 		addrs:    e.native,
 		dep:      dep,
 		provDeps: provs,
-		resolve:  newResolveShards(e.shardN),
-		flow:     newFlowShards(e.shardN),
+		resolve:  prev.resolve.fresh(),
+		flow:     prev.flow.fresh(),
 	}
 }
 
@@ -557,7 +570,7 @@ func (e *Evolution) publishRegistrationLocked(add []*topology.Host, drop *topolo
 	// prev: anycast resolution does not depend on registrations, and the
 	// entries applyRegistration adds are computed under mu on forwarding
 	// state no mutator has touched, so they are exact for both epochs.
-	ep.flow = newFlowShards(e.shardN)
+	ep.flow = prev.flow.fresh()
 	for _, h := range add {
 		e.applyRegistration(&ep, h)
 	}
@@ -624,9 +637,9 @@ func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool
 		provDeps: provs,
 	}
 	if flush || prev.err != nil {
-		ep.resolve = newResolveShards(e.shardN)
+		ep.resolve = prev.resolve.fresh()
 	} else {
-		ep.resolve = prev.resolve.carry(evict)
+		ep.resolve = carryResolved(prev.resolve, evict)
 	}
 	// Re-register endhost routes against the fresh vN routing state —
 	// the paper's "endhost would periodically repeat this process in
@@ -643,7 +656,7 @@ func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool
 	}
 	// Flow skeletons bake in every routing input at once (bone, BGPvN,
 	// IGP, baseline); any rebuild starts the flow cache over.
-	ep.flow = newFlowShards(e.shardN)
+	ep.flow = prev.flow.fresh()
 	e.publishLocked(ep)
 	return nil
 }
@@ -996,38 +1009,32 @@ func (e *Evolution) StretchSampleParallel(maxPairs, workers int) (sample []float
 enumerated:
 	results := make([]float64, len(pairs))
 	failed := make([]bool, len(pairs))
-	if workers <= 1 {
-		for i, p := range pairs {
-			d, err := e.Send(p.src, p.dst, nil)
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(pairs) {
+				return
+			}
+			d, err := e.Send(pairs[i].src, pairs[i].dst, nil)
 			if err != nil {
 				failed[i] = true
 				continue
 			}
 			results[i] = d.Stretch
 		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(pairs) {
-						return
-					}
-					d, err := e.Send(pairs[i].src, pairs[i].dst, nil)
-					if err != nil {
-						failed[i] = true
-						continue
-					}
-					results[i] = d.Stretch
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	// The caller is the first worker, so one worker spawns nothing.
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	for i := range pairs {
 		if failed[i] {
 			failures++

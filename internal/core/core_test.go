@@ -25,6 +25,13 @@ func world(t *testing.T) *topology.Network {
 
 func newEvo(t *testing.T, n *topology.Network, cfg Config) *Evolution {
 	t.Helper()
+	return newEvoShards(t, n, cfg, deliveryShards)
+}
+
+// newEvoShards is newEvo at a given shard count, through the constructor
+// New itself calls.
+func newEvoShards(t *testing.T, n *topology.Network, cfg Config, shards int) *Evolution {
+	t.Helper()
 	if cfg.Option == 0 {
 		cfg.Option = anycast.Option2
 	}

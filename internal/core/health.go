@@ -140,12 +140,16 @@ type flowHealth struct {
 	fbCost int64
 }
 
-// mixFlowKey hashes a flow identity into the per-flow jitter seed.
-func mixFlowKey(k flowKey) uint64 {
+// jitterSeed hashes the configured seed and a flow's identity into the
+// flow's initial jitter generator state (xorshift state must be non-zero).
+func jitterSeed(seed int64, k flowKey) uint64 {
 	x := uint64(k.src)*0x9e3779b97f4a7c15 ^ uint64(k.dst)*0xbf58476d1ce4e5b9 ^ uint64(k.dep)*0x94d049bb133111eb
 	x ^= x >> 31
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
+	if x ^= uint64(seed); x == 0 {
+		x = 0x9e3779b97f4a7c15
+	}
 	return x
 }
 
@@ -161,73 +165,6 @@ func (h *flowHealth) nextJitter(span int) int {
 		return 0
 	}
 	return int(x % uint64(span))
-}
-
-// healthShard is one lock-striped partition of the health registry.
-type healthShard struct {
-	mu sync.RWMutex
-	m  map[flowKey]*flowHealth
-}
-
-// healthShards is the Evolution's per-flow health registry, hashed by
-// source host like the flow cache. Records are created on first send of
-// a flow and live for the Evolution's lifetime (health history must span
-// epochs).
-type healthShards struct {
-	mask   uint32
-	shards []healthShard
-	seed   int64
-}
-
-func newHealthShards(n int, seed int64) *healthShards {
-	s := &healthShards{mask: uint32(n - 1), shards: make([]healthShard, n), seed: seed}
-	for i := range s.shards {
-		s.shards[i].m = map[flowKey]*flowHealth{}
-	}
-	return s
-}
-
-// get returns the health record for k, creating it on first sight.
-func (s *healthShards) get(k flowKey) *flowHealth {
-	sh := &s.shards[uint32(k.src)&s.mask]
-	sh.mu.RLock()
-	h := sh.m[k]
-	sh.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	sh.mu.Lock()
-	if h = sh.m[k]; h == nil {
-		h = &flowHealth{jstate: uint64(s.seed) ^ mixFlowKey(k)}
-		if h.jstate == 0 {
-			h.jstate = 0x9e3779b97f4a7c15
-		}
-		sh.m[k] = h
-	}
-	sh.mu.Unlock()
-	return h
-}
-
-// peek returns the health record for k without creating one.
-func (s *healthShards) peek(k flowKey) *flowHealth {
-	sh := &s.shards[uint32(k.src)&s.mask]
-	sh.mu.RLock()
-	h := sh.m[k]
-	sh.mu.RUnlock()
-	return h
-}
-
-// each visits every health record; used by the external-signal feeds and
-// the inspector. Mutator-side only.
-func (s *healthShards) each(fn func(k flowKey, h *flowHealth)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, h := range sh.m {
-			fn(k, h)
-		}
-		sh.mu.RUnlock()
-	}
 }
 
 // observeDst refreshes the record's destination IPvN address for
@@ -375,8 +312,8 @@ func (e *Evolution) FlowHealth(src, dst *topology.Host) (FlowHealthInfo, bool) {
 	if e.health == nil {
 		return FlowHealthInfo{}, false
 	}
-	h := e.health.peek(flowKey{src: src.ID, dst: dst.ID, dep: e.Dep.Addr})
-	if h == nil {
+	h, ok := e.health.load(uint32(src.ID), flowKey{src: src.ID, dst: dst.ID, dep: e.Dep.Addr})
+	if !ok {
 		return FlowHealthInfo{}, false
 	}
 	h.mu.Lock()
@@ -440,7 +377,7 @@ func (e *Evolution) signalFailure(match func(*flowHealth) bool) int {
 	epSeq := e.epoch.Load().seq
 	var cb trace.CounterBatch
 	n := 0
-	e.health.each(func(_ flowKey, h *flowHealth) {
+	e.health.each(func(_ int, _ flowKey, h *flowHealth) {
 		if match(h) {
 			h.noteFailure(nil, epSeq, &e.cfg.Fallback, &cb, nil, 0)
 			n++

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -433,7 +432,9 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 	}
 
 	fc := &e.cfg.Fallback
-	h := e.health.get(flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr})
+	h := e.health.loadOrCreate(uint32(src.ID), flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr}, func(k flowKey) *flowHealth {
+		return &flowHealth{jstate: jitterSeed(fc.ProbeJitterSeed, k)}
+	})
 	vnReason, detail, mark := trace.DropNone, trace.DetailFallbackState, packet.FallbackMarkState
 	if ep.err != nil {
 		h.observeDst(ep.addrOf(dst))
@@ -477,7 +478,7 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 func (e *Evolution) flowSkeleton(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host) (*flowEntry, *routingEpoch, trace.DropReason, error) {
 	cb := &bc.counters
 	fk := flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr}
-	if fe, ok := ep.flow.load(fk); ok {
+	if fe, ok := ep.flow.load(uint32(fk.src), fk); ok {
 		cb.FlowHit()
 		// A flow hit is served entirely from memoised state, redirect
 		// decision included — count it so the redirect hit-rate stays
@@ -504,7 +505,7 @@ func (e *Evolution) flowSkeleton(bc *batchCtx, ep *routingEpoch, src, dst *topol
 		return nil, ep, reason, err
 	}
 	if e.mutSeq.Load() == ep.seq {
-		ep.flow.store(fk, fe)
+		ep.flow.store(uint32(fk.src), fk, fe)
 	}
 	return fe, ep, trace.DropNone, nil
 }
@@ -680,7 +681,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 // state at rest and store unconditionally.
 func (e *Evolution) resolveAt(ep *routingEpoch, d *anycast.Deployment, r topology.RouterID, gated bool) (res *anycast.Resolution, hit bool, err error) {
 	k := resolveKey{r, d.Addr}
-	if v, ok := ep.resolve.load(k); ok {
+	if v, ok := ep.resolve.load(uint32(r), k); ok {
 		return v, true, nil
 	}
 	walked, err := e.Anycast.ResolveFromRouterVia(d, r)
@@ -688,7 +689,7 @@ func (e *Evolution) resolveAt(ep *routingEpoch, d *anycast.Deployment, r topolog
 		return nil, false, err
 	}
 	if !gated || e.mutSeq.Load() == ep.seq {
-		ep.resolve.store(k, &walked)
+		ep.resolve.store(uint32(r), k, &walked)
 	}
 	return &walked, false, nil
 }
@@ -709,9 +710,7 @@ func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src 
 
 // computeFlow computes one flow's delivery skeleton against ep: the
 // redirect resolution (leg 1, memoised separately in the redirect
-// cache), the vN-Bone egress pick (leg 2, §3.3.2 — a self-addressed
-// destination may still have a registered /128 in the IPvN fabric, and
-// native routing then takes precedence over egress-policy guesswork),
+// cache), the vN-Bone egress pick (leg 2, bgpvn's one Route decision),
 // the tail leg (leg 3) and the IPv(N-1) baseline. Every path computation
 // of a send happens here and none of the wire-level work; see flowEntry.
 func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingressDep *anycast.Deployment, cb *trace.CounterBatch) (*flowEntry, trace.DropReason, error) {
@@ -726,18 +725,7 @@ func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingre
 	fe.ing = ing
 	fe.ingressAS = e.Net.DomainOf(ing.Member)
 
-	var eg bgpvn.Egress
-	egDetail := trace.EgressNative
-	if fe.dstVN.IsSelf() {
-		eg, err = ep.vn.RouteNative(ing.Member, fe.dstVN)
-		egDetail = trace.EgressRegistered
-		if errors.Is(err, bgpvn.ErrNoVNRoute) {
-			eg, err = ep.vn.SelectEgress(ing.Member, dst.Addr, e.cfg.Egress)
-			egDetail = eg.Policy.String()
-		}
-	} else {
-		eg, err = ep.vn.RouteNative(ing.Member, fe.dstVN)
-	}
+	eg, egDetail, err := ep.vn.Route(ing.Member, fe.dstVN, dst.Addr, e.cfg.Egress)
 	if err != nil {
 		return nil, trace.DropNoVNRoute, fmt.Errorf("core: vn routing: %w", err)
 	}

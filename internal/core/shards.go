@@ -10,27 +10,93 @@ import (
 	"github.com/evolvable-net/evolve/internal/topology"
 )
 
-// defaultDeliveryShards is the shard count used when
-// Config.DeliveryShards is zero.
-const defaultDeliveryShards = 16
+// deliveryShards is the shard count of the send path's tables: the
+// endhost registry, the redirect and flow caches and the flow-health
+// registry. Sharding is layout and speed, never routing; tests hold that
+// by building Evolutions at other counts through newEvolution.
+const deliveryShards = 16
 
-// maxDeliveryShards bounds Config.DeliveryShards.
-const maxDeliveryShards = 256
+// stripe is one lock-striped partition of a striped table.
+type stripe[K comparable, V any] struct {
+	mu sync.RWMutex
+	m  map[K]V
+}
 
-// normalizeShards clamps a configured shard count to [1, 256] and rounds
-// it down to a power of two so shard selection is a mask, not a modulo.
-func normalizeShards(n int) int {
-	if n <= 0 {
-		n = defaultDeliveryShards
+// striped is the locked table under the send path — the redirect cache,
+// the flow cache and the flow-health registry are all one: plain maps with
+// struct keys under per-stripe RWMutexes, so 64 concurrent senders do not
+// serialize on one lock or one map, and — unlike sync.Map — a hit is an
+// RLock plus one map probe with no interface boxing and no allocation.
+// (Its copy-on-write sibling, for tables an epoch publishes immutable, is
+// cowmap.Map.)
+//
+// Every operation on a key takes by, the value the table is striped by: a
+// field the key already carries (the attach router, the source host) and
+// the same one each time, masked to the table's width. Callers pass it
+// rather than the table calling back into the key, which on the
+// per-packet probe would be an indirect call through the generic
+// dictionary.
+type striped[K comparable, V any] struct {
+	shards []stripe[K, V]
+}
+
+// newStriped returns an empty table of n stripes, n a power of two.
+func newStriped[K comparable, V any](n int) *striped[K, V] {
+	s := &striped[K, V]{shards: make([]stripe[K, V], n)}
+	for i := range s.shards {
+		s.shards[i].m = map[K]V{}
 	}
-	if n > maxDeliveryShards {
-		n = maxDeliveryShards
+	return s
+}
+
+// fresh returns an empty table of s's width.
+func (s *striped[K, V]) fresh() *striped[K, V] { return newStriped[K, V](len(s.shards)) }
+
+func (s *striped[K, V]) load(by uint32, k K) (V, bool) {
+	sh := &s.shards[by&uint32(len(s.shards)-1)]
+	sh.mu.RLock()
+	v, ok := sh.m[k]
+	sh.mu.RUnlock()
+	return v, ok
+}
+
+func (s *striped[K, V]) store(by uint32, k K, v V) {
+	sh := &s.shards[by&uint32(len(s.shards)-1)]
+	sh.mu.Lock()
+	sh.m[k] = v
+	sh.mu.Unlock()
+}
+
+// loadOrCreate returns the value stored under k, storing mk's first if
+// there is none; racing callers all get the one value that won. A hit
+// costs what load costs.
+func (s *striped[K, V]) loadOrCreate(by uint32, k K, mk func(K) V) V {
+	if v, ok := s.load(by, k); ok {
+		return v
 	}
-	p := 1
-	for p*2 <= n {
-		p *= 2
+	sh := &s.shards[by&uint32(len(s.shards)-1)]
+	sh.mu.Lock()
+	v, ok := sh.m[k]
+	if !ok {
+		v = mk(k)
+		sh.m[k] = v
 	}
-	return p
+	sh.mu.Unlock()
+	return v
+}
+
+// each visits every entry, stripe by stripe under the stripe's read lock
+// (fn must not write to s); stripe is the entry's index in any table of
+// s's width.
+func (s *striped[K, V]) each(fn func(stripe int, k K, v V)) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for k, v := range sh.m {
+			fn(i, k, v)
+		}
+		sh.mu.RUnlock()
+	}
 }
 
 // addrShards is the epoch's endhost registry: the per-host native IPvN
@@ -68,72 +134,23 @@ type resolveKey struct {
 	a      addr.V4
 }
 
-// resolveShard is one lock-striped partition of the redirect cache.
-// Plain maps under an RWMutex, not sync.Map: the read path is then a
-// lock-free-in-practice RLock plus one map probe with a struct key —
-// no interface boxing, so a cache hit allocates nothing.
-type resolveShard struct {
-	mu sync.RWMutex
-	m  map[resolveKey]*anycast.Resolution
-}
-
-// resolveShards is the epoch's redirect cache: router-level resolutions
-// (no access-link cost), split into attach-router-hashed shards so 64
-// concurrent senders do not serialize on one lock or one map. Sends and
-// endhost registration fill and read the same entries.
-type resolveShards struct {
-	mask   uint32
-	shards []resolveShard
-}
-
-func newResolveShards(n int) *resolveShards {
-	s := &resolveShards{mask: uint32(n - 1), shards: make([]resolveShard, n)}
-	for i := range s.shards {
-		s.shards[i].m = map[resolveKey]*anycast.Resolution{}
-	}
-	return s
-}
-
-func (s *resolveShards) load(k resolveKey) (*anycast.Resolution, bool) {
-	sh := &s.shards[uint32(k.router)&s.mask]
-	sh.mu.RLock()
-	v, ok := sh.m[k]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-func (s *resolveShards) store(k resolveKey, v *anycast.Resolution) {
-	sh := &s.shards[uint32(k.router)&s.mask]
-	sh.mu.Lock()
-	sh.m[k] = v
-	sh.mu.Unlock()
-}
-
-// carry copies the memoised resolutions into a fresh cache, dropping
-// every entry whose recorded domain-level trajectory crosses an evicted
-// domain — only those could have been re-routed or re-captured by the
-// event. Copying entry by entry (rather than sharing the shards) also
-// sheds any entry a racing sender managed to store after the mutation
-// sequence had already moved on.
-func (s *resolveShards) carry(evict map[topology.ASN]bool) *resolveShards {
-	next := newResolveShards(len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, res := range sh.m {
-			evicted := false
-			for _, asn := range res.ASPath {
-				if evict[asn] {
-					evicted = true
-					break
-				}
-			}
-			if !evicted {
-				next.shards[i].m[k] = res
+// carryResolved copies a redirect cache's memoised resolutions into a
+// fresh one, dropping every entry whose recorded domain-level trajectory
+// crosses an evicted domain — only those could have been re-routed or
+// re-captured by the event. Copying entry by entry (rather than sharing
+// the stripes) also sheds any entry a racing sender managed to store after
+// the mutation sequence had already moved on.
+func carryResolved(prev *striped[resolveKey, *anycast.Resolution], evict map[topology.ASN]bool) *striped[resolveKey, *anycast.Resolution] {
+	next := prev.fresh()
+	prev.each(func(i int, k resolveKey, res *anycast.Resolution) {
+		for _, asn := range res.ASPath {
+			if evict[asn] {
+				return
 			}
 		}
-		sh.mu.RUnlock()
-	}
+		// next is not shared yet: no lock to take.
+		next.shards[i].m[k] = res
+	})
 	return next
 }
 
@@ -163,44 +180,4 @@ type flowEntry struct {
 	tailCost     int64
 	tailPath     []topology.RouterID
 	baseline     int64
-}
-
-// flowShard is one lock-striped partition of the flow cache.
-type flowShard struct {
-	mu sync.RWMutex
-	m  map[flowKey]*flowEntry
-}
-
-// flowShards is the epoch's delivery flow cache, hashed by source host.
-// It is rebuilt fresh whenever routing state changes (epoch builds,
-// registrations) — unlike the redirect cache there is no per-entry
-// carry-over, because a flow skeleton depends on bone meshes, BGPvN
-// tables, IGP trees and the baseline at once and scoping an eviction
-// over all four buys nothing over recomputing on first miss.
-type flowShards struct {
-	mask   uint32
-	shards []flowShard
-}
-
-func newFlowShards(n int) *flowShards {
-	s := &flowShards{mask: uint32(n - 1), shards: make([]flowShard, n)}
-	for i := range s.shards {
-		s.shards[i].m = map[flowKey]*flowEntry{}
-	}
-	return s
-}
-
-func (s *flowShards) load(k flowKey) (*flowEntry, bool) {
-	sh := &s.shards[uint32(k.src)&s.mask]
-	sh.mu.RLock()
-	v, ok := sh.m[k]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-func (s *flowShards) store(k flowKey, v *flowEntry) {
-	sh := &s.shards[uint32(k.src)&s.mask]
-	sh.mu.Lock()
-	sh.m[k] = v
-	sh.mu.Unlock()
 }

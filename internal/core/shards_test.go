@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/topology"
@@ -84,18 +87,18 @@ func runDeliveryScript(t *testing.T, e *Evolution) ([]Delivery, []string) {
 // recomputation after a routing-neutral republish.)
 func TestShardEquivalence(t *testing.T) {
 	type arm struct {
-		name string
-		cfg  Config
+		name   string
+		shards int
 	}
 	arms := []arm{
-		{"shards=1", Config{DeliveryShards: 1}},
-		{"shards=4", Config{DeliveryShards: 4}},
-		{"shards=16", Config{DeliveryShards: 16}},
+		{"shards=1", 1},
+		{"shards=4", 4},
+		{"shards=16", 16},
 	}
 	var refDel []Delivery
 	var refAddrs []string
 	for i, a := range arms {
-		e := newEvo(t, world(t), a.cfg)
+		e := newEvoShards(t, world(t), Config{}, a.shards)
 		del, addrs := runDeliveryScript(t, e)
 		if i == 0 {
 			refDel, refAddrs = del, addrs
@@ -202,13 +205,102 @@ func TestSendZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestNormalizeShards pins the shard-count clamping rules.
-func TestNormalizeShards(t *testing.T) {
-	cases := map[int]int{-1: 16, 0: 16, 1: 1, 3: 2, 4: 4, 6: 4, 16: 16, 100: 64, 1000: 256}
-	for in, want := range cases {
-		if got := normalizeShards(in); got != want {
-			t.Errorf("normalizeShards(%d) = %d, want %d", in, got, want)
-		}
+// TestStriped holds the one striped table to its contract at every width
+// the equivalence tests run: width changes which lock guards an entry,
+// never what the table holds; get-or-create hands every racing caller the
+// one value that won; and a hit — the per-packet probe — allocates nothing.
+func TestStriped(t *testing.T) {
+	key := func(i int) flowKey {
+		return flowKey{src: topology.HostID(i), dst: topology.HostID(i * 7), dep: 1}
+	}
+	for _, width := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("shards=%d", width), func(t *testing.T) {
+			// The same script of stores, overwrites and get-or-creates as a
+			// plain map takes; afterwards each must list exactly that map.
+			s := newStriped[flowKey, *int](width)
+			model := map[flowKey]*int{}
+			for i := 0; i < 200; i++ {
+				k, v := key(i%61), new(int)
+				switch i % 3 {
+				case 0:
+					s.store(uint32(k.src), k, v)
+					model[k] = v
+				case 1:
+					got := s.loadOrCreate(uint32(k.src), k, func(flowKey) *int { return v })
+					if _, ok := model[k]; !ok {
+						model[k] = v
+					}
+					if got != model[k] {
+						t.Fatalf("op %d: loadOrCreate returned %p, model holds %p", i, got, model[k])
+					}
+				case 2:
+					got, ok := s.load(uint32(k.src), k)
+					if want, wantOK := model[k]; got != want || ok != wantOK {
+						t.Fatalf("op %d: load = %p,%v, model holds %p,%v", i, got, ok, want, wantOK)
+					}
+				}
+			}
+			seen := map[flowKey]*int{}
+			s.each(func(stripe int, k flowKey, v *int) {
+				if want := int(k.src) & (width - 1); stripe != want {
+					t.Errorf("%+v visited in stripe %d, lives in %d", k, stripe, want)
+				}
+				seen[k] = v
+			})
+			if !reflect.DeepEqual(seen, model) {
+				t.Errorf("contents diverge from the model: %d entries, want %d", len(seen), len(model))
+			}
+			if f := s.fresh(); len(f.shards) != width {
+				t.Errorf("fresh table has %d stripes, want %d", len(f.shards), width)
+			}
+
+			// 64 goroutines get-or-create 16 overlapping keys: one creation
+			// and one observed value per key.
+			const keys = 16
+			c := newStriped[flowKey, *int](width)
+			var created [keys]atomic.Int32
+			var got [64][keys]*int
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for j := 0; j < keys; j++ {
+						i := (g + j) % keys
+						got[g][i] = c.loadOrCreate(uint32(i), key(i), func(flowKey) *int {
+							created[i].Add(1)
+							return new(int)
+						})
+					}
+				}()
+			}
+			wg.Wait()
+			for i := 0; i < keys; i++ {
+				if n := created[i].Load(); n != 1 {
+					t.Errorf("key %d created %d times, want 1", i, n)
+				}
+				for g := range got {
+					if got[g][i] != got[0][i] {
+						t.Fatalf("key %d: goroutine %d observed %p, goroutine 0 %p", i, g, got[g][i], got[0][i])
+					}
+				}
+			}
+
+			if raceEnabled {
+				return // race instrumentation allocates
+			}
+			k := key(3)
+			if a := testing.AllocsPerRun(100, func() { s.load(uint32(k.src), k) }); a != 0 {
+				t.Errorf("load hit allocates %.1f objects, want 0", a)
+			}
+			// A capturing constructor, as the send path's is.
+			held := new(int)
+			if a := testing.AllocsPerRun(100, func() {
+				s.loadOrCreate(uint32(k.src), k, func(flowKey) *int { return held })
+			}); a != 0 {
+				t.Errorf("loadOrCreate hit allocates %.1f objects, want 0", a)
+			}
+		})
 	}
 }
 

@@ -93,26 +93,16 @@ func (o *Overlay) desired() (*desiredState, error) {
 		table := map[addr.VNPrefix]addr.V4{}
 		for _, h := range evo.Net.Hosts {
 			v := d.hosts[h.ID]
-			var bonePath []topology.RouterID
-			var egress topology.RouterID
-			if v.IsSelf() {
-				dec, err := vn.SelectEgress(m, h.Addr, evo.Config().Egress)
-				if err != nil {
-					return nil, fmt.Errorf("livebridge: egress for %s from %d: %w", h.Name, m, err)
-				}
-				bonePath, egress = dec.BonePath, dec.Member
-			} else {
-				dec, err := vn.RouteNative(m, v)
-				if err != nil {
-					return nil, fmt.Errorf("livebridge: native route for %s from %d: %w", h.Name, m, err)
-				}
-				bonePath, egress = dec.BonePath, dec.Member
+			// The same decision Send's flow skeleton takes from this member.
+			dec, _, err := vn.Route(m, v, h.Addr, evo.Config().Egress)
+			if err != nil {
+				return nil, fmt.Errorf("livebridge: route for %s from %d: %w", h.Name, m, err)
 			}
-			if egress == m || len(bonePath) < 2 {
+			if dec.Member == m || len(dec.BonePath) < 2 {
 				// This member is the egress: exit straight to the host.
 				table[addr.HostVNPrefix(v)] = h.Addr
 			} else {
-				table[addr.HostVNPrefix(v)] = o.evo.Net.Router(bonePath[1]).Loopback
+				table[addr.HostVNPrefix(v)] = o.evo.Net.Router(dec.BonePath[1]).Loopback
 			}
 		}
 		d.routes[m] = table

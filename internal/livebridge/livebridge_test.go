@@ -102,6 +102,53 @@ func TestLiveTrajectoryMatchesSimulation(t *testing.T) {
 	}
 }
 
+// TestLiveHonoursRegisteredRoute: a registered /128 outranks the egress
+// policy on the live plane as it does in the simulator (§3.3.2). Under
+// exit-early the policy would leave the bone at the ingress; the
+// registration carries the packet on to the member nearest the host's
+// advertising domain, and the live datagram must arrive from there.
+func TestLiveHonoursRegisteredRoute(t *testing.T) {
+	net, evo := buildEvo(t, bgpvn.ExitEarly)
+	dst := net.HostsIn(net.DomainByName("S1.1").ASN)[0]
+	if err := evo.RegisterEndhost(dst); err != nil {
+		t.Fatal(err)
+	}
+	// A sender whose ingress is not the registration's egress, so the two
+	// rules disagree about where the packet leaves the bone.
+	var src *topology.Host
+	var sim core.Delivery
+	for _, h := range net.Hosts {
+		if h.ID == dst.ID {
+			continue
+		}
+		d, err := evo.Send(h, dst, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Egress.Member != d.Ingress.Member {
+			src, sim = h, d
+			break
+		}
+	}
+	if src == nil {
+		t.Fatal("precondition: every sender's ingress is already the registered egress")
+	}
+
+	o, err := Provision(evo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	got, err := o.Send(src, dst, []byte("registered"), timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := net.Router(sim.Egress.Member).Loopback; got.OuterSrc != want {
+		t.Errorf("live last hop %s, simulated egress %s (ingress %s)",
+			got.OuterSrc, want, net.Router(sim.Ingress.Member).Loopback)
+	}
+}
+
 func TestNativeDeliveryOverBridge(t *testing.T) {
 	net, evo := buildEvo(t, bgpvn.PathInformed)
 	o, err := Provision(evo)

@@ -25,9 +25,6 @@ type ReliableConfig struct {
 	// MaxAttempts bounds total transmissions (first send included).
 	// Default 8.
 	MaxAttempts int
-	// DedupWindow is how many recently seen (source, sequence) pairs the
-	// receiver remembers. Default 4096.
-	DedupWindow int
 	// JitterSeed roots the backoff jitter PRNG, keeping retry timing
 	// reproducible under a fixed schedule.
 	JitterSeed int64
@@ -43,11 +40,12 @@ func (c ReliableConfig) withDefaults() ReliableConfig {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 8
 	}
-	if c.DedupWindow <= 0 {
-		c.DedupWindow = 4096
-	}
 	return c
 }
+
+// dedupWindow is how many recently seen (source, sequence) pairs a
+// receiver remembers.
+const dedupWindow = 4096
 
 // seenKey identifies a delivery for dedup: the IPvN source plus its
 // per-sender sequence number.
@@ -212,7 +210,7 @@ func (n *Node) handleSeqDelivery(inner packet.VNHeader, payload []byte, outerSrc
 	if !rel.seen[key] {
 		rel.seen[key] = true
 		rel.seenOrder = append(rel.seenOrder, key)
-		if len(rel.seenOrder) > rel.cfg.DedupWindow {
+		if len(rel.seenOrder) > dedupWindow {
 			evict := rel.seenOrder[0]
 			rel.seenOrder = rel.seenOrder[1:]
 			delete(rel.seen, evict)

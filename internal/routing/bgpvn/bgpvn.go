@@ -36,6 +36,7 @@ import (
 	"github.com/evolvable-net/evolve/internal/graph"
 	"github.com/evolvable-net/evolve/internal/rib"
 	"github.com/evolvable-net/evolve/internal/topology"
+	"github.com/evolvable-net/evolve/internal/trace"
 	"github.com/evolvable-net/evolve/internal/vnbone"
 )
 
@@ -233,6 +234,26 @@ func (s *System) RouteNative(ingress topology.RouterID, dst addr.VN) (Egress, er
 	}
 	best.BonePath = s.bone.Path(ingress, best.Member)
 	return best, nil
+}
+
+// Route is the one vN routing decision (§3.3.2), shared by the simulated
+// send path and the live overlay's route tables: where a packet for the
+// host addressed dstVN (underlay address dstV4) leaves the vN-Bone when it
+// enters at ingress. A native prefix or a registered /128 covering dstVN
+// wins; only a self-addressed destination nothing in the fabric covers
+// falls to the egress policy. rule names what decided, as a KindEgress
+// trace label: trace.EgressNative, trace.EgressRegistered or the policy's
+// name.
+func (s *System) Route(ingress topology.RouterID, dstVN addr.VN, dstV4 addr.V4, policy EgressPolicy) (eg Egress, rule string, err error) {
+	eg, err = s.RouteNative(ingress, dstVN)
+	if !dstVN.IsSelf() {
+		return eg, trace.EgressNative, err
+	}
+	if !errors.Is(err, ErrNoVNRoute) {
+		return eg, trace.EgressRegistered, err
+	}
+	eg, err = s.SelectEgress(ingress, dstV4, policy)
+	return eg, policy.String(), err
 }
 
 // SelectEgress chooses where a packet for a self-addressed destination

@@ -11,6 +11,7 @@ import (
 	"github.com/evolvable-net/evolve/internal/forward"
 	"github.com/evolvable-net/evolve/internal/routing/bgp"
 	"github.com/evolvable-net/evolve/internal/topology"
+	"github.com/evolvable-net/evolve/internal/trace"
 	"github.com/evolvable-net/evolve/internal/underlay"
 	"github.com/evolvable-net/evolve/internal/vnbone"
 )
@@ -257,6 +258,38 @@ func TestAdvertiseNativeHostRoute(t *testing.T) {
 	}
 	if e.net.DomainOf(eg.Member) != oASN {
 		t.Errorf("host-route egress in %d", e.net.DomainOf(eg.Member))
+	}
+}
+
+// TestRouteRuleOrder walks Route's three rules on Figure 3: a native
+// destination routes by prefix; a self-addressed one falls to the egress
+// policy (exit-early: out at the ingress) until a /128 is registered for
+// it, which then wins over the policy; a native destination nothing
+// advertises has no policy to fall back on.
+func TestRouteRuleOrder(t *testing.T) {
+	e, x, c := figure3(t)
+	oASN := e.net.DomainByName("O").ASN
+	y := e.dep.MembersIn(oASN)[0]
+	self := addr.SelfAddress(c.Addr)
+	native, _ := addr.NewVNPool(addr.DomainVNPrefix(int(oASN))).Next()
+
+	check := func(dst addr.VN, wantMember topology.RouterID, wantRule string) {
+		t.Helper()
+		eg, rule, err := e.sys.Route(x, dst, c.Addr, ExitEarly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eg.Member != wantMember || rule != wantRule {
+			t.Errorf("Route(%s) = member %d by %q, want %d by %q", dst, eg.Member, rule, wantMember, wantRule)
+		}
+	}
+	check(native, y, trace.EgressNative)
+	check(self, x, ExitEarly.String())
+	e.sys.AdvertiseNative(addr.HostVNPrefix(self), oASN)
+	check(self, y, trace.EgressRegistered)
+
+	if _, _, err := e.sys.Route(x, addr.DomainVNPrefix(9999).Addr, c.Addr, ExitEarly); !errors.Is(err, ErrNoVNRoute) {
+		t.Errorf("unadvertised native destination: err = %v, want ErrNoVNRoute", err)
 	}
 }
 

@@ -24,7 +24,9 @@ type domainGraph struct {
 	g   *graph.Graph
 	ids []topology.RouterID       // ascending; local index i ↔ ids[i]
 	idx map[topology.RouterID]int // global router id → local index
-	spt *sync.Map                 // local source index → *graph.SPT (local indices)
+	// spt[i] is the tree rooted at local index i (in local indices), filled
+	// on first use; racing fills compute the same tree.
+	spt []atomic.Pointer[graph.SPT]
 }
 
 // buildDomainGraph snapshots one domain's intra links. Domain router
@@ -37,7 +39,7 @@ func buildDomainGraph(net *topology.Network, asn topology.ASN) *domainGraph {
 		g:   graph.New(len(ids)),
 		ids: ids,
 		idx: make(map[topology.RouterID]int, len(ids)),
-		spt: &sync.Map{},
+		spt: make([]atomic.Pointer[graph.SPT], len(ids)),
 	}
 	for i, rid := range ids {
 		dg.idx[rid] = i
@@ -63,7 +65,7 @@ type viewState struct {
 	// and the congruence metric ask, so most generations never build it.
 	fullOnce sync.Once
 	full     *graph.Graph
-	fullSPT  sync.Map // topology.RouterID → *graph.SPT
+	fullSPT  []atomic.Pointer[graph.SPT] // by router id, filled on first use
 }
 
 // View caches single-source shortest-path trees lazily. Queries are
@@ -147,24 +149,27 @@ func (v *View) intraFor(src topology.RouterID) (*domainGraph, *graph.SPT) {
 	st := v.state.Load()
 	dg := st.domains[v.net.DomainOf(src)]
 	li := dg.idx[src]
-	if t, ok := dg.spt.Load(li); ok {
-		return dg, t.(*graph.SPT)
+	if t := dg.spt[li].Load(); t != nil {
+		return dg, t
 	}
 	v.dijkstras.Add(1)
 	t := dg.g.Dijkstra(li)
-	dg.spt.Store(li, t)
+	dg.spt[li].Store(t)
 	return dg, t
 }
 
 func (v *View) fullFrom(src topology.RouterID) *graph.SPT {
 	st := v.state.Load()
-	if t, ok := st.fullSPT.Load(src); ok {
-		return t.(*graph.SPT)
+	st.fullOnce.Do(func() {
+		st.full = v.net.RouterGraph()
+		st.fullSPT = make([]atomic.Pointer[graph.SPT], st.full.Len())
+	})
+	if t := st.fullSPT[src].Load(); t != nil {
+		return t
 	}
-	st.fullOnce.Do(func() { st.full = v.net.RouterGraph() })
 	v.dijkstras.Add(1)
 	t := st.full.Dijkstra(int(src))
-	st.fullSPT.Store(src, t)
+	st.fullSPT[src].Store(t)
 	return t
 }
 

@@ -73,7 +73,9 @@ type Config struct {
 	// ablation).
 	DisableRepair bool
 	// DisableBootstrap skips the anycast bootstrap for isolated
-	// participants (for the E8 ablation).
+	// participants and the anchor-connectivity rule that follows it. No
+	// experiment sets it (E8 ablates only DisableRepair); the package's
+	// tests use it to look at a bone's islands before tunnels join them.
 	DisableBootstrap bool
 	// BlindIntra builds intra-domain topologies without member discovery
 	// — the paper's footnote-3 alternative for domains running unmodified
@@ -110,11 +112,11 @@ type Bone struct {
 	links   []Link
 	g       *graph.Graph
 	cfg     Config
-	// spt is the lazily-populated SPT cache (topology.RouterID →
-	// *graph.SPT). A bone is immutable once built, so lock-free lazy
-	// fills are safe: concurrent Sends may duplicate a Dijkstra but
-	// always agree on the result.
-	spt *sync.Map
+	// spt is the lazily-populated SPT cache, one slot per member (by idx).
+	// A bone is immutable once built, so lock-free lazy fills are safe:
+	// concurrent Sends may duplicate a Dijkstra but always agree on the
+	// result.
+	spt []atomic.Pointer[graph.SPT]
 }
 
 // BuildStats reports how much of an incremental build was carried over
@@ -159,7 +161,6 @@ func BuildIncremental(svc *anycast.Service, igp *underlay.View, dep *anycast.Dep
 		members: dep.Members(),
 		idx:     map[topology.RouterID]int{},
 		cfg:     cfg,
-		spt:     &sync.Map{},
 	}
 	for i, m := range b.members {
 		b.idx[m] = i
@@ -551,7 +552,7 @@ func (b *Bone) rebuildGraph() {
 	for _, l := range b.links {
 		b.g.AddBiEdge(b.idx[l.A], b.idx[l.B], l.Cost)
 	}
-	b.spt = &sync.Map{}
+	b.spt = make([]atomic.Pointer[graph.SPT], len(b.members))
 }
 
 // Members returns the bone's member routers in id order.
@@ -584,13 +585,13 @@ func (b *Bone) sptFrom(m topology.RouterID) (*graph.SPT, bool) {
 	if !ok {
 		return nil, false
 	}
-	if t, ok := b.spt.Load(m); ok {
-		return t.(*graph.SPT), true
+	if t := b.spt[i].Load(); t != nil {
+		return t, true
 	}
 	// Concurrent fills may race and both run Dijkstra; the trees are
 	// equal, so last-store-wins is harmless.
 	t := b.g.Dijkstra(i)
-	b.spt.Store(m, t)
+	b.spt[i].Store(t)
 	return t, true
 }
 
