@@ -366,10 +366,18 @@ func BenchmarkFleetSend(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sends/sec")
 }
 
+// reportPerPacket reports a burst benchmark's rate and its reciprocal,
+// the per-packet cost DESIGN.md §8.2 quotes.
+func reportPerPacket(b *testing.B, burst int) {
+	pkts := float64(b.N) * float64(burst)
+	b.ReportMetric(pkts/b.Elapsed().Seconds(), "packets/sec")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pkts, "ns/pkt")
+}
+
 // BenchmarkSendBatch compares batched sends against the equivalent Send
 // loop on 64-packet bursts over the fleet world, default configuration:
 // one engine driven 64 times by 64 calls or by one. Every iteration is
-// one burst, reported as packets/sec.
+// one burst, reported as packets/sec and ns/pkt.
 // The burst cycles 8 distinct destinations (8 flow skeletons per batch,
 // 8 packets riding each), and the single-destination SendBurst arm is
 // the best case (one flow, 64 packets).
@@ -401,7 +409,7 @@ func BenchmarkSendBatch(b *testing.B) {
 				}
 			}
 		}
-		b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "packets/sec")
+		reportPerPacket(b, burst)
 	})
 	b.Run("batch", func(b *testing.B) {
 		out := make([]core.Delivery, 0, burst)
@@ -412,7 +420,7 @@ func BenchmarkSendBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "packets/sec")
+		reportPerPacket(b, burst)
 	})
 	b.Run("burst", func(b *testing.B) {
 		out := make([]core.Delivery, 0, burst)
@@ -423,7 +431,7 @@ func BenchmarkSendBatch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "packets/sec")
+		reportPerPacket(b, burst)
 	})
 }
 

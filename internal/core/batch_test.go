@@ -34,9 +34,11 @@ func errString(err error) string {
 // normalizeChurnCounters erases the one legitimate divergence between a
 // batch and its equivalent loop under mid-run epoch churn: the batch pins
 // one epoch for the whole burst, so once the epoch is republished its
-// cache stores are gated off and later packets re-miss, while the loop
-// reloads a fresh epoch per send and keeps hitting. Hits versus misses is
-// a cache-placement detail, never routing: merge them and compare totals.
+// cache stores are gated off and every first sight of a destination
+// misses (repeats hit the batch's own flow table), while the loop reloads
+// a fresh epoch per send, whose cache starts over and then fills. Hits
+// versus misses is a cache-placement detail, never routing: merge them
+// and compare totals.
 func normalizeChurnCounters(s trace.Snapshot) trace.Snapshot {
 	s.DeliveryFlowMisses += s.DeliveryFlowHits
 	s.DeliveryFlowHits = 0
@@ -556,4 +558,180 @@ func TestSendBatchZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state AppendSendBurst allocates %.1f objects per op, want 0", allocs)
 	}
+}
+
+// TestBurstProbesFlowCacheOncePerFlow pins what a batch shares per flow:
+// the send's own flow table answers every repeat destination, so the
+// epoch's shared flow cache is probed once per (send, destination). The
+// hook makes probes visible by emptying the pinned epoch's table
+// mid-batch: any packet that still went to it would miss and recompute.
+func TestBurstProbesFlowCacheOncePerFlow(t *testing.T) {
+	n := world(t)
+	e := newEvo(t, n, Config{})
+	e.DeployDomain(n.DomainByName("T0").ASN, 0)
+	src := n.HostsIn(n.DomainByName("S0.0").ASN)[0]
+	hs := n.HostsIn(n.DomainByName("S1.1").ASN)
+	a, b := hs[0], hs[1]
+	for _, dst := range []*topology.Host{a, b} {
+		if _, err := e.Send(src, dst, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() { e.testBatchHook = nil }()
+	dropSharedFlows := func() {
+		ep := e.epoch.Load()
+		ep.flow = ep.flow.fresh()
+	}
+
+	// One flow, table emptied before packet 1: packet 0 is the burst's one
+	// probe (a hit, the flow is warm) and nobody looks again.
+	e.testBatchHook = func(i int) {
+		if i == 1 {
+			dropSharedFlows()
+		}
+	}
+	before := e.Snapshot()
+	got, err := e.SendBurst(src, a, make([][]byte, 8))
+	if err != nil || len(got) != 8 {
+		t.Fatalf("burst: %d deliveries, %v", len(got), err)
+	}
+	d := e.Snapshot().Sub(before)
+	if d.Deliveries != 8 || d.DeliveryFlowHits != 8 || d.DeliveryFlowMisses != 0 ||
+		d.RedirectCacheHits != 8 || d.Redirects != 8 || d.DeliveryBatchFlows != 1 {
+		t.Errorf("burst: deliveries=%d flow hits/misses=%d/%d redirects hits/total=%d/%d flows=%d, want 8 8/0 8/8 1",
+			d.Deliveries, d.DeliveryFlowHits, d.DeliveryFlowMisses, d.RedirectCacheHits, d.Redirects, d.DeliveryBatchFlows)
+	}
+
+	// Two flows interleaved, table emptied before every packet: each shared
+	// probe is a miss, and there is one per destination.
+	e.testBatchHook = func(int) { dropSharedFlows() }
+	before = e.Snapshot()
+	got, err = e.SendBatch(src, []*topology.Host{a, b, a, b, a}, nil)
+	if err != nil || len(got) != 5 {
+		t.Fatalf("batch: %d deliveries, %v", len(got), err)
+	}
+	d = e.Snapshot().Sub(before)
+	if d.Deliveries != 5 || d.DeliveryFlowMisses != 2 || d.DeliveryFlowHits != 3 || d.DeliveryBatchFlows != 2 {
+		t.Errorf("batch: deliveries=%d flow hits/misses=%d/%d flows=%d, want 5 3/2 2",
+			d.Deliveries, d.DeliveryFlowHits, d.DeliveryFlowMisses, d.DeliveryBatchFlows)
+	}
+	for i := 2; i < 5; i++ {
+		if !reflect.DeepEqual(stripTag(got[i]), stripTag(got[i-2])) {
+			t.Errorf("batch packet %d diverges from packet %d to the same destination", i, i-2)
+		}
+	}
+}
+
+// TestReusedOutNeverLeaksDelivery pins the in-place write: the engine
+// writes a packet's Delivery straight into the caller's slot, so a slot
+// that held a delivery from the previous call must come back zero when its
+// packet drops, and whole when its packet is rescued over the baseline —
+// never the old delivery, never a mix.
+func TestReusedOutNeverLeaksDelivery(t *testing.T) {
+	const nb = 6
+	calls := []struct {
+		name string
+		send func(e *Evolution, out []Delivery, src, dst *topology.Host, payloads [][]byte) ([]Delivery, error)
+	}{
+		{"burst", func(e *Evolution, out []Delivery, src, dst *topology.Host, payloads [][]byte) ([]Delivery, error) {
+			return e.AppendSendBurst(out[:0], src, dst, payloads)
+		}},
+		{"batch", func(e *Evolution, out []Delivery, src, dst *topology.Host, payloads [][]byte) ([]Delivery, error) {
+			dsts := make([]*topology.Host, len(payloads))
+			for i := range dsts {
+				dsts[i] = dst
+			}
+			return e.AppendSendBatch(out[:0], src, dsts, payloads)
+		}},
+	}
+	payloads := func() [][]byte {
+		pls := make([][]byte, nb)
+		for i := range pls {
+			pls[i] = []byte{byte(i), 0xee}
+		}
+		return pls
+	}
+	// fill sends an all-success call and requires a vN delivery at every index.
+	fill := func(t *testing.T, out []Delivery, err error) {
+		t.Helper()
+		if err != nil || len(out) != nb {
+			t.Fatalf("filling call: %d deliveries, %v", len(out), err)
+		}
+		for i, d := range out {
+			if d.Fallback || d.Ingress.Cost == 0 || d.TotalCost == 0 {
+				t.Fatalf("filling call, packet %d: not a vN delivery: %+v", i, d)
+			}
+		}
+	}
+
+	for _, c := range calls {
+		t.Run("drop/"+c.name, func(t *testing.T) {
+			n := world(t)
+			e := newEvo(t, n, Config{})
+			e.DeployDomain(n.DomainByName("T0").ASN, 0)
+			src := n.HostsIn(n.DomainByName("S0.0").ASN)[0]
+			dst := n.HostsIn(n.DomainByName("S1.1").ASN)[0]
+			pls := payloads()
+			out, err := c.send(e, make([]Delivery, 0, nb), src, dst, pls)
+			fill(t, out, err)
+
+			const k = 3
+			pls[k] = make([]byte, 0x10000) // overflows the VN length field
+			out, err = c.send(e, out, src, dst, pls)
+			var be *BatchError
+			if !errors.As(err, &be) || be.Failed != 1 || be.Errs[k] == nil {
+				t.Fatalf("oversized packet %d: error %v", k, err)
+			}
+			for i, d := range out {
+				if i == k {
+					if !reflect.DeepEqual(d, Delivery{}) {
+						t.Errorf("dropped packet %d left a delivery behind: %+v", k, d)
+					}
+				} else if be.Errs[i] != nil || d.TotalCost == 0 || !reflect.DeepEqual(d.Payload, pls[i]) {
+					t.Errorf("packet %d beside the drop: %+v, %v", i, d, be.Errs[i])
+				}
+			}
+		})
+
+		t.Run("rescue/"+c.name, func(t *testing.T) {
+			w := newFBWorld(t, FallbackConfig{Enabled: true})
+			pls := payloads()
+			out, err := c.send(w.e, make([]Delivery, 0, nb), w.src(), w.dst(), pls)
+			fill(t, out, err)
+
+			// Sever the vN path; the baseline peering survives.
+			if _, ok := w.e.FailInterLink(w.rP, w.rA); !ok {
+				t.Fatal("uplink not found")
+			}
+			out, err = c.send(w.e, out, w.src(), w.dst(), pls)
+			if err != nil || len(out) != nb {
+				t.Fatalf("rescued call: %d deliveries, %v", len(out), err)
+			}
+			for i, d := range out {
+				want := Delivery{
+					SrcVN: d.SrcVN, DstVN: d.DstVN,
+					TotalCost: d.BaselineCost, BaselineCost: d.BaselineCost, Stretch: 1,
+					Payload: pls[i], TraceTag: d.TraceTag, Fallback: true,
+				}
+				if d.BaselineCost == 0 || !reflect.DeepEqual(d, want) {
+					t.Errorf("rescued packet %d carries vN-Bone fields: %+v", i, d)
+				}
+			}
+		})
+	}
+
+	t.Run("single", func(t *testing.T) {
+		n := world(t)
+		e := newEvo(t, n, Config{})
+		e.DeployDomain(n.DomainByName("T0").ASN, 0)
+		src := n.HostsIn(n.DomainByName("S0.0").ASN)[0]
+		dst := n.HostsIn(n.DomainByName("S1.1").ASN)[0]
+		if _, err := e.Send(src, dst, []byte("ok")); err != nil {
+			t.Fatal(err)
+		}
+		d, err := e.Send(src, dst, make([]byte, 0x10000))
+		if err == nil || !reflect.DeepEqual(d, Delivery{}) {
+			t.Errorf("failed Send returned %+v, %v, want the zero Delivery and an error", d, err)
+		}
+	})
 }

@@ -50,15 +50,16 @@ func (e *Evolution) fallbackBaseline(h *flowHealth, ep *routingEpoch, src, dst *
 // error-epoch sends — run on the send's own context, so tallies and span
 // events land where the vN path's do. vnReason carries the vN failure
 // that triggered a rescue (DropNone for state sends); on failure the drop
-// reason is returned for the caller's drop.
+// reason is returned for the caller's drop and out is untouched, on
+// success out is overwritten whole.
 func (e *Evolution) deliverFallback(
-	bc *batchCtx, ep *routingEpoch, h *flowHealth, src, dst *topology.Host, payload []byte,
+	bc *batchCtx, ep *routingEpoch, h *flowHealth, src, dst *topology.Host, payload []byte, out *Delivery,
 	seq uint32, vnReason trace.DropReason, detail string, mark uint8, tr trace.Tracer,
-) (Delivery, trace.DropReason, error) {
+) (trace.DropReason, error) {
 	cb := &bc.counters
 	cost, err := e.fallbackBaseline(h, ep, src, dst)
 	if err != nil {
-		return Delivery{}, trace.DropNoBaseline, fmt.Errorf("core: baseline: %w", err)
+		return trace.DropNoBaseline, fmt.Errorf("core: baseline: %w", err)
 	}
 	if tr != nil {
 		tr.Event(trace.Event{Kind: trace.KindFallback, Seq: seq, Router: -1, Reason: vnReason, Detail: detail})
@@ -79,14 +80,14 @@ func (e *Evolution) deliverFallback(
 	bc.ep.Observe(tr, nil, seq)
 	wire, err := bc.ep.EncapToShared(dst.Addr, hdr, payload)
 	if err != nil {
-		return Delivery{}, trace.DropEncap, fmt.Errorf("core: fallback encap: %w", err)
+		return trace.DropEncap, fmt.Errorf("core: fallback encap: %w", err)
 	}
 	cb.Encap()
 	bc.epDst.Local = dst.Addr
 	bc.epDst.Observe(tr, nil, seq)
 	_, inner, pl, err := bc.epDst.DecapShared(wire, bc.opts[:0])
 	if err != nil {
-		return Delivery{}, trace.DropTail, fmt.Errorf("core: fallback decap: %w", err)
+		return trace.DropTail, fmt.Errorf("core: fallback decap: %w", err)
 	}
 	cb.Decap()
 
@@ -97,13 +98,13 @@ func (e *Evolution) deliverFallback(
 		}
 	}
 	if tag != seq {
-		return Delivery{}, trace.DropIntegrity, fmt.Errorf("core: trace tag corrupted in transit (%d != %d)", tag, seq)
+		return trace.DropIntegrity, fmt.Errorf("core: trace tag corrupted in transit (%d != %d)", tag, seq)
 	}
 	if !bytes.Equal(pl, payload) {
-		return Delivery{}, trace.DropIntegrity, fmt.Errorf("core: payload corrupted in transit")
+		return trace.DropIntegrity, fmt.Errorf("core: payload corrupted in transit")
 	}
 
-	d := Delivery{
+	*out = Delivery{
 		SrcVN:        hdr.Src,
 		DstVN:        hdr.Dst,
 		TotalCost:    cost,
@@ -122,5 +123,5 @@ func (e *Evolution) deliverFallback(
 	if tr != nil {
 		tr.Event(trace.Event{Kind: trace.KindDeliver, Seq: seq, Router: dst.Attach, AS: dst.Domain, Cost: cost})
 	}
-	return d, trace.DropNone, nil
+	return trace.DropNone, nil
 }

@@ -123,15 +123,19 @@ func (b *BatchError) Error() string {
 }
 
 // batchFlow is one flow skeleton materialized for a send: the memoised
-// routing decisions (fe) plus the wire-level precomputation shared by
-// every packet of the flow — the serialized header template and the
-// underlay loopback of every bone hop. All packets of a batch to the
-// same destination reuse one batchFlow, so the whole burst observes one
-// consistent routing decision even if the epoch churns mid-batch.
+// routing decisions (fe) plus everything else that is a function of the
+// flow and not of the packet — the Delivery prototype, the serialized
+// header template and the underlay loopback of every bone hop. The first
+// packet of a send to a destination builds it; every later one finds it
+// in batchCtx.flows before anything shared is consulted, so the whole
+// burst observes one routing decision even if the epoch churns mid-batch.
 type batchFlow struct {
-	dst  topology.HostID
-	fe   *flowEntry
-	tmpl packet.VNTemplate
+	dst topology.HostID
+	fe  *flowEntry
+	// proto is the flow's Delivery, complete but for Payload and TraceTag:
+	// a delivered packet is one copy of it.
+	proto Delivery
+	tmpl  packet.VNTemplate
 	// bone is the vN-Bone of the epoch fe was computed on; hop costs in
 	// span events are read from it.
 	bone *vnbone.Bone
@@ -160,10 +164,12 @@ type batchCtx struct {
 	epDst   *tunnel.Endpoint
 	wire    []byte
 	opts    []packet.Option
-	// flows is a tiny linear-scan assoc array keyed by destination:
-	// bursts group naturally by flow, so for realistic batch sizes a
-	// scan beats hashing and keeps recycled entries' template and hop
-	// storage alive across sends.
+	// flows is a tiny linear-scan assoc array keyed by destination, the
+	// first table deliverVN consults: only a destination this send has
+	// not seen yet reaches the epoch's shared flow cache. Bursts group
+	// naturally by flow, so for realistic batch sizes a scan beats
+	// hashing and takes no lock, and recycled entries keep their template
+	// and hop storage alive across sends.
 	flows    []batchFlow
 	counters trace.CounterBatch
 	events   trace.EventBuffer
@@ -198,17 +204,12 @@ func getBatchCtx(ingress *anycast.Deployment) *batchCtx {
 	return bc
 }
 
-// flowFor returns the send's flow skeleton for dst, materializing it
-// from fe on first sight: header template (serialized once through the
-// real layer serializers, then patched per packet) and the bone path's
-// loopback addresses. Recycled entries keep their storage, so a warm
-// context materializes flows without allocating.
+// flowFor materializes the send's flow skeleton for a destination it has
+// not seen yet from fe: the Delivery prototype, the header template
+// (serialized once through the real layer serializers, then patched per
+// packet) and the bone path's loopback addresses. Recycled entries keep
+// their storage, so a warm context materializes flows without allocating.
 func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.Host, fe *flowEntry) (*batchFlow, error) {
-	for i := range bc.flows {
-		if bc.flows[i].dst == dst.ID {
-			return &bc.flows[i], nil
-		}
-	}
 	if len(bc.flows) < cap(bc.flows) {
 		bc.flows = bc.flows[:len(bc.flows)+1]
 	} else {
@@ -220,6 +221,19 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 	bf.bone = ep.bone
 	bf.self = fe.dstVN.IsSelf()
 	bf.final = dst.Addr
+	total := fe.ing.Cost + fe.eg.BoneCost + fe.tailCost
+	bf.proto = Delivery{
+		SrcVN:        fe.srcVN,
+		DstVN:        fe.dstVN,
+		Ingress:      fe.ing,
+		Egress:       fe.eg,
+		TailCost:     fe.tailCost,
+		TotalCost:    total,
+		BaselineCost: fe.baseline,
+		Stretch:      metrics.Stretch(total, fe.baseline),
+		VNHops:       fe.vnHops,
+		TailPath:     fe.tailPath,
+	}
 
 	// Leg 1 — universal access: the host encapsulates toward the
 	// deployment's anycast address; routing finds the ingress (§3.1). The
@@ -264,15 +278,19 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 // stay untouched.
 func (e *Evolution) sendSingle(ep *routingEpoch, src, dst *topology.Host, payload []byte, ingress *anycast.Deployment, tr trace.Tracer) (Delivery, error) {
 	bc := getBatchCtx(ingress)
-	d, err := e.sendOne(bc, ep, src, dst, payload, tr)
+	var d Delivery
+	err := e.sendOne(bc, ep, src, dst, payload, &d, tr)
 	bc.counters.FlushTo(&e.counters)
 	batchCtxPool.Put(bc)
 	return d, err
 }
 
 // SendBatch delivers one payload to each destination from a single
-// source, amortizing the per-send fixed costs — epoch load, flow lookup,
-// header serialization — across the burst. It is observationally
+// source, amortizing the per-send fixed costs across the burst: the epoch
+// load once per batch; the flow-cache probe, header serialization and the
+// Delivery's routing fields once per destination. What stays per packet
+// is the packet — tag, emit, relay walk, final decap, integrity checks,
+// and the health decision when degradation is on. It is observationally
 // identical to calling Send(src, dsts[i], payloads[i]) for each i in
 // order on one routing epoch: byte-identical deliveries, identical drop
 // reasons and counter tallies, identical trace events (batched into the
@@ -357,16 +375,13 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 		if payloads != nil {
 			pl = payloads[i]
 		}
-		d, err := e.sendOne(bc, ep, src, dst, pl, btr)
-		if err != nil {
+		if err := e.sendOne(bc, ep, src, dst, pl, &res[base+i], btr); err != nil {
 			if errs == nil {
 				errs = make([]error, n)
 			}
 			errs[i] = err
 			failed++
-			continue
 		}
-		res[base+i] = d
 	}
 
 	bc.counters.BatchFlows(len(bc.flows))
@@ -388,12 +403,12 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 
 // drop closes one packet as a failure: counted under its reason, traced
 // as a KindDrop event when tracing.
-func (bc *batchCtx) drop(tr trace.Tracer, seq uint32, reason trace.DropReason, err error) (Delivery, error) {
+func (bc *batchCtx) drop(tr trace.Tracer, seq uint32, reason trace.DropReason, err error) error {
 	bc.counters.Drop(reason)
 	if tr != nil {
 		tr.Event(trace.Event{Kind: trace.KindDrop, Seq: seq, Router: -1, Reason: reason})
 	}
-	return Delivery{}, err
+	return err
 }
 
 // sendOne delivers one packet on ep: the only delivery implementation,
@@ -406,14 +421,16 @@ func (bc *batchCtx) drop(tr trace.Tracer, seq uint32, reason trace.DropReason, e
 // backoff probes, and an error epoch rides the baseline instead of
 // failing (the underlay does not care that the vN deployment is broken)
 // while the flow takes the failure, so it probes back as soon as a usable
-// epoch publishes.
-func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, tr trace.Tracer) (Delivery, error) {
+// epoch publishes. out, zero on entry, is written whole and only by the
+// path that delivers: a dropped packet, or a vN attempt the baseline then
+// rescues, leaves nothing of itself in it.
+func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, out *Delivery, tr trace.Tracer) error {
 	cb := &bc.counters
 	cb.Send()
 	if ep.err != nil && e.health == nil {
 		// Fail fast: a send dropped not-deployed, no span events.
 		cb.Drop(trace.DropNotDeployed)
-		return Delivery{}, ep.err
+		return ep.err
 	}
 	// The per-delivery tag distinguishes concurrent sends' spans and
 	// integrity checks from one another; math/rand/v2 draws it from a
@@ -424,11 +441,10 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 		tr.Event(trace.Event{Kind: trace.KindSend, Seq: seq, Router: src.Attach, AS: src.Domain})
 	}
 	if e.health == nil {
-		d, _, reason, err := e.deliverVN(bc, ep, src, dst, payload, tr, seq)
-		if err != nil {
+		if _, reason, err := e.deliverVN(bc, ep, src, dst, payload, out, tr, seq); err != nil {
 			return bc.drop(tr, seq, reason, err)
 		}
-		return d, nil
+		return nil
 	}
 
 	fc := &e.cfg.Fallback
@@ -441,10 +457,10 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 		h.noteFailure(nil, ep.seq, fc, cb, tr, seq)
 		vnReason, detail, mark = trace.DropNotDeployed, trace.DetailFallbackErrEpoch, packet.FallbackMarkRescue
 	} else if attempt, probe := h.decide(ep.seq, fc, ep.addrOf(dst), cb); attempt {
-		d, fe, reason, err := e.deliverVN(bc, ep, src, dst, payload, tr, seq)
+		fe, reason, err := e.deliverVN(bc, ep, src, dst, payload, out, tr, seq)
 		if err == nil {
 			h.noteSuccess(fe, probe, fc, cb, tr, seq)
-			return d, nil
+			return nil
 		}
 		if reason == trace.DropNoBaseline {
 			// The vN skeleton was fine and only the baseline is missing:
@@ -454,11 +470,10 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 		h.noteFailure(fe, ep.seq, fc, cb, tr, seq)
 		vnReason, detail, mark = reason, trace.DetailFallbackRescue, packet.FallbackMarkRescue
 	}
-	d, reason, err := e.deliverFallback(bc, ep, h, src, dst, payload, seq, vnReason, detail, mark, tr)
-	if err != nil {
+	if reason, err := e.deliverFallback(bc, ep, h, src, dst, payload, out, seq, vnReason, detail, mark, tr); err != nil {
 		return bc.drop(tr, seq, reason, err)
 	}
-	return d, nil
+	return nil
 }
 
 // flowSkeleton returns the routing skeleton of the (src, dst) flow
@@ -524,44 +539,40 @@ func (ep *routingEpoch) ingressAt(a addr.V4) *anycast.Deployment {
 	return nil
 }
 
-// deliverVN runs the vN delivery of one packet: flow skeleton, then the
-// wire pass for real — the packet is emitted from the flow's header
-// template and patched in place per leg, and the arriving bytes are
-// parsed and checked at the destination. With the pool warm, a
-// steady-state delivery allocates nothing. Failures are returned with
-// their drop reason neither counted nor traced: the caller decides
-// whether the packet drops or gets rescued over the baseline. The
-// returned flowEntry (nil when flow resolution itself failed) feeds the
-// health layer's signal matching.
-func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, tr trace.Tracer, seq uint32) (Delivery, *flowEntry, trace.DropReason, error) {
+// deliverVN runs the vN delivery of one packet: the flow's skeleton —
+// this send's own when it has already sent to dst (counted as the flow
+// hit it is), resolved and materialized otherwise — then the wire pass
+// for real: the packet is emitted from the flow's header template and
+// patched in place per leg, and the arriving bytes are parsed and checked
+// at the destination. Only then is out written, once. With the pool warm,
+// a steady-state delivery allocates nothing. Failures are returned with
+// their drop reason neither counted nor traced, and out untouched: the
+// caller decides whether the packet drops or gets rescued over the
+// baseline. The returned flowEntry (nil when flow resolution itself
+// failed) feeds the health layer's signal matching.
+func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, out *Delivery, tr trace.Tracer, seq uint32) (*flowEntry, trace.DropReason, error) {
 	cb := &bc.counters
-	fe, ep, reason, err := e.flowSkeleton(bc, ep, src, dst)
-	if err != nil {
-		return Delivery{}, nil, reason, err
+	var bf *batchFlow
+	for i := range bc.flows {
+		if bc.flows[i].dst == dst.ID {
+			bf = &bc.flows[i]
+			cb.FlowHit()
+			cb.Redirect(true)
+			break
+		}
 	}
-	bf, err := bc.flowFor(e, ep, src, dst, fe)
-	if err != nil {
-		return Delivery{}, fe, trace.DropEncap, err
+	if bf == nil {
+		fe, ep, reason, err := e.flowSkeleton(bc, ep, src, dst)
+		if err != nil {
+			return nil, reason, err
+		}
+		if bf, err = bc.flowFor(e, ep, src, dst, fe); err != nil {
+			return fe, trace.DropEncap, err
+		}
 	}
-	// All wire-level state comes from the send's first skeleton for this
-	// destination — within one epoch any recomputation agrees with it, so
-	// this is a no-op beyond pointer identity.
-	fe = bf.fe
+	fe := bf.fe
 	cb.Ingress(fe.ingressAS)
 	cb.BoneHops(fe.vnHops)
-
-	d := Delivery{
-		SrcVN:        fe.srcVN,
-		DstVN:        fe.dstVN,
-		Ingress:      fe.ing,
-		Egress:       fe.eg,
-		VNHops:       fe.vnHops,
-		TailCost:     fe.tailCost,
-		TailPath:     fe.tailPath,
-		BaselineCost: fe.baseline,
-	}
-	d.TotalCost = fe.ing.Cost + fe.eg.BoneCost + fe.tailCost
-	d.Stretch = metrics.Stretch(d.TotalCost, d.BaselineCost)
 
 	// Leg 1 — emit from the template: header prefix plus payload, with
 	// lengths, trace tag and checksum patched. Byte-identical to
@@ -569,7 +580,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	// included.
 	wire, err := bf.tmpl.Emit(bc.wire, payload, seq)
 	if err != nil {
-		return Delivery{}, fe, trace.DropEncap, err
+		return fe, trace.DropEncap, err
 	}
 	bc.wire = wire
 	cb.Encap()
@@ -602,7 +613,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	path := fe.eg.BonePath
 	for j := 1; j < len(bf.hops); j++ {
 		if err := bc.ep.ForwardShared(wire, bf.hops[j]); err != nil {
-			return Delivery{}, fe, trace.DropRelay, fmt.Errorf("core: bone relay %d: %w", j, err)
+			return fe, trace.DropRelay, fmt.Errorf("core: bone relay %d: %w", j, err)
 		}
 		cb.Encap()
 		cb.Decap()
@@ -621,9 +632,9 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	// option carries).
 	if err := bc.ep.PatchEncap(wire, bf.final); err != nil {
 		if bf.self {
-			return Delivery{}, fe, trace.DropTail, fmt.Errorf("core: final tunnel: %w", err)
+			return fe, trace.DropTail, fmt.Errorf("core: final tunnel: %w", err)
 		}
-		return Delivery{}, fe, trace.DropTail, fmt.Errorf("core: native delivery encap: %w", err)
+		return fe, trace.DropTail, fmt.Errorf("core: native delivery encap: %w", err)
 	}
 	cb.Encap()
 
@@ -631,7 +642,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	bc.epDst.Observe(tr, nil, seq)
 	_, inner, rpl, err := bc.epDst.DecapShared(wire, bc.opts[:0])
 	if err != nil {
-		return Delivery{}, fe, trace.DropTail, fmt.Errorf("core: final decap: %w", err)
+		return fe, trace.DropTail, fmt.Errorf("core: final decap: %w", err)
 	}
 	cb.Decap()
 	if inner.Options != nil {
@@ -639,30 +650,33 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	}
 
 	// The trace tag must have survived the whole wire path.
+	var tag uint32
 	for _, o := range inner.Options {
 		if o.Type == packet.OptTraceTag && len(o.Value) == 4 {
-			d.TraceTag = binary.BigEndian.Uint32(o.Value)
+			tag = binary.BigEndian.Uint32(o.Value)
 		}
 	}
-	if d.TraceTag != seq {
-		return Delivery{}, fe, trace.DropIntegrity, fmt.Errorf("core: trace tag corrupted in transit (%d != %d)", d.TraceTag, seq)
+	if tag != seq {
+		return fe, trace.DropIntegrity, fmt.Errorf("core: trace tag corrupted in transit (%d != %d)", tag, seq)
 	}
 	// The arrived payload aliases the pooled wire buffer; verify the
 	// round-trip was bit-exact, then hand the caller back their own
 	// bytes so the Delivery outlives the pooled working set.
 	if !bytes.Equal(rpl, payload) {
-		return Delivery{}, fe, trace.DropIntegrity, fmt.Errorf("core: payload corrupted in transit")
+		return fe, trace.DropIntegrity, fmt.Errorf("core: payload corrupted in transit")
 	}
-	d.Payload = payload
+	*out = bf.proto
+	out.Payload = payload
+	out.TraceTag = tag
 	cb.PayloadBytes(len(payload))
 	cb.Deliver()
 	if tr != nil {
 		tr.Event(trace.Event{
 			Kind: trace.KindDeliver, Seq: seq,
-			Router: dst.Attach, AS: dst.Domain, Cost: d.TotalCost,
+			Router: dst.Attach, AS: dst.Domain, Cost: out.TotalCost,
 		})
 	}
-	return d, fe, trace.DropNone, nil
+	return fe, trace.DropNone, nil
 }
 
 // resolveAt is the redirect decision every consumer shares: the

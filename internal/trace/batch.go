@@ -47,7 +47,7 @@ func (b *CounterBatch) Redirect(hit bool) {
 	}
 }
 
-// FlowHit counts one send served from the epoch's flow cache.
+// FlowHit counts one send served from a memoised flow skeleton.
 func (b *CounterBatch) FlowHit() { b.n[cFlowHits]++ }
 
 // FlowMiss counts one send that computed its delivery skeleton.

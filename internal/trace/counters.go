@@ -401,9 +401,10 @@ type Snapshot struct {
 	BoneHops uint64
 	// DeliveryFlowHits/DeliveryFlowMisses count sends whose delivery
 	// skeleton (ingress, egress, tail, baseline accounting) was served
-	// from the epoch's flow cache versus computed from the routing
-	// substrate. DeliveryPayloadBytes totals the payload bytes carried by
-	// successful deliveries.
+	// memoised — from the epoch's flow cache, or for a batch's repeat
+	// destinations from the batch's own flow table — versus computed from
+	// the routing substrate. DeliveryPayloadBytes totals the payload bytes
+	// carried by successful deliveries.
 	DeliveryFlowHits, DeliveryFlowMisses, DeliveryPayloadBytes uint64
 	// DeliveryBatchFlows/DeliveryBatchPackets measure the batched send
 	// path: how many distinct flow skeletons SendBatch bursts
