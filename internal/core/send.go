@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -122,16 +123,17 @@ func (b *BatchError) Error() string {
 	return fmt.Sprintf("core: batch: %d of %d packets dropped", b.Failed, len(b.Errs))
 }
 
-// batchFlow is one flow skeleton materialized for a send: the memoised
-// routing decisions (fe) plus everything else that is a function of the
-// flow and not of the packet — the Delivery prototype, the serialized
-// header template and the underlay loopback of every bone hop. The first
-// packet of a send to a destination builds it; every later one finds it
-// in batchCtx.flows before anything shared is consulted, so the whole
-// burst observes one routing decision even if the epoch churns mid-batch.
-type batchFlow struct {
-	dst topology.HostID
-	fe  *flowEntry
+// flow is one flow skeleton materialized: the memoised routing decisions
+// (fe) plus everything else that is a function of the flow and the epoch
+// and not of the packet — the Delivery prototype, the serialized header
+// template and the underlay loopback of every bone hop. flowFor builds it
+// and nothing writes it afterwards, so one flow serves any number of
+// concurrent sends read-only: a flow the shared cache answers a second
+// time is published on its entry (flowEntry.mat) and every later send to
+// it, single or burst, just points at that; until then it lives in the
+// sending context's recycled scratch.
+type flow struct {
+	fe *flowEntry
 	// proto is the flow's Delivery, complete but for Payload and TraceTag:
 	// a delivered packet is one copy of it.
 	proto Delivery
@@ -147,6 +149,12 @@ type batchFlow struct {
 	// self distinguishes the two for drop-error fidelity.
 	final addr.V4
 	self  bool
+}
+
+// sendFlow is one row of a send's own flow table.
+type sendFlow struct {
+	dst topology.HostID
+	f   *flow
 }
 
 // batchCtx is the pooled working set of the send engine, one per Send or
@@ -168,9 +176,15 @@ type batchCtx struct {
 	// first table deliverVN consults: only a destination this send has
 	// not seen yet reaches the epoch's shared flow cache. Bursts group
 	// naturally by flow, so for realistic batch sizes a scan beats
-	// hashing and takes no lock, and recycled entries keep their template
-	// and hop storage alive across sends.
-	flows    []batchFlow
+	// hashing and takes no lock, and the whole burst observes one routing
+	// decision even if the epoch churns mid-batch. A row points at the
+	// flow's published form or into scratch.
+	flows []sendFlow
+	// scratch[:used] are the flows this send materialized for itself (its
+	// shared-cache misses); entries are recycled across sends with their
+	// template and hop storage.
+	scratch  []*flow
+	used     int
 	counters trace.CounterBatch
 	events   trace.EventBuffer
 	// hdrOpts, underBuf and tagBuf build each flow's template options
@@ -200,29 +214,43 @@ func getBatchCtx(ingress *anycast.Deployment) *batchCtx {
 	bc := batchCtxPool.Get().(*batchCtx)
 	bc.ingress = ingress
 	bc.flows = bc.flows[:0]
+	bc.used = 0
 	bc.counters.Reset()
 	return bc
 }
 
-// flowFor materializes the send's flow skeleton for a destination it has
-// not seen yet from fe: the Delivery prototype, the header template
-// (serialized once through the real layer serializers, then patched per
-// packet) and the bone path's loopback addresses. Recycled entries keep
-// their storage, so a warm context materializes flows without allocating.
-func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.Host, fe *flowEntry) (*batchFlow, error) {
-	if len(bc.flows) < cap(bc.flows) {
-		bc.flows = bc.flows[:len(bc.flows)+1]
-	} else {
-		bc.flows = append(bc.flows, batchFlow{})
+// flowFor enters a destination this send has not seen yet into its flow
+// table and returns fe materialized: the Delivery prototype, the header
+// template (serialized once through the real layer serializers, then
+// patched per packet) and the bone path's loopback addresses. shared says
+// fe came out of the epoch's flow cache: the form published on it is used
+// as is, and when there is none yet — this is the flow's first reuse — one
+// is built on the heap and published with one compare-and-swap (a racing
+// sender's form is as good: both are functions of fe and ep alone). A
+// skeleton this send computed itself is materialized into recycled
+// scratch, so a flow nobody sends on twice leaves nothing behind on its
+// entry and a warm context materializes without allocating.
+func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.Host, fe *flowEntry, shared bool) (*flow, error) {
+	f := fe.mat.Load()
+	if f != nil {
+		bc.flows = append(bc.flows, sendFlow{dst.ID, f})
+		return f, nil
 	}
-	bf := &bc.flows[len(bc.flows)-1]
-	bf.dst = dst.ID
-	bf.fe = fe
-	bf.bone = ep.bone
-	bf.self = fe.dstVN.IsSelf()
-	bf.final = dst.Addr
+	switch {
+	case shared:
+		f = new(flow)
+	case bc.used == len(bc.scratch):
+		f = new(flow)
+		bc.scratch = append(bc.scratch, f)
+	default:
+		f = bc.scratch[bc.used]
+	}
+	f.fe = fe
+	f.bone = ep.bone
+	f.self = fe.dstVN.IsSelf()
+	f.final = dst.Addr
 	total := fe.ing.Cost + fe.eg.BoneCost + fe.tailCost
-	bf.proto = Delivery{
+	f.proto = Delivery{
 		SrcVN:        fe.srcVN,
 		DstVN:        fe.dstVN,
 		Ingress:      fe.ing,
@@ -247,7 +275,7 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 		Dst:      fe.dstVN,
 	}
 	opts := bc.hdrOpts[:0]
-	if bf.self {
+	if f.self {
 		// Carry the destination's IPv(N-1) address for the egress
 		// (§3.3.2's "carried in a separate option field").
 		binary.BigEndian.PutUint32(bc.underBuf[:], uint32(dst.Addr))
@@ -259,17 +287,22 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 	opts = append(opts, packet.Option{Type: packet.OptTraceTag, Value: bc.tagBuf[:]})
 	hdr.Options = opts
 	outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: src.Addr, Dst: bc.ingress.Addr}
-	if err := bf.tmpl.Build(outer, hdr); err != nil {
-		bc.flows = bc.flows[:len(bc.flows)-1]
+	if err := f.tmpl.Build(outer, hdr); err != nil {
 		return nil, err
 	}
 
-	hops := append(bf.hops[:0], e.Net.Router(fe.ing.Member).Loopback)
+	hops := append(slices.Grow(f.hops[:0], max(1, len(fe.eg.BonePath))), e.Net.Router(fe.ing.Member).Loopback)
 	for j := 1; j < len(fe.eg.BonePath); j++ {
 		hops = append(hops, e.Net.Router(fe.eg.BonePath[j]).Loopback)
 	}
-	bf.hops = hops
-	return bf, nil
+	f.hops = hops
+	if !shared {
+		bc.used++
+	} else if !fe.mat.CompareAndSwap(nil, f) {
+		f = fe.mat.Load()
+	}
+	bc.flows = append(bc.flows, sendFlow{dst.ID, f})
+	return f, nil
 }
 
 // sendSingle drives the engine once: Send, SendTraced and SendVia are
@@ -489,8 +522,9 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 // routes fine before and after. Such an error — mutSeq has moved past the
 // epoch's seq — is not returned: the computation runs once more on the
 // freshly published epoch with mutators locked out, and that verdict
-// stands. It returns the epoch the skeleton belongs to.
-func (e *Evolution) flowSkeleton(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host) (*flowEntry, *routingEpoch, trace.DropReason, error) {
+// stands. It returns the epoch the skeleton belongs to, and whether the
+// flow cache answered (true) or the skeleton is this send's own.
+func (e *Evolution) flowSkeleton(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host) (*flowEntry, *routingEpoch, bool, trace.DropReason, error) {
 	cb := &bc.counters
 	fk := flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr}
 	if fe, ok := ep.flow.load(uint32(fk.src), fk); ok {
@@ -499,7 +533,7 @@ func (e *Evolution) flowSkeleton(bc *batchCtx, ep *routingEpoch, src, dst *topol
 		// decision included — count it so the redirect hit-rate stays
 		// meaningful.
 		cb.Redirect(true)
-		return fe, ep, trace.DropNone, nil
+		return fe, ep, true, trace.DropNone, nil
 	}
 	cb.FlowMiss()
 	before := *cb
@@ -517,12 +551,12 @@ func (e *Evolution) flowSkeleton(bc *batchCtx, ep *routingEpoch, src, dst *topol
 		e.mu.Unlock()
 	}
 	if err != nil {
-		return nil, ep, reason, err
+		return nil, ep, false, reason, err
 	}
 	if e.mutSeq.Load() == ep.seq {
 		ep.flow.store(uint32(fk.src), fk, fe)
 	}
-	return fe, ep, trace.DropNone, nil
+	return fe, ep, false, trace.DropNone, nil
 }
 
 // ingressAt returns the epoch's frozen deployment serving anycast
@@ -552,21 +586,21 @@ func (ep *routingEpoch) ingressAt(a addr.V4) *anycast.Deployment {
 // failed) feeds the health layer's signal matching.
 func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, out *Delivery, tr trace.Tracer, seq uint32) (*flowEntry, trace.DropReason, error) {
 	cb := &bc.counters
-	var bf *batchFlow
+	var bf *flow
 	for i := range bc.flows {
 		if bc.flows[i].dst == dst.ID {
-			bf = &bc.flows[i]
+			bf = bc.flows[i].f
 			cb.FlowHit()
 			cb.Redirect(true)
 			break
 		}
 	}
 	if bf == nil {
-		fe, ep, reason, err := e.flowSkeleton(bc, ep, src, dst)
+		fe, ep, hit, reason, err := e.flowSkeleton(bc, ep, src, dst)
 		if err != nil {
 			return nil, reason, err
 		}
-		if bf, err = bc.flowFor(e, ep, src, dst, fe); err != nil {
+		if bf, err = bc.flowFor(e, ep, src, dst, fe, hit); err != nil {
 			return fe, trace.DropEncap, err
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
@@ -169,7 +170,7 @@ type flowKey struct {
 // heuristic; a flow-cache hit re-runs only the wire-level
 // encapsulation path and skips all path computation. Entries are
 // immutable once stored (BonePath/TailPath slices included — deliveries
-// share them read-only).
+// share them read-only), but for mat.
 type flowEntry struct {
 	srcVN, dstVN addr.VN
 	ing          anycast.Resolution
@@ -180,4 +181,9 @@ type flowEntry struct {
 	tailCost     int64
 	tailPath     []topology.RouterID
 	baseline     int64
+	// mat is the skeleton materialized for the wire (see flow), nil until
+	// the first send that finds this entry in the flow cache publishes it:
+	// a flow sent on once holds nothing here. The pointer fills the 8
+	// bytes the entry had spare in its 224-byte allocation class.
+	mat atomic.Pointer[flow]
 }

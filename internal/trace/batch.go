@@ -1,14 +1,19 @@
 package trace
 
-import "github.com/evolvable-net/evolve/internal/topology"
+import (
+	"maps"
+
+	"github.com/evolvable-net/evolve/internal/topology"
+)
 
 // CounterBatch is a plain, single-goroutine accumulator for the send-path
 // counters, and the one sink the delivery engine counts into. A send
 // tallies its packet — or every packet of its burst — into one
 // CounterBatch with ordinary integer adds, then folds the lot into the
-// shared striped Counters with one FlushTo: one striped add per touched
-// counter per send or batch. A CounterBatch is not safe for concurrent
-// use; each send owns its own (pooled alongside its wire buffers).
+// shared striped Counters with one FlushTo: one stripe drawn, one add per
+// touched counter per send or batch. A CounterBatch is not safe for
+// concurrent use; each send owns its own (pooled alongside its wire
+// buffers).
 type CounterBatch struct {
 	// n holds the send path's scalar counters, indexed by counterID.
 	n     [numBatched]uint64
@@ -127,44 +132,61 @@ func (b *CounterBatch) Reset() {
 	*b = CounterBatch{ingress: b.ingress}
 }
 
-// FlushTo folds the accumulated tallies into c: one striped add per
-// non-zero counter. After FlushTo, c's Snapshot reflects the batch
-// exactly as if every packet had counted through c directly.
+// FlushTo folds the accumulated tallies into c on one stripe: one draw,
+// then one add per non-zero counter on that stripe's few adjacent lines.
+// After FlushTo, c's Snapshot reflects the batch exactly as if every
+// packet had counted through c directly.
 func (b *CounterBatch) FlushTo(c *Counters) {
+	stripe := pick()
+	blk := &c.s[stripe]
 	for i := range b.n {
 		if n := b.n[i]; n > 0 {
-			c.cells[i].add(n)
+			blk.cells[i].Add(n)
 		}
 	}
 	for r := DropNotDeployed; r < numDropReasons; r++ {
 		if n := b.drops[r]; n > 0 {
-			c.drops[r].add(n)
+			blk.cells[dropCell(r)].Add(n)
 		}
 	}
 	for _, d := range b.ingress {
-		c.ingressN(d.as, d.n)
+		c.ingressN(stripe, d.as, d.n)
 	}
 }
 
-// ingressN adds n to the per-AS ingress tally in one striped add. The
-// map probe is an RLock plus one typed lookup, so counting an ingress
-// allocates nothing once the AS has been seen.
-func (c *Counters) ingressN(as topology.ASN, n uint64) {
-	c.ingressMu.RLock()
-	v := c.ingressByAS[as]
-	c.ingressMu.RUnlock()
+// ingressN adds n to the per-AS ingress tally on the caller's stripe.
+func (c *Counters) ingressN(stripe uint32, as topology.ASN, n uint64) {
+	v := c.ingressMap()[as]
 	if v == nil {
-		c.ingressMu.Lock()
-		if c.ingressByAS == nil {
-			c.ingressByAS = map[topology.ASN]*striped{}
-		}
-		if v = c.ingressByAS[as]; v == nil {
-			v = new(striped)
-			c.ingressByAS[as] = v
-		}
-		c.ingressMu.Unlock()
+		v = c.ingressCell(as)
 	}
-	v.add(n)
+	v.s[stripe].v.Add(n)
+}
+
+// ingressMap returns the published per-AS tallies, read-only; nil before
+// the first ingress.
+func (c *Counters) ingressMap() map[topology.ASN]*striped {
+	if m := c.ingressByAS.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// ingressCell returns as's tally, publishing a copy of the map with a
+// fresh one added when as has not been an ingress before.
+func (c *Counters) ingressCell(as topology.ASN) *striped {
+	c.ingressMu.Lock()
+	defer c.ingressMu.Unlock()
+	prev := c.ingressMap()
+	if v := prev[as]; v != nil {
+		return v
+	}
+	next := make(map[topology.ASN]*striped, len(prev)+1)
+	maps.Copy(next, prev)
+	v := new(striped)
+	next[as] = v
+	c.ingressByAS.Store(&next)
+	return v
 }
 
 // BulkTracer is an optional Tracer extension: sinks that can ingest a

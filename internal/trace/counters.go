@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/evolvable-net/evolve/internal/topology"
 )
@@ -211,172 +212,172 @@ const (
 // concurrent use and never allocate on the hot path except the first
 // time a given AS appears as an ingress. The zero value is ready to use.
 //
-// Every cell is striped (see striped.go): an increment lands on one of
+// The table is striped (see striped.go): an increment lands on one of
 // several cache-line-padded stripes and Snapshot sums them, so 64+
 // concurrent senders do not serialize on shared cache lines.
 type Counters struct {
-	// cells holds the scalar counters, indexed by counterID.
-	cells [numCounters]striped
-	drops [numDropReasons]striped
+	// s is the scalar counters and the drop reasons, stripe-major.
+	s [stripes]block
 	// ingressByAS is the per-AS ingress load: how many deliveries
-	// entered the bone in each domain. A plain map under an RWMutex
-	// rather than a sync.Map — the hot path is then an RLock plus one
-	// typed map probe with no interface boxing, so counting an ingress
-	// allocates nothing once the AS has been seen.
-	ingressMu   sync.RWMutex
-	ingressByAS map[topology.ASN]*striped
+	// entered the bone in each domain. The map is published copy-on-write
+	// — a first-seen AS copies it under ingressMu, and ASes are bounded by
+	// the topology — so counting an ingress is one pointer load and one
+	// typed map probe, with no lock and no allocation once the AS has been
+	// seen.
+	ingressByAS atomic.Pointer[map[topology.ASN]*striped]
+	ingressMu   sync.Mutex
 }
 
 // Send counts one delivery attempt entering the send path.
-func (c *Counters) Send() { c.cells[cSends].add(1) }
+func (c *Counters) Send() { c.add(cSends, 1) }
 
 // Deliver counts one successful end-to-end delivery.
-func (c *Counters) Deliver() { c.cells[cDeliveries].add(1) }
+func (c *Counters) Deliver() { c.add(cDeliveries, 1) }
 
 // Drop counts one failed delivery under its reason.
 func (c *Counters) Drop(r DropReason) {
 	if r == DropNone || r >= numDropReasons {
 		return
 	}
-	c.drops[r].add(1)
+	c.add(dropCell(r), 1)
 }
 
 // Redirect counts one anycast redirect resolution; hit reports whether
 // it was served from the redirect cache.
 func (c *Counters) Redirect(hit bool) {
-	c.cells[cRedirects].add(1)
+	c.add(cRedirects, 1)
 	if hit {
-		c.cells[cRedirectHits].add(1)
+		c.add(cRedirectHits, 1)
 	}
 }
 
 // FlowHit counts one send whose full delivery skeleton (ingress, egress,
 // tail, baseline) was served from the epoch's flow cache.
-func (c *Counters) FlowHit() { c.cells[cFlowHits].add(1) }
+func (c *Counters) FlowHit() { c.add(cFlowHits, 1) }
 
 // FlowMiss counts one send that had to compute its delivery skeleton
 // from the routing substrate (and, mutations permitting, cached it).
-func (c *Counters) FlowMiss() { c.cells[cFlowMisses].add(1) }
+func (c *Counters) FlowMiss() { c.add(cFlowMisses, 1) }
 
 // HealthSignal counts n external failure signals (unacked reliable
 // sends, overlay peer suspicion) applied to flow-health records.
 func (c *Counters) HealthSignal(n int) {
 	if n > 0 {
-		c.cells[cHealthSignals].add(uint64(n))
+		c.add(cHealthSignals, uint64(n))
 	}
 }
 
 // PayloadBytes counts n payload bytes carried by successful deliveries.
 func (c *Counters) PayloadBytes(n int) {
 	if n > 0 {
-		c.cells[cPayloadBytes].add(uint64(n))
+		c.add(cPayloadBytes, uint64(n))
 	}
 }
 
 // Ingress counts one delivery entering the deployment in domain as.
-func (c *Counters) Ingress(as topology.ASN) { c.ingressN(as, 1) }
+func (c *Counters) Ingress(as topology.ASN) { c.ingressN(pick(), as, 1) }
 
 // Encap counts one tunnel encapsulation.
-func (c *Counters) Encap() { c.cells[cEncaps].add(1) }
+func (c *Counters) Encap() { c.add(cEncaps, 1) }
 
 // Decap counts one tunnel decapsulation.
-func (c *Counters) Decap() { c.cells[cDecaps].add(1) }
+func (c *Counters) Decap() { c.add(cDecaps, 1) }
 
 // BoneHops counts n vN-Bone virtual hops traversed by one delivery.
 func (c *Counters) BoneHops(n int) {
 	if n > 0 {
-		c.cells[cBoneHops].add(uint64(n))
+		c.add(cBoneHops, uint64(n))
 	}
 }
 
 // BoneRebuild counts one successful vN-Bone reconstruction (deployment
 // change or topology reconvergence). Failed build attempts are counted
 // separately by RebuildFailed, never here.
-func (c *Counters) BoneRebuild() { c.cells[cBoneRebuilds].add(1) }
+func (c *Counters) BoneRebuild() { c.add(cBoneRebuilds, 1) }
 
 // RebuildFailed counts one vN-Bone reconstruction attempt that errored
 // (e.g. the candidate membership partitions the bone). The previous
 // routing state stays live, so failures must not inflate BoneRebuilds.
-func (c *Counters) RebuildFailed() { c.cells[cRebuildsFail].add(1) }
+func (c *Counters) RebuildFailed() { c.add(cRebuildsFail, 1) }
 
 // Epoch counts one routing-epoch publication: any mutation that swapped
 // in a new immutable snapshot for the send path, whether or not the
 // bone itself was rebuilt.
-func (c *Counters) Epoch() { c.cells[cEpochs].add(1) }
+func (c *Counters) Epoch() { c.add(cEpochs, 1) }
 
 // InvalDomain counts one domain-scoped invalidation: an event confined
 // to a single AS (intra-link flap, membership change) that dropped only
 // that domain's derived state.
-func (c *Counters) InvalDomain() { c.cells[cInvalDomain].add(1) }
+func (c *Counters) InvalDomain() { c.add(cInvalDomain, 1) }
 
 // InvalInter counts one inter-scope invalidation: an inter-domain link
 // event that refreshed BGP and the cross-domain SPTs while every
 // intra-domain SPT survived.
-func (c *Counters) InvalInter() { c.cells[cInvalInter].add(1) }
+func (c *Counters) InvalInter() { c.add(cInvalInter, 1) }
 
 // BoneDomains records, for one incremental bone build, how many
 // per-domain intra meshes were reused from the previous bone versus
 // recomputed from scratch.
 func (c *Counters) BoneDomains(reused, rebuilt int) {
 	if reused > 0 {
-		c.cells[cBoneReused].add(uint64(reused))
+		c.add(cBoneReused, uint64(reused))
 	}
 	if rebuilt > 0 {
-		c.cells[cBoneRebuilt].add(uint64(rebuilt))
+		c.add(cBoneRebuilt, uint64(rebuilt))
 	}
 }
 
 // ProbeSent counts one liveness keepalive probe emitted toward a peer.
-func (c *Counters) ProbeSent() { c.cells[cProbesSent].add(1) }
+func (c *Counters) ProbeSent() { c.add(cProbesSent, 1) }
 
 // ProbeMissed counts one probe round that elapsed without the previous
 // probe to that peer being acknowledged.
-func (c *Counters) ProbeMissed() { c.cells[cProbesMissed].add(1) }
+func (c *Counters) ProbeMissed() { c.add(cProbesMissed, 1) }
 
 // PeerSuspected counts one peer transitioning healthy → suspected after
 // accumulating the configured number of consecutive misses.
-func (c *Counters) PeerSuspected() { c.cells[cPeersSuspected].add(1) }
+func (c *Counters) PeerSuspected() { c.add(cPeersSuspected, 1) }
 
 // PeerRecovered counts one suspected peer answering a probe again.
-func (c *Counters) PeerRecovered() { c.cells[cPeersRecovered].add(1) }
+func (c *Counters) PeerRecovered() { c.add(cPeersRecovered, 1) }
 
 // FailoverAnycast counts one anycast resolution that skipped a dead or
 // suspected member (including a per-source resolver nomination that was
 // overridden) and landed on the next-closest live member.
-func (c *Counters) FailoverAnycast() { c.cells[cFailoverAny].add(1) }
+func (c *Counters) FailoverAnycast() { c.add(cFailoverAny, 1) }
 
 // FailoverRoute counts one bone relay that bypassed a dead or suspected
 // primary next-hop via an alternate.
-func (c *Counters) FailoverRoute() { c.cells[cFailoverRoute].add(1) }
+func (c *Counters) FailoverRoute() { c.add(cFailoverRoute, 1) }
 
 // Retransmit counts one retransmission attempt of an acked send.
-func (c *Counters) Retransmit() { c.cells[cRetransmits].add(1) }
+func (c *Counters) Retransmit() { c.add(cRetransmits, 1) }
 
 // DedupDrop counts one duplicate delivery suppressed by the receiver's
 // dedup window (the duplicate is re-acked, never re-delivered).
-func (c *Counters) DedupDrop() { c.cells[cDedupDrops].add(1) }
+func (c *Counters) DedupDrop() { c.add(cDedupDrops, 1) }
 
 // ReconcileDeltas counts n membership/route/address deltas applied to a
 // running overlay by one epoch reconciliation.
 func (c *Counters) ReconcileDeltas(n int) {
 	if n > 0 {
-		c.cells[cReconDeltas].add(uint64(n))
+		c.add(cReconDeltas, uint64(n))
 	}
 }
 
 // ReconcileFallback counts one reconciliation that kept the last-good
 // configuration because the published epoch was unusable.
-func (c *Counters) ReconcileFallback() { c.cells[cReconFallbacks].add(1) }
+func (c *Counters) ReconcileFallback() { c.add(cReconFallbacks, 1) }
 
 // FaultDrop counts one packet discarded by injected wire faults
 // (drop-rate or partition).
-func (c *Counters) FaultDrop() { c.cells[cFaultDropped].add(1) }
+func (c *Counters) FaultDrop() { c.add(cFaultDropped, 1) }
 
 // FaultDuplicate counts one packet duplicated by injected wire faults.
-func (c *Counters) FaultDuplicate() { c.cells[cFaultDup].add(1) }
+func (c *Counters) FaultDuplicate() { c.add(cFaultDup, 1) }
 
 // FaultDelay counts one packet deferred by injected wire faults.
-func (c *Counters) FaultDelay() { c.cells[cFaultDelayed].add(1) }
+func (c *Counters) FaultDelay() { c.add(cFaultDelayed, 1) }
 
 // Snapshot is a point-in-time copy of a Counters. Each field is read
 // atomically; the set as a whole is not a global atomic snapshot (see
@@ -465,19 +466,17 @@ func (c *Counters) Snapshot() Snapshot {
 		IngressByAS:   map[topology.ASN]uint64{},
 	}
 	for _, r := range counterTable {
-		*r.field(&s) = c.cells[r.id].load()
+		*r.field(&s) = c.load(r.id)
 	}
 	for r := DropNotDeployed; r < numDropReasons; r++ {
-		if n := c.drops[r].load(); n > 0 {
+		if n := c.load(dropCell(r)); n > 0 {
 			s.DropsByReason[r] = n
 			s.Drops += n
 		}
 	}
-	c.ingressMu.RLock()
-	for as, v := range c.ingressByAS {
+	for as, v := range c.ingressMap() {
 		s.IngressByAS[as] = v.load()
 	}
-	c.ingressMu.RUnlock()
 	return s
 }
 

@@ -211,9 +211,9 @@ func TestCounterBatchDifferential(t *testing.T) {
 				o := batchOnly[k-len(shared)]
 				o.batch(&b, n)
 				if o.byArg {
-					direct.cells[o.id].add(uint64(n))
+					direct.add(o.id, uint64(n))
 				} else {
-					direct.cells[o.id].add(1)
+					direct.add(o.id, 1)
 				}
 			}
 			if rng.Intn(40) == 0 {
