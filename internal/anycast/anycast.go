@@ -322,11 +322,14 @@ func (s *Service) ResolveFromRouter(from topology.RouterID, a addr.V4) (Resoluti
 // packet and its IGP delivers to the closest member.
 func (s *Service) ResolveFromRouterVia(d *Deployment, from topology.RouterID) (Resolution, error) {
 	w := s.fwd.Begin(from)
+	defer s.fwd.End(w)
 	for {
 		if members := d.membersByAS[w.Domain()]; len(members) > 0 {
 			if m, _, ok := s.igp.ClosestIn(w.At(), members); ok {
-				s.fwd.Intra(&w, m)
-				return Resolution{Member: m, RouterPath: w.Routers, ASPath: w.ASPath, Cost: w.Cost}, nil
+				s.fwd.Intra(w, m)
+				// The resolution outlives the walk (the redirect cache keeps
+				// it): exact-size copies.
+				return Resolution{Member: m, RouterPath: forward.Exact(w.Routers), ASPath: forward.Exact(w.ASPath), Cost: w.Cost}, nil
 			}
 		}
 
@@ -334,9 +337,9 @@ func (s *Service) ResolveFromRouterVia(d *Deployment, from topology.RouterID) (R
 		// address lies outside every unicast aggregate, so when no
 		// (search-advertised) anycast route exists the router derives the
 		// fallback from the address itself: toward the home domain.
-		local, err := s.fwd.Hop(&w, d.Addr)
+		local, err := s.fwd.Hop(w, d.Addr)
 		if errors.Is(err, forward.ErrNoRoute) && d.Option == OptionGIA {
-			local, err = s.fwd.Hop(&w, s.net.Domain(d.DefaultAS).Prefix.Addr+1)
+			local, err = s.fwd.Hop(w, s.net.Domain(d.DefaultAS).Prefix.Addr+1)
 		}
 		switch {
 		case errors.Is(err, forward.ErrNoRoute), errors.Is(err, forward.ErrUnreachable):

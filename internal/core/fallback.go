@@ -23,12 +23,12 @@ func (e *Evolution) fallbackBaseline(h *flowHealth, ep *routingEpoch, src, dst *
 		return c, nil
 	}
 	h.mu.Unlock()
-	base, err := e.Fwd.HostToHost(src, dst)
+	cost, err := e.Fwd.BaselineCost(src, dst)
 	if err != nil && e.mutSeq.Load() != ep.seq {
 		// Torn by a mutation in flight (see flowSkeleton): once more with
 		// mutators locked out.
 		e.mu.Lock()
-		base, err = e.Fwd.HostToHost(src, dst)
+		cost, err = e.Fwd.BaselineCost(src, dst)
 		e.mu.Unlock()
 	}
 	if err != nil {
@@ -36,10 +36,10 @@ func (e *Evolution) fallbackBaseline(h *flowHealth, ep *routingEpoch, src, dst *
 	}
 	if e.mutSeq.Load() == ep.seq {
 		h.mu.Lock()
-		h.fbSeq, h.fbOK, h.fbCost = ep.seq, true, base.Cost
+		h.fbSeq, h.fbOK, h.fbCost = ep.seq, true, cost
 		h.mu.Unlock()
 	}
-	return base.Cost, nil
+	return cost, nil
 }
 
 // deliverFallback runs one delivery over the IPv(N-1) baseline: a direct

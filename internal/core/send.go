@@ -10,6 +10,7 @@ import (
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
+	"github.com/evolvable-net/evolve/internal/forward"
 	"github.com/evolvable-net/evolve/internal/metrics"
 	"github.com/evolvable-net/evolve/internal/packet"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
@@ -785,22 +786,23 @@ func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingre
 	}
 
 	if fe.dstVN.IsSelf() {
-		tail, err := e.Fwd.FromRouter(eg.Member, dst.Addr)
+		w := e.Fwd.Begin(eg.Member)
+		_, err := e.Fwd.Deliver(w, dst.Addr, dst)
+		if err == nil {
+			fe.tailCost, fe.tailPath = w.Cost, forward.Exact(w.Routers)
+		}
+		e.Fwd.End(w)
 		if err != nil {
 			return nil, trace.DropTail, fmt.Errorf("core: tail: %w", err)
 		}
-		fe.tailCost = tail.Cost
-		fe.tailPath = tail.Routers
 	} else {
 		// Egress is in dst's own (participating) domain: IGP delivers.
 		fe.tailCost = e.IGP.IntraDist(eg.Member, dst.Attach) + dst.AccessLatency
 		fe.tailPath = e.IGP.IntraPath(eg.Member, dst.Attach)
 	}
 
-	base, err := e.Fwd.HostToHost(src, dst)
-	if err != nil {
+	if fe.baseline, err = e.Fwd.BaselineCost(src, dst); err != nil {
 		return nil, trace.DropNoBaseline, fmt.Errorf("core: baseline: %w", err)
 	}
-	fe.baseline = base.Cost
 	return fe, trace.DropNone, nil
 }

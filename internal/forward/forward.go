@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/graph"
@@ -54,11 +55,13 @@ type Engine struct {
 	net *topology.Network
 	bgp *bgp.System
 	igp *underlay.View
+	// walks recycles Walk buffers: Begin takes one, End returns it.
+	walks sync.Pool
 }
 
 // NewEngine returns a forwarding engine over the given routing state.
 func NewEngine(net *topology.Network, bgpSys *bgp.System, igp *underlay.View) *Engine {
-	return &Engine{net: net, bgp: bgpSys, igp: igp}
+	return &Engine{net: net, bgp: bgpSys, igp: igp, walks: sync.Pool{New: func() any { return new(Walk) }}}
 }
 
 // Walk is a unicast trajectory under construction. Hop and Intra are the
@@ -66,28 +69,55 @@ func NewEngine(net *topology.Network, bgpSys *bgp.System, igp *underlay.View) *E
 // baseline unicast here, anycast redirection in internal/anycast, which is
 // this walk with a capture test at each domain entry (§3.2: "unicast
 // routing delivers them to the closest IPvN router") — is priced and
-// loop-checked by the same code.
+// loop-checked by the same code. Its buffers are pooled: what outlives End
+// is a copy (Exact).
 type Walk struct {
-	// Routers is the router-level path so far, from the source router.
+	// Routers is the router-level path so far, from the source router;
+	// empty on a priced walk, which makes every decision and keeps Cost
+	// and ASPath but records no router.
 	Routers []topology.RouterID
 	// ASPath is the domain-level path so far.
 	ASPath []topology.ASN
-	// Cost is the summed link cost of Routers.
+	// Cost is the summed link cost so far.
 	Cost int64
+
+	at     topology.RouterID
+	priced bool
+	// toward is BGP's routing toward the destination, resolved by the
+	// first Hop and again whenever a Hop names another destination.
+	toward bgp.Toward
 }
 
 // At is the router the packet stands at.
-func (w *Walk) At() topology.RouterID { return w.Routers[len(w.Routers)-1] }
+func (w *Walk) At() topology.RouterID { return w.at }
 
 // Domain is the domain the packet stands in.
 func (w *Walk) Domain() topology.ASN { return w.ASPath[len(w.ASPath)-1] }
 
-// Begin opens a walk at router from.
-func (e *Engine) Begin(from topology.RouterID) Walk {
-	return Walk{
-		Routers: []topology.RouterID{from},
-		ASPath:  []topology.ASN{e.net.DomainOf(from)},
-	}
+// Exact returns a copy of s with no spare capacity: the form in which a
+// cache retains part of a walk, so an entry never pins a pooled buffer.
+func Exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
+
+// Begin opens a walk at router from. End it when done.
+func (e *Engine) Begin(from topology.RouterID) *Walk {
+	w := e.walks.Get().(*Walk)
+	w.Routers, w.ASPath = append(w.Routers[:0], from), append(w.ASPath[:0], e.net.DomainOf(from))
+	w.Cost, w.at, w.priced = 0, from, false
+	return w
+}
+
+// BeginPriced opens a cost-only walk at router from.
+func (e *Engine) BeginPriced(from topology.RouterID) *Walk {
+	w := e.Begin(from)
+	w.Routers, w.priced = w.Routers[:0], true
+	return w
+}
+
+// End recycles w, which must not be used afterwards. The view goes: a
+// pooled walk pins no BGP generation, and the next walk resolves afresh.
+func (e *Engine) End(w *Walk) {
+	w.toward = bgp.Toward{}
+	e.walks.Put(w)
 }
 
 // Hop forwards the packet one inter-domain hop toward dst: the domain's
@@ -100,8 +130,11 @@ func (e *Engine) Begin(from topology.RouterID) Walk {
 // the way to the border, ErrLoop when the next domain is one the walk
 // has already crossed.
 func (e *Engine) Hop(w *Walk, dst addr.V4) (local bool, err error) {
-	at, asn := w.At(), w.Domain()
-	route, ok := e.bgp.Lookup(asn, dst)
+	if !w.toward.Resolves(dst) {
+		e.bgp.Toward(dst, &w.toward)
+	}
+	asn := w.Domain()
+	route, ok := w.toward.Lookup(asn)
 	if !ok {
 		return false, ErrNoRoute
 	}
@@ -109,11 +142,10 @@ func (e *Engine) Hop(w *Walk, dst addr.V4) (local bool, err error) {
 	if next == -1 {
 		return true, nil
 	}
-	link, ok := e.igp.HotPotato(at, e.bgp.LinksBetween(asn, next))
+	link, d, ok := e.igp.Exit(w.at, w.toward.LinksBetween(asn, next))
 	if !ok {
 		return false, fmt.Errorf("forward: BGP chose non-adjacent AS%d from AS%d", next, asn)
 	}
-	d := e.igp.IntraDist(at, link.From)
 	if d >= graph.Inf {
 		return false, ErrUnreachable
 	}
@@ -121,7 +153,10 @@ func (e *Engine) Hop(w *Walk, dst addr.V4) (local bool, err error) {
 		return false, ErrLoop
 	}
 	w.Cost += d + link.Latency
-	w.Routers = append(appendPath(w.Routers, e.igp.IntraPath(at, link.From)), link.To)
+	if !w.priced {
+		w.Routers = append(e.igp.AppendIntraPath(w.Routers, w.at, link.From), link.To)
+	}
+	w.at = link.To
 	w.ASPath = append(w.ASPath, next)
 	return false, nil
 }
@@ -130,67 +165,90 @@ func (e *Engine) Hop(w *Walk, dst addr.V4) (local bool, err error) {
 // the converged IGP. It reports false, moving nothing, when link failures
 // have severed the way.
 func (e *Engine) Intra(w *Walk, to topology.RouterID) bool {
-	d := e.igp.IntraDist(w.At(), to)
+	d := e.igp.IntraDist(w.at, to)
 	if d >= graph.Inf {
 		return false
 	}
 	w.Cost += d
-	w.Routers = appendPath(w.Routers, e.igp.IntraPath(w.At(), to))
+	if !w.priced {
+		w.Routers = e.igp.AppendIntraPath(w.Routers, w.at, to)
+	}
+	w.at = to
 	return true
 }
 
-// appendPath appends p to path, dropping p's first element when it
-// duplicates path's last.
-func appendPath(path, p []topology.RouterID) []topology.RouterID {
-	if len(p) > 0 && len(path) > 0 && path[len(path)-1] == p[0] {
-		p = p[1:]
+// Deliver walks w the rest of the way to dst, a router loopback or a host
+// address, the host's access link included. host is dst's host when the
+// caller holds it, nil to look dst up. It returns the host delivered to,
+// nil for a router.
+func (e *Engine) Deliver(w *Walk, dst addr.V4, host *topology.Host) (*topology.Host, error) {
+	for {
+		local, err := e.Hop(w, dst)
+		if err != nil {
+			return nil, err
+		}
+		if local {
+			break
+		}
 	}
-	return append(path, p...)
+	// The intra-domain tail: dst is a host address or a router loopback
+	// (one address pool, so never both) of the domain the walk ended in.
+	var to topology.RouterID
+	if host == nil {
+		host = e.net.FindHost(dst)
+	}
+	if host != nil && host.Domain == w.Domain() {
+		to = host.Attach
+	} else if r := e.net.RouterByLoopback(dst); r != nil && r.Domain == w.Domain() {
+		to, host = r.ID, nil
+	} else {
+		return nil, ErrHostNotFound
+	}
+	if !e.Intra(w, to) {
+		return nil, ErrUnreachable
+	}
+	if host != nil {
+		w.Cost += host.AccessLatency
+	}
+	return host, nil
+}
+
+// path walks from a router to dst (see Deliver for host) and returns the
+// trajectory in storage of its own.
+func (e *Engine) path(from topology.RouterID, dst addr.V4, host *topology.Host) (Path, error) {
+	w := e.Begin(from)
+	defer e.End(w)
+	host, err := e.Deliver(w, dst, host)
+	if err != nil {
+		return Path{}, err
+	}
+	return Path{Routers: Exact(w.Routers), ASPath: Exact(w.ASPath), Cost: w.Cost, DstHost: host, DstRouter: w.at}, nil
 }
 
 // FromRouter traces a packet from a router to the destination address.
 func (e *Engine) FromRouter(from topology.RouterID, dst addr.V4) (Path, error) {
-	w := e.Begin(from)
-	for {
-		local, err := e.Hop(&w, dst)
-		if err != nil {
-			return Path{}, err
-		}
-		if local {
-			return e.finish(w, dst)
-		}
-	}
-}
-
-// finish completes the intra-domain tail of the walk: dst is a router
-// loopback or a host address of the domain the walk ended in.
-func (e *Engine) finish(w Walk, dst addr.V4) (Path, error) {
-	asn := w.Domain()
-	p := Path{}
-	var access int64
-	if r := e.net.RouterByLoopback(dst); r != nil && r.Domain == asn {
-		p.DstRouter = r.ID
-	} else if h := e.net.FindHost(dst); h != nil && h.Domain == asn {
-		p.DstRouter, p.DstHost, access = h.Attach, h, h.AccessLatency
-	} else {
-		return Path{}, ErrHostNotFound
-	}
-	if !e.Intra(&w, p.DstRouter) {
-		return Path{}, ErrUnreachable
-	}
-	p.Routers, p.ASPath, p.Cost = w.Routers, w.ASPath, w.Cost+access
-	return p, nil
+	return e.path(from, dst, nil)
 }
 
 // HostToHost traces a packet between two hosts, including both access
 // links. This is the baseline against which IPvN path stretch is measured.
 func (e *Engine) HostToHost(src, dst *topology.Host) (Path, error) {
-	p, err := e.FromRouter(src.Attach, dst.Addr)
-	if err != nil {
-		return Path{}, err
+	p, err := e.path(src.Attach, dst.Addr, dst)
+	if err == nil {
+		p.Cost += src.AccessLatency
 	}
-	p.Cost += src.AccessLatency
-	return p, nil
+	return p, err
+}
+
+// BaselineCost is HostToHost's Cost from a priced walk: the same
+// decisions and errors, no path built.
+func (e *Engine) BaselineCost(src, dst *topology.Host) (int64, error) {
+	w := e.BeginPriced(src.Attach)
+	defer e.End(w)
+	if _, err := e.Deliver(w, dst.Addr, dst); err != nil {
+		return 0, err
+	}
+	return w.Cost + src.AccessLatency, nil
 }
 
 // DomainDistance returns the BGP AS-hop count from a domain to the domain

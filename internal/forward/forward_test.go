@@ -169,7 +169,8 @@ func TestSeveredBorder(t *testing.T) {
 	}
 	e.igp.Invalidate()
 	w := e.Begin(rX[1])
-	if _, err := e.Hop(&w, hy.Addr); !errors.Is(err, ErrUnreachable) {
+	defer e.End(w)
+	if _, err := e.Hop(w, hy.Addr); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("hop toward a severed border: err = %v, want ErrUnreachable", err)
 	}
 	if w.At() != rX[1] || len(w.Routers) != 1 || len(w.ASPath) != 1 || w.Cost != 0 {

@@ -32,6 +32,7 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -690,21 +691,100 @@ func (s *System) BestRoute(asn topology.ASN, p addr.Prefix) (Route, bool) {
 	}
 }
 
-// lookupLocked longest-prefix-matches dst in the routing of the AS at
-// position i, answering from the states that exist. When it reaches a
-// prefix on dst's match chain whose state is missing it stops and
-// returns that prefix as need; the caller converges it and asks again.
-func (s *System) lookupLocked(i int32, dst addr.V4) (r Route, ok bool, need addr.Prefix, missing bool) {
+// chainLink is one prefix of a destination's match chain and its
+// converged state, nil while the prefix is unconverged.
+type chainLink struct {
+	prefix addr.Prefix
+	st     *prefixState
+}
+
+// Toward is the routing toward one destination, resolved once: the
+// prefixes on the destination's match chain, longest first, each with its
+// converged state, and the AS-position and adjacency tables those states
+// were built on. States are immutable and reindexLocked replaces both
+// tables instead of editing them, so a view answers from one consistent
+// snapshot — with no lock and no trie walk — however the system changes
+// after it was taken, and never indexes a state with a position from
+// another table. A walk resolves its destination once and asks the view at
+// every AS hop. The zero value is empty; System.Toward fills it. Not safe
+// for concurrent use.
+type Toward struct {
+	sys       *System
+	dst       addr.V4
+	asIdx     map[topology.ASN]int32
+	neighbors map[topology.ASN][]topology.ASNeighbor
+	// The chain is chain[:n], or chain followed by spill when nesting runs
+	// deeper than the array: held inline so a view on the stack (Lookup's)
+	// allocates nothing.
+	n     int
+	chain [4]chainLink
+	spill []chainLink
+}
+
+func (t *Toward) link(k int) *chainLink {
+	if k < len(t.chain) {
+		return &t.chain[k]
+	}
+	return &t.spill[k-len(t.chain)]
+}
+
+// Toward resolves dst's match chain into t under one read lock. It
+// converges nothing: t.Lookup converges the prefixes it reaches.
+func (s *System) Toward(dst addr.V4, t *Toward) {
+	t.sys, t.dst, t.n, t.spill = s, dst, 0, t.spill[:0]
+	s.mu.RLock()
+	t.asIdx, t.neighbors = s.asIdx, s.neighbors
 	s.index.Matches(dst, func(p addr.Prefix, _ []topology.ASN) bool {
-		st := s.states[p]
-		if st == nil {
-			need, missing = p, true
-			return false
+		if t.n >= len(t.chain) {
+			t.spill = append(t.spill, chainLink{})
 		}
-		r, ok = st.route(p, i)
-		return !ok
+		t.n++
+		*t.link(t.n - 1) = chainLink{p, s.states[p]}
+		return true
 	})
-	return r, ok, need, missing
+	s.mu.RUnlock()
+}
+
+// Lookup longest-prefix-matches the view's destination in asn's routing:
+// the most specific prefix on the chain for which asn holds a route. A
+// prefix it reaches unconverged is converged and the view resolved again
+// (a mutator may have re-indexed in between); prefixes past the answer
+// stay lazy.
+func (t *Toward) Lookup(asn topology.ASN) (Route, bool) {
+	i, known := t.asIdx[asn]
+	for k := 0; known && k < t.n; k++ {
+		c := t.link(k)
+		if c.st == nil {
+			t.sys.convergeMissing(c.prefix)
+			t.sys.Toward(t.dst, t)
+			return t.Lookup(asn)
+		}
+		if r, ok := c.st.route(c.prefix, i); ok {
+			return r, true
+		}
+	}
+	return Route{}, false
+}
+
+// Resolves reports whether t is a view of dst.
+func (t *Toward) Resolves(dst addr.V4) bool { return t.sys != nil && t.dst == dst }
+
+// LinksBetween returns every border link between adjacent domains a and
+// b, oriented From-in-a and sorted by (From, To). Empty when not
+// adjacent. The slice is shared with the system: read-only.
+func (t *Toward) LinksBetween(a, b topology.ASN) []topology.InterLink {
+	return linksBetween(t.neighbors, a, b)
+}
+
+// linksBetween finds b in a's ASN-sorted neighbour list.
+func linksBetween(neighbors map[topology.ASN][]topology.ASNeighbor, a, b topology.ASN) []topology.InterLink {
+	nbs := neighbors[a]
+	if k, ok := slices.BinarySearchFunc(nbs, b, func(nb topology.ASNeighbor, b topology.ASN) int {
+		return cmp.Compare(nb.ASN, b)
+	}); ok {
+		return nbs[k].Links
+	}
+	return nil
 }
 
 // Lookup longest-prefix-matches dst in asn's routing: the most specific
@@ -712,20 +792,9 @@ func (s *System) lookupLocked(i int32, dst addr.V4) (r Route, ok bool, need addr
 // on the chain are converged, never the whole table, and a warm lookup
 // takes one read lock and allocates nothing.
 func (s *System) Lookup(asn topology.ASN, dst addr.V4) (Route, bool) {
-	for {
-		s.mu.RLock()
-		i, known := s.asIdx[asn]
-		if !known {
-			s.mu.RUnlock()
-			return Route{}, false
-		}
-		r, ok, need, missing := s.lookupLocked(i, dst)
-		s.mu.RUnlock()
-		if !missing {
-			return r, ok
-		}
-		s.convergeMissing(need)
-	}
+	var t Toward
+	s.Toward(dst, &t)
+	return t.Lookup(asn)
 }
 
 // TableSize returns the number of prefixes in asn's loc-RIB (routing-state
@@ -751,71 +820,36 @@ func (s *System) TableSize(asn topology.ASN) int {
 // follows toward dst, starting with from itself. ok is false when from
 // has no route.
 func (s *System) ASPath(from topology.ASN, dst addr.V4) ([]topology.ASN, bool) {
-	for {
-		s.mu.RLock()
-		path, ok, need, missing := s.asPathLocked(from, dst)
-		s.mu.RUnlock()
-		if !missing {
-			return path, ok
-		}
-		s.convergeMissing(need)
-	}
-}
-
-func (s *System) asPathLocked(from topology.ASN, dst addr.V4) (path []topology.ASN, ok bool, need addr.Prefix, missing bool) {
-	i, known := s.asIdx[from]
-	if !known {
-		return nil, false, need, false
-	}
-	r, ok, need, missing := s.lookupLocked(i, dst)
+	var t Toward
+	s.Toward(dst, &t)
+	r, ok := t.Lookup(from)
 	if !ok {
-		return nil, false, need, missing
+		return nil, false
 	}
-	path = append([]topology.ASN{from}, r.Path...)
+	path := append([]topology.ASN{from}, r.Path...)
 	// Downstream ASes may match a more specific prefix than `from` did
 	// (e.g. a NO_EXPORT host route covering an aggregate another AS
 	// holds). Walk hop by hop and splice when the next AS diverges.
-	maxLen := 2*len(s.asns) + 2 // guards against pathological splicing
-	for i := 0; i+1 < len(path) && len(path) <= maxLen; i++ {
-		cur := path[i+1]
-		if i+2 == len(path) {
-			break
+	maxLen := 2*len(t.asIdx) + 2 // guards against pathological splicing
+	for i := 0; i+2 < len(path) && len(path) <= maxLen; i++ {
+		nr, ok := t.Lookup(path[i+1])
+		if !ok || nr.NextHop() == -1 {
+			return path[:i+2], true
 		}
-		nr, ok, need, missing := s.lookupLocked(s.asIdx[cur], dst)
-		if missing {
-			return nil, false, need, true
-		}
-		if !ok {
-			return path[:i+2], true, need, false
-		}
-		want := nr.NextHop()
-		if want == -1 {
-			return path[:i+2], true, need, false
-		}
-		if want != path[i+2] {
-			// Splice in cur's actual continuation.
+		if nr.NextHop() != path[i+2] {
+			// Splice in that AS's actual continuation.
 			path = append(path[:i+2], nr.Path...)
 		}
 	}
-	return path, true, need, false
+	return path, true
 }
 
-// LinksBetween returns every border link between adjacent domains a and
-// b, oriented From-in-a and sorted by (From, To). Empty when not
-// adjacent. The slice is shared with the system: read-only.
+// LinksBetween is Toward.LinksBetween on the system's current adjacency.
 func (s *System) LinksBetween(a, b topology.ASN) []topology.InterLink {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.linksBetweenLocked(a, b)
-}
-
-func (s *System) linksBetweenLocked(a, b topology.ASN) []topology.InterLink {
-	for _, nb := range s.neighbors[a] {
-		if nb.ASN == b {
-			return nb.Links
-		}
-	}
-	return nil
+	neighbors := s.neighbors
+	s.mu.RUnlock()
+	return linksBetween(neighbors, a, b)
 }
 
 // LinkBetween returns the deterministic first border link between
@@ -824,9 +858,7 @@ func (s *System) linksBetweenLocked(a, b topology.ASN) []topology.InterLink {
 // selection; this remains for callers needing any single representative
 // link.
 func (s *System) LinkBetween(a, b topology.ASN) (topology.InterLink, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	links := s.linksBetweenLocked(a, b)
+	links := s.LinksBetween(a, b)
 	if len(links) == 0 {
 		return topology.InterLink{}, false
 	}

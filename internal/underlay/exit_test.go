@@ -1,0 +1,159 @@
+package underlay
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"github.com/evolvable-net/evolve/internal/graph"
+	"github.com/evolvable-net/evolve/internal/topology"
+)
+
+// referenceHotPotato is HotPotato as it was before Exit: one IntraDist —
+// a tree probe of its own — per candidate link.
+func referenceHotPotato(v *View, cur topology.RouterID, links []topology.InterLink) (topology.InterLink, bool) {
+	if len(links) == 0 {
+		return topology.InterLink{}, false
+	}
+	best := links[0]
+	bestDist := v.IntraDist(cur, best.From)
+	for _, l := range links[1:] {
+		if d := v.IntraDist(cur, l.From); d < bestDist {
+			best, bestDist = l, d
+		}
+	}
+	return best, true
+}
+
+// referenceIntraPath is IntraPath as it was before AppendIntraPath: the
+// tree's PathTo slice, translated into a second one.
+func referenceIntraPath(v *View, a, b topology.RouterID) []topology.RouterID {
+	if v.net.DomainOf(a) != v.net.DomainOf(b) {
+		return nil
+	}
+	dg, t := v.intraFor(a)
+	local := t.PathTo(dg.idx[b])
+	if local == nil {
+		return nil
+	}
+	out := make([]topology.RouterID, len(local))
+	for i, li := range local {
+		out[i] = dg.ids[li]
+	}
+	return out
+}
+
+// domainWorlds yields ring, mesh and random domains: whole, with one link
+// of each domain's first router failed, and with that router cut off.
+func domainWorlds(t *testing.T) map[string]*topology.Network {
+	t.Helper()
+	out := map[string]*topology.Network{}
+	for name, style := range map[string]topology.IntraStyle{"ring": topology.IntraRing, "mesh": topology.IntraGrid, "random": topology.IntraRandom} {
+		for _, failures := range []int{0, 1, 100} {
+			n, err := topology.TransitStub(2, 3, 0.5, topology.GenConfig{Seed: 5, RoutersPerDomain: 6, Intra: style})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, asn := range n.ASNs() {
+				r := n.Domain(asn).Routers[0]
+				for i, ed := range slices.Clone(n.Intra.Neighbors(int(r))) {
+					if i < failures {
+						n.FailIntraLink(r, topology.RouterID(ed.To))
+					}
+				}
+			}
+			out[fmt.Sprintf("%s/%d failed", name, failures)] = n
+		}
+	}
+	return out
+}
+
+// TestExitMatchesHotPotato: Exit picks the link the per-link reference
+// picks, and reports the reference's distance to it — from every router,
+// over candidate lists with several links per local end, link ends in a
+// foreign domain, and local ends link failures have cut off.
+func TestExitMatchesHotPotato(t *testing.T) {
+	unreachable := 0
+	for name, n := range domainWorlds(t) {
+		v := NewView(n)
+		for _, asn := range n.ASNs() {
+			rs := n.Domain(asn).Routers
+			foreign := n.Domain(n.ASNs()[(int(asn))%len(n.ASNs())]).Routers[0]
+			var links []topology.InterLink
+			for i, r := range []topology.RouterID{rs[3], rs[1], foreign, rs[5], rs[1], rs[0]} {
+				links = append(links, topology.InterLink{From: r, To: topology.RouterID(1000 + i), Latency: int64(i)})
+			}
+			for _, cur := range rs {
+				for lo := 0; lo <= len(links); lo++ {
+					for hi := lo; hi <= len(links); hi++ {
+						cand := links[lo:hi]
+						want, wok := referenceHotPotato(v, cur, cand)
+						got, dist, ok := v.Exit(cur, cand)
+						if ok != wok || got != want {
+							t.Fatalf("%s AS%d from r%d over %v: Exit = %v, %v; reference %v, %v", name, asn, cur, cand, got, ok, want, wok)
+						}
+						if hp, hok := v.HotPotato(cur, cand); hok != wok || hp != want {
+							t.Fatalf("%s AS%d from r%d over %v: HotPotato = %v, %v; reference %v, %v", name, asn, cur, cand, hp, hok, want, wok)
+						}
+						if !ok {
+							continue
+						}
+						if wd := v.IntraDist(cur, want.From); dist != wd && !(dist >= graph.Inf && wd >= graph.Inf) {
+							t.Fatalf("%s AS%d from r%d over %v: Exit distance %d, IntraDist %d", name, asn, cur, cand, dist, wd)
+						}
+						if dist >= graph.Inf {
+							unreachable++
+						}
+					}
+				}
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Error("no candidate list was wholly unreachable")
+	}
+}
+
+// TestAppendIntraPathMatchesIntraPath: the path written from the parent
+// array is the reference's, appended in place: onto nothing (exact-size),
+// onto a walk ending at a (a not repeated) and onto one ending elsewhere;
+// an unreachable or foreign b leaves the walk as it was.
+func TestAppendIntraPathMatchesIntraPath(t *testing.T) {
+	unreachable := 0
+	for name, n := range domainWorlds(t) {
+		v := NewView(n)
+		for _, asn := range n.ASNs() {
+			rs := n.Domain(asn).Routers
+			foreign := n.Domain(n.ASNs()[(int(asn))%len(n.ASNs())]).Routers[0]
+			for _, a := range rs {
+				for _, b := range append([]topology.RouterID{foreign}, rs...) {
+					want := referenceIntraPath(v, a, b)
+					if want == nil {
+						unreachable++
+					}
+					got := v.IntraPath(a, b)
+					if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+						t.Fatalf("%s AS%d r%d→r%d: IntraPath = %v, reference %v", name, asn, a, b, got, want)
+					}
+					if cap(got) != len(got) {
+						t.Fatalf("%s AS%d r%d→r%d: fresh path has cap %d for len %d", name, asn, a, b, cap(got), len(got))
+					}
+					// Onto a walk standing at a: a is shared, not repeated.
+					walk := append(make([]topology.RouterID, 0, 2), 7777, a)
+					wantWalk := append([]topology.RouterID{7777, a}, want[min(1, len(want)):]...)
+					if got := v.AppendIntraPath(walk, a, b); !slices.Equal(got, wantWalk) {
+						t.Fatalf("%s AS%d r%d→r%d: appended onto [7777 a] = %v, want %v", name, asn, a, b, got, wantWalk)
+					}
+					// Onto a walk standing elsewhere: the whole path.
+					other := []topology.RouterID{7777}
+					if got := v.AppendIntraPath(other, a, b); !slices.Equal(got, append([]topology.RouterID{7777}, want...)) {
+						t.Fatalf("%s AS%d r%d→r%d: appended onto [7777] = %v, want 7777 then %v", name, asn, a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Error("no pair was unreachable")
+	}
+}

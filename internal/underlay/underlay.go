@@ -7,6 +7,7 @@
 package underlay
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -185,19 +186,38 @@ func (v *View) IntraDist(a, b topology.RouterID) int64 {
 
 // IntraPath returns the intra-domain router path a..b, or nil.
 func (v *View) IntraPath(a, b topology.RouterID) []topology.RouterID {
+	return v.AppendIntraPath(nil, a, b)
+}
+
+// AppendIntraPath appends the intra-domain router path a..b to path,
+// written straight from the tree's parent array; a is dropped when path
+// already ends at it. path comes back untouched when b is unreachable or
+// in another domain. A nil path gets exact-size storage: callers retain it.
+func (v *View) AppendIntraPath(path []topology.RouterID, a, b topology.RouterID) []topology.RouterID {
 	if v.net.DomainOf(a) != v.net.DomainOf(b) {
-		return nil
+		return path
 	}
 	dg, t := v.intraFor(a)
-	local := t.PathTo(dg.idx[b])
-	if local == nil {
-		return nil
+	lb := dg.idx[b]
+	if t.Dist[lb] >= graph.Inf {
+		return path
 	}
-	out := make([]topology.RouterID, len(local))
-	for i, li := range local {
-		out[i] = dg.ids[li]
+	n := 1
+	for li := lb; t.Parent[li] >= 0; li = t.Parent[li] {
+		n++
 	}
-	return out
+	if len(path) > 0 && path[len(path)-1] == a {
+		n--
+	}
+	if path == nil {
+		path = make([]topology.RouterID, 0, n)
+	}
+	end := len(path) + n
+	path = slices.Grow(path, n)[:end]
+	for li, k := lb, end-1; k >= end-n; li, k = t.Parent[li], k-1 {
+		path[k] = dg.ids[li]
+	}
+	return path
 }
 
 func toRouterPath(p []int) []topology.RouterID {
@@ -229,23 +249,31 @@ func (v *View) ClosestIn(entry topology.RouterID, members []topology.RouterID) (
 	return best, bestDist, true
 }
 
-// HotPotato implements early-exit border selection: among candidate
-// border links to a neighbouring domain, return the one whose local end
-// is cheapest to reach from cur by IGP (ties break toward the first
-// candidate), as real intra-domain routing does. ok is false for an
-// empty candidate list.
+// HotPotato is Exit without the distance.
 func (v *View) HotPotato(cur topology.RouterID, links []topology.InterLink) (topology.InterLink, bool) {
+	l, _, ok := v.Exit(cur, links)
+	return l, ok
+}
+
+// Exit implements early-exit border selection: among candidate border
+// links to a neighbouring domain, return the one whose local end is
+// cheapest to reach from cur by IGP (ties break toward the first
+// candidate), as real intra-domain routing does, and that distance —
+// graph.Inf when no local end is reachable — from one probe of cur's
+// tree. ok is false for an empty candidate list.
+func (v *View) Exit(cur topology.RouterID, links []topology.InterLink) (best topology.InterLink, dist int64, ok bool) {
 	if len(links) == 0 {
-		return topology.InterLink{}, false
+		return topology.InterLink{}, 0, false
 	}
-	best := links[0]
-	bestDist := v.IntraDist(cur, best.From)
-	for _, l := range links[1:] {
-		if d := v.IntraDist(cur, l.From); d < bestDist {
-			best, bestDist = l, d
+	dg, t := v.intraFor(cur)
+	best, dist = links[0], graph.Inf
+	for _, l := range links {
+		// A link end in another domain is absent from idx: unreachable.
+		if li, ok := dg.idx[l.From]; ok && t.Dist[li] < dist {
+			best, dist = l, t.Dist[li]
 		}
 	}
-	return best, true
+	return best, dist, true
 }
 
 // GroundTruthDist returns the router-level shortest-path distance over the
