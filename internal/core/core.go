@@ -64,8 +64,8 @@ var ErrNotAnycast = errors.New("core: not an anycast address of this deployment"
 // routingEpoch is one immutable generation of everything the send path
 // needs: the bone, the BGPvN system, the per-host IPvN addresses, frozen
 // clones of the main and provider deployments, and the redirect cache.
-// Mutators build the next epoch off the hot path and publish it with one
-// atomic store; senders load one epoch pointer and use that consistent
+// applyLocked builds the next epoch off the hot path and publishes it with
+// one atomic store; senders load one epoch pointer and use that consistent
 // view end-to-end, so a delivery mid-flight keeps the routing state it
 // started with no matter what churns around it.
 //
@@ -101,12 +101,11 @@ type routingEpoch struct {
 	// next event cannot have touched are carried into the next epoch.
 	resolve *striped[resolveKey, *anycast.Resolution]
 	// flow is the flow cache: whole delivery skeletons per (src, dst,
-	// deployment) flow, striped by source host. It starts over whenever
-	// routing state changes (epoch builds, registrations) — unlike the
-	// redirect cache there is no per-entry carry-over, because a skeleton
-	// depends on bone meshes, BGPvN tables, IGP trees and the baseline at
-	// once and scoping an eviction over all four buys nothing over
-	// recomputing on first miss.
+	// deployment) flow, striped by source host. applyLocked starts it over
+	// on every routing or registration change and shares it otherwise —
+	// unlike the redirect cache there is no per-entry carry-over, because a
+	// skeleton depends on bone meshes, BGPvN tables, IGP trees and the
+	// baseline at once; a scoped carry would be one case there.
 	flow *striped[flowKey, *flowEntry]
 }
 
@@ -124,10 +123,12 @@ type tracerBox struct{ tr trace.Tracer }
 // concurrently. The send path is lock-free: it loads the
 // current routing epoch with a single atomic pointer read, and takes the
 // Evolution's mutex only to recompute a flow whose first computation
-// failed while a mutation was in flight (see flowSkeleton); mutators
-// serialize among themselves on that mutex and publish each new epoch
-// atomically. Anycast routing has one door each way: readers ask
-// ResolveAnycast, the peering advert goes through AdvertiseToNeighbors.
+// failed while a mutation was in flight (see flowSkeleton). Mutators
+// serialize among themselves on that mutex, poke the substrate and say
+// what they changed; one function, applyLocked, turns that change into
+// the next epoch and publishes it atomically. Anycast routing has one
+// door each way: readers ask ResolveAnycast, the peering advert goes
+// through AdvertiseToNeighbors.
 // Direct access to the exported routing substrate fields (Net, BGP, IGP,
 // Anycast, Fwd, Dep) bypasses all of this: it is for single-goroutine
 // inspection (bench layers, tests) and only safe while no other goroutine
@@ -160,7 +161,7 @@ type Evolution struct {
 	native *addrShards
 	pools  map[topology.ASN]*addr.VNPool
 	// registered holds endhosts using the §3.3.2 anycast-based route
-	// advertisement; re-applied on every epoch build.
+	// advertisement; renewed on every routing change (see applyLocked).
 	registered map[topology.HostID]*topology.Host
 	// providerDeps holds per-provider anycast deployments for §2.1's
 	// user-choice-of-provider extension; membership stays in sync with
@@ -298,55 +299,36 @@ func (e *Evolution) DeployRouter(id topology.RouterID) {
 // routing epoch is rebuilt once, not once per router. Already-deployed
 // routers are no-ops within the batch.
 func (e *Evolution) DeployRouters(ids []topology.RouterID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mutSeq.Add(1)
-	changed := map[topology.ASN]bool{}
-	flush := false
-	for _, id := range ids {
-		asn := e.Net.DomainOf(id)
-		joined := len(e.Dep.MembersIn(asn)) == 0
-		if !e.Anycast.AddMember(e.Dep, id) {
-			continue
+	e.mutate(func() change {
+		c := change{kind: changeMembers}
+		for _, id := range ids {
+			asn := e.Net.DomainOf(id)
+			joined := !e.participatesLocked(asn)
+			if !e.Anycast.AddMember(e.Dep, id) {
+				continue
+			}
+			if pd, ok := e.providerDeps[asn]; ok {
+				e.Anycast.AddMember(pd, id)
+			}
+			c.domains = append(c.domains, asn)
+			c.toggled = c.toggled || joined
 		}
-		if pd, ok := e.providerDeps[asn]; ok {
-			e.Anycast.AddMember(pd, id)
-		}
-		changed[asn] = true
-		if joined {
-			// A domain toggling into participation changes Option-1
-			// originations and host addressing everywhere, so cached
-			// redirect trajectories are globally suspect.
-			flush = true
-		}
-	}
-	if len(changed) == 0 {
-		e.republishLocked()
-		return
-	}
-	e.counters.InvalDomain()
-	_ = e.buildEpochLocked(nil, changed, changed, flush)
+		return c.when(len(c.domains) > 0)
+	})
 }
 
 // UndeployRouter withdraws one router from the deployment.
 func (e *Evolution) UndeployRouter(id topology.RouterID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mutSeq.Add(1)
-	asn := e.Net.DomainOf(id)
-	if !e.Anycast.RemoveMember(e.Dep, id) {
-		e.republishLocked()
-		return
-	}
-	if pd, ok := e.providerDeps[asn]; ok {
-		e.Anycast.RemoveMember(pd, id)
-	}
-	// The last member leaving toggles the domain out of participation —
-	// the global analogue of joining (see DeployRouters).
-	flush := len(e.Dep.MembersIn(asn)) == 0
-	e.counters.InvalDomain()
-	scope := map[topology.ASN]bool{asn: true}
-	_ = e.buildEpochLocked(nil, scope, scope, flush)
+	e.mutate(func() change {
+		asn := e.Net.DomainOf(id)
+		if !e.Anycast.RemoveMember(e.Dep, id) {
+			return change{}
+		}
+		if pd, ok := e.providerDeps[asn]; ok {
+			e.Anycast.RemoveMember(pd, id)
+		}
+		return change{kind: changeMembers, domains: []topology.ASN{asn}, toggled: !e.participatesLocked(asn)}
+	})
 }
 
 // EnableProviderChoice provisions a provider-specific anycast address for
@@ -371,14 +353,14 @@ func (e *Evolution) EnableProviderChoice(asn topology.ASN) (addr.V4, error) {
 	// option-2 address also rooted there).
 	pd, err := e.Anycast.DeployOption2(e.cfg.Group+1, asn)
 	if err != nil {
-		e.republishLocked()
+		e.applyLocked(change{})
 		return 0, err
 	}
 	for _, m := range members {
 		e.Anycast.AddMember(pd, m)
 	}
 	e.providerDeps[asn] = pd
-	e.publishProvidersLocked()
+	e.applyLocked(change{kind: changeProvider})
 	return pd.Addr, nil
 }
 
@@ -498,17 +480,6 @@ func (e *Evolution) notifyEpoch() {
 	}
 }
 
-// republishLocked reseals the current epoch under the new mutation
-// sequence number after a mutation that changed nothing senders can see
-// (an already-deployed router re-deployed, say). Sharing the innards is
-// safe — routing state is untouched — but seq must advance so the gate
-// in resolveIngress re-enables cache stores.
-func (e *Evolution) republishLocked() {
-	ep := *e.epoch.Load()
-	ep.seq = e.mutSeq.Load()
-	e.publishLocked(&ep)
-}
-
 // publishLocked is the one place an epoch becomes the published one:
 // counted, stored, watchers ticked. Callers hold mu.
 func (e *Evolution) publishLocked(ep *routingEpoch) {
@@ -517,148 +488,197 @@ func (e *Evolution) publishLocked(ep *routingEpoch) {
 	e.notifyEpoch()
 }
 
-// errorEpoch returns an epoch no send can route on (see routingEpoch.err),
-// sealed under the current mutation sequence: current addresses, the given
-// frozen deployments, empty caches.
-func (e *Evolution) errorEpoch(err error, dep *anycast.Deployment, provs map[topology.ASN]*anycast.Deployment) *routingEpoch {
-	prev := e.epoch.Load()
-	return &routingEpoch{
-		seq:      e.mutSeq.Load(),
-		err:      err,
-		addrs:    e.native,
-		dep:      dep,
-		provDeps: provs,
-		resolve:  prev.resolve.fresh(),
-		flow:     prev.flow.fresh(),
-	}
+// changeKind classifies a change; see change.
+type changeKind uint8
+
+const (
+	// changeNone: nothing senders can see (a redundant or failed call).
+	changeNone changeKind = iota
+	// changeIntra: an intra-domain link in change.asn failed or came back.
+	changeIntra
+	// changeInter: an inter-domain link failed or came back.
+	changeInter
+	// changeReach: BGP reach changed and topology did not (the peering
+	// advert).
+	changeReach
+	// changeMembers: routers of change.domains joined or left.
+	changeMembers
+	// changeProvider: a provider-specific deployment was added.
+	changeProvider
+	// changeRegistration: the registered set changed by change.add and
+	// change.drop (an empty batch included).
+	changeRegistration
+)
+
+// change is what one mutation did to the substrate, as its mutator
+// reports it. applyLocked derives every consequence from it; no mutator
+// decides what to invalidate, rebuild or carry. The zero value changed
+// nothing.
+type change struct {
+	kind changeKind
+	// asn is the domain of an intra-link event.
+	asn topology.ASN
+	// domains holds the domain of every router that joined or left;
+	// toggled reports whether one of those domains joined or left
+	// participation.
+	domains []topology.ASN
+	toggled bool
+	// add and drop are the hosts a registration change advertises and
+	// withdraws.
+	add, drop []*topology.Host
 }
 
-// publishProvidersLocked publishes an epoch differing only in the frozen
-// provider deployments; bone, addresses and caches are shared with the
-// previous epoch.
-func (e *Evolution) publishProvidersLocked() {
-	ep := *e.epoch.Load()
-	ep.seq = e.mutSeq.Load()
-	ep.provDeps = make(map[topology.ASN]*anycast.Deployment, len(e.providerDeps))
-	for asn, pd := range e.providerDeps {
-		ep.provDeps[asn] = pd.Clone()
+// when returns c if ok, the change of nothing otherwise.
+func (c change) when(ok bool) change {
+	if ok {
+		return c
 	}
-	e.publishLocked(&ep)
+	return change{}
 }
 
-// publishRegistrationLocked publishes a registration-only epoch as a
-// delta on the current one: same bone, same addresses, same redirect
-// cache, and a fork of its BGPvN tables with the /128s of add advertised
-// and that of drop (nil for none) withdrawn. Nothing else can have
-// changed — every mutator that touches deployment or forwarding state
-// goes through buildEpochLocked, which renews every registrant — so the
-// cost is proportional to the batch, not to the registered set. No bone
-// rebuild happens (and none is counted).
-func (e *Evolution) publishRegistrationLocked(add []*topology.Host, drop *topology.Host) {
+// mutate is a mutator that validates nothing before it starts: under mu,
+// mutSeq moves before poke touches the substrate, and what poke reports it
+// changed is published.
+func (e *Evolution) mutate(poke func() change) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.mutSeq.Add(1)
+	e.applyLocked(poke())
+}
+
+// applyLocked is the one place a mutation becomes the next routing epoch:
+// it derives every consequence of c (DESIGN.md §8.1 has the table) and
+// publishes the result, sealed under the current mutation sequence.
+// Callers hold mu, bumped mutSeq before touching the substrate, and have
+// applied the raw change.
+//
+//   - Nothing changed: the epoch is resealed, so the mutSeq gate on cache
+//     stores opens again; everything is shared.
+//   - A provider deployment: the providers are frozen anew; routing is
+//     shared.
+//   - A registration: a delta on a fork of the BGPvN tables, at a cost
+//     proportional to the batch, and a fresh flow cache (skeletons bake the
+//     natives table in). The redirect cache is shared: resolution does not
+//     depend on registrations, and the entries the delta adds are computed
+//     under mu on forwarding state no mutator has touched. On an error
+//     epoch there is nothing to advertise into; the build that heals it
+//     renews every registrant.
+//   - A routing change (a link, BGP reach, membership): the IGP and BGP
+//     forget what it can have moved, host addresses follow participation,
+//     and a new bone is built, reusing every intra mesh outside the dirty
+//     domain. The redirect cache carries the entries whose trajectory
+//     avoids the touched domains (all of it is suspect after an inter-link
+//     event, an advert or a participation toggle), the flow cache starts
+//     over, and new BGPvN tables renew every registrant — the endhost that
+//     "would periodically repeat this process in order to adapt to spread
+//     in deployment" (§3.3.2). With no members, or a bone that cannot be
+//     built, the epoch is an error epoch instead: senders and queries
+//     report the error until a later mutation heals it.
+func (e *Evolution) applyLocked(c change) {
 	prev := e.epoch.Load()
-	if prev.err != nil {
-		// No usable routing state to advertise into; the registration set
-		// is re-applied by the next successful epoch build anyway.
-		e.republishLocked()
-		return
-	}
-	ep := *prev
-	ep.seq = e.mutSeq.Load()
-	ep.vn = prev.vn.Fork()
-	// Registrations change the natives table, which flow skeletons bake
-	// in — the flow cache starts over. The redirect cache is shared with
-	// prev: anycast resolution does not depend on registrations, and the
-	// entries applyRegistration adds are computed under mu on forwarding
-	// state no mutator has touched, so they are exact for both epochs.
-	ep.flow = prev.flow.fresh()
-	for _, h := range add {
-		e.applyRegistration(&ep, h)
-	}
-	if drop != nil {
-		if v := ep.addrOf(drop); v.IsSelf() {
-			ep.vn.WithdrawNative(addr.HostVNPrefix(v))
+	next := *prev
+	next.seq = e.mutSeq.Load()
+	switch c.kind {
+	case changeNone:
+	case changeProvider:
+		next.provDeps = e.frozenProvidersLocked()
+	case changeRegistration:
+		if prev.err != nil {
+			break
+		}
+		next.vn = prev.vn.Fork()
+		next.flow = prev.flow.fresh()
+		for _, h := range c.add {
+			e.applyRegistration(&next, h)
+		}
+		for _, h := range c.drop {
+			if v := next.addrOf(h); v.IsSelf() {
+				next.vn.WithdrawNative(addr.HostVNPrefix(v))
+			}
+		}
+	default:
+		// touched scopes the redirect-cache eviction, dirty the intra meshes
+		// rebuilt.
+		var touched, dirty map[topology.ASN]bool
+		carry := prev.err == nil
+		switch c.kind {
+		case changeIntra:
+			// AS-level BGP depends on inter-domain topology and originations
+			// alone; the chaos oracle invariant referees that claim.
+			e.counters.InvalDomain()
+			e.IGP.InvalidateDomain(c.asn)
+			touched = map[topology.ASN]bool{c.asn: true}
+			dirty = touched
+		case changeInter:
+			e.counters.InvalInter()
+			e.IGP.InvalidateInter()
+			e.BGP.Refresh()
+			carry = false
+		case changeReach:
+			carry = false
+		case changeMembers:
+			e.counters.InvalDomain()
+			touched = make(map[topology.ASN]bool, 1)
+			for _, asn := range c.domains {
+				touched[asn] = true
+			}
+			// A domain toggling participation changes Option-1 originations
+			// and host addressing everywhere.
+			carry = carry && !c.toggled
+			// Before any error return: a domain that left in a failed build
+			// is not in the scope of the build that heals it.
+			e.relabelScoped(touched)
+		}
+		next = routingEpoch{seq: next.seq, err: ErrNotDeployed, addrs: e.native, dep: e.Dep.Clone(), flow: prev.flow.fresh()}
+		if len(next.dep.Members()) > 0 {
+			next.provDeps = e.frozenProvidersLocked()
+			boneCfg := e.cfg.Bone
+			boneCfg.Trace = e.tracerNow()
+			var prevBone *vnbone.Bone
+			if prev.err == nil {
+				prevBone = prev.bone
+			}
+			var stats vnbone.BuildStats
+			next.bone, stats, next.err = vnbone.BuildIncremental(e.Anycast, e.IGP, next.dep, boneCfg, prevBone, dirty)
+			if next.err != nil {
+				// A failure is not a rebuild: BoneRebuild ticks only for
+				// usable bones.
+				e.counters.RebuildFailed()
+			} else {
+				e.counters.BoneRebuild()
+				e.counters.BoneDomains(stats.DomainsReused, stats.DomainsRebuilt)
+			}
+		}
+		if next.err != nil {
+			next.resolve = prev.resolve.fresh()
+			break
+		}
+		next.vn = bgpvn.New(next.bone, e.Fwd, e.Net)
+		if carry {
+			next.resolve = carryResolved(prev.resolve, touched)
+		} else {
+			next.resolve = prev.resolve.fresh()
+		}
+		// Renewal reads and fills the redirect cache just built, so only
+		// the trajectories the event evicted are walked again. A host that
+		// cannot reach the deployment now advertises nothing this epoch and
+		// stays on file.
+		for _, h := range e.registered {
+			e.applyRegistration(&next, h)
 		}
 	}
-	e.publishLocked(&ep)
+	e.publishLocked(&next)
 }
 
-// buildEpochLocked constructs and atomically publishes the next routing
-// epoch; callers hold mu, have bumped mutSeq and have already applied
-// the raw change (membership, topology, scoped IGP/BGP invalidations).
-// dirty lists bone domains whose intra mesh must be recomputed (nil
-// reuses every unchanged domain's mesh), evict scopes the redirect-cache
-// carry-over, relabel lists domains whose participation may have toggled
-// (only their hosts can need re-addressing; link events pass nil and
-// share the address shards untouched), flush drops the redirect cache
-// wholesale. The error (no members, or a bone build failure) is also
-// recorded in the published epoch, so senders and queries keep reporting
-// it until a mutation heals it.
-func (e *Evolution) buildEpochLocked(dirty, evict, relabel map[topology.ASN]bool, flush bool) error {
-	prev := e.epoch.Load()
-	// Addresses follow participation whether or not this build yields a
-	// usable epoch: a domain that left in a failed build is not in the
-	// scope of the build that heals it, and its hosts would otherwise
-	// keep native addresses nothing advertises.
-	e.relabelScoped(relabel)
-	if len(e.Dep.Members()) == 0 {
-		e.publishLocked(e.errorEpoch(ErrNotDeployed, e.Dep.Clone(), nil))
-		return ErrNotDeployed
-	}
-	// Freeze the deployments: this epoch's send path keeps resolving
-	// against this membership even while the live maps churn under the
-	// next mutation.
-	dep := e.Dep.Clone()
+// frozenProvidersLocked clones every provider deployment for an epoch:
+// its send path resolves against that membership while the live
+// deployments churn under the next mutation.
+func (e *Evolution) frozenProvidersLocked() map[topology.ASN]*anycast.Deployment {
 	provs := make(map[topology.ASN]*anycast.Deployment, len(e.providerDeps))
 	for asn, pd := range e.providerDeps {
 		provs[asn] = pd.Clone()
 	}
-	boneCfg := e.cfg.Bone
-	boneCfg.Trace = e.tracerNow()
-	var prevBone *vnbone.Bone
-	if prev.err == nil {
-		prevBone = prev.bone
-	}
-	bone, stats, err := vnbone.BuildIncremental(e.Anycast, e.IGP, dep, boneCfg, prevBone, dirty)
-	if err != nil {
-		// Count the failure, not a rebuild: BoneRebuild ticks only for
-		// builds that produced a usable bone.
-		e.counters.RebuildFailed()
-		e.publishLocked(e.errorEpoch(err, dep, provs))
-		return err
-	}
-	e.counters.BoneRebuild()
-	e.counters.BoneDomains(stats.DomainsReused, stats.DomainsRebuilt)
-	ep := &routingEpoch{
-		seq:      e.mutSeq.Load(),
-		bone:     bone,
-		vn:       bgpvn.New(bone, e.Fwd, e.Net),
-		addrs:    e.native,
-		dep:      dep,
-		provDeps: provs,
-	}
-	if flush || prev.err != nil {
-		ep.resolve = prev.resolve.fresh()
-	} else {
-		ep.resolve = carryResolved(prev.resolve, evict)
-	}
-	// Re-register endhost routes against the fresh vN routing state —
-	// the paper's "endhost would periodically repeat this process in
-	// order to adapt to spread in deployment" (§3.3.2). Each registrant's
-	// anycast walk goes through the redirect cache just built, so only
-	// attach routers whose trajectory the event evicted are re-walked and
-	// the fleet's next sends find their ingress resolved. A host that
-	// cannot currently reach the deployment (its domain severed by link
-	// failures, say) simply advertises nothing this convergence epoch:
-	// its registration stays on file for the next epoch, and the failure
-	// must not take down delivery for every other sender.
-	for _, h := range e.registered {
-		e.applyRegistration(ep, h)
-	}
-	// Flow skeletons bake in every routing input at once (bone, BGPvN,
-	// IGP, baseline); any rebuild starts the flow cache over.
-	ep.flow = prev.flow.fresh()
-	e.publishLocked(ep)
-	return nil
+	return provs
 }
 
 // RegisterEndhost opts a host into the §3.3.2 anycast-based route
@@ -678,8 +698,8 @@ func (e *Evolution) RegisterEndhost(h *topology.Host) error {
 
 // RegisterEndhosts registers a batch of hosts as one mutation and one
 // published epoch, at a cost proportional to the batch: the epoch is the
-// current one with these hosts' /128s added (see
-// publishRegistrationLocked), whatever else is already registered.
+// current one with these hosts' /128s added, whatever else is already
+// registered. An empty batch still publishes one.
 func (e *Evolution) RegisterEndhosts(hosts []*topology.Host) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -694,7 +714,7 @@ func (e *Evolution) RegisterEndhosts(hosts []*topology.Host) error {
 	for _, h := range hosts {
 		e.registered[h.ID] = h
 	}
-	e.publishRegistrationLocked(hosts, nil)
+	e.applyLocked(change{kind: changeRegistration, add: hosts})
 	return nil
 }
 
@@ -709,7 +729,7 @@ func (e *Evolution) UnregisterEndhost(h *topology.Host) {
 	}
 	e.mutSeq.Add(1)
 	delete(e.registered, h.ID)
-	e.publishRegistrationLocked(nil, h)
+	e.applyLocked(change{kind: changeRegistration, drop: []*topology.Host{h}})
 }
 
 // applyRegistration advertises h's /128 into ep's BGPvN tables on behalf
@@ -823,96 +843,60 @@ func (e *Evolution) DescribeDelivery(d Delivery) string {
 	return out
 }
 
-// FailIntraLink injects an intra-domain link failure and reconverges
-// only the affected domain (IGP SPTs, bone intra mesh). It reports
-// whether the link existed.
-func (e *Evolution) FailIntraLink(a, b topology.RouterID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mutSeq.Add(1)
-	if !e.Net.FailIntraLink(a, b) {
-		e.republishLocked()
-		return false
-	}
-	e.reconvergeIntraLocked(e.Net.DomainOf(a))
-	return true
+// FailIntraLink injects an intra-domain link failure; only the affected
+// domain reconverges (IGP SPTs, bone intra mesh). It reports whether the
+// link existed.
+func (e *Evolution) FailIntraLink(a, b topology.RouterID) (ok bool) {
+	e.mutate(func() change {
+		ok = e.Net.FailIntraLink(a, b)
+		return change{kind: changeIntra, asn: e.Net.DomainOf(a)}.when(ok)
+	})
+	return ok
 }
 
-// RestoreIntraLink repairs an intra-domain link.
-func (e *Evolution) RestoreIntraLink(a, b topology.RouterID, latency int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mutSeq.Add(1)
-	e.Net.RestoreIntraLink(a, b, latency)
-	e.reconvergeIntraLocked(e.Net.DomainOf(a))
+// RestoreIntraLink repairs an intra-domain link. It reports false, and
+// changes nothing, when the link is already up.
+func (e *Evolution) RestoreIntraLink(a, b topology.RouterID, latency int64) (ok bool) {
+	e.mutate(func() change {
+		ok = e.Net.RestoreIntraLink(a, b, latency)
+		return change{kind: changeIntra, asn: e.Net.DomainOf(a)}.when(ok)
+	})
+	return ok
 }
 
 // FailInterLink injects an inter-domain link failure; BGP re-converges
 // around it. The removed link is returned for later restoration.
-func (e *Evolution) FailInterLink(a, b topology.RouterID) (topology.InterLink, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mutSeq.Add(1)
-	l, ok := e.Net.FailInterLink(a, b)
-	if !ok {
-		e.republishLocked()
-		return topology.InterLink{}, false
-	}
-	e.reconvergeInterLocked()
-	return l, true
+func (e *Evolution) FailInterLink(a, b topology.RouterID) (l topology.InterLink, ok bool) {
+	e.mutate(func() change {
+		l, ok = e.Net.FailInterLink(a, b)
+		return change{kind: changeInter}.when(ok)
+	})
+	return l, ok
 }
 
-// RestoreInterLink repairs a previously failed inter-domain link.
-func (e *Evolution) RestoreInterLink(l topology.InterLink) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mutSeq.Add(1)
-	e.Net.RestoreInterLink(l)
-	e.reconvergeInterLocked()
+// RestoreInterLink repairs a previously failed inter-domain link. It
+// reports false, and changes nothing, when l itself is already up (see
+// topology.Network.RestoreInterLink for parallel links).
+func (e *Evolution) RestoreInterLink(l topology.InterLink) (ok bool) {
+	e.mutate(func() change {
+		ok = e.Net.RestoreInterLink(l)
+		return change{kind: changeInter}.when(ok)
+	})
+	return ok
 }
 
 // AdvertiseToNeighbors has participant asn advertise the deployment's
 // anycast host route to the listed neighbours, NO_EXPORT — Figure 2's
 // peering advert under option 2, the "search" extension under GIA. BGP
-// reach changes, topology does not: like an inter-domain link event the
-// next epoch reuses every intra mesh and starts with empty redirect and
-// flow caches. An error (option 1, or asn has no members) changes nothing.
-func (e *Evolution) AdvertiseToNeighbors(asn topology.ASN, neighbors ...topology.ASN) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mutSeq.Add(1)
-	if err := e.Anycast.AdvertiseToNeighbors(e.Dep, asn, neighbors...); err != nil {
-		e.republishLocked()
-		return err
-	}
-	_ = e.buildEpochLocked(nil, nil, nil, true)
-	return nil
-}
-
-// reconvergeIntraLocked reacts to an intra-domain link event in asn:
-// only that domain's IGP SPTs and bone intra mesh are recomputed, and
-// only redirect-cache entries whose trajectory crosses asn are dropped.
-// AS-level BGP tables depend solely on inter-domain topology and
-// originations, so no BGP refresh is needed — the chaos oracle invariant
-// referees that claim on every schedule. Callers hold mu and have bumped
-// mutSeq.
-func (e *Evolution) reconvergeIntraLocked(asn topology.ASN) {
-	e.counters.InvalDomain()
-	e.IGP.InvalidateDomain(asn)
-	scope := map[topology.ASN]bool{asn: true}
-	_ = e.buildEpochLocked(scope, scope, nil, false)
-}
-
-// reconvergeInterLocked reacts to an inter-domain link event: the
-// full-graph SPTs and BGP tables reconverge, but every domain's intra
-// SPTs and bone intra meshes are reused — inter links appear in neither.
-// Redirect trajectories can change anywhere, so the cache flushes
-// wholesale. Callers hold mu and have bumped mutSeq.
-func (e *Evolution) reconvergeInterLocked() {
-	e.counters.InvalInter()
-	e.IGP.InvalidateInter()
-	e.BGP.Refresh()
-	_ = e.buildEpochLocked(nil, nil, nil, true)
+// reach changes, topology does not: the next epoch reuses every intra mesh
+// and starts with empty redirect and flow caches. An error (option 1, or
+// asn has no members) changes nothing.
+func (e *Evolution) AdvertiseToNeighbors(asn topology.ASN, neighbors ...topology.ASN) (err error) {
+	e.mutate(func() change {
+		err = e.Anycast.AdvertiseToNeighbors(e.Dep, asn, neighbors...)
+		return change{kind: changeReach}.when(err == nil)
+	})
+	return err
 }
 
 // ResolveAnycast answers where a packet sent from router from to anycast

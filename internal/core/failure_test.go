@@ -84,6 +84,50 @@ func TestInterLinkFailureRedirectsAnycast(t *testing.T) {
 	}
 }
 
+// TestRestoreOfUpLinkIsNoOp: restoring a link that is already up reports
+// false and publishes a no-op — resealed, nothing rebuilt or invalidated —
+// and leaves no second copy behind: one failure then takes the link down.
+func TestRestoreOfUpLinkIsNoOp(t *testing.T) {
+	net, evo, h := failureWorld(t)
+	p1, c := net.DomainByName("P1"), net.DomainByName("C")
+	link, ok := evo.FailInterLink(p1.Routers[1], c.Routers[0])
+	if !ok || !evo.RestoreInterLink(link) {
+		t.Fatal("fail then restore of C's uplink to P1 refused")
+	}
+
+	prev, seq, before := evo.epoch.Load(), evo.mutSeq.Load(), evo.Snapshot()
+	if evo.RestoreInterLink(link) {
+		t.Error("restoring the live inter link reported true")
+	}
+	if evo.RestoreIntraLink(c.Routers[0], c.Routers[1], 1) {
+		t.Error("restoring the live intra link reported true")
+	}
+	d := evo.Snapshot().Sub(before)
+	if d.Epochs != 2 || evo.mutSeq.Load() != seq+2 || d.BoneRebuilds != 0 || d.InvalDomain != 0 || d.InvalInter != 0 {
+		t.Errorf("two restores of live links: %d epochs, mutSeq +%d, %d rebuilds, invalidate.domain %d, invalidate.inter %d; want 2, +2, 0, 0, 0",
+			d.Epochs, evo.mutSeq.Load()-seq, d.BoneRebuilds, d.InvalDomain, d.InvalInter)
+	}
+	if ep := evo.epoch.Load(); ep.seq != evo.mutSeq.Load() || ep.bone != prev.bone || ep.vn != prev.vn || ep.resolve != prev.resolve || ep.flow != prev.flow {
+		t.Error("a restore of a live link did more than reseal the epoch")
+	}
+	for _, e := range net.Intra.Neighbors(int(c.Routers[0])) {
+		if e.To == int(c.Routers[1]) && e.Weight != 2 {
+			t.Errorf("C's intra link has an edge at cost %d beside its own 2", e.Weight)
+		}
+	}
+
+	if _, ok := evo.FailInterLink(p1.Routers[1], c.Routers[0]); !ok {
+		t.Fatal("failing the restored link refused")
+	}
+	res, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Domain(net.DomainOf(res.Member)).Name; got != "P2" {
+		t.Errorf("after restore, restore again, fail: ingress in %s, want P2", got)
+	}
+}
+
 func TestIntraLinkFailureReroutesInsideDomain(t *testing.T) {
 	// Triangle domain: failing one edge leaves the detour.
 	b := topology.NewBuilder()

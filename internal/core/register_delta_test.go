@@ -3,11 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
 	"github.com/evolvable-net/evolve/internal/topology"
@@ -27,16 +30,42 @@ func egressDetailOf(e *Evolution, src, dst *topology.Host) (Delivery, string, er
 	return d, "", err
 }
 
+// advert is one AdvertiseToNeighbors call live accepted.
+type advert struct {
+	asn  topology.ASN
+	nbrs []topology.ASN
+}
+
 // registrationTwin builds an Evolution from scratch over live's present
-// (mutated) topology with live's membership, and registers set in one
-// batch: it never saw live's registration history.
-func registrationTwin(t *testing.T, live *Evolution, set map[topology.HostID]bool) *Evolution {
+// (mutated) topology with live's membership, makes the provider choices
+// and peering adverts live accepted, and registers set in one batch: it
+// never saw live's history. A provider choice or an advert is
+// configuration that outlives the members it was made with, so where its
+// domain has none now the twin makes it as live did, with one router of
+// the domain deployed for the call.
+func registrationTwin(t *testing.T, live *Evolution, set map[topology.HostID]bool, providers []topology.ASN, adverts []advert) *Evolution {
 	t.Helper()
 	twin, err := New(live.Net, live.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
 	twin.DeployRouters(live.Dep.Members())
+	withMember := func(asn topology.ASN, call func() error) {
+		if !twin.Participates(asn) {
+			r := live.Net.Domain(asn).Routers[0]
+			twin.DeployRouter(r)
+			defer twin.UndeployRouter(r)
+		}
+		if err := call(); err != nil {
+			t.Fatalf("twin: AS%d: %v", asn, err)
+		}
+	}
+	for _, asn := range providers {
+		withMember(asn, func() error { _, err := twin.EnableProviderChoice(asn); return err })
+	}
+	for _, a := range adverts {
+		withMember(a.asn, func() error { return twin.AdvertiseToNeighbors(a.asn, a.nbrs...) })
+	}
 	var hosts []*topology.Host
 	for _, h := range live.Net.Hosts {
 		if set[h.ID] {
@@ -51,10 +80,12 @@ func registrationTwin(t *testing.T, live *Evolution, set map[topology.HostID]boo
 
 // TestIncrementalRegistrationMatchesFromScratch drives seeded worlds
 // through random interleavings of single and batched registrations,
-// withdrawals, membership changes and link events, and after every step
-// holds the incrementally maintained world to a twin built from scratch
-// with one RegisterEndhosts of the current set: the same BGPvN answer for
-// every host from every member, and the same deliveries.
+// withdrawals, membership changes, link events, peering adverts and
+// provider choices, and after every step holds the incrementally
+// maintained world to a twin built from scratch with one RegisterEndhosts
+// of the current set: the same BGPvN answer for every host from every
+// member, the same provider deployments, the same anycast resolution from
+// every router toward every anycast address, and the same deliveries.
 func TestIncrementalRegistrationMatchesFromScratch(t *testing.T) {
 	policies := []bgpvn.EgressPolicy{bgpvn.PathInformed, bgpvn.ExitEarly, bgpvn.ProxyInformed}
 	for seed := int64(1); seed <= 12; seed++ {
@@ -83,10 +114,21 @@ func TestIncrementalRegistrationMatchesFromScratch(t *testing.T) {
 			}
 			var downIntra []intraLink
 			var downInter []topology.InterLink
+			var providers []topology.ASN
+			provAddrs := []addr.V4{live.AnycastAddr()}
+			var adverts []advert
+			// target is a participant half the time, any domain otherwise.
+			target := func() topology.ASN {
+				if ms := live.Dep.Members(); len(ms) > 0 && rng.Intn(2) == 0 {
+					return net.DomainOf(ms[rng.Intn(len(ms))])
+				}
+				asns := net.ASNs()
+				return asns[rng.Intn(len(asns))]
+			}
 
 			for step := 0; step < 40; step++ {
 				var what string
-				switch op := rng.Intn(9); op {
+				switch op := rng.Intn(11); op {
 				case 0, 1:
 					h := host()
 					what = fmt.Sprintf("register h%d", h.ID)
@@ -148,11 +190,31 @@ func TestIncrementalRegistrationMatchesFromScratch(t *testing.T) {
 						what = fmt.Sprintf("restore inter r%d–r%d", l.From, l.To)
 						live.RestoreInterLink(l)
 					}
+				case 9:
+					a := advert{asn: target()}
+					for _, nb := range net.Neighbors(a.asn) {
+						a.nbrs = append(a.nbrs, nb.ASN)
+					}
+					err := live.AdvertiseToNeighbors(a.asn, a.nbrs...)
+					what = fmt.Sprintf("advertise from AS%d (err=%v)", a.asn, err)
+					if err == nil {
+						adverts = append(adverts, a)
+					} else if cfg.Option == anycast.Option2 && live.Participates(a.asn) {
+						t.Fatalf("step %d: %s", step, what)
+					}
+				case 10:
+					asn := target()
+					a, err := live.EnableProviderChoice(asn)
+					what = fmt.Sprintf("enable provider AS%d (err=%v)", asn, err)
+					if err == nil && !slices.Contains(providers, asn) {
+						providers = append(providers, asn)
+						provAddrs = append(provAddrs, a)
+					}
 				}
 				if what == "" {
 					continue
 				}
-				twin := registrationTwin(t, live, set)
+				twin := registrationTwin(t, live, set, providers, adverts)
 				at := fmt.Sprintf("step %d (%s)", step, what)
 
 				lvn, lerr := live.VN()
@@ -174,6 +236,24 @@ func TestIncrementalRegistrationMatchesFromScratch(t *testing.T) {
 								t.Fatalf("%s: RouteNative(r%d, h%d registered=%v): live r%d/%d err=%v, twin r%d/%d err=%v",
 									at, m, h.ID, set[h.ID], le.Member, le.BoneCost, lerr, te.Member, te.BoneCost, terr)
 							}
+						}
+					}
+				}
+				if lp, tp := live.ProviderChoices(), twin.ProviderChoices(); !reflect.DeepEqual(lp, tp) {
+					t.Fatalf("%s: provider choices live %v, twin %v", at, lp, tp)
+				}
+				for _, asn := range providers {
+					if lm, tm := live.ProviderMembers(asn), twin.ProviderMembers(asn); !reflect.DeepEqual(lm, tm) {
+						t.Fatalf("%s: AS%d provider members live %v, twin %v", at, asn, lm, tm)
+					}
+				}
+				for _, a := range provAddrs {
+					for _, r := range net.Routers {
+						lres, lerr := live.ResolveAnycast(r.ID, a)
+						tres, terr := twin.ResolveAnycast(r.ID, a)
+						if (lerr != nil) != (terr != nil) || !reflect.DeepEqual(lres, tres) {
+							t.Fatalf("%s: ResolveAnycast(r%d, %s): live r%d %v err=%v, twin r%d %v err=%v",
+								at, r.ID, a, lres.Member, lres.ASPath, lerr, tres.Member, tres.ASPath, terr)
 						}
 					}
 				}

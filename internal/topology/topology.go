@@ -9,6 +9,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -291,11 +292,17 @@ func (n *Network) FailIntraLink(a, b RouterID) bool {
 }
 
 // RestoreIntraLink re-adds an intra-domain link with the given latency.
-func (n *Network) RestoreIntraLink(a, b RouterID, latency int64) {
+// It reports false, and adds nothing, when a–b is already up: a second
+// edge at another latency would silently change the link's cost.
+func (n *Network) RestoreIntraLink(a, b RouterID, latency int64) bool {
+	if n.Intra.HasEdge(int(a), int(b)) {
+		return false
+	}
 	if latency <= 0 {
 		latency = 1
 	}
 	n.Intra.AddBiEdge(int(a), int(b), latency)
+	return true
 }
 
 // FailInterLink removes the inter-domain link between border routers a
@@ -310,9 +317,18 @@ func (n *Network) FailInterLink(a, b RouterID) (InterLink, bool) {
 	return InterLink{}, false
 }
 
-// RestoreInterLink re-adds a previously failed inter-domain link.
-func (n *Network) RestoreInterLink(l InterLink) {
+// RestoreInterLink re-adds a previously failed inter-domain link. It
+// reports false, and adds nothing, when l itself (same direction,
+// relationship and latency) is already up: a second copy would outlive
+// the next FailInterLink, which removes one. A parallel link between the
+// same routers that differs from l — RingOfDomains(2, …) builds one each
+// way — does not count, so its failed twin still comes back.
+func (n *Network) RestoreInterLink(l InterLink) bool {
+	if slices.Contains(n.Inter, l) {
+		return false
+	}
 	n.Inter = append(n.Inter, l)
+	return true
 }
 
 // Builder assembles a Network. Use NewBuilder, add domains, routers, links

@@ -46,6 +46,54 @@ func TestBuilderBasics(t *testing.T) {
 	}
 }
 
+// TestRestoreOfUpLinkIsRefused: restoring a link that is up adds no second
+// copy — an intra link keeps its one edge (and cost), and one failure takes
+// an inter link down — while a failed parallel inter link still comes back.
+func TestRestoreOfUpLinkIsRefused(t *testing.T) {
+	n, x, _ := buildPair(t)
+	xr := x.Routers
+	if n.RestoreIntraLink(xr[0], xr[1], 1) {
+		t.Error("restoring the live intra link X-r0–X-r1 reported true")
+	}
+	if es := n.Intra.Neighbors(int(xr[0])); len(es) != 1 || es[0].Weight != 5 {
+		t.Errorf("X-r0's edges after restoring a live link: %+v, want one at cost 5", es)
+	}
+	if !n.FailIntraLink(xr[0], xr[1]) || !n.RestoreIntraLink(xr[0], xr[1], 7) {
+		t.Fatal("fail then restore of the intra link refused")
+	}
+	if es := n.Intra.Neighbors(int(xr[1])); len(es) != 1 || es[0].Weight != 7 {
+		t.Errorf("X-r1's edges after fail and restore: %+v, want one at cost 7", es)
+	}
+
+	l := n.Inter[0]
+	if n.RestoreInterLink(l) {
+		t.Error("restoring the live inter link reported true")
+	}
+	if len(n.Inter) != 1 {
+		t.Fatalf("%d inter links after restoring a live one, want 1", len(n.Inter))
+	}
+	if _, ok := n.FailInterLink(l.From, l.To); !ok || len(n.Inter) != 0 {
+		t.Fatalf("fail of the inter link: ok=%v, %d left", ok, len(n.Inter))
+	}
+	if !n.RestoreInterLink(l) || n.RestoreInterLink(l) || len(n.Inter) != 1 {
+		t.Errorf("restore, restore again: %d inter links, want 1", len(n.Inter))
+	}
+
+	// A ring of two one-router domains peers the pair twice, once each
+	// way: a failed copy comes back beside its live twin, once.
+	ring, err := RingOfDomains(2, GenConfig{RoutersPerDomain: 1, Seed: 1})
+	if err != nil || len(ring.Inter) != 2 {
+		t.Fatalf("ring of two: err=%v, %d inter links, want 2", err, len(ring.Inter))
+	}
+	twin, ok := ring.FailInterLink(ring.Inter[0].From, ring.Inter[0].To)
+	if !ok || !ring.RestoreInterLink(twin) {
+		t.Fatalf("fail (ok=%v) then restore of one parallel copy refused", ok)
+	}
+	if ring.RestoreInterLink(twin) || len(ring.Inter) != 2 {
+		t.Errorf("parallel copy restored again: %d inter links, want 2", len(ring.Inter))
+	}
+}
+
 func TestRouterAddressesUniqueAndInPrefix(t *testing.T) {
 	n, _, _ := buildPair(t)
 	seen := map[string]bool{}
