@@ -92,7 +92,7 @@ func main() {
 			// The oracle-equivalence invariants (ua, oracle, batchsend)
 			// cannot referee a fallback-enabled live world: its per-flow
 			// health history legitimately diverges from any fresh rebuild.
-			names = []string{"availability", "bone", "conserve", "providersync", "epochtick"}
+			names = []string{"availability", "bone", "conserve", "epochtick"}
 		}
 	}
 	opts := chaos.Options{Invariants: names, Shrink: *shrink}

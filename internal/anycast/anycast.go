@@ -96,6 +96,27 @@ func (d *Deployment) Clone() *Deployment {
 	return c
 }
 
+// Restricted returns the deployment answering to as's anycast address
+// (as's option, address, group and default AS) whose members are d's
+// members in asn: a §2.1 provider-specific deployment derived from the
+// main one instead of kept in step with it. It shares no state with d or
+// as.
+func (d *Deployment) Restricted(asn topology.ASN, as *Deployment) *Deployment {
+	r := &Deployment{
+		Option:      as.Option,
+		Addr:        as.Addr,
+		Group:       as.Group,
+		DefaultAS:   as.DefaultAS,
+		members:     map[topology.RouterID]bool{},
+		membersByAS: map[topology.ASN][]topology.RouterID{},
+	}
+	for _, m := range d.membersByAS[asn] {
+		r.members[m] = true
+		r.membersByAS[asn] = append(r.membersByAS[asn], m)
+	}
+	return r
+}
+
 // Members returns all member routers in id order.
 func (d *Deployment) Members() []topology.RouterID {
 	out := make([]topology.RouterID, 0, len(d.members))

@@ -360,6 +360,35 @@ func TestMembersAccessors(t *testing.T) {
 	s.RemoveMember(dep, 9999)
 }
 
+// TestRestricted: a provider deployment derived from the main one answers
+// to its own address with exactly the main deployment's members in its
+// domain, captures there, and is not reached by later churn on the main
+// deployment.
+func TestRestricted(t *testing.T) {
+	n, s, dep := figure2(t, false)
+	dQ := n.DomainByName("Q")
+	pd, err := s.DeployOption2(1, dQ.ASN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := dep.Restricted(dQ.ASN, pd)
+	if r.Option != pd.Option || r.Addr != pd.Addr || r.Group != pd.Group || r.DefaultAS != pd.DefaultAS {
+		t.Errorf("identity %v %s %d AS%d, want %v %s %d AS%d", r.Option, r.Addr, r.Group, r.DefaultAS, pd.Option, pd.Addr, pd.Group, pd.DefaultAS)
+	}
+	want := dep.MembersIn(dQ.ASN)
+	if got := r.Members(); len(got) != 1 || got[0] != want[0] {
+		t.Errorf("members %v, want %v", got, want)
+	}
+	res, err := s.ResolveFromRouterVia(r, n.DomainByName("X").Routers[0])
+	if err != nil || res.Member != want[0] {
+		t.Errorf("resolution from X: r%d, %v; want r%d", res.Member, err, want[0])
+	}
+	s.AddMember(dep, dQ.Routers[0])
+	if got := r.MembersIn(dQ.ASN); len(got) != 1 {
+		t.Errorf("main deployment churn reached the restricted one: %v", got)
+	}
+}
+
 func TestCatchment(t *testing.T) {
 	n, s, dep := figure2(t, false)
 	c := s.Catchment(dep)

@@ -67,6 +67,48 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// buggyRestoreApply is World.Apply with the reconvergence step deliberately
+// skipped on restores: the topology gets the link back but the IGP
+// shortest-path caches and BGP tables are never invalidated. It is the
+// canonical seeded bug for validating the harness — the
+// oracle-equivalence and UA invariants must catch it, and the shrinker
+// must reduce the offending schedule to a fail/restore pair.
+func buggyRestoreApply(w *World, ev Event) {
+	switch ev.Kind {
+	case RestoreIntra:
+		restoreIntraRaw(w, ev)
+	case RestoreInter:
+		restoreInterRaw(w, ev)
+	case FlapIntra:
+		w.failIntra(ev)
+		restoreIntraRaw(w, ev)
+	case FlapInter:
+		w.failInter(ev)
+		restoreInterRaw(w, ev)
+	default:
+		w.Apply(ev)
+	}
+}
+
+// restoreIntraRaw is World.restoreIntra on the topology alone, behind the
+// Evolution's back.
+func restoreIntraRaw(w *World, ev Event) {
+	k := mkLinkID(ev.A, ev.B)
+	if lat, known := w.intraLat[k]; known && w.downIntra[k] {
+		w.Net.RestoreIntraLink(ev.A, ev.B, lat)
+		delete(w.downIntra, k)
+	}
+}
+
+// restoreInterRaw is World.restoreInter on the topology alone.
+func restoreInterRaw(w *World, ev Event) {
+	k := mkLinkID(ev.A, ev.B)
+	if spec, known := w.interSpec[k]; known && w.downInter[k] {
+		w.Net.RestoreInterLink(spec)
+		delete(w.downInter, k)
+	}
+}
+
 // TestChaosCatchesSkippedReconvergence is the harness self-test the
 // acceptance criteria demand: with reconvergence deliberately skipped on
 // link restores, the invariants must flag a violation, and the shrinker
@@ -74,7 +116,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 // possibly with a membership event the violation depends on).
 func TestChaosCatchesSkippedReconvergence(t *testing.T) {
 	sc := StockScenario(42)
-	opts := Options{Apply: BuggyRestoreApply, Shrink: true}
+	opts := Options{Shrink: true, apply: buggyRestoreApply}
 	var caught *Report
 	for seed := int64(1); seed <= 10; seed++ {
 		rep, err := Run(sc, seed, 40, opts)
@@ -108,7 +150,7 @@ func TestChaosCatchesSkippedReconvergence(t *testing.T) {
 		t.Fatalf("shrunk schedule has no restore event:\n%s", GoLiteral(caught.Shrunk))
 	}
 	// And replaying it must reproduce the same violation.
-	rerun, err := Replay(sc, caught.Shrunk, Options{Invariants: []string{caught.Violation.Invariant}, Apply: BuggyRestoreApply})
+	rerun, err := Replay(sc, caught.Shrunk, Options{Invariants: []string{caught.Violation.Invariant}, apply: buggyRestoreApply})
 	if err != nil {
 		t.Fatal(err)
 	}

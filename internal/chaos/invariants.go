@@ -16,66 +16,43 @@ import (
 // CheckContext carries per-step state to invariant checks. The oracle —
 // a from-scratch Evolution over the current topology — is built lazily
 // and shared by every invariant that wants one, so a step pays for at
-// most one oracle construction.
+// most one oracle construction per fallback setting.
 type CheckContext struct {
 	W     *World
 	Step  int
 	Event Event
 
-	oracle      *core.Evolution
-	oracleErr   error
-	oracleBuilt bool
-
-	fbOracle      *core.Evolution
-	fbOracleErr   error
-	fbOracleBuilt bool
-
-	abOracle      *core.Evolution
-	abOracleErr   error
-	abOracleBuilt bool
+	// oracles memoises the step's rebuilds by Config.Fallback.
+	oracles map[bool]builtOracle
 }
 
-// Oracle returns the shared from-scratch rebuild for this step.
+// builtOracle is one memoised oracle construction, failed or not.
+type builtOracle struct {
+	evo *core.Evolution
+	err error
+}
+
+// Oracle returns the shared from-scratch rebuild for this step, configured
+// like the live world.
 func (c *CheckContext) Oracle() (*core.Evolution, error) {
-	if !c.oracleBuilt {
-		c.oracle, c.oracleErr = c.W.BuildOracle()
-		c.oracleBuilt = true
-	}
-	return c.oracle, c.oracleErr
+	return c.OracleWithFallback(c.W.Evo.Config().Fallback)
 }
 
-// FallbackOracle returns the step's shared from-scratch rebuild with the
-// graceful-degradation layer force-enabled — the referee the availability
-// invariant sends through regardless of how the live world is configured.
-// Built lazily and cached like Oracle.
-func (c *CheckContext) FallbackOracle() (*core.Evolution, error) {
-	if c.W.Evo.Config().Fallback.Enabled {
-		return c.Oracle()
+// OracleWithFallback returns the step's shared from-scratch rebuild with
+// the graceful-degradation layer on or off, whatever the live world runs:
+// the availability invariant sends through a fallback-enabled referee and
+// compares its degraded deliveries with the fail-fast twin. It is Oracle
+// when on matches the live configuration.
+func (c *CheckContext) OracleWithFallback(on bool) (*core.Evolution, error) {
+	o, ok := c.oracles[on]
+	if !ok {
+		o.evo, o.err = c.W.buildOracle(on)
+		if c.oracles == nil {
+			c.oracles = map[bool]builtOracle{}
+		}
+		c.oracles[on] = o
 	}
-	if !c.fbOracleBuilt {
-		c.fbOracle, c.fbOracleErr = c.W.BuildOracleWith(func(cfg *core.Config) {
-			cfg.Fallback.Enabled = true
-		})
-		c.fbOracleBuilt = true
-	}
-	return c.fbOracle, c.fbOracleErr
-}
-
-// AblationOracle is FallbackOracle's counterpart: the step's shared
-// from-scratch rebuild with the degradation layer force-disabled — the
-// fail-fast twin the availability invariant compares degraded deliveries
-// against. Reuses Oracle when the live world is already ablated.
-func (c *CheckContext) AblationOracle() (*core.Evolution, error) {
-	if !c.W.Evo.Config().Fallback.Enabled {
-		return c.Oracle()
-	}
-	if !c.abOracleBuilt {
-		c.abOracle, c.abOracleErr = c.W.BuildOracleWith(func(cfg *core.Config) {
-			cfg.Fallback = core.FallbackConfig{}
-		})
-		c.abOracleBuilt = true
-	}
-	return c.abOracle, c.abOracleErr
+	return o.evo, o.err
 }
 
 // Failure describes one invariant violation: a human-readable detail
@@ -96,7 +73,7 @@ type Invariant interface {
 
 // InvariantNames lists the registered invariant names in check order.
 func InvariantNames() []string {
-	return []string{"ua", "bone", "conserve", "oracle", "providersync", "epochtick", "batchsend", "availability"}
+	return []string{"ua", "bone", "conserve", "oracle", "epochtick", "batchsend", "availability"}
 }
 
 // InvariantDoc returns the one-line description of a registered
@@ -111,8 +88,6 @@ func InvariantDoc(name string) string {
 		return "trace counters conserve (sends == deliveries + drops) and stay monotonic"
 	case "oracle":
 		return "every host's anycast resolution matches the from-scratch oracle"
-	case "providersync":
-		return "provider-specific deployments never drift from the main deployment (§2.1)"
 	case "epochtick":
 		return "every routing-epoch store ticks WatchEpochs subscribers, and only those"
 	case "batchsend":
@@ -157,8 +132,6 @@ func newInvariant(name string) Invariant {
 		return &conserveInvariant{}
 	case "oracle":
 		return &oracleInvariant{}
-	case "providersync":
-		return &providerSyncInvariant{}
 	case "epochtick":
 		return &epochTickInvariant{}
 	case "batchsend":
@@ -357,38 +330,6 @@ func (oracleInvariant) Check(c *CheckContext) *Failure {
 	return nil
 }
 
-// providerSyncInvariant checks that §2.1 provider-specific deployments
-// never drift from the main deployment: after every event, the member
-// set of each enabled provider's deployment must equal the main
-// deployment's members inside that domain. Deployment churn updates both
-// bookkeeping structures on separate code paths, so a missed add or
-// withdraw shows up here immediately instead of as a mysterious SendVia
-// misdelivery many steps later.
-type providerSyncInvariant struct{}
-
-func (providerSyncInvariant) Name() string { return "providersync" }
-
-func (providerSyncInvariant) Check(c *CheckContext) *Failure {
-	for _, asn := range c.W.Evo.ProviderChoices() {
-		got := fmtRouterSet(c.W.Evo.ProviderMembers(asn))
-		want := fmtRouterSet(c.W.Evo.Dep.MembersIn(asn))
-		if got != want {
-			return &Failure{Detail: fmt.Sprintf("AS%d provider deployment drifted: provider members %s, main deployment members in AS%d %s",
-				asn, got, asn, want)}
-		}
-	}
-	return nil
-}
-
-func fmtRouterSet(rs []topology.RouterID) string {
-	parts := make([]string, len(rs))
-	for i, r := range rs {
-		parts[i] = fmt.Sprintf("r%d", r)
-	}
-	sort.Strings(parts)
-	return "{" + strings.Join(parts, " ") + "}"
-}
-
 // batchSendInvariant checks the batch≡loop delivery contract under the
 // full fault schedule: after every event, a SendBatch burst on the live
 // Evolution must agree packet-for-packet with the equivalent singleton
@@ -545,7 +486,7 @@ type availabilityInvariant struct{}
 func (availabilityInvariant) Name() string { return "availability" }
 
 func (availabilityInvariant) Check(c *CheckContext) *Failure {
-	fb, err := c.FallbackOracle()
+	fb, err := c.OracleWithFallback(true)
 	if err != nil {
 		// The current state admits no Evolution at all; ua already
 		// cross-checks total unusability.
@@ -557,7 +498,7 @@ func (availabilityInvariant) Check(c *CheckContext) *Failure {
 		return nil
 	}
 	payload := []byte("chaos-avail")
-	liveFallback := c.W.Evo.Config().Fallback.Enabled
+	liveFallback := c.W.Evo.Config().Fallback
 	for i := 0; i < n; i++ {
 		src, dst := hosts[i], hosts[(i+1)%n]
 		_, baseErr := c.W.Evo.Fwd.HostToHost(src, dst)
@@ -574,7 +515,7 @@ func (availabilityInvariant) Check(c *CheckContext) *Failure {
 			// A fresh oracle's first send per flow starts healthy, so a
 			// degraded delivery means the vN attempt failed — the ablation
 			// twin of the same state must fail too.
-			if abl, aerr := c.AblationOracle(); aerr == nil {
+			if abl, aerr := c.OracleWithFallback(false); aerr == nil {
 				if _, ablErr := abl.Send(src, dst, payload); ablErr == nil {
 					return &Failure{
 						Detail: fmt.Sprintf("h%d→h%d: fallback-enabled send degraded to the baseline though the ablation twin delivers over vN",

@@ -12,19 +12,12 @@ type Options struct {
 	// Invariants names the invariants to check (see InvariantNames);
 	// empty means all of them.
 	Invariants []string
-	// Apply overrides event application — the hook fault-injection tests
-	// use to wire in a deliberately buggy apply (BuggyRestoreApply). Nil
-	// means (*World).Apply.
-	Apply func(*World, Event)
 	// Shrink enables schedule minimization after a violation.
 	Shrink bool
-}
 
-func (o Options) apply() func(*World, Event) {
-	if o.Apply != nil {
-		return o.Apply
-	}
-	return (*World).Apply
+	// apply overrides event application, so the harness's self-test can
+	// wire in a deliberately buggy apply. Nil means (*World).Apply.
+	apply func(*World, Event)
 }
 
 // Violation is one invariant failure, pinned to the schedule position
@@ -100,7 +93,10 @@ func replayWorld(w *World, schedule []Event, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	apply := opts.apply()
+	apply := opts.apply
+	if apply == nil {
+		apply = (*World).Apply
+	}
 	rep := &Report{Scenario: w.scenario.Name, Schedule: schedule}
 	eng := netsim.NewEngine()
 	for i, ev := range schedule {
@@ -143,7 +139,7 @@ func Shrink(sc Scenario, schedule []Event, v *Violation, opts Options) ([]Event,
 	if v == nil {
 		return nil, fmt.Errorf("chaos: Shrink needs a violation to reproduce")
 	}
-	probe := Options{Invariants: []string{v.Invariant}, Apply: opts.Apply}
+	probe := Options{Invariants: []string{v.Invariant}, apply: opts.apply}
 	stillFails := func(events []Event) (bool, error) {
 		rep, err := Replay(sc, events, probe)
 		if err != nil {

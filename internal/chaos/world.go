@@ -116,9 +116,6 @@ func sortLinkIDs(keys []linkID) {
 // DownIntra reports whether the intra link a–b is currently failed.
 func (w *World) DownIntra(a, b topology.RouterID) bool { return w.downIntra[mkLinkID(a, b)] }
 
-// DownInter reports whether the inter link a–b is currently failed.
-func (w *World) DownInter(a, b topology.RouterID) bool { return w.downInter[mkLinkID(a, b)] }
-
 // Registered reports whether the host currently holds a §3.3.2
 // registration (as far as the schedule is concerned — the Evolution may
 // be unable to advertise it this epoch, which is exactly what the oracle
@@ -146,17 +143,17 @@ func (w *World) Apply(ev Event) {
 	case FailIntra:
 		w.failIntra(ev)
 	case RestoreIntra:
-		w.restoreIntra(ev, true)
+		w.restoreIntra(ev)
 	case FailInter:
 		w.failInter(ev)
 	case RestoreInter:
-		w.restoreInter(ev, true)
+		w.restoreInter(ev)
 	case FlapIntra:
 		w.failIntra(ev)
-		w.restoreIntra(ev, true)
+		w.restoreIntra(ev)
 	case FlapInter:
 		w.failInter(ev)
-		w.restoreInter(ev, true)
+		w.restoreInter(ev)
 	case DeployRouter:
 		w.Evo.DeployRouter(ev.A)
 	case UndeployRouter:
@@ -188,21 +185,13 @@ func (w *World) failIntra(ev Event) {
 }
 
 // restoreIntra brings an intra link back at its original latency.
-// reconverge selects the production path (Evolution.RestoreIntraLink,
-// which invalidates IGP/BGP caches) versus the raw topology mutation —
-// the latter is the deliberately seeded "skipped reconvergence" bug that
-// BuggyRestoreApply uses to prove the harness catches it.
-func (w *World) restoreIntra(ev Event, reconverge bool) {
+func (w *World) restoreIntra(ev Event) {
 	k := mkLinkID(ev.A, ev.B)
 	lat, known := w.intraLat[k]
 	if !known || !w.downIntra[k] {
 		return
 	}
-	if reconverge {
-		w.Evo.RestoreIntraLink(ev.A, ev.B, lat)
-	} else {
-		w.Net.RestoreIntraLink(ev.A, ev.B, lat)
-	}
+	w.Evo.RestoreIntraLink(ev.A, ev.B, lat)
 	delete(w.downIntra, k)
 }
 
@@ -216,41 +205,14 @@ func (w *World) failInter(ev Event) {
 	}
 }
 
-func (w *World) restoreInter(ev Event, reconverge bool) {
+func (w *World) restoreInter(ev Event) {
 	k := mkLinkID(ev.A, ev.B)
 	spec, known := w.interSpec[k]
 	if !known || !w.downInter[k] {
 		return
 	}
-	if reconverge {
-		w.Evo.RestoreInterLink(spec)
-	} else {
-		w.Net.RestoreInterLink(spec)
-	}
+	w.Evo.RestoreInterLink(spec)
 	delete(w.downInter, k)
-}
-
-// BuggyRestoreApply is an Apply variant with the reconvergence step
-// deliberately skipped on restores: the topology gets the link back but
-// the IGP shortest-path caches and BGP tables are never invalidated.
-// This is the canonical seeded bug for validating the harness — the
-// oracle-equivalence and UA invariants must catch it, and the shrinker
-// must reduce the offending schedule to a fail/restore pair.
-func BuggyRestoreApply(w *World, ev Event) {
-	switch ev.Kind {
-	case RestoreIntra:
-		w.restoreIntra(ev, false)
-	case RestoreInter:
-		w.restoreInter(ev, false)
-	case FlapIntra:
-		w.failIntra(ev)
-		w.restoreIntra(ev, false)
-	case FlapInter:
-		w.failInter(ev)
-		w.restoreInter(ev, false)
-	default:
-		w.Apply(ev)
-	}
 }
 
 // BuildOracle constructs a from-scratch Evolution over the *current*
@@ -261,19 +223,14 @@ func BuggyRestoreApply(w *World, ev Event) {
 // skipped reconvergence in the incremental path. The oracle shares
 // w.Net but only reads it.
 func (w *World) BuildOracle() (*core.Evolution, error) {
-	return w.BuildOracleWith(nil)
+	return w.buildOracle(w.Evo.Config().Fallback)
 }
 
-// BuildOracleWith is BuildOracle with a configuration hook: mutate (when
-// non-nil) edits a copy of the live configuration before the oracle is
-// constructed. The availability invariant uses it to referee an
-// ablation-configured live world against a fallback-enabled oracle of
-// the same state.
-func (w *World) BuildOracleWith(mutate func(*core.Config)) (*core.Evolution, error) {
+// buildOracle is BuildOracle with the graceful-degradation layer set to
+// fallback, whatever the live world runs.
+func (w *World) buildOracle(fallback bool) (*core.Evolution, error) {
 	cfg := w.Evo.Config()
-	if mutate != nil {
-		mutate(&cfg)
-	}
+	cfg.Fallback = fallback
 	oracle, err := core.New(w.Net, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: oracle build: %w", err)
@@ -281,8 +238,8 @@ func (w *World) BuildOracleWith(mutate func(*core.Config)) (*core.Evolution, err
 	oracle.DeployRouters(w.Evo.Dep.Members())
 	for _, asn := range w.Evo.ProviderChoices() {
 		// Mirror provider choices; a domain whose members have all since
-		// undeployed cannot re-enable, which is fine — providersync checks
-		// the live side's membership bookkeeping, not the oracle's.
+		// undeployed cannot re-enable, which is fine: no invariant sends
+		// through a provider address.
 		_, _ = oracle.EnableProviderChoice(asn)
 	}
 	// One batch, one epoch. Best effort, mirroring the live best-effort
@@ -329,11 +286,7 @@ func stockScenario(seed int64, fallback bool) Scenario {
 			if err != nil {
 				return nil, nil, err
 			}
-			cfg := core.Config{Option: anycast.Option1}
-			if fallback {
-				cfg.Fallback = core.FallbackConfig{Enabled: true}
-			}
-			evo, err := core.New(net, cfg)
+			evo, err := core.New(net, core.Config{Option: anycast.Option1, Fallback: fallback})
 			if err != nil {
 				return nil, nil, err
 			}

@@ -86,7 +86,7 @@ func newDiffWorld(t *testing.T, cfg Config, shards int) *diffWorld {
 // pins is that batching (one pinned epoch, per-flow template reuse, one
 // counter flush, buffered events) changes nothing the engine produces.
 func TestSendBatchDifferential(t *testing.T) {
-	fallback := Config{Fallback: FallbackConfig{Enabled: true}}
+	fallback := Config{Fallback: true}
 	arms := []struct {
 		name   string
 		cfg    Config
@@ -694,7 +694,7 @@ func TestReusedOutNeverLeaksDelivery(t *testing.T) {
 		})
 
 		t.Run("rescue/"+c.name, func(t *testing.T) {
-			w := newFBWorld(t, FallbackConfig{Enabled: true})
+			w := newFBWorld(t, true)
 			pls := payloads()
 			out, err := c.send(w.e, make([]Delivery, 0, nb), w.src(), w.dst(), pls)
 			fill(t, out, err)

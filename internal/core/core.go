@@ -44,13 +44,13 @@ type Config struct {
 	Egress bgpvn.EgressPolicy
 	// Bone configures vN-Bone construction.
 	Bone vnbone.Config
-	// Fallback configures the graceful-degradation layer (DESIGN.md §8.3):
+	// Fallback turns on the graceful-degradation layer (DESIGN.md §8.3):
 	// per-flow health tracking and automatic delivery over the IPv(N-1)
-	// baseline when the vN path is broken. The zero value disables it:
-	// sends fail fast, the default every benchmark workload and E1–E20
-	// run on and the twin chaos's availability invariant compares a
-	// fallback world against.
-	Fallback FallbackConfig
+	// baseline when the vN path is broken. false, the default, fails sends
+	// fast: every benchmark workload and E1–E20 run on it, and it is the
+	// twin that E21 and chaos's availability invariant compare a fallback
+	// world against.
+	Fallback bool
 }
 
 // ErrNotDeployed is returned by operations that need at least one IPvN
@@ -62,8 +62,9 @@ var ErrNotDeployed = errors.New("core: IPvN has no deployed routers")
 var ErrNotAnycast = errors.New("core: not an anycast address of this deployment")
 
 // routingEpoch is one immutable generation of everything the send path
-// needs: the bone, the BGPvN system, the per-host IPvN addresses, frozen
-// clones of the main and provider deployments, and the redirect cache.
+// needs: the bone, the BGPvN system, the per-host IPvN addresses, a frozen
+// clone of the deployment with the provider deployments derived from it,
+// and the redirect cache.
 // applyLocked builds the next epoch off the hot path and publishes it with
 // one atomic store; senders load one epoch pointer and use that consistent
 // view end-to-end, so a delivery mid-flight keeps the routing state it
@@ -86,11 +87,12 @@ type routingEpoch struct {
 	// addrs is the sharded endhost registry: per-host native IPvN
 	// addresses, copy-on-write at shard granularity across epochs.
 	addrs *addrShards
-	// dep and provDeps are deep clones frozen at publication; anycast
-	// capture on the send path resolves against them, never against the
-	// live (mutable) deployments. dep is set on every epoch, error epochs
-	// included (sends key their flows by its address); provDeps may be nil
-	// on an epoch with no members.
+	// dep is a deep clone frozen at publication, and provDeps the
+	// provider-specific deployments derived from it; anycast capture on the
+	// send path resolves against them, never against the live (mutable)
+	// deployment. dep is set on every epoch, error epochs included (sends
+	// key their flows by its address); provDeps may be nil on an epoch with
+	// no members.
 	dep      *anycast.Deployment
 	provDeps map[topology.ASN]*anycast.Deployment
 	// resolve is the redirect cache: router-level anycast resolutions (no
@@ -144,8 +146,9 @@ type Evolution struct {
 	cfg Config
 
 	// mu serialises mutators (and guards the canonical mutable state
-	// below: the live membership maps inside Dep/providerDeps, vnAddrs,
-	// pools, registered). Sends take it only on the torn-computation retry.
+	// below: the live membership maps inside Dep, native, pools,
+	// registered, providerDeps). Sends take it only on the
+	// torn-computation retry.
 	mu sync.Mutex
 	// epoch is the published routing snapshot senders run on.
 	epoch atomic.Pointer[routingEpoch]
@@ -163,9 +166,10 @@ type Evolution struct {
 	// registered holds endhosts using the §3.3.2 anycast-based route
 	// advertisement; renewed on every routing change (see applyLocked).
 	registered map[topology.HostID]*topology.Host
-	// providerDeps holds per-provider anycast deployments for §2.1's
-	// user-choice-of-provider extension; membership stays in sync with
-	// the main deployment.
+	// providerDeps holds the per-provider anycast deployments of §2.1's
+	// user-choice-of-provider extension. They carry an address and no
+	// members: each epoch derives a provider's members from its own frozen
+	// dep (see anycast.Deployment.Restricted).
 	providerDeps map[topology.ASN]*anycast.Deployment
 
 	// watchMu guards the epoch-watcher registry; deliberately separate
@@ -182,7 +186,7 @@ type Evolution struct {
 
 	// health is the per-flow health registry of the graceful-degradation
 	// layer, striped by source host like the flow cache; nil when
-	// Config.Fallback.Enabled is false (fail fast), which is also the send
+	// Config.Fallback is false (fail fast), which is also the send
 	// path's branch condition. Records are created on a flow's first send
 	// and live as long as the Evolution: health history must span epochs.
 	health *striped[flowKey, *flowHealth]
@@ -208,7 +212,6 @@ func newEvolution(net *topology.Network, cfg Config, shards int) (*Evolution, er
 	if cfg.Option == 0 {
 		cfg.Option = anycast.Option2
 	}
-	cfg.Fallback = cfg.Fallback.withDefaults()
 	igp := underlay.NewView(net)
 	bgpSys := bgp.NewSystem(net)
 	svc := anycast.NewService(net, bgpSys, igp)
@@ -247,7 +250,7 @@ func newEvolution(net *topology.Network, cfg Config, shards int) (*Evolution, er
 		registered:   map[topology.HostID]*topology.Host{},
 		providerDeps: map[topology.ASN]*anycast.Deployment{},
 	}
-	if cfg.Fallback.Enabled {
+	if cfg.Fallback {
 		e.health = newStriped[flowKey, *flowHealth](shards)
 	}
 	e.epoch.Store(&routingEpoch{
@@ -307,9 +310,6 @@ func (e *Evolution) DeployRouters(ids []topology.RouterID) {
 			if !e.Anycast.AddMember(e.Dep, id) {
 				continue
 			}
-			if pd, ok := e.providerDeps[asn]; ok {
-				e.Anycast.AddMember(pd, id)
-			}
 			c.domains = append(c.domains, asn)
 			c.toggled = c.toggled || joined
 		}
@@ -320,13 +320,10 @@ func (e *Evolution) DeployRouters(ids []topology.RouterID) {
 // UndeployRouter withdraws one router from the deployment.
 func (e *Evolution) UndeployRouter(id topology.RouterID) {
 	e.mutate(func() change {
-		asn := e.Net.DomainOf(id)
 		if !e.Anycast.RemoveMember(e.Dep, id) {
 			return change{}
 		}
-		if pd, ok := e.providerDeps[asn]; ok {
-			e.Anycast.RemoveMember(pd, id)
-		}
+		asn := e.Net.DomainOf(id)
 		return change{kind: changeMembers, domains: []topology.ASN{asn}, toggled: !e.participatesLocked(asn)}
 	})
 }
@@ -343,8 +340,7 @@ func (e *Evolution) EnableProviderChoice(asn topology.ASN) (addr.V4, error) {
 	if pd, ok := e.providerDeps[asn]; ok {
 		return pd.Addr, nil
 	}
-	members := e.Dep.MembersIn(asn)
-	if len(members) == 0 {
+	if !e.participatesLocked(asn) {
 		return 0, fmt.Errorf("core: AS%d does not participate in the deployment", asn)
 	}
 	e.mutSeq.Add(1)
@@ -355,9 +351,6 @@ func (e *Evolution) EnableProviderChoice(asn topology.ASN) (addr.V4, error) {
 	if err != nil {
 		e.applyLocked(change{})
 		return 0, err
-	}
-	for _, m := range members {
-		e.Anycast.AddMember(pd, m)
 	}
 	e.providerDeps[asn] = pd
 	e.applyLocked(change{kind: changeProvider})
@@ -378,15 +371,15 @@ func (e *Evolution) ProviderChoices() []topology.ASN {
 }
 
 // ProviderMembers returns the current members of asn's provider-specific
-// deployment, nil when provider choice is not enabled for asn.
+// deployment — the deployment's members in asn — nil when provider choice
+// is not enabled for asn.
 func (e *Evolution) ProviderMembers(asn topology.ASN) []topology.RouterID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pd, ok := e.providerDeps[asn]
-	if !ok {
+	if _, ok := e.providerDeps[asn]; !ok {
 		return nil
 	}
-	return pd.Members()
+	return e.Dep.MembersIn(asn)
 }
 
 // DeployDomain deploys IPvN in count routers of a domain (all when count
@@ -554,7 +547,7 @@ func (e *Evolution) mutate(poke func() change) {
 //
 //   - Nothing changed: the epoch is resealed, so the mutSeq gate on cache
 //     stores opens again; everything is shared.
-//   - A provider deployment: the providers are frozen anew; routing is
+//   - A provider deployment: the providers are derived anew; routing is
 //     shared.
 //   - A registration: a delta on a fork of the BGPvN tables, at a cost
 //     proportional to the batch, and a fresh flow cache (skeletons bake the
@@ -581,7 +574,7 @@ func (e *Evolution) applyLocked(c change) {
 	switch c.kind {
 	case changeNone:
 	case changeProvider:
-		next.provDeps = e.frozenProvidersLocked()
+		next.provDeps = e.providersOf(next.dep)
 	case changeRegistration:
 		if prev.err != nil {
 			break
@@ -631,7 +624,7 @@ func (e *Evolution) applyLocked(c change) {
 		}
 		next = routingEpoch{seq: next.seq, err: ErrNotDeployed, addrs: e.native, dep: e.Dep.Clone(), flow: prev.flow.fresh()}
 		if len(next.dep.Members()) > 0 {
-			next.provDeps = e.frozenProvidersLocked()
+			next.provDeps = e.providersOf(next.dep)
 			boneCfg := e.cfg.Bone
 			boneCfg.Trace = e.tracerNow()
 			var prevBone *vnbone.Bone
@@ -670,13 +663,13 @@ func (e *Evolution) applyLocked(c change) {
 	e.publishLocked(&next)
 }
 
-// frozenProvidersLocked clones every provider deployment for an epoch:
-// its send path resolves against that membership while the live
-// deployments churn under the next mutation.
-func (e *Evolution) frozenProvidersLocked() map[topology.ASN]*anycast.Deployment {
+// providersOf derives every provider-specific deployment of an epoch from
+// the epoch's frozen dep: a provider's members are dep's members in its
+// domain, so they cannot drift from the main deployment. Callers hold mu.
+func (e *Evolution) providersOf(dep *anycast.Deployment) map[topology.ASN]*anycast.Deployment {
 	provs := make(map[topology.ASN]*anycast.Deployment, len(e.providerDeps))
 	for asn, pd := range e.providerDeps {
-		provs[asn] = pd.Clone()
+		provs[asn] = dep.Restricted(asn, pd)
 	}
 	return provs
 }

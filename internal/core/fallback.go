@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -91,17 +90,8 @@ func (e *Evolution) deliverFallback(
 	}
 	cb.Decap()
 
-	var tag uint32
-	for _, o := range inner.Options {
-		if o.Type == packet.OptTraceTag && len(o.Value) == 4 {
-			tag = binary.BigEndian.Uint32(o.Value)
-		}
-	}
-	if tag != seq {
-		return trace.DropIntegrity, fmt.Errorf("core: trace tag corrupted in transit (%d != %d)", tag, seq)
-	}
-	if !bytes.Equal(pl, payload) {
-		return trace.DropIntegrity, fmt.Errorf("core: payload corrupted in transit")
+	if err := checkArrival(inner.Options, pl, payload, seq); err != nil {
+		return trace.DropIntegrity, err
 	}
 
 	*out = Delivery{

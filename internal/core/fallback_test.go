@@ -25,7 +25,7 @@ type fbWorld struct {
 func (w *fbWorld) src() *topology.Host { return w.srcs[0] }
 func (w *fbWorld) dst() *topology.Host { return w.dsts[0] }
 
-func newFBWorld(t *testing.T, fc FallbackConfig) *fbWorld {
+func newFBWorld(t *testing.T, fallback bool) *fbWorld {
 	t.Helper()
 	b := topology.NewBuilder()
 	dP := b.AddDomain("P")
@@ -44,7 +44,7 @@ func newFBWorld(t *testing.T, fc FallbackConfig) *fbWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(net, Config{Option: anycast.Option1, Fallback: fc})
+	e, err := New(net, Config{Option: anycast.Option1, Fallback: fallback})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,7 @@ func newFBWorld(t *testing.T, fc FallbackConfig) *fbWorld {
 // degradation cycle — healthy → suspect → fallback → probation → healthy
 // — and pins the Snapshot.Sub deltas at every checkpoint.
 func TestFallbackCycleAndCounters(t *testing.T) {
-	fc := FallbackConfig{
-		Enabled: true, SuspectAfter: 1, FallbackAfter: 3,
-		ProbeBase: 4, ProbeMax: 8, ProbationSends: 2, ProbeJitterSeed: 11,
-	}
-	w := newFBWorld(t, fc)
+	w := newFBWorld(t, true)
 	e := w.e
 
 	// Healthy: a vN delivery, no fallback, a healthy flow record.
@@ -117,8 +113,8 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 	}
 
 	// In the fallback state every send rides the baseline; the backoff
-	// (ProbeBase 4, ProbeMax 8) guarantees at least one failed probe
-	// within ten sends, and a failed probe is itself rescued.
+	// (probeBase 4, jitter under 3) guarantees a failed probe within ten
+	// sends, and a failed probe is itself rescued.
 	before = e.Snapshot()
 	for i := 0; i < 10; i++ {
 		d, err := e.Send(w.src(), w.dst(), nil)
@@ -131,7 +127,7 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 		t.Errorf("fallback-state sends = %d, want 10", delta.DeliveryFallbackSends)
 	}
 	if delta.HealthProbes == 0 {
-		t.Error("no probe in 10 fallback sends despite ProbeMax 8")
+		t.Error("no probe in 10 fallback sends despite probeBase 4")
 	}
 	if delta.HealthProbes != delta.DeliveryFallbackRescues {
 		t.Errorf("probes %d != rescues %d: a failed probe must be rescued in-line",
@@ -153,8 +149,10 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 	if info.State != HealthProbation {
 		t.Fatalf("post-probe state %v, want probation", info.State)
 	}
-	if d, err = e.Send(w.src(), w.dst(), []byte("heal")); err != nil || d.Fallback {
-		t.Fatalf("probation send: %+v, %v", d, err)
+	for i := 0; i < probationSends-1; i++ {
+		if d, err = e.Send(w.src(), w.dst(), []byte("heal")); err != nil || d.Fallback {
+			t.Fatalf("probation send %d: %+v, %v", i, d, err)
+		}
 	}
 	info, _ = e.FlowHealth(w.src(), w.dst())
 	if info.State != HealthHealthy {
@@ -174,7 +172,7 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 // deployment empties, a fallback-enabled world delivers over the baseline
 // (loop and batch alike) where the ablated world fails fast.
 func TestErrorEpochRidesBaseline(t *testing.T) {
-	w := newFBWorld(t, FallbackConfig{Enabled: true})
+	w := newFBWorld(t, true)
 	e := w.e
 	if _, err := e.Send(w.src(), w.dst(), nil); err != nil {
 		t.Fatal(err)
@@ -227,7 +225,7 @@ func TestErrorEpochRidesBaseline(t *testing.T) {
 	}
 
 	// The ablated twin fails fast with the epoch error.
-	wa := newFBWorld(t, FallbackConfig{})
+	wa := newFBWorld(t, false)
 	if _, err := wa.e.Send(wa.src(), wa.dst(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +239,7 @@ func TestErrorEpochRidesBaseline(t *testing.T) {
 // the first send, a live record after, and permanently disabled on the
 // ablated configuration.
 func TestFlowHealthInspector(t *testing.T) {
-	w := newFBWorld(t, FallbackConfig{Enabled: true})
+	w := newFBWorld(t, true)
 	if _, ok := w.e.FlowHealth(w.src(), w.dst()); ok {
 		t.Error("unseen flow reported a health record")
 	}
@@ -256,7 +254,7 @@ func TestFlowHealthInspector(t *testing.T) {
 		t.Error("sibling flow reported a record without a send")
 	}
 
-	wa := newFBWorld(t, FallbackConfig{})
+	wa := newFBWorld(t, false)
 	if _, err := wa.e.Send(wa.src(), wa.dst(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +267,7 @@ func TestFlowHealthInspector(t *testing.T) {
 // flows take failures exactly as if their sends had failed, non-matching
 // destinations and ablated worlds are no-ops.
 func TestReportUnackedVN(t *testing.T) {
-	w := newFBWorld(t, FallbackConfig{Enabled: true, FallbackAfter: 3})
+	w := newFBWorld(t, true)
 	e := w.e
 	if n := e.ReportUnackedVN(addr.VN{Hi: 1, Lo: 1}); n != 0 {
 		t.Errorf("unknown destination matched %d flows", n)
@@ -296,7 +294,7 @@ func TestReportUnackedVN(t *testing.T) {
 		t.Errorf("health signals = %d, want 3", delta.HealthSignals)
 	}
 
-	wa := newFBWorld(t, FallbackConfig{})
+	wa := newFBWorld(t, false)
 	if _, err := wa.e.Send(wa.src(), wa.dst(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +308,7 @@ func TestReportUnackedVN(t *testing.T) {
 // whose last vN skeleton rides the suspected router take a failure,
 // others do not.
 func TestReportPeerSuspect(t *testing.T) {
-	w := newFBWorld(t, FallbackConfig{Enabled: true, SuspectAfter: 1})
+	w := newFBWorld(t, true)
 	e := w.e
 	if _, err := e.Send(w.src(), w.dst(), nil); err != nil {
 		t.Fatal(err)
@@ -331,7 +329,7 @@ func TestReportPeerSuspect(t *testing.T) {
 		t.Errorf("state after peer suspicion = %v, want suspect", info.State)
 	}
 
-	wa := newFBWorld(t, FallbackConfig{})
+	wa := newFBWorld(t, false)
 	if _, err := wa.e.Send(wa.src(), wa.dst(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -342,14 +340,14 @@ func TestReportPeerSuspect(t *testing.T) {
 
 // TestFallbackSendZeroAlloc pins the degraded steady state: with the
 // layer enabled, neither the healthy path (health bookkeeping engaged)
-// nor the fallback-state path (baseline plan memoised, probe backoff
-// pushed past the measurement window) allocates per send.
+// nor the fallback-state path (baseline plan memoised) allocates per
+// send. The fallback window opens on a probe at the capped backoff, so
+// no probe (a vN attempt, which allocates its error) falls inside it.
 func TestFallbackSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	fc := FallbackConfig{Enabled: true, ProbeBase: 1 << 20, ProbeMax: 1 << 20}
-	w := newFBWorld(t, fc)
+	w := newFBWorld(t, true)
 	e := w.e
 	payload := []byte("zero-alloc degraded steady state")
 	for i := 0; i < 10; i++ {
@@ -366,20 +364,27 @@ func TestFallbackSendZeroAlloc(t *testing.T) {
 		t.Errorf("healthy Send with fallback enabled allocates %.1f objects per op, want 0", allocs)
 	}
 
-	// Drive the flow into fallback (default FallbackAfter 3), then
-	// measure the baseline steady state.
+	// Drive the flow into fallback (fallbackAfter 3) and on until a probe
+	// has just backed off to probeMax, then measure the baseline steady
+	// state: the next probe is at least probeMax sends away, beyond the
+	// window's one warm-up and 50 measured sends.
 	if _, ok := e.FailInterLink(w.rP, w.rA); !ok {
 		t.Fatal("uplink not found")
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; ; i++ {
 		if d, err := e.Send(w.src(), w.dst(), payload); err != nil || !d.Fallback {
 			t.Fatalf("degraded send %d: %v", i, err)
 		}
+		info, _ := e.FlowHealth(w.src(), w.dst())
+		if info.State == HealthFallback && info.ProbeEvery == probeMax && info.SinceProbe == 0 {
+			break
+		}
+		if i > 4*probeMax {
+			t.Fatalf("no probe reached the capped backoff in %d sends: %+v", i, info)
+		}
 	}
-	if info, _ := e.FlowHealth(w.src(), w.dst()); info.State != HealthFallback {
-		t.Fatalf("state = %v, want fallback", info.State)
-	}
-	allocs = testing.AllocsPerRun(200, func() {
+	probes := e.Snapshot().HealthProbes
+	allocs = testing.AllocsPerRun(50, func() {
 		d, err := e.Send(w.src(), w.dst(), payload)
 		if err != nil || !d.Fallback {
 			t.Fatal(err)
@@ -387,6 +392,9 @@ func TestFallbackSendZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("fallback-state Send allocates %.1f objects per op, want 0", allocs)
+	}
+	if n := e.Snapshot().HealthProbes - probes; n != 0 {
+		t.Errorf("%d probes inside the measured window", n)
 	}
 }
 
@@ -397,7 +405,7 @@ func TestFallbackSendZeroAlloc(t *testing.T) {
 // non-negative (Sub panics on a regressing counter). At the end the
 // transition counters must tie together relationally.
 func TestHealthCountersMonotonicRace(t *testing.T) {
-	w := newFBWorld(t, FallbackConfig{Enabled: true, ProbeJitterSeed: 3})
+	w := newFBWorld(t, true)
 	e := w.e
 	if err := e.Ready(); err != nil {
 		t.Fatal(err)

@@ -9,68 +9,23 @@ import (
 	"github.com/evolvable-net/evolve/internal/trace"
 )
 
-// FallbackConfig parameterises the delivery plane's graceful-degradation
-// layer (DESIGN.md §8.3): per-flow health tracking and automatic
-// universal-access fallback over the IPv(N-1) baseline path when the vN
-// path is broken. The zero value disables the layer entirely and sends
-// fail fast. That is the default — every benchmark workload and
-// experiments E1–E20 run on it — and the reference the layer is defined
-// against: chaos's availability invariant and E21 compare a fallback
-// world with its fail-fast twin.
-type FallbackConfig struct {
-	// Enabled turns the health/fallback layer on. All other fields are
-	// ignored when false.
-	Enabled bool
-	// SuspectAfter is the number of consecutive vN failures after which a
-	// healthy flow becomes suspect. Default 1.
-	SuspectAfter int
-	// FallbackAfter is the number of consecutive vN failures after which
-	// a flow enters the fallback state and stops attempting the vN path
-	// (every send rides the baseline until a probe heals it). Default 3.
-	FallbackAfter int
-	// ProbeBase is the initial probe interval of a flow in fallback,
-	// measured in sends of that flow (the layer is wall-clock-free so
-	// twin worlds stay deterministic). Default 4.
-	ProbeBase int
-	// ProbeMax caps the exponential probe backoff. Default 64.
-	ProbeMax int
-	// ProbationSends is the number of consecutive vN successes a
-	// recovering flow must accumulate in probation before it is healthy
-	// again. Default 3.
-	ProbationSends int
-	// ProbeJitterSeed seeds the per-flow deterministic jitter applied to
-	// probe intervals so a fleet of fallback flows does not probe in
-	// lockstep. Flows mix their identity in, so any seed (including 0)
-	// de-synchronizes them.
-	ProbeJitterSeed int64
-}
-
-// withDefaults fills the zero fields of an enabled config; a disabled
-// config passes through untouched so Config round-trips exactly.
-func (c FallbackConfig) withDefaults() FallbackConfig {
-	if !c.Enabled {
-		return c
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 1
-	}
-	if c.FallbackAfter <= 0 {
-		c.FallbackAfter = 3
-	}
-	if c.ProbeBase <= 0 {
-		c.ProbeBase = 4
-	}
-	if c.ProbeMax <= 0 {
-		c.ProbeMax = 64
-	}
-	if c.ProbeMax < c.ProbeBase {
-		c.ProbeMax = c.ProbeBase
-	}
-	if c.ProbationSends <= 0 {
-		c.ProbationSends = 3
-	}
-	return c
-}
+// The graceful-degradation layer's state machine (DESIGN.md §8.3). Probe
+// intervals count sends of the flow, not wall-clock time, so twin worlds
+// replaying the same sends stay deterministic.
+const (
+	// suspectAfter consecutive vN failures make a healthy flow suspect.
+	suspectAfter = 1
+	// fallbackAfter consecutive vN failures put a flow in fallback: every
+	// send rides the baseline until a probe heals it.
+	fallbackAfter = 3
+	// A flow in fallback probes the vN path after probeBase of its sends,
+	// the interval doubling per probe up to probeMax.
+	probeBase = 4
+	probeMax  = 64
+	// probationSends consecutive vN successes make a recovering flow
+	// healthy again.
+	probationSends = 3
+)
 
 // HealthState is one flow's position in the degradation state machine:
 // healthy → suspect → fallback → probation → healthy.
@@ -85,7 +40,7 @@ const (
 	// the vN path on a seeded-jitter backoff schedule.
 	HealthFallback
 	// HealthProbation: a probe succeeded; the flow is back on the vN
-	// path but must string together ProbationSends successes before it
+	// path but must string together probationSends successes before it
 	// counts as healthy.
 	HealthProbation
 )
@@ -140,14 +95,14 @@ type flowHealth struct {
 	fbCost int64
 }
 
-// jitterSeed hashes the configured seed and a flow's identity into the
-// flow's initial jitter generator state (xorshift state must be non-zero).
-func jitterSeed(seed int64, k flowKey) uint64 {
+// jitterSeed hashes a flow's identity into the flow's initial jitter
+// generator state, so a fleet of fallback flows does not probe in
+// lockstep (xorshift state must be non-zero).
+func jitterSeed(k flowKey) uint64 {
 	x := uint64(k.src)*0x9e3779b97f4a7c15 ^ uint64(k.dst)*0xbf58476d1ce4e5b9 ^ uint64(k.dep)*0x94d049bb133111eb
 	x ^= x >> 31
 	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	if x ^= uint64(seed); x == 0 {
+	if x ^= x >> 27; x == 0 {
 		x = 0x9e3779b97f4a7c15
 	}
 	return x
@@ -189,7 +144,7 @@ func healthEvent(tr trace.Tracer, seq uint32, detail string) {
 // identity. The decision depends only on the flow's state, the epoch
 // sequence and the flow's own send count, so twin worlds replaying the
 // same sends decide identically.
-func (h *flowHealth) decide(epSeq uint64, fc *FallbackConfig, dstVN addr.VN, cb *trace.CounterBatch) (attemptVN, probe bool) {
+func (h *flowHealth) decide(epSeq uint64, dstVN addr.VN, cb *trace.CounterBatch) (attemptVN, probe bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.dstVN = dstVN
@@ -201,10 +156,7 @@ func (h *flowHealth) decide(epSeq uint64, fc *FallbackConfig, dstVN addr.VN, cb 
 		// Routing state changed since the failure (the likeliest cure),
 		// or the backoff interval elapsed: probe the vN path.
 		h.sinceProbe = 0
-		h.probeEvery *= 2
-		if h.probeEvery > fc.ProbeMax {
-			h.probeEvery = fc.ProbeMax
-		}
+		h.probeEvery = min(2*h.probeEvery, probeMax)
 		h.jit = h.nextJitter(h.probeEvery/2 + 1)
 		cb.FallbackProbe()
 		return true, true
@@ -214,7 +166,7 @@ func (h *flowHealth) decide(epSeq uint64, fc *FallbackConfig, dstVN addr.VN, cb 
 
 // noteSuccess records a successful vN delivery: probes enter probation,
 // probation accumulates toward healthy, suspicion clears.
-func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, fc *FallbackConfig, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
+func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if fe != nil {
@@ -227,14 +179,9 @@ func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, fc *FallbackConfig, 
 		h.okRun = 1
 		cb.HealthProbation()
 		healthEvent(tr, seq, trace.DetailHealthProbation)
-		if h.okRun >= fc.ProbationSends {
-			h.state = HealthHealthy
-			cb.HealthRecovered()
-			healthEvent(tr, seq, trace.DetailHealthRecovered)
-		}
 	case h.state == HealthProbation:
 		h.okRun++
-		if h.okRun >= fc.ProbationSends {
+		if h.okRun >= probationSends {
 			h.state = HealthHealthy
 			h.okRun = 0
 			cb.HealthRecovered()
@@ -248,10 +195,10 @@ func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, fc *FallbackConfig, 
 }
 
 // noteFailure records a vN failure (a delivery error, an error epoch, or
-// an external signal): suspicion accumulates, and past FallbackAfter the
+// an external signal): suspicion accumulates, and past fallbackAfter the
 // flow enters fallback with a fresh probe schedule. dstVN may be the
 // zero value when the caller has no epoch at hand (external signals).
-func (h *flowHealth) noteFailure(fe *flowEntry, epSeq uint64, fc *FallbackConfig, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
+func (h *flowHealth) noteFailure(fe *flowEntry, epSeq uint64, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if fe != nil {
@@ -265,15 +212,15 @@ func (h *flowHealth) noteFailure(fe *flowEntry, epSeq uint64, fc *FallbackConfig
 		// A failed probe: stay in fallback, backoff already advanced.
 	case HealthProbation:
 		// Relapse: straight back to fallback.
-		h.enterFallbackLocked(fc)
+		h.enterFallbackLocked()
 		cb.HealthFallback()
 		healthEvent(tr, seq, trace.DetailHealthFallback)
 	default:
-		if h.fails >= fc.FallbackAfter {
-			h.enterFallbackLocked(fc)
+		if h.fails >= fallbackAfter {
+			h.enterFallbackLocked()
 			cb.HealthFallback()
 			healthEvent(tr, seq, trace.DetailHealthFallback)
-		} else if h.state == HealthHealthy && h.fails >= fc.SuspectAfter {
+		} else if h.state == HealthHealthy && h.fails >= suspectAfter {
 			h.state = HealthSuspect
 			cb.HealthSuspect()
 			healthEvent(tr, seq, trace.DetailHealthSuspect)
@@ -283,12 +230,12 @@ func (h *flowHealth) noteFailure(fe *flowEntry, epSeq uint64, fc *FallbackConfig
 
 // enterFallbackLocked moves the flow into the fallback state with a
 // fresh probe schedule. Callers hold h.mu.
-func (h *flowHealth) enterFallbackLocked(fc *FallbackConfig) {
+func (h *flowHealth) enterFallbackLocked() {
 	h.state = HealthFallback
 	h.fails = 0
 	h.okRun = 0
 	h.sinceProbe = 0
-	h.probeEvery = fc.ProbeBase
+	h.probeEvery = probeBase
 	h.jit = h.nextJitter(h.probeEvery/2 + 1)
 }
 
@@ -379,7 +326,7 @@ func (e *Evolution) signalFailure(match func(*flowHealth) bool) int {
 	n := 0
 	e.health.each(func(_ int, _ flowKey, h *flowHealth) {
 		if match(h) {
-			h.noteFailure(nil, epSeq, &e.cfg.Fallback, &cb, nil, 0)
+			h.noteFailure(nil, epSeq, &cb, nil, 0)
 			n++
 		}
 	})

@@ -481,19 +481,18 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 		return nil
 	}
 
-	fc := &e.cfg.Fallback
 	h := e.health.loadOrCreate(uint32(src.ID), flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr}, func(k flowKey) *flowHealth {
-		return &flowHealth{jstate: jitterSeed(fc.ProbeJitterSeed, k)}
+		return &flowHealth{jstate: jitterSeed(k)}
 	})
 	vnReason, detail, mark := trace.DropNone, trace.DetailFallbackState, packet.FallbackMarkState
 	if ep.err != nil {
 		h.observeDst(ep.addrOf(dst))
-		h.noteFailure(nil, ep.seq, fc, cb, tr, seq)
+		h.noteFailure(nil, ep.seq, cb, tr, seq)
 		vnReason, detail, mark = trace.DropNotDeployed, trace.DetailFallbackErrEpoch, packet.FallbackMarkRescue
-	} else if attempt, probe := h.decide(ep.seq, fc, ep.addrOf(dst), cb); attempt {
+	} else if attempt, probe := h.decide(ep.seq, ep.addrOf(dst), cb); attempt {
 		fe, reason, err := e.deliverVN(bc, ep, src, dst, payload, out, tr, seq)
 		if err == nil {
-			h.noteSuccess(fe, probe, fc, cb, tr, seq)
+			h.noteSuccess(fe, probe, cb, tr, seq)
 			return nil
 		}
 		if reason == trace.DropNoBaseline {
@@ -501,7 +500,7 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 			// nothing to rescue over, and nothing learned about the vN path.
 			return bc.drop(tr, seq, reason, err)
 		}
-		h.noteFailure(fe, ep.seq, fc, cb, tr, seq)
+		h.noteFailure(fe, ep.seq, cb, tr, seq)
 		vnReason, detail, mark = reason, trace.DetailFallbackRescue, packet.FallbackMarkRescue
 	}
 	if reason, err := e.deliverFallback(bc, ep, h, src, dst, payload, out, seq, vnReason, detail, mark, tr); err != nil {
@@ -684,25 +683,15 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 		bc.opts = inner.Options[:0]
 	}
 
-	// The trace tag must have survived the whole wire path.
-	var tag uint32
-	for _, o := range inner.Options {
-		if o.Type == packet.OptTraceTag && len(o.Value) == 4 {
-			tag = binary.BigEndian.Uint32(o.Value)
-		}
-	}
-	if tag != seq {
-		return fe, trace.DropIntegrity, fmt.Errorf("core: trace tag corrupted in transit (%d != %d)", tag, seq)
-	}
-	// The arrived payload aliases the pooled wire buffer; verify the
-	// round-trip was bit-exact, then hand the caller back their own
-	// bytes so the Delivery outlives the pooled working set.
-	if !bytes.Equal(rpl, payload) {
-		return fe, trace.DropIntegrity, fmt.Errorf("core: payload corrupted in transit")
+	// The arrived payload aliases the pooled wire buffer; once it checks
+	// out, the caller gets their own bytes back so the Delivery outlives
+	// the pooled working set.
+	if err := checkArrival(inner.Options, rpl, payload, seq); err != nil {
+		return fe, trace.DropIntegrity, err
 	}
 	*out = bf.proto
 	out.Payload = payload
-	out.TraceTag = tag
+	out.TraceTag = seq
 	cb.PayloadBytes(len(payload))
 	cb.Deliver()
 	if tr != nil {
@@ -712,6 +701,26 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 		})
 	}
 	return fe, trace.DropNone, nil
+}
+
+// checkArrival holds what reached the destination to what the source
+// sent: the trace tag among the inner header's options must have survived
+// the whole wire path, and the payload must be bit-exact. A failure is a
+// DropIntegrity.
+func checkArrival(opts []packet.Option, got, sent []byte, seq uint32) error {
+	var tag uint32
+	for _, o := range opts {
+		if o.Type == packet.OptTraceTag && len(o.Value) == 4 {
+			tag = binary.BigEndian.Uint32(o.Value)
+		}
+	}
+	if tag != seq {
+		return fmt.Errorf("core: trace tag corrupted in transit (%d != %d)", tag, seq)
+	}
+	if !bytes.Equal(got, sent) {
+		return fmt.Errorf("core: payload corrupted in transit")
+	}
+	return nil
 }
 
 // resolveAt is the redirect decision every consumer shares: the

@@ -121,7 +121,7 @@ func TestSendDuringInterLinkFlap(t *testing.T) {
 		cfg  Config
 	}{
 		{"failfast", Config{Option: anycast.Option1}},
-		{"fallback", Config{Option: anycast.Option1, Fallback: FallbackConfig{Enabled: true}}},
+		{"fallback", Config{Option: anycast.Option1, Fallback: true}},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			b := topology.NewBuilder()
@@ -185,7 +185,7 @@ func TestSendDuringInterLinkFlap(t *testing.T) {
 					}
 					continue
 				}
-				if arm.cfg.Fallback.Enabled && i%4 == 0 {
+				if arm.cfg.Fallback && i%4 == 0 {
 					for k := 0; k < 3; k++ {
 						evo.ReportUnackedVN(d.DstVN)
 					}
@@ -198,7 +198,7 @@ func TestSendDuringInterLinkFlap(t *testing.T) {
 			if failures > 0 {
 				t.Errorf("%d of %d sends failed", failures, sends)
 			}
-			if s := evo.Snapshot(); arm.cfg.Fallback.Enabled && s.DeliveryFallbackSends == s.DeliveryFallbackRescues {
+			if s := evo.Snapshot(); arm.cfg.Fallback && s.DeliveryFallbackSends == s.DeliveryFallbackRescues {
 				t.Errorf("no flow ever sent from the fallback state (%d fallback sends, %d rescues)",
 					s.DeliveryFallbackSends, s.DeliveryFallbackRescues)
 			}

@@ -498,7 +498,7 @@ func TestUnackedFlowEntersFallback(t *testing.T) {
 		Option:    anycast.Option2,
 		DefaultAS: net.DomainByName("T0").ASN,
 		Egress:    bgpvn.PathInformed,
-		Fallback:  core.FallbackConfig{Enabled: true},
+		Fallback:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -577,7 +577,7 @@ func TestFeedPeerHealthSignalsSuspectedRouters(t *testing.T) {
 		Option:    anycast.Option2,
 		DefaultAS: net.DomainByName("T0").ASN,
 		Egress:    bgpvn.PathInformed,
-		Fallback:  core.FallbackConfig{Enabled: true},
+		Fallback:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package overlaynet
 
 import (
-	"encoding/binary"
 	"time"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -145,14 +144,6 @@ func (n *Node) sendProbe(peer addr.V4, nonce uint64, ack bool) {
 		return
 	}
 	n.writeWire(peer, ep, wire)
-}
-
-// handleProbe answers a keepalive with an ack echoing its nonce.
-func (n *Node) handleProbe(outer packet.V4Header, payload []byte) {
-	if len(payload) < tunnel.ProbeNonceLen {
-		return
-	}
-	n.sendProbe(outer.Src, binary.BigEndian.Uint64(payload[:tunnel.ProbeNonceLen]), true)
 }
 
 // handleProbeAck clears the peer's outstanding probe and, if it was

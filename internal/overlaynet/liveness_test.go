@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/evolvable-net/evolve/internal/addr"
+	"github.com/evolvable-net/evolve/internal/packet"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -193,5 +194,36 @@ func TestRouteFailoverToAlternate(t *testing.T) {
 	}
 	if after := reg.Counters().Snapshot().FailoversRoute; after <= before {
 		t.Error("route failover not counted")
+	}
+}
+
+// TestUndecodableProbeDropped: a probe or ack too short to carry its nonce
+// is dropped and counted like any other undecodable datagram, and a short
+// ack does not clear suspicion of its sender.
+func TestUndecodableProbeDropped(t *testing.T) {
+	reg := NewRegistry()
+	n, err := NewNode(reg, u(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	peer := u(2)
+	n.mu.Lock()
+	n.peers[peer] = &peerState{suspected: true, misses: 3, outstanding: 7}
+	n.mu.Unlock()
+
+	for i, proto := range []packet.Protocol{packet.ProtoProbe, packet.ProtoProbeAck} {
+		outer := packet.V4Header{Proto: proto, Src: peer, Dst: n.Underlay}
+		b := packet.NewSerializeBuffer()
+		if err := packet.Serialize(b, []byte{0, 0, 0, 7}, &outer); err != nil {
+			t.Fatal(err)
+		}
+		n.handle(append([]byte(nil), b.Bytes()...))
+		if got := n.Stats().Dropped; got != uint64(i+1) {
+			t.Errorf("%s with a 4-byte nonce: dropped = %d, want %d", proto, got, i+1)
+		}
+	}
+	if ph := n.PeerHealth(); len(ph) != 1 || !ph[0].Suspected {
+		t.Errorf("short ack cleared suspicion: %+v", ph)
 	}
 }

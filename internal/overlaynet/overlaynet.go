@@ -111,14 +111,6 @@ func (r *Registry) Register(a addr.V4, ep *net.UDPAddr) {
 	r.unicast[a] = ep
 }
 
-// Unregister removes an underlay binding. It does not touch anycast
-// member lists; RemoveNode is the full cleanup a closing node performs.
-func (r *Registry) Unregister(a addr.V4) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.unicast, a)
-}
-
 // RemoveNode erases every trace of a departed node: its unicast binding,
 // its membership in every anycast group, suspicion state about it, and
 // any suspicions it had reported about others. Without the anycast sweep
@@ -585,11 +577,17 @@ func (n *Node) handle(wire []byte) {
 		return
 	}
 	switch outer.Proto {
-	case packet.ProtoProbe:
-		n.handleProbe(outer, rest)
-		return
-	case packet.ProtoProbeAck:
-		n.handleProbeAck(outer)
+	case packet.ProtoProbe, packet.ProtoProbeAck:
+		_, nonce, ack, err := tunnel.DecodeProbe(wire)
+		switch {
+		case err != nil:
+			n.stats.dropped.Add(1)
+		case ack:
+			n.handleProbeAck(outer)
+		default:
+			// Answer a keepalive with an ack echoing its nonce.
+			n.sendProbe(outer.Src, nonce, true)
+		}
 		return
 	case packet.ProtoVNEncap:
 	default:

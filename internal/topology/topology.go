@@ -516,12 +516,3 @@ func (b *Builder) Build() (*Network, error) {
 	}
 	return n, nil
 }
-
-// MustBuild is Build for tests and examples; it panics on error.
-func (b *Builder) MustBuild() *Network {
-	n, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return n
-}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"github.com/evolvable-net/evolve/internal/anycast"
@@ -72,11 +71,6 @@ type Config struct {
 	// DisableRepair skips intra-domain partition repair (for the E8
 	// ablation).
 	DisableRepair bool
-	// DisableBootstrap skips the anycast bootstrap for isolated
-	// participants and the anchor-connectivity rule that follows it. No
-	// experiment sets it (E8 ablates only DisableRepair); the package's
-	// tests use it to look at a bone's islands before tunnels join them.
-	DisableBootstrap bool
 	// BlindIntra builds intra-domain topologies without member discovery
 	// — the paper's footnote-3 alternative for domains running unmodified
 	// RIP, where an IPvN router cannot enumerate its peers and instead
@@ -88,12 +82,12 @@ type Config struct {
 	// link the construction establishes (intra adjacency, peering
 	// tunnel, or bootstrap tunnel).
 	Trace trace.Tracer
-	// Workers bounds the worker pool that computes per-domain intra
-	// meshes. Domains are independent (intra links never leave their
-	// domain), and results are merged in ParticipatingASes order, so the
-	// built bone is byte-identical at any worker count. 0 or 1 runs
-	// serially.
-	Workers int
+
+	// disableBootstrap skips the anycast bootstrap for isolated
+	// participants and the anchor-connectivity rule that follows it, so
+	// the package's tests can look at a bone's islands before tunnels
+	// join them.
+	disableBootstrap bool
 }
 
 // ErrPartitioned is returned when construction finishes without a
@@ -171,13 +165,13 @@ func BuildIncremental(svc *anycast.Service, igp *underlay.View, dep *anycast.Dep
 
 	stats := b.buildIntra(cfg, prev, dirty)
 	b.buildInterPeering()
-	if !cfg.DisableBootstrap {
+	if !cfg.disableBootstrap {
 		if err := b.bootstrapIsolated(svc); err != nil {
 			return nil, stats, err
 		}
 	}
 	b.rebuildGraph()
-	if !cfg.DisableBootstrap {
+	if !cfg.disableBootstrap {
 		// §3.3.1's global rule: every domain ensures it is connected,
 		// directly or indirectly, to the deployment's anchor (the default
 		// provider for option 2). Bootstrap tunnels can land inside a
@@ -185,7 +179,7 @@ func BuildIncremental(svc *anycast.Service, igp *underlay.View, dep *anycast.Dep
 		// component to the anchor component with a configured tunnel.
 		b.connectComponents()
 	}
-	if !b.Connected() && !cfg.DisableRepair && !cfg.DisableBootstrap {
+	if !b.Connected() && !cfg.DisableRepair && !cfg.disableBootstrap {
 		return nil, stats, ErrPartitioned
 	}
 	if cfg.Trace != nil {
@@ -202,8 +196,6 @@ func BuildIncremental(svc *anycast.Service, igp *underlay.View, dep *anycast.Dep
 
 // reusableFor reports whether prev's intra meshes were built under the
 // same construction knobs, a precondition for carrying them over.
-// Workers is deliberately excluded: it changes how the work is
-// scheduled, never what it produces.
 func (b *Bone) reusableFor(cfg Config) bool {
 	return b.cfg.K == cfg.K && b.cfg.BlindIntra == cfg.BlindIntra &&
 		b.cfg.DisableRepair == cfg.DisableRepair
@@ -265,15 +257,10 @@ func (b *Bone) connectComponents() {
 	}
 }
 
-// buildIntra wires each participant domain's internal virtual topology,
-// copying domains verbatim from prev where nothing relevant changed (see
-// BuildIncremental). Per-domain meshes are independent — intra links
-// never leave their domain — so they are computed on a bounded worker
-// pool (cfg.Workers) and merged in ParticipatingASes order, keeping the
-// link list byte-identical at any worker count.
+// buildIntra wires each participant domain's internal virtual topology in
+// ParticipatingASes order, copying domains verbatim from prev where
+// nothing relevant changed (see BuildIncremental).
 func (b *Bone) buildIntra(cfg Config, prev *Bone, dirty map[topology.ASN]bool) BuildStats {
-	asns := b.dep.ParticipatingASes()
-
 	// Pre-index the previous bone's intra links per domain in ONE pass:
 	// the old per-domain rescan of prev.links made the reuse path — the
 	// path taken for almost every domain at scale — quadratic in the
@@ -289,78 +276,31 @@ func (b *Bone) buildIntra(cfg Config, prev *Bone, dirty map[topology.ASN]bool) B
 		}
 	}
 
-	type result struct {
-		links           []Link
-		reused, rebuilt bool
-	}
-	results := make([]result, len(asns))
-	work := func(i int) {
-		asn := asns[i]
+	var stats BuildStats
+	for _, asn := range b.dep.ParticipatingASes() {
 		members := b.dep.MembersIn(asn)
 		if len(members) < 2 {
-			return
+			continue
 		}
 		if prevIntra != nil && !dirty[asn] && sameMembers(prev.dep.MembersIn(asn), members) {
 			// Unchanged membership, untouched intra topology, identical
 			// knobs: the mesh (including any repair links) is byte-for-byte
 			// what the previous build produced. prev's links were already
 			// deduplicated and normalized when it was built.
-			results[i] = result{links: prevIntra[asn], reused: true}
-			return
-		}
-		results[i] = result{links: domainIntraMesh(b.igp, cfg, members), rebuilt: true}
-	}
-
-	workers := cfg.Workers
-	if workers > len(asns) {
-		workers = len(asns)
-	}
-	if workers <= 1 {
-		for i := range asns {
-			work(i)
-		}
-	} else {
-		// Same claim-next-index pool as experiments.RunParallel (which
-		// this package cannot import without a cycle): workers grab the
-		// next unclaimed domain until none remain; results land in slot
-		// order regardless of completion order.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(asns) {
-						return
-					}
-					work(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	var stats BuildStats
-	for i := range results {
-		b.links = append(b.links, results[i].links...)
-		if results[i].reused {
+			b.links = append(b.links, prevIntra[asn]...)
 			stats.DomainsReused++
+			continue
 		}
-		if results[i].rebuilt {
-			stats.DomainsRebuilt++
-		}
+		b.links = append(b.links, domainIntraMesh(b.igp, cfg, members)...)
+		stats.DomainsRebuilt++
 	}
 	return stats
 }
 
 // domainIntraMesh computes one domain's intra virtual topology from
 // scratch: the k-closest mesh plus partition repair (or the blind
-// join-order tree). It touches only immutable inputs — the IGP view and
-// the member list — so meshes for different domains can run
-// concurrently. Links are returned normalized (A < B) and deduplicated,
-// in deterministic order.
+// join-order tree). Links are returned normalized (A < B) and
+// deduplicated, in deterministic order.
 func domainIntraMesh(igp *underlay.View, cfg Config, members []topology.RouterID) []Link {
 	var links []Link
 	type pair struct{ a, b topology.RouterID }
