@@ -12,23 +12,28 @@
 //     neighbours with NO_EXPORT semantics ("Q peers with Y to advertise
 //     its path for the anycast address").
 //
-// The engine computes the stable routing by synchronous fixpoint
-// iteration: in each round every AS selects best routes from the adverts
-// of the previous round and re-exports under Gao-Rexford rules, until
-// nothing changes. An AS's selection is a function of its neighbours'
-// previous-round routes, so a round re-evaluates only the ASes next to a
-// change (see fixpointLocked). For policy-safe configurations (customer
-// routes preferred, no peer/provider transit) this converges and is
-// deterministic.
+// The engine computes the stable routing — what a synchronous fixpoint
+// of select-and-re-export rounds converges to — without running rounds.
+// Under Gao-Rexford policy an AS's route falls in a tier by whom it was
+// learned from, and each tier reads only the ones above it: a customer
+// route extends a customer's own or customer route, a peer route a
+// peer's own or customer route, a provider route whatever the provider
+// selected. So a prefix's state settles its origins, the customer tier
+// (an upward sweep through the origins' provider ancestry) and the peer
+// tier (one peer hop off those) when it is created, and every other AS,
+// which can only hold a provider route, is resolved the first time it is
+// asked for by pulling from its providers (see prefixState). For
+// policy-safe configurations (customer routes preferred, no peer/provider
+// transit, an acyclic provider relation) the stable routing is unique and
+// deterministic, so it is the fixpoint's answer.
 //
-// Convergence is lazy and per-prefix: distinct prefixes never interact
-// in the fixpoint (an AS's decision for prefix p reads only the previous
-// round's routes for p), so the global fixpoint factors into independent
-// per-prefix fixpoints. Queries converge exactly the prefixes they
-// touch — a longest-prefix lookup converges only the prefixes on its
-// match chain — which is what makes 10k+-domain internets queryable:
-// converging every prefix at every AS is quadratic in domains, while a
-// forwarding walk needs only a handful of prefixes.
+// States are lazy and per-prefix: distinct prefixes never interact (an
+// AS's decision for prefix p reads only routes for p). Queries create
+// exactly the prefixes they touch — a longest-prefix lookup only the
+// prefixes on its match chain — and resolve exactly the ASes they ask
+// about, which is what makes 10k+-domain internets queryable: routing
+// every prefix at every AS is quadratic in domains, while a forwarding
+// walk needs a handful of prefixes at the handful of ASes it crosses.
 package bgp
 
 import (
@@ -37,6 +42,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/rib"
@@ -123,8 +129,8 @@ func (r Route) NextHop() topology.ASN {
 
 func (r Route) hasLoop(asn topology.ASN) bool { return slices.Contains(r.Path, asn) }
 
-// prefers is the decision process's one comparison, shared by the
-// fixpoint and the session speakers: a candidate of preference rank,
+// prefers is the decision process's one comparison, shared by the prefix
+// states and the session speakers: a candidate of preference rank,
 // AS-path length n and advertising neighbour adv beats the incumbent on
 // higher rank, then shorter path, then lowest advertiser. rank is
 // LocalPref or the tier byte — both ascend with the Gao-Rexford
@@ -155,7 +161,8 @@ type origination struct {
 }
 
 // routeRec is one AS's selected route for one prefix, without pointers:
-// the AS path is arena[off:off+n] of the owning prefixState.
+// the AS path is arena[off:off+n] of the owning prefixState, which
+// stores the record packed into one atomic word.
 type routeRec struct {
 	off   uint32
 	n     uint16 // path length; 0 for a self-originated route
@@ -166,24 +173,87 @@ type routeRec struct {
 const (
 	flagNoExport uint8 = 1 << iota
 	flagFromCustomer
+	// flagResolved marks a record that holds the AS's selection, "no
+	// route" included; the zero word is an AS not resolved yet.
+	flagResolved
 )
 
-// prefixState is the converged routing for one prefix: each AS's
-// selected route, indexed by the AS's position in net.ASNs(), and the one
-// arena their paths live in. Neither slice holds a pointer, so the
-// collector never scans a converged state. States are built lazily per
-// prefix, immutable once built, and discarded whenever something that
-// could affect the prefix changes.
-type prefixState struct {
-	recs  []routeRec
-	arena []topology.ASN
+func (r routeRec) word() uint64 {
+	return uint64(r.off) | uint64(r.n)<<32 | uint64(r.tier)<<48 | uint64(r.flags)<<56
 }
 
-// route returns the route of the AS at position i. Route.Path is a
-// capacity-clipped view of the arena: read-only, and an append to it
-// copies.
+func recOf(w uint64) routeRec {
+	return routeRec{off: uint32(w), n: uint16(w >> 32), tier: uint8(w >> 48), flags: uint8(w >> 56)}
+}
+
+// origin is one origination of a state's prefix: the originating AS's
+// position and, for a selective advert, the neighbours it reaches.
+type origin struct {
+	idx      int32
+	exportTo map[topology.ASN]bool
+}
+
+// nbrTable is what an AS learns routes from beside its customers:
+// refs[:provs] are its peers and refs[provs:] its providers, each part in
+// ascending position in net.ASNs(). A customer route is pushed up from
+// the customer, never pulled, so customers are not listed.
+type nbrTable struct {
+	refs  []int32
+	provs int32
+}
+
+func (t nbrTable) peers() []int32     { return t.refs[:t.provs] }
+func (t nbrTable) providers() []int32 { return t.refs[t.provs:] }
+
+// prefixState is the routing for one prefix: each AS's selected route,
+// indexed by the AS's position in net.ASNs(), and the one arena their
+// paths live in. Creation (newPrefixStateLocked) settles the origins and
+// the customer and peer tiers; every other AS's record stays zero until
+// route asks for it (fill), and is then resolved once and published with
+// one atomic store. A record never changes after that and a path never
+// moves within the arena, so a state is append-only and a Route handed
+// out stays valid. Neither records nor arena hold a pointer, so the
+// collector never scans them. A state keeps the tables and originations
+// it was built on, so a fill answers for the generation the state belongs
+// to however the System has moved on since; the System discards a state
+// whenever something that could affect its prefix changes.
+type prefixState struct {
+	recs []atomic.Uint64
+	// arena holds the paths. A fill that outgrows it publishes a new
+	// header instead of editing the old one, and a header always spans
+	// its whole backing array, so a reader can slice any path a record it
+	// has loaded names.
+	arena atomic.Pointer[[]topology.ASN]
+
+	asns  []topology.ASN
+	nbrs  []nbrTable
+	origs []origin
+
+	// mu serializes fills; used counts the arena entries written, pending
+	// the records not resolved yet.
+	mu      sync.Mutex
+	used    uint32
+	pending int32
+}
+
+func (st *prefixState) rec(i int32) routeRec { return recOf(st.recs[i].Load()) }
+
+func (st *prefixState) resolved(i int32) bool { return st.rec(i).flags&flagResolved != 0 }
+
+// path returns rec's AS path, a capacity-clipped view of the arena.
+func (st *prefixState) path(rec routeRec) []topology.ASN {
+	end := rec.off + uint32(rec.n)
+	return (*st.arena.Load())[rec.off:end:end]
+}
+
+// route returns the route of the AS at position i, resolving it first if
+// nobody has asked before. Route.Path is a capacity-clipped view of the
+// arena: read-only, and an append to it copies.
 func (st *prefixState) route(p addr.Prefix, i int32) (Route, bool) {
-	rec := st.recs[i]
+	rec := st.rec(i)
+	if rec.flags&flagResolved == 0 {
+		rec = st.fill(i)
+	}
 	if rec.tier == tierNone {
 		return Route{}, false
 	}
@@ -194,46 +264,168 @@ func (st *prefixState) route(p addr.Prefix, i int32) (Route, bool) {
 		FromCustomer: rec.flags&flagFromCustomer != 0,
 	}
 	if rec.n > 0 {
-		end := rec.off + uint32(rec.n)
-		r.Path = st.arena[rec.off:end:end]
+		r.Path = st.path(rec)
 	}
 	return r, true
 }
 
-// nbrRef is one entry of an AS's dense neighbour table: what the AS needs
-// to know about a neighbour to pull that neighbour's advert.
-type nbrRef struct {
-	idx int32 // the neighbour's position in net.ASNs()
-	// tier and flags (flagFromCustomer or none) are what the AS stamps on
-	// a route learned from this neighbour.
-	tier  uint8
-	flags uint8
-	// downhill: the neighbour is the AS's provider, so it exports its
-	// peer- and provider-learned routes here too, not only customer and
-	// own ones.
-	downhill bool
+// fill resolves the AS at position i, which creation left unresolved, so
+// it can only hold a provider route: it pulls from its providers once
+// each of them is resolved. The providers still unresolved are resolved
+// first, deepest first, over an explicit stack that always holds one
+// provider chain; the relation is acyclic (topology.Builder.Build refuses
+// a cycle), so the chain ends. Fills of one state serialize on its mutex;
+// readers of resolved records never take it.
+func (st *prefixState) fill(i int32) routeRec {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var buf [16]int32
+	stack := append(buf[:0], i)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		if st.resolved(x) {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		up := int32(-1)
+		for _, p := range st.nbrs[x].providers() {
+			if !st.resolved(p) {
+				up = p
+				break
+			}
+		}
+		if up < 0 {
+			win, adv := st.selectProvider(x)
+			st.take(x, adv, win)
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		if len(stack) == len(st.recs) {
+			panic(fmt.Sprintf("bgp: provider cycle through AS%d", st.asns[up]))
+		}
+		stack = append(stack, up)
+	}
+	return st.rec(i)
 }
 
-// stagedRec is a selection made in the current round, committed when the
-// round ends.
-type stagedRec struct {
-	idx int32
-	rec routeRec
+// selectProvider is the decision process of the AS at position x over
+// its resolved providers: providers in ascending position, each one's
+// ordinary advert — anything it selected but a NO_EXPORT route, loop
+// checked — before its selective ones, compared by prefers. It returns
+// the winner (path offset unset) and the position of the provider it was
+// learned from, -1 for none.
+func (st *prefixState) selectProvider(x int32) (win routeRec, adv int32) {
+	win, adv = routeRec{flags: flagResolved}, -1
+	self := st.asns[x]
+	for _, p := range st.nbrs[x].providers() {
+		beats := func(n uint16) bool {
+			return prefers(int(tierProvider), int(n), p, int(win.tier), int(win.n), adv)
+		}
+		r := st.rec(p)
+		if r.tier != tierNone &&
+			exportable(r.flags&flagNoExport != 0, r.n == 0, r.flags&flagFromCustomer != 0, true) &&
+			beats(r.n+1) && !slices.Contains(st.path(r), self) {
+			win, adv = routeRec{n: r.n + 1, tier: tierProvider, flags: flagResolved}, p
+		}
+		if r.tier == tierSelf && st.selectiveTo(p, self) && beats(1) {
+			win, adv = routeRec{n: 1, tier: tierProvider, flags: flagResolved | flagNoExport}, p
+		}
+	}
+	return win, adv
+}
+
+// take publishes rec as the selection of the AS at position x, after
+// writing its path, learned from the AS at position adv, to the arena.
+// The caller holds st.mu or is creating st. Once the last AS is resolved
+// the arena is cut to the paths it holds, so a fully resolved state
+// carries no slack.
+func (st *prefixState) take(x, adv int32, rec routeRec) {
+	if rec.n > 0 {
+		rec.off = st.appendPath(adv, rec.n)
+	}
+	st.recs[x].Store(rec.word())
+	if st.pending--; st.pending == 0 {
+		exact := make([]topology.ASN, st.used)
+		copy(exact, *st.arena.Load())
+		st.arena.Store(&exact)
+	}
+}
+
+// selectiveTo reports whether the origin at position y advertises the
+// prefix selectively to asn.
+func (st *prefixState) selectiveTo(y int32, asn topology.ASN) bool {
+	for _, o := range st.origs {
+		if o.idx == y && o.exportTo[asn] {
+			return true
+		}
+	}
+	return false
+}
+
+// appendPath writes a path of length n learned from the AS at position
+// adv — adv, then the first n-1 entries of adv's own path — to the arena
+// and returns its offset. The caller holds st.mu or is creating st. An
+// arena that is too short is copied into a larger one, published before
+// any record that names the new path.
+func (st *prefixState) appendPath(adv int32, n uint16) uint32 {
+	arena := *st.arena.Load()
+	tail := st.path(st.rec(adv))[:n-1]
+	off := st.used
+	end := off + uint32(n)
+	if int(end) > len(arena) {
+		grown := make([]topology.ASN, end+end/4+16)
+		copy(grown, arena[:off])
+		arena = grown
+		st.arena.Store(&grown)
+	}
+	arena[off] = st.asns[adv]
+	copy(arena[off+1:end], tail)
+	st.used = end
+	return off
+}
+
+// offer hands the route of the AS at position y — and, at an origin, its
+// selective adverts — to each AS in to that holds nothing yet, as a route
+// of the given tier and flags. An AS takes the first route it is offered,
+// so callers offer in prefers order: ascending path length, then
+// ascending advertiser position, a neighbour's ordinary advert before its
+// selective ones. Each AS that takes the ordinary advert, which it may
+// export in turn, is appended to level.
+func (st *prefixState) offer(level []int32, y int32, to []int32, tier, flags uint8) []int32 {
+	r := st.rec(y)
+	if exportable(r.flags&flagNoExport != 0, r.n == 0, r.flags&flagFromCustomer != 0, false) {
+		path := st.path(r)
+		for _, x := range to {
+			if !st.resolved(x) && !slices.Contains(path, st.asns[x]) {
+				st.take(x, y, routeRec{n: r.n + 1, tier: tier, flags: flags | flagResolved})
+				level = append(level, x)
+			}
+		}
+	}
+	if r.tier != tierSelf {
+		return level
+	}
+	for _, x := range to {
+		if !st.resolved(x) && st.selectiveTo(y, st.asns[x]) {
+			st.take(x, y, routeRec{n: 1, tier: tier, flags: flags | flagNoExport | flagResolved})
+		}
+	}
+	return level
 }
 
 // System is the BGP of a whole internet. Queries are safe for concurrent
-// use (the lazy re-convergence they trigger serializes internally);
-// origination changes and Refresh serialize against them.
+// use (a state they create serializes on mu, a route they resolve on its
+// state's own mutex); origination changes and Refresh serialize against
+// them.
 type System struct {
 	net *topology.Network
 
 	// mu guards everything below: queries hold it for read (after an
-	// upgrade-to-write pass when re-convergence is pending), mutators for
-	// write.
+	// upgrade-to-write pass when a state is missing), mutators for write.
 	mu sync.RWMutex
 	// originated[asn] lists the AS's injected prefixes in injection order.
 	originated map[topology.ASN][]origination
-	// states holds the lazily-converged per-prefix routing.
+	// states holds the lazily created per-prefix routing.
 	states map[addr.Prefix]*prefixState
 	// index longest-prefix-matches over every prefix originated anywhere;
 	// the value lists the originating AS once per live origination, so
@@ -245,20 +437,15 @@ type System struct {
 	// by (From, To).
 	neighbors map[topology.ASN][]topology.ASNeighbor
 
-	// The dense view of net and neighbors the fixpoint runs on, rebuilt by
-	// reindexLocked: asns is net.ASNs(), asIdx its inverse, nbrs[i] the
-	// neighbours of asns[i] in ascending position.
+	// The dense view of net and neighbors the prefix states run on,
+	// replaced (never edited) by reindexLocked: asns is net.ASNs(), asIdx
+	// its inverse, nbrs[i] the peers and providers of asns[i].
 	asns  []topology.ASN
 	asIdx map[topology.ASN]int32
-	nbrs  [][]nbrRef
+	nbrs  []nbrTable
 
-	// Scratch of fixpointLocked, reused across prefixes; between runs
-	// marked is all false and every pOrigs[i] is empty.
-	dirty, next []int32
-	marked      []bool
-	stage       []stagedRec
-	pOrigs      [][]origination
-	arena       []topology.ASN
+	// level is newPrefixStateLocked's scratch, reused across prefixes.
+	level []int32
 }
 
 // NewSystem builds the BGP system; every domain originates its own
@@ -276,35 +463,22 @@ func NewSystem(net *topology.Network) *System {
 }
 
 // reindexLocked re-reads the topology's inter-domain adjacency, rebuilds
-// the dense tables over it and drops every converged state (their records
-// are positions in the old tables).
+// the dense tables over it and drops every state (their records are
+// positions in the old tables).
 func (s *System) reindexLocked() {
 	s.neighbors = s.net.AllNeighbors()
 	s.states = map[addr.Prefix]*prefixState{}
 	s.asns = s.net.ASNs()
-	n := len(s.asns)
-	s.asIdx = make(map[topology.ASN]int32, n)
+	s.asIdx = make(map[topology.ASN]int32, len(s.asns))
 	for i, asn := range s.asns {
 		s.asIdx[asn] = int32(i)
 	}
-	// One backing array for every table: adjacency is symmetric, so an
-	// AS's table is as long as its own neighbour list.
-	edges := 0
+	// One backing array for every table, sized exactly so that no append
+	// moves it. A neighbour list is ASN-sorted and positions ascend with
+	// ASNs, so each part comes out in ascending position.
+	size := 0
 	for _, nbs := range s.neighbors {
-		edges += len(nbs)
-	}
-	refs := make([]nbrRef, 0, edges)
-	s.nbrs = make([][]nbrRef, n)
-	for i, asn := range s.asns {
-		end := len(refs) + len(s.neighbors[asn])
-		s.nbrs[i] = refs[len(refs):len(refs):end]
-		refs = refs[:end]
-	}
-	// Transposed from the sender's side: walking senders in position
-	// order leaves every receiver's table in ascending sender position —
-	// the order the round-robin fixpoint filled an inbox in.
-	for i, from := range s.asns {
-		for _, nb := range s.neighbors[from] {
+		for _, nb := range nbs {
 			if links := nb.Links; len(links) > 1 {
 				sort.Slice(links, func(a, b int) bool {
 					if links[a].From != links[b].From {
@@ -313,21 +487,28 @@ func (s *System) reindexLocked() {
 					return links[a].To < links[b].To
 				})
 			}
-			rel := nb.Rel // from's relationship toward nb
-			ref := nbrRef{
-				idx:      int32(i),
-				tier:     tierFor(rel.Invert()),
-				downhill: rel == topology.RelProvider,
+			if nb.Rel != topology.RelProvider {
+				size++
 			}
-			if ref.tier == tierCustomer {
-				ref.flags = flagFromCustomer
-			}
-			to := s.asIdx[nb.ASN]
-			s.nbrs[to] = append(s.nbrs[to], ref)
 		}
 	}
-	s.marked = make([]bool, n)
-	s.pOrigs = make([][]origination, n)
+	refs := make([]int32, 0, size)
+	s.nbrs = make([]nbrTable, len(s.asns))
+	for i, asn := range s.asns {
+		start := len(refs)
+		for _, nb := range s.neighbors[asn] {
+			if nb.Rel == topology.RelPeer {
+				refs = append(refs, s.asIdx[nb.ASN])
+			}
+		}
+		provs := len(refs) - start
+		for _, nb := range s.neighbors[asn] {
+			if nb.Rel == topology.RelCustomer { // asn is nb's customer
+				refs = append(refs, s.asIdx[nb.ASN])
+			}
+		}
+		s.nbrs[i] = nbrTable{refs: refs[start:len(refs):len(refs)], provs: int32(provs)}
+	}
 }
 
 // addOrigLocked registers an origination and invalidates exactly the
@@ -443,13 +624,20 @@ func exportable(noExport, own, fromCustomer, toCustomer bool) bool {
 	return !noExport && (own || fromCustomer || toCustomer)
 }
 
-// Converge materialises the routing for every originated prefix. It is
-// idempotent; queries converge what they need lazily, so calling it is
-// only necessary when a caller wants the full cost paid up front.
+// Converge materialises the routing for every originated prefix at every
+// AS: it creates each prefix's state and resolves every AS's route in
+// it, so no later query fills anything. It is idempotent; queries create
+// and resolve what they need lazily, so calling it is only necessary when
+// a caller wants the full cost paid up front.
 func (s *System) Converge() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.convergeAllLocked()
+	for p, st := range s.states {
+		for i := range st.recs {
+			st.route(p, int32(i))
+		}
+	}
 }
 
 func (s *System) convergeAllLocked() {
@@ -464,8 +652,8 @@ func (s *System) convergeAllLocked() {
 	}
 }
 
-// convergePrefixLocked makes sure p's converged state is cached. A prefix
-// nobody originates gets none: a query that saw p in the index before a
+// convergePrefixLocked makes sure p's state is cached. A prefix nobody
+// originates gets none: a query that saw p in the index before a
 // withdrawal retries and no longer finds it.
 func (s *System) convergePrefixLocked(p addr.Prefix) {
 	if _, ok := s.states[p]; ok {
@@ -474,179 +662,72 @@ func (s *System) convergePrefixLocked(p addr.Prefix) {
 	if _, ok := s.index.Exact(p); !ok {
 		return
 	}
-	s.states[p], _ = s.fixpointLocked(p)
+	s.states[p] = s.newPrefixStateLocked(p)
 }
 
-// fixpointLocked runs the synchronous fixpoint restricted to one prefix:
-// in each round an AS selects its best route for p from what its
-// neighbours held after the previous round and could export to it under
-// Gao-Rexford rules, until a round changes nothing. It returns the
-// converged state and the number of rounds, the unchanged one included.
+// newPrefixStateLocked creates p's state on the current tables and
+// settles the ASes whose route is not a provider route, in three groups
+// in Gao-Rexford preference order:
 //
-// An AS's selection reads only its neighbours' previous-round routes and
-// the (fixed) originations of p, so it can differ from its own previous
-// selection only when a neighbour's route changed in the previous round.
-// A round therefore re-evaluates just those ASes; round 1, run against
-// the empty state, evaluates the originators and the targets of their
-// selective adverts. The skipped ASes would have selected what they
-// already hold, so every round's state, and the round count, equal the
-// evaluate-everyone iteration's.
+//   - the origins, each holding its own route, NO_EXPORT when its first
+//     origination of p is selective;
+//   - the customer tier, level by level: the ASes of one level — one path
+//     length — offer their routes up to their providers in ascending
+//     position, and each AS that takes an exportable route forms the next
+//     level;
+//   - the peer tier: every AS of the sweep, in level order, offers its
+//     route to its peers.
 //
-// An evaluated AS pulls its candidates instead of being pushed an inbox:
-// neighbours in ascending position, each one's ordinary advert before its
-// selective ones — the order the inbox was filled in, so the first-seen
-// tie-break picks the same winner. (The AS's own originations sat at its
-// own position in the inbox; they beat every learned route on local
-// preference, so where they are tried does not matter.) A candidate is
-// its (tier, length, advertiser) and the advertiser's stored path; a path
-// is written only for a winner that differs from the AS's previous
-// selection. Selections are staged and committed when the round ends, so
-// every evaluation of a round reads the previous round's state.
-func (s *System) fixpointLocked(p addr.Prefix) (*prefixState, int) {
-	n := len(s.asns)
-	recs := make([]routeRec, n)
-	arena := s.arena[:0]
-	dirty, next := s.dirty[:0], s.next[:0]
-
-	// pOrigs[i]: the originations of p at asns[i], in injection order.
+// A customer route can only extend a customer's own or customer route
+// and a peer route a peer's, so the sweep reaches every AS of those tiers
+// and no other: the origins' provider ancestry and its peers. offer's
+// order makes the first route an AS takes the one prefers would pick.
+// Every other AS is left for fill.
+func (s *System) newPrefixStateLocked(p addr.Prefix) *prefixState {
+	st := &prefixState{
+		recs:    make([]atomic.Uint64, len(s.asns)),
+		asns:    s.asns,
+		nbrs:    s.nbrs,
+		pending: int32(len(s.asns)),
+	}
+	st.arena.Store(&[]topology.ASN{})
+	level := s.level[:0]
 	origins, _ := s.index.Exact(p)
 	for _, asn := range origins {
 		i, ok := s.asIdx[asn]
-		if !ok || s.marked[i] {
+		if !ok || st.resolved(i) {
 			continue
 		}
-		s.marked[i] = true
-		dirty = append(dirty, i)
+		first := len(st.origs)
 		for _, o := range s.originated[asn] {
 			if o.prefix == p {
-				s.pOrigs[i] = append(s.pOrigs[i], o)
+				st.origs = append(st.origs, origin{idx: i, exportTo: o.exportTo})
 			}
 		}
+		own := routeRec{tier: tierSelf, flags: flagResolved}
+		if st.origs[first].exportTo != nil {
+			own.flags |= flagNoExport
+		}
+		st.take(i, -1, own)
+		level = append(level, i)
 	}
-	originators := len(dirty)
-	for _, i := range dirty[:originators] {
-		for _, o := range s.pOrigs[i] {
-			if o.exportTo == nil {
-				continue
-			}
-			for _, nb := range s.nbrs[i] {
-				if !s.marked[nb.idx] && o.exportTo[s.asns[nb.idx]] {
-					s.marked[nb.idx] = true
-					dirty = append(dirty, nb.idx)
-				}
-			}
+	slices.Sort(level)
+	for lo := 0; lo < len(level); {
+		hi := len(level)
+		for _, y := range level[lo:hi] {
+			level = st.offer(level, y, s.nbrs[y].providers(), tierCustomer, flagFromCustomer)
 		}
+		slices.Sort(level[hi:])
+		lo = hi
 	}
-
-	rounds := 0
-	for {
-		rounds++
-		stage := s.stage[:0]
-		for _, i := range dirty {
-			s.marked[i] = false
-			win, adv := s.selectLocked(i, recs, arena)
-			prev := recs[i]
-			// The winner's path after its next hop; a selective advert's
-			// path is the advertiser alone.
-			var tail []topology.ASN
-			if win.n > 1 {
-				r := recs[adv]
-				tail = arena[r.off : r.off+uint32(r.n)]
-			}
-			if prev.tier == win.tier && prev.flags == win.flags && prev.n == win.n {
-				if win.n == 0 {
-					continue
-				}
-				was := arena[prev.off : prev.off+uint32(prev.n)]
-				if was[0] == s.asns[adv] && slices.Equal(was[1:], tail) {
-					continue
-				}
-			}
-			if win.n > 0 {
-				win.off = uint32(len(arena))
-				arena = append(append(arena, s.asns[adv]), tail...)
-			}
-			stage = append(stage, stagedRec{idx: i, rec: win})
-		}
-		s.stage = stage
-		if len(stage) == 0 {
-			break
-		}
-		if rounds > 4*n+8 {
-			// Gao-Rexford-safe configurations converge in O(diameter);
-			// this bound only trips on genuinely unsafe policy.
-			panic(fmt.Sprintf("bgp: no convergence after %d rounds", rounds))
-		}
-		next = next[:0]
-		for _, c := range stage {
-			recs[c.idx] = c.rec
-			for _, nb := range s.nbrs[c.idx] {
-				if !s.marked[nb.idx] {
-					s.marked[nb.idx] = true
-					next = append(next, nb.idx)
-				}
-			}
-		}
-		dirty, next = next, dirty
+	// Peers that take a route are appended past the sweep; nothing reads
+	// them.
+	sweep := len(level)
+	for _, y := range level[:sweep] {
+		level = st.offer(level, y, s.nbrs[y].peers(), tierPeer, 0)
 	}
-
-	for _, asn := range origins {
-		if i, ok := s.asIdx[asn]; ok {
-			s.pOrigs[i] = s.pOrigs[i][:0]
-		}
-	}
-	s.dirty, s.next, s.arena = dirty, next, arena
-
-	// The scratch arena also holds the paths of superseded selections;
-	// the state keeps an exact-size copy of the live ones.
-	total := 0
-	for i := range recs {
-		total += int(recs[i].n)
-	}
-	st := &prefixState{recs: recs, arena: make([]topology.ASN, 0, total)}
-	for i := range recs {
-		r := &recs[i]
-		if r.n > 0 {
-			path := arena[r.off : r.off+uint32(r.n)]
-			r.off = uint32(len(st.arena))
-			st.arena = append(st.arena, path...)
-		}
-	}
-	return st, rounds
-}
-
-// selectLocked is the decision process of the AS at position i over the
-// previous round's recs: its selection (path offset unset) and the
-// position of the AS it was learned from, -1 for none or self.
-func (s *System) selectLocked(i int32, recs []routeRec, arena []topology.ASN) (win routeRec, adv int32) {
-	adv = -1
-	if own := s.pOrigs[i]; len(own) > 0 {
-		win.tier = tierSelf
-		if own[0].exportTo != nil {
-			win.flags = flagNoExport
-		}
-		return win, adv
-	}
-	self := s.asns[i]
-	for _, nb := range s.nbrs[i] {
-		beats := func(n uint16) bool {
-			return prefers(int(nb.tier), int(n), nb.idx, int(win.tier), int(win.n), adv)
-		}
-		r := recs[nb.idx]
-		if r.tier != tierNone &&
-			exportable(r.flags&flagNoExport != 0, r.n == 0, r.flags&flagFromCustomer != 0, nb.downhill) &&
-			beats(r.n+1) && !slices.Contains(arena[r.off:r.off+uint32(r.n)], self) {
-			win = routeRec{n: r.n + 1, tier: nb.tier, flags: nb.flags}
-			adv = nb.idx
-		}
-		for _, o := range s.pOrigs[nb.idx] {
-			if o.exportTo != nil && o.exportTo[self] && beats(1) {
-				win = routeRec{n: 1, tier: nb.tier, flags: nb.flags | flagNoExport}
-				adv = nb.idx
-			}
-		}
-	}
-	return win, adv
+	s.level = level
+	return st
 }
 
 // RouteEqual reports whether two routes are identical in every
@@ -691,8 +772,8 @@ func (s *System) BestRoute(asn topology.ASN, p addr.Prefix) (Route, bool) {
 	}
 }
 
-// chainLink is one prefix of a destination's match chain and its
-// converged state, nil while the prefix is unconverged.
+// chainLink is one prefix of a destination's match chain and its state,
+// nil while the prefix has none yet.
 type chainLink struct {
 	prefix addr.Prefix
 	st     *prefixState
@@ -700,14 +781,15 @@ type chainLink struct {
 
 // Toward is the routing toward one destination, resolved once: the
 // prefixes on the destination's match chain, longest first, each with its
-// converged state, and the AS-position and adjacency tables those states
-// were built on. States are immutable and reindexLocked replaces both
-// tables instead of editing them, so a view answers from one consistent
-// snapshot — with no lock and no trie walk — however the system changes
-// after it was taken, and never indexes a state with a position from
-// another table. A walk resolves its destination once and asks the view at
-// every AS hop. The zero value is empty; System.Toward fills it. Not safe
-// for concurrent use.
+// state, and the AS-position and adjacency tables those states were built
+// on. reindexLocked replaces both tables instead of editing them, and a
+// state is append-only and fills from the tables and originations it
+// captured, so a view answers from one consistent generation — with no
+// system lock and no trie walk — however the system changes after it was
+// taken, and never indexes a state with a position from another table. A
+// walk resolves its destination once and asks the view at every AS hop.
+// The zero value is empty; System.Toward fills it. Not safe for
+// concurrent use.
 type Toward struct {
 	sys       *System
 	dst       addr.V4
@@ -729,7 +811,8 @@ func (t *Toward) link(k int) *chainLink {
 }
 
 // Toward resolves dst's match chain into t under one read lock. It
-// converges nothing: t.Lookup converges the prefixes it reaches.
+// creates nothing: t.Lookup creates the states it reaches and resolves
+// the ASes it is asked about.
 func (s *System) Toward(dst addr.V4, t *Toward) {
 	t.sys, t.dst, t.n, t.spill = s, dst, 0, t.spill[:0]
 	s.mu.RLock()
@@ -747,9 +830,9 @@ func (s *System) Toward(dst addr.V4, t *Toward) {
 
 // Lookup longest-prefix-matches the view's destination in asn's routing:
 // the most specific prefix on the chain for which asn holds a route. A
-// prefix it reaches unconverged is converged and the view resolved again
-// (a mutator may have re-indexed in between); prefixes past the answer
-// stay lazy.
+// prefix it reaches without a state gets one and the view is resolved
+// again (a mutator may have re-indexed in between); prefixes past the
+// answer stay lazy, and so does every AS not asked about.
 func (t *Toward) Lookup(asn topology.ASN) (Route, bool) {
 	i, known := t.asIdx[asn]
 	for k := 0; known && k < t.n; k++ {
@@ -789,7 +872,7 @@ func linksBetween(neighbors map[topology.ASN][]topology.ASNeighbor, a, b topolog
 
 // Lookup longest-prefix-matches dst in asn's routing: the most specific
 // prefix on dst's match chain for which asn holds a route. Only prefixes
-// on the chain are converged, never the whole table, and a warm lookup
+// on the chain get a state, never the whole table, and a warm lookup
 // takes one read lock and allocates nothing.
 func (s *System) Lookup(asn topology.ASN, dst addr.V4) (Route, bool) {
 	var t Toward
@@ -798,7 +881,8 @@ func (s *System) Lookup(asn topology.ASN, dst addr.V4) (Route, bool) {
 }
 
 // TableSize returns the number of prefixes in asn's loc-RIB (routing-state
-// experiments, §3.2 scalability discussion).
+// experiments, §3.2 scalability discussion). It creates every prefix's
+// state but resolves only asn in each.
 func (s *System) TableSize(asn topology.ASN) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -808,8 +892,8 @@ func (s *System) TableSize(asn topology.ASN) int {
 	}
 	s.convergeAllLocked()
 	n := 0
-	for _, st := range s.states {
-		if st.recs[i].tier != tierNone {
+	for p, st := range s.states {
+		if _, ok := st.route(p, i); ok {
 			n++
 		}
 	}

@@ -3,37 +3,26 @@ package bgp
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/topology"
 )
 
-// referenceConverge is the round-robin fixpoint fixpointLocked replaced,
-// kept as the oracle TestDeltaMatchesReferenceFixpoint compares against:
-// every round visits every AS, builds every inbox and allocates every
-// advert. It returns each AS's selected route for p (absent = no route)
-// and the number of rounds run, the final unchanged one included. The
-// caller holds s.mu.
-func referenceConverge(s *System, p addr.Prefix) (map[topology.ASN]Route, int) {
-	asns := s.net.ASNs()
-
-	// ASes holding an origination of p, with the entries in injection
-	// order. Precomputed so each round touches origination state only
-	// where it exists.
-	origs := map[topology.ASN][]origination{}
-	for _, asn := range asns {
-		for _, o := range s.originated[asn] {
-			if o.prefix == p {
-				origs[asn] = append(origs[asn], o)
-			}
-		}
-	}
-
+// referenceConverge is the round-robin synchronous fixpoint the prefix
+// states replaced, kept as the oracle they are held to: every round visits
+// every AS, builds every inbox and allocates every advert, until a round
+// changes nothing. Its inputs are the ASes (ascending), their adjacency
+// and origs, each AS's originations of p in injection order; it returns
+// each AS's selected route for p (absent = no route).
+func referenceConverge(asns []topology.ASN, neighbors map[topology.ASN][]topology.ASNeighbor,
+	origs map[topology.ASN][]origination, p addr.Prefix) map[topology.ASN]Route {
 	best := map[topology.ASN]Route{}
-	rounds := 0
-	for {
-		rounds++
+	for rounds := 1; ; rounds++ {
 		changed := false
 		// Gather adverts destined to each AS from the previous round.
 		// Self-originations advertise into one's own inbox at LocalPref
@@ -55,7 +44,7 @@ func referenceConverge(s *System, p addr.Prefix) (map[topology.ASN]Route, int) {
 			if !has && len(fromOrigs) == 0 {
 				continue
 			}
-			for _, nb := range s.neighbors[from] {
+			for _, nb := range neighbors[from] {
 				rel := nb.Rel // from's relationship toward nb
 				// Ordinary best route.
 				if has && exportsTo(r, rel) {
@@ -105,7 +94,7 @@ func referenceConverge(s *System, p addr.Prefix) (map[topology.ASN]Route, int) {
 			}
 		}
 		if !changed {
-			break
+			return best
 		}
 		if rounds > 4*len(asns)+8 {
 			// Gao-Rexford-safe configurations converge in O(diameter);
@@ -113,13 +102,40 @@ func referenceConverge(s *System, p addr.Prefix) (map[topology.ASN]Route, int) {
 			panic(fmt.Sprintf("bgp: no convergence after %d rounds", rounds))
 		}
 	}
-	return best, rounds
 }
 
-// checkAgainstReference compares fixpointLocked with referenceConverge
-// on the given prefixes (nil: every originated prefix): every AS's route
-// and the round count.
-func checkAgainstReference(t *testing.T, s *System, step string, prefixes ...addr.Prefix) {
+// referenceLocked is referenceConverge on the system's current tables and
+// originations. The caller holds s.mu.
+func referenceLocked(s *System, p addr.Prefix) map[topology.ASN]Route {
+	origs := map[topology.ASN][]origination{}
+	for _, asn := range s.asns {
+		for _, o := range s.originated[asn] {
+			if o.prefix == p {
+				origs[asn] = append(origs[asn], o)
+			}
+		}
+	}
+	return referenceConverge(s.asns, s.neighbors, origs, p)
+}
+
+// referenceOfState is referenceConverge on what st captured when it was
+// created: its ASes and originations, and neighbors, the adjacency of the
+// same generation.
+func referenceOfState(st *prefixState, neighbors map[topology.ASN][]topology.ASNeighbor, p addr.Prefix) map[topology.ASN]Route {
+	origs := map[topology.ASN][]origination{}
+	for _, o := range st.origs {
+		asn := st.asns[o.idx]
+		origs[asn] = append(origs[asn], origination{prefix: p, exportTo: o.exportTo})
+	}
+	return referenceConverge(st.asns, neighbors, origs, p)
+}
+
+// checkAgainstReference holds on-demand states to referenceConverge on
+// the given prefixes (nil: every originated prefix): for each, three
+// fresh states are asked for every AS's route, in ascending, descending
+// and seeded-random position order, and every answer must be the
+// reference's.
+func checkAgainstReference(t *testing.T, s *System, rng *rand.Rand, step string, prefixes ...addr.Prefix) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,39 +145,162 @@ func checkAgainstReference(t *testing.T, s *System, step string, prefixes ...add
 			return true
 		})
 	}
+	ascending := make([]int32, len(s.asns))
+	for i := range ascending {
+		ascending[i] = int32(i)
+	}
+	descending := slices.Clone(ascending)
+	slices.Reverse(descending)
 	for _, p := range prefixes {
-		want, wantRounds := referenceConverge(s, p)
-		st, rounds := s.fixpointLocked(p)
-		if rounds != wantRounds {
-			t.Fatalf("%s: %v converged in %d rounds, reference in %d", step, p, rounds, wantRounds)
-		}
-		for i, asn := range s.net.ASNs() {
-			got, ok := st.route(p, int32(i))
-			ref, refOK := want[asn]
-			if ok != refOK || (ok && !RouteEqual(got, ref)) {
-				t.Fatalf("%s: AS%d route for %v = %+v/%v, reference %+v/%v", step, asn, p, got, ok, ref, refOK)
+		want := referenceLocked(s, p)
+		shuffled := slices.Clone(ascending)
+		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+		for k, order := range [][]int32{ascending, descending, shuffled} {
+			st := s.newPrefixStateLocked(p)
+			for _, i := range order {
+				asn := s.asns[i]
+				got, ok := st.route(p, i)
+				ref, refOK := want[asn]
+				if ok != refOK || (ok && !RouteEqual(got, ref)) {
+					t.Fatalf("%s: order %d: AS%d route for %v = %+v/%v, reference %+v/%v", step, k, asn, p, got, ok, ref, refOK)
+				}
 			}
 		}
 	}
 }
 
-// TestDeltaMatchesReferenceFixpoint drives seeded internets through every
-// kind of input the fixpoint reads — multi-origin anycast prefixes,
-// selective adverts beside a normal origination at the same AS (in both
-// injection orders), withdrawal, suspend/restore, inter-link failure and
-// repair — and holds the delta-round fixpoint to the round-robin one.
-func TestDeltaMatchesReferenceFixpoint(t *testing.T) {
-	for seed := int64(1); seed <= 24; seed++ {
+// TestConcurrentFillsMatchReference races 64 readers through the same
+// cold prefixes — every AS, in each reader's own shuffled order, so fills
+// of one state collide — against a mutator that originates, withdraws,
+// suspends and re-indexes. Every answer must be the reference routing of
+// the generation the reader's view holds: the tables and originations its
+// states captured, and the view's adjacency.
+func TestConcurrentFillsMatchReference(t *testing.T) {
+	n, err := topology.BarabasiAlbert(60, 2, topology.GenConfig{Seed: 5, RoutersPerDomain: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSystem(n)
+	asns := n.ASNs()
+	a, b, stub := asns[3], asns[17], asns[len(asns)-1]
+	var stubNbrs []topology.ASN
+	for _, nb := range n.Neighbors(stub) {
+		stubNbrs = append(stubNbrs, nb.ASN)
+	}
+	host := addr.HostPrefix(n.Domain(stub).Prefix.Addr + 9)
+	any1 := addr.HostPrefix(addr.V4FromOctets(240, 0, 0, 1))
+	dsts := []addr.V4{host.Addr, any1.Addr, n.Domain(asns[0]).Prefix.Addr + 1}
+
+	var refMu sync.Mutex
+	refs := map[*prefixState]map[topology.ASN]Route{}
+	// expect answers Lookup(asn) on v from the reference of each state on
+	// v's chain, longest prefix first.
+	expect := func(v *Toward, asn topology.ASN) (Route, bool, error) {
+		for k := 0; k < v.n; k++ {
+			c := v.link(k)
+			if c.st == nil {
+				return Route{}, false, fmt.Errorf("%v has no state, yet Lookup answered past it", c.prefix)
+			}
+			refMu.Lock()
+			ref, ok := refs[c.st]
+			if !ok {
+				ref = referenceOfState(c.st, v.neighbors, c.prefix)
+				refs[c.st] = ref
+			}
+			refMu.Unlock()
+			if r, ok := ref[asn]; ok {
+				return r, true, nil
+			}
+		}
+		return Route{}, false, nil
+	}
+
+	var step, views atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			order := slices.Clone(asns)
+			var v Toward
+			for !stop.Load() {
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				s.Toward(dsts[step.Load()%int64(len(dsts))], &v)
+				for _, asn := range order {
+					got, ok := v.Lookup(asn)
+					want, wok, err := expect(&v, asn)
+					if err != nil || ok != wok || (ok && !routeEqual(got, want)) {
+						t.Errorf("reader %d: Lookup(AS%d) toward %v = %v, %v; reference %v, %v (%v)", g, asn, v.dst, got, ok, want, wok, err)
+						stop.Store(true)
+						return
+					}
+				}
+				views.Add(1)
+			}
+		}(g)
+	}
+
+	restore := func() {}
+	var failed topology.InterLink
+	for i := 0; i < 36 && !stop.Load(); i++ {
+		switch i % 6 {
+		case 0:
+			s.Originate(a, any1)
+			s.Originate(b, any1)
+		case 1:
+			s.OriginateTo(stub, host, stubNbrs...)
+		case 2:
+			restore, _ = s.SuspendOriginations(a, any1)
+		case 3:
+			restore()
+		case 4:
+			l := n.Inter[i%len(n.Inter)]
+			failed, _ = n.FailInterLink(l.From, l.To)
+			s.Refresh()
+		case 5:
+			n.RestoreInterLink(failed)
+			s.Refresh()
+			s.Withdraw(a, any1)
+			s.Withdraw(b, any1)
+			s.Withdraw(stub, host)
+		}
+		step.Add(1)
+		// Every reader takes about one view of this generation before the
+		// next change.
+		for target := views.Load() + 64; views.Load() < target && !stop.Load(); {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+// TestOnDemandMatchesReferenceFixpoint drives seeded transit-stub,
+// Barabási–Albert, Waxman and ring internets through every kind of input
+// a prefix state reads — multi-origin anycast prefixes, selective adverts
+// beside a normal origination at the same AS (in both injection orders),
+// withdrawal, suspend/restore, inter-link failure and repair — and holds
+// states asked in three orders to the round-robin fixpoint at every AS.
+func TestOnDemandMatchesReferenceFixpoint(t *testing.T) {
+	for seed := int64(1); seed <= 32; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var n *topology.Network
 		var err error
-		if seed%2 == 0 {
+		switch seed % 4 {
+		case 0:
 			transits := 2 + rng.Intn(5)
 			n, err = topology.TransitStub(transits, 4+rng.Intn(190/transits-3), rng.Float64(),
 				topology.GenConfig{Seed: seed, RoutersPerDomain: 2})
-		} else {
+		case 1:
 			n, err = topology.BarabasiAlbert(10+rng.Intn(191), 1+rng.Intn(3),
 				topology.GenConfig{Seed: seed, RoutersPerDomain: 1})
+		case 2:
+			n, err = topology.Waxman(10+rng.Intn(111), 0.2+0.6*rng.Float64(), 0.1+0.3*rng.Float64(),
+				topology.GenConfig{Seed: seed, RoutersPerDomain: 1})
+		default:
+			n, err = topology.RingOfDomains(10+rng.Intn(61), topology.GenConfig{Seed: seed, RoutersPerDomain: 1})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -182,7 +321,7 @@ func TestDeltaMatchesReferenceFixpoint(t *testing.T) {
 			}
 			return out
 		}
-		checkAgainstReference(t, s, fmt.Sprintf("seed %d base", seed))
+		checkAgainstReference(t, s, rng, fmt.Sprintf("seed %d base", seed))
 
 		// Option-1 anycast: one host prefix, several origins; and a second
 		// one inside an aggregate, as option 2 places it.
@@ -201,15 +340,15 @@ func TestDeltaMatchesReferenceFixpoint(t *testing.T) {
 		s.OriginateTo(b, any1, targets(b, 3)...)
 		s.Originate(b, any1)
 		s.OriginateTo(c, any2, targets(c, 2)...)
-		checkAgainstReference(t, s, fmt.Sprintf("seed %d anycast", seed), any1, any2)
+		checkAgainstReference(t, s, rng, fmt.Sprintf("seed %d anycast", seed), any1, any2)
 
 		s.Withdraw(first, any1)
-		checkAgainstReference(t, s, fmt.Sprintf("seed %d withdraw", seed), any1)
+		checkAgainstReference(t, s, rng, fmt.Sprintf("seed %d withdraw", seed), any1)
 
 		restore, _ := s.SuspendOriginations(b, any1)
-		checkAgainstReference(t, s, fmt.Sprintf("seed %d suspend", seed), any1)
+		checkAgainstReference(t, s, rng, fmt.Sprintf("seed %d suspend", seed), any1)
 		restore()
-		checkAgainstReference(t, s, fmt.Sprintf("seed %d restore", seed), any1)
+		checkAgainstReference(t, s, rng, fmt.Sprintf("seed %d restore", seed), any1)
 
 		var failed []topology.InterLink
 		for i := 0; i < 1+len(n.Inter)/10; i++ {
@@ -219,11 +358,11 @@ func TestDeltaMatchesReferenceFixpoint(t *testing.T) {
 			}
 		}
 		s.Refresh()
-		checkAgainstReference(t, s, fmt.Sprintf("seed %d links failed", seed))
+		checkAgainstReference(t, s, rng, fmt.Sprintf("seed %d links failed", seed))
 		for _, l := range failed {
 			n.RestoreInterLink(l)
 		}
 		s.Refresh()
-		checkAgainstReference(t, s, fmt.Sprintf("seed %d links restored", seed), any1, any2)
+		checkAgainstReference(t, s, rng, fmt.Sprintf("seed %d links restored", seed), any1, any2)
 	}
 }

@@ -109,6 +109,18 @@ func TestParseASRelationshipsErrors(t *testing.T) {
 	}
 }
 
+// TestParseASRelationshipsRejectsProviderCycle: three ASes each the
+// customer of the next are no hierarchy; the error names the cycle.
+func TestParseASRelationshipsRejectsProviderCycle(t *testing.T) {
+	_, err := ParseASRelationships(strings.NewReader("10|20|c2p\n30|20|p2c\n10|30|-1\n40|10|0\n"), GenConfig{})
+	const want = "customer→provider cycle AS10 → AS20 → AS30 → AS10"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want one naming %q", err, want)
+	}
+	// The same three links as a chain are a hierarchy.
+	loadSample(t, "10|20|c2p\n30|20|p2c\n30|10|-1\n40|10|0\n")
+}
+
 func TestParseASRelationshipsDeterministic(t *testing.T) {
 	a := loadSample(t, sampleASRel)
 	b := loadSample(t, sampleASRel)

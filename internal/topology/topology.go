@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -483,7 +484,9 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-// Build validates and returns the network.
+// Build validates and returns the network: every domain has routers and a
+// connected intra graph, and no customer→provider chain returns to where
+// it started.
 func (b *Builder) Build() (*Network, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -514,5 +517,89 @@ func (b *Builder) Build() (*Network, error) {
 			}
 		}
 	}
+	if cycle := n.providerCycle(); cycle != nil {
+		names := make([]string, len(cycle))
+		for i, asn := range cycle {
+			names[i] = n.Domains[asn].Name
+		}
+		return nil, fmt.Errorf("topology: customer→provider cycle %s", strings.Join(names, " → "))
+	}
 	return n, nil
+}
+
+// providerCycle returns a cycle of the customer→provider relation — each
+// domain a customer of the next, the last one the first again — or nil
+// when the relation is a hierarchy, as Gao-Rexford safety and BGP's
+// provider-route resolution presume. It is a depth-first search up
+// provider edges that keeps the chain it is on: an edge back into the
+// chain closes a cycle.
+func (n *Network) providerCycle() []ASN {
+	// pos[r] is the position in n.asns of router r's domain.
+	pos := make([]int32, len(n.Routers))
+	for i, asn := range n.asns {
+		for _, r := range n.Domains[asn].Routers {
+			pos[r] = int32(i)
+		}
+	}
+	// ups[start[i]:start[i+1]] are the providers of domain i, by position.
+	start := make([]int32, len(n.asns)+1)
+	edge := func(l InterLink) (customer, provider int32, ok bool) {
+		switch l.Rel {
+		case RelCustomer:
+			return pos[l.From], pos[l.To], true
+		case RelProvider:
+			return pos[l.To], pos[l.From], true
+		}
+		return 0, 0, false
+	}
+	for _, l := range n.Inter {
+		if c, _, ok := edge(l); ok {
+			start[c+1]++
+		}
+	}
+	for i := range n.asns {
+		start[i+1] += start[i]
+	}
+	ups := make([]int32, start[len(n.asns)])
+	filled := slices.Clone(start[:len(n.asns)])
+	for _, l := range n.Inter {
+		if c, p, ok := edge(l); ok {
+			ups[filled[c]] = p
+			filled[c]++
+		}
+	}
+	const unseen, onChain, settled = 0, 1, 2
+	state := make([]uint8, len(n.asns))
+	type frame struct{ at, next int32 }
+	var chain []frame
+	for root := range n.asns {
+		if state[root] != unseen {
+			continue
+		}
+		state[root] = onChain
+		chain = append(chain[:0], frame{int32(root), start[root]})
+		for len(chain) > 0 {
+			f := &chain[len(chain)-1]
+			if f.next == start[f.at+1] {
+				state[f.at] = settled
+				chain = chain[:len(chain)-1]
+				continue
+			}
+			p := ups[f.next]
+			f.next++
+			switch state[p] {
+			case unseen:
+				state[p] = onChain
+				chain = append(chain, frame{p, start[p]})
+			case onChain:
+				k := slices.IndexFunc(chain, func(f frame) bool { return f.at == p })
+				var cycle []ASN
+				for _, f := range chain[k:] {
+					cycle = append(cycle, n.asns[f.at])
+				}
+				return append(cycle, n.asns[p])
+			}
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/graph"
@@ -213,6 +214,22 @@ func TestBuilderRejectsPartitionedDomain(t *testing.T) {
 	b.AddRouters(x, 2) // no intra link between them
 	if _, err := b.Build(); err == nil {
 		t.Error("partitioned domain accepted")
+	}
+}
+
+// TestBuilderRejectsProviderCycle: two domains that each provide the
+// other, beside a hierarchy, are named in the error.
+func TestBuilderRejectsProviderCycle(t *testing.T) {
+	b := NewBuilder()
+	var rs []RouterID
+	for _, name := range []string{"T", "X", "Y"} {
+		rs = append(rs, b.AddRouter(b.AddDomain(name), ""))
+	}
+	b.Provide(rs[0], rs[1], 1)
+	b.Provide(rs[1], rs[2], 1)
+	b.InterLink(rs[1], rs[2], RelCustomer, 1)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "cycle X → Y → X") {
+		t.Errorf("err = %v, want the X–Y cycle", err)
 	}
 }
 
