@@ -15,7 +15,6 @@ import (
 
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/core"
-	"github.com/evolvable-net/evolve/internal/experiments"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
 	"github.com/evolvable-net/evolve/internal/topology"
 )
@@ -198,30 +197,6 @@ func BenchmarkSendParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkSweepParallel runs the E5 deployment-spread sweep at several
-// worker counts; the acceptance bar is ≥ 2× speedup at 4 workers with
-// byte-identical tables (determinism is asserted, not just hoped for).
-func BenchmarkSweepParallel(b *testing.B) {
-	serial, err := experiments.UAStretchVsDeploymentWorkers(42, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := serial.String()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tbl, err := experiments.UAStretchVsDeploymentWorkers(42, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := tbl.String(); got != want {
-					b.Fatalf("workers=%d diverged from serial output:\n%s", workers, got)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkBGPConvergence measures routing-fixpoint cost as the internet

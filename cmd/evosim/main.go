@@ -9,7 +9,10 @@
 //	evosim [-topology transit-stub|ring|waxman|ba] [-seed N]
 //	       [-transits N] [-stubs N] [-domains N]
 //	       [-option 1|2] [-egress exit-early|path-informed|proxy-informed]
-//	       [-steps N] [-pairs N] [-workers N]
+//	       [-steps N] [-pairs N]
+//
+// Each measurement sends between host pairs one after another, in host
+// order, so a fixed -seed prints the same report every run.
 package main
 
 import (
@@ -17,7 +20,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"text/tabwriter"
 
 	"github.com/evolvable-net/evolve"
@@ -36,13 +38,9 @@ func main() {
 	egress := flag.String("egress", "path-informed", "egress policy: exit-early, path-informed, proxy-informed")
 	steps := flag.Int("steps", 4, "adoption steps to simulate")
 	pairs := flag.Int("pairs", 500, "max host pairs per measurement (0 = all)")
-	workers := flag.Int("workers", 0, "goroutines for the pair sweep (0 = GOMAXPROCS)")
 	failLinks := flag.Bool("fail", false, "after full adoption, fail an inter-domain link and re-measure")
 	catchment := flag.Bool("catchment", false, "print each participant's anycast catchment after every step")
 	flag.Parse()
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
-	}
 
 	cfg := evolve.GenConfig{Seed: *seed, RoutersPerDomain: 3, HostsPerDomain: 2}
 	var (
@@ -110,7 +108,7 @@ func main() {
 			evo.DeployDomain(asns[deployed], 0)
 			deployed++
 		}
-		sample, failures, err := evo.StretchSampleParallel(*pairs, *workers)
+		sample, failures, err := evo.StretchSample(*pairs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -163,7 +161,7 @@ func main() {
 		if _, ok := evo.FailInterLink(l.From, l.To); !ok {
 			log.Fatal("link not found")
 		}
-		sample, failures, err := evo.StretchSampleParallel(*pairs, *workers)
+		sample, failures, err := evo.StretchSample(*pairs)
 		if err != nil {
 			log.Fatalf("after failure: %v (the bone may be policy-partitioned)", err)
 		}

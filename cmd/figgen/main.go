@@ -3,9 +3,13 @@
 //
 // Usage:
 //
-//	figgen [-seed N] [-e E3] [-workers N]   # all experiments, or just one
-//	figgen -list                            # list experiment ids
-//	figgen -e E5 -trace-sample 3            # + 3 per-hop path traces
+//	figgen [-seed N] [-e E3]        # all experiments, or just one
+//	figgen -list                    # list experiment ids
+//	figgen -e E5 -trace-sample 3    # + 3 per-hop path traces
+//
+// Experiments run one after another on one goroutine; only E11, which
+// drives a live UDP overlay, starts goroutines of its own. All 21 take
+// well under a second.
 //
 // -trace-sample N makes the trace-aware experiments (E5, E6, E14, E15)
 // replay up to N cross-AS deliveries with a recorder attached and print
@@ -27,10 +31,8 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	md := flag.Bool("md", false, "emit GitHub-flavoured markdown (for EXPERIMENTS.md)")
 	seeds := flag.Int("seeds", 1, "run each experiment across N seeds and report PASS rates")
-	workers := flag.Int("workers", 0, "goroutines for sweep experiments (0 = GOMAXPROCS)")
 	traceN := flag.Int("trace-sample", 0, "print N sampled per-hop path traces after each trace-aware experiment (0 = off)")
 	flag.Parse()
-	evolve.SetExperimentWorkers(*workers)
 	evolve.SetTraceSample(*traceN)
 
 	if *list {

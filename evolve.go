@@ -277,11 +277,6 @@ func DomainVNPrefix(asn ASN) VNPrefix { return addr.DomainVNPrefix(int(asn)) }
 // ParseV4 parses a dotted-quad underlay address.
 func ParseV4(s string) (V4, error) { return addr.ParseV4(s) }
 
-// SetExperimentWorkers sets the goroutine count the sweep-style
-// experiments fan out over (0 or negative = GOMAXPROCS). Results are
-// deterministic regardless of the worker count.
-func SetExperimentWorkers(n int) { experiments.SetWorkers(n) }
-
 // NewTraceRecorder creates an in-memory Tracer for use with
 // Evolution.SendTraced or Evolution.SetTracer.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
@@ -310,18 +305,4 @@ func RunExperiment(id string, seed int64) (*Table, error) {
 		}
 	}
 	return nil, fmt.Errorf("evolve: unknown experiment %q (have %v)", id, Experiments())
-}
-
-// RunAllExperiments runs the full harness with one seed, returning the
-// tables in id order. Errors abort at the first failing experiment.
-func RunAllExperiments(seed int64) ([]*Table, error) {
-	var out []*Table
-	for _, e := range experiments.All() {
-		t, err := e.Run(seed)
-		if err != nil {
-			return out, fmt.Errorf("evolve: %s: %w", e.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }

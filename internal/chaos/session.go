@@ -47,7 +47,8 @@ type SessionReport struct {
 	// Quiesced reports whether the run reached protocol quiescence.
 	Quiesced bool
 	// OracleOK reports whether every speaker's loc-RIB matched the batch
-	// fixpoint at quiescence; OracleDetail describes the first mismatch.
+	// fixpoint at quiescence; OracleDetail describes the first mismatch
+	// (bgp.SessionSystem.Diverges).
 	OracleOK     bool
 	OracleDetail string
 	// Protocol counters at the end of the run.
@@ -63,51 +64,19 @@ func (r *SessionReport) Ok() bool {
 	return r.Quiesced && len(r.Violations) == 0 && r.OracleOK
 }
 
-const maxSessionViolations = 8
+const (
+	maxSessionViolations = 8
+	// sessionAS is the size of a session run's internet; sessionEvents is
+	// how many faults its schedule draws.
+	sessionAS     = 12
+	sessionEvents = 14
+)
 
-// sessionRelOf returns a's relationship toward b, ok=false if not
-// adjacent.
-func sessionRelOf(net *topology.Network, a, b topology.ASN) (topology.Rel, bool) {
-	for _, nb := range net.Neighbors(a) {
-		if nb.ASN == b {
-			return nb.Rel, true
-		}
-	}
-	return 0, false
-}
-
-// sessionValleyFree checks Gao-Rexford validity of an AS path: once the
-// path has gone downhill (provider→customer or across a peer link) it
-// must never go uphill or cross another peer link.
-func sessionValleyFree(net *topology.Network, path []topology.ASN) bool {
-	descending := false
-	for i := 0; i+1 < len(path); i++ {
-		rel, ok := sessionRelOf(net, path[i], path[i+1])
-		if !ok {
-			return false
-		}
-		switch rel {
-		case topology.RelCustomer:
-			if descending {
-				return false
-			}
-		case topology.RelPeer:
-			if descending {
-				return false
-			}
-			descending = true
-		case topology.RelProvider:
-			descending = true
-		}
-	}
-	return true
-}
-
-// RunSessionChaos builds a random policy-safe internet, runs the
-// event-driven BGP sessions, and injects `events` faults (link flaps
-// straddling the hold timer, anycast originations, mid-stream
-// withdrawals) while convergence is in flight, probing the transient
-// invariants every 500 simulated microseconds:
+// RunSessionChaos builds a random policy-safe internet of sessionAS ASes,
+// runs the event-driven BGP sessions, and injects up to sessionEvents
+// faults (link flaps straddling the hold timer, anycast originations,
+// mid-stream withdrawals) while convergence is in flight, probing the
+// transient invariants every 500 simulated microseconds:
 //
 //   - path-simple: no selected AS path contains a loop or the holder;
 //   - next-hop adjacency: every selected path starts at a real neighbor;
@@ -122,9 +91,9 @@ func sessionValleyFree(net *topology.Network, path []topology.ASN) bool {
 // machinery. Faulty schedules are then *expected* to fail the oracle —
 // a lost WITHDRAW is permanent — which is how the harness proves it can
 // see the bug class the sessions fix.
-func RunSessionChaos(seed int64, nAS, events int, legacy bool) (*SessionReport, error) {
+func RunSessionChaos(seed int64, legacy bool) (*SessionReport, error) {
 	rng := rand.New(rand.NewSource(seed))
-	net, err := topology.BarabasiAlbert(nAS, 2, topology.GenConfig{
+	net, err := topology.BarabasiAlbert(sessionAS, 2, topology.GenConfig{
 		Seed: seed, RoutersPerDomain: 1,
 	})
 	if err != nil {
@@ -141,7 +110,7 @@ func RunSessionChaos(seed int64, nAS, events int, legacy bool) (*SessionReport, 
 	ss := bgp.NewSessionSystemConfig(net, fab, cfg)
 	fix := bgp.NewSystem(net)
 
-	rep := &SessionReport{Seed: seed, NAS: nAS, Legacy: legacy}
+	rep := &SessionReport{Seed: seed, NAS: sessionAS, Legacy: legacy}
 
 	// The probe sweeps every speaker's selected routes against the
 	// transient invariants. It runs as an engine event, interleaved with
@@ -172,12 +141,12 @@ func RunSessionChaos(seed int64, nAS, events int, legacy bool) (*SessionReport, 
 					continue
 				}
 				if len(r.Path) > 0 {
-					if _, adj := sessionRelOf(net, holder, r.Path[0]); !adj {
+					if _, adj := bgp.RelOf(net, holder, r.Path[0]); !adj {
 						violate(now, "nexthop-adjacent", fmt.Sprintf("AS%d→%s via non-neighbor AS%d", holder, r.Prefix, r.Path[0]))
 						continue
 					}
 					full := append([]topology.ASN{holder}, r.Path...)
-					if !sessionValleyFree(net, full) {
+					if !bgp.ValleyFree(net, full) {
 						violate(now, "valley-free", fmt.Sprintf("AS%d→%s path %v", holder, r.Prefix, full))
 					}
 				}
@@ -199,7 +168,7 @@ func RunSessionChaos(seed int64, nAS, events int, legacy bool) (*SessionReport, 
 	}
 	var tracked []addr.Prefix
 	var live []origination
-	for i := 0; i < events; i++ {
+	for i := 0; i < sessionEvents; i++ {
 		at := netsim.Time(rng.Intn(churnWindow))
 		switch rng.Intn(3) {
 		case 0: // link flap, shorter or longer than the hold timer
@@ -251,22 +220,8 @@ func RunSessionChaos(seed int64, nAS, events int, legacy bool) (*SessionReport, 
 	_, rep.Quiesced = ss.RunToConvergence(0)
 	probe() // one final sweep at quiescence
 
-	rep.OracleOK = true
-	prefixes := append([]addr.Prefix(nil), tracked...)
-	for _, origin := range asns {
-		prefixes = append(prefixes, net.Domain(origin).Prefix)
-	}
-	for _, holder := range asns {
-		for _, p := range prefixes {
-			fr, fok := fix.BestRoute(holder, p)
-			sr, sok := ss.Speakers[holder].Best(p)
-			if fok != sok || (fok && !bgp.RouteEqual(fr, sr)) {
-				rep.OracleOK = false
-				rep.OracleDetail = fmt.Sprintf("AS%d→%s: fixpoint %+v(%v) vs session %+v(%v)",
-					holder, p, fr, fok, sr, sok)
-			}
-		}
-	}
+	detail, diverged := ss.Diverges(fix, tracked...)
+	rep.OracleOK, rep.OracleDetail = !diverged, detail
 
 	tot := ss.Totals()
 	rep.Updates, rep.Withdrawals, rep.Resyncs, rep.Downs = tot.Updates, tot.Withdrawals, tot.Resyncs, tot.Downs

@@ -116,37 +116,6 @@ func TestConcurrentSendsWithChurn(t *testing.T) {
 	}
 }
 
-// TestStretchSampleParallelDeterministic: the sample must be identical at
-// any worker count, in the same pair order.
-func TestStretchSampleParallelDeterministic(t *testing.T) {
-	n := world(t)
-	e := newEvo(t, n, Config{})
-	e.DeployDomain(n.DomainByName("T0").ASN, 0)
-	e.DeployDomain(n.DomainByName("S0.0").ASN, 0)
-
-	serial, serialFail, err := e.StretchSample(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, parFail, err := e.StretchSampleParallel(100, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parFail != serialFail {
-			t.Fatalf("workers=%d: failures %d, serial %d", workers, parFail, serialFail)
-		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d samples, serial %d", workers, len(par), len(serial))
-		}
-		for i := range par {
-			if par[i] != serial[i] {
-				t.Fatalf("workers=%d: sample %d = %v, serial %v", workers, i, par[i], serial[i])
-			}
-		}
-	}
-}
-
 // TestConcurrentReadersDuringRebuild exercises the rlockReady upgrade
 // loop: many goroutines hit a dirty Evolution at once and every one must
 // observe a fully rebuilt bone.

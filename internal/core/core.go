@@ -954,70 +954,32 @@ func (e *Evolution) IngressShare() (map[topology.ASN]float64, error) {
 	return out, nil
 }
 
-// StretchSample sends between all ordered host pairs (up to maxPairs,
-// 0 = unlimited) and returns the stretch sample. Failed deliveries are
-// counted in failures.
+// StretchSample sends between ordered host pairs, in host order, up to
+// maxPairs (0 = unlimited) and returns the stretch of every delivery.
+// Failed deliveries are counted in failures.
 func (e *Evolution) StretchSample(maxPairs int) (sample []float64, failures int, err error) {
-	return e.StretchSampleParallel(maxPairs, 1)
-}
-
-// StretchSampleParallel is StretchSample fanned out over workers
-// goroutines (≤ 0 or 1 means serial). The returned sample is in the same
-// deterministic pair order regardless of worker count.
-func (e *Evolution) StretchSampleParallel(maxPairs, workers int) (sample []float64, failures int, err error) {
-	// Surface ErrNotDeployed before fanning out, so a dead deployment is
-	// an error rather than all-failures.
+	// Surface ErrNotDeployed first, so a dead deployment is an error
+	// rather than all-failures.
 	if err := e.Ready(); err != nil {
 		return nil, 0, err
 	}
-	type pair struct{ src, dst *topology.Host }
-	var pairs []pair
+	sent := 0
 	for _, src := range e.Net.Hosts {
 		for _, dst := range e.Net.Hosts {
 			if src.ID == dst.ID {
 				continue
 			}
-			if maxPairs > 0 && len(pairs) >= maxPairs {
-				goto enumerated
+			if maxPairs > 0 && sent == maxPairs {
+				return sample, failures, nil
 			}
-			pairs = append(pairs, pair{src, dst})
-		}
-	}
-enumerated:
-	results := make([]float64, len(pairs))
-	failed := make([]bool, len(pairs))
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(pairs) {
-				return
-			}
-			d, err := e.Send(pairs[i].src, pairs[i].dst, nil)
+			sent++
+			d, err := e.Send(src, dst, nil)
 			if err != nil {
-				failed[i] = true
+				failures++
 				continue
 			}
-			results[i] = d.Stretch
+			sample = append(sample, d.Stretch)
 		}
-	}
-	// The caller is the first worker, so one worker spawns nothing.
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	for i := range pairs {
-		if failed[i] {
-			failures++
-			continue
-		}
-		sample = append(sample, results[i])
 	}
 	return sample, failures, nil
 }

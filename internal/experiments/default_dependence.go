@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/core"
@@ -59,103 +57,80 @@ func DefaultDomainDependence(seed int64) (*Table, error) {
 		{"option 1", anycast.Option1, false},
 	}
 
-	// Each variant builds its own private network — fully independent, one
-	// job per variant.
-	type result struct {
-		rows [][]string
-		ok   bool
-	}
-	jobs := make([]Job[result], len(variants))
-	for i, v := range variants {
-		v := v
-		jobs[i] = Job[result]{Seed: seed + int64(i), Run: func(_ *rand.Rand) (result, error) {
-			r := result{ok: true}
-			net, err := build()
-			if err != nil {
-				return result{}, err
-			}
-			dD := net.DomainByName("D")
-			dQ := net.DomainByName("Q")
-			dX := net.DomainByName("X")
-			evo, err := core.New(net, core.Config{Option: v.option, DefaultAS: dD.ASN})
-			if err != nil {
-				return result{}, err
-			}
-			evo.DeployDomain(dD.ASN, 0)
-			evo.DeployDomain(dQ.ASN, 0)
-			if v.widen {
-				// Q advertises the anycast host route to every neighbour,
-				// including D. NO_EXPORT stops D from re-advertising it, but
-				// D still *forwards* along it — which is what rescues X
-				// below: X's packets ride to D as before and D relays them
-				// to Q instead of dead-ending.
-				var nbrs []topology.ASN
-				for _, nb := range net.Neighbors(dQ.ASN) {
-					nbrs = append(nbrs, nb.ASN)
-				}
-				if err := evo.AdvertiseToNeighbors(dQ.ASN, nbrs...); err != nil {
-					return result{}, err
-				}
-			}
-
-			measure := func(phase string) (okN int, failed []string) {
-				for _, h := range net.Hosts {
-					if _, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr()); err != nil {
-						failed = append(failed, net.Domain(h.Domain).Name)
-						continue
-					}
-					okN++
-				}
-				failStr := "-"
-				if len(failed) > 0 {
-					failStr = fmt.Sprint(failed)
-				}
-				r.rows = append(r.rows, []string{v.name, phase, fmt.Sprintf("%d/%d", okN, len(net.Hosts)), failStr})
-				return okN, failed
-			}
-
-			if n, _ := measure("yes"); n != len(net.Hosts) {
-				r.ok = false // everyone must work while D serves
-			}
-			// The default domain withdraws entirely.
-			for _, m := range evo.Dep.MembersIn(dD.ASN) {
-				evo.UndeployRouter(m)
-			}
-			okN, failed := measure("no")
-			switch {
-			case v.option == anycast.Option1:
-				// Global routes: universal access survives.
-				if okN != len(net.Hosts) {
-					r.ok = false
-				}
-			case v.widen:
-				// Q's advert gives D a forwarding route it cannot re-export:
-				// X's packets still flow to D and are relayed onward to Q —
-				// universal access survives the default's withdrawal.
-				if okN != len(net.Hosts) {
-					r.ok = false
-				}
-			default:
-				// Pure option 2: X must dead-end (its path ends in the empty
-				// default domain); Z survives via en-route capture at Q.
-				if okN != 1 || len(failed) != 1 || failed[0] != net.Domain(dX.ASN).Name {
-					r.ok = false
-				}
-			}
-			return r, nil
-		}}
-	}
-	results, err := RunParallel(context.Background(), CurrentWorkers(), jobs)
-	if err != nil {
-		return nil, err
-	}
+	// Each variant builds its own private network.
 	okExpected := true
-	for _, r := range results {
-		for _, row := range r.rows {
-			t.AddRow(row...)
+	for _, v := range variants {
+		net, err := build()
+		if err != nil {
+			return nil, err
 		}
-		if !r.ok {
-			okExpected = false
+		dD := net.DomainByName("D")
+		dQ := net.DomainByName("Q")
+		dX := net.DomainByName("X")
+		evo, err := core.New(net, core.Config{Option: v.option, DefaultAS: dD.ASN})
+		if err != nil {
+			return nil, err
+		}
+		evo.DeployDomain(dD.ASN, 0)
+		evo.DeployDomain(dQ.ASN, 0)
+		if v.widen {
+			// Q advertises the anycast host route to every neighbour,
+			// including D. NO_EXPORT stops D from re-advertising it, but
+			// D still *forwards* along it — which is what rescues X
+			// below: X's packets ride to D as before and D relays them
+			// to Q instead of dead-ending.
+			var nbrs []topology.ASN
+			for _, nb := range net.Neighbors(dQ.ASN) {
+				nbrs = append(nbrs, nb.ASN)
+			}
+			if err := evo.AdvertiseToNeighbors(dQ.ASN, nbrs...); err != nil {
+				return nil, err
+			}
+		}
+
+		measure := func(phase string) (okN int, failed []string) {
+			for _, h := range net.Hosts {
+				if _, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr()); err != nil {
+					failed = append(failed, net.Domain(h.Domain).Name)
+					continue
+				}
+				okN++
+			}
+			failStr := "-"
+			if len(failed) > 0 {
+				failStr = fmt.Sprint(failed)
+			}
+			t.AddRow(v.name, phase, fmt.Sprintf("%d/%d", okN, len(net.Hosts)), failStr)
+			return okN, failed
+		}
+
+		if n, _ := measure("yes"); n != len(net.Hosts) {
+			okExpected = false // everyone must work while D serves
+		}
+		// The default domain withdraws entirely.
+		for _, m := range evo.Dep.MembersIn(dD.ASN) {
+			evo.UndeployRouter(m)
+		}
+		okN, failed := measure("no")
+		switch {
+		case v.option == anycast.Option1:
+			// Global routes: universal access survives.
+			if okN != len(net.Hosts) {
+				okExpected = false
+			}
+		case v.widen:
+			// Q's advert gives D a forwarding route it cannot re-export:
+			// X's packets still flow to D and are relayed onward to Q —
+			// universal access survives the default's withdrawal.
+			if okN != len(net.Hosts) {
+				okExpected = false
+			}
+		default:
+			// Pure option 2: X must dead-end (its path ends in the empty
+			// default domain); Z survives via en-route capture at Q.
+			if okN != 1 || len(failed) != 1 || failed[0] != net.Domain(dX.ASN).Name {
+				okExpected = false
+			}
 		}
 	}
 

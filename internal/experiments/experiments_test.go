@@ -54,6 +54,40 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
+// TestTraceSampleLeavesTablesAlone: the trace-aware experiments sample
+// per-hop traces into Table.Traces under SetTraceSample and change
+// nothing either renderer prints.
+func TestTraceSampleLeavesTablesAlone(t *testing.T) {
+	prev := TraceSample()
+	t.Cleanup(func() { SetTraceSample(prev) })
+	for _, run := range []struct {
+		id  string
+		run Runner
+	}{
+		{"E5", UAStretchVsDeployment},
+		{"E6", RedirectorComparison},
+		{"E14", EndhostRegistration},
+		{"E15", ProviderChoice},
+	} {
+		var tables [2]*Table
+		for i, n := range []int{0, 2} {
+			SetTraceSample(n)
+			tbl, err := run.run(42)
+			if err != nil {
+				t.Fatalf("%s at -trace-sample %d: %v", run.id, n, err)
+			}
+			tables[i] = tbl
+		}
+		plain, traced := tables[0], tables[1]
+		if plain.String() != traced.String() || plain.Markdown() != traced.Markdown() {
+			t.Errorf("%s: sampling changed the table:\n%s\nvs\n%s", run.id, plain, traced)
+		}
+		if len(plain.Traces) != 0 || len(traced.Traces) == 0 {
+			t.Errorf("%s: %d traces unsampled, %d sampled; want none, then some", run.id, len(plain.Traces), len(traced.Traces))
+		}
+	}
+}
+
 func TestTableString(t *testing.T) {
 	tbl := &Table{
 		ID: "EX", Title: "demo", Claim: "c",

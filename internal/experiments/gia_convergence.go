@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
@@ -54,69 +52,47 @@ func GIAComparison(seed int64) (*Table, error) {
 	}
 
 	// Each variant's Evolution is private; the shared topology is only
-	// read. One job per variant.
-	type result struct {
-		okN  int
-		mean float64
-		grew int
-	}
-	jobs := make([]Job[result], len(variants))
-	for i, v := range variants {
-		v := v
-		jobs[i] = Job[result]{Seed: seed + int64(i), Run: func(_ *rand.Rand) (result, error) {
-			evo, err := core.New(net, core.Config{Option: v.option, DefaultAS: anchor})
-			if err != nil {
-				return result{}, err
-			}
-			baseTable := evo.BGP.TableSize(asns[0])
-			for _, asn := range participants {
-				evo.DeployDomain(asn, 0)
-			}
-			if v.widen {
-				for _, asn := range participants {
-					var nbrs []topology.ASN
-					for _, nb := range net.Neighbors(asn) {
-						nbrs = append(nbrs, nb.ASN)
-					}
-					if err := evo.AdvertiseToNeighbors(asn, nbrs...); err != nil {
-						return result{}, err
-					}
-				}
-			}
-			var sum int64
-			okN := 0
-			for _, h := range net.Hosts {
-				res, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr())
-				if err != nil {
-					continue
-				}
-				okN++
-				sum += res.Cost + h.AccessLatency
-			}
-			return result{
-				okN:  okN,
-				mean: float64(sum) / float64(okN),
-				grew: evo.BGP.TableSize(asns[0]) - baseTable,
-			}, nil
-		}}
-	}
-	results, err := RunParallel(context.Background(), CurrentWorkers(), jobs)
-	if err != nil {
-		return nil, err
-	}
-
+	// read.
 	means := map[string]float64{}
 	okAll := true
-	for i, v := range variants {
-		r := results[i]
-		if r.okN != len(net.Hosts) {
+	for _, v := range variants {
+		evo, err := core.New(net, core.Config{Option: v.option, DefaultAS: anchor})
+		if err != nil {
+			return nil, err
+		}
+		baseTable := evo.BGP.TableSize(asns[0])
+		for _, asn := range participants {
+			evo.DeployDomain(asn, 0)
+		}
+		if v.widen {
+			for _, asn := range participants {
+				var nbrs []topology.ASN
+				for _, nb := range net.Neighbors(asn) {
+					nbrs = append(nbrs, nb.ASN)
+				}
+				if err := evo.AdvertiseToNeighbors(asn, nbrs...); err != nil {
+					return nil, err
+				}
+			}
+		}
+		var sum int64
+		okN := 0
+		for _, h := range net.Hosts {
+			res, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr())
+			if err != nil {
+				continue
+			}
+			okN++
+			sum += res.Cost + h.AccessLatency
+		}
+		if okN != len(net.Hosts) {
 			okAll = false
 		}
-		means[v.name] = r.mean
+		means[v.name] = float64(sum) / float64(okN)
 		t.AddRow(v.name,
-			fmt.Sprintf("%d/%d", r.okN, len(net.Hosts)),
-			fmt.Sprintf("%.1f", r.mean),
-			fmt.Sprintf("%d", r.grew))
+			fmt.Sprintf("%d/%d", okN, len(net.Hosts)),
+			fmt.Sprintf("%.1f", means[v.name]),
+			fmt.Sprintf("%d", evo.BGP.TableSize(asns[0])-baseTable))
 	}
 
 	// Mechanism identities are exact: GIA without search routes exactly
@@ -155,184 +131,149 @@ func ConvergenceDynamics(seed int64) (*Table, error) {
 			"protocol", "routers", "phase", "sim time", "messages",
 		},
 	}
-	sizes := []int{8, 16, 32}
-
-	// Each (protocol, size) block runs its own private event engine, and
-	// the BGP-session blocks build their own topologies — all independent,
-	// so the blocks fan out as jobs; rows come back in the serial order.
-	type block struct {
-		rows [][]string
-		ok   bool
-		// coldMsgs is the link-state cold-start message count (growth
-		// check); zero for other protocols.
-		coldMsgs uint64
-	}
-	ringEdges := func(n int) (out []struct {
-		a, b int
-		w    int64
-	}) {
-		// Ring + near- and far-chords, same topology for both protocols.
-		// The near-chords keep failure detours short: RIP's Infinity of
-		// 16 cannot express the 2·(n−1) metric of walking a large ring
-		// the long way round (a genuine distance-vector limitation the
-		// paper's intra-domain-only use of RIP sidesteps).
-		for i := 0; i < n; i++ {
-			out = append(out, struct {
-				a, b int
-				w    int64
-			}{i, (i + 1) % n, 2})
-			out = append(out, struct {
-				a, b int
-				w    int64
-			}{i, (i + 2) % n, 3})
-			if i%4 == 0 {
-				out = append(out, struct {
-					a, b int
-					w    int64
-				}{i, (i + n/2) % n, 5})
-			}
-		}
-		return out
-	}
-
-	var jobs []Job[block]
-	var lsIdx []int // job index of each link-state block, in size order
-	for _, n := range sizes {
-		n := n
-		lsIdx = append(lsIdx, len(jobs))
-		jobs = append(jobs, Job[block]{Seed: seed, Run: func(_ *rand.Rand) (block, error) {
-			b := block{ok: true}
-			eng := netsim.NewEngine()
-			fab := netsim.NewFabric(eng)
-			adj := map[int][]linkstate.Link{}
-			for _, e := range ringEdges(n) {
-				adj[e.a] = append(adj[e.a], linkstate.Link{To: e.b, Cost: e.w})
-				adj[e.b] = append(adj[e.b], linkstate.Link{To: e.a, Cost: e.w})
-			}
-			dom := linkstate.NewDomain(fab, linkstate.ModeExplicitList, adj)
-			dom.Start()
-			eng.Run(0)
-			coldTime, coldMsgs := eng.Now(), fab.Sent
-			if dom.Routers[0].DistanceTo(n/2) <= 0 {
-				b.ok = false
-			}
-			b.rows = append(b.rows, []string{"link-state", fmt.Sprintf("%d", n), "cold start",
-				coldTime.String(), fmt.Sprintf("%d", coldMsgs)})
-			b.coldMsgs = coldMsgs
-
-			// Fail the ring link 0–1 and re-converge.
-			dom.Routers[0].SetLinkCost(1, -1)
-			dom.Routers[1].SetLinkCost(0, -1)
-			fab.FailLink(0, 1)
-			before := fab.Sent
-			eng.Run(0)
-			b.rows = append(b.rows, []string{"link-state", fmt.Sprintf("%d", n), "after failure",
-				eng.Now().String(), fmt.Sprintf("%d", fab.Sent-before)})
-			if dom.Routers[0].DistanceTo(1) <= 0 {
-				b.ok = false // detour must exist around the ring
-			}
-			return b, nil
-		}})
-		jobs = append(jobs, Job[block]{Seed: seed, Run: func(_ *rand.Rand) (block, error) {
-			b := block{ok: true}
-			eng := netsim.NewEngine()
-			fab := netsim.NewFabric(eng)
-			adj := map[int]map[int]int{}
-			loops := map[int]addr.V4{}
-			for i := 0; i < n; i++ {
-				adj[i] = map[int]int{}
-				loops[i] = addr.V4FromOctets(10, 9, byte(i>>8), byte(i))
-			}
-			for _, e := range ringEdges(n) {
-				adj[e.a][e.b] = int(e.w)
-				adj[e.b][e.a] = int(e.w)
-			}
-			dom := distvec.NewDomain(fab, loops, adj)
-			dom.Start()
-			eng.Run(0)
-			if dom.Routers[0].DistanceTo(loops[n/2]) >= distvec.Infinity {
-				b.ok = false
-			}
-			b.rows = append(b.rows, []string{"distance-vector", fmt.Sprintf("%d", n), "cold start",
-				eng.Now().String(), fmt.Sprintf("%d", fab.Sent)})
-
-			dom.Routers[0].SetLinkDown(1)
-			dom.Routers[1].SetLinkDown(0)
-			fab.FailLink(0, 1)
-			before := fab.Sent
-			eng.Run(0)
-			b.rows = append(b.rows, []string{"distance-vector", fmt.Sprintf("%d", n), "after failure",
-				eng.Now().String(), fmt.Sprintf("%d", fab.Sent-before)})
-			if dom.Routers[0].DistanceTo(loops[1]) >= distvec.Infinity {
-				b.ok = false
-			}
-			return b, nil
-		}})
+	// Each (protocol, size) block runs its own private event engine.
+	okAll := true
+	var lsCold []uint64 // link-state cold-start messages, in size order
+	for _, n := range []int{8, 16, 32} {
+		coldMsgs, lsOK := linkStateConvergence(t, n)
+		dvOK := distanceVectorConvergence(t, n)
+		lsCold = append(lsCold, coldMsgs)
+		okAll = okAll && lsOK && dvOK
 	}
 	// Inter-domain: event-driven BGP speakers over Barabási–Albert
 	// internets — cold start, then an anycast origination rippling in.
 	for _, nAS := range []int{10, 20, 40} {
-		nAS := nAS
-		jobs = append(jobs, Job[block]{Seed: seed, Run: func(_ *rand.Rand) (block, error) {
-			b := block{ok: true}
-			w, err := coldSessionWorld(nAS, seed)
-			if err != nil {
-				return block{}, err
-			}
-			b.ok = w.converged
-			net, eng, ss := w.net, w.eng, w.ss
-			cold := ss.Totals().Updates
-			b.rows = append(b.rows, []string{"BGP (sessions)", fmt.Sprintf("%d AS", nAS), "cold start",
-				w.quiet.String(), fmt.Sprintf("%d", cold)})
-			// A new anycast origination at a leaf: incremental convergence.
-			a, err := addr.Option1Address(0)
-			if err != nil {
-				return block{}, err
-			}
-			leaf := net.ASNs()[len(net.ASNs())-1]
-			start := eng.Now()
-			ss.Speakers[leaf].Originate(addr.HostPrefix(a))
-			quiet, converged := ss.RunToConvergence(0)
-			if !converged {
-				b.ok = false
-			}
-			b.rows = append(b.rows, []string{"BGP (sessions)", fmt.Sprintf("%d AS", nAS), "anycast origination",
-				(quiet - start).String(), fmt.Sprintf("%d", ss.Totals().Updates-cold)})
-			// Everyone must hold the anycast route (provider tree reachability).
-			for _, asn := range net.ASNs() {
-				if _, ok := ss.Speakers[asn].Best(addr.HostPrefix(a)); !ok {
-					b.ok = false
-				}
-			}
-			return b, nil
-		}})
-	}
-
-	blocks, err := RunParallel(context.Background(), CurrentWorkers(), jobs)
-	if err != nil {
-		return nil, err
-	}
-	okAll := true
-	lastCold := map[string]uint64{}
-	for _, b := range blocks {
-		for _, row := range b.rows {
-			t.AddRow(row...)
+		ok, err := sessionConvergence(t, nAS, seed)
+		if err != nil {
+			return nil, err
 		}
-		if !b.ok {
-			okAll = false
-		}
-	}
-	for i, n := range sizes {
-		lastCold[fmt.Sprintf("ls-%d", n)] = blocks[lsIdx[i]].coldMsgs
+		okAll = okAll && ok
 	}
 
 	// Message cost must grow with size for link-state cold starts.
-	growing := lastCold["ls-8"] < lastCold["ls-16"] && lastCold["ls-16"] < lastCold["ls-32"]
+	growing := lsCold[0] < lsCold[1] && lsCold[1] < lsCold[2]
 	if okAll && growing {
 		t.pass("all runs converged (cold and post-failure); link-state cold-start messages grew %d → %d → %d",
-			lastCold["ls-8"], lastCold["ls-16"], lastCold["ls-32"])
+			lsCold[0], lsCold[1], lsCold[2])
 	} else {
-		t.fail("okAll=%v growing=%v (%v)", okAll, growing, lastCold)
+		t.fail("okAll=%v growing=%v (link-state cold starts %v)", okAll, growing, lsCold)
 	}
 	return t, nil
+}
+
+// ringEdge is one weighted link of ringEdges' intra-domain graph.
+type ringEdge struct {
+	a, b int
+	w    int64
+}
+
+// ringEdges is the n-router ring with near- and far-chords that E17 runs
+// both IGPs over. The near-chords keep failure detours short: RIP's
+// Infinity of 16 cannot express the 2·(n−1) metric of walking a large
+// ring the long way round (a genuine distance-vector limitation the
+// paper's intra-domain-only use of RIP sidesteps).
+func ringEdges(n int) (out []ringEdge) {
+	for i := 0; i < n; i++ {
+		out = append(out, ringEdge{i, (i + 1) % n, 2}, ringEdge{i, (i + 2) % n, 3})
+		if i%4 == 0 {
+			out = append(out, ringEdge{i, (i + n/2) % n, 5})
+		}
+	}
+	return out
+}
+
+// linkStateConvergence adds E17's link-state rows for an n-router ring:
+// cold start, then the ring link 0–1 fails. It returns the cold-start
+// message count and whether both phases left a route.
+func linkStateConvergence(t *Table, n int) (coldMsgs uint64, ok bool) {
+	eng := netsim.NewEngine()
+	fab := netsim.NewFabric(eng)
+	adj := map[int][]linkstate.Link{}
+	for _, e := range ringEdges(n) {
+		adj[e.a] = append(adj[e.a], linkstate.Link{To: e.b, Cost: e.w})
+		adj[e.b] = append(adj[e.b], linkstate.Link{To: e.a, Cost: e.w})
+	}
+	dom := linkstate.NewDomain(fab, linkstate.ModeExplicitList, adj)
+	dom.Start()
+	eng.Run(0)
+	coldMsgs = fab.Sent
+	ok = dom.Routers[0].DistanceTo(n/2) > 0
+	t.AddRow("link-state", fmt.Sprintf("%d", n), "cold start",
+		eng.Now().String(), fmt.Sprintf("%d", coldMsgs))
+
+	dom.Routers[0].SetLinkCost(1, -1)
+	dom.Routers[1].SetLinkCost(0, -1)
+	fab.FailLink(0, 1)
+	before := fab.Sent
+	eng.Run(0)
+	t.AddRow("link-state", fmt.Sprintf("%d", n), "after failure",
+		eng.Now().String(), fmt.Sprintf("%d", fab.Sent-before))
+	// A detour must exist around the ring.
+	return coldMsgs, ok && dom.Routers[0].DistanceTo(1) > 0
+}
+
+// distanceVectorConvergence is linkStateConvergence for the
+// distance-vector IGP.
+func distanceVectorConvergence(t *Table, n int) (ok bool) {
+	eng := netsim.NewEngine()
+	fab := netsim.NewFabric(eng)
+	adj := map[int]map[int]int{}
+	loops := map[int]addr.V4{}
+	for i := 0; i < n; i++ {
+		adj[i] = map[int]int{}
+		loops[i] = addr.V4FromOctets(10, 9, byte(i>>8), byte(i))
+	}
+	for _, e := range ringEdges(n) {
+		adj[e.a][e.b] = int(e.w)
+		adj[e.b][e.a] = int(e.w)
+	}
+	dom := distvec.NewDomain(fab, loops, adj)
+	dom.Start()
+	eng.Run(0)
+	ok = dom.Routers[0].DistanceTo(loops[n/2]) < distvec.Infinity
+	t.AddRow("distance-vector", fmt.Sprintf("%d", n), "cold start",
+		eng.Now().String(), fmt.Sprintf("%d", fab.Sent))
+
+	dom.Routers[0].SetLinkDown(1)
+	dom.Routers[1].SetLinkDown(0)
+	fab.FailLink(0, 1)
+	before := fab.Sent
+	eng.Run(0)
+	t.AddRow("distance-vector", fmt.Sprintf("%d", n), "after failure",
+		eng.Now().String(), fmt.Sprintf("%d", fab.Sent-before))
+	return ok && dom.Routers[0].DistanceTo(loops[1]) < distvec.Infinity
+}
+
+// sessionConvergence adds E17's BGP rows for an nAS-AS internet: cold
+// start, then an anycast origination at a leaf. ok is false when either
+// phase failed to quiesce or an AS never learned the anycast route.
+func sessionConvergence(t *Table, nAS int, seed int64) (ok bool, err error) {
+	w, err := coldSessionWorld(nAS, seed)
+	if err != nil {
+		return false, err
+	}
+	ok = w.converged
+	net, eng, ss := w.net, w.eng, w.ss
+	cold := ss.Totals().Updates
+	t.AddRow("BGP (sessions)", fmt.Sprintf("%d AS", nAS), "cold start",
+		w.quiet.String(), fmt.Sprintf("%d", cold))
+	a, err := addr.Option1Address(0)
+	if err != nil {
+		return false, err
+	}
+	hp := addr.HostPrefix(a)
+	leaf := net.ASNs()[len(net.ASNs())-1]
+	start := eng.Now()
+	ss.Speakers[leaf].Originate(hp)
+	quiet, converged := ss.RunToConvergence(0)
+	ok = ok && converged
+	t.AddRow("BGP (sessions)", fmt.Sprintf("%d AS", nAS), "anycast origination",
+		(quiet - start).String(), fmt.Sprintf("%d", ss.Totals().Updates-cold))
+	// Everyone must hold the anycast route (provider tree reachability).
+	for _, asn := range net.ASNs() {
+		if _, have := ss.Speakers[asn].Best(hp); !have {
+			ok = false
+		}
+	}
+	return ok, nil
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/core"
@@ -28,13 +26,6 @@ func sweepNetwork(seed int64) (*topology.Network, error) {
 // UAStretchVsDeployment is E5: universal access and redirection stretch as
 // a function of deployment fraction, for the §3.2 anycast options.
 func UAStretchVsDeployment(seed int64) (*Table, error) {
-	return UAStretchVsDeploymentWorkers(seed, CurrentWorkers())
-}
-
-// UAStretchVsDeploymentWorkers is E5 with an explicit worker count; the
-// (fraction × option) grid cells run as independent jobs and the output
-// is identical at any worker count.
-func UAStretchVsDeploymentWorkers(seed int64, nWorkers int) (*Table, error) {
 	t := &Table{
 		ID:    "E5",
 		Title: "universal access and stretch vs deployment fraction",
@@ -70,69 +61,43 @@ func UAStretchVsDeploymentWorkers(seed int64, nWorkers int) (*Table, error) {
 		{"option 2 + peering", anycast.Option2, true},
 	}
 
-	// One job per (deployment count, option) grid cell. Each builds its
-	// own Evolution over the shared (read-only) topology, so the cells are
-	// independent and safe to fan out.
-	type cell struct {
-		count   int
-		v       variant
-		success float64
-		stats   metrics.Summary
-		ingress float64
-		// failures counts failed deliveries; resolveOK is false when an
-		// ingress resolution failed.
-		failures  int
-		resolveOK bool
-	}
-	type gridJob struct {
-		count int
-		v     variant
-	}
-	var grid []gridJob
+	okAll := true
+	meansAtFull := map[string]float64{}
+	meansAtMid := map[string]float64{}
+	meansAtOne := map[string]float64{}
+	// Each (deployment count, option) cell builds its own Evolution over
+	// the shared topology.
 	for _, count := range fractions {
-		if count < 1 {
-			count = 1
-		}
+		count = max(count, 1)
 		for _, v := range variants {
-			grid = append(grid, gridJob{count, v})
-		}
-	}
-	jobs := make([]Job[cell], len(grid))
-	for i, g := range grid {
-		g := g
-		jobs[i] = Job[cell]{Seed: seed + int64(i), Run: func(_ *rand.Rand) (cell, error) {
-			c := cell{count: g.count, v: g.v, resolveOK: true}
-			evo, err := core.New(net, core.Config{
-				Option:    g.v.option,
-				DefaultAS: order[0],
-			})
+			evo, err := core.New(net, core.Config{Option: v.option, DefaultAS: order[0]})
 			if err != nil {
-				return cell{}, err
+				return nil, err
 			}
-			for i := 0; i < g.count; i++ {
-				evo.DeployDomain(order[i], 0)
+			for _, asn := range order[:count] {
+				evo.DeployDomain(asn, 0)
 			}
-			if g.v.peering {
+			if v.peering {
 				// Every participant advertises the anycast host route to
 				// all its neighbours.
-				for i := 0; i < g.count; i++ {
+				for _, asn := range order[:count] {
 					var nbrs []topology.ASN
-					for _, nb := range net.Neighbors(order[i]) {
+					for _, nb := range net.Neighbors(asn) {
 						nbrs = append(nbrs, nb.ASN)
 					}
-					if err := evo.AdvertiseToNeighbors(order[i], nbrs...); err != nil {
-						return cell{}, err
+					if err := evo.AdvertiseToNeighbors(asn, nbrs...); err != nil {
+						return nil, err
 					}
 				}
 			}
 			sample, failures, err := evo.StretchSample(0)
 			if err != nil {
-				return cell{}, err
+				return nil, err
 			}
-			c.failures = failures
-			total := len(sample) + failures
-			c.success = float64(len(sample)) / float64(total) * 100
-			c.stats = metrics.Summarize(sample)
+			if failures > 0 {
+				okAll = false
+			}
+			stats := metrics.Summarize(sample)
 			// Redirection proximity: mean anycast resolution cost over
 			// all hosts — the §3.2 quantity the options differ on.
 			var ingressSum int64
@@ -140,45 +105,30 @@ func UAStretchVsDeploymentWorkers(seed int64, nWorkers int) (*Table, error) {
 			for _, h := range net.Hosts {
 				res, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr())
 				if err != nil {
-					c.resolveOK = false
+					okAll = false
 					continue
 				}
 				ingressSum += res.Cost + h.AccessLatency
 				ingressN++
 			}
-			c.ingress = float64(ingressSum) / float64(ingressN)
-			return c, nil
-		}}
-	}
-	cells, err := RunParallel(context.Background(), nWorkers, jobs)
-	if err != nil {
-		return nil, err
-	}
-
-	okAll := true
-	meansAtFull := map[string]float64{}
-	meansAtMid := map[string]float64{}
-	meansAtOne := map[string]float64{}
-	for _, c := range cells {
-		t.AddRow(
-			fmt.Sprintf("%d/%d", c.count, len(asns)),
-			c.v.name,
-			fmt.Sprintf("%.1f%%", c.success),
-			fmt.Sprintf("%.3f", c.stats.Mean),
-			fmt.Sprintf("%.3f", c.stats.P95),
-			fmt.Sprintf("%.1f", c.ingress),
-		)
-		if c.failures > 0 || !c.resolveOK {
-			okAll = false
-		}
-		if c.count == 1 {
-			meansAtOne[c.v.name] = c.stats.Mean
-		}
-		if c.count == len(asns)/2 {
-			meansAtMid[c.v.name] = c.ingress
-		}
-		if c.count == len(asns) {
-			meansAtFull[c.v.name] = c.stats.Mean
+			ingress := float64(ingressSum) / float64(ingressN)
+			t.AddRow(
+				fmt.Sprintf("%d/%d", count, len(asns)),
+				v.name,
+				fmt.Sprintf("%.1f%%", float64(len(sample))/float64(len(sample)+failures)*100),
+				fmt.Sprintf("%.3f", stats.Mean),
+				fmt.Sprintf("%.3f", stats.P95),
+				fmt.Sprintf("%.1f", ingress),
+			)
+			if count == 1 {
+				meansAtOne[v.name] = stats.Mean
+			}
+			if count == len(asns)/2 {
+				meansAtMid[v.name] = ingress
+			}
+			if count == len(asns) {
+				meansAtFull[v.name] = stats.Mean
+			}
 		}
 	}
 	for _, v := range variants {

@@ -730,10 +730,8 @@ func (s *System) newPrefixStateLocked(p addr.Prefix) *prefixState {
 	return st
 }
 
-// RouteEqual reports whether two routes are identical in every
+// routeEqual reports whether two routes are identical in every
 // attribute — the comparison the session-vs-fixpoint differentials use.
-func RouteEqual(a, b Route) bool { return routeEqual(a, b) }
-
 func routeEqual(a, b Route) bool {
 	return a.Prefix == b.Prefix && a.LocalPref == b.LocalPref &&
 		a.NoExport == b.NoExport && a.FromCustomer == b.FromCustomer &&

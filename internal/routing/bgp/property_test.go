@@ -10,43 +10,6 @@ import (
 	"github.com/evolvable-net/evolve/internal/topology"
 )
 
-// relOf returns a's relationship toward b, or ok=false when not adjacent.
-func relOf(n *topology.Network, a, b topology.ASN) (topology.Rel, bool) {
-	for _, nb := range n.Neighbors(a) {
-		if nb.ASN == b {
-			return nb.Rel, true
-		}
-	}
-	return 0, false
-}
-
-// valleyFree checks the Gao-Rexford validity of an AS path: once the path
-// has traversed a peer link or gone provider→customer (downhill), it must
-// never go customer→provider (uphill) or cross another peer link.
-func valleyFree(n *topology.Network, path []topology.ASN) bool {
-	descending := false
-	for i := 0; i+1 < len(path); i++ {
-		rel, ok := relOf(n, path[i], path[i+1])
-		if !ok {
-			return false // non-adjacent hop
-		}
-		switch rel {
-		case topology.RelCustomer: // uphill: path[i] pays path[i+1]
-			if descending {
-				return false
-			}
-		case topology.RelPeer:
-			if descending {
-				return false
-			}
-			descending = true
-		case topology.RelProvider: // downhill
-			descending = true
-		}
-	}
-	return true
-}
-
 // TestAllPathsValleyFree property-tests the safety invariant: every
 // selected BGP path in every randomly generated internet is valley-free.
 // This is the global guarantee that no customer or peer is ever used for
@@ -67,7 +30,7 @@ func TestAllPathsValleyFree(t *testing.T) {
 					continue
 				}
 				full := append([]topology.ASN{holder}, r.Path...)
-				if !valleyFree(n, full) {
+				if !ValleyFree(n, full) {
 					t.Logf("seed %d: valley in path %v (holder %d → origin %d)",
 						seed, full, holder, origin)
 					return false
@@ -99,7 +62,7 @@ func TestAllPathsValleyFreeBarabasiAlbert(t *testing.T) {
 					continue
 				}
 				full := append([]topology.ASN{holder}, r.Path...)
-				if !valleyFree(n, full) {
+				if !ValleyFree(n, full) {
 					return false
 				}
 			}
@@ -270,31 +233,9 @@ func churnDifferential(t *testing.T, seed int64) bool {
 			return false
 		}
 
-		for _, origin := range asns {
-			prefixes = append(prefixes, net.Domain(origin).Prefix)
-		}
-		for _, holder := range asns {
-			for _, p := range prefixes {
-				fr, fok := fix.BestRoute(holder, p)
-				sr, sok := ss.Speakers[holder].Best(p)
-				if fok != sok || (fok && !routeEqual(fr, sr)) {
-					t.Logf("seed %d: AS%d→%s: fix %+v(%v) session %+v(%v)",
-						seed, holder, p, fr, fok, sr, sok)
-					if debugChurn {
-						for _, a := range asns {
-							sp := ss.Speakers[a]
-							t.Logf("AS%d ribIn[%s]=%v loc=%v", a, p, sp.ribIn[p], sp.loc[p])
-							for _, nb := range sp.nbrOrder {
-								se := sp.sessions[nb]
-								ao, hasAO := se.adjOut[p]
-								t.Logf("  AS%d→AS%d state=%v stale[p]=%v adjOut[p]=%v(%v) dirty[p]=%v",
-									a, nb, se.state, se.stale[p], ao, hasAO, se.dirty[p])
-							}
-						}
-					}
-					return false
-				}
-			}
+		if detail, diverged := ss.Diverges(fix, prefixes...); diverged {
+			t.Logf("seed %d: %s", seed, detail)
+			return false
 		}
 		return true
 	}

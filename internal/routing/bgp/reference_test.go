@@ -161,7 +161,7 @@ func checkAgainstReference(t *testing.T, s *System, rng *rand.Rand, step string,
 				asn := s.asns[i]
 				got, ok := st.route(p, i)
 				ref, refOK := want[asn]
-				if ok != refOK || (ok && !RouteEqual(got, ref)) {
+				if ok != refOK || (ok && !routeEqual(got, ref)) {
 					t.Fatalf("%s: order %d: AS%d route for %v = %+v/%v, reference %+v/%v", step, k, asn, p, got, ok, ref, refOK)
 				}
 			}

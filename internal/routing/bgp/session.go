@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -698,4 +699,67 @@ func (ss *SessionSystem) Totals() SessionTotals {
 		t.Downs += s.Downs
 	}
 	return t
+}
+
+// Diverges holds every speaker's loc-RIB to the fixpoint fix, on every
+// domain's aggregate and then each of extra. It reports the first
+// mismatch in holder (ASN), then prefix, order; diverged is false when
+// every entry agrees with the fixpoint in presence and in every
+// attribute.
+func (ss *SessionSystem) Diverges(fix *System, extra ...addr.Prefix) (detail string, diverged bool) {
+	asns := ss.net.ASNs()
+	prefixes := make([]addr.Prefix, 0, len(asns)+len(extra))
+	for _, origin := range asns {
+		prefixes = append(prefixes, ss.net.Domain(origin).Prefix)
+	}
+	prefixes = append(prefixes, extra...)
+	for _, holder := range asns {
+		for _, p := range prefixes {
+			fr, fok := fix.BestRoute(holder, p)
+			sr, sok := ss.Speakers[holder].Best(p)
+			if fok != sok || (fok && !routeEqual(fr, sr)) {
+				return fmt.Sprintf("AS%d→%s: fixpoint %+v(%v) vs session %+v(%v)", holder, p, fr, fok, sr, sok), true
+			}
+		}
+	}
+	return "", false
+}
+
+// RelOf returns a's relationship toward b; ok is false when the two are
+// not adjacent.
+func RelOf(net *topology.Network, a, b topology.ASN) (rel topology.Rel, ok bool) {
+	for _, nb := range net.Neighbors(a) {
+		if nb.ASN == b {
+			return nb.Rel, true
+		}
+	}
+	return 0, false
+}
+
+// ValleyFree reports whether an AS path is Gao-Rexford-valid: once it has
+// crossed a peer link or gone provider→customer (downhill), it never goes
+// customer→provider (uphill) or crosses another peer link. A hop between
+// non-adjacent ASes makes the path invalid.
+func ValleyFree(net *topology.Network, path []topology.ASN) bool {
+	descending := false
+	for i := 0; i+1 < len(path); i++ {
+		rel, ok := RelOf(net, path[i], path[i+1])
+		if !ok {
+			return false
+		}
+		switch rel {
+		case topology.RelCustomer: // uphill: path[i] pays path[i+1]
+			if descending {
+				return false
+			}
+		case topology.RelPeer:
+			if descending {
+				return false
+			}
+			descending = true
+		case topology.RelProvider: // downhill
+			descending = true
+		}
+	}
+	return true
 }

@@ -73,22 +73,9 @@ func TestSessionMatchesFixpoint(t *testing.T) {
 		fix := NewSystem(net)
 		fix.Converge()
 		ss, _ := runSessions(net)
-		for _, holder := range net.ASNs() {
-			for _, origin := range net.ASNs() {
-				p := net.Domain(origin).Prefix
-				fr, fok := fix.BestRoute(holder, p)
-				sr, sok := ss.Speakers[holder].Best(p)
-				if fok != sok {
-					t.Logf("seed %d: AS%d→%s presence differs (fix %v session %v)",
-						seed, holder, p, fok, sok)
-					return false
-				}
-				if fok && !routeEqual(fr, sr) {
-					t.Logf("seed %d: AS%d→%s differs:\n fix %+v\n ses %+v",
-						seed, holder, p, fr, sr)
-					return false
-				}
-			}
+		if detail, diverged := ss.Diverges(fix); diverged {
+			t.Logf("seed %d: %s", seed, detail)
+			return false
 		}
 		return true
 	}
@@ -107,15 +94,9 @@ func TestSessionMatchesFixpointBA(t *testing.T) {
 		fix := NewSystem(net)
 		fix.Converge()
 		ss, _ := runSessions(net)
-		for _, holder := range net.ASNs() {
-			for _, origin := range net.ASNs() {
-				p := net.Domain(origin).Prefix
-				fr, fok := fix.BestRoute(holder, p)
-				sr, sok := ss.Speakers[holder].Best(p)
-				if fok != sok || (fok && !routeEqual(fr, sr)) {
-					return false
-				}
-			}
+		if detail, diverged := ss.Diverges(fix); diverged {
+			t.Logf("seed %d: %s", seed, detail)
+			return false
 		}
 		return true
 	}
@@ -149,12 +130,8 @@ func TestSessionAnycastMultiOrigin(t *testing.T) {
 	ss.Speakers[o2].Originate(hp)
 	mustConverge(t, ss)
 
-	for _, asn := range net.ASNs() {
-		fr, fok := fix.BestRoute(asn, hp)
-		sr, sok := ss.Speakers[asn].Best(hp)
-		if fok != sok || (fok && !routeEqual(fr, sr)) {
-			t.Errorf("AS%d anycast differs: fix %+v(%v) session %+v(%v)", asn, fr, fok, sr, sok)
-		}
+	if detail, diverged := ss.Diverges(fix, hp); diverged {
+		t.Error(detail)
 	}
 }
 
@@ -259,12 +236,8 @@ func TestOriginateAfterLearn(t *testing.T) {
 	if !sr.NoExport {
 		t.Error("scoped origination lost its NO_EXPORT bit")
 	}
-	for _, asn := range []topology.ASN{asT, asM, asS} {
-		fr, fok := fix.BestRoute(asn, hp)
-		got, gok := ss.Speakers[asn].Best(hp)
-		if fok != gok || (fok && !routeEqual(fr, got)) {
-			t.Errorf("AS%d: fix %+v(%v) session %+v(%v)", asn, fr, fok, got, gok)
-		}
+	if detail, diverged := ss.Diverges(fix, hp); diverged {
+		t.Error(detail)
 	}
 }
 
@@ -433,15 +406,8 @@ func TestSessionDownFlushAndReplay(t *testing.T) {
 	mustConverge(t, ss)
 	fix := NewSystem(net)
 	fix.Converge()
-	for _, holder := range net.ASNs() {
-		for _, origin := range net.ASNs() {
-			p := net.Domain(origin).Prefix
-			fr, fok := fix.BestRoute(holder, p)
-			sr, sok := ss.Speakers[holder].Best(p)
-			if fok != sok || (fok && !routeEqual(fr, sr)) {
-				t.Errorf("AS%d→%s: fix %+v(%v) session %+v(%v)", holder, p, fr, fok, sr, sok)
-			}
-		}
+	if detail, diverged := ss.Diverges(fix); diverged {
+		t.Error(detail)
 	}
 	if st := ss.SessionState(asM, asS); st != SessEstablished {
 		t.Errorf("M's session toward S = %v after restore, want established", st)
