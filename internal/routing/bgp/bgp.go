@@ -127,7 +127,10 @@ func (r Route) NextHop() topology.ASN {
 	return r.Path[0]
 }
 
-func (r Route) hasLoop(asn topology.ASN) bool { return slices.Contains(r.Path, asn) }
+// loops reports whether an AS path already crosses asn, so a route along
+// it would loop back through asn: the check every decision process and
+// every export makes before a path reaches asn.
+func loops(path []topology.ASN, asn topology.ASN) bool { return slices.Contains(path, asn) }
 
 // prefers is the decision process's one comparison, shared by the prefix
 // states and the session speakers: a candidate of preference rank,
@@ -158,6 +161,19 @@ type origination struct {
 	// exportTo, when non-nil, restricts the advert to the listed
 	// neighbours and tags it NO_EXPORT.
 	exportTo map[topology.ASN]bool
+}
+
+// ownRoute is the rule that turns an AS's originations, in injection
+// order, into its own route for p: the first origination of p is the
+// route, NO_EXPORT when that origination is selective. ok is false when
+// the AS does not originate p.
+func ownRoute(origs []origination, p addr.Prefix) (noExport, ok bool) {
+	for _, o := range origs {
+		if o.prefix == p {
+			return o.exportTo != nil, true
+		}
+	}
+	return false, false
 }
 
 // routeRec is one AS's selected route for one prefix, without pointers:
@@ -205,6 +221,12 @@ type nbrTable struct {
 func (t nbrTable) peers() []int32     { return t.refs[:t.provs] }
 func (t nbrTable) providers() []int32 { return t.refs[t.provs:] }
 
+// recPageSize is the number of records one page holds.
+const recPageSize = 64
+
+// recPage holds the records of recPageSize consecutive AS positions.
+type recPage [recPageSize]atomic.Uint64
+
 // prefixState is the routing for one prefix: each AS's selected route,
 // indexed by the AS's position in net.ASNs(), and the one arena their
 // paths live in. Creation (newPrefixStateLocked) settles the origins and
@@ -212,13 +234,18 @@ func (t nbrTable) providers() []int32 { return t.refs[t.provs:] }
 // route asks for it (fill), and is then resolved once and published with
 // one atomic store. A record never changes after that and a path never
 // moves within the arena, so a state is append-only and a Route handed
-// out stays valid. Neither records nor arena hold a pointer, so the
-// collector never scans them. A state keeps the tables and originations
-// it was built on, so a fill answers for the generation the state belongs
-// to however the System has moved on since; the System discards a state
-// whenever something that could affect its prefix changes.
+// out stays valid. Records live in pages, allocated by the first record
+// written to them, so a state holds a page only where it settled an AS;
+// neither pages nor arena hold a pointer, so the collector never scans
+// them. A state keeps the tables and originations it was built on, so a
+// fill answers for the generation the state belongs to however the System
+// has moved on since; the System discards a state whenever something that
+// could affect its prefix changes.
 type prefixState struct {
-	recs []atomic.Uint64
+	// recs[i/recPageSize][i%recPageSize] is the record of the AS at
+	// position i. A nil page reads as records not resolved yet; take
+	// publishes a page before it stores the page's first record.
+	recs []atomic.Pointer[recPage]
 	// arena holds the paths. A fill that outgrows it publishes a new
 	// header instead of editing the old one, and a header always spans
 	// its whole backing array, so a reader can slice any path a record it
@@ -236,7 +263,13 @@ type prefixState struct {
 	pending int32
 }
 
-func (st *prefixState) rec(i int32) routeRec { return recOf(st.recs[i].Load()) }
+func (st *prefixState) rec(i int32) routeRec {
+	pg := st.recs[i/recPageSize].Load()
+	if pg == nil {
+		return routeRec{}
+	}
+	return recOf(pg[i%recPageSize].Load())
+}
 
 func (st *prefixState) resolved(i int32) bool { return st.rec(i).flags&flagResolved != 0 }
 
@@ -300,7 +333,7 @@ func (st *prefixState) fill(i int32) routeRec {
 			stack = stack[:len(stack)-1]
 			continue
 		}
-		if len(stack) == len(st.recs) {
+		if len(stack) == len(st.asns) {
 			panic(fmt.Sprintf("bgp: provider cycle through AS%d", st.asns[up]))
 		}
 		stack = append(stack, up)
@@ -324,7 +357,7 @@ func (st *prefixState) selectProvider(x int32) (win routeRec, adv int32) {
 		r := st.rec(p)
 		if r.tier != tierNone &&
 			exportable(r.flags&flagNoExport != 0, r.n == 0, r.flags&flagFromCustomer != 0, true) &&
-			beats(r.n+1) && !slices.Contains(st.path(r), self) {
+			beats(r.n+1) && !loops(st.path(r), self) {
 			win, adv = routeRec{n: r.n + 1, tier: tierProvider, flags: flagResolved}, p
 		}
 		if r.tier == tierSelf && st.selectiveTo(p, self) && beats(1) {
@@ -335,15 +368,20 @@ func (st *prefixState) selectProvider(x int32) (win routeRec, adv int32) {
 }
 
 // take publishes rec as the selection of the AS at position x, after
-// writing its path, learned from the AS at position adv, to the arena.
-// The caller holds st.mu or is creating st. Once the last AS is resolved
-// the arena is cut to the paths it holds, so a fully resolved state
-// carries no slack.
+// writing its path, learned from the AS at position adv, to the arena,
+// and x's page if it has none yet. The caller holds st.mu or is creating
+// st. Once the last AS is resolved the arena is cut to the paths it
+// holds, so a fully resolved state carries no slack.
 func (st *prefixState) take(x, adv int32, rec routeRec) {
 	if rec.n > 0 {
 		rec.off = st.appendPath(adv, rec.n)
 	}
-	st.recs[x].Store(rec.word())
+	pg := st.recs[x/recPageSize].Load()
+	if pg == nil {
+		pg = new(recPage)
+		st.recs[x/recPageSize].Store(pg)
+	}
+	pg[x%recPageSize].Store(rec.word())
 	if st.pending--; st.pending == 0 {
 		exact := make([]topology.ASN, st.used)
 		copy(exact, *st.arena.Load())
@@ -396,7 +434,7 @@ func (st *prefixState) offer(level []int32, y int32, to []int32, tier, flags uin
 	if exportable(r.flags&flagNoExport != 0, r.n == 0, r.flags&flagFromCustomer != 0, false) {
 		path := st.path(r)
 		for _, x := range to {
-			if !st.resolved(x) && !slices.Contains(path, st.asns[x]) {
+			if !st.resolved(x) && !loops(path, st.asns[x]) {
 				st.take(x, y, routeRec{n: r.n + 1, tier: tier, flags: flags | flagResolved})
 				level = append(level, x)
 			}
@@ -634,8 +672,8 @@ func (s *System) Converge() {
 	defer s.mu.Unlock()
 	s.convergeAllLocked()
 	for p, st := range s.states {
-		for i := range st.recs {
-			st.route(p, int32(i))
+		for i := range int32(len(st.asns)) {
+			st.route(p, i)
 		}
 	}
 }
@@ -685,7 +723,7 @@ func (s *System) convergePrefixLocked(p addr.Prefix) {
 // Every other AS is left for fill.
 func (s *System) newPrefixStateLocked(p addr.Prefix) *prefixState {
 	st := &prefixState{
-		recs:    make([]atomic.Uint64, len(s.asns)),
+		recs:    make([]atomic.Pointer[recPage], (len(s.asns)+recPageSize-1)/recPageSize),
 		asns:    s.asns,
 		nbrs:    s.nbrs,
 		pending: int32(len(s.asns)),
@@ -698,14 +736,13 @@ func (s *System) newPrefixStateLocked(p addr.Prefix) *prefixState {
 		if !ok || st.resolved(i) {
 			continue
 		}
-		first := len(st.origs)
 		for _, o := range s.originated[asn] {
 			if o.prefix == p {
 				st.origs = append(st.origs, origin{idx: i, exportTo: o.exportTo})
 			}
 		}
 		own := routeRec{tier: tierSelf, flags: flagResolved}
-		if st.origs[first].exportTo != nil {
+		if noExport, _ := ownRoute(s.originated[asn], p); noExport {
 			own.flags |= flagNoExport
 		}
 		st.take(i, -1, own)

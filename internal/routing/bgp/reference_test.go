@@ -76,7 +76,7 @@ func referenceConverge(asns []topology.ASN, neighbors map[topology.ASN][]topolog
 			var cur Route
 			curOK := false
 			for _, cand := range inbox[asn] {
-				if cand.hasLoop(asn) {
+				if slices.Contains(cand.Path, asn) {
 					continue
 				}
 				if !curOK || better(cand, cur) {
@@ -174,7 +174,8 @@ func checkAgainstReference(t *testing.T, s *System, rng *rand.Rand, step string,
 // of one state collide — against a mutator that originates, withdraws,
 // suspends and re-indexes. Every answer must be the reference routing of
 // the generation the reader's view holds: the tables and originations its
-// states captured, and the view's adjacency.
+// states captured, and the view's adjacency. Then 64 readers race the
+// first writes to 64 distinct record pages of one cold state.
 func TestConcurrentFillsMatchReference(t *testing.T) {
 	n, err := topology.BarabasiAlbert(60, 2, topology.GenConfig{Seed: 5, RoutersPerDomain: 1})
 	if err != nil {
@@ -275,6 +276,107 @@ func TestConcurrentFillsMatchReference(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+
+	// Page races: on a cold state whose creation wrote only the first page
+	// (the origin's and its one peer's), 64 readers at once first-ask an AS
+	// on a page of their own, so each allocates its page while the others
+	// load and publish theirs; then each waits for the next reader's page
+	// and asks every AS of its own page and the next, which another reader
+	// is filling.
+	wide, err := topology.TransitStub(2, 32*recPageSize, 0.5, topology.GenConfig{Seed: 5, RoutersPerDomain: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewSystem(wide)
+	wasns := wide.ASNs()
+	p := wide.Domain(wasns[0]).Prefix
+	ws.BestRoute(wasns[0], p)
+	st := ws.states[p]
+	if len(st.recs) < 65 {
+		t.Fatalf("%d pages, want a first page and 64 more", len(st.recs))
+	}
+	for pg := 1; pg < len(st.recs); pg++ {
+		if st.recs[pg].Load() != nil {
+			t.Fatalf("page %d was written at creation", pg)
+		}
+	}
+	ref := referenceOfState(st, ws.neighbors, p)
+	ask := func(g, i int) bool {
+		asn := wasns[i]
+		got, ok := ws.BestRoute(asn, p)
+		want, wok := ref[asn]
+		if ok != wok || (ok && !routeEqual(got, want)) {
+			t.Errorf("reader %d: BestRoute(AS%d, %v) = %v, %v; reference %v, %v", g, asn, p, got, ok, want, wok)
+			return false
+		}
+		return true
+	}
+	start := make(chan struct{})
+	for g := 0; g < 64; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			first := (g + 1) * recPageSize
+			next := ((g+1)%64 + 1) * recPageSize
+			<-start
+			if !ask(g, first) {
+				return
+			}
+			// The next reader's first write, read without the state's
+			// mutex: often a page published after this reader last held it.
+			for !st.resolved(int32(next)) {
+				runtime.Gosched()
+			}
+			for i := first + 1; i < min(first+2*recPageSize, len(wasns)) && ask(g, i); i++ {
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestPageBoundariesMatchReference holds fresh states to the reference on
+// internets sized around a records page — one AS, a page short of full,
+// exactly full, one AS onto a second page, one AS onto a third — with an
+// anycast prefix originated on the first and last pages and a selective
+// advert, asked in the three orders of checkAgainstReference. A state
+// holds exactly the pages its ASes span.
+func TestPageBoundariesMatchReference(t *testing.T) {
+	for _, size := range []int{1, recPageSize - 1, recPageSize, recPageSize + 1, 2*recPageSize + 1} {
+		var n *topology.Network
+		var err error
+		if size == 1 {
+			b := topology.NewBuilder()
+			b.AddRouter(b.AddDomain("A"), "")
+			n, err = b.Build()
+		} else {
+			n, err = topology.BarabasiAlbert(size, 2, topology.GenConfig{Seed: int64(size), RoutersPerDomain: 1})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		asns := n.ASNs()
+		if len(asns) != size {
+			t.Fatalf("%d ASes, want %d", len(asns), size)
+		}
+		s := NewSystem(n)
+		any1 := addr.HostPrefix(addr.V4FromOctets(240, 0, 0, 1))
+		s.Originate(asns[0], any1)
+		s.Originate(asns[size-1], any1)
+		last := asns[size-1]
+		var lastNbrs []topology.ASN
+		for _, nb := range n.Neighbors(last) {
+			lastNbrs = append(lastNbrs, nb.ASN)
+		}
+		s.OriginateTo(last, addr.HostPrefix(n.Domain(last).Prefix.Addr+9), lastNbrs...)
+		rng := rand.New(rand.NewSource(int64(size)))
+		checkAgainstReference(t, s, rng, fmt.Sprintf("%d ASes", size))
+
+		s.BestRoute(asns[0], any1)
+		if pages, want := len(s.states[any1].recs), (size+recPageSize-1)/recPageSize; pages != want {
+			t.Errorf("%d ASes: state holds %d pages, want %d", size, pages, want)
+		}
+	}
 }
 
 // TestOnDemandMatchesReferenceFixpoint drives seeded transit-stub,

@@ -352,7 +352,7 @@ func (s *Speaker) TableSize() int { return len(s.loc) }
 // (it tries a neighbour's ordinary export before its selective ones).
 func (s *Speaker) exportRoute(nb topology.ASN, p addr.Prefix) (advert, bool) {
 	rel := s.neighbors[nb]
-	if best, have := s.loc[p]; have && exportsTo(best, rel) && !best.hasLoop(nb) {
+	if best, have := s.loc[p]; have && exportsTo(best, rel) && !loops(best.Path, nb) {
 		return advert{
 			path:     append([]topology.ASN{s.asn}, best.Path...),
 			noExport: best.NoExport,
@@ -535,23 +535,18 @@ func (s *Speaker) processUpdate(nbr topology.ASN, rel topology.Rel, sess *sessio
 }
 
 // reselect re-runs the decision process for p and re-announces on
-// change. Originations are considered first-injected-first (ties keep
-// the earlier entry), matching the fixpoint solver, where an AS's first
-// origination is its self route.
+// change. The speaker's own route is ownRoute's, the rule the prefix
+// states apply too: its first origination of p.
 func (s *Speaker) reselect(p addr.Prefix) {
 	var best Route
-	have := false
-	for _, o := range s.originated {
-		if o.prefix == p {
-			best = Route{Prefix: p, LocalPref: prefSelf, NoExport: o.exportTo != nil}
-			have = true
-			break
-		}
+	noExport, have := ownRoute(s.originated, p)
+	if have {
+		best = Route{Prefix: p, LocalPref: prefSelf, NoExport: noExport}
 	}
 	in := s.ribIn[p]
 	for _, nb := range s.nbrOrder {
 		cand, heard := in[nb]
-		if !heard || cand.hasLoop(s.asn) {
+		if !heard || loops(cand.Path, s.asn) {
 			continue
 		}
 		if !have || better(cand, best) {
