@@ -28,9 +28,9 @@ func coldFleet(t *testing.T) (*Evolution, *topology.Network) {
 
 // TestColdSendAllocBudget prices a flow miss on converged routing: the
 // two unicast walks of computeFlow — the tail and the priced baseline —
-// run in pooled buffers, so what a cold send to a self-addressed
+// run in one pooled walk, so what a cold send to a self-addressed
 // destination allocates is what it keeps: the flowEntry, its exact-size
-// tail path and the egress decision's result.
+// tail path and the egress decision's bone path.
 func TestColdSendAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -68,8 +68,8 @@ func TestColdSendAllocBudget(t *testing.T) {
 		t.Fatalf("%d sends: %d flow misses, %d hits; want all misses", len(pairs), d.DeliveryFlowMisses, d.DeliveryFlowHits)
 	}
 	t.Logf("a cold send allocates %.1f objects", allocs)
-	if allocs > 8 {
-		t.Errorf("a cold send allocates %.1f objects, want at most 8 (31 when each walk built and dropped its own paths)", allocs)
+	if allocs > 4 {
+		t.Errorf("a cold send allocates %.1f objects, want at most 4 (31 when each walk built and dropped its own paths)", allocs)
 	}
 }
 

@@ -794,23 +794,22 @@ func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingre
 		fe.vnHops = 0
 	}
 
+	// One walk toward dst serves the tail and the baseline: reopened at
+	// the source, it keeps the BGP view the tail resolved.
+	w := e.Fwd.Begin(eg.Member)
+	defer e.Fwd.End(w)
 	if fe.dstVN.IsSelf() {
-		w := e.Fwd.Begin(eg.Member)
-		_, err := e.Fwd.Deliver(w, dst.Addr, dst)
-		if err == nil {
-			fe.tailCost, fe.tailPath = w.Cost, forward.Exact(w.Routers)
-		}
-		e.Fwd.End(w)
-		if err != nil {
+		if _, err := e.Fwd.Deliver(w, dst.Addr, dst); err != nil {
 			return nil, trace.DropTail, fmt.Errorf("core: tail: %w", err)
 		}
+		fe.tailCost, fe.tailPath = w.Cost, forward.Exact(w.Routers)
 	} else {
 		// Egress is in dst's own (participating) domain: IGP delivers.
 		fe.tailCost = e.IGP.IntraDist(eg.Member, dst.Attach) + dst.AccessLatency
 		fe.tailPath = e.IGP.IntraPath(eg.Member, dst.Attach)
 	}
 
-	if fe.baseline, err = e.Fwd.BaselineCost(src, dst); err != nil {
+	if fe.baseline, err = e.Fwd.BaselineCostOn(w, src, dst); err != nil {
 		return nil, trace.DropNoBaseline, fmt.Errorf("core: baseline: %w", err)
 	}
 	return fe, trace.DropNone, nil

@@ -86,6 +86,13 @@ type Walk struct {
 	// toward is BGP's routing toward the destination, resolved by the
 	// first Hop and again whenever a Hop names another destination.
 	toward bgp.Toward
+	// plan is the rest of the AS path of the route the domain the packet
+	// stands in selected; Hop moves along it. planned marks a plan read on
+	// a chain of one prefix (bgp.Toward.Prefixes), which every later hop
+	// follows instead of asking toward again; otherwise each hop looks its
+	// route up afresh. Re-resolving toward or reopening the walk drops it.
+	plan    []topology.ASN
+	planned bool
 }
 
 // At is the router the packet stands at.
@@ -101,47 +108,66 @@ func Exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 // Begin opens a walk at router from. End it when done.
 func (e *Engine) Begin(from topology.RouterID) *Walk {
 	w := e.walks.Get().(*Walk)
-	w.Routers, w.ASPath = append(w.Routers[:0], from), append(w.ASPath[:0], e.net.DomainOf(from))
-	w.Cost, w.at, w.priced = 0, from, false
+	e.open(w, from, false)
 	return w
 }
 
 // BeginPriced opens a cost-only walk at router from.
 func (e *Engine) BeginPriced(from topology.RouterID) *Walk {
-	w := e.Begin(from)
-	w.Routers, w.priced = w.Routers[:0], true
+	w := e.walks.Get().(*Walk)
+	e.open(w, from, true)
 	return w
 }
 
-// End recycles w, which must not be used afterwards. The view goes: a
-// pooled walk pins no BGP generation, and the next walk resolves afresh.
+// open starts w over at router from. It keeps w's BGP view, which holds
+// for any walk toward the same destination, and drops the plan, which
+// was read at another AS.
+func (e *Engine) open(w *Walk, from topology.RouterID, priced bool) {
+	w.Routers, w.ASPath = w.Routers[:0], append(w.ASPath[:0], e.net.DomainOf(from))
+	if !priced {
+		w.Routers = append(w.Routers, from)
+	}
+	w.Cost, w.at, w.priced = 0, from, priced
+	w.plan, w.planned = nil, false
+}
+
+// End recycles w, which must not be used afterwards. The view and the
+// plan go: a pooled walk pins no BGP generation or path arena, and the
+// next walk resolves afresh.
 func (e *Engine) End(w *Walk) {
 	w.toward = bgp.Toward{}
+	w.plan, w.planned = nil, false
 	e.walks.Put(w)
 }
 
 // Hop forwards the packet one inter-domain hop toward dst: the domain's
 // BGP route names the next-hop AS, hot-potato routing picks the border
 // link toward it, and the packet crosses the domain to that border and
-// the link to the neighbour's router. local reports instead (nothing
-// moved) that the domain the packet stands in originates the covering
-// prefix itself. On an error the walk is unchanged: ErrNoRoute when no
-// BGP route covers dst, ErrUnreachable when intra-domain failures sever
-// the way to the border, ErrLoop when the next domain is one the walk
-// has already crossed.
+// the link to the neighbour's router. When dst's match chain is one
+// prefix, the route the walk looked up names every later next hop too,
+// and the walk follows it without asking BGP again. local reports
+// instead (nothing moved) that the domain the packet stands in
+// originates the covering prefix itself. On an error the walk is
+// unchanged: ErrNoRoute when no BGP route covers dst, ErrUnreachable when
+// intra-domain failures sever the way to the border, ErrLoop when the
+// next domain is one the walk has already crossed.
 func (e *Engine) Hop(w *Walk, dst addr.V4) (local bool, err error) {
 	if !w.toward.Resolves(dst) {
 		e.bgp.Toward(dst, &w.toward)
+		w.plan, w.planned = nil, false
 	}
 	asn := w.Domain()
-	route, ok := w.toward.Lookup(asn)
-	if !ok {
-		return false, ErrNoRoute
+	if !w.planned {
+		route, ok := w.toward.Lookup(asn)
+		if !ok {
+			return false, ErrNoRoute
+		}
+		w.plan, w.planned = route.Path, w.toward.Prefixes() == 1
 	}
-	next := route.NextHop()
-	if next == -1 {
+	if len(w.plan) == 0 {
 		return true, nil
 	}
+	next := w.plan[0]
 	link, d, ok := e.igp.Exit(w.at, w.toward.LinksBetween(asn, next))
 	if !ok {
 		return false, fmt.Errorf("forward: BGP chose non-adjacent AS%d from AS%d", next, asn)
@@ -158,6 +184,7 @@ func (e *Engine) Hop(w *Walk, dst addr.V4) (local bool, err error) {
 	}
 	w.at = link.To
 	w.ASPath = append(w.ASPath, next)
+	w.plan = w.plan[1:]
 	return false, nil
 }
 
@@ -243,8 +270,17 @@ func (e *Engine) HostToHost(src, dst *topology.Host) (Path, error) {
 // BaselineCost is HostToHost's Cost from a priced walk: the same
 // decisions and errors, no path built.
 func (e *Engine) BaselineCost(src, dst *topology.Host) (int64, error) {
-	w := e.BeginPriced(src.Attach)
+	w := e.walks.Get().(*Walk)
 	defer e.End(w)
+	return e.BaselineCostOn(w, src, dst)
+}
+
+// BaselineCostOn is BaselineCost on w, reopened at src's attach router as
+// a priced walk. w keeps the BGP view it holds, so a walk that has just
+// delivered to dst (a flow's tail) prices the flow's baseline without
+// resolving dst again. w stays the caller's to End.
+func (e *Engine) BaselineCostOn(w *Walk, src, dst *topology.Host) (int64, error) {
+	e.open(w, src.Attach, true)
 	if _, err := e.Deliver(w, dst.Addr, dst); err != nil {
 		return 0, err
 	}

@@ -887,6 +887,12 @@ func (t *Toward) Lookup(asn topology.ASN) (Route, bool) {
 // Resolves reports whether t is a view of dst.
 func (t *Toward) Resolves(dst addr.V4) bool { return t.sys != nil && t.dst == dst }
 
+// Prefixes is the length of the view's match chain. On a chain of one,
+// every AS answers from the one prefix, where an AS's path is its next
+// hop's path with the next hop in front: the route Lookup returns at one
+// AS names every AS a packet crosses after it.
+func (t *Toward) Prefixes() int { return t.n }
+
 // LinksBetween returns every border link between adjacent domains a and
 // b, oriented From-in-a and sorted by (From, To). Empty when not
 // adjacent. The slice is shared with the system: read-only.

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -62,6 +63,86 @@ func converged(s *System, p addr.Prefix) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.states[p] != nil
+}
+
+// TestRoutePathIsNextHopsPath pins what a forwarding walk relies on when
+// its destination's match chain is one prefix (Toward.Prefixes): for
+// every prefix and every AS holding a route with a non-empty path, the
+// next hop's route for that prefix has exactly the rest of the path. It
+// runs on the forwarding reference's worlds — quiescent, after an intra
+// and an inter link failure, with selective (NO_EXPORT) adverts and with a
+// multi-origin anycast prefix — and on the benchmark fleet's internet.
+func TestRoutePathIsNextHopsPath(t *testing.T) {
+	check := func(s *System, label string) (routes int) {
+		t.Helper()
+		var prefixes []addr.Prefix
+		s.mu.RLock()
+		s.index.Walk(func(p addr.Prefix, _ []topology.ASN) bool {
+			prefixes = append(prefixes, p)
+			return true
+		})
+		s.mu.RUnlock()
+		for _, p := range prefixes {
+			for _, asn := range s.net.ASNs() {
+				r, ok := s.BestRoute(asn, p)
+				if !ok || len(r.Path) == 0 {
+					continue
+				}
+				next, ok := s.BestRoute(r.Path[0], p)
+				if !ok || !slices.Equal(next.Path, r.Path[1:]) {
+					t.Fatalf("%s: %v: AS%d holds %v, its next hop AS%d holds %v, %v", label, p, asn, r.Path, r.Path[0], next.Path, ok)
+				}
+				routes++
+			}
+		}
+		return routes
+	}
+	for _, rpd := range []int{2, 3} {
+		for _, seed := range []int64{1, 2, 3} {
+			n, err := topology.TransitStub(3, 4, 0.5, topology.GenConfig{Seed: seed, RoutersPerDomain: rpd, HostsPerDomain: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := NewSystem(n)
+			label := func(step string) string { return fmt.Sprintf("rpd=%d seed=%d %s", rpd, seed, step) }
+			check(s, label("quiescent"))
+
+			asns := n.ASNs()
+			tr := n.Domain(asns[0]).Routers
+			n.FailIntraLink(tr[0], tr[1])
+			il := n.Inter[len(n.Inter)/2]
+			if _, ok := n.FailInterLink(il.From, il.To); !ok {
+				t.Fatal("no inter link")
+			}
+			s.Refresh()
+			check(s, label("links failed"))
+
+			stub := n.Domain(asns[len(asns)-1])
+			s.OriginateTo(stub.ASN, addr.HostPrefix(n.HostsIn(stub.ASN)[0].Addr), n.DomainOf(n.Inter[len(n.Inter)-1].From))
+			foreign := asns[1]
+			var nbrs []topology.ASN
+			for _, nb := range n.Neighbors(foreign) {
+				nbrs = append(nbrs, nb.ASN)
+			}
+			s.OriginateTo(foreign, addr.HostPrefix(stub.Prefix.Addr+1), nbrs...)
+			check(s, label("selective adverts"))
+
+			any1 := addr.HostPrefix(addr.V4FromOctets(240, 0, 0, 1))
+			for _, asn := range []topology.ASN{asns[0], asns[len(asns)/2], stub.ASN} {
+				s.Originate(asn, any1)
+			}
+			if check(s, label("anycast")) == 0 {
+				t.Fatalf("%s: no route checked", label("anycast"))
+			}
+		}
+	}
+	fleet, err := topology.TransitStub(4, 99, 0.3, topology.GenConfig{Seed: 42, RoutersPerDomain: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := check(NewSystem(fleet), "fleet"), 400*399; got != want {
+		t.Errorf("fleet: checked %d routes, want %d (every AS to every other's aggregate)", got, want)
+	}
 }
 
 // TestTowardMatchesLookup holds the per-destination view to the per-call

@@ -32,7 +32,7 @@ func referenceIntraPath(v *View, a, b topology.RouterID) []topology.RouterID {
 		return nil
 	}
 	dg, t := v.intraFor(a)
-	local := t.PathTo(dg.idx[b])
+	local := t.PathTo(slices.Index(dg.ids, b))
 	if local == nil {
 		return nil
 	}
@@ -155,5 +155,68 @@ func TestAppendIntraPathMatchesIntraPath(t *testing.T) {
 	}
 	if unreachable == 0 {
 		t.Error("no pair was unreachable")
+	}
+}
+
+// TestRouterTablesKeepDomainsApart: the router-indexed tables never let
+// one domain answer for another. An Exit candidate whose local end lies
+// in another domain is unreachable, though its local index is a
+// reachable position in cur's tree; and after InvalidateDomain(D), D's
+// routers read D's new subgraph while every other router keeps its tree,
+// the same pointer.
+func TestRouterTablesKeepDomainsApart(t *testing.T) {
+	n, err := topology.TransitStub(2, 3, 0.5, topology.GenConfig{Seed: 5, RoutersPerDomain: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := NewView(n)
+	for _, asn := range n.ASNs() {
+		rs := n.Domain(asn).Routers
+		for _, other := range n.ASNs() {
+			if other == asn {
+				continue
+			}
+			for _, foreign := range n.Domain(other).Routers {
+				off := topology.InterLink{From: foreign, To: foreign}
+				on := topology.InterLink{From: rs[len(rs)-1], To: foreign}
+				for _, cur := range rs {
+					if l, d, ok := v.Exit(cur, []topology.InterLink{off}); !ok || l != off || d < graph.Inf {
+						t.Fatalf("AS%d r%d: Exit over foreign end r%d = %v, %d, %v; want it unreachable", asn, cur, foreign, l, d, ok)
+					}
+					want := v.IntraDist(cur, on.From)
+					if l, d, ok := v.Exit(cur, []topology.InterLink{off, on}); !ok || l != on || d != want {
+						t.Fatalf("AS%d r%d: Exit over foreign r%d then local r%d = %v, %d; want the local end at %d", asn, cur, foreign, on.From, l, d, want)
+					}
+				}
+			}
+		}
+	}
+
+	trees := map[topology.RouterID]*graph.SPT{}
+	for _, r := range n.Routers {
+		_, trees[r.ID] = v.intraFor(r.ID)
+	}
+	d := n.ASNs()[0]
+	rs := n.Domain(d).Routers
+	oldGraph := v.state.Load().graphs[rs[0]]
+	n.FailIntraLink(rs[0], topology.RouterID(n.Intra.Neighbors(int(rs[0]))[0].To))
+	v.InvalidateDomain(d)
+	for _, r := range n.Routers {
+		dg, tree := v.intraFor(r.ID)
+		if r.Domain != d {
+			if tree != trees[r.ID] {
+				t.Fatalf("AS%d r%d: tree rebuilt by AS%d's invalidation", r.Domain, r.ID, d)
+			}
+			continue
+		}
+		if dg == oldGraph || tree == trees[r.ID] {
+			t.Fatalf("AS%d r%d: still on the old subgraph after its invalidation", d, r.ID)
+		}
+		global := n.Intra.Dijkstra(int(r.ID))
+		for _, b := range rs {
+			if got := v.IntraDist(r.ID, b); got != global.Dist[b] {
+				t.Fatalf("AS%d r%d→r%d: IntraDist %d after the failure, global Dijkstra %d", d, r.ID, b, got, global.Dist[b])
+			}
+		}
 	}
 }

@@ -23,32 +23,28 @@ import (
 // domains.
 type domainGraph struct {
 	g   *graph.Graph
-	ids []topology.RouterID       // ascending; local index i ↔ ids[i]
-	idx map[topology.RouterID]int // global router id → local index
+	ids []topology.RouterID // ascending; local index i ↔ ids[i]
 	// spt[i] is the tree rooted at local index i (in local indices), filled
 	// on first use; racing fills compute the same tree.
 	spt []atomic.Pointer[graph.SPT]
 }
 
-// buildDomainGraph snapshots one domain's intra links. Domain router
-// lists are ascending by construction, so local index order preserves
-// global id order and the local Dijkstra breaks ties exactly as the old
-// global-graph computation did.
-func buildDomainGraph(net *topology.Network, asn topology.ASN) *domainGraph {
+// buildDomainGraph snapshots one domain's intra links; local maps every
+// router to its local index. Domain router lists are ascending by
+// construction, so local index order preserves global id order and the
+// local Dijkstra breaks ties exactly as the old global-graph computation
+// did.
+func buildDomainGraph(net *topology.Network, asn topology.ASN, local []int32) *domainGraph {
 	ids := net.Domain(asn).Routers
 	dg := &domainGraph{
 		g:   graph.New(len(ids)),
 		ids: ids,
-		idx: make(map[topology.RouterID]int, len(ids)),
 		spt: make([]atomic.Pointer[graph.SPT], len(ids)),
-	}
-	for i, rid := range ids {
-		dg.idx[rid] = i
 	}
 	for i, rid := range ids {
 		for _, e := range net.Intra.Neighbors(int(rid)) {
 			// Intra links never cross domains, so e.To is always local.
-			dg.g.AddEdge(i, dg.idx[topology.RouterID(e.To)], e.Weight)
+			dg.g.AddEdge(i, int(local[e.To]), e.Weight)
 		}
 	}
 	return dg
@@ -60,7 +56,8 @@ func buildDomainGraph(net *topology.Network, asn topology.ASN) *domainGraph {
 // it, so a query mid-flight keeps a consistent view even while an
 // invalidation publishes the next generation.
 type viewState struct {
-	domains map[topology.ASN]*domainGraph
+	// graphs[r] is the subgraph of router r's domain.
+	graphs []*domainGraph
 	// full is the whole-internet router graph, snapshotted by the
 	// generation's first ground-truth query: only bone partition repair
 	// and the congruence metric ask, so most generations never build it.
@@ -79,7 +76,10 @@ type viewState struct {
 // first use, from the live topology, so they belong on the mutator's side
 // of that lock (bone construction) or in single-goroutine code.
 type View struct {
-	net   *topology.Network
+	net *topology.Network
+	// local[r] is router r's index in its domain's subgraph. Domain router
+	// lists never change, so every generation shares it.
+	local []int32
 	state atomic.Pointer[viewState]
 
 	// dijkstras counts Dijkstra executions across the view's lifetime —
@@ -88,18 +88,31 @@ type View struct {
 	dijkstras atomic.Uint64
 }
 
-func (v *View) freshDomains() map[topology.ASN]*domainGraph {
-	out := make(map[topology.ASN]*domainGraph, len(v.net.Domains))
+func (v *View) freshGraphs() []*domainGraph {
+	graphs := make([]*domainGraph, len(v.net.Routers))
 	for _, asn := range v.net.ASNs() {
-		out[asn] = buildDomainGraph(v.net, asn)
+		v.snapshot(graphs, asn)
 	}
-	return out
+	return graphs
+}
+
+// snapshot builds asn's subgraph and points each of its routers at it.
+func (v *View) snapshot(graphs []*domainGraph, asn topology.ASN) {
+	dg := buildDomainGraph(v.net, asn, v.local)
+	for _, r := range dg.ids {
+		graphs[r] = dg
+	}
 }
 
 // NewView returns a view over net.
 func NewView(net *topology.Network) *View {
-	v := &View{net: net}
-	v.state.Store(&viewState{domains: v.freshDomains()})
+	v := &View{net: net, local: make([]int32, len(net.Routers))}
+	for _, asn := range net.ASNs() {
+		for i, r := range net.Domain(asn).Routers {
+			v.local[r] = int32(i)
+		}
+	}
+	v.state.Store(&viewState{graphs: v.freshGraphs()})
 	return v
 }
 
@@ -116,7 +129,7 @@ func (v *View) DijkstraRuns() uint64 { return v.dijkstras.Load() }
 // or global; for single-domain or inter-only events the scoped variants
 // below preserve the unaffected trees.
 func (v *View) Invalidate() {
-	v.state.Store(&viewState{domains: v.freshDomains()})
+	v.state.Store(&viewState{graphs: v.freshGraphs()})
 }
 
 // InvalidateDomain discards state affected by an intra-domain change in
@@ -124,16 +137,12 @@ func (v *View) Invalidate() {
 // (cross-domain paths may traverse the changed domain). Every other
 // domain's subgraph and cached trees are carried over untouched — the
 // intra graph has no cross-domain edges — so the cost of an intra event
-// is proportional to the touched domain plus a map copy, not to the
-// internet.
+// is proportional to the touched domain plus a copy of one pointer per
+// router, not to the internet's links.
 func (v *View) InvalidateDomain(asn topology.ASN) {
-	old := v.state.Load()
-	domains := make(map[topology.ASN]*domainGraph, len(old.domains))
-	for a, dg := range old.domains {
-		domains[a] = dg
-	}
-	domains[asn] = buildDomainGraph(v.net, asn)
-	v.state.Store(&viewState{domains: domains})
+	graphs := slices.Clone(v.state.Load().graphs)
+	v.snapshot(graphs, asn)
+	v.state.Store(&viewState{graphs: graphs})
 }
 
 // InvalidateInter discards state affected by an inter-domain link
@@ -141,15 +150,13 @@ func (v *View) InvalidateDomain(asn topology.ASN) {
 // subgraph and SPT survives untouched — inter links do not appear in the
 // intra graphs — which is the bulk of the savings under border flaps.
 func (v *View) InvalidateInter() {
-	v.state.Store(&viewState{domains: v.state.Load().domains})
+	v.state.Store(&viewState{graphs: v.state.Load().graphs})
 }
 
 // intraFor returns the SPT rooted at src within its domain's subgraph,
 // along with the subgraph (needed to translate local indices).
 func (v *View) intraFor(src topology.RouterID) (*domainGraph, *graph.SPT) {
-	st := v.state.Load()
-	dg := st.domains[v.net.DomainOf(src)]
-	li := dg.idx[src]
+	dg, li := v.state.Load().graphs[src], int(v.local[src])
 	if t := dg.spt[li].Load(); t != nil {
 		return dg, t
 	}
@@ -180,8 +187,8 @@ func (v *View) IntraDist(a, b topology.RouterID) int64 {
 	if v.net.DomainOf(a) != v.net.DomainOf(b) {
 		return graph.Inf
 	}
-	dg, t := v.intraFor(a)
-	return t.Dist[dg.idx[b]]
+	_, t := v.intraFor(a)
+	return t.Dist[v.local[b]]
 }
 
 // IntraPath returns the intra-domain router path a..b, or nil.
@@ -198,7 +205,7 @@ func (v *View) AppendIntraPath(path []topology.RouterID, a, b topology.RouterID)
 		return path
 	}
 	dg, t := v.intraFor(a)
-	lb := dg.idx[b]
+	lb := int(v.local[b])
 	if t.Dist[lb] >= graph.Inf {
 		return path
 	}
@@ -265,12 +272,17 @@ func (v *View) Exit(cur topology.RouterID, links []topology.InterLink) (best top
 	if len(links) == 0 {
 		return topology.InterLink{}, 0, false
 	}
-	dg, t := v.intraFor(cur)
+	_, t := v.intraFor(cur)
+	asn := v.net.DomainOf(cur)
 	best, dist = links[0], graph.Inf
 	for _, l := range links {
-		// A link end in another domain is absent from idx: unreachable.
-		if li, ok := dg.idx[l.From]; ok && t.Dist[li] < dist {
-			best, dist = l, t.Dist[li]
+		// A link end in another domain is unreachable: its local index is
+		// a position in that domain's subgraph, not in cur's tree.
+		if v.net.DomainOf(l.From) != asn {
+			continue
+		}
+		if d := t.Dist[v.local[l.From]]; d < dist {
+			best, dist = l, d
 		}
 	}
 	return best, dist, true

@@ -548,20 +548,24 @@ func (b *Bone) Dist(x, y topology.RouterID) int64 {
 	return t.Dist[iy]
 }
 
-// Path returns the member-level bone path x..y, or nil.
+// Path returns the member-level bone path x..y, or nil: written straight
+// from the tree's parent array into one exact-size slice.
 func (b *Bone) Path(x, y topology.RouterID) []topology.RouterID {
 	t, ok := b.sptFrom(x)
 	if !ok {
 		return nil
 	}
 	iy, ok := b.idx[y]
-	if !ok {
+	if !ok || t.Dist[iy] >= graph.Inf {
 		return nil
 	}
-	p := t.PathTo(iy)
-	out := make([]topology.RouterID, len(p))
-	for i, v := range p {
-		out[i] = b.members[v]
+	n := 1
+	for i := iy; t.Parent[i] >= 0; i = t.Parent[i] {
+		n++
+	}
+	out := make([]topology.RouterID, n)
+	for i, k := iy, n-1; k >= 0; i, k = t.Parent[i], k-1 {
+		out[k] = b.members[i]
 	}
 	return out
 }
