@@ -132,10 +132,10 @@ type (
 	AdoptionModel = econ.Model
 )
 
-// Observability (OBSERVABILITY.md). A Tracer attached to an Evolution
-// (SetTracer, or per-delivery via SendTraced) receives span events for
-// every leg of a delivery; Counters tally evolution-wide totals whether
-// or not a tracer is attached.
+// Observability (OBSERVABILITY.md). A Tracer handed to one delivery
+// through Evolution.SendTraced receives span events for every leg of it;
+// Counters tally evolution-wide totals whether or not a delivery is
+// traced.
 type (
 	// Tracer receives per-delivery span events.
 	Tracer = trace.Tracer
@@ -278,7 +278,7 @@ func DomainVNPrefix(asn ASN) VNPrefix { return addr.DomainVNPrefix(int(asn)) }
 func ParseV4(s string) (V4, error) { return addr.ParseV4(s) }
 
 // NewTraceRecorder creates an in-memory Tracer for use with
-// Evolution.SendTraced or Evolution.SetTracer.
+// Evolution.SendTraced.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
 // SetTraceSample makes trace-aware experiments sample up to n per-hop

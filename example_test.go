@@ -103,8 +103,8 @@ func ExampleNewMulticast() {
 
 // A Tracer captures one delivery's span: the anycast redirect decision,
 // every vN-Bone hop, the egress selection and each tunnel operation.
-// Attach one per delivery with SendTraced (or evolution-wide with
-// SetTracer); evolution-wide counters are always on via Snapshot. See
+// Attach one per delivery with SendTraced, the only way to trace;
+// evolution-wide counters are always on via Snapshot. See
 // OBSERVABILITY.md for how to read the full per-hop rendering.
 func ExampleTracer() {
 	net, _ := evolve.TransitStub(2, 3, 0.3, evolve.GenConfig{Seed: 1, HostsPerDomain: 2})

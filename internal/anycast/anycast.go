@@ -22,6 +22,7 @@ package anycast
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -69,7 +70,8 @@ type Deployment struct {
 	Group     uint32
 	DefaultAS topology.ASN // option 2 only
 
-	members     map[topology.RouterID]bool
+	// membersByAS is the membership: each participant domain's members in
+	// id order. A domain with no members has no key.
 	membersByAS map[topology.ASN][]topology.RouterID
 }
 
@@ -84,14 +86,10 @@ func (d *Deployment) Clone() *Deployment {
 		Addr:        d.Addr,
 		Group:       d.Group,
 		DefaultAS:   d.DefaultAS,
-		members:     make(map[topology.RouterID]bool, len(d.members)),
 		membersByAS: make(map[topology.ASN][]topology.RouterID, len(d.membersByAS)),
 	}
-	for m := range d.members {
-		c.members[m] = true
-	}
 	for asn, ms := range d.membersByAS {
-		c.membersByAS[asn] = append([]topology.RouterID(nil), ms...)
+		c.membersByAS[asn] = slices.Clone(ms)
 	}
 	return c
 }
@@ -107,32 +105,38 @@ func (d *Deployment) Restricted(asn topology.ASN, as *Deployment) *Deployment {
 		Addr:        as.Addr,
 		Group:       as.Group,
 		DefaultAS:   as.DefaultAS,
-		members:     map[topology.RouterID]bool{},
 		membersByAS: map[topology.ASN][]topology.RouterID{},
 	}
-	for _, m := range d.membersByAS[asn] {
-		r.members[m] = true
-		r.membersByAS[asn] = append(r.membersByAS[asn], m)
+	if ms := d.membersByAS[asn]; len(ms) > 0 {
+		r.membersByAS[asn] = slices.Clone(ms)
 	}
 	return r
 }
 
 // Members returns all member routers in id order.
 func (d *Deployment) Members() []topology.RouterID {
-	out := make([]topology.RouterID, 0, len(d.members))
-	for m := range d.members {
-		out = append(out, m)
+	n := 0
+	for _, ms := range d.membersByAS {
+		n += len(ms)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]topology.RouterID, 0, n)
+	for _, ms := range d.membersByAS {
+		out = append(out, ms...)
+	}
+	slices.Sort(out)
 	return out
 }
 
 // MembersIn returns the member routers inside one domain, in id order.
 func (d *Deployment) MembersIn(asn topology.ASN) []topology.RouterID {
-	out := append([]topology.RouterID(nil), d.membersByAS[asn]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(d.membersByAS[asn])
 }
+
+// HasMembers reports whether the deployment has any member at all.
+func (d *Deployment) HasMembers() bool { return len(d.membersByAS) > 0 }
+
+// HasMembersIn reports whether domain asn has a member, i.e. participates.
+func (d *Deployment) HasMembersIn(asn topology.ASN) bool { return len(d.membersByAS[asn]) > 0 }
 
 // ParticipatingASes returns the domains with at least one member.
 func (d *Deployment) ParticipatingASes() []topology.ASN {
@@ -180,7 +184,6 @@ func (s *Service) DeployOption1(group uint32) (*Deployment, error) {
 		Option:      Option1,
 		Addr:        a,
 		Group:       group,
-		members:     map[topology.RouterID]bool{},
 		membersByAS: map[topology.ASN][]topology.RouterID{},
 	}
 	s.deployments[a] = d
@@ -204,7 +207,6 @@ func (s *Service) DeployOption2(group uint32, defaultAS topology.ASN) (*Deployme
 		Addr:        a,
 		Group:       group,
 		DefaultAS:   defaultAS,
-		members:     map[topology.RouterID]bool{},
 		membersByAS: map[topology.ASN][]topology.RouterID{},
 	}
 	s.deployments[a] = d
@@ -230,7 +232,6 @@ func (s *Service) DeployGIA(group uint8, homeAS topology.ASN) (*Deployment, erro
 		Addr:        a,
 		Group:       uint32(group),
 		DefaultAS:   homeAS,
-		members:     map[topology.RouterID]bool{},
 		membersByAS: map[topology.ASN][]topology.RouterID{},
 	}
 	s.deployments[a] = d
@@ -246,21 +247,19 @@ func (s *Service) Deployment(a addr.V4) *Deployment { return s.deployments[a] }
 // domain originates the anycast host route into BGP. It reports whether
 // membership actually changed (false for an existing member).
 func (s *Service) AddMember(d *Deployment, id topology.RouterID) bool {
-	if d.members[id] {
+	asn := s.net.DomainOf(id)
+	ms := d.membersByAS[asn]
+	i, found := slices.BinarySearch(ms, id)
+	if found {
 		return false
 	}
-	asn := s.net.DomainOf(id)
-	firstInAS := len(d.membersByAS[asn]) == 0
-	d.members[id] = true
 	// Keep the per-domain slice in id order: capture resolution breaks
 	// IGP-distance ties toward the first member scanned (ClosestIn), so
 	// the slice order is routing-visible and must not depend on the
 	// deployment sequence — a deployment reached by different histories
 	// must resolve identically.
-	ms := append(d.membersByAS[asn], id)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	d.membersByAS[asn] = ms
-	if d.Option == Option1 && firstInAS {
+	d.membersByAS[asn] = slices.Insert(ms, i, id)
+	if d.Option == Option1 && len(ms) == 0 {
 		s.bgp.Originate(asn, addr.HostPrefix(d.Addr))
 	}
 	return true
@@ -271,17 +270,16 @@ func (s *Service) AddMember(d *Deployment, id topology.RouterID) bool {
 // origination). It reports whether membership actually changed (false
 // for a non-member).
 func (s *Service) RemoveMember(d *Deployment, id topology.RouterID) bool {
-	if !d.members[id] {
+	if id < 0 || int(id) >= len(s.net.Routers) {
+		return false // not a router of this internet, so no member
+	}
+	asn := s.net.DomainOf(id)
+	ms := d.membersByAS[asn]
+	i, found := slices.BinarySearch(ms, id)
+	if !found {
 		return false
 	}
-	delete(d.members, id)
-	asn := s.net.DomainOf(id)
-	rest := d.membersByAS[asn][:0]
-	for _, m := range d.membersByAS[asn] {
-		if m != id {
-			rest = append(rest, m)
-		}
-	}
+	rest := slices.Delete(ms, i, i+1)
 	if len(rest) == 0 {
 		delete(d.membersByAS, asn)
 		if d.Option == Option1 {

@@ -80,11 +80,11 @@ func newDiffWorld(t *testing.T, cfg Config, shards int) *diffWorld {
 // payloads including nil, empty and oversized-overflow ones) it runs
 // SendBatch/SendBurst on one world and the equivalent Send loop on an
 // identically seeded twin, and requires byte-identical deliveries,
-// identical per-packet errors in order, identical counter deltas and
-// identical trace event streams — across shard counts and mid-batch
-// epoch churn. Send and the batch calls drive one engine, so what this
-// pins is that batching (one pinned epoch, per-flow template reuse, one
-// counter flush, buffered events) changes nothing the engine produces.
+// identical per-packet errors in order and identical counter deltas —
+// across shard counts and mid-batch epoch churn. Send and the batch calls
+// drive one engine, so what this pins is that batching (one pinned epoch,
+// per-flow template reuse, one counter flush) changes nothing the engine
+// produces.
 func TestSendBatchDifferential(t *testing.T) {
 	fallback := Config{Fallback: true}
 	arms := []struct {
@@ -129,9 +129,6 @@ func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
 	batch.e.testBatchHook = func(i int) { hook(batch, i) }
 	defer func() { batch.e.testBatchHook = nil }()
 
-	batchRec := trace.NewRecorder()
-	batch.e.SetTracer(batchRec)
-
 	oversized := make([]byte, 0x10000)
 	rng := rand.New(rand.NewPCG(7, 7))
 	const rounds = 30
@@ -171,22 +168,19 @@ func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
 			}
 		}
 
-		// Loop arm: one traced Send per packet, events concatenating in
-		// emission order.
-		loopRec := trace.NewRecorder()
+		// Loop arm: one Send per packet.
 		loopBefore := loop.e.Snapshot()
 		loopDel := make([]Delivery, nb)
 		loopErrs := make([]string, nb)
 		for i := 0; i < nb; i++ {
 			hook(loop, i)
-			d, err := loop.e.SendTraced(loop.hosts[srcIdx], loop.hosts[dstIdx[i]], payloads[i], loopRec)
+			d, err := loop.e.Send(loop.hosts[srcIdx], loop.hosts[dstIdx[i]], payloads[i])
 			loopDel[i] = stripTag(d)
 			loopErrs[i] = errString(err)
 		}
 		loopDelta := loop.e.Snapshot().Sub(loopBefore)
 
 		// Batch arm: one SendBatch (or SendBurst) call.
-		batchRec.Reset()
 		batchBefore := batch.e.Snapshot()
 		var got []Delivery
 		var err error
@@ -257,15 +251,6 @@ func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
 		}
 		if !reflect.DeepEqual(ld, bd) {
 			t.Fatalf("round %d: counter deltas diverge:\nloop:  %+v\nbatch: %+v", round, ld, bd)
-		}
-
-		// Trace streams: identical content in identical order, modulo the
-		// per-delivery random sequence numbers and the batch flushing its
-		// events at burst end rather than per packet.
-		le, be := stripSeq(loopRec.Events()), stripSeq(batchRec.Events())
-		if !reflect.DeepEqual(le, be) {
-			t.Fatalf("round %d: event streams diverge (%d vs %d events):\nloop:  %+v\nbatch: %+v",
-				round, len(le), len(be), le, be)
 		}
 	}
 }

@@ -111,10 +111,6 @@ type routingEpoch struct {
 	flow *striped[flowKey, *flowEntry]
 }
 
-// tracerBox wraps the tracer interface so it can live in an
-// atomic.Pointer (interfaces cannot be stored atomically themselves).
-type tracerBox struct{ tr trace.Tracer }
-
 // Evolution is one IPvN deployment over one internet.
 //
 // Concurrency: any number of goroutines may Send (and SendVia,
@@ -179,10 +175,9 @@ type Evolution struct {
 	watchers  map[int]chan struct{}
 
 	// counters is the always-on observability tally (atomic; see
-	// internal/trace). tracer holds the optional default span receiver
-	// for Sends, swapped atomically so SetTracer never blocks senders.
+	// internal/trace). Span events have no default receiver: only
+	// SendTraced hands one in.
 	counters trace.Counters
-	tracer   atomic.Pointer[tracerBox]
 
 	// health is the per-flow health registry of the graceful-degradation
 	// layer, striped by source host like the flow cache; nil when
@@ -261,21 +256,6 @@ func newEvolution(net *topology.Network, cfg Config, shards int) (*Evolution, er
 		flow:    newStriped[flowKey, *flowEntry](shards),
 	})
 	return e, nil
-}
-
-// SetTracer installs the default Tracer every Send reports its span
-// events to (nil disables tracing, the default). Use SendTraced for a
-// per-delivery tracer instead. Safe to call concurrently with Sends.
-func (e *Evolution) SetTracer(tr trace.Tracer) {
-	e.tracer.Store(&tracerBox{tr: tr})
-}
-
-// tracerNow returns the currently installed default tracer, nil when none.
-func (e *Evolution) tracerNow() trace.Tracer {
-	if b := e.tracer.Load(); b != nil {
-		return b.tr
-	}
-	return nil
 }
 
 // Counters returns the evolution-wide observability counters. They are
@@ -403,7 +383,7 @@ func (e *Evolution) Participates(asn topology.ASN) bool {
 }
 
 func (e *Evolution) participatesLocked(asn topology.ASN) bool {
-	return len(e.Dep.MembersIn(asn)) > 0
+	return e.Dep.HasMembersIn(asn)
 }
 
 // Bone returns the vN-Bone of the current routing epoch.
@@ -623,16 +603,14 @@ func (e *Evolution) applyLocked(c change) {
 			e.relabelScoped(touched)
 		}
 		next = routingEpoch{seq: next.seq, err: ErrNotDeployed, addrs: e.native, dep: e.Dep.Clone(), flow: prev.flow.fresh()}
-		if len(next.dep.Members()) > 0 {
+		if next.dep.HasMembers() {
 			next.provDeps = e.providersOf(next.dep)
-			boneCfg := e.cfg.Bone
-			boneCfg.Trace = e.tracerNow()
 			var prevBone *vnbone.Bone
 			if prev.err == nil {
 				prevBone = prev.bone
 			}
 			var stats vnbone.BuildStats
-			next.bone, stats, next.err = vnbone.BuildIncremental(e.Anycast, e.IGP, next.dep, boneCfg, prevBone, dirty)
+			next.bone, stats, next.err = vnbone.BuildIncremental(e.Anycast, e.IGP, next.dep, e.cfg.Bone, prevBone, dirty)
 			if next.err != nil {
 				// A failure is not a rebuild: BoneRebuild ticks only for
 				// usable bones.

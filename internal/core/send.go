@@ -63,17 +63,16 @@ type Delivery struct {
 // the full accounting. Send is safe for concurrent use and lock-free: it
 // loads the published routing epoch with one atomic pointer read and
 // waits for a mutator only to redo a flow computation the mutation tore
-// (see flowSkeleton). Span events go to the Tracer installed with
-// SetTracer, if any.
+// (see flowSkeleton). It emits no span events: SendTraced does.
 func (e *Evolution) Send(src, dst *topology.Host, payload []byte) (Delivery, error) {
 	ep := e.epoch.Load()
-	return e.sendSingle(ep, src, dst, payload, ep.dep, e.tracerNow())
+	return e.sendSingle(ep, src, dst, payload, ep.dep, nil)
 }
 
-// SendTraced is Send with a per-delivery Tracer: tr receives this
-// delivery's span events (redirect decision, every vN-Bone hop, egress
-// selection, each encap/decap) regardless of the default tracer. A fresh
-// trace.Recorder per call yields exactly one delivery's path trace.
+// SendTraced is Send with a per-delivery Tracer, the one way span events
+// leave the send engine: tr receives this delivery's events (redirect
+// decision, every vN-Bone hop, egress selection, each encap/decap). A
+// fresh trace.Recorder per call yields exactly one delivery's path trace.
 func (e *Evolution) SendTraced(src, dst *topology.Host, payload []byte, tr trace.Tracer) (Delivery, error) {
 	ep := e.epoch.Load()
 	return e.sendSingle(ep, src, dst, payload, ep.dep, tr)
@@ -94,7 +93,7 @@ func (e *Evolution) SendVia(src, dst *topology.Host, provider topology.ASN, payl
 		// fails, or rides the baseline, keyed to the shared address.
 		pd = ep.dep
 	}
-	return e.sendSingle(ep, src, dst, payload, pd, e.tracerNow())
+	return e.sendSingle(ep, src, dst, payload, pd, nil)
 }
 
 // BatchError reports the per-packet failures of a SendBatch, SendBurst
@@ -161,9 +160,9 @@ type sendFlow struct {
 // batchCtx is the pooled working set of the send engine, one per Send or
 // per batch: one walking tunnel endpoint for the relay pass, one
 // destination endpoint for the final decap, the reusable wire buffer the
-// header template emits into, the counter accumulator and event buffer,
-// and the flow table. With the pool warm, a steady-state all-success
-// send allocates nothing.
+// header template emits into, the counter accumulator and the flow
+// table. With the pool warm, a steady-state all-success send allocates
+// nothing.
 type batchCtx struct {
 	// ingress is the frozen deployment (the shared one, or a provider's)
 	// every packet of this send encapsulates toward; its address keys the
@@ -187,7 +186,6 @@ type batchCtx struct {
 	scratch  []*flow
 	used     int
 	counters trace.CounterBatch
-	events   trace.EventBuffer
 	// hdrOpts, underBuf and tagBuf build each flow's template options
 	// (OptUnderlayDst for self-addressed destinations, OptTraceTag
 	// placeholder patched per packet); markBuf holds the OptFallback
@@ -307,9 +305,9 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 }
 
 // sendSingle drives the engine once: Send, SendTraced and SendVia are
-// this call with their ingress deployment and tracer. Span events go
-// straight to tr, the error is the packet's own, and the batch gauges
-// stay untouched.
+// this call with their ingress deployment and tracer (nil but for
+// SendTraced). Span events go straight to tr, the error is the packet's
+// own, and the batch gauges stay untouched.
 func (e *Evolution) sendSingle(ep *routingEpoch, src, dst *topology.Host, payload []byte, ingress *anycast.Deployment, tr trace.Tracer) (Delivery, error) {
 	bc := getBatchCtx(ingress)
 	var d Delivery
@@ -327,9 +325,9 @@ func (e *Evolution) sendSingle(ep *routingEpoch, src, dst *topology.Host, payloa
 // and the health decision when degradation is on. It is observationally
 // identical to calling Send(src, dsts[i], payloads[i]) for each i in
 // order on one routing epoch: byte-identical deliveries, identical drop
-// reasons and counter tallies, identical trace events (batched into the
-// tracer at the end of the burst). payloads may be nil (every packet
-// then carries an empty payload); otherwise it must match dsts in
+// reasons and counter tallies. A burst emits no span events; to trace
+// its packets, send them with SendTraced. payloads may be nil (every
+// packet then carries an empty payload); otherwise it must match dsts in
 // length. A failed packet never poisons the rest: the error is a
 // *BatchError carrying per-packet errors, and every other index's
 // Delivery is valid. When the deployment has no usable epoch at all the
@@ -348,7 +346,7 @@ func (e *Evolution) AppendSendBatch(out []Delivery, src *topology.Host, dsts []*
 	if payloads != nil && len(payloads) != len(dsts) {
 		return out, fmt.Errorf("core: batch: %d payloads for %d destinations", len(payloads), len(dsts))
 	}
-	return e.sendBatch(out, src, dsts, nil, payloads, len(dsts), e.tracerNow())
+	return e.sendBatch(out, src, dsts, nil, payloads, len(dsts))
 }
 
 // SendBurst delivers every payload to one destination — the
@@ -361,7 +359,7 @@ func (e *Evolution) SendBurst(src, dst *topology.Host, payloads [][]byte) ([]Del
 // AppendSendBurst is SendBurst appending into out; see AppendSendBatch
 // for the allocation contract.
 func (e *Evolution) AppendSendBurst(out []Delivery, src, dst *topology.Host, payloads [][]byte) ([]Delivery, error) {
-	return e.sendBatch(out, src, nil, dst, payloads, len(payloads), e.tracerNow())
+	return e.sendBatch(out, src, nil, dst, payloads, len(payloads))
 }
 
 // growDeliveries extends out by n zeroed entries, in place when the
@@ -381,8 +379,8 @@ func growDeliveries(out []Delivery, n int) []Delivery {
 // runs the whole burst against it — a mutation mid-batch never tears the
 // batch across epochs (later packets just lose cache-store eligibility,
 // exactly like a Send racing the same mutation). Counters fold into the
-// shared tally with one flush and span events reach tr in one batch.
-func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topology.Host, dst1 *topology.Host, payloads [][]byte, n int, tr trace.Tracer) ([]Delivery, error) {
+// shared tally with one flush.
+func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topology.Host, dst1 *topology.Host, payloads [][]byte, n int) ([]Delivery, error) {
 	if n == 0 {
 		return out, nil
 	}
@@ -390,10 +388,6 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 	base := len(out)
 	res := growDeliveries(out, n)
 	bc := getBatchCtx(ep.dep)
-	var btr trace.Tracer
-	if tr != nil {
-		btr = &bc.events
-	}
 
 	var errs []error
 	failed := 0
@@ -409,7 +403,7 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 		if payloads != nil {
 			pl = payloads[i]
 		}
-		if err := e.sendOne(bc, ep, src, dst, pl, &res[base+i], btr); err != nil {
+		if err := e.sendOne(bc, ep, src, dst, pl, &res[base+i], nil); err != nil {
 			if errs == nil {
 				errs = make([]error, n)
 			}
@@ -421,7 +415,6 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 	bc.counters.BatchFlows(len(bc.flows))
 	bc.counters.BatchPackets(n)
 	bc.counters.FlushTo(&e.counters)
-	bc.events.Flush(tr)
 	batchCtxPool.Put(bc)
 
 	if ep.err != nil && e.health == nil {

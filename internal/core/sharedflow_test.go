@@ -63,10 +63,10 @@ func (w *sharedFlowWorld) freshFlows(t *testing.T) {
 // destination kinds, the first send of a flow misses and materializes into
 // the context's scratch, the second hits, builds the shared form and
 // publishes it on the entry, the third uses the published pointer — and
-// all three return identical deliveries, identical span events and
-// identical counter deltas, apart from the first one's miss. Then 64
-// goroutines race one flow's first reuse: one form ends up published and
-// every delivery is the same.
+// all three return identical deliveries, identical span events (only
+// SendTraced emits any) and identical counter deltas, apart from the
+// first one's miss. Then 64 goroutines race one flow's first reuse: one
+// form ends up published and every delivery is the same.
 func TestSharedFlowMatchesScratch(t *testing.T) {
 	w := newSharedFlowWorld(t)
 	e := w.e
@@ -78,19 +78,15 @@ func TestSharedFlowMatchesScratch(t *testing.T) {
 		send func(dst *topology.Host, rec *trace.Recorder) ([]Delivery, error)
 	}{
 		{"Send", false, func(dst *topology.Host, rec *trace.Recorder) ([]Delivery, error) {
-			e.SetTracer(rec)
 			return one(e.Send(w.src, dst, payloads[0]))
 		}},
 		{"SendVia", true, func(dst *topology.Host, rec *trace.Recorder) ([]Delivery, error) {
-			e.SetTracer(rec)
 			return one(e.SendVia(w.src, dst, w.provider, payloads[0]))
 		}},
 		{"SendTraced", false, func(dst *topology.Host, rec *trace.Recorder) ([]Delivery, error) {
-			e.SetTracer(nil)
 			return one(e.SendTraced(w.src, dst, payloads[0], rec))
 		}},
 		{"AppendSendBurst", false, func(dst *topology.Host, rec *trace.Recorder) ([]Delivery, error) {
-			e.SetTracer(rec)
 			return e.AppendSendBurst(nil, w.src, dst, payloads)
 		}},
 	}
@@ -155,7 +151,6 @@ func TestSharedFlowMatchesScratch(t *testing.T) {
 
 	t.Run("race", func(t *testing.T) {
 		const senders = 64
-		e.SetTracer(nil)
 		w.freshFlows(t)
 		want, err := e.Send(w.src, w.self, payloads[0])
 		if err != nil {

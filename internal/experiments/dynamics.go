@@ -10,7 +10,6 @@ import (
 	"github.com/evolvable-net/evolve/internal/netsim"
 	"github.com/evolvable-net/evolve/internal/routing/distvec"
 	"github.com/evolvable-net/evolve/internal/routing/linkstate"
-	"github.com/evolvable-net/evolve/internal/topology"
 )
 
 // AdoptionDynamics is E9: the §2.1 incentive story — with universal
@@ -221,6 +220,3 @@ func IntraDomainAnycast(seed int64) (*Table, error) {
 	}
 	return t, nil
 }
-
-// unused reference keepers for topology import (used via sweepNetwork).
-var _ = topology.ASN(0)

@@ -112,13 +112,6 @@ func (e *Engine) Begin(from topology.RouterID) *Walk {
 	return w
 }
 
-// BeginPriced opens a cost-only walk at router from.
-func (e *Engine) BeginPriced(from topology.RouterID) *Walk {
-	w := e.walks.Get().(*Walk)
-	e.open(w, from, true)
-	return w
-}
-
 // open starts w over at router from. It keeps w's BGP view, which holds
 // for any walk toward the same destination, and drops the plan, which
 // was read at another AS.

@@ -69,7 +69,7 @@ func TestHotPotatoEmptyCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	igp := underlay.NewView(net)
-	if _, ok := igp.HotPotato(rA, nil); ok {
+	if _, _, ok := igp.Exit(rA, nil); ok {
 		t.Error("empty candidate list resolved")
 	}
 }

@@ -13,10 +13,12 @@ import (
 	"github.com/evolvable-net/evolve/internal/underlay"
 )
 
-// refWalk is the walk as it was before Toward, Exit and AppendIntraPath:
-// every hop asks BGP and the IGP afresh, through their per-call forms, and
-// builds its intra leg as a slice of its own. It is the reference
-// TestWalkMatchesReference holds the engine's walk to.
+// refWalk is the walk as it was before the walk kept its BGP view and
+// route, and before AppendIntraPath: every hop asks BGP and the IGP
+// afresh — a route lookup, a view of its own for the border links, Exit
+// for the link and IntraDist for the way to it — and builds its intra leg
+// as a slice of its own. It is the reference TestWalkMatchesReference
+// holds the engine's walk to.
 type refWalk struct {
 	routers []topology.RouterID
 	asPath  []topology.ASN
@@ -47,7 +49,9 @@ func (e *Engine) refHop(w *refWalk, dst addr.V4) (local bool, err error) {
 	if next == -1 {
 		return true, nil
 	}
-	link, ok := e.igp.HotPotato(at, e.bgp.LinksBetween(asn, next))
+	var links bgp.Toward
+	e.bgp.Toward(dst, &links)
+	link, _, ok := e.igp.Exit(at, links.LinksBetween(asn, next))
 	if !ok {
 		return false, fmt.Errorf("forward: BGP chose non-adjacent AS%d from AS%d", next, asn)
 	}
@@ -170,7 +174,8 @@ func (w *walkWorld) compare(label string, from topology.RouterID, dst addr.V4, h
 	// The priced walk: same verdict, same cost, no router recorded; with
 	// and without the host handed through.
 	for _, h := range []*topology.Host{nil, host} {
-		pw := e.BeginPriced(from)
+		pw := e.walks.Get().(*Walk)
+		e.open(pw, from, true)
 		dh, perr := e.Deliver(pw, dst, h)
 		if !sameErr(perr, err) {
 			w.t.Fatalf("%s: r%d→%s: priced err = %v, walk %v", label, from, dst, perr, err)

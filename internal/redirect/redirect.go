@@ -215,8 +215,8 @@ func (b *BrokerRedirector) Redirect(h *topology.Host) (Result, error) {
 		if err != nil {
 			continue
 		}
-		if best.member < 0 || p.Cost < best.cost {
-			best = cand{member: m, cost: p.Cost + h.AccessLatency}
+		if cost := p.Cost + h.AccessLatency; best.member < 0 || cost < best.cost {
+			best = cand{member: m, cost: cost}
 		}
 	}
 	if best.member < 0 {

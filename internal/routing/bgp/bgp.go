@@ -895,14 +895,10 @@ func (t *Toward) Prefixes() int { return t.n }
 
 // LinksBetween returns every border link between adjacent domains a and
 // b, oriented From-in-a and sorted by (From, To). Empty when not
-// adjacent. The slice is shared with the system: read-only.
+// adjacent. The slice is shared with the system: read-only. It finds b
+// in a's ASN-sorted neighbour list.
 func (t *Toward) LinksBetween(a, b topology.ASN) []topology.InterLink {
-	return linksBetween(t.neighbors, a, b)
-}
-
-// linksBetween finds b in a's ASN-sorted neighbour list.
-func linksBetween(neighbors map[topology.ASN][]topology.ASNeighbor, a, b topology.ASN) []topology.InterLink {
-	nbs := neighbors[a]
+	nbs := t.neighbors[a]
 	if k, ok := slices.BinarySearchFunc(nbs, b, func(nb topology.ASNeighbor, b topology.ASN) int {
 		return cmp.Compare(nb.ASN, b)
 	}); ok {
@@ -967,25 +963,4 @@ func (s *System) ASPath(from topology.ASN, dst addr.V4) ([]topology.ASN, bool) {
 		}
 	}
 	return path, true
-}
-
-// LinksBetween is Toward.LinksBetween on the system's current adjacency.
-func (s *System) LinksBetween(a, b topology.ASN) []topology.InterLink {
-	s.mu.RLock()
-	neighbors := s.neighbors
-	s.mu.RUnlock()
-	return linksBetween(neighbors, a, b)
-}
-
-// LinkBetween returns the deterministic first border link between
-// adjacent domains a and b, oriented From-in-a. ok is false when they are
-// not adjacent. Forwarding walks prefer LinksBetween plus hot-potato
-// selection; this remains for callers needing any single representative
-// link.
-func (s *System) LinkBetween(a, b topology.ASN) (topology.InterLink, bool) {
-	links := s.LinksBetween(a, b)
-	if len(links) == 0 {
-		return topology.InterLink{}, false
-	}
-	return links[0], true
 }

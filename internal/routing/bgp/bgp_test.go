@@ -359,18 +359,6 @@ func TestTableSizeGrowsWithOption1Groups(t *testing.T) {
 	}
 }
 
-func TestLinkBetween(t *testing.T) {
-	n, as := chain(t)
-	s := NewSystem(n)
-	l, ok := s.LinkBetween(as[0], as[1])
-	if !ok || n.DomainOf(l.From) != as[0] || n.DomainOf(l.To) != as[1] {
-		t.Errorf("link = %+v ok %v", l, ok)
-	}
-	if _, ok := s.LinkBetween(as[0], as[2]); ok {
-		t.Error("non-adjacent domains reported linked")
-	}
-}
-
 func TestConvergeDeterministic(t *testing.T) {
 	n1, _ := topology.TransitStub(3, 3, 0.4, topology.GenConfig{Seed: 5})
 	n2, _ := topology.TransitStub(3, 3, 0.4, topology.GenConfig{Seed: 5})

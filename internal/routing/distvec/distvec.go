@@ -73,12 +73,6 @@ func NewRouter(id int, loopback addr.V4, fabric *netsim.Fabric, neighbors map[in
 	return r
 }
 
-// ID returns the router identifier.
-func (r *Router) ID() int { return r.id }
-
-// Loopback returns the router's own address.
-func (r *Router) Loopback() addr.V4 { return r.loopback }
-
 // Start installs the router's own routes and sends the first update.
 func (r *Router) Start() {
 	r.table[r.loopback] = Entry{Metric: 0, NextHop: r.id}
@@ -93,17 +87,6 @@ func (r *Router) Start() {
 func (r *Router) ServeAnycast(a addr.V4) {
 	r.anycast[a] = true
 	r.table[a] = Entry{Metric: 0, NextHop: r.id}
-	r.scheduleUpdate()
-}
-
-// WithdrawAnycast stops serving a. The local route is poisoned so the
-// withdrawal propagates.
-func (r *Router) WithdrawAnycast(a addr.V4) {
-	if !r.anycast[a] {
-		return
-	}
-	delete(r.anycast, a)
-	r.table[a] = Entry{Metric: Infinity, NextHop: r.id}
 	r.scheduleUpdate()
 }
 
@@ -124,16 +107,6 @@ func (r *Router) SetLinkDown(neighbor int) {
 	}
 }
 
-// SetLinkUp (re)creates the adjacency to neighbor with the given metric.
-func (r *Router) SetLinkUp(neighbor, metric int) {
-	if metric <= 0 {
-		metric = 1
-	}
-	r.neighbors[neighbor] = metric
-	r.scheduleUpdate()
-	r.scheduleRequest()
-}
-
 // Lookup returns the table entry for dest.
 func (r *Router) Lookup(dest addr.V4) (Entry, bool) {
 	e, ok := r.table[dest]
@@ -149,18 +122,6 @@ func (r *Router) DistanceTo(dest addr.V4) int {
 		return e.Metric
 	}
 	return Infinity
-}
-
-// TableSize returns the number of reachable destinations (for the
-// routing-state experiments).
-func (r *Router) TableSize() int {
-	n := 0
-	for _, e := range r.table {
-		if e.Metric < Infinity {
-			n++
-		}
-	}
-	return n
 }
 
 // scheduleUpdate coalesces triggered updates within the current event

@@ -32,11 +32,6 @@ const (
 	ModeExplicitList
 )
 
-// HighCost is the cost of the virtual anycast link in ModeHighCostLink. It
-// exceeds any realistic intra-domain path cost, so no shortest path ever
-// transits the virtual node.
-const HighCost int64 = 1 << 30
-
 // Link is one adjacency in an LSA.
 type Link struct {
 	To   int
@@ -86,9 +81,6 @@ func NewRouter(id int, mode Mode, fabric *netsim.Fabric, neighbors []Link) *Rout
 	return r
 }
 
-// ID returns the router's identifier.
-func (r *Router) ID() int { return r.id }
-
 // ServeAnycast adds an anycast address this router accepts (i.e. the
 // router is an IPvN router for that deployment) and re-originates its LSA.
 func (r *Router) ServeAnycast(a addr.V4) {
@@ -98,18 +90,6 @@ func (r *Router) ServeAnycast(a addr.V4) {
 		}
 	}
 	r.anycast = append(r.anycast, a)
-	r.originate()
-}
-
-// WithdrawAnycast removes an anycast address and re-originates.
-func (r *Router) WithdrawAnycast(a addr.V4) {
-	out := r.anycast[:0]
-	for _, x := range r.anycast {
-		if x != a {
-			out = append(out, x)
-		}
-	}
-	r.anycast = out
 	r.originate()
 }
 
@@ -179,9 +159,6 @@ func (r *Router) Receive(from int, msg any) {
 		r.flood(lsa, from)
 	}
 }
-
-// LSDBSize returns the number of LSAs held (for state-size experiments).
-func (r *Router) LSDBSize() int { return len(r.lsdb) }
 
 func (r *Router) recompute() {
 	if !r.spfDirty {
@@ -293,9 +270,10 @@ func (r *Router) AnycastMembers(a addr.V4) []int {
 // resolves at distance 0. ok is false when no member exists.
 //
 // In ModeHighCostLink the effective advertised cost through the virtual
-// link is member-distance + HighCost for every member, so the argmin
-// member is identical in both modes; we therefore resolve by distance to
-// members directly, which is what a real SPF over the virtual node yields.
+// link is member-distance plus one high cost, the same for every member
+// and beyond any intra-domain path, so the argmin member is identical in
+// both modes; we therefore resolve by distance to members directly, which
+// is what a real SPF over the virtual node yields.
 func (r *Router) ResolveAnycast(a addr.V4) (member int, dist int64, nextHop int, ok bool) {
 	members := r.AnycastMembers(a)
 	if len(members) == 0 {

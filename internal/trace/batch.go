@@ -188,55 +188,3 @@ func (c *Counters) ingressCell(as topology.ASN) *striped {
 	c.ingressByAS.Store(&next)
 	return v
 }
-
-// BulkTracer is an optional Tracer extension: sinks that can ingest a
-// whole batch of events under one synchronization point implement it,
-// and EventBuffer.Flush uses it instead of per-event Event calls. The
-// method is named EventBatch (not Events) because Recorder already uses
-// Events as its accessor.
-type BulkTracer interface {
-	// EventBatch receives a batch of events in emission order. The slice
-	// is only valid for the duration of the call; implementations must
-	// copy what they keep.
-	EventBatch([]Event)
-}
-
-// EventBatch implements BulkTracer: the whole batch is appended under a
-// single lock acquisition.
-func (r *Recorder) EventBatch(events []Event) {
-	r.mu.Lock()
-	r.events = append(r.events, events...)
-	r.mu.Unlock()
-}
-
-// EventBuffer is a Tracer that buffers events in memory for a later
-// single-sink Flush. The batched delivery path points the tunnel
-// endpoints and its own emissions at one EventBuffer so a traced burst
-// costs one sink synchronization per batch, not one per event. Not safe
-// for concurrent use; each batch owns its own.
-type EventBuffer struct {
-	buf []Event
-}
-
-// Event implements Tracer by buffering the event.
-func (eb *EventBuffer) Event(e Event) { eb.buf = append(eb.buf, e) }
-
-// Len reports the number of buffered events.
-func (eb *EventBuffer) Len() int { return len(eb.buf) }
-
-// Flush hands the buffered events to sink in emission order and empties
-// the buffer (keeping its capacity). Sinks implementing BulkTracer
-// receive the whole batch in one EventBatch call; other sinks get the
-// events one by one. A nil sink just discards the buffer.
-func (eb *EventBuffer) Flush(sink Tracer) {
-	if sink != nil && len(eb.buf) > 0 {
-		if bulk, ok := sink.(BulkTracer); ok {
-			bulk.EventBatch(eb.buf)
-		} else {
-			for _, e := range eb.buf {
-				sink.Event(e)
-			}
-		}
-	}
-	eb.buf = eb.buf[:0]
-}

@@ -3,13 +3,14 @@
 // the paths the paper's whole argument is about — which anycast ingress a
 // client lands on (§3.1), how many vN-Bone hops a delivery rides (§3.3),
 // and where it exits back into IPv(N-1) (§3.3.2). The delivery core emits
-// an Event at every decision point of a Send; a Tracer receives them.
+// an Event at every decision point of a delivery; a Tracer receives them.
 //
-// The default tracer is nil (no tracing): every emission site is guarded
-// by a nil check, so an untraced delivery pays nothing beyond a handful
-// of atomic counter increments. Event is a plain value struct whose
-// Detail strings are always pre-existing constants, so emitting into a
-// Recorder costs one slice append and no per-field allocation.
+// A Tracer reaches the delivery core one way, per delivery, through
+// core.Evolution.SendTraced. Every other send, bursts included, runs
+// untraced: each emission site is guarded by a nil check, so it pays
+// nothing beyond a handful of counter adds. Event is a plain value struct
+// whose Detail strings are always pre-existing constants, so emitting into
+// a Recorder costs one slice append and no per-field allocation.
 //
 // Counters are always on: a Counters value embedded in the delivery core
 // tallies sends, deliveries, drops by reason (see DropReason for the
@@ -44,9 +45,6 @@ const (
 	// KindBoneHop is one vN-Bone virtual hop: Router is the member
 	// reached, Cost the virtual-link cost from the previous member.
 	KindBoneHop
-	// KindBoneLink reports a virtual link established during vN-Bone
-	// construction (emitted by vnbone.Build, not by deliveries).
-	KindBoneLink
 	// KindEgress is the egress decision: Router is the member where the
 	// packet leaves the vN-Bone, Detail classifies how it was chosen
 	// (native / registered /128 / an egress policy name).
@@ -82,8 +80,6 @@ func (k Kind) String() string {
 		return "redirect"
 	case KindBoneHop:
 		return "bone-hop"
-	case KindBoneLink:
-		return "bone-link"
 	case KindEgress:
 		return "egress"
 	case KindEncap:

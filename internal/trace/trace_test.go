@@ -15,7 +15,6 @@ func TestKindStrings(t *testing.T) {
 		KindSend:     "send",
 		KindRedirect: "redirect",
 		KindBoneHop:  "bone-hop",
-		KindBoneLink: "bone-link",
 		KindEgress:   "egress",
 		KindEncap:    "encap",
 		KindDecap:    "decap",

@@ -15,16 +15,31 @@ import (
 
 // chainResult is everything one run of a delivery's wire chain shows from
 // outside: the wire bytes after every leg, the stage and text of the
-// error that stopped it, what arrived, the relay and destination
-// endpoints' summed Stats, and their span events.
+// error that stopped it, what arrived, the encaps and decaps the relay and
+// destination endpoints counted, and their span events.
 type chainResult struct {
-	wires   [][]byte
-	failed  string
-	from    addr.V4
-	inner   packet.VNHeader
-	payload []byte
-	stats   Stats
-	events  []trace.Event
+	wires          [][]byte
+	failed         string
+	from           addr.V4
+	inner          packet.VNHeader
+	payload        []byte
+	encaps, decaps uint64
+	events         []trace.Event
+}
+
+// observe attaches one recorder and one counter table to the chain's
+// relay and destination endpoints, and returns what reads them into r.
+func (r *chainResult) observe(tag uint32, eps ...*Endpoint) func() {
+	rec := trace.NewRecorder()
+	var c trace.Counters
+	for _, ep := range eps {
+		ep.Observe(rec, &c, tag)
+	}
+	return func() {
+		s := c.Snapshot()
+		r.encaps, r.decaps = s.Encaps, s.Decaps
+		r.events = rec.Events()
+	}
 }
 
 func (r *chainResult) fail(stage string, err error) { r.failed = fmt.Sprintf("%s: %v", stage, err) }
@@ -44,14 +59,6 @@ func (r *chainResult) arrive(from addr.V4, inner packet.VNHeader, payload []byte
 	r.inner = inner
 }
 
-func addStats(a, b Stats) Stats {
-	return Stats{
-		Encapsulated: a.Encapsulated + b.Encapsulated,
-		Decapsulated: a.Decapsulated + b.Decapsulated,
-		Rejected:     a.Rejected + b.Rejected,
-	}
-}
-
 // chainCase is one randomized delivery: the source's encapsulation toward
 // the anycast address, the bone hops' loopbacks (hops[0] is the ingress),
 // and the destination's underlay address.
@@ -69,15 +76,9 @@ type chainCase struct {
 // DecapShared on the other, ping-pong, down to the destination.
 func serializerChain(c chainCase) chainResult {
 	var r chainResult
-	rec := trace.NewRecorder()
 	host := NewEndpoint(c.src)
 	a, b := NewEndpoint(0), NewEndpoint(0)
-	a.Observe(rec, nil, c.tag)
-	b.Observe(rec, nil, c.tag)
-	defer func() {
-		r.stats = addStats(a.Stats(), b.Stats())
-		r.events = rec.Events()
-	}()
+	defer r.observe(c.tag, a, b)()
 
 	wire, err := host.EncapToShared(c.anycast, c.hdr, c.payload)
 	if err != nil {
@@ -128,14 +129,8 @@ func serializerChain(c chainCase) chainResult {
 // bone hop, PatchEncap toward the destination — and one parse at the end.
 func templateChain(c chainCase) chainResult {
 	var r chainResult
-	rec := trace.NewRecorder()
 	ep, epDst := NewEndpoint(0), NewEndpoint(0)
-	ep.Observe(rec, nil, c.tag)
-	epDst.Observe(rec, nil, c.tag)
-	defer func() {
-		r.stats = addStats(ep.Stats(), epDst.Stats())
-		r.events = rec.Events()
-	}()
+	defer r.observe(c.tag, ep, epDst)()
 
 	// The template freezes the packet as it leaves the source: hop limit
 	// defaulted and already decremented once.
@@ -183,9 +178,9 @@ func templateChain(c chainCase) chainResult {
 // (headers with and without OptUnderlayDst, payloads from empty to
 // overflowing the length fields, 0–8 bone hops, hop limits that run out
 // mid-path) the emit-once-patch-in-place chain must produce the same wire
-// bytes after every leg, the same arrival, the same endpoint Stats, the
-// same span events and the same errors at the same stage as the chain
-// that serializes and parses at every hop.
+// bytes after every leg, the same arrival, the same counted encaps and
+// decaps, the same span events and the same errors at the same stage as
+// the chain that serializes and parses at every hop.
 func TestTemplateChainMatchesSerializerChain(t *testing.T) {
 	rng := rand.New(rand.NewPCG(12, 2005))
 	v4 := func() addr.V4 { return addr.V4(rng.Uint32() | 1) }
@@ -248,8 +243,9 @@ func TestTemplateChainMatchesSerializerChain(t *testing.T) {
 			t.Fatalf("case %d: arrival diverges:\nserializer: %s %+v\ntemplate:   %s %+v",
 				i, want.from, want.inner, got.from, got.inner)
 		}
-		if want.stats != got.stats {
-			t.Fatalf("case %d: stats diverge: serializer %+v, template %+v", i, want.stats, got.stats)
+		if want.encaps != got.encaps || want.decaps != got.decaps {
+			t.Fatalf("case %d: counters diverge: serializer %d encaps %d decaps, template %d/%d",
+				i, want.encaps, want.decaps, got.encaps, got.decaps)
 		}
 		if !reflect.DeepEqual(want.events, got.events) {
 			t.Fatalf("case %d: span events diverge:\nserializer: %+v\ntemplate:   %+v", i, want.events, got.events)

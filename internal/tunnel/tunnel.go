@@ -25,20 +25,12 @@ var (
 	ErrHopLimit = errors.New("tunnel: inner hop limit exceeded")
 )
 
-// Stats counts per-endpoint tunnel activity.
-type Stats struct {
-	Encapsulated uint64
-	Decapsulated uint64
-	Rejected     uint64
-}
-
 // Endpoint is the tunnel machinery of one node (host or IPvN router).
 type Endpoint struct {
 	// Local is the node's underlay address.
 	Local addr.V4
 
-	stats Stats
-	buf   *packet.SerializeBuffer
+	buf *packet.SerializeBuffer
 
 	// Observability hooks, set by Observe. Both are optional and nil by
 	// default; the encap/decap hot path only pays a nil check then.
@@ -61,14 +53,10 @@ func NewEndpoint(local addr.V4) *Endpoint {
 	return &Endpoint{Local: local, buf: packet.NewSerializeBuffer()}
 }
 
-// Stats returns a copy of the endpoint's counters.
-func (e *Endpoint) Stats() Stats { return e.stats }
-
 // encapped accounts one encapsulation toward outerDst. It and decapped
 // are small enough to inline, so an unobserved endpoint — the send
 // engine's, outside a traced send — pays two nil checks and no call.
 func (e *Endpoint) encapped(outerDst addr.V4) {
-	e.stats.Encapsulated++
 	if e.counters != nil || e.tracer != nil {
 		e.observe(trace.KindEncap, e.Local, outerDst)
 	}
@@ -76,7 +64,6 @@ func (e *Endpoint) encapped(outerDst addr.V4) {
 
 // decapped accounts one decapsulation at to of a packet sent by from.
 func (e *Endpoint) decapped(from, to addr.V4) {
-	e.stats.Decapsulated++
 	if e.counters != nil || e.tracer != nil {
 		e.observe(trace.KindDecap, from, to)
 	}
@@ -112,7 +99,6 @@ func (e *Endpoint) EncapToShared(outerDst addr.V4, inner packet.VNHeader, payloa
 		inner.HopLimit = packet.DefaultHopLimit
 	}
 	if inner.HopLimit <= 1 {
-		e.stats.Rejected++
 		return nil, ErrHopLimit
 	}
 	inner.HopLimit--
@@ -123,7 +109,6 @@ func (e *Endpoint) EncapToShared(outerDst addr.V4, inner packet.VNHeader, payloa
 		Dst:   outerDst,
 	}
 	if err := packet.SerializeVN(e.buf, payload, &outer, &inner); err != nil {
-		e.stats.Rejected++
 		return nil, err
 	}
 	e.encapped(outerDst)
@@ -161,7 +146,6 @@ func DecrementHop(wire []byte) error {
 // traced exactly as EncapToShared would.
 func (e *Endpoint) PatchEncap(wire []byte, outerDst addr.V4) error {
 	if err := DecrementHop(wire); err != nil {
-		e.stats.Rejected++
 		return err
 	}
 	packet.RewriteOuter(wire, e.Local, outerDst)
@@ -173,7 +157,7 @@ func (e *Endpoint) PatchEncap(wire []byte, outerDst addr.V4) error {
 // re-encapsulated toward next (PatchEncap) and its arrival there is
 // accounted as a decapsulation, after which the endpoint itself stands
 // at next (Local advances). One ForwardShared is observationally
-// identical — counters, stats and span events — to an EncapToShared on
+// identical — counters and span events — to an EncapToShared on
 // one endpoint answered by a DecapShared on the next (the package's
 // differential test holds the two chains equal); the wire bytes are valid
 // by construction, so no re-parse is needed.
@@ -195,11 +179,9 @@ func (e *Endpoint) ForwardShared(wire []byte, next addr.V4) error {
 func (e *Endpoint) DecapShared(wire []byte, scratch []packet.Option) (from addr.V4, inner packet.VNHeader, payload []byte, err error) {
 	outer, vn, pl, err := packet.DecapVNShared(wire, scratch)
 	if err != nil {
-		e.stats.Rejected++
 		return 0, packet.VNHeader{}, nil, err
 	}
 	if outer.Dst != e.Local {
-		e.stats.Rejected++
 		return 0, packet.VNHeader{}, nil, fmt.Errorf("%w: %s", ErrNotForUs, outer.Dst)
 	}
 	e.decapped(outer.Src, e.Local)

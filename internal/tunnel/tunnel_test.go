@@ -49,9 +49,6 @@ func TestEncapDecapAcrossTunnel(t *testing.T) {
 	if !bytes.Equal(payload, []byte("data")) {
 		t.Errorf("payload = %q", payload)
 	}
-	if a.Stats().Encapsulated != 1 || b.Stats().Decapsulated != 1 {
-		t.Errorf("stats: %+v %+v", a.Stats(), b.Stats())
-	}
 	if snap := counters.Snapshot(); snap.Encaps != 1 || snap.Decaps != 1 {
 		t.Errorf("observed counters: encaps %d decaps %d, want 1/1", snap.Encaps, snap.Decaps)
 	}
@@ -76,28 +73,32 @@ func TestEncapToAnycastNeedsNoTunnel(t *testing.T) {
 func TestDecapRejectsForeignDestination(t *testing.T) {
 	a := NewEndpoint(locA)
 	c := NewEndpoint(locC)
+	var counters trace.Counters
+	c.Observe(nil, &counters, 0)
 	wire, err := a.EncapToShared(locB, vnHeader(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.DecapShared(wire, nil); !errors.Is(err, ErrNotForUs) {
-		t.Errorf("err = %v", err)
+	if _, _, _, err := c.DecapShared(wire, nil); !errors.Is(err, ErrNotForUs) || err.Error() != ErrNotForUs.Error()+": "+locB.String() {
+		t.Errorf("err = %v, want %v naming %s", err, ErrNotForUs, locB)
 	}
-	if c.Stats().Rejected != 1 || c.Stats().Decapsulated != 0 {
-		t.Errorf("stats = %+v, want one rejection and no decapsulation", c.Stats())
+	if snap := counters.Snapshot(); snap.Decaps != 0 {
+		t.Errorf("a rejected decap was counted: decaps %d", snap.Decaps)
 	}
 }
 
 func TestDecapRejectsGarbage(t *testing.T) {
 	a := NewEndpoint(locA)
+	var counters trace.Counters
+	a.Observe(nil, &counters, 0)
 	if _, _, _, err := a.DecapShared([]byte{1, 2, 3}, nil); err == nil {
 		t.Error("garbage decapped")
 	}
 	if err := a.PatchEncap([]byte{1, 2, 3}, locB); !errors.Is(err, packet.ErrTruncated) {
 		t.Errorf("PatchEncap of garbage: err = %v, want ErrTruncated", err)
 	}
-	if a.Stats().Rejected != 2 {
-		t.Errorf("rejected = %d, want 2", a.Stats().Rejected)
+	if snap := counters.Snapshot(); snap.Encaps != 0 || snap.Decaps != 0 {
+		t.Errorf("rejected garbage was counted: encaps %d decaps %d", snap.Encaps, snap.Decaps)
 	}
 }
 
@@ -107,6 +108,8 @@ func TestHopLimitExpiresAcrossRelays(t *testing.T) {
 	// place, as the send engine's do.
 	a := NewEndpoint(locA)
 	relay := NewEndpoint(locB)
+	var counters trace.Counters
+	relay.Observe(nil, &counters, 0)
 
 	h := vnHeader()
 	h.HopLimit = 3
@@ -144,8 +147,9 @@ func TestHopLimitExpiresAcrossRelays(t *testing.T) {
 	if _, err := relay.EncapToShared(locA, inner, payload); !errors.Is(err, ErrHopLimit) {
 		t.Errorf("serializing encap: err = %v, want ErrHopLimit", err)
 	}
-	if got, want := relay.Stats(), (Stats{Encapsulated: 1, Decapsulated: 2, Rejected: 2}); got != want {
-		t.Errorf("relay stats = %+v, want %+v", got, want)
+	// The two expired encaps count nothing.
+	if snap := counters.Snapshot(); snap.Encaps != 1 || snap.Decaps != 2 {
+		t.Errorf("relay counted %d encaps and %d decaps, want 1 and 2", snap.Encaps, snap.Decaps)
 	}
 }
 

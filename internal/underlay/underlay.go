@@ -227,17 +227,6 @@ func (v *View) AppendIntraPath(path []topology.RouterID, a, b topology.RouterID)
 	return path
 }
 
-func toRouterPath(p []int) []topology.RouterID {
-	if p == nil {
-		return nil
-	}
-	out := make([]topology.RouterID, len(p))
-	for i, x := range p {
-		out[i] = topology.RouterID(x)
-	}
-	return out
-}
-
 // ClosestIn returns the member closest to entry by IGP distance (entry and
 // members must share a domain); ties break to the lower router id because
 // members are scanned in order. ok is false when no member is reachable.
@@ -254,12 +243,6 @@ func (v *View) ClosestIn(entry topology.RouterID, members []topology.RouterID) (
 		return -1, 0, false
 	}
 	return best, bestDist, true
-}
-
-// HotPotato is Exit without the distance.
-func (v *View) HotPotato(cur topology.RouterID, links []topology.InterLink) (topology.InterLink, bool) {
-	l, _, ok := v.Exit(cur, links)
-	return l, ok
 }
 
 // Exit implements early-exit border selection: among candidate border
@@ -293,9 +276,4 @@ func (v *View) Exit(cur topology.RouterID, links []topology.InterLink) (best top
 // practice lower bound used in some stretch comparisons.
 func (v *View) GroundTruthDist(a, b topology.RouterID) int64 {
 	return v.fullFrom(a).Dist[b]
-}
-
-// GroundTruthPath returns the corresponding router path, or nil.
-func (v *View) GroundTruthPath(a, b topology.RouterID) []topology.RouterID {
-	return toRouterPath(v.fullFrom(a).PathTo(int(b)))
 }

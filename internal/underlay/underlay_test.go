@@ -76,10 +76,6 @@ func TestGroundTruth(t *testing.T) {
 	if got := v.GroundTruthDist(xr[0], yr[1]); got != 14 {
 		t.Errorf("ground truth = %d, want 14", got)
 	}
-	p := v.GroundTruthPath(xr[0], yr[1])
-	if len(p) != 5 || p[4] != yr[1] {
-		t.Errorf("path = %v", p)
-	}
 }
 
 func TestInvalidateReflectsTopologyChange(t *testing.T) {
@@ -117,37 +113,22 @@ func TestHotPotatoTieBreak(t *testing.T) {
 		{From: xr[1], To: yr[0], Latency: 9},
 	}
 	// From xr[1], the second link's local end is distance 0: it wins.
-	l, ok := v.HotPotato(xr[1], links)
-	if !ok || l.From != xr[1] {
-		t.Errorf("hot potato = %+v ok %v", l, ok)
+	l, d, ok := v.Exit(xr[1], links)
+	if !ok || l.From != xr[1] || d != 0 {
+		t.Errorf("exit = %+v at %d ok %v", l, d, ok)
 	}
 	// From xr[2], the first wins.
-	l, ok = v.HotPotato(xr[2], links)
-	if !ok || l.From != xr[2] {
-		t.Errorf("hot potato = %+v ok %v", l, ok)
+	l, d, ok = v.Exit(xr[2], links)
+	if !ok || l.From != xr[2] || d != 0 {
+		t.Errorf("exit = %+v at %d ok %v", l, d, ok)
 	}
 	// Equidistant candidates: first in list wins (deterministic).
-	l, _ = v.HotPotato(xr[0], []topology.InterLink{
+	l, d, _ = v.Exit(xr[0], []topology.InterLink{
 		{From: xr[2], To: yr[0], Latency: 7},
 		{From: xr[2], To: yr[1], Latency: 9},
 	})
-	if l.To != yr[0] {
-		t.Error("tie did not break toward the first candidate")
-	}
-}
-
-func TestGroundTruthPathEndpoints(t *testing.T) {
-	n, xr, yr := build(t)
-	v := NewView(n)
-	p := v.GroundTruthPath(xr[0], yr[1])
-	if len(p) == 0 || p[0] != xr[0] || p[len(p)-1] != yr[1] {
-		t.Errorf("path = %v", p)
-	}
-	// Unreachable (after cutting the only inter link) yields nil.
-	n.FailInterLink(xr[2], yr[0])
-	v.Invalidate()
-	if p := v.GroundTruthPath(xr[0], yr[1]); p != nil {
-		t.Errorf("unreachable path = %v", p)
+	if l.To != yr[0] || d != 4 {
+		t.Errorf("tie did not break toward the first candidate: %+v at %d", l, d)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/graph"
 	"github.com/evolvable-net/evolve/internal/topology"
-	"github.com/evolvable-net/evolve/internal/trace"
 	"github.com/evolvable-net/evolve/internal/underlay"
 )
 
@@ -78,10 +77,6 @@ type Config struct {
 	// to its closest predecessor (join order = router id), yielding a
 	// tree instead of the k-closest mesh.
 	BlindIntra bool
-	// Trace, when non-nil, receives one KindBoneLink event per virtual
-	// link the construction establishes (intra adjacency, peering
-	// tunnel, or bootstrap tunnel).
-	Trace trace.Tracer
 
 	// disableBootstrap skips the anycast bootstrap for isolated
 	// participants and the anchor-connectivity rule that follows it, so
@@ -181,15 +176,6 @@ func BuildIncremental(svc *anycast.Service, igp *underlay.View, dep *anycast.Dep
 	}
 	if !b.Connected() && !cfg.DisableRepair && !cfg.disableBootstrap {
 		return nil, stats, ErrPartitioned
-	}
-	if cfg.Trace != nil {
-		for _, l := range b.links {
-			cfg.Trace.Event(trace.Event{
-				Kind: trace.KindBoneLink, Router: l.A,
-				AS: net.DomainOf(l.A), Cost: l.Cost,
-				Detail: l.Kind.String(),
-			})
-		}
 	}
 	return b, stats, nil
 }
