@@ -10,7 +10,7 @@ import (
 
 // consequenceWorld is peeringWorld before any advert (T0, S1.1 and S2.2
 // participate, three routers each) with S0.0's two self-addressed hosts
-// registered, so every routing epoch renews registrants.
+// registered, so every routing epoch resolves their attach routers.
 type consequenceWorld struct {
 	evo *Evolution
 	net *topology.Network
@@ -44,9 +44,8 @@ func (w consequenceWorld) undeploy(names ...string) {
 // consequences is what one mutator call did to the published epoch and
 // the counters. resolve is "shared" (the previous epoch's table),
 // "carried" (a new table holding some of the previous one's entries) or
-// "fresh"; flow is "shared" or "fresh"; vn is "shared", "forked" (new
-// tables on the same bone), "new" (a new bone's) or "none" (an error
-// epoch); prov is "shared", "frozen" (new clones) or "none".
+// "fresh"; flow is "shared" or "fresh"; vn is "shared", "new" or "none"
+// (an error epoch); prov is "shared", "frozen" (new clones) or "none".
 type consequences struct {
 	mutSeq, epochs, invalDomain, invalInter uint64
 	rebuilds, reused, rebuilt, failed       uint64
@@ -96,8 +95,6 @@ func observe(t *testing.T, w consequenceWorld, call func(consequenceWorld)) cons
 		c.vn = "none"
 	case ep.vn == prev.vn:
 		c.vn = "shared"
-	case ep.bone == prev.bone:
-		c.vn = "forked"
 	}
 	switch {
 	case ep.provDeps == nil:
@@ -119,8 +116,8 @@ func TestMutatorConsequences(t *testing.T) {
 	resealed := consequences{mutSeq: 1, epochs: 1, resolve: "shared", flow: "shared", vn: "shared", prov: "shared"}
 	// refused publishes nothing.
 	refused := consequences{resolve: "shared", flow: "shared", vn: "shared", prov: "shared"}
-	// registered is a registration delta: forked BGPvN tables, fresh flows.
-	registered := consequences{mutSeq: 1, epochs: 1, resolve: "shared", flow: "fresh", vn: "forked", prov: "shared"}
+	// registered is a registration delta: a new registered set, fresh flows.
+	registered := consequences{mutSeq: 1, epochs: 1, resolve: "shared", flow: "fresh", vn: "shared", prov: "shared"}
 	// inter is an inter-domain link event: every intra mesh reused.
 	inter := consequences{mutSeq: 1, epochs: 1, invalInter: 1, rebuilds: 1, reused: 3, resolve: "fresh", flow: "fresh", vn: "new", prov: "frozen"}
 	// intraT0 is an intra-domain link event in T0.

@@ -62,9 +62,9 @@ var ErrNotDeployed = errors.New("core: IPvN has no deployed routers")
 var ErrNotAnycast = errors.New("core: not an anycast address of this deployment")
 
 // routingEpoch is one immutable generation of everything the send path
-// needs: the bone, the BGPvN system, the per-host IPvN addresses, a frozen
-// clone of the deployment with the provider deployments derived from it,
-// and the redirect cache.
+// needs: the bone, the BGPvN system, the per-host IPvN addresses, the
+// registered hosts, a frozen clone of the deployment with the provider
+// deployments derived from it, and the redirect cache.
 // applyLocked builds the next epoch off the hot path and publishes it with
 // one atomic store; senders load one epoch pointer and use that consistent
 // view end-to-end, so a delivery mid-flight keeps the routing state it
@@ -87,6 +87,12 @@ type routingEpoch struct {
 	// addrs is the sharded endhost registry: per-host native IPvN
 	// addresses, copy-on-write at shard granularity across epochs.
 	addrs *addrShards
+	// registered is the set of hosts using the §3.3.2 anycast-based route
+	// advertisement: copied whole by a registration, shared by every other
+	// epoch. No /128 is stored: the domain carrying a registrant's /128
+	// is where its attach router's anycast resolution lands, read from
+	// the redirect cache when a flow needs it (see route).
+	registered hostSet
 	// dep is a deep clone frozen at publication, and provDeps the
 	// provider-specific deployments derived from it; anycast capture on the
 	// send path resolves against them, never against the live (mutable)
@@ -99,8 +105,9 @@ type routingEpoch struct {
 	// access-link cost) per (attach router, anycast address) for this
 	// epoch's routing state (routing is deterministic between
 	// reconvergences, so the cache is exact), striped by attach router.
-	// Registration fills it as well as sends; entries whose trajectory the
-	// next event cannot have touched are carried into the next epoch.
+	// Sends fill it, and so do registration and every routing epoch at
+	// each registrant's attach router; entries whose trajectory the next
+	// event cannot have touched are carried into the next epoch.
 	resolve *striped[resolveKey, *anycast.Resolution]
 	// flow is the flow cache: whole delivery skeletons per (src, dst,
 	// deployment) flow, striped by source host. applyLocked starts it over
@@ -143,7 +150,7 @@ type Evolution struct {
 
 	// mu serialises mutators (and guards the canonical mutable state
 	// below: the live membership maps inside Dep, native, pools,
-	// registered, providerDeps). Sends take it only on the
+	// registrants, providerDeps). Sends take it only on the
 	// torn-computation retry.
 	mu sync.Mutex
 	// epoch is the published routing snapshot senders run on.
@@ -159,9 +166,10 @@ type Evolution struct {
 	// untouched shards are shared structurally across epochs.
 	native *addrShards
 	pools  map[topology.ASN]*addr.VNPool
-	// registered holds endhosts using the §3.3.2 anycast-based route
-	// advertisement; renewed on every routing change (see applyLocked).
-	registered map[topology.HostID]*topology.Host
+	// registrants counts the registered hosts behind each attach router,
+	// indexed by RouterID: the routers every routing epoch resolves ahead
+	// of the flows that need them (see applyLocked).
+	registrants []int32
 	// providerDeps holds the per-provider anycast deployments of §2.1's
 	// user-choice-of-provider extension. They carry an address and no
 	// members: each epoch derives a provider's members from its own frozen
@@ -242,7 +250,7 @@ func newEvolution(net *topology.Network, cfg Config, shards int) (*Evolution, er
 		cfg:          cfg,
 		native:       newAddrShards(shards),
 		pools:        map[topology.ASN]*addr.VNPool{},
-		registered:   map[topology.HostID]*topology.Host{},
+		registrants:  make([]int32, len(net.Routers)),
 		providerDeps: map[topology.ASN]*anycast.Deployment{},
 	}
 	if cfg.Fallback {
@@ -395,13 +403,39 @@ func (e *Evolution) Bone() (*vnbone.Bone, error) {
 	return ep.bone, nil
 }
 
-// VN returns the BGPvN system of the current routing epoch.
+// VN returns the BGPvN system of the current routing epoch. Its tables
+// hold no registrant's /128, so routing a registered host through it
+// with no origin gives the egress policy's answer, not the send path's:
+// ask Route for that.
 func (e *Evolution) VN() (*bgpvn.System, error) {
 	ep := e.epoch.Load()
 	if ep.err != nil {
 		return nil, ep.err
 	}
 	return ep.vn, nil
+}
+
+// Route answers, on the current routing epoch, where a packet for dst
+// that enters the vN-Bone at member ingress leaves it, and which rule
+// decided (a KindEgress trace label): the decision a Send's flow skeleton
+// takes, a registered destination's origin included. It counts nothing.
+// Like a flow skeleton, an error met while a mutator moved on is asked
+// again on the freshly published epoch with mutators locked out.
+func (e *Evolution) Route(ingress topology.RouterID, dst *topology.Host) (bgpvn.Egress, string, error) {
+	ep := e.epoch.Load()
+	if ep.err != nil {
+		return bgpvn.Egress{}, "", ep.err
+	}
+	eg, rule, err := e.route(ep, ingress, dst, ep.addrOf(dst))
+	if err != nil && e.mutSeq.Load() != ep.seq {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if ep = e.epoch.Load(); ep.err != nil {
+			return bgpvn.Egress{}, "", ep.err
+		}
+		return e.route(ep, ingress, dst, ep.addrOf(dst))
+	}
+	return eg, rule, err
 }
 
 // Ready reports whether the published routing epoch is usable — the
@@ -478,8 +512,8 @@ const (
 	changeMembers
 	// changeProvider: a provider-specific deployment was added.
 	changeProvider
-	// changeRegistration: the registered set changed by change.add and
-	// change.drop (an empty batch included).
+	// changeRegistration: change.add registers hosts and change.drop
+	// withdraws registered ones (an empty batch included).
 	changeRegistration
 )
 
@@ -496,7 +530,7 @@ type change struct {
 	// participation.
 	domains []topology.ASN
 	toggled bool
-	// add and drop are the hosts a registration change advertises and
+	// add and drop are the hosts a registration change registers and
 	// withdraws.
 	add, drop []*topology.Host
 }
@@ -529,24 +563,23 @@ func (e *Evolution) mutate(poke func() change) {
 //     stores opens again; everything is shared.
 //   - A provider deployment: the providers are derived anew; routing is
 //     shared.
-//   - A registration: a delta on a fork of the BGPvN tables, at a cost
-//     proportional to the batch, and a fresh flow cache (skeletons bake the
-//     natives table in). The redirect cache is shared: resolution does not
-//     depend on registrations, and the entries the delta adds are computed
-//     under mu on forwarding state no mutator has touched. On an error
-//     epoch there is nothing to advertise into; the build that heals it
-//     renews every registrant.
+//   - A registration: a copy of the registered set with the batch's bits
+//     written, a fresh flow cache (skeletons bake the route in), and every
+//     routing table shared. Each attach router the batch gives its first
+//     registrant is resolved into the shared redirect cache, under mu on
+//     forwarding state no mutator has touched. On an error epoch only the
+//     set changes; the build that heals it resolves from it.
 //   - A routing change (a link, BGP reach, membership): the IGP and BGP
 //     forget what it can have moved, host addresses follow participation,
 //     and a new bone is built, reusing every intra mesh outside the dirty
 //     domain. The redirect cache carries the entries whose trajectory
 //     avoids the touched domains (all of it is suspect after an inter-link
 //     event, an advert or a participation toggle), the flow cache starts
-//     over, and new BGPvN tables renew every registrant — the endhost that
-//     "would periodically repeat this process in order to adapt to spread
-//     in deployment" (§3.3.2). With no members, or a bone that cannot be
-//     built, the epoch is an error epoch instead: senders and queries
-//     report the error until a later mutation heals it.
+//     over, and every attach router with a registrant is resolved again —
+//     the endhost that "would periodically repeat this process in order to
+//     adapt to spread in deployment" (§3.3.2). With no members, or a bone
+//     that cannot be built, the epoch is an error epoch instead: senders
+//     and queries report the error until a later mutation heals it.
 func (e *Evolution) applyLocked(c change) {
 	prev := e.epoch.Load()
 	next := *prev
@@ -556,18 +589,21 @@ func (e *Evolution) applyLocked(c change) {
 	case changeProvider:
 		next.provDeps = e.providersOf(next.dep)
 	case changeRegistration:
-		if prev.err != nil {
-			break
-		}
-		next.vn = prev.vn.Fork()
-		next.flow = prev.flow.fresh()
+		next.registered = make(hostSet, (len(e.Net.Hosts)+63)/64)
+		copy(next.registered, prev.registered)
 		for _, h := range c.add {
-			e.applyRegistration(&next, h)
+			if next.registered.add(h.ID) {
+				if e.registrants[h.Attach]++; e.registrants[h.Attach] == 1 {
+					e.resolveAt(&next, next.dep, h.Attach, false)
+				}
+			}
 		}
 		for _, h := range c.drop {
-			if v := next.addrOf(h); v.IsSelf() {
-				next.vn.WithdrawNative(addr.HostVNPrefix(v))
-			}
+			next.registered.remove(h.ID)
+			e.registrants[h.Attach]--
+		}
+		if prev.err == nil {
+			next.flow = prev.flow.fresh()
 		}
 	default:
 		// touched scopes the redirect-cache eviction, dirty the intra meshes
@@ -602,7 +638,7 @@ func (e *Evolution) applyLocked(c change) {
 			// is not in the scope of the build that heals it.
 			e.relabelScoped(touched)
 		}
-		next = routingEpoch{seq: next.seq, err: ErrNotDeployed, addrs: e.native, dep: e.Dep.Clone(), flow: prev.flow.fresh()}
+		next = routingEpoch{seq: next.seq, err: ErrNotDeployed, addrs: e.native, registered: prev.registered, dep: e.Dep.Clone(), flow: prev.flow.fresh()}
 		if next.dep.HasMembers() {
 			next.provDeps = e.providersOf(next.dep)
 			var prevBone *vnbone.Bone
@@ -630,12 +666,17 @@ func (e *Evolution) applyLocked(c change) {
 		} else {
 			next.resolve = prev.resolve.fresh()
 		}
-		// Renewal reads and fills the redirect cache just built, so only
-		// the trajectories the event evicted are walked again. A host that
-		// cannot reach the deployment now advertises nothing this epoch and
-		// stays on file.
-		for _, h := range e.registered {
-			e.applyRegistration(&next, h)
+		// Resolving every attach router with a registrant decides no route
+		// (a flow to a registrant would resolve its router itself), but the
+		// mutSeq gate sheds senders' stores while a mutator runs, so
+		// without it readers would walk every evicted trajectory again and
+		// again. Here each is walked once, under mu, so the store is exact;
+		// a router that cannot reach the deployment caches nothing, and its
+		// registrants have no origin.
+		for r, n := range e.registrants {
+			if n > 0 {
+				e.resolveAt(&next, next.dep, topology.RouterID(r), false)
+			}
 		}
 	}
 	e.publishLocked(&next)
@@ -657,20 +698,21 @@ func (e *Evolution) providersOf(dep *anycast.Deployment) map[topology.ASN]*anyca
 // policy questions): the host locates a nearby IPvN router via anycast,
 // and that router's domain advertises the host's temporary /128 into the
 // IPvN routing fabric. Deliveries to the host then use native IPvN
-// routing instead of egress-policy guesswork. Registration renews
-// automatically whenever deployment changes; like the renewal, the
-// initial advertisement is best-effort — a host that cannot presently
-// reach the deployment still goes on file and advertises on a later
-// rebuild. An error means the deployment itself is unusable and nothing
-// was registered.
+// routing instead of egress-policy guesswork. The advertising domain
+// follows deployment: it is wherever the host's attach router resolves to
+// on the epoch a flow is sent on. Registration is best-effort — a host
+// that cannot presently reach the deployment still goes on file and
+// advertises once it can. An error means the deployment itself is
+// unusable and nothing was registered.
 func (e *Evolution) RegisterEndhost(h *topology.Host) error {
 	return e.RegisterEndhosts([]*topology.Host{h})
 }
 
 // RegisterEndhosts registers a batch of hosts as one mutation and one
-// published epoch, at a cost proportional to the batch: the epoch is the
-// current one with these hosts' /128s added, whatever else is already
-// registered. An empty batch still publishes one.
+// published epoch: the current one with these hosts' bits set, whatever
+// else is already registered, and one anycast resolution per attach
+// router the batch gives its first registrant. An empty batch still
+// publishes one.
 func (e *Evolution) RegisterEndhosts(hosts []*topology.Host) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -678,48 +720,21 @@ func (e *Evolution) RegisterEndhosts(hosts []*topology.Host) error {
 		return ep.err
 	}
 	e.mutSeq.Add(1)
-	if len(e.registered) == 0 {
-		// A fleet's first batch: size the map once instead of growing it.
-		e.registered = make(map[topology.HostID]*topology.Host, len(hosts))
-	}
-	for _, h := range hosts {
-		e.registered[h.ID] = h
-	}
 	e.applyLocked(change{kind: changeRegistration, add: hosts})
 	return nil
 }
 
 // UnregisterEndhost withdraws a host's advertised route: one mutation,
-// one epoch that differs from the current one by that /128, no bone
+// one epoch that differs from the current one by that host's bit, no bone
 // rebuild.
 func (e *Evolution) UnregisterEndhost(h *topology.Host) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.registered[h.ID]; !ok {
+	if !e.epoch.Load().registered.has(h.ID) {
 		return
 	}
 	e.mutSeq.Add(1)
-	delete(e.registered, h.ID)
 	e.applyLocked(change{kind: changeRegistration, drop: []*topology.Host{h}})
-}
-
-// applyRegistration advertises h's /128 into ep's BGPvN tables on behalf
-// of the domain h's anycast resolution lands in, read through (and
-// filling) ep's redirect cache. Best effort: a host that cannot presently
-// reach the deployment advertises nothing. Callers hold mu, so the
-// forwarding state the walk reads is at rest; ep.vn is not yet published.
-func (e *Evolution) applyRegistration(ep *routingEpoch, h *topology.Host) {
-	v := ep.addrOf(h)
-	if !v.IsSelf() {
-		// The host's provider adopted IPvN; its native address is
-		// routable without any registration.
-		return
-	}
-	res, _, err := e.resolveAt(ep, ep.dep, h.Attach, false)
-	if err != nil {
-		return
-	}
-	ep.vn.AdvertiseNative(addr.HostVNPrefix(v), e.Net.DomainOf(res.Member))
 }
 
 // relabelScoped updates host IPvN addresses after participation changes

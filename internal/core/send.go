@@ -759,6 +759,30 @@ func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src 
 	return res, nil
 }
 
+// route is the vN routing decision on ep for dst, addressed dstVN, from
+// ingress member ingress: bgpvn's one Route, handed a registered
+// self-addressed destination's origin — the domain its attach router's
+// anycast resolution lands in (§3.3.2), read from the redirect cache,
+// which registration and every routing epoch fill at each registrant's
+// router. The origin comes from the shared deployment whichever one the
+// sender chose, counts nothing, and on a hit allocates nothing; a
+// registrant that cannot reach the deployment has none. A resolution that
+// fails while a mutator has moved on may be torn, so that error is
+// returned for the caller to retry under mu.
+func (e *Evolution) route(ep *routingEpoch, ingress topology.RouterID, dst *topology.Host, dstVN addr.VN) (bgpvn.Egress, string, error) {
+	origin := topology.ASN(-1)
+	if dstVN.IsSelf() && ep.registered.has(dst.ID) {
+		res, _, err := e.resolveAt(ep, ep.dep, dst.Attach, true)
+		switch {
+		case err == nil:
+			origin = e.Net.DomainOf(res.Member)
+		case e.mutSeq.Load() != ep.seq:
+			return bgpvn.Egress{}, "", err
+		}
+	}
+	return ep.vn.Route(ingress, dstVN, dst.Addr, origin, e.cfg.Egress)
+}
+
 // computeFlow computes one flow's delivery skeleton against ep: the
 // redirect resolution (leg 1, memoised separately in the redirect
 // cache), the vN-Bone egress pick (leg 2, bgpvn's one Route decision),
@@ -776,7 +800,7 @@ func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingre
 	fe.ing = ing
 	fe.ingressAS = e.Net.DomainOf(ing.Member)
 
-	eg, egDetail, err := ep.vn.Route(ing.Member, fe.dstVN, dst.Addr, e.cfg.Egress)
+	eg, egDetail, err := e.route(ep, ing.Member, dst, fe.dstVN)
 	if err != nil {
 		return nil, trace.DropNoVNRoute, fmt.Errorf("core: vn routing: %w", err)
 	}

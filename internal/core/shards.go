@@ -126,6 +126,26 @@ func (ep *routingEpoch) addrOf(h *topology.Host) addr.VN {
 	return addr.SelfAddress(h.Addr)
 }
 
+// hostSet is a set of hosts, one bit per HostID: an epoch's registered
+// endhosts. A published set is immutable; a registration writes a copy.
+type hostSet []uint64
+
+func (s hostSet) has(id topology.HostID) bool {
+	w := int(id >> 6)
+	return w < len(s) && s[w]&(1<<(id&63)) != 0
+}
+
+// add puts id in an unpublished set and reports whether it was absent.
+func (s hostSet) add(id topology.HostID) bool {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	absent := s[w]&bit == 0
+	s[w] |= bit
+	return absent
+}
+
+// remove takes id out of an unpublished set.
+func (s hostSet) remove(id topology.HostID) { s[id>>6] &^= 1 << (id & 63) }
+
 // resolveKey identifies one memoised redirect decision: the trajectory of
 // an anycast packet is a function of the router it enters the network at
 // and the address it is sent to, so every host behind one attach router

@@ -1,9 +1,9 @@
 // Package cowmap is a hash map cut into shards that a fork shares with
 // its parent until one of the two writes to a shard: forking costs one
 // slice of shard pointers, and a write copies only the shard it lands in.
-// It is how an immutable routing epoch hands its tables to the next epoch
-// — the endhost registry in internal/core and the host-route table in
-// internal/routing/bgpvn — at a cost proportional to what changed.
+// It is how an immutable routing epoch hands its endhost registry (the
+// hosts' native IPvN addresses, internal/core) to the next epoch at a
+// cost proportional to what changed.
 package cowmap
 
 // Map is a sharded copy-on-write hash map.

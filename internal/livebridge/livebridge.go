@@ -70,10 +70,6 @@ func (o *Overlay) desired() (*desiredState, error) {
 	if err != nil {
 		return nil, err
 	}
-	vn, err := evo.VN()
-	if err != nil {
-		return nil, err
-	}
 	d := &desiredState{
 		members: map[topology.RouterID]addr.V4{},
 		routes:  map[topology.RouterID]map[addr.VNPrefix]addr.V4{},
@@ -94,7 +90,7 @@ func (o *Overlay) desired() (*desiredState, error) {
 		for _, h := range evo.Net.Hosts {
 			v := d.hosts[h.ID]
 			// The same decision Send's flow skeleton takes from this member.
-			dec, _, err := vn.Route(m, v, h.Addr, evo.Config().Egress)
+			dec, _, err := evo.Route(m, h)
 			if err != nil {
 				return nil, fmt.Errorf("livebridge: route for %s from %d: %w", h.Name, m, err)
 			}

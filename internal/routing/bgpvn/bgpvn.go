@@ -31,7 +31,6 @@ import (
 	"fmt"
 
 	"github.com/evolvable-net/evolve/internal/addr"
-	"github.com/evolvable-net/evolve/internal/cowmap"
 	"github.com/evolvable-net/evolve/internal/forward"
 	"github.com/evolvable-net/evolve/internal/graph"
 	"github.com/evolvable-net/evolve/internal/rib"
@@ -92,41 +91,21 @@ type Egress struct {
 // System answers routing questions over one constructed bone.
 //
 // Concurrency: the Route*/Select*/Participates queries may run from any
-// number of goroutines, concurrently with Fork on the same System and
-// with every operation on its forks. AdvertiseNative, WithdrawNative and
-// Fork on one System need external serialization, and a System other
-// goroutines query must not be written — fork it and write the fork.
+// number of goroutines. AdvertiseNative and WithdrawNative need external
+// serialization, and a System other goroutines query must not be written.
 type System struct {
 	bone *vnbone.Bone
 	fwd  *forward.Engine
 	net  *topology.Network
 
-	// natives maps advertised IPvN prefixes shorter than /128 to their
-	// origin domain. Forks share the trie (ownNatives false on both
-	// sides) and copy it whole before the first write — blocks change
-	// with the bone, which builds a new System anyway.
-	natives    *rib.TableVN[topology.ASN]
-	ownNatives bool
-	// hosts maps advertised /128s to their origin domain: an exact-match
-	// table probed before the trie (a /128 is the longest possible
-	// match), copy-on-write by shard across forks.
-	hosts *cowmap.Map[addr.VN, topology.ASN]
-	// participants, members and byDomain are fixed at New and shared by
-	// every fork: the bone's members in id order, whole and by domain.
+	// natives maps advertised IPvN prefixes, /128s included, to their
+	// origin domain.
+	natives *rib.TableVN[topology.ASN]
+	// participants, members and byDomain are fixed at New: the bone's
+	// members in id order, whole and by domain.
 	participants map[topology.ASN]bool
 	members      []topology.RouterID
 	byDomain     map[topology.ASN][]topology.RouterID
-}
-
-// hostShards is the shard count of the /128 table: a single registration
-// on a forked System copies 1/hostShards of the host routes.
-const hostShards = 64
-
-// hashVN spreads IPvN addresses over the host-route shards. Self-addresses
-// differ only in their low 32 bits and natives in a domain are sequential,
-// so the bits are mixed rather than masked.
-func hashVN(v addr.VN) uint32 {
-	return uint32(((v.Hi ^ v.Lo) * 0x9E3779B97F4A7C15) >> 32)
 }
 
 // New builds the BGPvN view of a bone. Every participant domain
@@ -137,8 +116,6 @@ func New(bone *vnbone.Bone, fwd *forward.Engine, net *topology.Network) *System 
 		fwd:          fwd,
 		net:          net,
 		natives:      &rib.TableVN[topology.ASN]{},
-		ownNatives:   true,
-		hosts:        cowmap.New[addr.VN, topology.ASN](hostShards, hashVN),
 		participants: map[topology.ASN]bool{},
 		members:      bone.Members(),
 		byDomain:     map[topology.ASN][]topology.RouterID{},
@@ -154,52 +131,18 @@ func New(bone *vnbone.Bone, fwd *forward.Engine, net *topology.Network) *System 
 	return s
 }
 
-// Fork returns a System answering exactly what s answers now, sharing the
-// bone, the membership index, the prefix trie and every host-route shard
-// with s. Advertising or withdrawing on the fork copies only what the
-// write lands in and never changes what s answers.
-func (s *System) Fork() *System {
-	f := *s
-	f.hosts = s.hosts.Fork()
-	s.ownNatives, f.ownNatives = false, false
-	return &f
-}
-
-// writableNatives returns the prefix trie, copied first if a fork shares it.
-func (s *System) writableNatives() *rib.TableVN[topology.ASN] {
-	if !s.ownNatives {
-		clone := &rib.TableVN[topology.ASN]{}
-		s.natives.Walk(func(p addr.VNPrefix, asn topology.ASN) bool {
-			clone.Insert(p, asn)
-			return true
-		})
-		s.natives, s.ownNatives = clone, true
-	}
-	return s.natives
-}
-
 // AdvertiseNative injects an additional IPvN prefix originated by asn
 // (e.g. a host /128 for an endhost whose temporary address a participant
 // agreed to carry).
 func (s *System) AdvertiseNative(p addr.VNPrefix, asn topology.ASN) {
-	if p.Len == 128 {
-		s.hosts.Set(p.Addr, asn)
-		return
-	}
-	s.writableNatives().Insert(p, asn)
+	s.natives.Insert(p, asn)
 }
 
 // WithdrawNative removes the advertisement of exactly p and reports
 // whether there was one. Destinations under p fall back to the next
 // covering prefix, or to ErrNoVNRoute.
 func (s *System) WithdrawNative(p addr.VNPrefix) bool {
-	if p.Len == 128 {
-		return s.hosts.Delete(p.Addr)
-	}
-	if _, ok := s.natives.Exact(p); !ok {
-		return false
-	}
-	return s.writableNatives().Delete(p)
+	return s.natives.Delete(p)
 }
 
 // Participates reports whether a domain has vN-Bone presence.
@@ -222,12 +165,16 @@ func (s *System) closestIn(ingress topology.RouterID, asn topology.ASN) Egress {
 // destination: longest-prefix match in the IPvN fabric, then cheapest bone
 // path to a member of the origin domain.
 func (s *System) RouteNative(ingress topology.RouterID, dst addr.VN) (Egress, error) {
-	asn, ok := s.hosts.Get(dst)
+	asn, _, ok := s.natives.Lookup(dst)
 	if !ok {
-		if asn, _, ok = s.natives.Lookup(dst); !ok {
-			return Egress{}, ErrNoVNRoute
-		}
+		return Egress{}, ErrNoVNRoute
 	}
+	return s.toDomain(ingress, asn)
+}
+
+// toDomain routes from an ingress member to the member of asn cheapest to
+// reach over the bone.
+func (s *System) toDomain(ingress topology.RouterID, asn topology.ASN) (Egress, error) {
 	best := s.closestIn(ingress, asn)
 	if best.Member < 0 {
 		return Egress{}, ErrUnreachableOnBone
@@ -239,17 +186,29 @@ func (s *System) RouteNative(ingress topology.RouterID, dst addr.VN) (Egress, er
 // Route is the one vN routing decision (§3.3.2), shared by the simulated
 // send path and the live overlay's route tables: where a packet for the
 // host addressed dstVN (underlay address dstV4) leaves the vN-Bone when it
-// enters at ingress. A native prefix or a registered /128 covering dstVN
-// wins; only a self-addressed destination nothing in the fabric covers
-// falls to the egress policy. rule names what decided, as a KindEgress
-// trace label: trace.EgressNative, trace.EgressRegistered or the policy's
-// name.
-func (s *System) Route(ingress topology.RouterID, dstVN addr.VN, dstV4 addr.V4, policy EgressPolicy) (eg Egress, rule string, err error) {
-	eg, err = s.RouteNative(ingress, dstVN)
+// enters at ingress. origin is the domain carrying a registered
+// destination's /128 — where the registrant's anycast resolution lands —
+// and -1 when there is none. A natively addressed destination routes by
+// its covering prefix, origin unread. A self-addressed one routes to its
+// registered origin, else to an advertised prefix covering it; only one
+// nothing covers falls to the egress policy. rule names what decided, as a
+// KindEgress trace label: trace.EgressNative, trace.EgressRegistered or
+// the policy's name.
+//
+// Production passes origin (core.Evolution.Route finds it) and advertises
+// no /128: the covering-/128 branch is the reference the tests and the
+// benchmark probes build. Route(…, -1, …) on an epoch's System therefore
+// routes a registered host by the egress policy.
+func (s *System) Route(ingress topology.RouterID, dstVN addr.VN, dstV4 addr.V4, origin topology.ASN, policy EgressPolicy) (eg Egress, rule string, err error) {
 	if !dstVN.IsSelf() {
+		eg, err = s.RouteNative(ingress, dstVN)
 		return eg, trace.EgressNative, err
 	}
-	if !errors.Is(err, ErrNoVNRoute) {
+	if origin >= 0 {
+		eg, err = s.toDomain(ingress, origin)
+		return eg, trace.EgressRegistered, err
+	}
+	if eg, err = s.RouteNative(ingress, dstVN); !errors.Is(err, ErrNoVNRoute) {
 		return eg, trace.EgressRegistered, err
 	}
 	eg, err = s.SelectEgress(ingress, dstV4, policy)

@@ -2,8 +2,6 @@ package bgpvn
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -261,34 +259,38 @@ func TestAdvertiseNativeHostRoute(t *testing.T) {
 	}
 }
 
-// TestRouteRuleOrder walks Route's three rules on Figure 3: a native
-// destination routes by prefix; a self-addressed one falls to the egress
-// policy (exit-early: out at the ingress) until a /128 is registered for
-// it, which then wins over the policy; a native destination nothing
-// advertises has no policy to fall back on.
+// TestRouteRuleOrder walks Route's rules on Figure 3: a native
+// destination routes by prefix whatever origin it is handed; a
+// self-addressed one falls to the egress policy (exit-early: out at the
+// ingress) unless it has a registered origin or an advertised /128, and
+// the origin outranks the /128; a native destination nothing advertises
+// has no policy to fall back on.
 func TestRouteRuleOrder(t *testing.T) {
 	e, x, c := figure3(t)
-	oASN := e.net.DomainByName("O").ASN
+	mASN, oASN := e.net.DomainByName("M").ASN, e.net.DomainByName("O").ASN
 	y := e.dep.MembersIn(oASN)[0]
 	self := addr.SelfAddress(c.Addr)
 	native, _ := addr.NewVNPool(addr.DomainVNPrefix(int(oASN))).Next()
 
-	check := func(dst addr.VN, wantMember topology.RouterID, wantRule string) {
+	check := func(dst addr.VN, origin topology.ASN, wantMember topology.RouterID, wantRule string) {
 		t.Helper()
-		eg, rule, err := e.sys.Route(x, dst, c.Addr, ExitEarly)
+		eg, rule, err := e.sys.Route(x, dst, c.Addr, origin, ExitEarly)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if eg.Member != wantMember || rule != wantRule {
-			t.Errorf("Route(%s) = member %d by %q, want %d by %q", dst, eg.Member, rule, wantMember, wantRule)
+			t.Errorf("Route(%s, origin AS%d) = member %d by %q, want %d by %q", dst, origin, eg.Member, rule, wantMember, wantRule)
 		}
 	}
-	check(native, y, trace.EgressNative)
-	check(self, x, ExitEarly.String())
+	check(native, -1, y, trace.EgressNative)
+	check(native, mASN, y, trace.EgressNative)
+	check(self, -1, x, ExitEarly.String())
+	check(self, oASN, y, trace.EgressRegistered)
 	e.sys.AdvertiseNative(addr.HostVNPrefix(self), oASN)
-	check(self, y, trace.EgressRegistered)
+	check(self, -1, y, trace.EgressRegistered)
+	check(self, mASN, x, trace.EgressRegistered)
 
-	if _, _, err := e.sys.Route(x, addr.DomainVNPrefix(9999).Addr, c.Addr, ExitEarly); !errors.Is(err, ErrNoVNRoute) {
+	if _, _, err := e.sys.Route(x, addr.DomainVNPrefix(9999).Addr, c.Addr, -1, ExitEarly); !errors.Is(err, ErrNoVNRoute) {
 		t.Errorf("unadvertised native destination: err = %v, want ErrNoVNRoute", err)
 	}
 }
@@ -364,103 +366,5 @@ func TestHostRouteBeatsCoveringBlock(t *testing.T) {
 	}
 	if _, err := e.sys.RouteNative(x, inO); !errors.Is(err, ErrNoVNRoute) {
 		t.Errorf("withdrawn block: err = %v, want ErrNoVNRoute", err)
-	}
-}
-
-// TestForkNeverChangesParent writes host routes and blocks to a fork (and
-// to a fork of the fork) while goroutines keep querying the parent: the
-// parent's answers never move, each fork sees its own writes, and under
-// -race the shared shards and trie are never written in place.
-func TestForkNeverChangesParent(t *testing.T) {
-	e, x, _ := figure3(t)
-	mASN, oASN := e.net.DomainByName("M").ASN, e.net.DomainByName("O").ASN
-	y := e.dep.MembersIn(oASN)[0]
-	const n = 500
-	self := func(i int) addr.VN { return addr.SelfAddress(addr.V4(1000 + i)) }
-	for i := 0; i < n; i++ {
-		e.sys.AdvertiseNative(addr.HostVNPrefix(self(i)), oASN)
-	}
-	stranger := addr.DomainVNPrefix(9999)
-
-	check := func(s *System, i int, want topology.RouterID) error {
-		eg, err := s.RouteNative(x, self(i))
-		if err != nil || eg.Member != want {
-			return fmt.Errorf("host %d: egress %+v err %v, want member %d", i, eg, err, want)
-		}
-		return nil
-	}
-	stop := make(chan struct{})
-	errs := make(chan error, 4)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i = (i + 1) % n {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := check(e.sys, i, y); err != nil {
-					errs <- fmt.Errorf("parent changed: %w", err)
-					return
-				}
-				if _, err := e.sys.RouteNative(x, stranger.Addr); !errors.Is(err, ErrNoVNRoute) {
-					errs <- fmt.Errorf("parent routes the fork's block: %v", err)
-					return
-				}
-			}
-		}()
-	}
-
-	f := e.sys.Fork()
-	for i := 0; i < n; i += 2 {
-		f.AdvertiseNative(addr.HostVNPrefix(self(i)), mASN) // moved to M
-	}
-	for i := 1; i < n; i += 4 {
-		f.WithdrawNative(addr.HostVNPrefix(self(i)))
-	}
-	f.AdvertiseNative(stranger, mASN)
-	g := f.Fork()
-	g.WithdrawNative(stranger)
-	g.AdvertiseNative(addr.HostVNPrefix(self(1)), mASN)
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-
-	for i := 0; i < n; i++ {
-		if err := check(e.sys, i, y); err != nil {
-			t.Fatalf("parent after fork writes: %v", err)
-		}
-		switch {
-		case i%2 == 0:
-			if err := check(f, i, x); err != nil {
-				t.Fatalf("fork: %v", err)
-			}
-		case i%4 == 1:
-			if _, err := f.RouteNative(x, self(i)); !errors.Is(err, ErrNoVNRoute) {
-				t.Fatalf("fork host %d: err = %v, want withdrawn", i, err)
-			}
-		default:
-			if err := check(f, i, y); err != nil {
-				t.Fatalf("fork (untouched entry): %v", err)
-			}
-		}
-	}
-	if eg, err := f.RouteNative(x, stranger.Addr); err != nil || eg.Member != x {
-		t.Errorf("fork's own block: egress %+v err %v", eg, err)
-	}
-	if _, err := g.RouteNative(x, stranger.Addr); !errors.Is(err, ErrNoVNRoute) {
-		t.Errorf("second fork withdrew the block: err = %v", err)
-	}
-	if err := check(g, 1, x); err != nil {
-		t.Errorf("second fork: %v", err)
-	}
-	if _, err := f.RouteNative(x, self(1)); !errors.Is(err, ErrNoVNRoute) {
-		t.Errorf("second fork's write reached the first: err = %v", err)
 	}
 }

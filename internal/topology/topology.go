@@ -95,6 +95,8 @@ type Domain struct {
 	Routers []RouterID
 
 	pool *addr.Pool
+	// hosts lists the domain's hosts in id order; AddHost appends.
+	hosts []*Host
 }
 
 // InterLink is an inter-domain (border-to-border) link. Rel is the
@@ -119,25 +121,22 @@ type Network struct {
 
 	asns []ASN // sorted, for deterministic iteration
 
-	// Lazy O(1) lookup indexes over the (immutable after Build) node
+	// Lazy O(1) address indexes over the (immutable after Build) node
 	// sets. Built on first use so construction pays nothing; a million
 	// FindHost calls on the delivery path pay a map probe, not a fleet
 	// scan. Link-state mutators (Fail/Restore*) never touch nodes, so
 	// the indexes stay valid for the network's lifetime.
-	indexOnce     sync.Once
-	hostByAddr    map[addr.V4]*Host
-	routerByLoop  map[addr.V4]*Router
-	hostsByDomain map[ASN][]*Host
+	indexOnce    sync.Once
+	hostByAddr   map[addr.V4]*Host
+	routerByLoop map[addr.V4]*Router
 }
 
-// buildIndexes populates the lazy node indexes exactly once.
+// buildIndexes populates the lazy address indexes exactly once.
 func (n *Network) buildIndexes() {
 	n.indexOnce.Do(func() {
 		n.hostByAddr = make(map[addr.V4]*Host, len(n.Hosts))
-		n.hostsByDomain = make(map[ASN][]*Host)
 		for _, h := range n.Hosts {
 			n.hostByAddr[h.Addr] = h
-			n.hostsByDomain[h.Domain] = append(n.hostsByDomain[h.Domain], h)
 		}
 		n.routerByLoop = make(map[addr.V4]*Router, len(n.Routers))
 		for _, r := range n.Routers {
@@ -264,11 +263,13 @@ func (n *Network) RouterGraph() *graph.Graph {
 	return g
 }
 
-// HostsIn lists a domain's hosts in id order. The returned slice is
-// shared with the network's index; callers must not modify it.
+// HostsIn lists a domain's hosts in id order. The returned slice is the
+// domain's own; callers must not modify it.
 func (n *Network) HostsIn(asn ASN) []*Host {
-	n.buildIndexes()
-	return n.hostsByDomain[asn]
+	if d := n.Domains[asn]; d != nil {
+		return d.hosts
+	}
+	return nil
 }
 
 // FindHost returns the host owning the given underlay address, or nil.
@@ -475,6 +476,7 @@ func (b *Builder) AddHost(d *Domain, attach RouterID, name string, accessLatency
 		Name:          name,
 	}
 	b.net.Hosts = append(b.net.Hosts, h)
+	d.hosts = append(d.hosts, h)
 	return h
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -182,6 +183,48 @@ func TestHosts(t *testing.T) {
 	}
 	if hs := n.HostsIn(x.ASN); len(hs) != 1 || hs[0].Name != "c" {
 		t.Errorf("HostsIn = %v", hs)
+	}
+}
+
+// TestHostsInGroupsByDomain: HostsIn is the fleet grouped by domain in id
+// order — on a generated internet and on a hand-built one whose AddHost
+// calls interleave domains — and answering it builds no address index.
+func TestHostsInGroupsByDomain(t *testing.T) {
+	ts, err := TransitStub(3, 4, 0.4, GenConfig{Seed: 7, RoutersPerDomain: 2, HostsPerDomain: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder()
+	x, z := b.AddDomain("X"), b.AddDomain("Z")
+	rx, rz := b.AddRouter(x, ""), b.AddRouter(z, "")
+	b.Peer(rx, rz, 1)
+	for i := 0; i < 6; i++ {
+		if i%3 == 1 {
+			b.AddHost(z, rz, "", 1)
+		} else {
+			b.AddHost(x, rx, "", 1)
+		}
+	}
+	hand, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Network{ts, hand} {
+		want := map[ASN][]*Host{}
+		for _, h := range n.Hosts {
+			want[h.Domain] = append(want[h.Domain], h)
+		}
+		for _, asn := range n.ASNs() {
+			if got := n.HostsIn(asn); !slices.Equal(got, want[asn]) {
+				t.Errorf("HostsIn(AS%d) = %v, want %v", asn, got, want[asn])
+			}
+		}
+		if n.HostsIn(0) != nil {
+			t.Error("HostsIn of an unknown domain is not nil")
+		}
+		if n.hostByAddr != nil || n.routerByLoop != nil {
+			t.Error("HostsIn built the address indexes")
+		}
 	}
 }
 
