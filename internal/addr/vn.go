@@ -175,33 +175,12 @@ func DomainVNPrefix(asn int) VNPrefix {
 	return MakeVNPrefix(VN{Hi: uint64(uint32(asn)) << 24}, 40)
 }
 
-// VNPool allocates native IPvN host addresses sequentially from a prefix.
-type VNPool struct {
-	prefix VNPrefix
-	next   uint64
-}
-
-// NewVNPool returns an allocator over p. Only prefixes of length ≥ 64 are
-// supported (allocation happens in the low 64 bits), which all domain
-// blocks satisfy after subnetting; DomainVNPrefix blocks are widened here
-// by fixing Hi and allocating in Lo.
-func NewVNPool(p VNPrefix) *VNPool {
-	return &VNPool{prefix: p, next: 1}
-}
-
-// Next allocates the next unused address in the block.
-func (pl *VNPool) Next() (VN, error) {
-	var capacity uint64
-	if pl.prefix.Len >= 64 {
-		bits := 128 - pl.prefix.Len
-		capacity = uint64(1) << bits
-	} else {
-		capacity = ^uint64(0) // effectively unbounded in Lo
-	}
-	if capacity != ^uint64(0) && pl.next >= capacity {
-		return VN{}, ErrPrefixExhausted
-	}
-	v := VN{Hi: pl.prefix.Addr.Hi, Lo: pl.prefix.Addr.Lo + pl.next}
-	pl.next++
-	return v, nil
+// NativeVN returns the i-th (0-based) native IPvN host address of asn's
+// block DomainVNPrefix(asn): the block's address plus i+1, so the block's
+// own address is never a host's. Numbering a domain's hosts in the order
+// they were attached to it (topology.Host.Rank) makes a host's native
+// address a function of its domain and that number alone.
+func NativeVN(asn int, i uint64) VN {
+	p := DomainVNPrefix(asn)
+	return VN{Hi: p.Addr.Hi, Lo: p.Addr.Lo + i + 1}
 }

@@ -1,9 +1,54 @@
 package addr
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
+
+// refPool is the sequential allocator a domain's native addresses were
+// once drawn from, kept as NativeVN's reference. It allocates in the low
+// 64 bits from the prefix's address plus one upward; a prefix shorter
+// than /64 is unbounded there.
+type refPool struct {
+	prefix VNPrefix
+	next   uint64
+}
+
+func newRefPool(p VNPrefix) *refPool { return &refPool{prefix: p, next: 1} }
+
+func (pl *refPool) Next() (VN, error) {
+	var capacity uint64
+	if pl.prefix.Len >= 64 {
+		capacity = uint64(1) << (128 - pl.prefix.Len)
+	} else {
+		capacity = ^uint64(0)
+	}
+	if capacity != ^uint64(0) && pl.next >= capacity {
+		return VN{}, ErrPrefixExhausted
+	}
+	v := VN{Hi: pl.prefix.Addr.Hi, Lo: pl.prefix.Addr.Lo + pl.next}
+	pl.next++
+	return v, nil
+}
+
+// TestNativeVNMatchesPool: NativeVN(asn, i) is the pool's (i+1)-th draw
+// over DomainVNPrefix(asn), for the first 1 000 draws at the smallest,
+// a small, a private and the largest 32-bit ASN.
+func TestNativeVNMatchesPool(t *testing.T) {
+	for _, asn := range []int{0, 7, 65001, math.MaxUint32} {
+		pool := newRefPool(DomainVNPrefix(asn))
+		for i := uint64(0); i < 1000; i++ {
+			want, err := pool.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := NativeVN(asn, i); got != want {
+				t.Fatalf("NativeVN(%d, %d) = %s, pool draw %d = %s", asn, i, got, i+1, want)
+			}
+		}
+	}
+}
 
 func TestSelfAddressRoundTrip(t *testing.T) {
 	u := MustParseV4("10.9.8.7")
@@ -37,12 +82,8 @@ func TestNativeAddressesAreNotSelf(t *testing.T) {
 	if p.Addr.IsSelf() {
 		t.Error("native domain prefix has self flag set")
 	}
-	pool := NewVNPool(p)
-	for i := 0; i < 100; i++ {
-		v, err := pool.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i := uint64(0); i < 100; i++ {
+		v := NativeVN(65001, i)
 		if v.IsSelf() {
 			t.Fatalf("native allocation %s has self flag", v)
 		}
@@ -88,8 +129,7 @@ func TestVNCompare(t *testing.T) {
 
 func TestVNPrefixContains(t *testing.T) {
 	p := DomainVNPrefix(7)
-	pool := NewVNPool(p)
-	v, _ := pool.Next()
+	v := NativeVN(7, 0)
 	if !p.Contains(v) {
 		t.Errorf("%s should contain %s", p, v)
 	}
@@ -123,12 +163,8 @@ func TestVNPrefixMaskBoundaries(t *testing.T) {
 
 func TestDomainVNPrefixesDisjoint(t *testing.T) {
 	f := func(a, b uint16) bool {
-		pa, pb := DomainVNPrefix(int(a)), DomainVNPrefix(int(b))
-		poolA := NewVNPool(pa)
-		va, err := poolA.Next()
-		if err != nil {
-			return false
-		}
+		pb := DomainVNPrefix(int(b))
+		va := NativeVN(int(a), 0)
 		if a == b {
 			return pb.Contains(va)
 		}
@@ -139,14 +175,10 @@ func TestDomainVNPrefixesDisjoint(t *testing.T) {
 	}
 }
 
-func TestVNPoolUnique(t *testing.T) {
-	pool := NewVNPool(DomainVNPrefix(42))
+func TestNativeVNUnique(t *testing.T) {
 	seen := map[VN]bool{}
-	for i := 0; i < 1000; i++ {
-		v, err := pool.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i := uint64(0); i < 1000; i++ {
+		v := NativeVN(42, i)
 		if seen[v] {
 			t.Fatalf("duplicate %s", v)
 		}

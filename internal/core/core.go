@@ -62,9 +62,9 @@ var ErrNotDeployed = errors.New("core: IPvN has no deployed routers")
 var ErrNotAnycast = errors.New("core: not an anycast address of this deployment")
 
 // routingEpoch is one immutable generation of everything the send path
-// needs: the bone, the BGPvN system, the per-host IPvN addresses, the
-// registered hosts, a frozen clone of the deployment with the provider
-// deployments derived from it, and the redirect cache.
+// needs: the bone, the BGPvN system, the registered hosts, a frozen clone
+// of the deployment with the provider deployments derived from it, and
+// the redirect cache.
 // applyLocked builds the next epoch off the hot path and publishes it with
 // one atomic store; senders load one epoch pointer and use that consistent
 // view end-to-end, so a delivery mid-flight keeps the routing state it
@@ -84,9 +84,6 @@ type routingEpoch struct {
 
 	bone *vnbone.Bone
 	vn   *bgpvn.System
-	// addrs is the sharded endhost registry: per-host native IPvN
-	// addresses, copy-on-write at shard granularity across epochs.
-	addrs *addrShards
 	// registered is the set of hosts using the §3.3.2 anycast-based route
 	// advertisement: copied whole by a registration, shared by every other
 	// epoch. No /128 is stored: the domain carrying a registrant's /128
@@ -96,7 +93,8 @@ type routingEpoch struct {
 	// dep is a deep clone frozen at publication, and provDeps the
 	// provider-specific deployments derived from it; anycast capture on the
 	// send path resolves against them, never against the live (mutable)
-	// deployment. dep is set on every epoch, error epochs included (sends
+	// deployment, and every host's IPvN address follows dep's membership
+	// (see addrOf). dep is set on every epoch, error epochs included (sends
 	// key their flows by its address); provDeps may be nil on an epoch with
 	// no members.
 	dep      *anycast.Deployment
@@ -149,9 +147,8 @@ type Evolution struct {
 	cfg Config
 
 	// mu serialises mutators (and guards the canonical mutable state
-	// below: the live membership maps inside Dep, native, pools,
-	// registrants, providerDeps). Sends take it only on the
-	// torn-computation retry.
+	// below: the live membership maps inside Dep, registrants,
+	// providerDeps). Sends take it only on the torn-computation retry.
 	mu sync.Mutex
 	// epoch is the published routing snapshot senders run on.
 	epoch atomic.Pointer[routingEpoch]
@@ -159,13 +156,6 @@ type Evolution struct {
 	// any shared routing state (see routingEpoch.seq).
 	mutSeq atomic.Uint64
 
-	// native is the mutator-side canonical endhost registry (sharded
-	// per-host native IPvN addresses); pools allocate native addresses
-	// per participant domain. Epochs publish copy-on-write snapshots:
-	// relabelScoped forks it and copies only the shards it writes, so
-	// untouched shards are shared structurally across epochs.
-	native *addrShards
-	pools  map[topology.ASN]*addr.VNPool
 	// registrants counts the registered hosts behind each attach router,
 	// indexed by RouterID: the routers every routing epoch resolves ahead
 	// of the flows that need them (see applyLocked).
@@ -248,8 +238,6 @@ func newEvolution(net *topology.Network, cfg Config, shards int) (*Evolution, er
 		Fwd:          forward.NewEngine(net, bgpSys, igp),
 		Dep:          dep,
 		cfg:          cfg,
-		native:       newAddrShards(shards),
-		pools:        map[topology.ASN]*addr.VNPool{},
 		registrants:  make([]int32, len(net.Routers)),
 		providerDeps: map[topology.ASN]*anycast.Deployment{},
 	}
@@ -258,7 +246,6 @@ func newEvolution(net *topology.Network, cfg Config, shards int) (*Evolution, er
 	}
 	e.epoch.Store(&routingEpoch{
 		err:     ErrNotDeployed,
-		addrs:   e.native,
 		dep:     dep.Clone(),
 		resolve: newStriped[resolveKey, *anycast.Resolution](shards),
 		flow:    newStriped[flowKey, *flowEntry](shards),
@@ -570,16 +557,17 @@ func (e *Evolution) mutate(poke func() change) {
 //     forwarding state no mutator has touched. On an error epoch only the
 //     set changes; the build that heals it resolves from it.
 //   - A routing change (a link, BGP reach, membership): the IGP and BGP
-//     forget what it can have moved, host addresses follow participation,
-//     and a new bone is built, reusing every intra mesh outside the dirty
-//     domain. The redirect cache carries the entries whose trajectory
-//     avoids the touched domains (all of it is suspect after an inter-link
-//     event, an advert or a participation toggle), the flow cache starts
-//     over, and every attach router with a registrant is resolved again —
-//     the endhost that "would periodically repeat this process in order to
-//     adapt to spread in deployment" (§3.3.2). With no members, or a bone
-//     that cannot be built, the epoch is an error epoch instead: senders
-//     and queries report the error until a later mutation heals it.
+//     forget what it can have moved, the deployment is frozen anew (host
+//     addresses follow it), and a new bone is built, reusing every intra
+//     mesh outside the dirty domain. The redirect cache carries the
+//     entries whose trajectory avoids the touched domains (all of it is
+//     suspect after an inter-link event, an advert or a participation
+//     toggle), the flow cache starts over, and every attach router with a
+//     registrant is resolved again — the endhost that "would periodically
+//     repeat this process in order to adapt to spread in deployment"
+//     (§3.3.2). With no members, or a bone that cannot be built, the epoch
+//     is an error epoch instead: senders and queries report the error
+//     until a later mutation heals it.
 func (e *Evolution) applyLocked(c change) {
 	prev := e.epoch.Load()
 	next := *prev
@@ -634,11 +622,8 @@ func (e *Evolution) applyLocked(c change) {
 			// A domain toggling participation changes Option-1 originations
 			// and host addressing everywhere.
 			carry = carry && !c.toggled
-			// Before any error return: a domain that left in a failed build
-			// is not in the scope of the build that heals it.
-			e.relabelScoped(touched)
 		}
-		next = routingEpoch{seq: next.seq, err: ErrNotDeployed, addrs: e.native, registered: prev.registered, dep: e.Dep.Clone(), flow: prev.flow.fresh()}
+		next = routingEpoch{seq: next.seq, err: ErrNotDeployed, registered: prev.registered, dep: e.Dep.Clone(), flow: prev.flow.fresh()}
 		if next.dep.HasMembers() {
 			next.provDeps = e.providersOf(next.dep)
 			var prevBone *vnbone.Bone
@@ -735,48 +720,6 @@ func (e *Evolution) UnregisterEndhost(h *topology.Host) {
 	}
 	e.mutSeq.Add(1)
 	e.applyLocked(change{kind: changeRegistration, drop: []*topology.Host{h}})
-}
-
-// relabelScoped updates host IPvN addresses after participation changes
-// in the scoped domains: hosts of newly participating domains get native
-// addresses ("such endhosts will have to relabel if and when their
-// access providers do adopt IPvN"), hosts of domains that dropped out
-// fall back to temporary self-addresses (by deletion — absence means
-// self-addressed; see addrShards). Addresses depend only on domain
-// participation, so domains outside the scope cannot have changed and
-// their shards are shared with the previous epoch untouched. A host that
-// is already natively addressed in a still-participating domain keeps
-// its address — relabelling is stable. Per-domain pool draws happen in
-// host-ID order, matching the old full-scan relabel pass exactly.
-// Callers hold mu.
-func (e *Evolution) relabelScoped(scope map[topology.ASN]bool) {
-	if len(scope) == 0 {
-		return
-	}
-	next := e.native.Fork()
-	for asn := range scope {
-		participates := e.participatesLocked(asn)
-		for _, h := range e.Net.HostsIn(asn) {
-			_, native := next.Get(h.ID)
-			switch {
-			case participates && !native:
-				pool, ok := e.pools[asn]
-				if !ok {
-					pool = addr.NewVNPool(addr.DomainVNPrefix(int(asn)))
-					e.pools[asn] = pool
-				}
-				v, err := pool.Next()
-				if err != nil {
-					// A /40 per domain cannot exhaust at simulated scales.
-					panic(fmt.Sprintf("core: native pool exhausted for AS%d: %v", asn, err))
-				}
-				next.Set(h.ID, v)
-			case !participates && native:
-				next.Delete(h.ID)
-			}
-		}
-	}
-	e.native = next
 }
 
 // HostVNAddr returns a host's current IPvN address: native when its

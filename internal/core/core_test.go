@@ -129,6 +129,23 @@ func TestRelabelOnAdoption(t *testing.T) {
 	if again != after {
 		t.Error("native address changed gratuitously")
 	}
+	// The stub leaves: its hosts fall back to self-addresses.
+	e.UndeployRouter(stub.Routers[0])
+	if left, _ := e.HostVNAddr(h); !left.IsSelf() {
+		t.Errorf("host kept native address %s after its domain left", left)
+	}
+	// The stub rejoins: its hosts get their first native addresses back,
+	// the ones a world that never saw the history gives them.
+	e.DeployDomain(stub.ASN, 1)
+	rejoined, _ := e.HostVNAddr(h)
+	if rejoined != after {
+		t.Errorf("after rejoining: %s, first native address %s", rejoined, after)
+	}
+	twin := newEvo(t, n, Config{})
+	twin.DeployRouters(e.Dep.Members())
+	if fresh, err := twin.HostVNAddr(h); err != nil || fresh != rejoined {
+		t.Errorf("after rejoining: %s, from scratch %s (err %v)", rejoined, fresh, err)
+	}
 }
 
 func TestSendSelfToSelf(t *testing.T) {

@@ -107,10 +107,12 @@ func referenceRoutes(t *testing.T, evo *Evolution, set map[topology.HostID]bool)
 
 // TestIncrementalRegistrationMatchesFromScratch drives seeded worlds
 // through random interleavings of single and batched registrations,
-// withdrawals, membership changes, link events, peering adverts and
-// provider choices, and after every step holds the incrementally
-// maintained world to a twin built from scratch with one RegisterEndhosts
-// of the current set: the same Route for every host from every member,
+// withdrawals, membership changes (whole domains leaving and rejoining
+// among them), link events, peering adverts and provider choices, and
+// after every step holds the incrementally maintained world to a twin
+// built from scratch with one RegisterEndhosts of the current set: the
+// same IPvN address for every host, the same Route for every host from
+// every member,
 // the same provider deployments, the same anycast resolution from every
 // router toward every anycast address, and the same deliveries. Routes and
 // the egress of every delivery, through a provider's address too, must
@@ -146,6 +148,13 @@ func TestIncrementalRegistrationMatchesFromScratch(t *testing.T) {
 			var providers []topology.ASN
 			provAddrs := []addr.V4{live.AnycastAddr()}
 			var adverts []advert
+			// left holds domains whose every router a step undeployed, with
+			// those routers, for a later step to bring back.
+			type leftDomain struct {
+				asn     topology.ASN
+				routers []topology.RouterID
+			}
+			var left []leftDomain
 			// target is a participant half the time, any domain otherwise.
 			target := func() topology.ASN {
 				if ms := live.Dep.Members(); len(ms) > 0 && rng.Intn(2) == 0 {
@@ -157,7 +166,7 @@ func TestIncrementalRegistrationMatchesFromScratch(t *testing.T) {
 
 			for step := 0; step < 40; step++ {
 				var what string
-				switch op := rng.Intn(11); op {
+				switch op := rng.Intn(13); op {
 				case 0, 1:
 					h := host()
 					what = fmt.Sprintf("register h%d", h.ID)
@@ -239,6 +248,30 @@ func TestIncrementalRegistrationMatchesFromScratch(t *testing.T) {
 						providers = append(providers, asn)
 						provAddrs = append(provAddrs, a)
 					}
+				case 11:
+					// A participant other than T0 leaves participation whole.
+					var asns []topology.ASN
+					for _, asn := range live.Dep.ParticipatingASes() {
+						if net.Domain(asn).Name != "T0" {
+							asns = append(asns, asn)
+						}
+					}
+					if len(asns) > 0 {
+						l := leftDomain{asn: asns[rng.Intn(len(asns))]}
+						l.routers = live.Dep.MembersIn(l.asn)
+						what = fmt.Sprintf("AS%d leaves (%d routers)", l.asn, len(l.routers))
+						for _, r := range l.routers {
+							live.UndeployRouter(r)
+						}
+						left = append(left, l)
+					}
+				case 12:
+					if n := len(left); n > 0 {
+						l := left[n-1]
+						left = left[:n-1]
+						what = fmt.Sprintf("AS%d rejoins (%d routers)", l.asn, len(l.routers))
+						live.DeployRouters(l.routers)
+					}
 				}
 				if what == "" {
 					continue
@@ -256,8 +289,8 @@ func TestIncrementalRegistrationMatchesFromScratch(t *testing.T) {
 					for _, h := range net.Hosts {
 						la, _ := live.HostVNAddr(h)
 						ta, _ := twin.HostVNAddr(h)
-						if la.IsSelf() != ta.IsSelf() {
-							t.Fatalf("%s: h%d self-addressed live=%v twin=%v", at, h.ID, la.IsSelf(), ta.IsSelf())
+						if la != ta {
+							t.Fatalf("%s: h%d address live %s, twin %s", at, h.ID, la, ta)
 						}
 						for _, m := range live.Dep.Members() {
 							le, lrule, lerr := live.Route(m, h)

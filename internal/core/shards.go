@@ -6,15 +6,14 @@ import (
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
-	"github.com/evolvable-net/evolve/internal/cowmap"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
 	"github.com/evolvable-net/evolve/internal/topology"
 )
 
 // deliveryShards is the shard count of the send path's tables: the
-// endhost registry, the redirect and flow caches and the flow-health
-// registry. Sharding is layout and speed, never routing; tests hold that
-// by building Evolutions at other counts through newEvolution.
+// redirect and flow caches and the flow-health registry. Sharding is
+// layout and speed, never routing; tests hold that by building
+// Evolutions at other counts through newEvolution.
 const deliveryShards = 16
 
 // stripe is one lock-striped partition of a striped table.
@@ -28,8 +27,6 @@ type stripe[K comparable, V any] struct {
 // struct keys under per-stripe RWMutexes, so 64 concurrent senders do not
 // serialize on one lock or one map, and — unlike sync.Map — a hit is an
 // RLock plus one map probe with no interface boxing and no allocation.
-// (Its copy-on-write sibling, for tables an epoch publishes immutable, is
-// cowmap.Map.)
 //
 // Every operation on a key takes by, the value the table is striped by: a
 // field the key already carries (the attach router, the source host) and
@@ -100,28 +97,16 @@ func (s *striped[K, V]) each(fn func(stripe int, k K, v V)) {
 	}
 }
 
-// addrShards is the epoch's endhost registry: the per-host native IPvN
-// addresses, split into host-ID-hashed shards. Only native addresses are
-// stored — a host whose access provider does not participate derives its
-// temporary self-address from its underlay address (§3.3.2), so absence
-// IS the self-addressed state and a fleet of a million unregistered
-// hosts costs nothing.
-//
-// Published registries are immutable. Mutators fork and write the fork
-// (see Evolution.relabelScoped): an epoch build that touches two domains
-// copies only the shards holding those domains' hosts, and a link event
-// copies nothing at all.
-type addrShards = cowmap.Map[topology.HostID, addr.VN]
-
-func newAddrShards(n int) *addrShards {
-	return cowmap.New[topology.HostID, addr.VN](n, func(id topology.HostID) uint32 { return uint32(id) })
-}
-
-// addrOf returns h's IPvN address in this epoch: the stored native
-// address when one exists, the derived self-address otherwise.
+// addrOf returns h's IPvN address in this epoch. It is a function of the
+// frozen deployment, not a table: native — the h.Rank-th address of its
+// domain's block — while h's domain has members ("such endhosts will have
+// to relabel if and when their access providers do adopt IPvN"), the
+// self-address derived from its underlay address otherwise (§3.3.2). A
+// domain that leaves and rejoins gives its hosts their first addresses
+// back.
 func (ep *routingEpoch) addrOf(h *topology.Host) addr.VN {
-	if v, ok := ep.addrs.Get(h.ID); ok {
-		return v
+	if ep.dep.HasMembersIn(h.Domain) {
+		return addr.NativeVN(int(h.Domain), uint64(h.Rank))
 	}
 	return addr.SelfAddress(h.Addr)
 }

@@ -129,8 +129,7 @@ func TestNativeDeliveryViaBoneRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nativeDst.Close()
-	pool := addr.NewVNPool(addr.DomainVNPrefix(42))
-	v, _ := pool.Next()
+	v := addr.NativeVN(42, 0)
 	nativeDst.SetVNAddr(v)
 	// Bone routes for domain 42's prefix down the chain to the dst node.
 	p := addr.DomainVNPrefix(42)

@@ -207,8 +207,7 @@ func TestRouteNative(t *testing.T) {
 	// O's native block: a destination inside it routes to O's member.
 	oASN := e.net.DomainByName("O").ASN
 	y := e.dep.MembersIn(oASN)[0]
-	pool := addr.NewVNPool(addr.DomainVNPrefix(int(oASN)))
-	dst, _ := pool.Next()
+	dst := addr.NativeVN(int(oASN), 0)
 	eg, err := e.sys.RouteNative(x, dst)
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +220,7 @@ func TestRouteNative(t *testing.T) {
 	}
 	// Local native destination: egress in own domain at zero bone cost.
 	mASN := e.net.DomainByName("M").ASN
-	localPool := addr.NewVNPool(addr.DomainVNPrefix(int(mASN)))
-	localDst, _ := localPool.Next()
+	localDst := addr.NativeVN(int(mASN), 0)
 	eg, err = e.sys.RouteNative(x, localDst)
 	if err != nil || eg.Member != x || eg.BoneCost != 0 {
 		t.Errorf("local native egress = %+v err %v", eg, err)
@@ -270,7 +268,7 @@ func TestRouteRuleOrder(t *testing.T) {
 	mASN, oASN := e.net.DomainByName("M").ASN, e.net.DomainByName("O").ASN
 	y := e.dep.MembersIn(oASN)[0]
 	self := addr.SelfAddress(c.Addr)
-	native, _ := addr.NewVNPool(addr.DomainVNPrefix(int(oASN))).Next()
+	native := addr.NativeVN(int(oASN), 0)
 
 	check := func(dst addr.VN, origin topology.ASN, wantMember topology.RouterID, wantRule string) {
 		t.Helper()
@@ -334,7 +332,7 @@ func TestHostRouteBeatsCoveringBlock(t *testing.T) {
 	e, x, c := figure3(t)
 	mASN, oASN := e.net.DomainByName("M").ASN, e.net.DomainByName("O").ASN
 	y := e.dep.MembersIn(oASN)[0]
-	inO, _ := addr.NewVNPool(addr.DomainVNPrefix(int(oASN))).Next()
+	inO := addr.NativeVN(int(oASN), 0)
 
 	e.sys.AdvertiseNative(addr.HostVNPrefix(inO), mASN)
 	if eg, err := e.sys.RouteNative(x, inO); err != nil || eg.Member != x {

@@ -81,6 +81,10 @@ type Host struct {
 	Domain ASN
 	Attach RouterID
 	Addr   addr.V4
+	// Rank is the host's index in its domain's HostsIn list, fixed when
+	// the host is added. (Placed after Addr, it fills padding: a Host is
+	// no larger for it.)
+	Rank int32
 	// AccessLatency is the host↔access-router link cost.
 	AccessLatency int64
 	Name          string
@@ -472,6 +476,7 @@ func (b *Builder) AddHost(d *Domain, attach RouterID, name string, accessLatency
 		Domain:        d.ASN,
 		Attach:        attach,
 		Addr:          a,
+		Rank:          int32(len(d.hosts)),
 		AccessLatency: accessLatency,
 		Name:          name,
 	}

@@ -188,7 +188,8 @@ func TestHosts(t *testing.T) {
 
 // TestHostsInGroupsByDomain: HostsIn is the fleet grouped by domain in id
 // order — on a generated internet and on a hand-built one whose AddHost
-// calls interleave domains — and answering it builds no address index.
+// calls interleave domains — every host's Rank is its index there, and
+// answering it builds no address index.
 func TestHostsInGroupsByDomain(t *testing.T) {
 	ts, err := TransitStub(3, 4, 0.4, GenConfig{Seed: 7, RoutersPerDomain: 2, HostsPerDomain: 3})
 	if err != nil {
@@ -217,6 +218,11 @@ func TestHostsInGroupsByDomain(t *testing.T) {
 		for _, asn := range n.ASNs() {
 			if got := n.HostsIn(asn); !slices.Equal(got, want[asn]) {
 				t.Errorf("HostsIn(AS%d) = %v, want %v", asn, got, want[asn])
+			}
+		}
+		for _, h := range n.Hosts {
+			if got := n.HostsIn(h.Domain)[h.Rank]; got != h {
+				t.Errorf("HostsIn(AS%d)[%d] = %s, want %s", h.Domain, h.Rank, got.Name, h.Name)
 			}
 		}
 		if n.HostsIn(0) != nil {
