@@ -3,8 +3,6 @@ package chaos
 import (
 	"fmt"
 	"strings"
-
-	"github.com/evolvable-net/evolve/internal/netsim"
 )
 
 // Options configures a chaos run.
@@ -85,9 +83,8 @@ func Replay(sc Scenario, schedule []Event, opts Options) (*Report, error) {
 	return replayWorld(w, schedule, opts)
 }
 
-// replayWorld drives the schedule through a discrete-event engine — one
-// event per simulated millisecond, FIFO-ordered — applying each event
-// and checking every invariant before the next fires.
+// replayWorld applies the schedule in order, checking every invariant
+// after each event, and stops at the first violation.
 func replayWorld(w *World, schedule []Event, opts Options) (*Report, error) {
 	invs, err := Invariants(opts.Invariants)
 	if err != nil {
@@ -98,32 +95,24 @@ func replayWorld(w *World, schedule []Event, opts Options) (*Report, error) {
 		apply = (*World).Apply
 	}
 	rep := &Report{Scenario: w.scenario.Name, Schedule: schedule}
-	eng := netsim.NewEngine()
 	for i, ev := range schedule {
-		i, ev := i, ev
-		eng.At(netsim.Time(i+1)*1000, func() {
-			if rep.Violation != nil {
-				return
-			}
-			apply(w, ev)
-			rep.EventsApplied++
-			ctx := &CheckContext{W: w, Step: i, Event: ev}
-			for _, inv := range invs {
-				rep.Checks++
-				if f := inv.Check(ctx); f != nil {
-					rep.Violation = &Violation{
-						Invariant: inv.Name(),
-						Step:      i,
-						Event:     ev,
-						Detail:    f.Detail,
-						Trace:     f.Trace,
-					}
-					return
+		apply(w, ev)
+		rep.EventsApplied++
+		ctx := &CheckContext{W: w, Step: i, Event: ev}
+		for _, inv := range invs {
+			rep.Checks++
+			if f := inv.Check(ctx); f != nil {
+				rep.Violation = &Violation{
+					Invariant: inv.Name(),
+					Step:      i,
+					Event:     ev,
+					Detail:    f.Detail,
+					Trace:     f.Trace,
 				}
+				return rep, nil
 			}
-		})
+		}
 	}
-	eng.Run(0)
 	return rep, nil
 }
 
