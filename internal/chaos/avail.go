@@ -137,29 +137,25 @@ func RunAvailability(topoSeed, seed int64, steps, pairs int) (*AvailReport, erro
 		return nil, fmt.Errorf("chaos: availability: need >= 2 hosts, have %d", nh)
 	}
 	payload := []byte("avail")
-	var savedFB, savedAB []topology.RouterID
+	saved := make([][]topology.RouterID, 2)
 	prevFBSends := uint64(0)
 	degradedAt := make([]bool, n)
 	for i := 0; i < n; i++ {
-		if i == outStart {
-			savedFB = append([]topology.RouterID(nil), wFB.Evo.Dep.Members()...)
-			savedAB = append([]topology.RouterID(nil), wAB.Evo.Dep.Members()...)
-			for _, m := range savedFB {
-				wFB.Evo.UndeployRouter(m)
-			}
-			for _, m := range savedAB {
-				wAB.Evo.UndeployRouter(m)
-			}
-		}
-		if i == outEnd {
-			wFB.Evo.DeployRouters(savedFB)
-			wAB.Evo.DeployRouters(savedAB)
-		}
 		ev := schedule[i]
 		inOutage := i >= outStart && i < outEnd
-		if !inOutage || (ev.Kind != DeployRouter && ev.Kind != DeployDomain) {
-			wFB.Apply(ev)
-			wAB.Apply(ev)
+		for a, w := range []*World{wFB, wAB} {
+			if i == outStart {
+				saved[a] = append([]topology.RouterID(nil), w.Evo.Dep.Members()...)
+				for _, m := range saved[a] {
+					w.Evo.UndeployRouter(m)
+				}
+			}
+			if i == outEnd {
+				w.Evo.DeployRouters(saved[a])
+			}
+			if !inOutage || (ev.Kind != DeployRouter && ev.Kind != DeployDomain) {
+				w.Apply(ev)
+			}
 		}
 		for j := 0; j < pairs; j++ {
 			src := hosts[(i+j)%nh]
@@ -200,13 +196,11 @@ func RunAvailability(topoSeed, seed int64, steps, pairs int) (*AvailReport, erro
 			break
 		}
 	}
-	finish := func(a *AvailArm) {
+	for _, a := range []*AvailArm{&rep.Fallback, &rep.Ablation} {
 		if a.Sent > 0 {
 			a.DeliveredFraction = float64(a.Delivered) / float64(a.Sent)
 		}
 	}
-	finish(&rep.Fallback)
-	finish(&rep.Ablation)
 	return rep, nil
 }
 

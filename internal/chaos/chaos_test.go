@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"go/parser"
+	"slices"
 	"strings"
 	"testing"
 
@@ -183,8 +185,9 @@ func TestChaosHealthyRestoreNotFlagged(t *testing.T) {
 
 // TestTolerantApply pins the property shrinking depends on: events that
 // make no sense in the current state (restoring an up link, failing a
-// down one, double registration) are silent no-ops, so any subsequence
-// of a valid schedule replays without desync.
+// down one, double registration, an advert or a leave from a domain with
+// no members) are silent no-ops, so any subsequence of a valid schedule
+// replays without desync.
 func TestTolerantApply(t *testing.T) {
 	w, err := NewWorld(StockScenario(42))
 	if err != nil {
@@ -232,6 +235,45 @@ func TestTolerantApply(t *testing.T) {
 	if w.Registered(h) {
 		t.Fatal("host still registered after UnregisterHost")
 	}
+
+	// An advert under option 1 is refused and recorded nowhere.
+	w.Apply(Event{Kind: Advertise, ASN: w.Net.DomainOf(w.Evo.Dep.Members()[0])})
+	if len(w.adverts) != 0 {
+		t.Fatalf("option-1 advert recorded: %v", w.adverts)
+	}
+
+	// Under option 2, Advertise, RegisterDomain and UndeployDomain apply
+	// twice as once, and are no-ops where they make no sense: an advert or
+	// a leave from a domain with no members, a registration on an empty
+	// deployment. The oracle invariant holds after every event.
+	w, err = NewWorld(twinScenario(2)) // T0 and two routers of ASNs()[4] deployed
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0, stub, idle := w.Net.DomainByName("T0").ASN, w.Net.ASNs()[4], w.Net.ASNs()[5]
+	for _, ev := range []Event{
+		{Kind: Advertise, ASN: t0}, {Kind: Advertise, ASN: t0}, {Kind: Advertise, ASN: idle},
+		{Kind: RegisterDomain, ASN: idle}, {Kind: RegisterDomain, ASN: idle},
+		{Kind: UndeployDomain, ASN: stub}, {Kind: UndeployDomain, ASN: stub}, {Kind: UndeployDomain, ASN: idle},
+		{Kind: UndeployDomain, ASN: t0}, {Kind: RegisterDomain, ASN: stub}, // on an empty deployment
+		{Kind: DeployDomain, ASN: t0},
+	} {
+		w.Apply(ev)
+		if f := checkOracle(&CheckContext{W: w}); f != nil {
+			t.Fatalf("after %s: %s", ev, f.Detail)
+		}
+	}
+	if !slices.Equal(w.adverts, []topology.ASN{t0}) || w.Evo.Participates(stub) || w.Evo.Participates(idle) {
+		t.Fatalf("adverts %v (want [%d]); AS%d participates=%v, AS%d participates=%v",
+			w.adverts, t0, stub, w.Evo.Participates(stub), idle, w.Evo.Participates(idle))
+	}
+	for _, asn := range []topology.ASN{idle, stub} {
+		for _, h := range w.Net.HostsIn(asn) {
+			if w.Registered(h.ID) != (asn == idle) {
+				t.Fatalf("h%d of AS%d registered=%v", h.ID, asn, w.Registered(h.ID))
+			}
+		}
+	}
 }
 
 func TestInvariantSelection(t *testing.T) {
@@ -260,12 +302,19 @@ func TestGoLiteralRoundTrip(t *testing.T) {
 		{Kind: DeployDomain, ASN: 4},
 		{Kind: RegisterHost, Host: 2},
 		{Kind: RestoreIntra, A: 3, B: 7},
+		{Kind: Advertise, ASN: 1},
+		{Kind: UndeployDomain, ASN: 5},
+		{Kind: RegisterDomain, ASN: 6},
 	}
 	lit := GoLiteral(events)
-	for _, want := range []string{"chaos.FailIntra, A: 3, B: 7", "chaos.DeployDomain, ASN: 4", "chaos.RegisterHost, Host: 2"} {
+	for _, want := range []string{"chaos.FailIntra, A: 3, B: 7", "chaos.DeployDomain, ASN: 4", "chaos.RegisterHost, Host: 2",
+		"chaos.Advertise, ASN: 1", "chaos.UndeployDomain, ASN: 5", "chaos.RegisterDomain, ASN: 6"} {
 		if !strings.Contains(lit, want) {
 			t.Fatalf("literal missing %q:\n%s", want, lit)
 		}
+	}
+	if _, err := parser.ParseExpr(lit); err != nil {
+		t.Fatalf("literal is not Go: %v\n%s", err, lit)
 	}
 }
 

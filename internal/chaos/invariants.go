@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
+	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/core"
 	"github.com/evolvable-net/evolve/internal/topology"
 	"github.com/evolvable-net/evolve/internal/trace"
@@ -63,57 +65,78 @@ type Failure struct {
 	Trace  string
 }
 
-// Invariant is a property checked after every schedule event. Instances
+// Invariant is a property checked after every schedule event. Checkers
 // may carry cross-step state (see conservation's previous snapshot), so
 // a fresh set is created per run via Invariants.
-type Invariant interface {
-	Name() string
-	Check(c *CheckContext) *Failure
+type Invariant struct {
+	name  string
+	check checkFunc
+}
+
+// checkFunc checks one step, returning nil when the property holds.
+type checkFunc func(c *CheckContext) *Failure
+
+// Name returns the invariant's registry name.
+func (inv Invariant) Name() string { return inv.name }
+
+// Check evaluates the invariant against the step's state.
+func (inv Invariant) Check(c *CheckContext) *Failure { return inv.check(c) }
+
+// invariantTable declares every invariant once, in check order: its
+// name, its one-line doc (cmd/chaos -list-invariants renders these) and
+// a constructor for a fresh checker.
+var invariantTable = []struct {
+	name, doc string
+	new       func() checkFunc
+}{
+	{"ua", "live Send agrees with the from-scratch oracle on every sampled host pair (§3.1 universal access)",
+		func() checkFunc { return checkUA }},
+	{"bone", "incrementally maintained vN-Bone equals the from-scratch construction (§3.3)",
+		func() checkFunc { return checkBone }},
+	{"conserve", "trace counters conserve (sends == deliveries + drops) and stay monotonic",
+		func() checkFunc { return new(conserveInvariant).Check }},
+	{"oracle", "the live epoch answers as the from-scratch oracle: readiness, every host's address, Route from every bone member to every host, provider choices and members, and anycast resolution from every router toward every anycast address",
+		func() checkFunc { return checkOracle }},
+	{"epochtick", "every routing-epoch store ticks WatchEpochs subscribers, and only those",
+		func() checkFunc { return new(epochTickInvariant).Check }},
+	{"batchsend", "SendBatch agrees packet-for-packet with the equivalent singleton Send loop",
+		func() checkFunc { return checkBatchSend }},
+	{"availability", "a fallback-enabled world never loses a baseline-intact packet and never degrades a delivery the ablation arm completes",
+		func() checkFunc { return checkAvailability }},
 }
 
 // InvariantNames lists the registered invariant names in check order.
 func InvariantNames() []string {
-	return []string{"ua", "bone", "conserve", "oracle", "epochtick", "batchsend", "availability"}
+	out := make([]string, len(invariantTable))
+	for i, inv := range invariantTable {
+		out[i] = inv.name
+	}
+	return out
 }
 
 // InvariantDoc returns the one-line description of a registered
-// invariant (cmd/chaos -list-invariants renders these).
+// invariant, "" for an unknown name.
 func InvariantDoc(name string) string {
-	switch name {
-	case "ua":
-		return "live Send agrees with the from-scratch oracle on every sampled host pair (§3.1 universal access)"
-	case "bone":
-		return "incrementally maintained vN-Bone equals the from-scratch construction (§3.3)"
-	case "conserve":
-		return "trace counters conserve (sends == deliveries + drops) and stay monotonic"
-	case "oracle":
-		return "every host's anycast resolution matches the from-scratch oracle"
-	case "epochtick":
-		return "every routing-epoch store ticks WatchEpochs subscribers, and only those"
-	case "batchsend":
-		return "SendBatch agrees packet-for-packet with the equivalent singleton Send loop"
-	case "availability":
-		return "a fallback-enabled world never loses a baseline-intact packet and never degrades a delivery the ablation arm completes"
-	default:
-		return ""
+	for _, inv := range invariantTable {
+		if inv.name == name {
+			return inv.doc
+		}
 	}
+	return ""
 }
 
 // Invariants instantiates fresh invariant checkers for the given names
 // (nil or empty means all of them), in registry order.
 func Invariants(names []string) ([]Invariant, error) {
-	if len(names) == 0 {
-		names = InvariantNames()
-	}
 	want := map[string]bool{}
 	for _, n := range names {
 		want[strings.TrimSpace(n)] = true
 	}
 	var out []Invariant
-	for _, n := range InvariantNames() {
-		if want[n] {
-			out = append(out, newInvariant(n))
-			delete(want, n)
+	for _, inv := range invariantTable {
+		if len(names) == 0 || want[inv.name] {
+			out = append(out, Invariant{inv.name, inv.new()})
+			delete(want, inv.name)
 		}
 	}
 	for n := range want {
@@ -122,48 +145,17 @@ func Invariants(names []string) ([]Invariant, error) {
 	return out, nil
 }
 
-func newInvariant(name string) Invariant {
-	switch name {
-	case "ua":
-		return &uaInvariant{}
-	case "bone":
-		return &boneInvariant{}
-	case "conserve":
-		return &conserveInvariant{}
-	case "oracle":
-		return &oracleInvariant{}
-	case "epochtick":
-		return &epochTickInvariant{}
-	case "batchsend":
-		return &batchSendInvariant{}
-	case "availability":
-		return &availabilityInvariant{}
-	default:
-		panic("chaos: unregistered invariant " + name)
-	}
-}
-
-// uaInvariant is the paper's Universal Access requirement (§3.1) made
+// checkUA is the paper's Universal Access requirement (§3.1) made
 // operational: for every host pair sampled, a Send on the long-lived
 // Evolution must succeed exactly when it succeeds on the from-scratch
-// oracle, and when both succeed they must agree on the anycast ingress
-// and the end-to-end cost. A client that the oracle can serve but the
-// live system cannot — or that the live system routes differently — has
-// lost universal access to stale incremental state.
-type uaInvariant struct{}
-
-func (uaInvariant) Name() string { return "ua" }
-
-func (uaInvariant) Check(c *CheckContext) *Failure {
+// oracle, and when both succeed they must agree on the anycast ingress,
+// the egress and the end-to-end cost. A client that the oracle can serve
+// but the live system cannot — or that the live system routes
+// differently — has lost universal access to stale incremental state.
+func checkUA(c *CheckContext) *Failure {
 	oracle, err := c.Oracle()
 	if err != nil {
-		// The current topology state admits no deployment at all (e.g.
-		// the bone cannot be built). The live system must agree that it
-		// is unusable.
-		if liveErr := c.W.Evo.Ready(); liveErr == nil {
-			return &Failure{Detail: fmt.Sprintf("oracle cannot be built (%v) but live evolution reports Ready", err)}
-		}
-		return nil
+		return &Failure{Detail: err.Error()}
 	}
 	hosts := c.W.Net.Hosts
 	n := len(hosts)
@@ -175,27 +167,20 @@ func (uaInvariant) Check(c *CheckContext) *Failure {
 		src, dst := hosts[i], hosts[(i+1)%n]
 		liveD, liveErr := c.W.Evo.Send(src, dst, payload)
 		oraD, oraErr := oracle.Send(src, dst, payload)
+		var detail string
 		switch {
 		case liveErr != nil && oraErr == nil:
-			return &Failure{
-				Detail: fmt.Sprintf("h%d→h%d: live send failed (%v) but from-scratch oracle delivers via r%d at cost %d",
-					src.ID, dst.ID, liveErr, oraD.Ingress.Member, oraD.TotalCost),
-				Trace: uaTrace(c.W.Evo, src, dst, payload),
-			}
+			detail = fmt.Sprintf("live send failed (%v) but from-scratch oracle delivers via r%d at cost %d",
+				liveErr, oraD.Ingress.Member, oraD.TotalCost)
 		case liveErr == nil && oraErr != nil:
-			return &Failure{
-				Detail: fmt.Sprintf("h%d→h%d: live send delivered via r%d at cost %d but oracle fails (%v)",
-					src.ID, dst.ID, liveD.Ingress.Member, liveD.TotalCost, oraErr),
-				Trace: uaTrace(c.W.Evo, src, dst, payload),
-			}
-		case liveErr == nil && oraErr == nil:
-			if liveD.Ingress.Member != oraD.Ingress.Member || liveD.TotalCost != oraD.TotalCost {
-				return &Failure{
-					Detail: fmt.Sprintf("h%d→h%d: live ingress r%d cost %d, oracle ingress r%d cost %d",
-						src.ID, dst.ID, liveD.Ingress.Member, liveD.TotalCost, oraD.Ingress.Member, oraD.TotalCost),
-					Trace: uaTrace(c.W.Evo, src, dst, payload),
-				}
-			}
+			detail = fmt.Sprintf("live send delivered via r%d at cost %d but oracle fails (%v)",
+				liveD.Ingress.Member, liveD.TotalCost, oraErr)
+		case liveErr == nil && (liveD.Ingress.Member != oraD.Ingress.Member || liveD.Egress.Member != oraD.Egress.Member || liveD.TotalCost != oraD.TotalCost):
+			detail = fmt.Sprintf("live ingress r%d egress r%d cost %d, oracle ingress r%d egress r%d cost %d",
+				liveD.Ingress.Member, liveD.Egress.Member, liveD.TotalCost, oraD.Ingress.Member, oraD.Egress.Member, oraD.TotalCost)
+		}
+		if detail != "" {
+			return &Failure{Detail: fmt.Sprintf("h%d→h%d: %s", src.ID, dst.ID, detail), Trace: uaTrace(c.W.Evo, src, dst, payload)}
 		}
 	}
 	return nil
@@ -210,20 +195,16 @@ func uaTrace(evo *core.Evolution, src, dst *topology.Host, payload []byte) strin
 	return evo.FormatTrace(rec.Events())
 }
 
-// boneInvariant checks the §3.3 vN-Bone: the live bone must be buildable
+// checkBone checks the §3.3 vN-Bone: the live bone must be buildable
 // exactly when the oracle's is, and when both exist they must be the
 // same overlay — same member set, same links at the same costs and
 // kinds, and connected. An incremental rebuild that drifts from the
 // from-scratch construction means some topology change never reached
 // the bone layer.
-type boneInvariant struct{}
-
-func (boneInvariant) Name() string { return "bone" }
-
-func (boneInvariant) Check(c *CheckContext) *Failure {
+func checkBone(c *CheckContext) *Failure {
 	oracle, err := c.Oracle()
 	if err != nil {
-		return nil // ua already cross-checks total unusability
+		return &Failure{Detail: err.Error()}
 	}
 	liveBone, liveErr := c.W.Evo.Bone()
 	oraBone, oraErr := oracle.Bone()
@@ -272,65 +253,100 @@ func fmtLinks(links []vnbone.Link) string {
 // the send path is synchronous) and all counters are monotonic step over
 // step — Snapshot.Sub panics on regression, which the check surfaces as
 // a violation rather than a crash.
-type conserveInvariant struct {
-	prev    trace.Snapshot
-	havePrv bool
-}
-
-func (*conserveInvariant) Name() string { return "conserve" }
+type conserveInvariant struct{ prev *trace.Snapshot }
 
 func (ci *conserveInvariant) Check(c *CheckContext) (f *Failure) {
 	s := c.W.Evo.Snapshot()
 	if s.Sends != s.Deliveries+s.Drops {
 		return &Failure{Detail: fmt.Sprintf("counter conservation broken: sends=%d deliveries=%d drops=%d", s.Sends, s.Deliveries, s.Drops)}
 	}
-	if ci.havePrv {
+	if ci.prev != nil {
 		defer func() {
 			if r := recover(); r != nil {
 				f = &Failure{Detail: fmt.Sprintf("counter regression: %v", r)}
 			}
 		}()
-		_ = s.Sub(ci.prev)
+		_ = s.Sub(*ci.prev)
 	}
-	ci.prev, ci.havePrv = s, true
+	ci.prev = &s
 	return nil
 }
 
-// oracleInvariant is the pure routing-state comparison: every host's
-// anycast resolution (the redirect decision of §3.1) as the live world's
-// current epoch answers it — through the redirect cache Send uses,
-// carried entries included — must match the from-scratch oracle's: same
-// reachability, same chosen member, same cost. It catches stale IGP/BGP
-// state and stale carried redirects even for hosts that never send.
-type oracleInvariant struct{}
-
-func (oracleInvariant) Name() string { return "oracle" }
-
-func (oracleInvariant) Check(c *CheckContext) *Failure {
+// checkOracle is the pure routing-state comparison: after every event the
+// live world's current epoch must answer everything an epoch answers as a
+// from-scratch oracle of the same present state does. Both are usable or
+// neither is; every router resolves the shared anycast address and every
+// provider's address to the same Resolution (the redirect decision of
+// §3.1, read through the redirect cache Send uses, carried entries
+// included); provider choices and members agree; and, on a usable epoch,
+// every host has the same IPvN address and Route gives the same member,
+// bone cost, rule and error from every bone member to every host. It
+// catches stale IGP/BGP state, stale carried redirects and stale
+// registrant origins even for hosts that never send. A multicast tree is
+// a function of the bone and of anycast resolution, which this and bone
+// already compare.
+func checkOracle(c *CheckContext) *Failure {
+	live := c.W.Evo
 	oracle, err := c.Oracle()
 	if err != nil {
+		return &Failure{Detail: err.Error()}
+	}
+	liveReady, oraReady := live.Ready(), oracle.Ready()
+	if (liveReady != nil) != (oraReady != nil) {
+		return &Failure{Detail: fmt.Sprintf("live epoch err=%v, oracle epoch err=%v", liveReady, oraReady)}
+	}
+	if lp, op := live.ProviderChoices(), oracle.ProviderChoices(); !slices.Equal(lp, op) {
+		return &Failure{Detail: fmt.Sprintf("provider choices: live %v, oracle %v", lp, op)}
+	}
+	addrs := []addr.V4{live.AnycastAddr()}
+	for _, p := range c.W.providers {
+		if lm, om := live.ProviderMembers(p.asn), oracle.ProviderMembers(p.asn); !slices.Equal(lm, om) {
+			return &Failure{Detail: fmt.Sprintf("AS%d provider members: live %v, oracle %v", p.asn, lm, om)}
+		}
+		addrs = append(addrs, p.addr)
+	}
+	for _, a := range addrs {
+		for _, r := range c.W.Net.Routers {
+			liveRes, liveErr := live.ResolveAnycast(r.ID, a)
+			oraRes, oraErr := oracle.ResolveAnycast(r.ID, a)
+			if (liveErr != nil) != (oraErr != nil) || !reflect.DeepEqual(liveRes, oraRes) {
+				return &Failure{Detail: fmt.Sprintf("ResolveAnycast(r%d, %s): live r%d/%d %v err=%v, oracle r%d/%d %v err=%v",
+					r.ID, a, liveRes.Member, liveRes.Cost, liveRes.ASPath, liveErr, oraRes.Member, oraRes.Cost, oraRes.ASPath, oraErr)}
+			}
+		}
+	}
+	if liveReady != nil {
 		return nil
 	}
-	liveAddr := c.W.Evo.AnycastAddr()
-	oraAddr := oracle.AnycastAddr()
 	for _, h := range c.W.Net.Hosts {
-		liveRes, liveErr := c.W.Evo.ResolveAnycast(h.Attach, liveAddr)
-		oraRes, oraErr := oracle.ResolveAnycast(h.Attach, oraAddr)
-		if (liveErr != nil) != (oraErr != nil) {
-			return &Failure{Detail: fmt.Sprintf("h%d anycast resolution: live err=%v, oracle err=%v", h.ID, liveErr, oraErr)}
+		la, _ := live.HostVNAddr(h)
+		if oa, _ := oracle.HostVNAddr(h); la != oa {
+			return &Failure{Detail: fmt.Sprintf("h%d address: live %s, oracle %s", h.ID, la, oa)}
 		}
-		if liveErr != nil {
-			continue
-		}
-		if liveRes.Member != oraRes.Member || liveRes.Cost != oraRes.Cost {
-			return &Failure{Detail: fmt.Sprintf("h%d anycast resolution diverges: live r%d/%d, oracle r%d/%d",
-				h.ID, liveRes.Member, liveRes.Cost, oraRes.Member, oraRes.Cost)}
+	}
+	bone, _ := live.Bone() // a ready epoch has one
+	for _, m := range bone.Members() {
+		for _, h := range c.W.Net.Hosts {
+			le, lrule, lerr := live.Route(m, h)
+			oe, orule, oerr := oracle.Route(m, h)
+			if lrule != orule || le.Member != oe.Member || le.BoneCost != oe.BoneCost || errText(lerr) != errText(oerr) {
+				return &Failure{Detail: fmt.Sprintf("Route(r%d, h%d registered=%v): live r%d/%d %q err=%v, oracle r%d/%d %q err=%v",
+					m, h.ID, c.W.Registered(h.ID), le.Member, le.BoneCost, lrule, lerr, oe.Member, oe.BoneCost, orule, oerr)}
+			}
 		}
 	}
 	return nil
 }
 
-// batchSendInvariant checks the batch≡loop delivery contract under the
+// errText is err's message, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// checkBatchSend checks the batch≡loop delivery contract under the
 // full fault schedule: after every event, a SendBatch burst on the live
 // Evolution must agree packet-for-packet with the equivalent singleton
 // Send loop — same per-packet success/failure (same error text on
@@ -340,11 +356,7 @@ func (oracleInvariant) Check(c *CheckContext) *Failure {
 // destinations, so a batch torn across routing state or a flow skeleton
 // reused across the wrong destination surfaces here against whatever
 // topology the schedule has mangled.
-type batchSendInvariant struct{}
-
-func (batchSendInvariant) Name() string { return "batchsend" }
-
-func (batchSendInvariant) Check(c *CheckContext) *Failure {
+func checkBatchSend(c *CheckContext) *Failure {
 	hosts := c.W.Net.Hosts
 	n := len(hosts)
 	if n < 2 {
@@ -388,34 +400,24 @@ func (batchSendInvariant) Check(c *CheckContext) *Failure {
 			if be != nil {
 				kerr = be.Errs[k]
 			}
-			switch {
-			case loopErr[k] == nil && kerr != nil:
+			if errText(loopErr[k]) != errText(kerr) {
 				return &Failure{
-					Detail: fmt.Sprintf("h%d→h%d: loop send delivers but batch packet %d fails (%v)",
-						src.ID, dsts[k].ID, k, kerr),
+					Detail: fmt.Sprintf("h%d→h%d: loop send err=%v, batch packet %d err=%v",
+						src.ID, dsts[k].ID, loopErr[k], k, kerr),
 					Trace: uaTrace(c.W.Evo, src, dsts[k], payload),
 				}
-			case loopErr[k] != nil && kerr == nil:
+			}
+			if kerr != nil {
+				continue
+			}
+			ld, bd := loopDel[k], batchDel[k]
+			ld.TraceTag, bd.TraceTag = 0, 0
+			ld.Payload, bd.Payload = nil, nil
+			if !reflect.DeepEqual(ld, bd) {
 				return &Failure{
-					Detail: fmt.Sprintf("h%d→h%d: loop send fails (%v) but batch packet %d delivers",
-						src.ID, dsts[k].ID, loopErr[k], k),
+					Detail: fmt.Sprintf("h%d→h%d: batch packet %d diverges from loop send:\nloop:  %+v\nbatch: %+v",
+						src.ID, dsts[k].ID, k, ld, bd),
 					Trace: uaTrace(c.W.Evo, src, dsts[k], payload),
-				}
-			case loopErr[k] != nil:
-				if loopErr[k].Error() != kerr.Error() {
-					return &Failure{Detail: fmt.Sprintf("h%d→h%d: drop reasons diverge: loop %q, batch %q",
-						src.ID, dsts[k].ID, loopErr[k], kerr)}
-				}
-			default:
-				ld, bd := loopDel[k], batchDel[k]
-				ld.TraceTag, bd.TraceTag = 0, 0
-				ld.Payload, bd.Payload = nil, nil
-				if !reflect.DeepEqual(ld, bd) {
-					return &Failure{
-						Detail: fmt.Sprintf("h%d→h%d: batch packet %d diverges from loop send:\nloop:  %+v\nbatch: %+v",
-							src.ID, dsts[k].ID, k, ld, bd),
-						Trace: uaTrace(c.W.Evo, src, dsts[k], payload),
-					}
 				}
 			}
 		}
@@ -434,45 +436,37 @@ func (batchSendInvariant) Check(c *CheckContext) *Failure {
 type epochTickInvariant struct {
 	ch         <-chan struct{}
 	prevEpochs uint64
-	subscribed bool
 }
-
-func (*epochTickInvariant) Name() string { return "epochtick" }
 
 func (inv *epochTickInvariant) Check(c *CheckContext) *Failure {
 	epochs := c.W.Evo.Snapshot().Epochs
-	if !inv.subscribed {
+	if inv.ch == nil {
 		// The watcher lives as long as the Evolution under test; runs
 		// discard both together.
 		inv.ch, _ = c.W.Evo.WatchEpochs()
-		inv.subscribed = true
 		inv.prevEpochs = epochs
 		return nil
 	}
 	published := epochs - inv.prevEpochs
 	inv.prevEpochs = epochs
-	ticks := 0
-	for {
-		select {
-		case <-inv.ch:
-			ticks++
-			continue
-		default:
-		}
-		break
+	// The channel holds one coalesced tick at most.
+	ticked := false
+	select {
+	case <-inv.ch:
+		ticked = true
+	default:
 	}
-	if published > 0 && ticks == 0 {
+	if published > 0 && !ticked {
 		return &Failure{Detail: fmt.Sprintf(
 			"%d epoch(s) published during %s but the watcher never ticked", published, c.Event)}
 	}
-	if published == 0 && ticks > 0 {
-		return &Failure{Detail: fmt.Sprintf(
-			"watcher ticked %d time(s) though %s published no epoch", ticks, c.Event)}
+	if published == 0 && ticked {
+		return &Failure{Detail: fmt.Sprintf("watcher ticked though %s published no epoch", c.Event)}
 	}
 	return nil
 }
 
-// availabilityInvariant is the graceful-degradation SLO made operational:
+// checkAvailability is the graceful-degradation SLO made operational:
 // against the current (mutated) topology, a fallback-enabled Evolution
 // must deliver to every sampled host pair whose IPv(N-1) baseline is
 // intact — degraded, maybe, but never dark — and must never degrade a
@@ -481,16 +475,10 @@ func (inv *epochTickInvariant) Check(c *CheckContext) *Failure {
 // oracle (so per-flow health history cannot mask a systematic hole), and,
 // when the live world itself has fallback enabled, against the live
 // Evolution too.
-type availabilityInvariant struct{}
-
-func (availabilityInvariant) Name() string { return "availability" }
-
-func (availabilityInvariant) Check(c *CheckContext) *Failure {
+func checkAvailability(c *CheckContext) *Failure {
 	fb, err := c.OracleWithFallback(true)
 	if err != nil {
-		// The current state admits no Evolution at all; ua already
-		// cross-checks total unusability.
-		return nil
+		return &Failure{Detail: err.Error()}
 	}
 	hosts := c.W.Net.Hosts
 	n := len(hosts)
@@ -515,13 +503,15 @@ func (availabilityInvariant) Check(c *CheckContext) *Failure {
 			// A fresh oracle's first send per flow starts healthy, so a
 			// degraded delivery means the vN attempt failed — the ablation
 			// twin of the same state must fail too.
-			if abl, aerr := c.OracleWithFallback(false); aerr == nil {
-				if _, ablErr := abl.Send(src, dst, payload); ablErr == nil {
-					return &Failure{
-						Detail: fmt.Sprintf("h%d→h%d: fallback-enabled send degraded to the baseline though the ablation twin delivers over vN",
-							src.ID, dst.ID),
-						Trace: uaTrace(fb, src, dst, payload),
-					}
+			abl, err := c.OracleWithFallback(false)
+			if err != nil {
+				return &Failure{Detail: err.Error()}
+			}
+			if _, ablErr := abl.Send(src, dst, payload); ablErr == nil {
+				return &Failure{
+					Detail: fmt.Sprintf("h%d→h%d: fallback-enabled send degraded to the baseline though the ablation twin delivers over vN",
+						src.ID, dst.ID),
+					Trace: uaTrace(fb, src, dst, payload),
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -148,12 +149,13 @@ func Shrink(sc Scenario, schedule []Event, v *Violation, opts Options) ([]Event,
 		return nil, fmt.Errorf("chaos: violation of %q did not reproduce on replay; schedule is not deterministic", v.Invariant)
 	}
 
+	// A pass that removes nothing halves the chunk; one that removes
+	// something repeats at the same size. A fruitless single-event pass
+	// ends it.
 	for chunk := len(cur) / 2; chunk >= 1; {
 		removed := false
 		for start := 0; start+chunk <= len(cur); {
-			cand := make([]Event, 0, len(cur)-chunk)
-			cand = append(cand, cur[:start]...)
-			cand = append(cand, cur[start+chunk:]...)
+			cand := slices.Concat(cur[:start], cur[start+chunk:])
 			ok, err := stillFails(cand)
 			if err != nil {
 				return nil, err
@@ -166,14 +168,8 @@ func Shrink(sc Scenario, schedule []Event, v *Violation, opts Options) ([]Event,
 				start += chunk
 			}
 		}
-		if !removed || chunk == 1 {
-			if chunk == 1 && !removed {
-				break
-			}
+		if !removed {
 			chunk /= 2
-			if chunk < 1 {
-				chunk = 1
-			}
 		}
 	}
 	return cur, nil

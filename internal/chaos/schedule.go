@@ -2,29 +2,11 @@ package chaos
 
 import (
 	"math/rand"
+	"slices"
 
+	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/topology"
 )
-
-// kindWeights biases the generator toward the event mix that historically
-// flushes out reconvergence bugs: failures slightly outnumber restores
-// (so runs spend time in degraded states), and registration churn is
-// frequent enough to exercise the §3.3.2 advertisement path under every
-// topology mutation.
-var kindWeights = [numKinds]int{
-	FailIntra:      18,
-	RestoreIntra:   12,
-	FailInter:      14,
-	RestoreInter:   10,
-	FlapIntra:      6,
-	FlapInter:      5,
-	DeployRouter:   8,
-	UndeployRouter: 6,
-	DeployDomain:   4,
-	RegisterHost:   10,
-	UnregisterHost: 7,
-	EnableProvider: 3,
-}
 
 // genState mirrors the world state the schedule will create, without
 // touching the live Evolution: Generate is a pure function of the
@@ -33,6 +15,7 @@ var kindWeights = [numKinds]int{
 // under test does with it.
 type genState struct {
 	rng *rand.Rand
+	net *topology.Network
 
 	intra, inter []linkID // initial link inventory, sorted
 	downIntra    map[linkID]bool
@@ -41,20 +24,24 @@ type genState struct {
 	registered   map[topology.HostID]bool
 	providers    map[topology.ASN]bool
 
-	routers  []topology.RouterID
-	domains  []topology.ASN
-	byDomain map[topology.ASN][]topology.RouterID
-	hosts    []topology.HostID
+	routers []topology.RouterID
+	domains []topology.ASN
+	hosts   []topology.HostID
+	// anchor is the option-2/GIA default domain, which never leaves
+	// whole; -1 under option 1.
+	anchor topology.ASN
 }
 
 // Generate produces a deterministic fault schedule of the given length
 // for a freshly built world. Every event is valid for the mirrored state
 // at its position (no restore of an up link, no undeploy of the last
-// member), though tolerant application means validity is a quality
-// concern, not a correctness one.
+// member, and the option-2/GIA default domain never leaves whole),
+// though tolerant application means validity is a quality concern, not
+// a correctness one.
 func Generate(w *World, seed int64, steps int) []Event {
 	g := &genState{
 		rng:        rand.New(rand.NewSource(seed)),
+		net:        w.Net,
 		intra:      w.IntraLinks(),
 		inter:      w.InterLinks(),
 		downIntra:  map[linkID]bool{},
@@ -63,10 +50,7 @@ func Generate(w *World, seed int64, steps int) []Event {
 		registered: map[topology.HostID]bool{},
 		providers:  map[topology.ASN]bool{},
 		domains:    w.Net.ASNs(),
-		byDomain:   map[topology.ASN][]topology.RouterID{},
-	}
-	for _, asn := range g.domains {
-		g.byDomain[asn] = w.Net.Domain(asn).Routers
+		anchor:     -1,
 	}
 	for _, m := range w.Evo.Dep.Members() {
 		g.deployed[m] = true
@@ -80,10 +64,13 @@ func Generate(w *World, seed int64, steps int) []Event {
 	for _, h := range w.Net.Hosts {
 		g.hosts = append(g.hosts, h.ID)
 	}
+	if cfg := w.Evo.Config(); cfg.Option != anycast.Option1 {
+		g.anchor = cfg.DefaultAS
+	}
 
 	var total int
-	for _, wt := range kindWeights {
-		total += wt
+	for _, k := range kinds {
+		total += k.weight
 	}
 	schedule := make([]Event, 0, steps)
 	misses := 0
@@ -91,7 +78,7 @@ func Generate(w *World, seed int64, steps int) []Event {
 		roll := g.rng.Intn(total)
 		k := Kind(0)
 		for ; k < numKinds; k++ {
-			roll -= kindWeights[k]
+			roll -= kinds[k].weight
 			if roll < 0 {
 				break
 			}
@@ -115,167 +102,124 @@ func Generate(w *World, seed int64, steps int) []Event {
 // emit tries to produce one event of the given kind against the mirror,
 // updating the mirror on success.
 func (g *genState) emit(k Kind) (Event, bool) {
-	pickLink := func(cands []linkID) (linkID, bool) {
-		if len(cands) == 0 {
-			return linkID{}, false
-		}
-		return cands[g.rng.Intn(len(cands))], true
-	}
 	switch k {
-	case FailIntra:
-		l, ok := pickLink(g.upLinks(g.intra, g.downIntra))
-		if !ok {
-			return Event{}, false
+	case FailIntra, RestoreIntra, FlapIntra, FailInter, RestoreInter, FlapInter:
+		links, down := g.intra, g.downIntra
+		if k == FailInter || k == RestoreInter || k == FlapInter {
+			links, down = g.inter, g.downInter
 		}
-		g.downIntra[l] = true
-		return Event{Kind: FailIntra, A: l.a, B: l.b}, true
-	case RestoreIntra:
-		l, ok := pickLink(downLinks(g.downIntra))
-		if !ok {
-			return Event{}, false
+		restore := k == RestoreIntra || k == RestoreInter
+		l, ok := pick(g.rng, filter(links, func(l linkID) bool { return down[l] == restore }))
+		switch {
+		case !ok:
+		case restore:
+			delete(down, l)
+		case k == FailIntra || k == FailInter:
+			down[l] = true
 		}
-		delete(g.downIntra, l)
-		return Event{Kind: RestoreIntra, A: l.a, B: l.b}, true
-	case FailInter:
-		l, ok := pickLink(g.upLinks(g.inter, g.downInter))
-		if !ok {
-			return Event{}, false
-		}
-		g.downInter[l] = true
-		return Event{Kind: FailInter, A: l.a, B: l.b}, true
-	case RestoreInter:
-		l, ok := pickLink(downLinks(g.downInter))
-		if !ok {
-			return Event{}, false
-		}
-		delete(g.downInter, l)
-		return Event{Kind: RestoreInter, A: l.a, B: l.b}, true
-	case FlapIntra:
-		l, ok := pickLink(g.upLinks(g.intra, g.downIntra))
-		if !ok {
-			return Event{}, false
-		}
-		return Event{Kind: FlapIntra, A: l.a, B: l.b}, true
-	case FlapInter:
-		l, ok := pickLink(g.upLinks(g.inter, g.downInter))
-		if !ok {
-			return Event{}, false
-		}
-		return Event{Kind: FlapInter, A: l.a, B: l.b}, true
-	case DeployRouter:
-		var cands []topology.RouterID
-		for _, r := range g.routers {
-			if !g.deployed[r] {
-				cands = append(cands, r)
-			}
-		}
-		if len(cands) == 0 {
-			return Event{}, false
-		}
-		r := cands[g.rng.Intn(len(cands))]
-		g.deployed[r] = true
-		return Event{Kind: DeployRouter, A: r}, true
-	case UndeployRouter:
+		return Event{Kind: k, A: l.a, B: l.b}, ok
+	case DeployRouter, UndeployRouter:
 		// Keep at least one member so the deployment never goes fully
 		// dark — an empty deployment is a degenerate state where every
 		// invariant trivially agrees on total failure.
-		if len(g.deployed) <= 1 {
+		deploy := k == DeployRouter
+		if !deploy && len(g.deployed) <= 1 {
 			return Event{}, false
 		}
-		var cands []topology.RouterID
-		for _, r := range g.routers {
-			if g.deployed[r] {
-				cands = append(cands, r)
+		r, ok := pick(g.rng, filter(g.routers, func(r topology.RouterID) bool { return g.deployed[r] != deploy }))
+		if ok {
+			g.setDeployed([]topology.RouterID{r}, deploy)
+		}
+		return Event{Kind: k, A: r}, ok
+	case DeployDomain, UndeployDomain:
+		// A domain leaves whole only if a member is left elsewhere, and
+		// the default domain never does.
+		deploy := k == DeployDomain
+		asn, ok := pick(g.rng, filter(g.domains, func(asn topology.ASN) bool {
+			n := g.members(asn)
+			if deploy {
+				return n < len(g.net.Domain(asn).Routers)
+			}
+			return n > 0 && n < len(g.deployed) && asn != g.anchor
+		}))
+		if ok {
+			g.setDeployed(g.net.Domain(asn).Routers, deploy)
+		}
+		return Event{Kind: k, ASN: asn}, ok
+	case RegisterHost, UnregisterHost:
+		register := k == RegisterHost
+		h, ok := pick(g.rng, filter(g.hosts, func(h topology.HostID) bool { return g.registered[h] != register }))
+		switch {
+		case !ok:
+		case register:
+			g.registered[h] = true
+		default:
+			delete(g.registered, h)
+		}
+		return Event{Kind: k, Host: h}, ok
+	case RegisterDomain:
+		asn, ok := pick(g.rng, filter(g.domains, func(asn topology.ASN) bool {
+			return slices.ContainsFunc(g.net.HostsIn(asn), func(h *topology.Host) bool { return !g.registered[h.ID] })
+		}))
+		if ok {
+			for _, h := range g.net.HostsIn(asn) {
+				g.registered[h.ID] = true
 			}
 		}
-		r := cands[g.rng.Intn(len(cands))]
-		delete(g.deployed, r)
-		return Event{Kind: UndeployRouter, A: r}, true
-	case DeployDomain:
-		var cands []topology.ASN
-		for _, asn := range g.domains {
-			for _, r := range g.byDomain[asn] {
-				if !g.deployed[r] {
-					cands = append(cands, asn)
-					break
-				}
-			}
-		}
-		if len(cands) == 0 {
-			return Event{}, false
-		}
-		asn := cands[g.rng.Intn(len(cands))]
-		for _, r := range g.byDomain[asn] {
-			g.deployed[r] = true
-		}
-		return Event{Kind: DeployDomain, ASN: asn}, true
-	case RegisterHost:
-		var cands []topology.HostID
-		for _, h := range g.hosts {
-			if !g.registered[h] {
-				cands = append(cands, h)
-			}
-		}
-		if len(cands) == 0 {
-			return Event{}, false
-		}
-		h := cands[g.rng.Intn(len(cands))]
-		g.registered[h] = true
-		return Event{Kind: RegisterHost, Host: h}, true
-	case UnregisterHost:
-		var cands []topology.HostID
-		for _, h := range g.hosts {
-			if g.registered[h] {
-				cands = append(cands, h)
-			}
-		}
-		if len(cands) == 0 {
-			return Event{}, false
-		}
-		h := cands[g.rng.Intn(len(cands))]
-		delete(g.registered, h)
-		return Event{Kind: UnregisterHost, Host: h}, true
+		return Event{Kind: k, ASN: asn}, ok
 	case EnableProvider:
 		// Only domains that currently participate can mint a
 		// provider-specific address, and enabling is one-shot per domain.
-		var cands []topology.ASN
-		for _, asn := range g.domains {
-			if g.providers[asn] {
-				continue
-			}
-			for _, r := range g.byDomain[asn] {
-				if g.deployed[r] {
-					cands = append(cands, asn)
-					break
-				}
-			}
+		asn, ok := pick(g.rng, filter(g.domains, func(asn topology.ASN) bool { return g.members(asn) > 0 && !g.providers[asn] }))
+		if ok {
+			g.providers[asn] = true
 		}
-		if len(cands) == 0 {
-			return Event{}, false
-		}
-		asn := cands[g.rng.Intn(len(cands))]
-		g.providers[asn] = true
-		return Event{Kind: EnableProvider, ASN: asn}, true
+		return Event{Kind: k, ASN: asn}, ok
+	case Advertise:
+		asn, ok := pick(g.rng, filter(g.domains, func(asn topology.ASN) bool { return g.members(asn) > 0 }))
+		return Event{Kind: k, ASN: asn}, ok
 	default:
 		return Event{}, false
 	}
 }
 
-func (g *genState) upLinks(all []linkID, down map[linkID]bool) []linkID {
-	var out []linkID
-	for _, l := range all {
-		if !down[l] {
-			out = append(out, l)
+// members counts asn's deployed routers in the mirror.
+func (g *genState) members(asn topology.ASN) int {
+	n := 0
+	for _, r := range g.net.Domain(asn).Routers {
+		if g.deployed[r] {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
-func downLinks(down map[linkID]bool) []linkID {
-	out := make([]linkID, 0, len(down))
-	for l := range down {
-		out = append(out, l)
+func (g *genState) setDeployed(routers []topology.RouterID, on bool) {
+	for _, r := range routers {
+		if on {
+			g.deployed[r] = true
+		} else {
+			delete(g.deployed, r)
+		}
 	}
-	sortLinkIDs(out)
+}
+
+// pick draws one of cands, false when there is none.
+func pick[T any](rng *rand.Rand, cands []T) (T, bool) {
+	var zero T
+	if len(cands) == 0 {
+		return zero, false
+	}
+	return cands[rng.Intn(len(cands))], true
+}
+
+// filter returns the elements of all that keep accepts, in order.
+func filter[T any](all []T, keep func(T) bool) []T {
+	var out []T
+	for _, x := range all {
+		if keep(x) {
+			out = append(out, x)
+		}
+	}
 	return out
 }

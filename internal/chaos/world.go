@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/core"
 	"github.com/evolvable-net/evolve/internal/topology"
@@ -33,7 +35,9 @@ func mkLinkID(a, b topology.RouterID) linkID {
 // original link latencies and inter-link specs (restores always return a
 // link to its initial parameters) and the current down/registered sets
 // (failing a down link or restoring an up one is a no-op, so schedule
-// shrinking can delete events anywhere without desynchronizing replay).
+// shrinking can delete events anywhere without desynchronizing replay) —
+// and the configuration the from-scratch twin must repeat: the provider
+// choices and peering adverts the live world accepted.
 type World struct {
 	Net *topology.Network
 	Evo *core.Evolution
@@ -45,6 +49,17 @@ type World struct {
 	downIntra  map[linkID]bool
 	downInter  map[linkID]bool
 	registered map[topology.HostID]bool
+	// providers holds each enabled provider's anycast address, in the
+	// order enabled; adverts the domains whose Advertise was accepted, in
+	// the order first accepted.
+	providers []provider
+	adverts   []topology.ASN
+}
+
+// provider is one enabled §2.1 provider choice.
+type provider struct {
+	asn  topology.ASN
+	addr addr.V4
 }
 
 // NewWorld builds the scenario and captures the initial link inventory.
@@ -86,31 +101,15 @@ func (w *World) IntraLinks() []linkID { return sortedLinks(w.intraLat) }
 
 // InterLinks returns the initially present inter-domain links in
 // deterministic order.
-func (w *World) InterLinks() []linkID {
-	keys := make([]linkID, 0, len(w.interSpec))
-	for k := range w.interSpec {
-		keys = append(keys, k)
-	}
-	sortLinkIDs(keys)
-	return keys
-}
+func (w *World) InterLinks() []linkID { return sortedLinks(w.interSpec) }
 
-func sortedLinks(m map[linkID]int64) []linkID {
+func sortedLinks[V any](m map[linkID]V) []linkID {
 	keys := make([]linkID, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sortLinkIDs(keys)
+	slices.SortFunc(keys, func(x, y linkID) int { return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b)) })
 	return keys
-}
-
-func sortLinkIDs(keys []linkID) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
-		}
-		return keys[i].b < keys[j].b
-	})
 }
 
 // DownIntra reports whether the intra link a–b is currently failed.
@@ -128,7 +127,7 @@ func (w *World) RegisteredHosts() []topology.HostID {
 	for h := range w.registered {
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -160,19 +159,50 @@ func (w *World) Apply(ev Event) {
 		w.Evo.UndeployRouter(ev.A)
 	case DeployDomain:
 		w.Evo.DeployDomain(ev.ASN, 0)
-	case RegisterHost:
-		h := w.Net.Hosts[ev.Host]
-		if err := w.Evo.RegisterEndhost(h); err == nil {
-			w.registered[ev.Host] = true
+	case UndeployDomain:
+		for _, r := range w.Evo.Dep.MembersIn(ev.ASN) {
+			w.Evo.UndeployRouter(r)
 		}
+	case RegisterHost:
+		w.register([]*topology.Host{w.Net.Hosts[ev.Host]})
+	case RegisterDomain:
+		w.register(w.Net.HostsIn(ev.ASN))
 	case UnregisterHost:
 		w.Evo.UnregisterEndhost(w.Net.Hosts[ev.Host])
 		delete(w.registered, ev.Host)
 	case EnableProvider:
 		// Tolerant like everything else: enabling an already-enabled or
 		// non-participating domain is a silent no-op/error.
-		_, _ = w.Evo.EnableProviderChoice(ev.ASN)
+		a, err := w.Evo.EnableProviderChoice(ev.ASN)
+		if err == nil && !slices.ContainsFunc(w.providers, func(p provider) bool { return p.asn == ev.ASN }) {
+			w.providers = append(w.providers, provider{ev.ASN, a})
+		}
+	case Advertise:
+		// Refused under option 1 and for a non-participant; advertising
+		// again re-originates what is already originated.
+		if w.Evo.AdvertiseToNeighbors(ev.ASN, w.neighbors(ev.ASN)...) == nil && !slices.Contains(w.adverts, ev.ASN) {
+			w.adverts = append(w.adverts, ev.ASN)
+		}
 	}
+}
+
+// register registers hosts in one batch; a refused batch registers none.
+func (w *World) register(hosts []*topology.Host) {
+	if w.Evo.RegisterEndhosts(hosts) != nil {
+		return
+	}
+	for _, h := range hosts {
+		w.registered[h.ID] = true
+	}
+}
+
+// neighbors returns every neighbour of asn, in the topology's order.
+func (w *World) neighbors(asn topology.ASN) []topology.ASN {
+	var out []topology.ASN
+	for _, nb := range w.Net.Neighbors(asn) {
+		out = append(out, nb.ASN)
+	}
+	return out
 }
 
 func (w *World) failIntra(ev Event) {
@@ -216,12 +246,13 @@ func (w *World) restoreInter(ev Event) {
 }
 
 // BuildOracle constructs a from-scratch Evolution over the *current*
-// (mutated) topology with the same configuration, membership and
-// registrations as the live one. The oracle never saw the fault
-// history — it computes everything from the present state — so any
-// disagreement between live and oracle behavior is a stale cache or a
-// skipped reconvergence in the incremental path. The oracle shares
-// w.Net but only reads it.
+// (mutated) topology with the same configuration, membership, provider
+// choices, peering adverts and registrations as the live one. The oracle
+// never saw the fault history — it computes everything from the present
+// state — so any disagreement between live and oracle behavior is a
+// stale cache or a skipped reconvergence in the incremental path. The
+// oracle shares w.Net but only reads it. An error is the harness's: the
+// oracle refused configuration the live world accepted.
 func (w *World) BuildOracle() (*core.Evolution, error) {
 	return w.buildOracle(w.Evo.Config().Fallback)
 }
@@ -236,15 +267,34 @@ func (w *World) buildOracle(fallback bool) (*core.Evolution, error) {
 		return nil, fmt.Errorf("chaos: oracle build: %w", err)
 	}
 	oracle.DeployRouters(w.Evo.Dep.Members())
-	for _, asn := range w.Evo.ProviderChoices() {
-		// Mirror provider choices; a domain whose members have all since
-		// undeployed cannot re-enable, which is fine: no invariant sends
-		// through a provider address.
-		_, _ = oracle.EnableProviderChoice(asn)
+	// A provider choice or an advert is configuration that outlives the
+	// members it was made with, so where its domain has none now the
+	// oracle makes it as live did, with one router of the domain deployed
+	// for the call.
+	withMember := func(asn topology.ASN, call func() error) error {
+		if !oracle.Participates(asn) {
+			r := w.Net.Domain(asn).Routers[0]
+			oracle.DeployRouter(r)
+			defer oracle.UndeployRouter(r)
+		}
+		if err := call(); err != nil {
+			return fmt.Errorf("chaos: oracle refused AS%d's replay: %w", asn, err)
+		}
+		return nil
 	}
-	// One batch, one epoch. Best effort, mirroring the live best-effort
-	// re-registration: a host whose domain is currently severed registers
-	// nothing, and an undeployed oracle refuses the whole batch.
+	for _, p := range w.providers {
+		if err := withMember(p.asn, func() error { _, err := oracle.EnableProviderChoice(p.asn); return err }); err != nil {
+			return nil, err
+		}
+	}
+	for _, asn := range w.adverts {
+		if err := withMember(asn, func() error { return oracle.AdvertiseToNeighbors(asn, w.neighbors(asn)...) }); err != nil {
+			return nil, err
+		}
+	}
+	// One batch, one epoch. An unusable oracle (no members, unbuildable
+	// bone) refuses the batch; the oracle invariant holds live to the
+	// same verdict.
 	ids := w.RegisteredHosts()
 	hosts := make([]*topology.Host, len(ids))
 	for i, hid := range ids {
