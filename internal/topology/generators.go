@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -67,9 +68,15 @@ func (c GenConfig) interLatency(rng *rand.Rand) int64 {
 }
 
 // populateDomain creates the routers and hosts of one generated domain and
-// wires its internal topology.
+// wires its internal topology. It returns the domain's router list, which
+// holds just the routers added here.
 func populateDomain(b *Builder, d *Domain, cfg GenConfig, rng *rand.Rand) []RouterID {
-	rs := b.AddRouters(d, cfg.RoutersPerDomain)
+	d.Routers = slices.Grow(d.Routers, cfg.RoutersPerDomain)
+	d.hosts = slices.Grow(d.hosts, cfg.HostsPerDomain)
+	for range cfg.RoutersPerDomain {
+		b.AddRouter(d, "")
+	}
+	rs := d.Routers
 	n := len(rs)
 	switch cfg.Intra {
 	case IntraRing:
@@ -140,6 +147,7 @@ func RingOfDomains(k int, cfg GenConfig) (*Network, error) {
 	cfg = cfg.Defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := NewBuilder()
+	b.reserve(k, cfg.RoutersPerDomain, cfg.HostsPerDomain)
 	routers := make([][]RouterID, k)
 	for i := 0; i < k; i++ {
 		d := b.AddDomain(fmt.Sprintf("D%d", i))
@@ -162,6 +170,7 @@ func TransitStub(nTransit, stubsPerTransit int, multihomeFrac float64, cfg GenCo
 	cfg = cfg.Defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := NewBuilder()
+	b.reserve(nTransit*(1+stubsPerTransit), cfg.RoutersPerDomain, cfg.HostsPerDomain)
 
 	transits := make([][]RouterID, nTransit)
 	for i := 0; i < nTransit; i++ {
@@ -204,6 +213,7 @@ func Waxman(nDomains int, alpha, beta float64, cfg GenConfig) (*Network, error) 
 	cfg = cfg.Defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := NewBuilder()
+	b.reserve(nDomains, cfg.RoutersPerDomain, cfg.HostsPerDomain)
 
 	type pt struct{ x, y float64 }
 	pts := make([]pt, nDomains)
@@ -268,6 +278,7 @@ func BarabasiAlbert(nDomains, m int, cfg GenConfig) (*Network, error) {
 	cfg = cfg.Defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := NewBuilder()
+	b.reserve(nDomains, cfg.RoutersPerDomain, cfg.HostsPerDomain)
 
 	routers := make([][]RouterID, 0, nDomains)
 	deg := make([]int, 0, nDomains)

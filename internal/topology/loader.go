@@ -62,15 +62,13 @@ func ParseASRelationships(r io.Reader, cfg GenConfig) (*Network, error) {
 	linkCount := map[int]int{}      // original AS number → links wired so far
 	seen := map[[2]int]bool{}       // unordered AS pair → already linked
 	var edges []asRelEdge
+	var order []int // original AS numbers in first-appearance order
 
-	domainFor := func(as int) *Domain {
-		if d, ok := domains[as]; ok {
-			return d
+	domainFor := func(as int) {
+		if _, ok := domains[as]; !ok {
+			domains[as] = b.AddDomain(fmt.Sprintf("AS%d", as))
+			order = append(order, as)
 		}
-		d := b.AddDomain(fmt.Sprintf("AS%d", as))
-		domains[as] = d
-		routers[as] = populateDomain(b, d, cfg, rng)
-		return d
 	}
 
 	sc := bufio.NewScanner(r)
@@ -120,6 +118,12 @@ func ParseASRelationships(r io.Reader, cfg GenConfig) (*Network, error) {
 		return nil, fmt.Errorf("topology: as-rel input has no adjacencies")
 	}
 
+	// Domains are populated once the file is read, so the builder can be
+	// sized for them; the order, and so every draw, is first appearance.
+	b.reserve(len(order), cfg.RoutersPerDomain, cfg.HostsPerDomain)
+	for _, as := range order {
+		routers[as] = populateDomain(b, domains[as], cfg, rng)
+	}
 	for _, e := range edges {
 		ra := pickBorder(routers[e.a], linkCount[e.a])
 		rb := pickBorder(routers[e.b], linkCount[e.b])

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/graph"
@@ -168,27 +169,89 @@ func TestAddDomainCeiling(t *testing.T) {
 	}
 }
 
+// TestAllNeighborsMatchesNeighbors holds AllNeighbors to Neighbors per
+// domain, link order and orientation included, also on RingOfDomains(2,
+// …), which peers its two domains twice, once each way. Every slice it
+// hands out is capacity-capped: appending to one neighbour's Links, or to
+// one domain's entries, changes no other.
 func TestAllNeighborsMatchesNeighbors(t *testing.T) {
-	n, err := TransitStub(4, 5, 0.5, GenConfig{Seed: 9})
+	ts, err := TransitStub(4, 5, 0.5, GenConfig{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := n.AllNeighbors()
-	for _, asn := range n.ASNs() {
-		want := n.Neighbors(asn)
-		got := all[asn]
-		if len(got) != len(want) {
-			t.Fatalf("AS%d: AllNeighbors %d entries, Neighbors %d", asn, len(got), len(want))
+	ring, err := RingOfDomains(2, GenConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nbs := ring.Neighbors(ring.ASNs()[0]); len(nbs) != 1 || len(nbs[0].Links) != 2 {
+		t.Fatalf("RingOfDomains(2) neighbours = %+v, want one with two links", nbs)
+	}
+	// Many parallel links, drawn both ways between three domains, so a
+	// sort that does not keep equal keys in link order shows.
+	b := NewBuilder()
+	var rs [3][]RouterID
+	for i := range rs {
+		rs[i] = b.AddRouters(b.AddDomain(fmt.Sprint("P", i)), 4)
+		for j := 1; j < 4; j++ {
+			b.IntraLink(rs[i][j-1], rs[i][j], 1)
 		}
-		for i := range want {
-			if got[i].ASN != want[i].ASN || got[i].Rel != want[i].Rel || len(got[i].Links) != len(want[i].Links) {
-				t.Fatalf("AS%d entry %d: %+v vs %+v", asn, i, got[i], want[i])
-			}
-			for j := range want[i].Links {
-				if got[i].Links[j] != want[i].Links[j] {
-					t.Fatalf("AS%d entry %d link %d differs", asn, i, j)
+	}
+	for k := 0; k < 40; k++ {
+		x, y := k%3, (k+1+k/3%2)%3
+		b.Peer(rs[x][k%4], rs[y][(k/4)%4], int64(k+1))
+	}
+	parallel, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Network{ts, ring, parallel} {
+		all := n.AllNeighbors()
+		check := func(when string) {
+			t.Helper()
+			for _, asn := range n.ASNs() {
+				want := n.Neighbors(asn)
+				got := all[asn]
+				if len(got) != len(want) {
+					t.Fatalf("%sAS%d: AllNeighbors %d entries, Neighbors %d", when, asn, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].ASN != want[i].ASN || got[i].Rel != want[i].Rel || len(got[i].Links) != len(want[i].Links) {
+						t.Fatalf("%sAS%d entry %d: %+v vs %+v", when, asn, i, got[i], want[i])
+					}
+					for j := range want[i].Links {
+						if got[i].Links[j] != want[i].Links[j] {
+							t.Fatalf("%sAS%d entry %d link %d differs", when, asn, i, j)
+						}
+					}
 				}
 			}
 		}
+		check("")
+		for _, asn := range n.ASNs() {
+			nbs := all[asn]
+			for i := range nbs {
+				_ = append(nbs[i].Links, InterLink{From: -1, To: -1})
+			}
+			_ = append(nbs, ASNeighbor{ASN: -1})
+		}
+		check("after appends: ")
+	}
+}
+
+// TestTransitStubAllocBudget: a fleet-size world (400 domains, 20 000
+// hosts) is built from slabs, sized lists and one name string, so its
+// allocations are per domain, not per host. One heap Host and one
+// formatted name each were about 4.4 allocations per host.
+func TestTransitStubAllocBudget(t *testing.T) {
+	const domains, hosts = 400, 50
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := TransitStub(4, 99, 0.3, GenConfig{Seed: 42, RoutersPerDomain: 2, HostsPerDomain: hosts}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perHost := allocs / (domains * hosts)
+	t.Logf("%.0f allocations, %.3f per host", allocs, perHost)
+	if perHost > 0.5 {
+		t.Fatalf("%.3f allocations per host, budget 0.5", perHost)
 	}
 }

@@ -8,9 +8,11 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -98,7 +100,7 @@ type Domain struct {
 	Prefix  addr.Prefix
 	Routers []RouterID
 
-	pool *addr.Pool
+	pool addr.Pool
 	// hosts lists the domain's hosts in id order; AddHost appends.
 	hosts []*Host
 }
@@ -224,34 +226,52 @@ func (n *Network) Neighbors(asn ASN) []ASNeighbor {
 // absent from the map. Callers that need adjacency for many domains
 // (BGP bring-up at 10k ASes) should use this instead of calling
 // Neighbors per domain, which rescans the whole link list each time.
+//
+// Every link is listed twice, once from each end, and one stable sort by
+// (subject, neighbour) groups them; stability keeps each group in link
+// order, as Neighbors has it. All entries share one backing array and
+// all links another; every slice handed out is capacity-capped, so an
+// append to one never writes into the next.
 func (n *Network) AllNeighbors() map[ASN][]ASNeighbor {
-	byDomain := map[ASN]map[ASN]*ASNeighbor{}
-	add := func(subject, other ASN, rel Rel, l InterLink) {
-		m := byDomain[subject]
-		if m == nil {
-			m = map[ASN]*ASNeighbor{}
-			byDomain[subject] = m
-		}
-		nb := m[other]
-		if nb == nil {
-			nb = &ASNeighbor{ASN: other, Rel: rel}
-			m[other] = nb
-		}
-		nb.Links = append(nb.Links, l)
+	type oriented struct {
+		subject, nbr ASN
+		link         InterLink
 	}
+	links := make([]oriented, 0, 2*len(n.Inter))
 	for _, l := range n.Inter {
 		fd, td := n.DomainOf(l.From), n.DomainOf(l.To)
-		add(fd, td, l.Rel, l)
-		add(td, fd, l.Rel.Invert(), InterLink{From: l.To, To: l.From, Rel: l.Rel.Invert(), Latency: l.Latency})
+		links = append(links,
+			oriented{fd, td, l},
+			oriented{td, fd, InterLink{From: l.To, To: l.From, Rel: l.Rel.Invert(), Latency: l.Latency}})
 	}
-	out := make(map[ASN][]ASNeighbor, len(byDomain))
-	for asn, m := range byDomain {
-		nbs := make([]ASNeighbor, 0, len(m))
-		for _, nb := range m {
-			nbs = append(nbs, *nb)
+	slices.SortStableFunc(links, func(a, b oriented) int {
+		return cmp.Or(cmp.Compare(a.subject, b.subject), cmp.Compare(a.nbr, b.nbr))
+	})
+	// A group ends at i when the next link has another subject or
+	// neighbour; a domain's entries end where its last group does.
+	endsGroup := func(i int) bool {
+		return i+1 == len(links) || links[i+1].subject != links[i].subject || links[i+1].nbr != links[i].nbr
+	}
+	flat := make([]InterLink, len(links))
+	groups := 0
+	for i, o := range links {
+		flat[i] = o.link
+		if endsGroup(i) {
+			groups++
 		}
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].ASN < nbs[j].ASN })
-		out[asn] = nbs
+	}
+	nbs := make([]ASNeighbor, 0, groups)
+	out := make(map[ASN][]ASNeighbor, len(n.asns))
+	for i, start, first := 0, 0, 0; i < len(links); i++ {
+		if !endsGroup(i) {
+			continue
+		}
+		nbs = append(nbs, ASNeighbor{ASN: links[i].nbr, Rel: links[start].link.Rel, Links: flat[start : i+1 : i+1]})
+		start = i + 1
+		if i+1 == len(links) || links[i+1].subject != links[i].subject {
+			out[links[i].subject] = nbs[first:len(nbs):len(nbs)]
+			first = len(nbs)
+		}
 	}
 	return out
 }
@@ -343,6 +363,51 @@ type Builder struct {
 	net     *Network
 	nextASN ASN
 	err     error
+	// routers and hosts hold the nodes themselves; Network.Routers and
+	// Network.Hosts point into them.
+	routers slab[Router]
+	hosts   slab[Host]
+}
+
+// slab hands out values from chunks, so a pointer to one stays put and n
+// values cost a few allocations instead of n. Chunks start at slabMin and
+// double up to slabMax, so a hand-built world of a few nodes carries no
+// large empty chunk; reserve makes the next chunk exactly as large as a
+// generator needs.
+type slab[T any] struct {
+	free []T // the current chunk's unused rest
+	next int // size of the next chunk
+}
+
+const slabMin, slabMax = 8, 1024
+
+func (s *slab[T]) take() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, max(s.next, slabMin))
+		s.next = min(2*len(s.free), slabMax)
+	}
+	v := &s.free[0]
+	s.free = s.free[1:]
+	return v
+}
+
+// reserve makes room for n more values in one chunk.
+func (s *slab[T]) reserve(n int) {
+	if len(s.free) < n {
+		s.free = make([]T, n)
+	}
+}
+
+// reserve readies the builder for the nodes of domains domains of
+// routers routers and hosts hosts each, as a generator knows before it
+// populates the first: the node slabs and the network's node lists get
+// exactly that room, so nothing grows by doubling.
+func (b *Builder) reserve(domains, routers, hosts int) {
+	n := b.net
+	n.Routers = slices.Grow(n.Routers, domains*routers)
+	n.Hosts = slices.Grow(n.Hosts, domains*hosts)
+	b.routers.reserve(domains * routers)
+	b.hosts.reserve(domains * hosts)
 }
 
 // NewBuilder returns an empty builder.
@@ -375,7 +440,7 @@ func (b *Builder) AddDomain(name string) *Domain {
 		// Return a detached placeholder so callers can keep building;
 		// Build reports the recorded error.
 		d := &Domain{ASN: b.nextASN, Name: name, Prefix: DomainPrefix(1)}
-		d.pool = addr.NewPool(d.Prefix)
+		d.pool = *addr.NewPool(d.Prefix)
 		return d
 	}
 	asn := b.nextASN
@@ -385,13 +450,14 @@ func (b *Builder) AddDomain(name string) *Domain {
 		Name:   name,
 		Prefix: DomainPrefix(asn),
 	}
-	d.pool = addr.NewPool(d.Prefix)
+	d.pool = *addr.NewPool(d.Prefix)
 	b.net.Domains[asn] = d
 	b.net.asns = append(b.net.asns, asn)
 	return d
 }
 
-// AddRouter creates a router inside d. The name may be empty.
+// AddRouter creates a router inside d. An empty name is Build's to give:
+// "<domain>-r<index in domain>".
 func (b *Builder) AddRouter(d *Domain, name string) RouterID {
 	id := RouterID(len(b.net.Routers))
 	lo, err := d.pool.Next()
@@ -399,10 +465,8 @@ func (b *Builder) AddRouter(d *Domain, name string) RouterID {
 		b.fail(fmt.Errorf("topology: domain %s out of addresses: %w", d.Name, err))
 		lo = 0
 	}
-	if name == "" {
-		name = fmt.Sprintf("%s-r%d", d.Name, len(d.Routers))
-	}
-	r := &Router{ID: id, Domain: d.ASN, Loopback: lo, Name: name}
+	r := b.routers.take()
+	*r = Router{ID: id, Domain: d.ASN, Loopback: lo, Name: name}
 	b.net.Routers = append(b.net.Routers, r)
 	b.net.Intra.EnsureNode(int(id))
 	d.Routers = append(d.Routers, id)
@@ -456,7 +520,8 @@ func (b *Builder) Peer(a, c RouterID, latency int64) {
 	b.InterLink(a, c, RelPeer, latency)
 }
 
-// AddHost attaches a host to an access router of its domain.
+// AddHost attaches a host to an access router of its domain. An empty
+// name is Build's to give: "<domain>-h<id>".
 func (b *Builder) AddHost(d *Domain, attach RouterID, name string, accessLatency int64) *Host {
 	if b.net.DomainOf(attach) != d.ASN {
 		b.fail(fmt.Errorf("topology: host %q attached to router outside domain %s", name, d.Name))
@@ -468,10 +533,8 @@ func (b *Builder) AddHost(d *Domain, attach RouterID, name string, accessLatency
 	if accessLatency <= 0 {
 		accessLatency = 1
 	}
-	if name == "" {
-		name = fmt.Sprintf("%s-h%d", d.Name, len(b.net.Hosts))
-	}
-	h := &Host{
+	h := b.hosts.take()
+	*h = Host{
 		ID:            HostID(len(b.net.Hosts)),
 		Domain:        d.ASN,
 		Attach:        attach,
@@ -531,7 +594,54 @@ func (b *Builder) Build() (*Network, error) {
 		}
 		return nil, fmt.Errorf("topology: customer→provider cycle %s", strings.Join(names, " → "))
 	}
+	n.nameDefaults()
 	return n, nil
+}
+
+// nameDefaults names every router and host added without a name,
+// "<domain>-r<index in domain>" and "<domain>-h<id>", cutting each name
+// from one string allocated once instead of formatting one per node.
+func (n *Network) nameDefaults() {
+	// each calls f for every unnamed node, always in the same order, with
+	// its name field and the parts of its default.
+	each := func(f func(name *string, domain string, kind byte, num int)) {
+		for _, asn := range n.asns {
+			d := n.Domains[asn]
+			for i, rid := range d.Routers {
+				if r := n.Routers[rid]; r.Name == "" {
+					f(&r.Name, d.Name, 'r', i)
+				}
+			}
+			for _, h := range d.hosts {
+				if h.Name == "" {
+					f(&h.Name, d.Name, 'h', int(h.ID))
+				}
+			}
+		}
+	}
+	size := func(domain string, num int) int {
+		digits := 1
+		for ; num >= 10; num /= 10 {
+			digits++
+		}
+		return len(domain) + len("-h") + digits
+	}
+	total := 0
+	each(func(_ *string, domain string, _ byte, num int) { total += size(domain, num) })
+	var sb strings.Builder
+	sb.Grow(total)
+	var digits [20]byte
+	each(func(_ *string, domain string, kind byte, num int) {
+		sb.WriteString(domain)
+		sb.WriteByte('-')
+		sb.WriteByte(kind)
+		sb.Write(strconv.AppendInt(digits[:0], int64(num), 10))
+	})
+	all, off := sb.String(), 0
+	each(func(name *string, domain string, _ byte, num int) {
+		end := off + size(domain, num)
+		*name, off = all[off:end], end
+	})
 }
 
 // providerCycle returns a cycle of the customer→provider relation — each

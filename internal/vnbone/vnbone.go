@@ -417,13 +417,12 @@ func intraComponentsOf(links []Link, members []topology.RouterID) [][]topology.R
 func (b *Bone) buildInterPeering() {
 	for _, l := range b.net.Inter {
 		da, db := b.net.DomainOf(l.From), b.net.DomainOf(l.To)
-		ma := b.dep.MembersIn(da)
-		mb := b.dep.MembersIn(db)
-		if len(ma) == 0 || len(mb) == 0 {
+		// MembersIn copies; most links touch a non-participant.
+		if !b.dep.HasMembersIn(da) || !b.dep.HasMembersIn(db) {
 			continue
 		}
-		ea, ca, okA := b.igp.ClosestIn(l.From, ma)
-		eb, cb, okB := b.igp.ClosestIn(l.To, mb)
+		ea, ca, okA := b.igp.ClosestIn(l.From, b.dep.MembersIn(da))
+		eb, cb, okB := b.igp.ClosestIn(l.To, b.dep.MembersIn(db))
 		if !okA || !okB {
 			continue
 		}
