@@ -11,9 +11,9 @@ import (
 )
 
 // FaultConfig parameterizes wire-fault injection. Rates are probabilities
-// in [0,1] evaluated independently per packet; a zero rate draws nothing
-// from the PRNG, so enabling one fault class never perturbs the schedule
-// of another.
+// in [0,1] evaluated independently per packet, also inside a train; a
+// zero rate draws nothing from the PRNG, so enabling one fault class never
+// perturbs the schedule of another.
 type FaultConfig struct {
 	// Seed roots every per-link PRNG; identical seeds and identical
 	// per-link packet sequences yield identical fault schedules.
@@ -33,8 +33,9 @@ type FaultConfig struct {
 }
 
 // FaultTransport subjects every wire write to seeded drop/duplicate/delay
-// faults and hard pairwise partitions. Installed on a Registry via
-// SetFaultTransport; the zero state injects nothing.
+// faults and hard pairwise partitions, per packet, also inside a train.
+// Installed on a Registry via SetFaultTransport; the zero state injects
+// nothing.
 //
 // Determinism: each directed link (src, dst) owns a PRNG seeded from
 // Seed and the link's addresses, so a flow's fault schedule depends only
@@ -93,48 +94,64 @@ func (ft *FaultTransport) linkRand(src, dst addr.V4) *rand.Rand {
 	return r
 }
 
-// apply runs one write through the fault schedule: partitioned links and
-// drop-lottery losers are discarded (counted), duplicates write twice,
-// delays re-issue the write from a timer. Probe traffic is exempt when
-// DataOnly is set.
+// apply runs one datagram through the fault schedule, packet by packet
+// in train order: partitioned links and drop-lottery losers are discarded
+// (counted), a duplicate boards the outgoing train twice, and a delayed
+// packet is re-issued alone from a timer. The survivors leave as trains
+// of at most trainCap bytes. Probe traffic is exempt from the lottery
+// when DataOnly is set.
 func (ft *FaultTransport) apply(src, dst addr.V4, wire []byte, write func([]byte)) {
-	if ft.cfg.DataOnly && (len(wire) < 2 || packet.Protocol(wire[1]) != packet.ProtoVNEncap) {
-		ft.mu.Lock()
-		cut := ft.cut[pairKey(src, dst)]
-		ft.mu.Unlock()
-		if cut {
-			ft.counters.FaultDrop()
-			return
+	var out [][]byte // the trains to write, in order
+	var cur []byte
+	keep := func(pkt []byte) {
+		if len(cur) > 0 && len(cur)+len(pkt) > trainCap {
+			out = append(out, cur)
+			cur = nil
 		}
-		write(wire)
-		return
+		cur = append(cur, pkt...)
 	}
+	var delayed [][]byte
 
 	ft.mu.Lock()
-	if ft.cut[pairKey(src, dst)] {
-		ft.mu.Unlock()
-		ft.counters.FaultDrop()
-		return
+	cut := ft.cut[pairKey(src, dst)]
+	for rest := wire; len(rest) > 0; {
+		var pkt []byte
+		pkt, rest = packet.NextInTrain(rest)
+		if cut {
+			ft.counters.FaultDrop()
+			continue
+		}
+		if ft.cfg.DataOnly && (len(pkt) < 2 || packet.Protocol(pkt[1]) != packet.ProtoVNEncap) {
+			keep(pkt)
+			continue
+		}
+		r := ft.linkRand(src, dst)
+		drop := ft.cfg.DropRate > 0 && r.Float64() < ft.cfg.DropRate
+		dup := ft.cfg.DupRate > 0 && r.Float64() < ft.cfg.DupRate
+		delay := ft.cfg.DelayRate > 0 && r.Float64() < ft.cfg.DelayRate
+		switch {
+		case drop:
+			ft.counters.FaultDrop()
+		case delay:
+			ft.counters.FaultDelay()
+			delayed = append(delayed, append([]byte(nil), pkt...))
+		default:
+			keep(pkt)
+			if dup {
+				ft.counters.FaultDuplicate()
+				keep(pkt)
+			}
+		}
 	}
-	r := ft.linkRand(src, dst)
-	drop := ft.cfg.DropRate > 0 && r.Float64() < ft.cfg.DropRate
-	dup := ft.cfg.DupRate > 0 && r.Float64() < ft.cfg.DupRate
-	delay := ft.cfg.DelayRate > 0 && r.Float64() < ft.cfg.DelayRate
 	ft.mu.Unlock()
 
-	if drop {
-		ft.counters.FaultDrop()
-		return
+	if len(cur) > 0 {
+		out = append(out, cur)
 	}
-	if delay {
-		ft.counters.FaultDelay()
-		cp := append([]byte(nil), wire...)
-		time.AfterFunc(ft.cfg.Delay, func() { write(cp) })
-		return
+	for _, w := range out {
+		write(w)
 	}
-	write(wire)
-	if dup {
-		ft.counters.FaultDuplicate()
-		write(wire)
+	for _, w := range delayed {
+		time.AfterFunc(ft.cfg.Delay, func() { write(w) })
 	}
 }

@@ -1,12 +1,14 @@
 package overlaynet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"github.com/evolvable-net/evolve/internal/addr"
+	"github.com/evolvable-net/evolve/internal/packet"
 	"github.com/evolvable-net/evolve/internal/trace"
 )
 
@@ -75,6 +77,62 @@ func TestFaultDelay(t *testing.T) {
 	}
 	if snap := hostA.reg.Counters().Snapshot(); snap.FaultDelayed < 3 {
 		t.Errorf("fault.delayed = %d, want >= 3", snap.FaultDelayed)
+	}
+}
+
+// TestFaultTrainDropsMatchSingleWrites: under a seeded DropRate, packets
+// relayed as one train lose exactly the packets that the same packets
+// relayed one datagram each lose — the schedule is drawn per packet.
+func TestFaultTrainDropsMatchSingleWrites(t *testing.T) {
+	const n = 40
+	survivors := func(asTrain bool) (kept []byte, dropped uint64) {
+		reg := NewRegistry()
+		r, err := NewNode(reg, u(50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		next := u(51)
+		sink := wireSink(t, reg, next)
+		dst := addr.SelfAddress(u(99))
+		r.AddVNRoute(addr.HostVNPrefix(dst), next)
+		reg.SetFaultTransport(NewFaultTransport(FaultConfig{Seed: 9, DropRate: 0.5}))
+
+		var train []byte
+		for i := 0; i < n; i++ {
+			wire, err := packet.EncapVN(packet.V4Header{Src: u(1), Dst: r.Underlay}, packet.VNHeader{Version: 8, Dst: dst}, []byte{byte(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if asTrain {
+				train = append(train, wire...)
+			} else {
+				r.receive(wire)
+			}
+		}
+		if asTrain {
+			r.receive(train)
+		}
+		for _, dg := range readTrains(t, sink) {
+			for len(dg) > 0 {
+				var pkt []byte
+				pkt, dg = packet.NextInTrain(dg)
+				_, _, payload, err := packet.DecapVN(pkt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept = append(kept, payload...)
+			}
+		}
+		return kept, reg.Counters().Snapshot().FaultDropped
+	}
+	single, singleDropped := survivors(false)
+	train, trainDropped := survivors(true)
+	if len(single) == 0 || len(single) == n {
+		t.Fatalf("%d of %d packets survived; the drop schedule is vacuous", len(single), n)
+	}
+	if !bytes.Equal(train, single) || trainDropped != singleDropped || int(singleDropped)+len(single) != n {
+		t.Errorf("one train kept %v (%d dropped), single writes kept %v (%d dropped)", train, trainDropped, single, singleDropped)
 	}
 }
 

@@ -143,7 +143,7 @@ func (n *Node) sendProbe(peer addr.V4, nonce uint64, ack bool) {
 	if err != nil {
 		return
 	}
-	n.writeWire(peer, ep, wire)
+	n.writeWire(peer, ep.AddrPort(), wire)
 }
 
 // handleProbeAck clears the peer's outstanding probe and, if it was

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -296,6 +297,25 @@ type Stats struct {
 	Dropped   uint64
 }
 
+// trainCap is the most bytes a relay packs into one datagram: an
+// Ethernet MTU less the IPv4 and UDP headers. A larger packet travels
+// alone.
+const trainCap = 1472
+
+// rxDepth bounds the queue between a node's receive goroutine and its
+// handler, a quarter of the inbox: it need only hold the datagrams one
+// burst brings between two handler wake-ups, since the socket's receive
+// buffer queues beyond it.
+const rxDepth = 64
+
+// train is the datagram a relay is filling for one next hop: re-addressed
+// packets back to back, each delimited by its V4 total length.
+type train struct {
+	member addr.V4
+	ep     netip.AddrPort
+	buf    []byte
+}
+
 // nextHops is one bone route's forwarding set, in order of preference:
 // the primary next hop, then the alternates used when it is dead or
 // suspected. Never empty.
@@ -338,6 +358,16 @@ type Node struct {
 	// before they moved.
 	stats struct{ delivered, forwarded, exited, dropped atomic.Uint64 }
 
+	// rx carries datagrams from the receive goroutine to the handler,
+	// which sends its trains whenever rx is empty.
+	rx chan []byte
+	// trains and opts belong to the goroutine that handles datagrams:
+	// one train per next hop the node has relayed to (none on a node that
+	// never relays), and the option scratch handle decodes IPvN headers
+	// into.
+	trains []train
+	opts   []packet.Option
+
 	closeOnce sync.Once
 	done      chan struct{}
 	wg        sync.WaitGroup
@@ -359,11 +389,13 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 		served:   map[addr.V4]bool{},
 		peers:    map[addr.V4]*peerState{},
 		Inbox:    make(chan Received, 256),
+		rx:       make(chan []byte, rxDepth),
 		done:     make(chan struct{}),
 	}
 	reg.Register(underlay, conn.LocalAddr().(*net.UDPAddr))
-	n.wg.Add(1)
+	n.wg.Add(2)
 	go n.readLoop()
+	go n.handleLoop()
 	return n, nil
 }
 
@@ -515,45 +547,55 @@ func (n *Node) sendVN(anycastAddr addr.V4, dst addr.VN, payload []byte, extra []
 	if err := packet.Serialize(buf, payload, &outer, &hdr); err != nil {
 		return err
 	}
-	return n.sendWire(anycastAddr, buf.Bytes())
+	// An originated packet leaves as a datagram of its own; only relays
+	// send trains, when their receive queue drains.
+	member, ep, err := n.resolve(anycastAddr)
+	if err != nil {
+		return err
+	}
+	n.writeWire(member, ep, buf.Bytes())
+	return nil
 }
 
-// sendWire resolves dst (anycast or unicast) and writes the packet,
-// passing it through the registry's fault layer when one is installed.
-func (n *Node) sendWire(dst addr.V4, wire []byte) error {
+// resolve maps dst (anycast or unicast) to the member and endpoint a
+// write toward it goes to; a closed node resolves nothing.
+func (n *Node) resolve(dst addr.V4) (addr.V4, netip.AddrPort, error) {
 	select {
 	case <-n.done:
-		return ErrClosed
+		return 0, netip.AddrPort{}, ErrClosed
 	default:
 	}
 	member, ep, err := n.reg.resolveFrom(n.Underlay, dst)
 	if err != nil {
-		return err
+		return 0, netip.AddrPort{}, err
 	}
-	n.writeWire(member, ep, wire)
-	return nil
+	return member, ep.AddrPort(), nil
 }
 
-// writeWire performs the physical write toward a resolved endpoint,
-// subject to injected faults keyed on the (src, member) link.
-func (n *Node) writeWire(member addr.V4, ep *net.UDPAddr, wire []byte) {
-	write := func(w []byte) {
-		// Write errors are UDP best-effort territory (and expected from
-		// delayed writes racing Close); loss is the retransmit layer's job.
-		_, _ = n.conn.WriteToUDP(w, ep)
-	}
+// writeWire performs the physical write of one datagram — a packet or a
+// train — toward a resolved endpoint, subject to injected faults keyed on
+// the (src, member) link.
+func (n *Node) writeWire(member addr.V4, ep netip.AddrPort, wire []byte) {
 	if ft := n.reg.faults.Load(); ft != nil {
-		ft.apply(n.Underlay, member, wire, write)
+		ft.apply(n.Underlay, member, wire, func(w []byte) { n.write(ep, w) })
 		return
 	}
-	write(wire)
+	n.write(ep, wire)
 }
 
+func (n *Node) write(ep netip.AddrPort, w []byte) {
+	// Write errors are UDP best-effort territory (and expected from delayed
+	// writes racing Close); loss is the retransmit layer's job.
+	_, _ = n.conn.WriteToUDPAddrPort(w, ep)
+}
+
+// readLoop is the receive goroutine: it copies each datagram off the
+// socket and queues it for the handler.
 func (n *Node) readLoop() {
 	defer n.wg.Done()
 	buf := make([]byte, 64*1024)
 	for {
-		sz, _, err := n.conn.ReadFromUDP(buf)
+		sz, err := n.conn.Read(buf)
 		if err != nil {
 			select {
 			case <-n.done:
@@ -562,9 +604,47 @@ func (n *Node) readLoop() {
 				continue
 			}
 		}
-		wire := make([]byte, sz)
-		copy(wire, buf[:sz])
-		n.handle(wire)
+		dg := make([]byte, sz)
+		copy(dg, buf[:sz])
+		select {
+		case n.rx <- dg:
+		case <-n.done:
+			return
+		}
+	}
+}
+
+// handleLoop is the handler goroutine: it takes the queued datagrams in
+// arrival order.
+func (n *Node) handleLoop() {
+	defer n.wg.Done()
+	for {
+		select {
+		case dg := <-n.rx:
+			n.receive(dg)
+		case <-n.done:
+			return
+		}
+	}
+}
+
+// receive is the handler's datagram entry. It hands each packet of the
+// datagram's train to handle in order, a packet whose total length
+// cannot delimit it taking the rest of the datagram with it, and sends
+// the node's trains once no datagram is queued behind this one — the
+// queue running dry, not a timer, so no packet waits for one that has
+// not arrived.
+func (n *Node) receive(dg []byte) {
+	for {
+		var pkt []byte
+		pkt, dg = packet.NextInTrain(dg)
+		n.handle(pkt)
+		if len(dg) == 0 {
+			break
+		}
+	}
+	if len(n.rx) == 0 {
+		n.flush()
 	}
 }
 
@@ -594,14 +674,14 @@ func (n *Node) handle(wire []byte) {
 		n.stats.dropped.Add(1)
 		return
 	}
-	inner, payload, err := packet.DecodeVN(rest)
+	// The options alias wire, which the handler owns; none outlives this
+	// call, so one scratch serves every packet.
+	inner, payload, err := packet.DecodeVNShared(rest, n.opts[:0])
 	if err != nil {
 		n.stats.dropped.Add(1)
 		return
 	}
-	// What a relay carries on is the packet, not whatever the datagram
-	// held beyond the outer header's total length.
-	wire = wire[:packet.V4HeaderLen+len(rest)]
+	n.opts = inner.Options[:0]
 	n.mu.RLock()
 	acceptable := outer.Dst == n.Underlay || n.served[outer.Dst]
 	self := n.vnAddr
@@ -706,17 +786,18 @@ func (n *Node) spendHop(wire []byte) bool {
 	return true
 }
 
-// relay re-addresses wire — the datagram handle owns, its hop already
-// spent — toward the next live underlay hop and writes it: the same
-// in-place hop as tunnel.Endpoint.PatchEncap, no header re-serialized.
-// The primary next hop is preferred; a dead or suspected primary fails
-// over to the first live alternate (counted), and as a last resort any
-// registered candidate is tried in order.
+// relay re-addresses wire — a packet of the datagram the handler owns,
+// its hop already spent — toward the next live underlay hop and puts it
+// on that hop's train: the same in-place hop as
+// tunnel.Endpoint.PatchEncap, no header re-serialized. The primary next
+// hop is preferred; a dead or suspected primary fails over to the first
+// live alternate (counted), and as a last resort any registered candidate
+// is tried in order.
 //
 // relay owns the relay's counters: as — stats.forwarded for a hop further
 // along the bone, stats.exited for the exit toward an underlay address —
-// and a failover are counted before the datagram is written, and as is
-// taken back as a drop if the write fails.
+// and a failover are counted before the packet boards its train, and as
+// is taken back as a drop if the next hop does not resolve.
 func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64) {
 	next, failover := n.pickNextHop(nh)
 	packet.RewriteOuter(wire, n.Underlay, next)
@@ -724,9 +805,53 @@ func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64) {
 		n.ctr().FailoverRoute()
 	}
 	as.Add(1)
-	if err := n.sendWire(next, wire); err != nil {
+	member, ep, err := n.resolve(next)
+	if err != nil {
 		n.uncount(as)
+		return
 	}
+	n.board(member, ep, wire)
+}
+
+// board appends wire to the train toward member, sending the train first
+// if wire would overflow it; a packet larger than a train is written on
+// its own, behind what the train held.
+func (n *Node) board(member addr.V4, ep netip.AddrPort, wire []byte) {
+	var t *train
+	for i := range n.trains {
+		if n.trains[i].member == member {
+			t = &n.trains[i]
+			break
+		}
+	}
+	if t == nil {
+		n.trains = append(n.trains, train{member: member, buf: make([]byte, 0, trainCap)})
+		t = &n.trains[len(n.trains)-1]
+	}
+	t.ep = ep // the latest resolution: a member can re-register on a new socket
+	if len(t.buf)+len(wire) > trainCap {
+		n.sendTrain(t)
+		if len(wire) > trainCap {
+			n.writeWire(member, ep, wire)
+			return
+		}
+	}
+	t.buf = append(t.buf, wire...)
+}
+
+// flush sends every train.
+func (n *Node) flush() {
+	for i := range n.trains {
+		n.sendTrain(&n.trains[i])
+	}
+}
+
+// sendTrain writes t, if it holds a packet, as one datagram and empties it.
+func (n *Node) sendTrain(t *train) {
+	if len(t.buf) > 0 {
+		n.writeWire(t.member, t.ep, t.buf)
+	}
+	t.buf = t.buf[:0]
 }
 
 // pickNextHop chooses the forwarding target from a route's next-hop set:
@@ -754,6 +879,11 @@ func (n *Node) pickNextHop(nh nextHops) (addr.V4, bool) {
 // WaitInbox receives from the node's inbox with a timeout, for tests and
 // examples.
 func (n *Node) WaitInbox(timeout time.Duration) (Received, error) {
+	select {
+	case r := <-n.Inbox:
+		return r, nil
+	default:
+	}
 	// A stopped timer is freed at once; time.After's would be held by the
 	// runtime until timeout elapsed, however soon the inbox answered.
 	t := time.NewTimer(timeout)

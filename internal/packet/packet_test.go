@@ -69,6 +69,40 @@ func TestV4DecodeErrors(t *testing.T) {
 	}
 }
 
+// TestNextInTrain: a train splits at each packet's total length, and a
+// length that cannot delimit a packet hands back the whole remainder.
+func TestNextInTrain(t *testing.T) {
+	var train []byte
+	var want [][]byte
+	for _, p := range []string{"a", "", "three"} {
+		b := NewSerializeBuffer()
+		h := V4Header{Proto: ProtoPing, Src: 1, Dst: 2}
+		if err := Serialize(b, []byte(p), &h); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b.Bytes())
+		train = append(train, b.Bytes()...)
+	}
+	tail := []byte{4, 0, 0xff, 0xff, 1, 2}
+	train = append(train, tail...)
+	for i, rest := 0, train; len(rest) > 0; i++ {
+		var pkt []byte
+		pkt, rest = NextInTrain(rest)
+		if i == len(want) {
+			if !bytes.Equal(pkt, tail) || len(rest) != 0 {
+				t.Fatalf("bad tail split as %x + %x, want it whole", pkt, rest)
+			}
+			continue
+		}
+		if !bytes.Equal(pkt, want[i]) {
+			t.Fatalf("packet %d = %x, want %x", i, pkt, want[i])
+		}
+		if cap(pkt) != len(pkt) {
+			t.Fatalf("packet %d can grow into its successor", i)
+		}
+	}
+}
+
 func TestVNRoundTrip(t *testing.T) {
 	h := VNHeader{
 		Version:  8,

@@ -129,3 +129,17 @@ func DecodeV4(data []byte) (V4Header, []byte, error) {
 	}
 	return h, data[V4HeaderLen:total], nil
 }
+
+// NextInTrain splits the first underlay packet off a train — packets laid
+// back to back in one datagram, each delimited by its V4 total length —
+// and returns it with the rest. Only the length field is read: when it
+// cannot delimit a packet (too short for a header, or out of range) the
+// whole train comes back as the one packet, for DecodeV4 to refuse.
+func NextInTrain(train []byte) (pkt, rest []byte) {
+	if len(train) >= V4HeaderLen {
+		if total := int(binary.BigEndian.Uint16(train[2:4])); total >= V4HeaderLen && total <= len(train) {
+			return train[:total:total], train[total:]
+		}
+	}
+	return train, nil
+}
