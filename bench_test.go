@@ -349,50 +349,31 @@ func reportPerPacket(b *testing.B, burst int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/pkts, "ns/pkt")
 }
 
-// BenchmarkSendBatch compares batched sends against the equivalent Send
-// loop on 64-packet bursts over the fleet world, default configuration:
-// one engine driven 64 times by 64 calls or by one. Every iteration is
-// one burst, reported as packets/sec and ns/pkt.
-// The burst cycles 8 distinct destinations (8 flow skeletons per batch,
-// 8 packets riding each), and the single-destination SendBurst arm is
-// the best case (one flow, 64 packets).
-func BenchmarkSendBatch(b *testing.B) {
+// BenchmarkSendBurst compares a burst against the equivalent Send loop
+// on 64 packets to one destination over the fleet world, default
+// configuration: one engine driven 64 times by 64 calls or by one
+// AppendSendBurst. Every iteration is one burst, reported as packets/sec
+// and ns/pkt.
+func BenchmarkSendBurst(b *testing.B) {
 	const burst = 64
 	net, evo := fleetWorld(b, fleetSize())
-	src := net.Hosts[0]
-	dsts := make([]*topology.Host, burst)
-	for i := range dsts {
-		dsts[i] = net.Hosts[(1+i%8)*len(net.Hosts)/16]
-	}
+	src, dst := net.Hosts[0], net.Hosts[len(net.Hosts)/16]
 	payload := make([]byte, 256)
 	payloads := make([][]byte, burst)
 	for i := range payloads {
 		payloads[i] = payload
 	}
-	for _, d := range dsts { // warm every flow
-		if _, err := evo.Send(src, d, payload); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := evo.Send(src, dst, payload); err != nil { // warm the flow
+		b.Fatal(err)
 	}
 
 	b.Run("loop", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < burst; j++ {
-				if _, err := evo.Send(src, dsts[j], payload); err != nil {
+				if _, err := evo.Send(src, dst, payload); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-		reportPerPacket(b, burst)
-	})
-	b.Run("batch", func(b *testing.B) {
-		out := make([]core.Delivery, 0, burst)
-		var err error
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if out, err = evo.AppendSendBatch(out[:0], src, dsts, payloads); err != nil {
-				b.Fatal(err)
 			}
 		}
 		reportPerPacket(b, burst)
@@ -402,7 +383,7 @@ func BenchmarkSendBatch(b *testing.B) {
 		var err error
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if out, err = evo.AppendSendBurst(out[:0], src, dsts[0], payloads); err != nil {
+			if out, err = evo.AppendSendBurst(out[:0], src, dst, payloads); err != nil {
 				b.Fatal(err)
 			}
 		}

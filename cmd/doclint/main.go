@@ -12,6 +12,13 @@
 // it implements), and the -exported packages are the simulator's API
 // surface — an undocumented identifier there is treated as a build
 // break, not a style nit.
+//
+// With -surface DIR it runs the surface check instead (surface.go): it
+// type-checks every non-test file of the module in the current directory
+// and lists each exported function or method of a package under DIR that
+// none of them references. CI runs it as
+//
+//	go run ./cmd/doclint -surface internal
 package main
 
 import (
@@ -28,7 +35,23 @@ import (
 
 func main() {
 	exported := flag.String("exported", "", "comma-separated package dirs whose exported identifiers must all carry doc comments")
+	surface := flag.String("surface", "", "instead of the doc checks, report every exported function or method under this dir that no non-test file of the module references")
 	flag.Parse()
+	if *surface != "" {
+		findings, err := checkSurface(".", *surface, surfaceAllow)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			os.Exit(2)
+		}
+		for _, f := range findings {
+			fmt.Fprintf(os.Stderr, "doclint: %s\n", f)
+		}
+		if len(findings) > 0 {
+			fmt.Fprintf(os.Stderr, "doclint: %d findings\n", len(findings))
+			os.Exit(1)
+		}
+		return
+	}
 	roots := flag.Args()
 	if len(roots) == 0 {
 		roots = []string{"internal", "cmd", "."}

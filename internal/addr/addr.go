@@ -96,16 +96,6 @@ func (p Prefix) Contains(a V4) bool {
 	return a&p.Mask() == p.Addr&p.Mask()
 }
 
-// ContainsPrefix reports whether q is wholly inside p.
-func (p Prefix) ContainsPrefix(q Prefix) bool {
-	return q.Len >= p.Len && p.Contains(q.Addr)
-}
-
-// Overlaps reports whether the two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	return p.ContainsPrefix(q) || q.ContainsPrefix(p)
-}
-
 // Size returns the number of addresses covered by the prefix.
 func (p Prefix) Size() uint64 { return uint64(1) << (32 - p.Len) }
 
@@ -140,19 +130,6 @@ func MustParsePrefix(s string) Prefix {
 	return p
 }
 
-// Subnet carves the i-th sub-prefix of the given length out of p.
-func (p Prefix) Subnet(length uint8, i uint32) (Prefix, error) {
-	if length < p.Len || length > 32 {
-		return Prefix{}, fmt.Errorf("addr: cannot take /%d subnet of %s", length, p)
-	}
-	n := uint64(1) << (length - p.Len)
-	if uint64(i) >= n {
-		return Prefix{}, fmt.Errorf("addr: subnet index %d out of range for /%d of %s", i, length, p)
-	}
-	base := uint32(p.Addr) | (i << (32 - length))
-	return Prefix{Addr: V4(base), Len: length}, nil
-}
-
 // Pool allocates addresses sequentially from a prefix. The zero address of
 // the prefix (its network address) is never handed out, matching the
 // convention that it names the block itself.
@@ -166,9 +143,6 @@ func NewPool(p Prefix) *Pool {
 	return &Pool{prefix: p, next: 1}
 }
 
-// Prefix returns the block the pool allocates from.
-func (pl *Pool) Prefix() Prefix { return pl.prefix }
-
 // Next allocates the next unused address in the block.
 func (pl *Pool) Next() (V4, error) {
 	if pl.next >= pl.prefix.Size() {
@@ -177,12 +151,4 @@ func (pl *Pool) Next() (V4, error) {
 	a := V4(uint32(pl.prefix.Addr) + uint32(pl.next))
 	pl.next++
 	return a, nil
-}
-
-// Remaining reports how many addresses the pool can still allocate.
-func (pl *Pool) Remaining() uint64 {
-	if pl.next >= pl.prefix.Size() {
-		return 0
-	}
-	return pl.prefix.Size() - pl.next
 }

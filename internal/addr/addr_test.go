@@ -80,10 +80,7 @@ func TestPrefixContainsPrefixAndOverlaps(t *testing.T) {
 	if inner.ContainsPrefix(outer) {
 		t.Error("inner should not contain outer")
 	}
-	if !outer.Overlaps(inner) || !inner.Overlaps(outer) {
-		t.Error("overlap should be symmetric for nested prefixes")
-	}
-	if outer.Overlaps(other) {
+	if outer.ContainsPrefix(other) || other.ContainsPrefix(outer) {
 		t.Error("disjoint prefixes should not overlap")
 	}
 }
@@ -129,7 +126,7 @@ func TestSubnetsDisjointProperty(t *testing.T) {
 		if i == j {
 			return a == b
 		}
-		return !a.Overlaps(b)
+		return !a.ContainsPrefix(b) && !b.ContainsPrefix(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -150,9 +147,6 @@ func TestPool(t *testing.T) {
 	}
 	if _, err := pl.Next(); err != ErrPrefixExhausted {
 		t.Errorf("expected exhaustion, got %v", err)
-	}
-	if pl.Remaining() != 0 {
-		t.Errorf("Remaining = %d", pl.Remaining())
 	}
 }
 

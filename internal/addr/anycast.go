@@ -33,9 +33,6 @@ func Option1Address(g uint32) (V4, error) {
 	return V4(uint32(AnycastReserved.Addr) + g + 1), nil
 }
 
-// IsOption1 reports whether a lies in the designated option-1 block.
-func IsOption1(a V4) bool { return AnycastReserved.Contains(a) }
-
 // Option2Address returns an option-2 anycast address: the g-th address of a
 // reserved sub-block at the top of the default ISP's own aggregate. Being
 // ordinary unicast addresses, these need no routing-infrastructure changes.
@@ -64,17 +61,4 @@ func GIAAddress(home Prefix, g uint8) (V4, error) {
 	site := (uint32(home.Addr) >> 16) & 0x07FF // 11 bits of the home /16
 	a := uint32(GIAIndicator.Addr) | site<<8 | uint32(g)
 	return V4(a), nil
-}
-
-// IsGIA reports whether a carries the GIA anycast indicator.
-func IsGIA(a V4) bool { return GIAIndicator.Contains(a) }
-
-// GIAHomeSite extracts the home-domain site bits from a GIA address so a
-// router with no anycast entry can fall back to unicast routing toward the
-// home domain ("default routes").
-func GIAHomeSite(a V4) (site uint32, group uint8, err error) {
-	if !IsGIA(a) {
-		return 0, 0, fmt.Errorf("addr: %s is not a GIA anycast address", a)
-	}
-	return (uint32(a) >> 8) & 0x07FF, uint8(uint32(a) & 0xFF), nil
 }

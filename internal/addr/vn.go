@@ -108,21 +108,6 @@ func MustParseVN(s string) VN {
 	return v
 }
 
-// Compare orders addresses lexicographically by bits; it returns -1, 0 or 1.
-func (v VN) Compare(w VN) int {
-	switch {
-	case v.Hi < w.Hi:
-		return -1
-	case v.Hi > w.Hi:
-		return 1
-	case v.Lo < w.Lo:
-		return -1
-	case v.Lo > w.Lo:
-		return 1
-	}
-	return 0
-}
-
 // VNPrefix is a CIDR-style block over the IPvN address space, used by
 // participant domains to advertise natively allocated IPvN addresses into
 // the vN-Bone routing fabric.

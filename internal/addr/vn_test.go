@@ -191,7 +191,7 @@ func TestOption1Address(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsOption1(a) {
+	if !AnycastReserved.Contains(a) {
 		t.Errorf("%s should be in reserved block", a)
 	}
 	b, err := Option1Address(1)
@@ -212,7 +212,7 @@ func TestOption2Address(t *testing.T) {
 	if !isp.Contains(a) {
 		t.Errorf("option-2 address %s must lie inside the default ISP block %s", a, isp)
 	}
-	if IsOption1(a) {
+	if AnycastReserved.Contains(a) {
 		t.Error("option-2 address should be ordinary unicast, not reserved-block")
 	}
 	b, _ := Option2Address(isp, 1)
@@ -230,22 +230,18 @@ func TestGIAAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsGIA(a) {
+	if !GIAIndicator.Contains(a) {
 		t.Errorf("%s should carry the GIA indicator", a)
 	}
-	site, group, err := GIAHomeSite(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if group != 5 {
+	if group := uint8(a); group != 5 {
 		t.Errorf("group = %d, want 5", group)
 	}
 	wantSite := (uint32(home.Addr) >> 16) & 0x07FF
-	if site != wantSite {
+	if site := (uint32(a) >> 8) & 0x07FF; site != wantSite {
 		t.Errorf("site = %d, want %d", site, wantSite)
 	}
-	if _, _, err := GIAHomeSite(MustParseV4("10.0.0.1")); err == nil {
-		t.Error("non-GIA address should be rejected")
+	if GIAIndicator.Contains(MustParseV4("10.0.0.1")) {
+		t.Error("10.0.0.1 should not carry the GIA indicator")
 	}
 	if _, err := GIAAddress(MustParsePrefix("10.0.0.0/24"), 0); err == nil {
 		t.Error("overlong home prefix should be rejected")

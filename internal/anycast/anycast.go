@@ -170,10 +170,6 @@ func NewService(net *topology.Network, bgpSys *bgp.System, igp *underlay.View) *
 	}
 }
 
-// BGP exposes the underlying BGP system (experiments adjust originations
-// through the service, but read state directly).
-func (s *Service) BGP() *bgp.System { return s.bgp }
-
 // DeployOption1 creates an option-1 deployment for the given group number.
 func (s *Service) DeployOption1(group uint32) (*Deployment, error) {
 	a, err := addr.Option1Address(group)
@@ -237,9 +233,6 @@ func (s *Service) DeployGIA(group uint8, homeAS topology.ASN) (*Deployment, erro
 	s.deployments[a] = d
 	return d, nil
 }
-
-// Deployment returns the deployment owning the anycast address a, or nil.
-func (s *Service) Deployment(a addr.V4) *Deployment { return s.deployments[a] }
 
 // AddMember registers router id as an IPvN router accepting the
 // deployment's anycast address. The router's domain implicitly becomes a

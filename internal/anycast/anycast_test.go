@@ -134,9 +134,9 @@ func TestOption2NoExportDoesNotLeak(t *testing.T) {
 	if err := s.AdvertiseToNeighbors(dep, dQ.ASN, dY.ASN); err != nil {
 		t.Fatal(err)
 	}
-	s.BGP().Converge()
+	s.bgp.Converge()
 	// X must not see the host route Y received (NO_EXPORT via D anyway).
-	if _, ok := s.BGP().BestRoute(n.DomainByName("X").ASN, addr.HostPrefix(dep.Addr)); ok {
+	if _, ok := s.bgp.BestRoute(n.DomainByName("X").ASN, addr.HostPrefix(dep.Addr)); ok {
 		t.Error("selective anycast advert leaked beyond the peering")
 	}
 }
@@ -482,7 +482,7 @@ func TestResolveErrors(t *testing.T) {
 	if _, err := s.ResolveFromRouter(0, addr.MustParseV4("9.9.9.9")); err == nil {
 		t.Error("undeployed address resolved")
 	}
-	if s.Deployment(addr.MustParseV4("9.9.9.9")) != nil {
+	if s.deployments[addr.MustParseV4("9.9.9.9")] != nil {
 		t.Error("unknown deployment not nil")
 	}
 	if _, err := s.DeployOption2(0, topology.ASN(999)); err == nil {
@@ -523,7 +523,7 @@ func TestSeveredBorderIsNoRoute(t *testing.T) {
 		t.Fatalf("precondition: %+v, %v", res, err)
 	}
 	n.FailIntraLink(rA[0], rA[1])
-	s.igp.Invalidate()
+	s.igp.InvalidateDomain(n.DomainOf(rA[0]))
 	if _, err := s.ResolveFromRouter(rA[0], dep.Addr); !errors.Is(err, ErrNoRoute) {
 		t.Errorf("err = %v, want ErrNoRoute", err)
 	}

@@ -48,10 +48,10 @@ func TestGIAAddressShape(t *testing.T) {
 	if dep.Option != OptionGIA {
 		t.Fatal("wrong option")
 	}
-	if !addr.IsGIA(dep.Addr) {
+	if !addr.GIAIndicator.Contains(dep.Addr) {
 		t.Errorf("%s does not carry the GIA indicator", dep.Addr)
 	}
-	if addr.IsOption1(dep.Addr) {
+	if addr.AnycastReserved.Contains(dep.Addr) {
 		t.Error("GIA address inside the option-1 block")
 	}
 }

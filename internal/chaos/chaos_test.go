@@ -201,19 +201,19 @@ func TestTolerantApply(t *testing.T) {
 
 	// Restore before any failure: no-op.
 	w.Apply(Event{Kind: RestoreIntra, A: l.a, B: l.b})
-	if w.DownIntra(l.a, l.b) {
+	if w.downIntra[mkLinkID(l.a, l.b)] {
 		t.Fatal("restore of an up link marked it down")
 	}
 	// Double failure: second is a no-op; link stays down once.
 	w.Apply(Event{Kind: FailIntra, A: l.a, B: l.b})
 	w.Apply(Event{Kind: FailIntra, A: l.a, B: l.b})
-	if !w.DownIntra(l.a, l.b) {
+	if !w.downIntra[mkLinkID(l.a, l.b)] {
 		t.Fatal("failed link not marked down")
 	}
 	// Restore brings back exactly the original latency (checked via the
 	// topology: the edge exists again).
 	w.Apply(Event{Kind: RestoreIntra, A: l.a, B: l.b})
-	if w.DownIntra(l.a, l.b) {
+	if w.downIntra[mkLinkID(l.a, l.b)] {
 		t.Fatal("restored link still marked down")
 	}
 	if !w.Net.Intra.HasEdge(int(l.a), int(l.b)) {

@@ -99,7 +99,7 @@ var invariantTable = []struct {
 		func() checkFunc { return checkOracle }},
 	{"epochtick", "every routing-epoch store ticks WatchEpochs subscribers, and only those",
 		func() checkFunc { return new(epochTickInvariant).Check }},
-	{"batchsend", "SendBatch agrees packet-for-packet with the equivalent singleton Send loop",
+	{"batchsend", "every two-packet AppendSendBurst agrees packet-for-packet with two singleton Sends",
 		func() checkFunc { return checkBatchSend }},
 	{"availability", "a fallback-enabled world never loses a baseline-intact packet and never degrades a delivery the ablation arm completes",
 		func() checkFunc { return checkAvailability }},
@@ -346,16 +346,16 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// checkBatchSend checks the batch≡loop delivery contract under the
-// full fault schedule: after every event, a SendBatch burst on the live
-// Evolution must agree packet-for-packet with the equivalent singleton
-// Send loop — same per-packet success/failure (same error text on
-// failure), same delivery modulo the random trace tag. Both drive one
-// engine, so what can differ is what batching adds: the pinned epoch and
-// the per-flow skeleton reuse. The bursts carry in-batch duplicate
-// destinations, so a batch torn across routing state or a flow skeleton
-// reused across the wrong destination surfaces here against whatever
-// topology the schedule has mangled.
+// checkBatchSend checks the burst≡loop delivery contract under the full
+// fault schedule: after every event, each two-packet AppendSendBurst on
+// the live Evolution must agree packet-for-packet with two singleton
+// Sends — same per-packet success/failure (same error text on failure),
+// same delivery modulo the random trace tag. Both drive one engine, so
+// what can differ is what bursting adds: the pinned epoch and the reuse
+// of the burst's flow by its second packet. Each source bursts to every
+// destination of its window, the first one twice, so a burst torn across
+// routing state or a flow reused across the wrong destination surfaces
+// here against whatever topology the schedule has mangled.
 func checkBatchSend(c *CheckContext) *Failure {
 	hosts := c.W.Net.Hosts
 	n := len(hosts)
@@ -363,6 +363,7 @@ func checkBatchSend(c *CheckContext) *Failure {
 		return nil
 	}
 	payload := []byte("chaos-batch")
+	payloads := [][]byte{payload, payload}
 	// Up to four sources around the host ring, each bursting to a window
 	// of successors with the first destination repeated at the end.
 	stride := n / 4
@@ -377,47 +378,48 @@ func checkBatchSend(c *CheckContext) *Failure {
 		}
 		dsts = append(dsts, dsts[0])
 
-		loopDel := make([]core.Delivery, len(dsts))
-		loopErr := make([]error, len(dsts))
-		for k, dst := range dsts {
-			loopDel[k], loopErr[k] = c.W.Evo.Send(src, dst, payload)
-		}
-		batchDel, batchErr := c.W.Evo.SendBatch(src, dsts, nil)
-		var be *core.BatchError
-		if batchErr != nil && !errors.As(batchErr, &be) {
-			// A whole-batch error must mean the loop failed identically on
-			// every packet (the epoch error path).
-			for k, err := range loopErr {
-				if err == nil || err.Error() != batchErr.Error() {
-					return &Failure{Detail: fmt.Sprintf("h%d batch failed whole (%v) but loop send %d got %v",
-						src.ID, batchErr, k, err)}
+		for _, dst := range dsts {
+			var loopDel [2]core.Delivery
+			var loopErr [2]error
+			for k := range loopDel {
+				loopDel[k], loopErr[k] = c.W.Evo.Send(src, dst, payload)
+			}
+			burstDel, burstErr := c.W.Evo.AppendSendBurst(nil, src, dst, payloads)
+			var be *core.BatchError
+			if burstErr != nil && !errors.As(burstErr, &be) {
+				// A whole-burst error must mean the loop failed identically
+				// on every packet (the epoch error path).
+				for k, err := range loopErr {
+					if err == nil || err.Error() != burstErr.Error() {
+						return &Failure{Detail: fmt.Sprintf("h%d→h%d burst failed whole (%v) but loop send %d got %v",
+							src.ID, dst.ID, burstErr, k, err)}
+					}
 				}
-			}
-			continue
-		}
-		for k := range dsts {
-			var kerr error
-			if be != nil {
-				kerr = be.Errs[k]
-			}
-			if errText(loopErr[k]) != errText(kerr) {
-				return &Failure{
-					Detail: fmt.Sprintf("h%d→h%d: loop send err=%v, batch packet %d err=%v",
-						src.ID, dsts[k].ID, loopErr[k], k, kerr),
-					Trace: uaTrace(c.W.Evo, src, dsts[k], payload),
-				}
-			}
-			if kerr != nil {
 				continue
 			}
-			ld, bd := loopDel[k], batchDel[k]
-			ld.TraceTag, bd.TraceTag = 0, 0
-			ld.Payload, bd.Payload = nil, nil
-			if !reflect.DeepEqual(ld, bd) {
-				return &Failure{
-					Detail: fmt.Sprintf("h%d→h%d: batch packet %d diverges from loop send:\nloop:  %+v\nbatch: %+v",
-						src.ID, dsts[k].ID, k, ld, bd),
-					Trace: uaTrace(c.W.Evo, src, dsts[k], payload),
+			for k := range loopDel {
+				var kerr error
+				if be != nil {
+					kerr = be.Errs[k]
+				}
+				if errText(loopErr[k]) != errText(kerr) {
+					return &Failure{
+						Detail: fmt.Sprintf("h%d→h%d: loop send err=%v, burst packet %d err=%v",
+							src.ID, dst.ID, loopErr[k], k, kerr),
+						Trace: uaTrace(c.W.Evo, src, dst, payload),
+					}
+				}
+				if kerr != nil {
+					continue
+				}
+				ld, bd := loopDel[k], burstDel[k]
+				ld.TraceTag, bd.TraceTag = 0, 0
+				if !reflect.DeepEqual(ld, bd) {
+					return &Failure{
+						Detail: fmt.Sprintf("h%d→h%d: burst packet %d diverges from loop send:\nloop:  %+v\nburst: %+v",
+							src.ID, dst.ID, k, ld, bd),
+						Trace: uaTrace(c.W.Evo, src, dst, payload),
+					}
 				}
 			}
 		}

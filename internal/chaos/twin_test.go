@@ -133,7 +133,7 @@ func holdToReference(t *testing.T, w *World, rng *rand.Rand, at string) {
 // membership changes (whole domains leaving and rejoining among them),
 // single and per-domain registrations, withdrawals, peering adverts and
 // provider choices — must, after every event, answer everything an epoch
-// answers as World.BuildOracle's twin does (the oracle, ua and bone
+// answers as World.buildOracle's twin does (the oracle, ua and bone
 // invariants), and route registrants as referenceRoutes' per-host table
 // does.
 func TestIncrementalMatchesFromScratch(t *testing.T) {

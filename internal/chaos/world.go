@@ -112,9 +112,6 @@ func sortedLinks[V any](m map[linkID]V) []linkID {
 	return keys
 }
 
-// DownIntra reports whether the intra link a–b is currently failed.
-func (w *World) DownIntra(a, b topology.RouterID) bool { return w.downIntra[mkLinkID(a, b)] }
-
 // Registered reports whether the host currently holds a §3.3.2
 // registration (as far as the schedule is concerned — the Evolution may
 // be unable to advertise it this epoch, which is exactly what the oracle
@@ -245,20 +242,15 @@ func (w *World) restoreInter(ev Event) {
 	delete(w.downInter, k)
 }
 
-// BuildOracle constructs a from-scratch Evolution over the *current*
+// buildOracle constructs a from-scratch Evolution over the *current*
 // (mutated) topology with the same configuration, membership, provider
-// choices, peering adverts and registrations as the live one. The oracle
-// never saw the fault history — it computes everything from the present
-// state — so any disagreement between live and oracle behavior is a
-// stale cache or a skipped reconvergence in the incremental path. The
-// oracle shares w.Net but only reads it. An error is the harness's: the
-// oracle refused configuration the live world accepted.
-func (w *World) BuildOracle() (*core.Evolution, error) {
-	return w.buildOracle(w.Evo.Config().Fallback)
-}
-
-// buildOracle is BuildOracle with the graceful-degradation layer set to
-// fallback, whatever the live world runs.
+// choices, peering adverts and registrations as the live one, and the
+// graceful-degradation layer set to fallback, whatever the live world
+// runs. The oracle never saw the fault history — it computes everything
+// from the present state — so any disagreement between live and oracle
+// behavior is a stale cache or a skipped reconvergence in the incremental
+// path. The oracle shares w.Net but only reads it. An error is the
+// harness's: the oracle refused configuration the live world accepted.
 func (w *World) buildOracle(fallback bool) (*core.Evolution, error) {
 	cfg := w.Evo.Config()
 	cfg.Fallback = fallback

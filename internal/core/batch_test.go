@@ -32,11 +32,11 @@ func errString(err error) string {
 }
 
 // normalizeChurnCounters erases the one legitimate divergence between a
-// batch and its equivalent loop under mid-run epoch churn: the batch pins
-// one epoch for the whole burst, so once the epoch is republished its
-// cache stores are gated off and every first sight of a destination
-// misses (repeats hit the batch's own flow table), while the loop reloads
-// a fresh epoch per send, whose cache starts over and then fills. Hits
+// burst and its equivalent loop under mid-run epoch churn: the burst pins
+// one epoch throughout, so once the epoch is republished its cache stores
+// are gated off and its first packet misses (the rest hit the burst's own
+// flow), while the loop reloads a fresh epoch per send, whose cache
+// starts over and then fills. Hits
 // versus misses is a cache-placement detail, never routing: merge them
 // and compare totals.
 func normalizeChurnCounters(s trace.Snapshot) trace.Snapshot {
@@ -75,16 +75,15 @@ func newDiffWorld(t *testing.T, cfg Config, shards int) *diffWorld {
 	}
 }
 
-// TestSendBatchDifferential is the batch≡loop differential harness: for
-// randomized bursts (sources, destination multisets with duplicates,
-// payloads including nil, empty and oversized-overflow ones) it runs
-// SendBatch/SendBurst on one world and the equivalent Send loop on an
-// identically seeded twin, and requires byte-identical deliveries,
-// identical per-packet errors in order and identical counter deltas —
-// across shard counts and mid-batch epoch churn. Send and the batch calls
-// drive one engine, so what this pins is that batching (one pinned epoch,
-// per-flow template reuse, one counter flush) changes nothing the engine
-// produces.
+// TestSendBatchDifferential is the burst≡loop differential harness: for
+// randomized bursts (sources, destinations, payloads including nil, empty
+// and oversized-overflow ones) it runs AppendSendBurst on one world and
+// the equivalent Send loop on an identically seeded twin, and requires
+// byte-identical deliveries, identical per-packet errors in order and
+// identical counter deltas — across shard counts and mid-burst epoch
+// churn. Send and AppendSendBurst drive one engine, so what this pins is
+// that bursting (one pinned epoch, one flow's template reused, one
+// counter flush) changes nothing the engine produces.
 func TestSendBatchDifferential(t *testing.T) {
 	fallback := Config{Fallback: true}
 	arms := []struct {
@@ -119,7 +118,7 @@ func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
 	batch := newDiffWorld(t, cfg, shards)
 
 	// The churn hook republishes the epoch before packets 2 and 5 of a
-	// burst. The batch path fires it via testBatchHook inside sendBatch;
+	// burst. The burst fires it via testBatchHook inside AppendSendBurst;
 	// the loop arm calls the same hook at the same indexes between Sends.
 	hook := func(w *diffWorld, i int) {
 		if churn && (i == 2 || i == 5) {
@@ -135,14 +134,9 @@ func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
 	for round := 0; round < rounds; round++ {
 		nb := 1 + rng.IntN(12)
 		srcIdx := rng.IntN(len(loop.hosts))
-		dstIdx := make([]int, nb)
+		dstIdx := rng.IntN(len(loop.hosts))
 		payloads := make([][]byte, nb)
-		for i := range dstIdx {
-			if i > 0 && rng.IntN(4) == 0 {
-				dstIdx[i] = dstIdx[i-1] // duplicate destinations share a flow
-			} else {
-				dstIdx[i] = rng.IntN(len(loop.hosts))
-			}
+		for i := range payloads {
 			switch rng.IntN(8) {
 			case 0:
 				payloads[i] = nil
@@ -161,12 +155,6 @@ func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
 				payloads[i] = pl
 			}
 		}
-		burst := rng.IntN(3) == 0 // every ~3rd round exercises SendBurst
-		if burst {
-			for i := range dstIdx {
-				dstIdx[i] = dstIdx[0]
-			}
-		}
 
 		// Loop arm: one Send per packet.
 		loopBefore := loop.e.Snapshot()
@@ -174,25 +162,15 @@ func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
 		loopErrs := make([]string, nb)
 		for i := 0; i < nb; i++ {
 			hook(loop, i)
-			d, err := loop.e.Send(loop.hosts[srcIdx], loop.hosts[dstIdx[i]], payloads[i])
+			d, err := loop.e.Send(loop.hosts[srcIdx], loop.hosts[dstIdx], payloads[i])
 			loopDel[i] = stripTag(d)
 			loopErrs[i] = errString(err)
 		}
 		loopDelta := loop.e.Snapshot().Sub(loopBefore)
 
-		// Batch arm: one SendBatch (or SendBurst) call.
+		// Burst arm: one AppendSendBurst call.
 		batchBefore := batch.e.Snapshot()
-		var got []Delivery
-		var err error
-		if burst {
-			got, err = batch.e.SendBurst(batch.hosts[srcIdx], batch.hosts[dstIdx[0]], payloads)
-		} else {
-			dsts := make([]*topology.Host, nb)
-			for i, di := range dstIdx {
-				dsts[i] = batch.hosts[di]
-			}
-			got, err = batch.e.SendBatch(batch.hosts[srcIdx], dsts, payloads)
-		}
+		got, err := batch.e.AppendSendBurst(nil, batch.hosts[srcIdx], batch.hosts[dstIdx], payloads)
 		batchDelta := batch.e.Snapshot().Sub(batchBefore)
 
 		if len(got) != nb {
@@ -230,13 +208,9 @@ func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
 			}
 		}
 
-		// Counters: the batch arm additionally moves the batch_* gauges;
+		// Counters: the burst arm additionally moves the batch_* gauges;
 		// assert them, then erase for the field-by-field comparison.
-		distinct := map[int]bool{}
-		for _, di := range dstIdx {
-			distinct[di] = true
-		}
-		if want := uint64(len(distinct)); batchDelta.DeliveryBatchFlows != want {
+		if want := uint64(1); batchDelta.DeliveryBatchFlows != want {
 			t.Fatalf("round %d: batch materialized %d flows, want %d",
 				round, batchDelta.DeliveryBatchFlows, want)
 		}
@@ -256,9 +230,10 @@ func runBatchDifferential(t *testing.T, cfg Config, shards int, churn bool) {
 }
 
 // TestSendBatchSeededScript replays the shard-equivalence delivery script
-// with every sendAll expressed as one SendBatch per source and checks the
-// deliveries against the loop-driven reference — the batch path riding
-// through deployment, failure and registration churn between bursts.
+// with every pair's two sends expressed as one two-packet AppendSendBurst
+// and checks the deliveries against the loop-driven reference — the burst
+// path riding through deployment, failure and registration churn between
+// bursts.
 func TestSendBatchSeededScript(t *testing.T) {
 	refEvo := newEvo(t, world(t), Config{})
 	refDel, refAddrs := runDeliveryScript(t, refEvo)
@@ -276,24 +251,20 @@ func TestSendBatchSeededScript(t *testing.T) {
 	var deliveries []Delivery
 	sendAll := func() {
 		for _, src := range n.Hosts[:6] {
-			var dsts []*topology.Host
 			for _, dst := range n.Hosts[len(n.Hosts)-6:] {
 				if src == dst {
 					continue
 				}
 				// The script sends each pair twice (cache-hit coverage);
-				// keep that shape as in-batch duplicates.
-				dsts = append(dsts, dst, dst)
-			}
-			got, err := e.SendBatch(src, dsts, nil)
-			if err != nil {
-				t.Fatalf("batch from %s: %v", src.Name, err)
-			}
-			for i := 0; i < len(got); i += 2 {
-				d, d2 := stripTag(got[i]), stripTag(got[i+1])
+				// keep that shape as a two-packet burst.
+				got, err := e.AppendSendBurst(nil, src, dst, make([][]byte, 2))
+				if err != nil {
+					t.Fatalf("burst %s->%s: %v", src.Name, dst.Name, err)
+				}
+				d, d2 := stripTag(got[0]), stripTag(got[1])
 				if !reflect.DeepEqual(d, d2) {
-					t.Fatalf("in-batch re-send differs for %s->%s:\n%+v\n%+v",
-						src.Name, dsts[i].Name, d, d2)
+					t.Fatalf("in-burst re-send differs for %s->%s:\n%+v\n%+v",
+						src.Name, dst.Name, d, d2)
 				}
 				deliveries = append(deliveries, d)
 			}
@@ -309,7 +280,7 @@ func TestSendBatchSeededScript(t *testing.T) {
 	e.UnregisterEndhost(n.HostsIn(s11.ASN)[0])
 	sendAll()
 
-	// The script payload is "equivalence"; batches above carried nil
+	// The script payload is "equivalence"; bursts above carried nil
 	// payloads, so compare with payloads erased on both sides.
 	noPayload := func(ds []Delivery) []Delivery {
 		out := make([]Delivery, len(ds))
@@ -333,47 +304,39 @@ func TestSendBatchSeededScript(t *testing.T) {
 	}
 }
 
-// TestSendBatchArgumentErrors pins the plain-error paths: a
-// payload/destination length mismatch fails the whole call without
-// touching counters, and an unusable epoch fails every packet with the
-// epoch error, counted exactly like the equivalent loop.
+// TestSendBatchArgumentErrors pins the plain-error paths: an unusable
+// epoch fails every packet with the epoch error, counted exactly like the
+// equivalent loop, and an empty burst is free.
 func TestSendBatchArgumentErrors(t *testing.T) {
 	n := world(t)
 	e := newEvo(t, n, Config{})
 
 	// Undeployed: the epoch error, one not-deployed drop per packet.
 	before := e.Snapshot()
-	out, err := e.SendBatch(n.Hosts[0], []*topology.Host{n.Hosts[1], n.Hosts[2]}, nil)
+	out, err := e.AppendSendBurst(nil, n.Hosts[0], n.Hosts[1], make([][]byte, 2))
 	if !errors.Is(err, ErrNotDeployed) {
-		t.Fatalf("undeployed batch: %v, want ErrNotDeployed", err)
+		t.Fatalf("undeployed burst: %v, want ErrNotDeployed", err)
 	}
 	if out != nil {
-		t.Fatalf("undeployed batch extended out: %v", out)
+		t.Fatalf("undeployed burst extended out: %v", out)
 	}
 	delta := e.Snapshot().Sub(before)
 	if delta.Sends != 2 || delta.DropsByReason[trace.DropNotDeployed] != 2 {
-		t.Fatalf("undeployed batch counted sends=%d notdeployed=%d, want 2/2",
+		t.Fatalf("undeployed burst counted sends=%d notdeployed=%d, want 2/2",
 			delta.Sends, delta.DropsByReason[trace.DropNotDeployed])
 	}
 	if delta.DeliveryBatchPackets != 2 {
-		t.Fatalf("undeployed batch counted %d batch packets, want 2", delta.DeliveryBatchPackets)
+		t.Fatalf("undeployed burst counted %d batch packets, want 2", delta.DeliveryBatchPackets)
 	}
 
+	// Empty bursts are free.
 	e.DeployDomain(n.DomainByName("T0").ASN, 0)
 	before = e.Snapshot()
-	if _, err := e.SendBatch(n.Hosts[0], n.Hosts[1:3], [][]byte{{1}}); err == nil {
-		t.Fatal("payload/destination mismatch accepted")
+	if out, err := e.AppendSendBurst(nil, n.Hosts[0], n.Hosts[1], nil); err != nil || out != nil {
+		t.Fatalf("empty burst: %v, %v", out, err)
 	}
 	if d := e.Snapshot().Sub(before); d.Sends != 0 {
-		t.Fatalf("mismatched batch moved counters: %+v", d)
-	}
-
-	// Empty batches are free.
-	if out, err := e.SendBatch(n.Hosts[0], nil, nil); err != nil || out != nil {
-		t.Fatalf("empty batch: %v, %v", out, err)
-	}
-	if out, err := e.SendBurst(n.Hosts[0], n.Hosts[1], nil); err != nil || out != nil {
-		t.Fatalf("empty burst: %v, %v", out, err)
+		t.Fatalf("empty burst moved counters: %+v", d)
 	}
 }
 
@@ -391,12 +354,10 @@ func TestBatchErrorMessage(t *testing.T) {
 	}
 }
 
-// TestSendBatchConcurrentChurn hammers the batch path under -race: many
-// goroutines issuing overlapping batches (with in-batch duplicate
-// destinations) while mutators churn links and membership. Every batch
-// must be torn-free: packets to the same destination within one batch
-// observed one routing epoch, so their deliveries are identical modulo
-// the trace tag.
+// TestSendBatchConcurrentChurn hammers the burst path under -race: many
+// goroutines issuing overlapping bursts while mutators churn links and
+// membership. Every burst must be torn-free: its packets observed one
+// routing epoch, so their deliveries are identical modulo the trace tag.
 func TestSendBatchConcurrentChurn(t *testing.T) {
 	n := world(t)
 	e := newEvo(t, n, Config{})
@@ -447,40 +408,30 @@ func TestSendBatchConcurrentChurn(t *testing.T) {
 			var out []Delivery
 			for b := 0; b < batches; b++ {
 				src := n.Hosts[rng.IntN(len(n.Hosts))]
+				dst := n.Hosts[rng.IntN(len(n.Hosts))]
 				nb := 2 + rng.IntN(14)
-				dsts := make([]*topology.Host, nb)
-				for i := range dsts {
-					if i > 0 && i%3 == 0 {
-						dsts[i] = dsts[i-1] // in-batch duplicates must agree
-					} else {
-						dsts[i] = n.Hosts[rng.IntN(len(n.Hosts))]
-					}
-				}
 				var err error
-				out, err = e.AppendSendBatch(out[:0], src, dsts, nil)
+				out, err = e.AppendSendBurst(out[:0], src, dst, make([][]byte, nb))
 				var be *BatchError
 				if err != nil && !errors.As(err, &be) {
-					// A whole-batch error is the epoch error: tolerable
+					// A whole-burst error is the epoch error: tolerable
 					// mid-churn, and out is unextended by contract.
 					if len(out) != 0 {
-						errc <- errors.New("whole-batch error extended the delivery slice")
+						errc <- errors.New("whole-burst error extended the delivery slice")
 						return
 					}
 					continue
 				}
 				if len(out) != nb {
-					errc <- errors.New("batch returned short delivery slice")
+					errc <- errors.New("burst returned short delivery slice")
 					return
 				}
 				for i := 1; i < nb; i++ {
-					if dsts[i] != dsts[i-1] {
-						continue
-					}
 					if be != nil && (be.Errs[i] != nil || be.Errs[i-1] != nil) {
 						continue // dropped packets carry zero deliveries
 					}
 					if !reflect.DeepEqual(stripTag(out[i-1]), stripTag(out[i])) {
-						errc <- errors.New("torn batch: duplicate destinations diverged within one batch")
+						errc <- errors.New("torn burst: packets diverged within one burst")
 						return
 					}
 				}
@@ -497,9 +448,9 @@ func TestSendBatchConcurrentChurn(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSendBatchZeroAlloc pins the batched steady state: with flows
+// TestSendBatchZeroAlloc pins the burst steady state: with the flow
 // memoised, the context pool warm and the caller reusing its output and
-// input slices, AppendSendBatch allocates nothing per burst.
+// input slices, AppendSendBurst allocates nothing per burst.
 func TestSendBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -509,33 +460,18 @@ func TestSendBatchZeroAlloc(t *testing.T) {
 	e.DeployDomain(n.DomainByName("T0").ASN, 0)
 	src := n.HostsIn(n.DomainByName("S0.0").ASN)[0]
 	hs := n.HostsIn(n.DomainByName("S1.1").ASN)
-	dsts := []*topology.Host{hs[0], hs[1], hs[0], hs[1], hs[0], hs[1], hs[0], hs[1]}
-	payloads := make([][]byte, len(dsts))
+	payloads := make([][]byte, 8)
 	for i := range payloads {
 		payloads[i] = []byte("zero-alloc batch steady state")
 	}
-	out := make([]Delivery, 0, len(dsts))
+	out := make([]Delivery, 0, len(payloads))
 	var err error
-	for i := 0; i < 10; i++ {
-		if out, err = e.AppendSendBatch(out[:0], src, dsts, payloads); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if out, err = e.AppendSendBatch(out[:0], src, dsts, payloads); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state AppendSendBatch allocates %.1f objects per op, want 0", allocs)
-	}
-
 	for i := 0; i < 10; i++ {
 		if out, err = e.AppendSendBurst(out[:0], src, hs[0], payloads); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs = testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(200, func() {
 		if out, err = e.AppendSendBurst(out[:0], src, hs[0], payloads); err != nil {
 			t.Fatal(err)
 		}
@@ -545,11 +481,11 @@ func TestSendBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBurstProbesFlowCacheOncePerFlow pins what a batch shares per flow:
-// the send's own flow table answers every repeat destination, so the
-// epoch's shared flow cache is probed once per (send, destination). The
-// hook makes probes visible by emptying the pinned epoch's table
-// mid-batch: any packet that still went to it would miss and recompute.
+// TestBurstProbesFlowCacheOncePerFlow pins what a burst shares per flow:
+// the send's own flow answers every packet after the first, so the
+// epoch's shared flow cache is probed once per burst. The hook makes
+// probes visible by emptying the pinned epoch's table mid-burst: any
+// packet that still went to it would miss and recompute.
 func TestBurstProbesFlowCacheOncePerFlow(t *testing.T) {
 	n := world(t)
 	e := newEvo(t, n, Config{})
@@ -576,7 +512,7 @@ func TestBurstProbesFlowCacheOncePerFlow(t *testing.T) {
 		}
 	}
 	before := e.Snapshot()
-	got, err := e.SendBurst(src, a, make([][]byte, 8))
+	got, err := e.AppendSendBurst(nil, src, a, make([][]byte, 8))
 	if err != nil || len(got) != 8 {
 		t.Fatalf("burst: %d deliveries, %v", len(got), err)
 	}
@@ -587,22 +523,22 @@ func TestBurstProbesFlowCacheOncePerFlow(t *testing.T) {
 			d.Deliveries, d.DeliveryFlowHits, d.DeliveryFlowMisses, d.RedirectCacheHits, d.Redirects, d.DeliveryBatchFlows)
 	}
 
-	// Two flows interleaved, table emptied before every packet: each shared
-	// probe is a miss, and there is one per destination.
+	// Table emptied before every packet: the burst's one shared probe is a
+	// miss, and every later packet rides the burst's own flow.
 	e.testBatchHook = func(int) { dropSharedFlows() }
 	before = e.Snapshot()
-	got, err = e.SendBatch(src, []*topology.Host{a, b, a, b, a}, nil)
+	got, err = e.AppendSendBurst(nil, src, b, make([][]byte, 5))
 	if err != nil || len(got) != 5 {
-		t.Fatalf("batch: %d deliveries, %v", len(got), err)
+		t.Fatalf("emptied burst: %d deliveries, %v", len(got), err)
 	}
 	d = e.Snapshot().Sub(before)
-	if d.Deliveries != 5 || d.DeliveryFlowMisses != 2 || d.DeliveryFlowHits != 3 || d.DeliveryBatchFlows != 2 {
-		t.Errorf("batch: deliveries=%d flow hits/misses=%d/%d flows=%d, want 5 3/2 2",
+	if d.Deliveries != 5 || d.DeliveryFlowMisses != 1 || d.DeliveryFlowHits != 4 || d.DeliveryBatchFlows != 1 {
+		t.Errorf("emptied burst: deliveries=%d flow hits/misses=%d/%d flows=%d, want 5 4/1 1",
 			d.Deliveries, d.DeliveryFlowHits, d.DeliveryFlowMisses, d.DeliveryBatchFlows)
 	}
-	for i := 2; i < 5; i++ {
-		if !reflect.DeepEqual(stripTag(got[i]), stripTag(got[i-2])) {
-			t.Errorf("batch packet %d diverges from packet %d to the same destination", i, i-2)
+	for i := 1; i < 5; i++ {
+		if !reflect.DeepEqual(stripTag(got[i]), stripTag(got[0])) {
+			t.Errorf("burst packet %d diverges from packet 0", i)
 		}
 	}
 }
@@ -620,13 +556,6 @@ func TestReusedOutNeverLeaksDelivery(t *testing.T) {
 	}{
 		{"burst", func(e *Evolution, out []Delivery, src, dst *topology.Host, payloads [][]byte) ([]Delivery, error) {
 			return e.AppendSendBurst(out[:0], src, dst, payloads)
-		}},
-		{"batch", func(e *Evolution, out []Delivery, src, dst *topology.Host, payloads [][]byte) ([]Delivery, error) {
-			dsts := make([]*topology.Host, len(payloads))
-			for i := range dsts {
-				dsts[i] = dst
-			}
-			return e.AppendSendBatch(out[:0], src, dsts, payloads)
 		}},
 	}
 	payloads := func() [][]byte {

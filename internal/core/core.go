@@ -253,11 +253,6 @@ func newEvolution(net *topology.Network, cfg Config, shards int) (*Evolution, er
 	return e, nil
 }
 
-// Counters returns the evolution-wide observability counters. They are
-// always on; reading them via Snapshot is safe at any time, including
-// while Sends are in flight.
-func (e *Evolution) Counters() *trace.Counters { return &e.counters }
-
 // Snapshot returns a point-in-time copy of the evolution-wide counters.
 func (e *Evolution) Snapshot() trace.Snapshot { return e.counters.Snapshot() }
 

@@ -391,8 +391,8 @@ func TestBoneAndVNAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vn.Participates(n.DomainByName("T0").ASN) {
-		t.Error("VN does not see participant")
+	if vn != e.epoch.Load().vn {
+		t.Error("VN is not the published epoch's")
 	}
 	if e.AnycastAddr() != e.Dep.Addr {
 		t.Error("AnycastAddr mismatch")

@@ -170,7 +170,7 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 
 // TestErrorEpochRidesBaseline pins the error-epoch rescue: when the
 // deployment empties, a fallback-enabled world delivers over the baseline
-// (loop and batch alike) where the ablated world fails fast.
+// (loop and burst alike) where the ablated world fails fast.
 func TestErrorEpochRidesBaseline(t *testing.T) {
 	w := newFBWorld(t, true)
 	e := w.e
@@ -187,13 +187,13 @@ func TestErrorEpochRidesBaseline(t *testing.T) {
 	if !d.Fallback {
 		t.Error("error-epoch send did not ride the baseline")
 	}
-	out, err := e.SendBatch(w.src(), []*topology.Host{w.dst(), w.dsts[1]}, nil)
+	out, err := e.AppendSendBurst(nil, w.src(), w.dsts[1], make([][]byte, 2))
 	if err != nil {
-		t.Fatalf("batch under error epoch: %v", err)
+		t.Fatalf("burst under error epoch: %v", err)
 	}
 	for i, bd := range out {
 		if !bd.Fallback {
-			t.Errorf("batch packet %d did not ride the baseline", i)
+			t.Errorf("burst packet %d did not ride the baseline", i)
 		}
 	}
 	delta := e.Snapshot().Sub(before)
@@ -300,40 +300,6 @@ func TestReportUnackedVN(t *testing.T) {
 	}
 	va, _ := wa.e.HostVNAddr(wa.dst())
 	if n := wa.e.ReportUnackedVN(va); n != 0 {
-		t.Errorf("ablated world signalled %d flows", n)
-	}
-}
-
-// TestReportPeerSuspect pins the overlay peer-suspicion signal: flows
-// whose last vN skeleton rides the suspected router take a failure,
-// others do not.
-func TestReportPeerSuspect(t *testing.T) {
-	w := newFBWorld(t, true)
-	e := w.e
-	if _, err := e.Send(w.src(), w.dst(), nil); err != nil {
-		t.Fatal(err)
-	}
-	// rA is a stub access router: never an ingress member or bone hop.
-	if n := e.ReportPeerSuspect(w.rA); n != 0 {
-		t.Errorf("non-member router matched %d flows", n)
-	}
-	info, _ := e.FlowHealth(w.src(), w.dst())
-	if info.State != HealthHealthy {
-		t.Fatalf("state disturbed by non-matching signal: %v", info.State)
-	}
-	if n := e.ReportPeerSuspect(w.rP); n != 1 {
-		t.Errorf("ingress member matched %d flows, want 1", n)
-	}
-	info, _ = e.FlowHealth(w.src(), w.dst())
-	if info.State != HealthSuspect {
-		t.Errorf("state after peer suspicion = %v, want suspect", info.State)
-	}
-
-	wa := newFBWorld(t, false)
-	if _, err := wa.e.Send(wa.src(), wa.dst(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := wa.e.ReportPeerSuspect(wa.rP); n != 0 {
 		t.Errorf("ablated world signalled %d flows", n)
 	}
 }

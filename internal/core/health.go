@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/evolvable-net/evolve/internal/addr"
-	"github.com/evolvable-net/evolve/internal/topology"
 	"github.com/evolvable-net/evolve/internal/trace"
 )
 
@@ -84,9 +83,6 @@ type flowHealth struct {
 	// dstVN is the flow's destination IPvN address as of its last send,
 	// for matching external unacked-delivery signals.
 	dstVN addr.VN
-	// lastFE is the flow's last materialized vN skeleton, for matching
-	// external peer-suspicion signals against its ingress and bone path.
-	lastFE *flowEntry
 	// fbCost memoises the flow's baseline plan per routing epoch (fbSeq
 	// is the epoch sequence it was computed against, fbOK its validity),
 	// so steady-state fallback sends recompute nothing.
@@ -166,12 +162,9 @@ func (h *flowHealth) decide(epSeq uint64, dstVN addr.VN, cb *trace.CounterBatch)
 
 // noteSuccess records a successful vN delivery: probes enter probation,
 // probation accumulates toward healthy, suspicion clears.
-func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
+func (h *flowHealth) noteSuccess(probe bool, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if fe != nil {
-		h.lastFE = fe
-	}
 	h.fails = 0
 	switch {
 	case probe && h.state == HealthFallback:
@@ -196,14 +189,10 @@ func (h *flowHealth) noteSuccess(fe *flowEntry, probe bool, cb *trace.CounterBat
 
 // noteFailure records a vN failure (a delivery error, an error epoch, or
 // an external signal): suspicion accumulates, and past fallbackAfter the
-// flow enters fallback with a fresh probe schedule. dstVN may be the
-// zero value when the caller has no epoch at hand (external signals).
-func (h *flowHealth) noteFailure(fe *flowEntry, epSeq uint64, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
+// flow enters fallback with a fresh probe schedule.
+func (h *flowHealth) noteFailure(epSeq uint64, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if fe != nil {
-		h.lastFE = fe
-	}
 	h.lastSeq = epSeq
 	h.fails++
 	h.okRun = 0
@@ -239,41 +228,6 @@ func (h *flowHealth) enterFallbackLocked() {
 	h.jit = h.nextJitter(h.probeEvery/2 + 1)
 }
 
-// FlowHealthInfo is the inspectable health of one delivery flow.
-type FlowHealthInfo struct {
-	// State is the flow's position in the degradation state machine.
-	State HealthState
-	// Fails is the current consecutive vN failure count.
-	Fails int
-	// OkRun is the consecutive success count while in probation.
-	OkRun int
-	// SinceProbe and ProbeEvery describe the probe backoff position of a
-	// flow in fallback (sends since the last probe, current interval).
-	SinceProbe, ProbeEvery int
-}
-
-// FlowHealth reports the health record of the (src, dst) flow on the
-// shared deployment address, false when the flow has never been seen (or
-// the fallback layer is disabled). Safe to call concurrently with sends.
-func (e *Evolution) FlowHealth(src, dst *topology.Host) (FlowHealthInfo, bool) {
-	if e.health == nil {
-		return FlowHealthInfo{}, false
-	}
-	h, ok := e.health.load(uint32(src.ID), flowKey{src: src.ID, dst: dst.ID, dep: e.Dep.Addr})
-	if !ok {
-		return FlowHealthInfo{}, false
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return FlowHealthInfo{
-		State:      h.state,
-		Fails:      h.fails,
-		OkRun:      h.okRun,
-		SinceProbe: h.sinceProbe,
-		ProbeEvery: h.probeEvery,
-	}, true
-}
-
 // ReportUnackedVN feeds an external delivery-failure signal into the
 // health layer: every flow whose destination IPvN address matches dst
 // takes one failure, exactly as if a send had failed. The live overlay's
@@ -282,42 +236,6 @@ func (e *Evolution) FlowHealth(src, dst *topology.Host) (FlowHealthInfo, bool) {
 // returns the number of flows signalled; a no-op (0) when the fallback
 // layer is disabled.
 func (e *Evolution) ReportUnackedVN(dst addr.VN) int {
-	return e.signalFailure(func(h *flowHealth) bool {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		return h.dstVN == dst
-	})
-}
-
-// ReportPeerSuspect feeds an overlay peer-suspicion signal into the
-// health layer: every flow whose last vN skeleton rides the suspected
-// router (as anycast ingress or bone hop) takes one failure. The
-// livebridge calls this from the live overlay's PeerHealth suspicion
-// table. It returns the number of flows signalled; a no-op (0) when the
-// fallback layer is disabled.
-func (e *Evolution) ReportPeerSuspect(id topology.RouterID) int {
-	return e.signalFailure(func(h *flowHealth) bool {
-		h.mu.Lock()
-		fe := h.lastFE
-		h.mu.Unlock()
-		if fe == nil {
-			return false
-		}
-		if fe.ing.Member == id {
-			return true
-		}
-		for _, r := range fe.eg.BonePath {
-			if r == id {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// signalFailure applies one external failure signal to every flow whose
-// health record match selects, and returns how many it signalled.
-func (e *Evolution) signalFailure(match func(*flowHealth) bool) int {
 	if e.health == nil {
 		return 0
 	}
@@ -325,8 +243,11 @@ func (e *Evolution) signalFailure(match func(*flowHealth) bool) int {
 	var cb trace.CounterBatch
 	n := 0
 	e.health.each(func(_ int, _ flowKey, h *flowHealth) {
-		if match(h) {
-			h.noteFailure(nil, epSeq, &cb, nil, 0)
+		h.mu.Lock()
+		match := h.dstVN == dst
+		h.mu.Unlock()
+		if match {
+			h.noteFailure(epSeq, &cb, nil, 0)
 			n++
 		}
 	})

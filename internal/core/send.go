@@ -96,16 +96,15 @@ func (e *Evolution) SendVia(src, dst *topology.Host, provider topology.ASN, payl
 	return e.sendSingle(ep, src, dst, payload, pd, nil)
 }
 
-// BatchError reports the per-packet failures of a SendBatch, SendBurst
-// or their Append variants. One bad destination never poisons the rest
-// of the burst: every other packet is still delivered (its Delivery is
-// in the returned slice), and the failed indexes carry a zero Delivery
-// plus their error here. Test with errors.As:
+// BatchError reports the per-packet failures of an AppendSendBurst. One
+// bad packet never poisons the rest of the burst: every other packet is
+// still delivered (its Delivery is in the returned slice), and the failed
+// indexes carry a zero Delivery plus their error here. Test with errors.As:
 //
 //	var be *core.BatchError
 //	if errors.As(err, &be) { ... be.Errs[i] ... }
 type BatchError struct {
-	// Errs has one entry per packet of the batch, in input order; nil
+	// Errs has one entry per packet of the burst, in input order; nil
 	// entries were delivered. Each non-nil entry is exactly the error
 	// the equivalent single Send would have returned.
 	Errs []error
@@ -151,17 +150,11 @@ type flow struct {
 	self  bool
 }
 
-// sendFlow is one row of a send's own flow table.
-type sendFlow struct {
-	dst topology.HostID
-	f   *flow
-}
-
 // batchCtx is the pooled working set of the send engine, one per Send or
-// per batch: one walking tunnel endpoint for the relay pass, one
+// per burst: one walking tunnel endpoint for the relay pass, one
 // destination endpoint for the final decap, the reusable wire buffer the
-// header template emits into, the counter accumulator and the flow
-// table. With the pool warm, a steady-state all-success send allocates
+// header template emits into, the counter accumulator and the send's
+// flow. With the pool warm, a steady-state all-success send allocates
 // nothing.
 type batchCtx struct {
 	// ingress is the frozen deployment (the shared one, or a provider's)
@@ -172,19 +165,15 @@ type batchCtx struct {
 	epDst   *tunnel.Endpoint
 	wire    []byte
 	opts    []packet.Option
-	// flows is a tiny linear-scan assoc array keyed by destination, the
-	// first table deliverVN consults: only a destination this send has
-	// not seen yet reaches the epoch's shared flow cache. Bursts group
-	// naturally by flow, so for realistic batch sizes a scan beats
-	// hashing and takes no lock, and the whole burst observes one routing
-	// decision even if the epoch churns mid-batch. A row points at the
-	// flow's published form or into scratch.
-	flows []sendFlow
-	// scratch[:used] are the flows this send materialized for itself (its
-	// shared-cache misses); entries are recycled across sends with their
-	// template and hop storage.
-	scratch  []*flow
-	used     int
+	// flow is the send's one flow once resolved, the first thing
+	// deliverVN consults: only a burst's first delivered packet reaches
+	// the epoch's shared flow cache, so the whole burst observes one
+	// routing decision even if the epoch churns mid-burst. It points at
+	// the flow's published form or into scratch.
+	flow *flow
+	// scratch is the flow a send materializes for itself on a shared-cache
+	// miss, recycled across sends with its template and hop storage.
+	scratch  flow
 	counters trace.CounterBatch
 	// hdrOpts, underBuf and tagBuf build each flow's template options
 	// (OptUnderlayDst for self-addressed destinations, OptTraceTag
@@ -212,16 +201,15 @@ var batchCtxPool = sync.Pool{
 func getBatchCtx(ingress *anycast.Deployment) *batchCtx {
 	bc := batchCtxPool.Get().(*batchCtx)
 	bc.ingress = ingress
-	bc.flows = bc.flows[:0]
-	bc.used = 0
+	bc.flow = nil
 	bc.counters.Reset()
 	return bc
 }
 
-// flowFor enters a destination this send has not seen yet into its flow
-// table and returns fe materialized: the Delivery prototype, the header
-// template (serialized once through the real layer serializers, then
-// patched per packet) and the bone path's loopback addresses. shared says
+// flowFor makes fe the send's flow and returns it materialized: the
+// Delivery prototype, the header template (serialized once through the
+// real layer serializers, then patched per packet) and the bone path's
+// loopback addresses. shared says
 // fe came out of the epoch's flow cache: the form published on it is used
 // as is, and when there is none yet — this is the flow's first reuse — one
 // is built on the heap and published with one compare-and-swap (a racing
@@ -232,17 +220,13 @@ func getBatchCtx(ingress *anycast.Deployment) *batchCtx {
 func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.Host, fe *flowEntry, shared bool) (*flow, error) {
 	f := fe.mat.Load()
 	if f != nil {
-		bc.flows = append(bc.flows, sendFlow{dst.ID, f})
+		bc.flow = f
 		return f, nil
 	}
-	switch {
-	case shared:
+	if shared {
 		f = new(flow)
-	case bc.used == len(bc.scratch):
-		f = new(flow)
-		bc.scratch = append(bc.scratch, f)
-	default:
-		f = bc.scratch[bc.used]
+	} else {
+		f = &bc.scratch
 	}
 	f.fe = fe
 	f.bone = ep.bone
@@ -295,12 +279,10 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 		hops = append(hops, e.Net.Router(fe.eg.BonePath[j]).Loopback)
 	}
 	f.hops = hops
-	if !shared {
-		bc.used++
-	} else if !fe.mat.CompareAndSwap(nil, f) {
+	if shared && !fe.mat.CompareAndSwap(nil, f) {
 		f = fe.mat.Load()
 	}
-	bc.flows = append(bc.flows, sendFlow{dst.ID, f})
+	bc.flow = f
 	return f, nil
 }
 
@@ -317,51 +299,6 @@ func (e *Evolution) sendSingle(ep *routingEpoch, src, dst *topology.Host, payloa
 	return d, err
 }
 
-// SendBatch delivers one payload to each destination from a single
-// source, amortizing the per-send fixed costs across the burst: the epoch
-// load once per batch; the flow-cache probe, header serialization and the
-// Delivery's routing fields once per destination. What stays per packet
-// is the packet — tag, emit, relay walk, final decap, integrity checks,
-// and the health decision when degradation is on. It is observationally
-// identical to calling Send(src, dsts[i], payloads[i]) for each i in
-// order on one routing epoch: byte-identical deliveries, identical drop
-// reasons and counter tallies. A burst emits no span events; to trace
-// its packets, send them with SendTraced. payloads may be nil (every
-// packet then carries an empty payload); otherwise it must match dsts in
-// length. A failed packet never poisons the rest: the error is a
-// *BatchError carrying per-packet errors, and every other index's
-// Delivery is valid. When the deployment has no usable epoch at all the
-// error is that epoch error (every packet would have failed identically).
-func (e *Evolution) SendBatch(src *topology.Host, dsts []*topology.Host, payloads [][]byte) ([]Delivery, error) {
-	return e.AppendSendBatch(nil, src, dsts, payloads)
-}
-
-// AppendSendBatch is SendBatch appending into out, the allocation-free
-// form: with out's capacity sufficient and the batch all-success, a
-// steady-state call allocates nothing. It returns the extended slice
-// (one Delivery per destination, zero at failed indexes). On a non-nil
-// plain error (argument mismatch, unusable epoch) out is returned
-// unextended.
-func (e *Evolution) AppendSendBatch(out []Delivery, src *topology.Host, dsts []*topology.Host, payloads [][]byte) ([]Delivery, error) {
-	if payloads != nil && len(payloads) != len(dsts) {
-		return out, fmt.Errorf("core: batch: %d payloads for %d destinations", len(payloads), len(dsts))
-	}
-	return e.sendBatch(out, src, dsts, nil, payloads, len(dsts))
-}
-
-// SendBurst delivers every payload to one destination — the
-// single-destination batch, with no destination slice to materialize.
-// Same contract as SendBatch.
-func (e *Evolution) SendBurst(src, dst *topology.Host, payloads [][]byte) ([]Delivery, error) {
-	return e.AppendSendBurst(nil, src, dst, payloads)
-}
-
-// AppendSendBurst is SendBurst appending into out; see AppendSendBatch
-// for the allocation contract.
-func (e *Evolution) AppendSendBurst(out []Delivery, src, dst *topology.Host, payloads [][]byte) ([]Delivery, error) {
-	return e.sendBatch(out, src, nil, dst, payloads, len(payloads))
-}
-
 // growDeliveries extends out by n zeroed entries, in place when the
 // capacity is already there.
 func growDeliveries(out []Delivery, n int) []Delivery {
@@ -374,13 +311,31 @@ func growDeliveries(out []Delivery, n int) []Delivery {
 	return append(out, make([]Delivery, n)...)
 }
 
-// sendBatch drives the engine n times: dsts per-packet destinations, or
-// dst1 for every packet when dsts is nil. It loads one routing epoch and
-// runs the whole burst against it — a mutation mid-batch never tears the
-// batch across epochs (later packets just lose cache-store eligibility,
-// exactly like a Send racing the same mutation). Counters fold into the
-// shared tally with one flush.
-func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topology.Host, dst1 *topology.Host, payloads [][]byte, n int) ([]Delivery, error) {
+// AppendSendBurst delivers every payload to one destination, appending
+// one Delivery per payload to out. It amortizes the per-send fixed costs
+// across the burst: the epoch load, the flow-cache probe, header
+// serialization and the Delivery's routing fields happen once per burst.
+// What stays per packet is the packet — tag, emit, relay walk, final
+// decap, integrity checks, and the health decision when degradation is
+// on. It is observationally identical to calling Send(src, dst,
+// payloads[i]) for each i in order on one routing epoch: byte-identical
+// deliveries, identical drop reasons and counter tallies. A burst emits
+// no span events; to trace its packets, send them with SendTraced. With
+// out's capacity sufficient and the burst all-success, a steady-state
+// call allocates nothing.
+//
+// A failed packet never poisons the rest: the error is a *BatchError
+// carrying per-packet errors, the failed indexes hold a zero Delivery and
+// every other index's Delivery is valid. When the deployment has no
+// usable epoch at all the error is that epoch error (every packet would
+// have failed identically) and out is returned unextended.
+//
+// The burst runs against the one routing epoch it loads: a mutation
+// mid-burst never tears it across epochs (later packets just lose
+// cache-store eligibility, exactly like a Send racing the same
+// mutation). Counters fold into the shared tally with one flush.
+func (e *Evolution) AppendSendBurst(out []Delivery, src, dst *topology.Host, payloads [][]byte) ([]Delivery, error) {
+	n := len(payloads)
 	if n == 0 {
 		return out, nil
 	}
@@ -391,17 +346,9 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 
 	var errs []error
 	failed := 0
-	dst := dst1
-	var pl []byte
-	for i := 0; i < n; i++ {
+	for i, pl := range payloads {
 		if e.testBatchHook != nil {
 			e.testBatchHook(i)
-		}
-		if dsts != nil {
-			dst = dsts[i]
-		}
-		if payloads != nil {
-			pl = payloads[i]
 		}
 		if err := e.sendOne(bc, ep, src, dst, pl, &res[base+i], nil); err != nil {
 			if errs == nil {
@@ -412,7 +359,9 @@ func (e *Evolution) sendBatch(out []Delivery, src *topology.Host, dsts []*topolo
 		}
 	}
 
-	bc.counters.BatchFlows(len(bc.flows))
+	if bc.flow != nil {
+		bc.counters.BatchFlows(1)
+	}
 	bc.counters.BatchPackets(n)
 	bc.counters.FlushTo(&e.counters)
 	batchCtxPool.Put(bc)
@@ -468,7 +417,7 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 		tr.Event(trace.Event{Kind: trace.KindSend, Seq: seq, Router: src.Attach, AS: src.Domain})
 	}
 	if e.health == nil {
-		if _, reason, err := e.deliverVN(bc, ep, src, dst, payload, out, tr, seq); err != nil {
+		if reason, err := e.deliverVN(bc, ep, src, dst, payload, out, tr, seq); err != nil {
 			return bc.drop(tr, seq, reason, err)
 		}
 		return nil
@@ -480,12 +429,12 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 	vnReason, detail, mark := trace.DropNone, trace.DetailFallbackState, packet.FallbackMarkState
 	if ep.err != nil {
 		h.observeDst(ep.addrOf(dst))
-		h.noteFailure(nil, ep.seq, cb, tr, seq)
+		h.noteFailure(ep.seq, cb, tr, seq)
 		vnReason, detail, mark = trace.DropNotDeployed, trace.DetailFallbackErrEpoch, packet.FallbackMarkRescue
 	} else if attempt, probe := h.decide(ep.seq, ep.addrOf(dst), cb); attempt {
-		fe, reason, err := e.deliverVN(bc, ep, src, dst, payload, out, tr, seq)
+		reason, err := e.deliverVN(bc, ep, src, dst, payload, out, tr, seq)
 		if err == nil {
-			h.noteSuccess(fe, probe, cb, tr, seq)
+			h.noteSuccess(probe, cb, tr, seq)
 			return nil
 		}
 		if reason == trace.DropNoBaseline {
@@ -493,7 +442,7 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 			// nothing to rescue over, and nothing learned about the vN path.
 			return bc.drop(tr, seq, reason, err)
 		}
-		h.noteFailure(fe, ep.seq, cb, tr, seq)
+		h.noteFailure(ep.seq, cb, tr, seq)
 		vnReason, detail, mark = reason, trace.DetailFallbackRescue, packet.FallbackMarkRescue
 	}
 	if reason, err := e.deliverFallback(bc, ep, h, src, dst, payload, out, seq, vnReason, detail, mark, tr); err != nil {
@@ -567,34 +516,28 @@ func (ep *routingEpoch) ingressAt(a addr.V4) *anycast.Deployment {
 }
 
 // deliverVN runs the vN delivery of one packet: the flow's skeleton —
-// this send's own when it has already sent to dst (counted as the flow
-// hit it is), resolved and materialized otherwise — then the wire pass
-// for real: the packet is emitted from the flow's header template and
-// patched in place per leg, and the arriving bytes are parsed and checked
-// at the destination. Only then is out written, once. With the pool warm,
-// a steady-state delivery allocates nothing. Failures are returned with
-// their drop reason neither counted nor traced, and out untouched: the
-// caller decides whether the packet drops or gets rescued over the
-// baseline. The returned flowEntry (nil when flow resolution itself
-// failed) feeds the health layer's signal matching.
-func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, out *Delivery, tr trace.Tracer, seq uint32) (*flowEntry, trace.DropReason, error) {
+// this send's own when an earlier packet of the burst resolved it
+// (counted as the flow hit it is), resolved and materialized otherwise —
+// then the wire pass for real: the packet is emitted from the flow's
+// header template and patched in place per leg, and the arriving bytes
+// are parsed and checked at the destination. Only then is out written,
+// once. With the pool warm, a steady-state delivery allocates nothing.
+// Failures are returned with their drop reason neither counted nor
+// traced, and out untouched: the caller decides whether the packet drops
+// or gets rescued over the baseline.
+func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, out *Delivery, tr trace.Tracer, seq uint32) (trace.DropReason, error) {
 	cb := &bc.counters
-	var bf *flow
-	for i := range bc.flows {
-		if bc.flows[i].dst == dst.ID {
-			bf = bc.flows[i].f
-			cb.FlowHit()
-			cb.Redirect(true)
-			break
-		}
-	}
-	if bf == nil {
+	bf := bc.flow
+	if bf != nil {
+		cb.FlowHit()
+		cb.Redirect(true)
+	} else {
 		fe, ep, hit, reason, err := e.flowSkeleton(bc, ep, src, dst)
 		if err != nil {
-			return nil, reason, err
+			return reason, err
 		}
 		if bf, err = bc.flowFor(e, ep, src, dst, fe, hit); err != nil {
-			return fe, trace.DropEncap, err
+			return trace.DropEncap, err
 		}
 	}
 	fe := bf.fe
@@ -607,7 +550,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	// included.
 	wire, err := bf.tmpl.Emit(bc.wire, payload, seq)
 	if err != nil {
-		return fe, trace.DropEncap, err
+		return trace.DropEncap, err
 	}
 	bc.wire = wire
 	cb.Encap()
@@ -640,7 +583,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	path := fe.eg.BonePath
 	for j := 1; j < len(bf.hops); j++ {
 		if err := bc.ep.ForwardShared(wire, bf.hops[j]); err != nil {
-			return fe, trace.DropRelay, fmt.Errorf("core: bone relay %d: %w", j, err)
+			return trace.DropRelay, fmt.Errorf("core: bone relay %d: %w", j, err)
 		}
 		cb.Encap()
 		cb.Decap()
@@ -659,9 +602,9 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	// option carries).
 	if err := bc.ep.PatchEncap(wire, bf.final); err != nil {
 		if bf.self {
-			return fe, trace.DropTail, fmt.Errorf("core: final tunnel: %w", err)
+			return trace.DropTail, fmt.Errorf("core: final tunnel: %w", err)
 		}
-		return fe, trace.DropTail, fmt.Errorf("core: native delivery encap: %w", err)
+		return trace.DropTail, fmt.Errorf("core: native delivery encap: %w", err)
 	}
 	cb.Encap()
 
@@ -669,7 +612,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	bc.epDst.Observe(tr, nil, seq)
 	_, inner, rpl, err := bc.epDst.DecapShared(wire, bc.opts[:0])
 	if err != nil {
-		return fe, trace.DropTail, fmt.Errorf("core: final decap: %w", err)
+		return trace.DropTail, fmt.Errorf("core: final decap: %w", err)
 	}
 	cb.Decap()
 	if inner.Options != nil {
@@ -680,7 +623,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	// out, the caller gets their own bytes back so the Delivery outlives
 	// the pooled working set.
 	if err := checkArrival(inner.Options, rpl, payload, seq); err != nil {
-		return fe, trace.DropIntegrity, err
+		return trace.DropIntegrity, err
 	}
 	*out = bf.proto
 	out.Payload = payload
@@ -693,7 +636,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 			Router: dst.Attach, AS: dst.Domain, Cost: out.TotalCost,
 		})
 	}
-	return fe, trace.DropNone, nil
+	return trace.DropNone, nil
 }
 
 // checkArrival holds what reached the destination to what the source

@@ -198,7 +198,7 @@ func TestOneShotFlowHoldsNoTemplate(t *testing.T) {
 	if _, err := e.Send(w.src, w.native, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SendBurst(w.src, w.self, make([][]byte, 8)); err != nil {
+	if _, err := e.AppendSendBurst(nil, w.src, w.self, make([][]byte, 8)); err != nil {
 		t.Fatal(err)
 	}
 	for _, dst := range []*topology.Host{w.native, w.self} {

@@ -27,7 +27,6 @@ package econ
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/evolvable-net/evolve/internal/topology"
 )
@@ -401,32 +400,4 @@ func SettlementRevenue(p Params, demand float64, ownShare, ingressShare map[topo
 		out[asn] = p.Price * demand * (own + p.SettlementRate*attracted)
 	}
 	return out
-}
-
-// Gini computes the Gini coefficient of deployer profits — how unevenly
-// the IPvN revenue pie is split (early-mover advantage).
-func (m *Model) Gini() float64 {
-	var xs []float64
-	for _, isp := range m.ISPs {
-		if isp.Profit > 0 {
-			xs = append(xs, isp.Profit)
-		}
-	}
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	var sum, diff float64
-	for _, x := range xs {
-		sum += x
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			diff += math.Abs(xs[i] - xs[j])
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return diff / (2 * float64(n) * sum)
 }

@@ -76,8 +76,7 @@ func TestUADominatesNonUA(t *testing.T) {
 
 func TestFirstMoverProfitsUnderUA(t *testing.T) {
 	// Low deploy cost so every ISP ends up profitable; the first mover
-	// still earns the most (early-mover advantage), and the profit split
-	// is unequal.
+	// still earns the most (early-mover advantage).
 	m, _ := NewModel(Params{UniversalAccess: true, DeployCost: 0.02}, tenISPs())
 	m.Run()
 	if m.ISPs[0].Profit <= 0 {
@@ -88,9 +87,6 @@ func TestFirstMoverProfitsUnderUA(t *testing.T) {
 			t.Errorf("laggard %d (%.3f) out-earned the first mover (%.3f)",
 				i+1, isp.Profit, m.ISPs[0].Profit)
 		}
-	}
-	if g := m.Gini(); g <= 0 {
-		t.Errorf("Gini = %.3f, expected inequality", g)
 	}
 }
 

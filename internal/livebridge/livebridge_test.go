@@ -11,10 +11,28 @@ import (
 	"github.com/evolvable-net/evolve/internal/overlaynet"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
 	"github.com/evolvable-net/evolve/internal/topology"
-	"github.com/evolvable-net/evolve/internal/vncast"
 )
 
 const timeout = 3 * time.Second
+
+// enableReliable turns on the acked/retransmitting mode on every host
+// node of o, acknowledging through the deployment's anycast address.
+func enableReliable(o *Overlay, cfg overlaynet.ReliableConfig) {
+	cfg.AckVia = o.evo.AnycastAddr()
+	for _, n := range o.Hosts {
+		n.EnableReliable(cfg)
+	}
+}
+
+// sendReliable is Overlay.Send in the acked mode: it returns once dst
+// has acknowledged the delivery and the payload has left its inbox.
+func sendReliable(o *Overlay, src, dst *topology.Host, payload []byte, timeout time.Duration) (overlaynet.Received, error) {
+	dstNode := o.Hosts[dst.ID]
+	if err := o.Hosts[src.ID].SendVNReliable(o.evo.AnycastAddr(), dstNode.VNAddr(), payload); err != nil {
+		return overlaynet.Received{}, err
+	}
+	return dstNode.WaitInbox(timeout)
+}
 
 func buildEvo(t *testing.T, egress bgpvn.EgressPolicy) (*topology.Network, *core.Evolution) {
 	t.Helper()
@@ -270,66 +288,6 @@ func TestReprovisionAfterFailureChangesTrajectory(t *testing.T) {
 	}
 }
 
-func TestLiveMulticastEndToEnd(t *testing.T) {
-	// The full payoff, live: simulate, build the tree, provision, send
-	// one UDP packet, and every subscriber node receives a copy.
-	net, evo := buildEvo(t, bgpvn.PathInformed)
-	o, err := Provision(evo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-
-	svc := vncast.New(evo)
-	grp := svc.CreateGroup(1)
-	src := net.HostsIn(net.DomainByName("T0").ASN)[0]
-	var subs []*topology.Host
-	for _, h := range net.Hosts {
-		if h.ID == src.ID {
-			continue
-		}
-		if err := svc.Subscribe(grp, h); err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, h)
-	}
-	group, err := o.ProvisionMulticast(svc, grp, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.SendMulticast(src, group, []byte("one packet, many homes")); err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range subs {
-		got, err := o.Hosts[h.ID].WaitInbox(timeout)
-		if err != nil {
-			t.Fatalf("subscriber %s: %v", h.Name, err)
-		}
-		if string(got.Payload) != "one packet, many homes" {
-			t.Errorf("subscriber %s payload = %q", h.Name, got.Payload)
-		}
-		if got.To != group {
-			t.Errorf("subscriber %s dst = %s", h.Name, got.To)
-		}
-	}
-	// Replication economy: the source sent exactly once; total live
-	// forwards+exits across members must be well under one-per-subscriber
-	// on the shared segments (exits equal subscriber count, forwards are
-	// the shared tree's internal copies).
-	var forwards, exits uint64
-	for _, m := range o.Members {
-		s := m.Stats()
-		forwards += s.Forwarded
-		exits += s.Exited
-	}
-	if exits != uint64(len(subs)) {
-		t.Errorf("exits = %d, want one per subscriber (%d)", exits, len(subs))
-	}
-	if forwards >= uint64(len(subs)) {
-		t.Errorf("tree forwards (%d) not amortized vs %d subscribers", forwards, len(subs))
-	}
-}
-
 func TestProvisionRequiresDeployment(t *testing.T) {
 	net, err := topology.TransitStub(2, 2, 0, topology.GenConfig{Seed: 6, HostsPerDomain: 1})
 	if err != nil {
@@ -449,39 +407,6 @@ func TestReconcileFallsBackOnErrorEpoch(t *testing.T) {
 	}
 }
 
-func TestWatchReconcilesOnEpochPublication(t *testing.T) {
-	_, evo := buildEvo(t, bgpvn.PathInformed)
-	o, err := Provision(evo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-	stop := o.Watch()
-	defer stop()
-
-	members := evo.Dep.Members()
-	victim := members[len(members)-1]
-	victimLoopback := evo.Net.Router(victim).Loopback
-	evo.UndeployRouter(victim)
-
-	// The watcher hears the epoch publication and reconciles; observe via
-	// the Registry (its own lock) rather than the Members map.
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		present := false
-		for _, m := range o.Reg.AnycastMembers(evo.AnycastAddr()) {
-			if m == victimLoopback {
-				present = true
-			}
-		}
-		if !present {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("watcher never reconciled the undeploy")
-}
-
 func TestUnackedFlowEntersFallback(t *testing.T) {
 	// The live plane's delivery failures must drive the simulator's
 	// per-flow health: when reliable sends toward a destination repeatedly
@@ -511,7 +436,7 @@ func TestUnackedFlowEntersFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Close()
-	o.EnableReliable(overlaynet.ReliableConfig{
+	enableReliable(o, overlaynet.ReliableConfig{
 		JitterSeed:     1,
 		MaxAttempts:    1,
 		RetransmitBase: time.Millisecond,
@@ -524,12 +449,10 @@ func TestUnackedFlowEntersFallback(t *testing.T) {
 	// Prime the flow-health record through the simulator's send path (the
 	// live observer's reports match on the flow's recorded IPvN
 	// destination).
-	if _, err := evo.Send(src, dst, []byte("prime")); err != nil {
-		t.Fatal(err)
+	if d, err := evo.Send(src, dst, []byte("prime")); err != nil || d.Fallback {
+		t.Fatalf("primed flow: %+v, %v, want a vN delivery", d, err)
 	}
-	if info, ok := evo.FlowHealth(src, dst); !ok || info.State != core.HealthHealthy {
-		t.Fatalf("primed flow health = %+v (ok=%v), want healthy", info, ok)
-	}
+	before := evo.Snapshot()
 
 	// Black-hole the wire: every reliable send now exhausts its budget.
 	o.Reg.SetFaultTransport(overlaynet.NewFaultTransport(overlaynet.FaultConfig{
@@ -538,15 +461,15 @@ func TestUnackedFlowEntersFallback(t *testing.T) {
 
 	deadline := time.Now().Add(timeout)
 	for {
-		if _, err := o.SendReliable(src, dst, []byte("lost"), 10*time.Millisecond); err == nil {
+		if _, err := sendReliable(o, src, dst, []byte("lost"), 10*time.Millisecond); err == nil {
 			t.Fatal("send over a fully dropped wire succeeded")
 		}
-		info, ok := evo.FlowHealth(src, dst)
-		if ok && info.State == core.HealthFallback {
+		d := evo.Snapshot().Sub(before)
+		if d.HealthFallbacks > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("flow never entered fallback: %+v (ok=%v)", info, ok)
+			t.Fatalf("flow never entered fallback: %d unacked signals, %d suspect transitions", d.HealthSignals, d.HealthSuspects)
 		}
 	}
 
@@ -561,88 +484,6 @@ func TestUnackedFlowEntersFallback(t *testing.T) {
 	}
 }
 
-func TestFeedPeerHealthSignalsSuspectedRouters(t *testing.T) {
-	// Suspicion raised by the live plane's keepalive probing must reach
-	// the simulator's flow-health layer: after a member node dies and its
-	// peers' probes go unanswered, FeedPeerHealth maps the suspected
-	// loopback back to its bone router and signals every flow riding
-	// through it.
-	net, err := topology.TransitStub(2, 2, 0.3, topology.GenConfig{
-		Seed: 5, RoutersPerDomain: 2, HostsPerDomain: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evo, err := core.New(net, core.Config{
-		Option:    anycast.Option2,
-		DefaultAS: net.DomainByName("T0").ASN,
-		Egress:    bgpvn.PathInformed,
-		Fallback:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evo.DeployDomain(net.DomainByName("T0").ASN, 0)
-	evo.DeployDomain(net.DomainByName("S1.0").ASN, 0)
-	o, err := Provision(evo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer o.Close()
-
-	src := net.HostsIn(net.DomainByName("S0.0").ASN)[0]
-	dst := net.HostsIn(net.DomainByName("S1.0").ASN)[0]
-	if _, err := evo.Send(src, dst, []byte("prime")); err != nil {
-		t.Fatal(err)
-	}
-
-	// No suspicion: feeding is a no-op.
-	if n := o.FeedPeerHealth(); n != 0 {
-		t.Fatalf("FeedPeerHealth with a healthy overlay signalled %d flows", n)
-	}
-
-	o.EnableLiveness(overlaynet.LivenessConfig{
-		Interval:     5 * time.Millisecond,
-		SuspectAfter: 2,
-	})
-
-	// Kill the flow's simulated ingress member; its probing peers will
-	// suspect it.
-	sim, err := evo.Send(src, dst, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := sim.Ingress.Member
-	victimLoopback := net.Router(victim).Loopback
-	o.Members[victim].Close()
-	// Make sure at least one survivor probes the dead member (route
-	// tables need not reference every peer in a small topology).
-	for id, n := range o.Members {
-		if id != victim {
-			n.AddPeer(victimLoopback)
-		}
-	}
-
-	deadline := time.Now().Add(timeout)
-	for {
-		if o.Reg.Suspected(victimLoopback) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("victim never suspected by live probing")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	if n := o.FeedPeerHealth(); n == 0 {
-		t.Fatal("FeedPeerHealth signalled no flows despite a suspected ingress")
-	}
-	info, ok := evo.FlowHealth(src, dst)
-	if !ok || info.State == core.HealthHealthy {
-		t.Fatalf("flow health after suspicion feed = %+v (ok=%v), want degraded", info, ok)
-	}
-}
-
 func TestReliableSendOverBridge(t *testing.T) {
 	net, evo := buildEvo(t, bgpvn.PathInformed)
 	o, err := Provision(evo)
@@ -650,11 +491,11 @@ func TestReliableSendOverBridge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer o.Close()
-	o.EnableReliable(overlaynet.ReliableConfig{JitterSeed: 1})
+	enableReliable(o, overlaynet.ReliableConfig{JitterSeed: 1})
 
 	src := net.HostsIn(net.DomainByName("S0.0").ASN)[0]
 	dst := net.HostsIn(net.DomainByName("S1.0").ASN)[0]
-	got, err := o.SendReliable(src, dst, []byte("acked"), timeout)
+	got, err := sendReliable(o, src, dst, []byte("acked"), timeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,9 @@ func (q eventQueue) empty() bool   { return len(q) == 0 }
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now    Time
-	queue  eventQueue
-	seq    uint64
-	events uint64
+	now   Time
+	queue eventQueue
+	seq   uint64
 }
 
 // NewEngine returns an engine at time zero with an empty queue.
@@ -54,9 +53,6 @@ func NewEngine() *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() uint64 { return e.events }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.queue) }
@@ -80,7 +76,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := heap.Pop(&e.queue).(event)
 	e.now = ev.at
-	e.events++
 	ev.do()
 	return true
 }
@@ -168,14 +163,6 @@ func (f *Fabric) Connect(a, b int, latency Time) {
 	f.latency[mkLink(a, b)] = latency
 }
 
-// Connected reports whether a usable (existing and not failed) link a–b
-// exists.
-func (f *Fabric) Connected(a, b int) bool {
-	k := mkLink(a, b)
-	_, ok := f.latency[k]
-	return ok && !f.down[k]
-}
-
 // FailLink takes the link a–b down; messages in flight still arrive
 // (signals propagate), subsequent sends are dropped.
 func (f *Fabric) FailLink(a, b int) { f.down[mkLink(a, b)] = true }
@@ -213,11 +200,4 @@ func (f *Fabric) Send(from, to int, msg any) {
 		f.Delivered++
 		h.Receive(from, msg)
 	})
-}
-
-// Broadcast sends msg from a node to all of the given neighbours.
-func (f *Fabric) Broadcast(from int, neighbors []int, msg any) {
-	for _, to := range neighbors {
-		f.Send(from, to, msg)
-	}
 }

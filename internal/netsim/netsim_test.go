@@ -96,9 +96,8 @@ func TestEngineProcessed(t *testing.T) {
 	e := NewEngine()
 	e.At(1, func() {})
 	e.At(2, func() {})
-	e.Run(0)
-	if e.Processed() != 2 {
-		t.Errorf("Processed = %d", e.Processed())
+	if n := e.Run(0); n != 2 {
+		t.Errorf("Run processed %d events, want 2", n)
 	}
 }
 

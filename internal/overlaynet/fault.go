@@ -67,18 +67,11 @@ func pairKey(a, b addr.V4) [2]addr.V4 {
 }
 
 // Partition severs the (undirected) link between a and b: every write in
-// either direction is dropped until Heal.
+// either direction is dropped from then on.
 func (ft *FaultTransport) Partition(a, b addr.V4) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	ft.cut[pairKey(a, b)] = true
-}
-
-// Heal restores a previously partitioned link.
-func (ft *FaultTransport) Heal(a, b addr.V4) {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	delete(ft.cut, pairKey(a, b))
 }
 
 // linkRand returns the directed link's PRNG, creating it on first use

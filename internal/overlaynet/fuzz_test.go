@@ -76,12 +76,14 @@ func FuzzDatagram(f *testing.F) {
 	exit := encap(addr.SelfAddress(u(99)), packet.VNHeader{}.WithUnderlayDst(sinkAddr), "out")
 	nowhere := encap(addr.SelfAddress(u(99)), packet.VNHeader{}, "unregistered")
 	ack := encap(me, packet.VNHeader{Options: []packet.Option{seqOption(packet.OptDeliveryAck, 1)}}, "")
+	group := encap(addr.MulticastVN(7), packet.VNHeader{}, "no group state")
 	train := append(append(append(append(append([]byte(nil), relay...), toMe...), probe...), exit...), nowhere...)
 	badSum := append([]byte(nil), train...)
 	badSum[len(relay)+9] ^= 0xff
 	f.Add([]byte{})
 	f.Add(toMe)
 	f.Add(ack)
+	f.Add(group)
 	f.Add(train)
 	f.Add(train[:len(train)-5])
 	f.Add(badSum)

@@ -52,15 +52,6 @@ func (n *Node) addPeerLocked(p addr.V4) {
 	}
 }
 
-// AddPeer adds an explicit liveness probing target (route next hops are
-// added automatically); no-op unless EnableLiveness has been or will be
-// called.
-func (n *Node) AddPeer(p addr.V4) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.addPeerLocked(p)
-}
-
 // EnableLiveness starts keepalive probing of the node's peers: every
 // interval each peer is sent a nonce'd probe; an unanswered probe counts
 // a miss, SuspectAfter consecutive misses report the peer suspected dead

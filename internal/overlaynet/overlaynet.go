@@ -6,6 +6,10 @@
 // the host toward the anycast address, decap/relay at each vN router,
 // exit toward self-addressed destinations — over genuine sockets.
 //
+// A node relays unicast IPvN packets only: it keeps no multicast group
+// state, so a packet addressed to an IPvN multicast group is dropped
+// (internal/vncast computes group trees in the simulator).
+//
 // The Registry stands in for IPv(N-1) routing: it maps underlay addresses
 // to UDP endpoints and resolves anycast addresses to their current member
 // list (ordered by proximity, as the simulator's routing would). This is
@@ -155,13 +159,6 @@ func (r *Registry) SetAnycastMembers(a addr.V4, members []addr.V4) {
 	r.anycast[a] = append([]addr.V4(nil), members...)
 }
 
-// AnycastMembers returns the current member list of an anycast address.
-func (r *Registry) AnycastMembers(a addr.V4) []addr.V4 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]addr.V4(nil), r.anycast[a]...)
-}
-
 // SetResolver installs a per-source anycast resolver; a nil resolver
 // reverts to the static member ordering.
 func (r *Registry) SetResolver(f Resolver) {
@@ -195,30 +192,18 @@ func (r *Registry) unsuspect(reporter, peer addr.V4) {
 	}
 }
 
-// Suspected reports whether any node currently considers a dead.
-func (r *Registry) Suspected(a addr.V4) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.suspected[a]) > 0
-}
-
 // aliveLocked: registered and not suspected. Callers hold mu (any mode).
 func (r *Registry) aliveLocked(a addr.V4) bool {
 	_, ok := r.unicast[a]
 	return ok && len(r.suspected[a]) == 0
 }
 
-// ResolveAnycast returns the closest live member of the group per the
-// installed ordering: registered members suspected dead are skipped (and
-// the skip counted as an anycast failover). When every registered member
-// is suspected, the closest registered one is returned anyway — suspicion
-// is a hint, and a possibly-dead ingress beats a guaranteed black hole.
-func (r *Registry) ResolveAnycast(a addr.V4) (addr.V4, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.resolveAnycastLocked(a)
-}
-
+// resolveAnycastLocked returns the closest live member of the group per
+// the installed ordering: registered members suspected dead are skipped
+// (and the skip counted as an anycast failover). When every registered
+// member is suspected, the closest registered one is returned anyway —
+// suspicion is a hint, and a possibly-dead ingress beats a guaranteed
+// black hole. Callers hold mu (any mode).
 func (r *Registry) resolveAnycastLocked(a addr.V4) (addr.V4, bool) {
 	skipped := false
 	for _, m := range r.anycast[a] {
@@ -332,9 +317,6 @@ type Node struct {
 
 	mu     sync.RWMutex
 	routes rib.TableVN[nextHops] // IPvN prefix → next-hop set
-	// mcast maps an IPvN group address to this node's replication state:
-	// downstream tree branches plus locally attached subscribers.
-	mcast map[addr.VN]*mcastState
 	// echoVia, when set, makes the node answer "ping:" payloads with
 	// "pong:" replies sent back through the given anycast address.
 	echoVia addr.V4
@@ -435,30 +417,6 @@ func (n *Node) ServeAnycast(a addr.V4) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.served[a] = true
-}
-
-// mcastState is one group's replication entry at a node.
-type mcastState struct {
-	// branches are downstream tree next hops (other vN routers).
-	branches []addr.V4
-	// leaves are locally attached subscribers' underlay addresses.
-	leaves []addr.V4
-}
-
-// SetMulticastRoute installs this node's replication state for group:
-// incoming packets for the group are forwarded once per branch (further
-// vN routers) and delivered once per leaf (local subscribers). Replaces
-// any previous state for the group.
-func (n *Node) SetMulticastRoute(group addr.VN, branches, leaves []addr.V4) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.mcast == nil {
-		n.mcast = map[addr.VN]*mcastState{}
-	}
-	n.mcast[group] = &mcastState{
-		branches: append([]addr.V4(nil), branches...),
-		leaves:   append([]addr.V4(nil), leaves...),
-	}
 }
 
 // Echo payload prefixes.
@@ -691,26 +649,10 @@ func (n *Node) handle(wire []byte) {
 		return
 	}
 
-	// Group traffic: replicate at tree nodes, deliver at leaves.
+	// The live plane keeps no group state: a multicast-addressed packet
+	// has nowhere to go.
 	if inner.Dst.IsMulticast() {
-		n.mu.RLock()
-		st := n.mcast[inner.Dst]
-		n.mu.RUnlock()
-		if st == nil {
-			// A leaf delivery: this node subscribed and the tree tunnelled
-			// the packet here.
-			n.deliver(Received{From: inner.Src, To: inner.Dst, Payload: payload, OuterSrc: outer.Src})
-			return
-		}
-		if !n.spendHop(wire) {
-			return
-		}
-		for _, b := range st.branches {
-			n.relay(nextHops{b}, wire, &n.stats.forwarded)
-		}
-		for _, l := range st.leaves {
-			n.relay(nextHops{l}, wire, &n.stats.exited)
-		}
+		n.stats.dropped.Add(1)
 		return
 	}
 
@@ -746,18 +688,14 @@ func (n *Node) handle(wire []byte) {
 	nh, _, haveRoute := n.routes.Lookup(inner.Dst)
 	n.mu.RUnlock()
 	if haveRoute {
-		if n.spendHop(wire) {
-			n.relay(nh, wire, &n.stats.forwarded)
-		}
+		n.relay(nh, wire, &n.stats.forwarded)
 		return
 	}
 
 	// No bone route: exit toward the destination's underlay address
 	// (self-addressed destinations carry it).
 	if u, ok := inner.UnderlayDst(); ok {
-		if n.spendHop(wire) {
-			n.relay(nextHops{u}, wire, &n.stats.exited)
-		}
+		n.relay(nextHops{u}, wire, &n.stats.exited)
 		return
 	}
 	n.stats.dropped.Add(1)
@@ -775,20 +713,10 @@ func (n *Node) deliver(rcv Received) bool {
 	}
 }
 
-// spendHop spends the one IPvN hop a datagram costs at this node, in
-// place and once however many next hops it is then relayed to; a datagram
-// with none left is dropped (counted) and false returned.
-func (n *Node) spendHop(wire []byte) bool {
-	if err := tunnel.DecrementHop(wire); err != nil {
-		n.stats.dropped.Add(1)
-		return false
-	}
-	return true
-}
-
-// relay re-addresses wire — a packet of the datagram the handler owns,
-// its hop already spent — toward the next live underlay hop and puts it
-// on that hop's train: the same in-place hop as
+// relay spends the one IPvN hop wire — a packet of the datagram the
+// handler owns — costs at this node, dropping it (counted) when none is
+// left, then re-addresses it toward the next live underlay hop and puts
+// it on that hop's train: the same in-place hop as
 // tunnel.Endpoint.PatchEncap, no header re-serialized. The primary next
 // hop is preferred; a dead or suspected primary fails over to the first
 // live alternate (counted), and as a last resort any registered candidate
@@ -799,6 +727,10 @@ func (n *Node) spendHop(wire []byte) bool {
 // and a failover are counted before the packet boards its train, and as
 // is taken back as a drop if the next hop does not resolve.
 func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64) {
+	if err := tunnel.DecrementHop(wire); err != nil {
+		n.stats.dropped.Add(1)
+		return
+	}
 	next, failover := n.pickNextHop(nh)
 	packet.RewriteOuter(wire, n.Underlay, next)
 	if failover {

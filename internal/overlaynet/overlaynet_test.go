@@ -149,30 +149,43 @@ func TestNativeDeliveryViaBoneRoute(t *testing.T) {
 	}
 }
 
+// TestForeignPacketDropped: a router drops a packet whose outer
+// destination is neither its own address nor an anycast address it
+// serves, and one addressed to an IPvN multicast group, for which the
+// live plane keeps no state. Each is exactly one drop and nothing else.
 func TestForeignPacketDropped(t *testing.T) {
 	reg, hostA, _, routers, _ := buildChain(t)
-	// Craft a packet whose outer dst is R2 (not an anycast address R1
-	// serves) and deliver it to R1's socket: R1 must drop it.
-	inner := packet.VNHeader{Version: 8, Src: hostA.VNAddr(), Dst: addr.VN{Hi: 1}}
-	outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: hostA.Underlay, Dst: routers[1].Underlay}
-	buf := packet.NewSerializeBuffer()
-	if err := packet.Serialize(buf, []byte("mis-sent"), &outer, &inner); err != nil {
-		t.Fatal(err)
-	}
 	ep, _ := reg.Endpoint(routers[0].Underlay)
-	conn, err := hostA.conn.WriteToUDP(buf.Bytes(), ep)
-	_ = conn
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name     string
+		outerDst addr.V4
+		innerDst addr.VN
+	}{
+		// Outer dst is R2, not an anycast address R1 serves.
+		{"foreign", routers[1].Underlay, addr.VN{Hi: 1}},
+		{"multicast", routers[0].Underlay, addr.MulticastVN(7)},
 	}
-	deadline := time.Now().Add(waitShort)
-	for time.Now().Before(deadline) {
-		if routers[0].Stats().Dropped >= 1 {
-			return
+	for i, c := range cases {
+		inner := packet.VNHeader{Version: 8, Src: hostA.VNAddr(), Dst: c.innerDst}
+		outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: hostA.Underlay, Dst: c.outerDst}
+		buf := packet.NewSerializeBuffer()
+		if err := packet.Serialize(buf, []byte("mis-sent"), &outer, &inner); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if _, err := hostA.conn.WriteToUDP(buf.Bytes(), ep); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(waitShort)
+		for routers[0].Stats().Dropped < uint64(i+1) && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if s := routers[0].Stats(); s != (Stats{Dropped: uint64(i + 1)}) {
+			t.Errorf("%s packet: R1 stats = %+v, want %d drops and nothing else", c.name, s, i+1)
+		}
 	}
-	t.Errorf("R1 did not drop the foreign packet: %+v", routers[0].Stats())
+	if len(routers[0].Inbox) != 0 {
+		t.Errorf("R1's inbox holds %d packets, want none", len(routers[0].Inbox))
+	}
 }
 
 func TestHopLimitStopsLoops(t *testing.T) {

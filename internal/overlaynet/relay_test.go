@@ -110,48 +110,6 @@ func TestRelayMatchesPatchEncap(t *testing.T) {
 	}
 }
 
-// TestMulticastFanOutSpendsOneHop: every copy of a replicated datagram
-// leaves with the hop limit decremented exactly once, whatever its place
-// in the fan-out, and is otherwise PatchEncap's output toward its own
-// next hop.
-func TestMulticastFanOutSpendsOneHop(t *testing.T) {
-	reg := NewRegistry()
-	r, err := NewNode(reg, u(60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	targets := []addr.V4{u(61), u(62), u(63)}
-	var sinks []*net.UDPConn
-	for _, a := range targets {
-		sinks = append(sinks, wireSink(t, reg, a))
-	}
-	group := addr.MulticastVN(7)
-	r.SetMulticastRoute(group, targets[:2], targets[2:])
-
-	rng := rand.New(rand.NewSource(2))
-	const hop = 9
-	wire := randomEncap(t, rng, r.Underlay, group, hop)
-	orig := append([]byte(nil), wire...)
-	r.receive(wire)
-	for i, c := range sinks {
-		got := readWire(t, c)
-		if h := got[packet.V4HeaderLen+1]; h != hop-1 {
-			t.Errorf("copy %d left with hop limit %d, want %d", i, h, hop-1)
-		}
-		want := append([]byte(nil), orig...)
-		if err := tunnel.NewEndpoint(r.Underlay).PatchEncap(want, targets[i]); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("copy %d differs from PatchEncap toward %s", i, targets[i])
-		}
-	}
-	if s := r.Stats(); s.Forwarded != 2 || s.Exited != 1 || s.Dropped != 0 {
-		t.Errorf("stats = %+v, want 2 forwarded, 1 exited", s)
-	}
-}
-
 // readTrains reads datagrams off c until none arrives for a short while.
 func readTrains(t *testing.T, c *net.UDPConn) [][]byte {
 	t.Helper()

@@ -50,13 +50,6 @@ func (t *VNTemplate) Build(outer V4Header, inner VNHeader) error {
 	return nil
 }
 
-// HeaderLen reports the serialized header prefix length.
-func (t *VNTemplate) HeaderLen() int { return len(t.hdr) }
-
-// TagOffset reports the offset of the trace-tag value within the emitted
-// wire, or -1 when the template has no OptTraceTag option.
-func (t *VNTemplate) TagOffset() int { return t.tagOff }
-
 // Emit materializes one packet into buf[:0]: header prefix, then
 // payload, with the V4 total length, VN payload length, trace tag and V4
 // checksum patched for this packet. The result is byte-identical to

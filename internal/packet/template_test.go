@@ -63,7 +63,7 @@ func TestVNTemplateEmitMatchesSerializer(t *testing.T) {
 			if err := tmpl.Build(outer, zeroed); err != nil {
 				t.Fatal(err)
 			}
-			if tmpl.TagOffset() < 0 {
+			if tmpl.tagOff < 0 {
 				t.Fatal("template lost the trace-tag option")
 			}
 			got, gotErr := tmpl.Emit(nil, tc.payload, tc.tag)
@@ -83,8 +83,8 @@ func TestVNTemplateEmitMatchesSerializer(t *testing.T) {
 			if !bytes.Equal(got, b.Bytes()) {
 				t.Fatalf("wire diverges:\n emit %x\n want %x", got, b.Bytes())
 			}
-			if len(got) != tmpl.HeaderLen()+len(tc.payload) {
-				t.Fatalf("wire length %d, want %d+%d", len(got), tmpl.HeaderLen(), len(tc.payload))
+			if len(got) != len(tmpl.hdr)+len(tc.payload) {
+				t.Fatalf("wire length %d, want %d+%d", len(got), len(tmpl.hdr), len(tc.payload))
 			}
 
 			if !RewriteOuter(got, 0x0B000001, 0x0B000002) {

@@ -114,18 +114,6 @@ func (h VNHeader) UnderlayDst() (addr.V4, bool) {
 	return h.Dst.Underlay()
 }
 
-// FallbackMark extracts the OptFallback option if present: the marker
-// value (FallbackMarkState or FallbackMarkRescue) and whether the packet
-// carries the option at all.
-func (h VNHeader) FallbackMark() (uint8, bool) {
-	for _, o := range h.Options {
-		if o.Type == OptFallback && len(o.Value) == 1 {
-			return o.Value[0], true
-		}
-	}
-	return 0, false
-}
-
 // SerializeTo prepends the header (with options), treating the buffer's
 // contents as payload.
 func (h *VNHeader) SerializeTo(b *SerializeBuffer) error {

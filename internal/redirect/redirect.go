@@ -195,9 +195,6 @@ func (b *BrokerRedirector) Refresh() {
 	sort.Slice(b.snapshot, func(i, j int) bool { return b.snapshot[i] < b.snapshot[j] })
 }
 
-// DirectorySize returns the broker's current member count (experiments).
-func (b *BrokerRedirector) DirectorySize() int { return len(b.snapshot) }
-
 // Redirect implements Redirector: return the directory entry with the
 // cheapest unicast path from the host, then tunnel to its unicast address.
 // A referral to a router that has since withdrawn fails.

@@ -96,8 +96,8 @@ func TestBrokerFullCoverageMatchesMembership(t *testing.T) {
 	e := world(t)
 	b := NewBroker(e.net, e.fwd, e.dep, 1.0, 1)
 	b.Refresh()
-	if b.DirectorySize() != len(e.dep.Members()) {
-		t.Errorf("directory = %d, members = %d", b.DirectorySize(), len(e.dep.Members()))
+	if len(b.snapshot) != len(e.dep.Members()) {
+		t.Errorf("directory = %d, members = %d", len(b.snapshot), len(e.dep.Members()))
 	}
 	for _, h := range e.net.Hosts {
 		res, err := b.Redirect(h)
@@ -120,8 +120,8 @@ func TestBrokerZeroCoverage(t *testing.T) {
 	e := world(t)
 	b := NewBroker(e.net, e.fwd, e.dep, 0, 1)
 	b.Refresh()
-	if b.DirectorySize() != 0 {
-		t.Errorf("directory = %d", b.DirectorySize())
+	if len(b.snapshot) != 0 {
+		t.Errorf("directory = %d", len(b.snapshot))
 	}
 	if _, err := b.Redirect(e.net.Hosts[0]); !errors.Is(err, ErrNoReferral) {
 		t.Errorf("err = %v", err)
@@ -165,12 +165,12 @@ func TestBrokerMissesNewDeployment(t *testing.T) {
 	e := world(t)
 	b := NewBroker(e.net, e.fwd, e.dep, 1.0, 1)
 	b.Refresh()
-	before := b.DirectorySize()
+	before := len(b.snapshot)
 	// A new ISP deploys after the snapshot: broker clients can't benefit
 	// until the next refresh; anycast clients benefit immediately.
 	newMember := e.net.DomainByName("T0").Routers[0]
 	e.svc.AddMember(e.dep, newMember)
-	if b.DirectorySize() != before {
+	if len(b.snapshot) != before {
 		t.Error("directory changed without refresh")
 	}
 	a := &AnycastRedirector{Svc: e.svc, Dep: e.dep}
@@ -204,7 +204,7 @@ func TestBrokerCoverageClamped(t *testing.T) {
 	b := NewBroker(e.net, e.fwd, e.dep, 0.01, 7)
 	b.Refresh()
 	// Tiny but nonzero coverage still yields at least one cooperator.
-	if b.DirectorySize() == 0 {
+	if len(b.snapshot) == 0 {
 		t.Error("nonzero coverage yielded empty directory")
 	}
 }
@@ -216,7 +216,7 @@ func TestBrokerDeterministicAcrossRuns(t *testing.T) {
 	// Partial coverage so the rng actually decides something.
 	snapshot := func(b *BrokerRedirector) []topology.RouterID {
 		b.Refresh()
-		out := make([]topology.RouterID, 0, b.DirectorySize())
+		out := make([]topology.RouterID, 0, len(b.snapshot))
 		for _, h := range e.net.Hosts {
 			res, err := b.Redirect(h)
 			if err != nil {
@@ -245,9 +245,9 @@ func TestBrokerWithInjectedRand(t *testing.T) {
 	b2 := NewBroker(e.net, e.fwd, e.dep, 0.5, 99)
 	b1.Refresh()
 	b2.Refresh()
-	if b1.DirectorySize() != b2.DirectorySize() {
+	if len(b1.snapshot) != len(b2.snapshot) {
 		t.Errorf("injected rng built a different directory: %d vs %d",
-			b1.DirectorySize(), b2.DirectorySize())
+			len(b1.snapshot), len(b2.snapshot))
 	}
 	if NewBrokerWithRand(e.net, e.fwd, e.dep, -1, rand.New(rand.NewSource(1))).coverage != 0 {
 		t.Error("negative coverage not clamped")

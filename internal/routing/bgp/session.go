@@ -117,15 +117,6 @@ func (s *Speaker) touch() {
 	}
 }
 
-// SessionState returns the session FSM state toward the neighbor.
-func (s *Speaker) SessionState(nb topology.ASN) SessState {
-	sess, ok := s.sessions[nb]
-	if !ok {
-		return SessIdle
-	}
-	return sess.state
-}
-
 // tick is the recurring keepalive/hold timer: it expires dead sessions
 // and probes every neighbor, then reschedules itself. No engine-side
 // cancellation is needed — the closure re-checks all state when it fires.
@@ -284,23 +275,6 @@ func (s *Speaker) Originate(p addr.Prefix) {
 	s.announce(p)
 }
 
-// OriginateTo injects a prefix advertised only to the listed neighbours
-// with NO_EXPORT. Like Originate it routes through reselect, so an
-// origination correctly displaces a previously neighbor-learned loc
-// entry (prefSelf wins the decision process) instead of leaving loc and
-// announcements divergent.
-func (s *Speaker) OriginateTo(p addr.Prefix, neighbors ...topology.ASN) {
-	scope := map[topology.ASN]bool{}
-	for _, n := range neighbors {
-		scope[n] = true
-	}
-	s.originated = append(s.originated, origination{prefix: p, exportTo: scope})
-	s.reselect(p)
-	// Even when loc is unchanged the scoped export decision may have
-	// changed; announce diffs against the Adj-RIB-Out so this is exact.
-	s.announce(p)
-}
-
 // Withdraw removes all local originations of p and propagates the
 // consequences through reselect.
 func (s *Speaker) Withdraw(p addr.Prefix) {
@@ -341,9 +315,6 @@ func (s *Speaker) Routes() []Route {
 	}
 	return out
 }
-
-// TableSize returns the loc-RIB size.
-func (s *Speaker) TableSize() int { return len(s.loc) }
 
 // exportRoute is the per-neighbor export decision for p: the ordinary
 // Gao-Rexford export of the best route when eligible, else a scoped
@@ -633,9 +604,6 @@ func NewSessionSystemConfig(net *topology.Network, fabric *netsim.Fabric, cfg Se
 
 func (ss *SessionSystem) touchNow() { ss.lastActivity = ss.eng.Now() }
 
-// Engine returns the discrete-event engine the system runs on.
-func (ss *SessionSystem) Engine() *netsim.Engine { return ss.eng }
-
 // Config returns the session timers in force.
 func (ss *SessionSystem) Config() SessionConfig { return ss.cfg }
 
@@ -665,15 +633,6 @@ func (ss *SessionSystem) RunToConvergence(maxTime netsim.Time) (netsim.Time, boo
 			return ss.lastActivity, true
 		}
 	}
-}
-
-// SessionState returns owner's session FSM state toward nb.
-func (ss *SessionSystem) SessionState(owner, nb topology.ASN) SessState {
-	sp, ok := ss.Speakers[owner]
-	if !ok {
-		return SessIdle
-	}
-	return sp.SessionState(nb)
 }
 
 // SessionTotals is every speaker's message and transition tally summed:

@@ -186,12 +186,9 @@ func TestSessionUpdateCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, eng := runSessions(net)
+	ss, _ := runSessions(net)
 	if ss.Totals().Updates == 0 {
 		t.Error("no updates counted")
-	}
-	if eng.Processed() == 0 {
-		t.Error("no events processed")
 	}
 	// A clean cold start advertises only — with Adj-RIB-Out diffing
 	// there is nothing to withdraw, gratuitously or otherwise.
@@ -257,7 +254,7 @@ func TestOriginateAfterLearn(t *testing.T) {
 // the counters the convergence-dynamics experiment reports.
 func TestNoGratuitousWithdraws(t *testing.T) {
 	_, ss, _, _, _, asS := chainSystem(t, SessionConfig{})
-	eng := ss.Engine()
+	eng := ss.eng
 	eng.Run(0)
 	if tot := ss.Totals(); tot.Updates != 6 || tot.Withdrawals != 0 {
 		t.Fatalf("cold start: %d updates %d withdrawals, want 6 and 0", tot.Updates, tot.Withdrawals)
@@ -281,7 +278,7 @@ func TestNoGratuitousWithdraws(t *testing.T) {
 // permanent black hole) survives the link's restoration indefinitely.
 func TestLostWithdrawPermanentInLegacy(t *testing.T) {
 	_, ss, fab, _, asM, asS := chainSystem(t, SessionConfig{})
-	eng := ss.Engine()
+	eng := ss.eng
 	eng.Run(0)
 	hp := addr.MustParsePrefix("200.0.0.1/32")
 	ss.Speakers[asS].Originate(hp)
@@ -306,7 +303,7 @@ func TestLostWithdrawPermanentInLegacy(t *testing.T) {
 // flushed, so the stale route cannot survive.
 func TestLostWithdrawRecoveredByDownResync(t *testing.T) {
 	_, ss, fab, asT, asM, asS := chainSystem(t, DefaultSessionConfig())
-	eng := ss.Engine()
+	eng := ss.eng
 	mustConverge(t, ss)
 	hp := addr.MustParsePrefix("200.0.0.1/32")
 	ss.Speakers[asS].Originate(hp)
@@ -333,7 +330,7 @@ func TestLostWithdrawRecoveredByDownResync(t *testing.T) {
 	if ss.Totals().Downs == 0 {
 		t.Error("expected hold-timer expiry to take the session down")
 	}
-	if ss.SessionState(asM, asS) != SessEstablished || ss.SessionState(asS, asM) != SessEstablished {
+	if ss.Speakers[asM].SessionState(asS) != SessEstablished || ss.Speakers[asS].SessionState(asM) != SessEstablished {
 		t.Error("session did not re-establish after link restoration")
 	}
 	// The aggregate must have come back with the replay.
@@ -352,7 +349,7 @@ func TestLostWithdrawRecoveredByDownResync(t *testing.T) {
 func TestLostWithdrawRecoveredBySeqResync(t *testing.T) {
 	cfg := SessionConfig{Keepalive: 2000, Hold: 50000, MRAI: 0}
 	_, ss, fab, asT, asM, asS := chainSystem(t, cfg)
-	eng := ss.Engine()
+	eng := ss.eng
 	mustConverge(t, ss)
 	hp := addr.MustParsePrefix("200.0.0.1/32")
 	ss.Speakers[asS].Originate(hp)
@@ -398,7 +395,7 @@ func TestSessionDownFlushAndReplay(t *testing.T) {
 	if _, ok := ss.Speakers[asT].Best(pS); ok {
 		t.Error("withdrawal did not propagate upstream to T")
 	}
-	if st := ss.SessionState(asM, asS); st != SessDown {
+	if st := ss.Speakers[asM].SessionState(asS); st != SessDown {
 		t.Errorf("M's session toward S = %v, want down", st)
 	}
 
@@ -409,7 +406,7 @@ func TestSessionDownFlushAndReplay(t *testing.T) {
 	if detail, diverged := ss.Diverges(fix); diverged {
 		t.Error(detail)
 	}
-	if st := ss.SessionState(asM, asS); st != SessEstablished {
+	if st := ss.Speakers[asM].SessionState(asS); st != SessEstablished {
 		t.Errorf("M's session toward S = %v after restore, want established", st)
 	}
 	_ = asT
@@ -422,7 +419,7 @@ func TestSessionDownFlushAndReplay(t *testing.T) {
 func TestMRAICoalesces(t *testing.T) {
 	cfg := SessionConfig{Keepalive: 2000, Hold: 6000, MRAI: 5000}
 	_, ss, _, _, asM, asS := chainSystem(t, cfg)
-	eng := ss.Engine()
+	eng := ss.eng
 	mustConverge(t, ss)
 	hp := addr.MustParsePrefix("200.0.0.1/32")
 

@@ -138,16 +138,6 @@ func (s *System) AdvertiseNative(p addr.VNPrefix, asn topology.ASN) {
 	s.natives.Insert(p, asn)
 }
 
-// WithdrawNative removes the advertisement of exactly p and reports
-// whether there was one. Destinations under p fall back to the next
-// covering prefix, or to ErrNoVNRoute.
-func (s *System) WithdrawNative(p addr.VNPrefix) bool {
-	return s.natives.Delete(p)
-}
-
-// Participates reports whether a domain has vN-Bone presence.
-func (s *System) Participates(asn topology.ASN) bool { return s.participants[asn] }
-
 // closestIn returns the member of asn cheapest to reach from ingress over
 // the bone (ties: lowest member id), Member -1 when asn has no member the
 // bone reaches.

@@ -295,10 +295,10 @@ func TestRouteRuleOrder(t *testing.T) {
 
 func TestParticipates(t *testing.T) {
 	e, _, _ := figure3(t)
-	if !e.sys.Participates(e.net.DomainByName("M").ASN) {
+	if !e.sys.participants[e.net.DomainByName("M").ASN] {
 		t.Error("M should participate")
 	}
-	if e.sys.Participates(e.net.DomainByName("NC").ASN) {
+	if e.sys.participants[e.net.DomainByName("NC").ASN] {
 		t.Error("NC should not participate")
 	}
 }
@@ -338,13 +338,13 @@ func TestHostRouteBeatsCoveringBlock(t *testing.T) {
 	if eg, err := e.sys.RouteNative(x, inO); err != nil || eg.Member != x {
 		t.Fatalf("/128 in M under O's block: egress %+v err %v, want M's member %d", eg, err, x)
 	}
-	if !e.sys.WithdrawNative(addr.HostVNPrefix(inO)) {
+	if !e.sys.natives.Delete(addr.HostVNPrefix(inO)) {
 		t.Fatal("withdrawing an advertised /128 reported nothing withdrawn")
 	}
 	if eg, err := e.sys.RouteNative(x, inO); err != nil || eg.Member != y {
 		t.Fatalf("after withdrawal: egress %+v err %v, want the block's member %d", eg, err, y)
 	}
-	if e.sys.WithdrawNative(addr.HostVNPrefix(inO)) {
+	if e.sys.natives.Delete(addr.HostVNPrefix(inO)) {
 		t.Error("second withdrawal reported a route")
 	}
 
@@ -353,13 +353,13 @@ func TestHostRouteBeatsCoveringBlock(t *testing.T) {
 	if eg, err := e.sys.RouteNative(x, self); err != nil || eg.Member != y {
 		t.Fatalf("registered self-address: egress %+v err %v", eg, err)
 	}
-	e.sys.WithdrawNative(addr.HostVNPrefix(self))
+	e.sys.natives.Delete(addr.HostVNPrefix(self))
 	if _, err := e.sys.RouteNative(x, self); !errors.Is(err, ErrNoVNRoute) {
 		t.Errorf("withdrawn uncovered /128: err = %v, want ErrNoVNRoute", err)
 	}
 
 	// A block withdraws like a host route.
-	if !e.sys.WithdrawNative(addr.DomainVNPrefix(int(oASN))) {
+	if !e.sys.natives.Delete(addr.DomainVNPrefix(int(oASN))) {
 		t.Fatal("withdrawing O's block reported nothing withdrawn")
 	}
 	if _, err := e.sys.RouteNative(x, inO); !errors.Is(err, ErrNoVNRoute) {

@@ -40,7 +40,8 @@ func randomConnected(seed int64, n int) (map[int]map[int]int, map[int]addr.V4, *
 
 // TestProtocolMatchesBellmanFordOracle: the converged distance-vector
 // tables equal the oracle's shortest-path distances for every router
-// pair.
+// pair. The oracle is graph.Dijkstra, which graph's tests hold to a
+// Bellman-Ford relaxation.
 func TestProtocolMatchesBellmanFordOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		const n = 8
@@ -51,7 +52,7 @@ func TestProtocolMatchesBellmanFordOracle(t *testing.T) {
 		dom.Start()
 		eng.Run(0)
 		for src := 0; src < n; src++ {
-			dist := g.BellmanFord(src)
+			dist := g.Dijkstra(src).Dist
 			for dst := 0; dst < n; dst++ {
 				want := int(dist[dst])
 				if dist[dst] >= graph.Inf {
@@ -102,7 +103,7 @@ func TestAnycastIsArgminOracle(t *testing.T) {
 				}
 				continue
 			}
-			dist := g.BellmanFord(src)
+			dist := g.Dijkstra(src).Dist
 			best := int64(graph.Inf)
 			for _, m := range members {
 				if dist[m] < best {

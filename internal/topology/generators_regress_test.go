@@ -25,7 +25,7 @@ func TestIntraRingEdgeCounts(t *testing.T) {
 		case 2:
 			want = 1 // chain only: the closing edge would be a parallel duplicate
 		}
-		if got := net.Intra.EdgeCount() / 2; got != want {
+		if got := edgeCount(net.Intra) / 2; got != want {
 			t.Errorf("n=%d routers: %d intra edges, want %d", n, got, want)
 		}
 	}

@@ -70,8 +70,10 @@ func checkASGraph(t *testing.T, n *Network) {
 			indeg[index[fd]]++
 		}
 	}
-	if uf.Sets() != 1 {
-		t.Fatalf("AS graph not connected: %d components", uf.Sets())
+	for i := range asns {
+		if uf.Find(i) != uf.Find(0) {
+			t.Fatalf("AS graph not connected: AS%d is cut off from AS%d", asns[i], asns[0])
+		}
 	}
 
 	// Kahn's algorithm over the provider→customer digraph: if any node
@@ -107,7 +109,16 @@ func sameNetwork(a, b *Network) bool {
 			return false
 		}
 	}
-	return a.Intra.EdgeCount() == b.Intra.EdgeCount()
+	return edgeCount(a.Intra) == edgeCount(b.Intra)
+}
+
+// edgeCount is the number of directed edges of g.
+func edgeCount(g *graph.Graph) int {
+	n := 0
+	for u := 0; u < g.Len(); u++ {
+		n += len(g.Neighbors(u))
+	}
+	return n
 }
 
 func TestGeneratorProperties1k(t *testing.T) {

@@ -173,17 +173,6 @@ func (n *Network) Router(id RouterID) *Router { return n.Routers[id] }
 // DomainOf returns the owning domain of a router.
 func (n *Network) DomainOf(id RouterID) ASN { return n.Routers[id].Domain }
 
-// BorderRouters lists a domain's border routers in id order.
-func (n *Network) BorderRouters(asn ASN) []RouterID {
-	var out []RouterID
-	for _, rid := range n.Domains[asn].Routers {
-		if n.Routers[rid].Border {
-			out = append(out, rid)
-		}
-	}
-	return out
-}
-
 // ASNeighbor summarises all links between one domain and one neighbour.
 type ASNeighbor struct {
 	ASN   ASN

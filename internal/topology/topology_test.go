@@ -42,7 +42,12 @@ func TestBuilderBasics(t *testing.T) {
 		t.Errorf("routers = %d", len(n.Routers))
 	}
 	// Border flags: xr[1] and zr[0] terminate the inter link.
-	borders := n.BorderRouters(x.ASN)
+	var borders []RouterID
+	for _, rid := range x.Routers {
+		if n.Router(rid).Border {
+			borders = append(borders, rid)
+		}
+	}
 	if len(borders) != 1 || n.Router(borders[0]).Name != "X-r1" {
 		t.Errorf("X borders = %v", borders)
 	}
@@ -139,7 +144,7 @@ func TestRelInvert(t *testing.T) {
 
 func TestIntraGraphStaysInsideDomain(t *testing.T) {
 	n, x, z := buildPair(t)
-	reach := n.Intra.BFS(int(x.Routers[0]))
+	reach := n.Intra.Dijkstra(int(x.Routers[0])).Dist
 	for _, rid := range z.Routers {
 		if reach[rid] < graph.Inf {
 			t.Error("intra graph leaks across domains")
@@ -296,7 +301,7 @@ func TestBuilderRejectsEmpty(t *testing.T) {
 func TestDomainPrefixesDisjoint(t *testing.T) {
 	for a := ASN(1); a <= 50; a++ {
 		for b := a + 1; b <= 50; b++ {
-			if DomainPrefix(a).Overlaps(DomainPrefix(b)) {
+			if pa, pb := DomainPrefix(a), DomainPrefix(b); pa.Contains(pb.Addr) || pb.Contains(pa.Addr) {
 				t.Fatalf("prefixes of AS%d and AS%d overlap", a, b)
 			}
 		}

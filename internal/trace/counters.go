@@ -76,16 +76,6 @@ func (r DropReason) String() string {
 	}
 }
 
-// DropReasons lists every countable reason, for documentation and
-// introspection dumps.
-func DropReasons() []DropReason {
-	out := make([]DropReason, 0, numDropReasons-1)
-	for r := DropNotDeployed; r < numDropReasons; r++ {
-		out = append(out, r)
-	}
-	return out
-}
-
 // counterID indexes one scalar counter's cell. The send path's counters
 // come first, so a CounterBatch carries exactly the prefix below
 // numBatched and folds into the same index space.
@@ -255,10 +245,6 @@ func (c *Counters) Redirect(hit bool) {
 // tail, baseline) was served from the epoch's flow cache.
 func (c *Counters) FlowHit() { c.add(cFlowHits, 1) }
 
-// FlowMiss counts one send that had to compute its delivery skeleton
-// from the routing substrate (and, mutations permitting, cached it).
-func (c *Counters) FlowMiss() { c.add(cFlowMisses, 1) }
-
 // HealthSignal counts n external failure signals (unacked reliable
 // sends, overlay peer suspicion) applied to flow-health records.
 func (c *Counters) HealthSignal(n int) {
@@ -407,10 +393,10 @@ type Snapshot struct {
 	// the routing substrate. DeliveryPayloadBytes totals the payload bytes
 	// carried by successful deliveries.
 	DeliveryFlowHits, DeliveryFlowMisses, DeliveryPayloadBytes uint64
-	// DeliveryBatchFlows/DeliveryBatchPackets measure the batched send
-	// path: how many distinct flow skeletons SendBatch bursts
-	// materialized and how many packets rode them. Loop sends never move
-	// these, so BatchPackets/Sends is the batch-adoption ratio.
+	// DeliveryBatchFlows/DeliveryBatchPackets measure the burst send
+	// path: the flow skeletons AppendSendBurst materialized, one per
+	// burst, and how many packets rode them. Loop sends never move these,
+	// so BatchPackets/Sends is the batch-adoption ratio.
 	DeliveryBatchFlows, DeliveryBatchPackets uint64
 	// DeliveryFallbackSends/DeliveryFallbackRescues measure graceful
 	// degradation: deliveries carried over the IPv(N-1) baseline path, and

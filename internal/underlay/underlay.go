@@ -124,14 +124,6 @@ func (v *View) Network() *topology.Network { return v.net }
 // deltas across churn.
 func (v *View) DijkstraRuns() uint64 { return v.dijkstras.Load() }
 
-// Invalidate discards every cached shortest-path tree and re-snapshots
-// both graphs. Call it after a topology mutation whose scope is unknown
-// or global; for single-domain or inter-only events the scoped variants
-// below preserve the unaffected trees.
-func (v *View) Invalidate() {
-	v.state.Store(&viewState{graphs: v.freshGraphs()})
-}
-
 // InvalidateDomain discards state affected by an intra-domain change in
 // asn: that domain's subgraph and SPTs, plus every full-graph SPT
 // (cross-domain paths may traverse the changed domain). Every other

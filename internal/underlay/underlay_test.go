@@ -90,7 +90,7 @@ func TestInvalidateReflectsTopologyChange(t *testing.T) {
 	if got := v.IntraDist(xr[0], xr[2]); got != 4 {
 		t.Fatalf("stale cache expected 4, got %d", got)
 	}
-	v.Invalidate()
+	v.InvalidateDomain(n.DomainOf(xr[0]))
 	if got := v.IntraDist(xr[0], xr[2]); got != 10 {
 		t.Errorf("post-invalidate dist = %d, want 10 (direct edge)", got)
 	}
@@ -99,7 +99,7 @@ func TestInvalidateReflectsTopologyChange(t *testing.T) {
 	}
 	// Restore and invalidate again.
 	n.RestoreIntraLink(xr[0], xr[1], 2)
-	v.Invalidate()
+	v.InvalidateDomain(n.DomainOf(xr[0]))
 	if got := v.IntraDist(xr[0], xr[2]); got != 4 {
 		t.Errorf("post-restore dist = %d", got)
 	}

@@ -47,16 +47,6 @@ type Group struct {
 	subs map[topology.HostID]subscription
 }
 
-// Subscribers returns the member hosts in id order.
-func (g *Group) Subscribers() []*topology.Host {
-	out := make([]*topology.Host, 0, len(g.subs))
-	for _, s := range g.subs {
-		out = append(out, s.host)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // Service manages groups over one Evolution.
 type Service struct {
 	evo    *core.Evolution
@@ -91,22 +81,6 @@ func (s *Service) Subscribe(grp *Group, h *topology.Host) error {
 		return fmt.Errorf("vncast: subscribe %s: %w", h.Name, err)
 	}
 	grp.subs[h.ID] = subscription{host: h, egress: res.Member, tailCost: res.Cost + h.AccessLatency}
-	return nil
-}
-
-// Unsubscribe removes a host from the group.
-func (s *Service) Unsubscribe(grp *Group, h *topology.Host) {
-	delete(grp.subs, h.ID)
-}
-
-// Resubscribe refreshes every subscription against the current deployment
-// (hosts periodically re-join, exactly like the §3.3.2 endhost refresh).
-func (s *Service) Resubscribe(grp *Group) error {
-	for _, sub := range grp.subs {
-		if err := s.Subscribe(grp, sub.host); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

