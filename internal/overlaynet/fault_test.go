@@ -134,6 +134,41 @@ func TestFaultTrainDropsMatchSingleWrites(t *testing.T) {
 	if !bytes.Equal(train, single) || trainDropped != singleDropped || int(singleDropped)+len(single) != n {
 		t.Errorf("one train kept %v (%d dropped), single writes kept %v (%d dropped)", train, trainDropped, single, singleDropped)
 	}
+
+	// The originated arm: a host's packets boarded as one train lose what
+	// the same packets sent one datagram each lose.
+	originated := func(asTrain bool) ([]byte, uint64) {
+		reg := NewRegistry()
+		h, err := NewNode(reg, u(52))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		h.SetVNAddr(addr.SelfAddress(h.Underlay))
+		first := u(53)
+		sink := wireSink(t, reg, first)
+		reg.SetFaultTransport(NewFaultTransport(FaultConfig{Seed: 9, DropRate: 0.5}))
+		for i := 0; i < n; i++ {
+			o, err := h.prepare(first, addr.SelfAddress(u(99)), []byte{byte(i)}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.originate(o)
+			if !asTrain {
+				h.flushIfIdle()
+			}
+		}
+		h.flushIfIdle()
+		return bytes.Join(readPayloads(t, sink), nil), reg.Counters().Snapshot().FaultDropped
+	}
+	single, singleDropped = originated(false)
+	train, trainDropped = originated(true)
+	if len(single) == 0 || len(single) == n {
+		t.Fatalf("%d of %d originated packets survived; the drop schedule is vacuous", len(single), n)
+	}
+	if !bytes.Equal(train, single) || trainDropped != singleDropped || int(singleDropped)+len(single) != n {
+		t.Errorf("one originated train kept %v (%d dropped), single sends kept %v (%d dropped)", train, trainDropped, single, singleDropped)
+	}
 }
 
 // buildReliablePair wires two hosts through two anycast ingresses (both

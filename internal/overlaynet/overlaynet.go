@@ -27,6 +27,7 @@
 package overlaynet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -59,12 +60,14 @@ var (
 
 // Resolver answers "where does an anycast packet from src land" — the
 // hook through which a control plane (e.g. the simulator's routing)
-// drives per-source anycast resolution in the live overlay.
+// drives per-source anycast resolution in the live overlay. It is asked
+// for the packets a node originates; a relay follows its route.
 type Resolver func(src, anycastAddr addr.V4) (addr.V4, bool)
 
 // Registry is the stand-in for global IPv(N-1) routing: underlay address →
 // UDP endpoint, anycast address → proximity-ordered member list, plus an
-// optional per-source Resolver that overrides the static ordering.
+// optional per-source Resolver that overrides the static ordering for
+// originated packets.
 //
 // The Registry also carries the live plane's shared health state: peers
 // reported suspected-dead by nodes' liveness probing (resolution and
@@ -255,6 +258,13 @@ func (r *Registry) resolveFrom(src, dst addr.V4) (addr.V4, *net.UDPAddr, error) 
 			dst = nominee // nothing better on file; try the nominee anyway
 		}
 	}
+	return r.resolveLocked(dst)
+}
+
+// resolveLocked maps dst to its concrete member and UDP endpoint from the
+// registry's own tables: the static anycast order (suspicion included),
+// then the unicast binding. Callers hold mu (any mode).
+func (r *Registry) resolveLocked(dst addr.V4) (addr.V4, *net.UDPAddr, error) {
 	if m, ok := r.resolveAnycastLocked(dst); ok {
 		dst = m
 	}
@@ -263,6 +273,37 @@ func (r *Registry) resolveFrom(src, dst addr.V4) (addr.V4, *net.UDPAddr, error) 
 		return 0, nil, fmt.Errorf("%w: %s", ErrUnknownUnderlay, dst)
 	}
 	return dst, ep, nil
+}
+
+// relayTarget chooses a relay's next hop from a route's next-hop set and
+// resolves it, in one locked pass over the registry's own tables. The
+// per-source Resolver is not asked: it places a packet a host originates,
+// while a relayed packet's next hop is its route's. next is the first
+// registered, unsuspected candidate in primary-then-alternates order;
+// failing that, the first registered candidate; failing that, the primary
+// (which then does not resolve).
+func (r *Registry) relayTarget(nh nextHops) (next, member addr.V4, ep *net.UDPAddr, err error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	next = r.pickLocked(nh)
+	member, ep, err = r.resolveLocked(next)
+	return next, member, ep, err
+}
+
+// pickLocked is relayTarget's choice of next hop. Callers hold mu (any
+// mode).
+func (r *Registry) pickLocked(nh nextHops) addr.V4 {
+	for _, c := range nh {
+		if r.aliveLocked(c) {
+			return c
+		}
+	}
+	for _, c := range nh {
+		if _, ok := r.unicast[c]; ok {
+			return c
+		}
+	}
+	return nh[0]
 }
 
 // Received is one payload delivered to a node as final destination.
@@ -282,7 +323,7 @@ type Stats struct {
 	Dropped   uint64
 }
 
-// trainCap is the most bytes a relay packs into one datagram: an
+// trainCap is the most bytes a node packs into one datagram: an
 // Ethernet MTU less the IPv4 and UDP headers. A larger packet travels
 // alone.
 const trainCap = 1472
@@ -290,15 +331,26 @@ const trainCap = 1472
 // rxDepth bounds the queue between a node's receive goroutine and its
 // handler, a quarter of the inbox: it need only hold the datagrams one
 // burst brings between two handler wake-ups, since the socket's receive
-// buffer queues beyond it.
+// buffer queues beyond it. The queue of originated packets has the same
+// bound; a SendVN that finds it full waits for the handler.
 const rxDepth = 64
 
-// train is the datagram a relay is filling for one next hop: re-addressed
-// packets back to back, each delimited by its V4 total length.
+// train is the datagram a node is filling for one next hop: originated
+// and re-addressed packets back to back, each delimited by its V4 total
+// length.
 type train struct {
 	member addr.V4
 	ep     netip.AddrPort
 	buf    []byte
+}
+
+// outgoing is an originated packet on its way to the handler: resolved,
+// and serialized into a pooled buffer that goes back to the pool once the
+// packet has boarded its train.
+type outgoing struct {
+	member addr.V4
+	ep     netip.AddrPort
+	buf    *packet.SerializeBuffer
 }
 
 // nextHops is one bone route's forwarding set, in order of preference:
@@ -340,13 +392,16 @@ type Node struct {
 	// before they moved.
 	stats struct{ delivered, forwarded, exited, dropped atomic.Uint64 }
 
-	// rx carries datagrams from the receive goroutine to the handler,
-	// which sends its trains whenever rx is empty.
-	rx chan []byte
-	// trains and opts belong to the goroutine that handles datagrams:
-	// one train per next hop the node has relayed to (none on a node that
-	// never relays), and the option scratch handle decodes IPvN headers
-	// into.
+	// rx carries datagrams from the receive goroutine to the handler, and
+	// tx originated packets from SendVN; the handler sends its trains
+	// whenever both are empty. sending orders a SendVN's queueing before
+	// Close (see sendVN).
+	rx      chan []byte
+	tx      chan outgoing
+	sending sync.RWMutex
+	// trains and opts belong to the handler goroutine: one train per next
+	// hop the node has sent to, and the option scratch handle decodes
+	// IPvN headers into.
 	trains []train
 	opts   []packet.Option
 
@@ -372,6 +427,7 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 		peers:    map[addr.V4]*peerState{},
 		Inbox:    make(chan Received, 256),
 		rx:       make(chan []byte, rxDepth),
+		tx:       make(chan outgoing, rxDepth),
 		done:     make(chan struct{}),
 	}
 	reg.Register(underlay, conn.LocalAddr().(*net.UDPAddr))
@@ -383,12 +439,14 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 
 // Close shuts the node down and removes it from the registry — unicast
 // binding, anycast memberships and suspicion state included, so a dead
-// node can never linger as a resolver target.
+// node can never linger as a resolver target. Every packet a SendVN
+// accepted has been sent by the time Close returns.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
+		n.sending.Lock()
 		close(n.done)
+		n.sending.Unlock()
 		n.reg.RemoveNode(n.Underlay)
-		n.conn.Close()
 	})
 	n.wg.Wait()
 	return nil
@@ -481,53 +539,99 @@ func (n *Node) uncount(tally *atomic.Uint64) {
 // SendVN originates an IPvN packet from this node: encapsulated toward
 // the anycast address (universal access — the node needs no knowledge of
 // deployment state). Fire-and-forget; see SendVNReliable for the acked
-// mode.
+// mode. The packet leaves on the train toward its first hop, at the
+// latest when Close returns.
 func (n *Node) SendVN(anycastAddr addr.V4, dst addr.VN, payload []byte) error {
 	return n.sendVN(anycastAddr, dst, payload, nil)
 }
 
-func (n *Node) sendVN(anycastAddr addr.V4, dst addr.VN, payload []byte, extra []packet.Option) error {
-	hdr := packet.VNHeader{
-		Version: 8,
-		Src:     n.VNAddr(),
-		Dst:     dst,
-	}
-	if u, ok := dst.Underlay(); ok {
-		hdr = hdr.WithUnderlayDst(u)
-	}
-	hdr.Options = append(hdr.Options, extra...)
-	outer := packet.V4Header{
-		Proto: packet.ProtoVNEncap,
-		Src:   n.Underlay,
-		Dst:   anycastAddr,
-	}
-	buf := packet.NewSerializeBuffer()
-	if err := packet.Serialize(buf, payload, &outer, &hdr); err != nil {
-		return err
-	}
-	// An originated packet leaves as a datagram of its own; only relays
-	// send trains, when their receive queue drains.
-	member, ep, err := n.resolve(anycastAddr)
+// sendVN resolves the packet's first hop through the per-source Resolver
+// and serializes it on the caller, so a closed node or an unknown
+// destination is the call's error, then queues it for the handler, which
+// boards it on that hop's train as it would a relayed packet. The handler
+// never calls it: waiting on its own full queue, it would wait forever
+// (its sends go through replyVN).
+func (n *Node) sendVN(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *packet.Option) error {
+	o, err := n.prepare(anycastAddr, dst, payload, extra)
 	if err != nil {
 		return err
 	}
-	n.writeWire(member, ep, buf.Bytes())
+	// Close closes done under the write lock, so a packet queued under
+	// the read lock of an open node is one the handler still boards. The
+	// send may wait for room with the read lock held: the handler, which
+	// makes the room, never takes the lock.
+	n.sending.RLock()
+	defer n.sending.RUnlock()
+	if n.closed() {
+		packet.PutSerializeBuffer(o.buf)
+		return ErrClosed
+	}
+	n.tx <- o
 	return nil
 }
 
-// resolve maps dst (anycast or unicast) to the member and endpoint a
-// write toward it goes to; a closed node resolves nothing.
-func (n *Node) resolve(dst addr.V4) (addr.V4, netip.AddrPort, error) {
+// replyVN is sendVN for the handler's own sends, echo replies and acks:
+// the packet boards its train at once.
+func (n *Node) replyVN(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *packet.Option) error {
+	o, err := n.prepare(anycastAddr, dst, payload, extra)
+	if err != nil {
+		return err
+	}
+	n.originate(o)
+	return nil
+}
+
+// prepare resolves an originated packet's first hop (a closed node
+// resolves nothing) and serializes the packet, with the extra option if
+// there is one, into a pooled buffer.
+// The header and its options stay on the stack, so a send allocates
+// nothing; an append that could grow the option slice would move them to
+// the heap.
+func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *packet.Option) (outgoing, error) {
+	if n.closed() {
+		return outgoing{}, ErrClosed
+	}
+	member, ep, err := n.reg.resolveFrom(n.Underlay, anycastAddr)
+	if err != nil {
+		return outgoing{}, err
+	}
+	var opts [2]packet.Option
+	var underlay [4]byte
+	k := 0
+	if u, ok := dst.Underlay(); ok {
+		binary.BigEndian.PutUint32(underlay[:], uint32(u))
+		opts[k] = packet.Option{Type: packet.OptUnderlayDst, Value: underlay[:]}
+		k++
+	}
+	if extra != nil {
+		opts[k] = *extra
+		k++
+	}
+	hdr := packet.VNHeader{Version: 8, Src: n.VNAddr(), Dst: dst, Options: opts[:k]}
+	outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: n.Underlay, Dst: anycastAddr}
+	buf := packet.GetSerializeBuffer()
+	if err := packet.SerializeVN(buf, payload, &outer, &hdr); err != nil {
+		packet.PutSerializeBuffer(buf)
+		return outgoing{}, err
+	}
+	return outgoing{member: member, ep: ep.AddrPort(), buf: buf}, nil
+}
+
+// originate boards an originated packet on the train toward its first hop
+// and returns its buffer to the pool.
+func (n *Node) originate(o outgoing) {
+	n.board(o.member, o.ep, o.buf.Bytes())
+	packet.PutSerializeBuffer(o.buf)
+}
+
+// closed reports whether Close has begun.
+func (n *Node) closed() bool {
 	select {
 	case <-n.done:
-		return 0, netip.AddrPort{}, ErrClosed
+		return true
 	default:
+		return false
 	}
-	member, ep, err := n.reg.resolveFrom(n.Underlay, dst)
-	if err != nil {
-		return 0, netip.AddrPort{}, err
-	}
-	return member, ep.AddrPort(), nil
 }
 
 // writeWire performs the physical write of one datagram — a packet or a
@@ -573,14 +677,24 @@ func (n *Node) readLoop() {
 }
 
 // handleLoop is the handler goroutine: it takes the queued datagrams in
-// arrival order.
+// arrival order and the originated packets in send order. Once Close has
+// begun it boards what SendVN queued, sends every train and closes the
+// socket, whose last writer it is.
 func (n *Node) handleLoop() {
 	defer n.wg.Done()
 	for {
 		select {
 		case dg := <-n.rx:
 			n.receive(dg)
+		case o := <-n.tx:
+			n.originate(o)
+			n.flushIfIdle()
 		case <-n.done:
+			for len(n.tx) > 0 {
+				n.originate(<-n.tx)
+			}
+			n.flush()
+			n.conn.Close()
 			return
 		}
 	}
@@ -588,10 +702,8 @@ func (n *Node) handleLoop() {
 
 // receive is the handler's datagram entry. It hands each packet of the
 // datagram's train to handle in order, a packet whose total length
-// cannot delimit it taking the rest of the datagram with it, and sends
-// the node's trains once no datagram is queued behind this one — the
-// queue running dry, not a timer, so no packet waits for one that has
-// not arrived.
+// cannot delimit it taking the rest of the datagram with it, then
+// flushes if idle.
 func (n *Node) receive(dg []byte) {
 	for {
 		var pkt []byte
@@ -601,7 +713,14 @@ func (n *Node) receive(dg []byte) {
 			break
 		}
 	}
-	if len(n.rx) == 0 {
+	n.flushIfIdle()
+}
+
+// flushIfIdle sends the node's trains once neither a datagram nor an
+// originated packet is queued for the handler — the queues running dry,
+// not a timer, so no packet waits for one that has not arrived.
+func (n *Node) flushIfIdle() {
+	if len(n.rx) == 0 && len(n.tx) == 0 {
 		n.flush()
 	}
 }
@@ -674,7 +793,7 @@ func (n *Node) handle(wire []byte) {
 		if echoOn && len(payload) >= len(pingMagic) && string(payload[:len(pingMagic)]) == string(pingMagic) {
 			reply := append(append([]byte(nil), pongMagic...), payload[len(pingMagic):]...)
 			n.stats.delivered.Add(1)
-			if err := n.SendVN(echoVia, inner.Src, reply); err != nil {
+			if err := n.replyVN(echoVia, inner.Src, reply, nil); err != nil {
 				n.uncount(&n.stats.delivered)
 			}
 			return
@@ -731,18 +850,17 @@ func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64) {
 		n.stats.dropped.Add(1)
 		return
 	}
-	next, failover := n.pickNextHop(nh)
+	next, member, ep, err := n.reg.relayTarget(nh)
 	packet.RewriteOuter(wire, n.Underlay, next)
-	if failover {
+	if next != nh[0] {
 		n.ctr().FailoverRoute()
 	}
 	as.Add(1)
-	member, ep, err := n.resolve(next)
-	if err != nil {
+	if err != nil || n.closed() {
 		n.uncount(as)
 		return
 	}
-	n.board(member, ep, wire)
+	n.board(member, ep.AddrPort(), wire)
 }
 
 // board appends wire to the train toward member, sending the train first
@@ -784,28 +902,6 @@ func (n *Node) sendTrain(t *train) {
 		n.writeWire(t.member, t.ep, t.buf)
 	}
 	t.buf = t.buf[:0]
-}
-
-// pickNextHop chooses the forwarding target from a route's next-hop set:
-// the first registered, unsuspected candidate in primary-then-alternates
-// order; failing that, the first registered candidate; failing that, the
-// primary (whose send will fail and be counted). The second return
-// reports whether a non-primary hop was chosen.
-func (n *Node) pickNextHop(nh nextHops) (addr.V4, bool) {
-	r := n.reg
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range nh {
-		if r.aliveLocked(c) {
-			return c, c != nh[0]
-		}
-	}
-	for _, c := range nh {
-		if _, ok := r.unicast[c]; ok {
-			return c, c != nh[0]
-		}
-	}
-	return nh[0], false
 }
 
 // WaitInbox receives from the node's inbox with a timeout, for tests and

@@ -345,3 +345,83 @@ func TestConcurrentSenders(t *testing.T) {
 		t.Errorf("delivered %d/%d", got, msgs)
 	}
 }
+
+// TestCloseSendsAcceptedPackets: a packet SendVN accepted leaves by the
+// time Close returns, however many are still queued for the handler, and
+// a first hop reads them in send order.
+func TestCloseSendsAcceptedPackets(t *testing.T) {
+	reg := NewRegistry()
+	h, err := NewNode(reg, u(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetVNAddr(addr.SelfAddress(h.Underlay))
+	first := u(41)
+	sink := wireSink(t, reg, first)
+
+	const k = 3 * rxDepth
+	read := make(chan []byte, k)
+	go func() {
+		defer close(read)
+		buf := make([]byte, 64*1024)
+		for got := 0; got < k; {
+			if err := sink.SetReadDeadline(time.Now().Add(waitShort)); err != nil {
+				return
+			}
+			sz, _, err := sink.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			for dg := buf[:sz]; len(dg) > 0; got++ {
+				var pkt []byte
+				pkt, dg = packet.NextInTrain(dg)
+				_, _, payload, err := packet.DecapVN(pkt)
+				if err != nil {
+					return
+				}
+				read <- append([]byte(nil), payload...)
+			}
+		}
+	}()
+	for i := 0; i < k; i++ {
+		if err := h.SendVN(first, addr.SelfAddress(u(42)), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Close()
+	i := 0
+	for payload := range read {
+		if !bytes.Equal(payload, []byte{byte(i)}) {
+			t.Fatalf("packet %d carries %v", i, payload)
+		}
+		i++
+	}
+	if i != k {
+		t.Errorf("first hop read %d of %d packets sent before Close", i, k)
+	}
+}
+
+// TestSendVNAllocatesNothing: a steady stream of SendVNs to a
+// self-addressed destination, whose header carries the underlay option,
+// allocates nothing: the header stays on the stack and the serialize
+// buffer comes from the pool.
+func TestSendVNAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	h, err := NewNode(reg, u(43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	h.SetVNAddr(addr.SelfAddress(h.Underlay))
+	first := u(44)
+	wireSink(t, reg, first) // never read: the kernel drops what overflows
+	dst := addr.SelfAddress(u(45))
+	payload := make([]byte, 64)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := h.SendVN(first, dst, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("SendVN allocates %v times per call, want 0", allocs)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,6 +128,25 @@ func readTrains(t *testing.T, c *net.UDPConn) [][]byte {
 	}
 }
 
+// readPayloads reads datagrams off c as readTrains does and returns the
+// payload of every packet they carry, in order.
+func readPayloads(t *testing.T, c *net.UDPConn) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, dg := range readTrains(t, c) {
+		for len(dg) > 0 {
+			var pkt []byte
+			pkt, dg = packet.NextInTrain(dg)
+			_, _, payload, err := packet.DecapVN(pkt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, payload)
+		}
+	}
+	return out
+}
+
 // TestRelayCoalescesBacklog: packets handled back to back for one next hop
 // leave as trains of at most trainCap bytes, as few as the bytes allow,
 // whose packets are in order and byte for byte PatchEncap's outputs; a
@@ -205,6 +225,144 @@ func TestRelayCoalescesBacklog(t *testing.T) {
 	}
 	if s := r.Stats(); s.Delivered != 2 || s.Dropped != 1 || len(r.Inbox) != 0 {
 		t.Errorf("stats = %+v with %d queued, want 2 delivered and 1 dropped", s, len(r.Inbox))
+	}
+}
+
+// TestOriginateCoalescesBacklog drives the handler's originate step with
+// no timing involved: originated packets boarded back to back for one
+// first hop leave as trains of at most trainCap bytes, as few as the bytes
+// allow, whose packets are in order and byte for byte what
+// packet.SerializeVN makes of the same headers; a packet larger than a
+// train leaves alone.
+func TestOriginateCoalescesBacklog(t *testing.T) {
+	reg := NewRegistry()
+	h, err := NewNode(reg, u(54))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	me := addr.SelfAddress(h.Underlay)
+	h.SetVNAddr(me)
+	first := u(55)
+	sink := wireSink(t, reg, first)
+	dst := addr.SelfAddress(u(97)) // self-addressed: the header carries the underlay option
+
+	// 184-byte packets, eight to a train.
+	const k, size = 20, 184
+	outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: h.Underlay, Dst: first}
+	inner := packet.VNHeader{Version: 8, Src: me, Dst: dst}.WithUnderlayDst(u(97))
+	var want []byte
+	for i := 0; i <= k; i++ {
+		// The underlay option is six bytes: type, length and the address.
+		payload := make([]byte, size-packet.V4HeaderLen-packet.VNHeaderLen-6)
+		if i == k {
+			payload = make([]byte, trainCap) // the one that travels alone
+		}
+		payload[0] = byte(i)
+		ref := packet.NewSerializeBuffer()
+		if err := packet.SerializeVN(ref, payload, &outer, &inner); err != nil {
+			t.Fatal(err)
+		}
+		if i < k && ref.Len() != size {
+			t.Fatalf("packet %d is %d bytes, want %d", i, ref.Len(), size)
+		}
+		want = append(want, ref.Bytes()...)
+		o, err := h.prepare(first, dst, payload, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.originate(o)
+	}
+	h.flushIfIdle()
+
+	got := readTrains(t, sink)
+	if trains := (k*size + trainCap - 1) / trainCap; len(got) != trains+1 {
+		t.Fatalf("%d packets left as %d datagrams, want %d trains and the large packet", k+1, len(got), trains)
+	}
+	for i, dg := range got[:len(got)-1] {
+		if len(dg) > trainCap {
+			t.Errorf("train %d is %d bytes, over %d", i, len(dg), trainCap)
+		}
+	}
+	if !bytes.Equal(bytes.Join(got, nil), want) {
+		t.Error("originated trains differ from SerializeVN's packets in order")
+	}
+}
+
+// TestEchoBacklogBeyondQueue: the handler's own sends board their trains
+// directly. A backlog of more pings than the originate queue holds, queued
+// for the handler as the receive goroutine queues a datagram, gets every
+// pong, in order; a handler that queued its replies would wait on its own
+// full queue forever.
+func TestEchoBacklogBeyondQueue(t *testing.T) {
+	reg := NewRegistry()
+	e, err := NewNode(reg, u(56))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	me := addr.SelfAddress(e.Underlay)
+	e.SetVNAddr(me)
+	via := u(57)
+	sink := wireSink(t, reg, via)
+	e.EnableEcho(via)
+
+	const pings = 2 * rxDepth
+	var in []byte
+	for i := 0; i < pings; i++ {
+		wire, err := packet.EncapVN(packet.V4Header{Src: u(1), Dst: e.Underlay}, packet.VNHeader{Version: 8, Src: addr.SelfAddress(u(96)), Dst: me}, append([]byte("ping:"), byte(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in = append(in, wire...)
+	}
+	e.rx <- in
+
+	pongs := readPayloads(t, sink)
+	for i, payload := range pongs {
+		if want := append([]byte("pong:"), byte(i)); !bytes.Equal(payload, want) {
+			t.Fatalf("reply %d is %q, want %q", i, payload, want)
+		}
+	}
+	if len(pongs) != pings {
+		t.Fatalf("%d pings got %d pongs", pings, len(pongs))
+	}
+	if s := e.Stats(); s.Delivered != pings || s.Dropped != 0 {
+		t.Errorf("stats = %+v, want %d delivered", s, pings)
+	}
+}
+
+// TestRelayAsksNoResolver: a relay resolves its route's next hop from the
+// registry's own tables. A per-source Resolver that would send every
+// packet elsewhere is not asked, and the packet leaves toward the route's
+// next hop.
+func TestRelayAsksNoResolver(t *testing.T) {
+	reg := NewRegistry()
+	r, err := NewNode(reg, u(58))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	next, decoy := u(59), u(60)
+	sink := wireSink(t, reg, next)
+	wireSink(t, reg, decoy)
+	var asked atomic.Int32
+	reg.SetResolver(func(src, dst addr.V4) (addr.V4, bool) {
+		asked.Add(1)
+		return decoy, true
+	})
+	dst := addr.SelfAddress(u(95))
+	r.AddVNRoute(addr.HostVNPrefix(dst), next)
+	wire, err := packet.EncapVN(packet.V4Header{Src: u(1), Dst: r.Underlay}, packet.VNHeader{Version: 8, Dst: dst}, []byte("hop"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.receive(wire)
+	if got := readWire(t, sink); len(got) != len(wire) {
+		t.Errorf("next hop read %d bytes, want the %d-byte packet", len(got), len(wire))
+	}
+	if n := asked.Load(); n != 0 {
+		t.Errorf("relaying one packet asked the Resolver %d times", n)
 	}
 }
 

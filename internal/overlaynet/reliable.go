@@ -132,13 +132,13 @@ func (n *Node) SendVNReliable(anycastAddr addr.V4, dst addr.VN, payload []byte) 
 		rel.mu.Unlock()
 	}()
 
-	opt := []packet.Option{seqOption(packet.OptDeliverySeq, seq)}
+	opt := seqOption(packet.OptDeliverySeq, seq)
 	backoff := rel.cfg.RetransmitBase
 	for attempt := 0; attempt < rel.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			n.ctr().Retransmit()
 		}
-		if err := n.sendVN(anycastAddr, dst, payload, opt); err != nil {
+		if err := n.sendVN(anycastAddr, dst, payload, &opt); err != nil {
 			// Resolution can fail transiently while an ingress dies and
 			// failover converges; keep retrying on the backoff schedule.
 			if attempt == rel.cfg.MaxAttempts-1 {
@@ -221,9 +221,11 @@ func (n *Node) handleSeqDelivery(inner packet.VNHeader, payload []byte, outerSrc
 }
 
 // sendAck answers a seq-marked delivery with an empty OptDeliveryAck
-// packet routed back through the configured anycast address.
+// packet routed back through the configured anycast address. It runs on
+// the handler, so the ack boards its train directly.
 func (n *Node) sendAck(to addr.VN, seq uint32, rel *reliableState) {
-	if err := n.sendVN(rel.cfg.AckVia, to, nil, []packet.Option{seqOption(packet.OptDeliveryAck, seq)}); err != nil {
+	ack := seqOption(packet.OptDeliveryAck, seq)
+	if err := n.replyVN(rel.cfg.AckVia, to, nil, &ack); err != nil {
 		n.stats.dropped.Add(1)
 	}
 }
