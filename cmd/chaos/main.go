@@ -90,7 +90,7 @@ func main() {
 			// The oracle-equivalence invariants (ua, oracle, batchsend)
 			// cannot referee a fallback-enabled live world: its per-flow
 			// health history legitimately diverges from any fresh rebuild.
-			names = []string{"availability", "bone", "conserve", "epochtick"}
+			names = []string{"availability", "bone", "conserve"}
 		}
 	}
 	opts := chaos.Options{Invariants: names, Shrink: *shrink}

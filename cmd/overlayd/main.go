@@ -111,7 +111,10 @@ func main() {
 		bone[1].ServeAnycast(anycastAddr)
 		members = append(members, bone[1].Underlay)
 	}
-	reg.SetAnycastMembers(anycastAddr, members)
+	// The hosts send, echo and ack through the anycast address.
+	for _, h := range []*evolve.OverlayNode{hostA, hostB} {
+		h.SetAnycastRoute(anycastAddr, members[0], members[1:]...)
+	}
 
 	hostA.SetVNAddr(evolve.SelfAddress(hostA.Underlay))
 	hostB.SetVNAddr(evolve.SelfAddress(hostB.Underlay))

@@ -140,7 +140,9 @@ func liveAct() {
 	}
 	ing1.ServeAnycast(anycastAddr)
 	ing2.ServeAnycast(anycastAddr)
-	reg.SetAnycastMembers(anycastAddr, []evolve.V4{ing1.Underlay, ing2.Underlay})
+	// The client sends and the server acks through the anycast address.
+	client.SetAnycastRoute(anycastAddr, ing1.Underlay, ing2.Underlay)
+	server.SetAnycastRoute(anycastAddr, ing1.Underlay, ing2.Underlay)
 	client.SetVNAddr(evolve.SelfAddress(client.Underlay))
 	server.SetVNAddr(evolve.SelfAddress(server.Underlay))
 

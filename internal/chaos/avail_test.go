@@ -59,7 +59,7 @@ func TestAvailabilityDifferentialDeterministic(t *testing.T) {
 // health-history agnostic).
 func TestAvailabilityInvariantHoldsOnFallbackWorld(t *testing.T) {
 	sc := StockFallbackScenario(42)
-	rep, err := Run(sc, 1, 30, Options{Invariants: []string{"availability", "conserve", "epochtick"}})
+	rep, err := Run(sc, 1, 30, Options{Invariants: []string{"availability", "conserve"}})
 	if err != nil {
 		t.Fatal(err)
 	}

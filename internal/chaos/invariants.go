@@ -97,8 +97,6 @@ var invariantTable = []struct {
 		func() checkFunc { return new(conserveInvariant).Check }},
 	{"oracle", "the live epoch answers as the from-scratch oracle: readiness, every host's address, Route from every bone member to every host, provider choices and members, and anycast resolution from every router toward every anycast address",
 		func() checkFunc { return checkOracle }},
-	{"epochtick", "every routing-epoch store ticks WatchEpochs subscribers, and only those",
-		func() checkFunc { return new(epochTickInvariant).Check }},
 	{"batchsend", "every two-packet AppendSendBurst agrees packet-for-packet with two singleton Sends",
 		func() checkFunc { return checkBatchSend }},
 	{"availability", "a fallback-enabled world never loses a baseline-intact packet and never degrades a delivery the ablation arm completes",
@@ -423,47 +421,6 @@ func checkBatchSend(c *CheckContext) *Failure {
 				}
 			}
 		}
-	}
-	return nil
-}
-
-// epochTickInvariant checks the epoch-publication contract that
-// epoch-driven consumers (livebridge's in-place reconciler) rely on:
-// every routing-epoch store during an event must leave a pending tick on
-// a WatchEpochs subscription, and no tick may appear without a store. A
-// publish site that forgets to notify would leave live overlays running
-// stale configurations forever; this catches it under the full fault
-// schedule. Stateful: the subscription is created on the first check,
-// so the first event only establishes the baseline.
-type epochTickInvariant struct {
-	ch         <-chan struct{}
-	prevEpochs uint64
-}
-
-func (inv *epochTickInvariant) Check(c *CheckContext) *Failure {
-	epochs := c.W.Evo.Snapshot().Epochs
-	if inv.ch == nil {
-		// The watcher lives as long as the Evolution under test; runs
-		// discard both together.
-		inv.ch, _ = c.W.Evo.WatchEpochs()
-		inv.prevEpochs = epochs
-		return nil
-	}
-	published := epochs - inv.prevEpochs
-	inv.prevEpochs = epochs
-	// The channel holds one coalesced tick at most.
-	ticked := false
-	select {
-	case <-inv.ch:
-		ticked = true
-	default:
-	}
-	if published > 0 && !ticked {
-		return &Failure{Detail: fmt.Sprintf(
-			"%d epoch(s) published during %s but the watcher never ticked", published, c.Event)}
-	}
-	if published == 0 && ticked {
-		return &Failure{Detail: fmt.Sprintf("watcher ticked though %s published no epoch", c.Event)}
 	}
 	return nil
 }

@@ -166,12 +166,6 @@ type Evolution struct {
 	// dep (see anycast.Deployment.Restricted).
 	providerDeps map[topology.ASN]*anycast.Deployment
 
-	// watchMu guards the epoch-watcher registry; deliberately separate
-	// from mu so subscribing never contends with mutators.
-	watchMu   sync.Mutex
-	watchNext int
-	watchers  map[int]chan struct{}
-
 	// counters is the always-on observability tally (atomic; see
 	// internal/trace). Span events have no default receiver: only
 	// SendTraced hands one in.
@@ -431,50 +425,11 @@ func (e *Evolution) Ready() error {
 	return nil
 }
 
-// WatchEpochs subscribes to routing-epoch publications: the returned
-// channel receives a (coalesced) tick after every epoch store — including
-// error epochs, which watchers need to see to degrade gracefully. The
-// channel has a one-slot buffer and notifications never block a mutator;
-// a watcher that lags simply observes several publications as one tick
-// and reconciles against the latest epoch, which is all that epoch-driven
-// consumers (livebridge reconciliation) want anyway. The cancel func
-// unsubscribes and must be called to release the watcher.
-func (e *Evolution) WatchEpochs() (<-chan struct{}, func()) {
-	e.watchMu.Lock()
-	defer e.watchMu.Unlock()
-	if e.watchers == nil {
-		e.watchers = map[int]chan struct{}{}
-	}
-	id := e.watchNext
-	e.watchNext++
-	ch := make(chan struct{}, 1)
-	e.watchers[id] = ch
-	return ch, func() {
-		e.watchMu.Lock()
-		defer e.watchMu.Unlock()
-		delete(e.watchers, id)
-	}
-}
-
-// notifyEpoch ticks every watcher, non-blocking (coalescing into the
-// one-slot buffer). Called by publishLocked after the store.
-func (e *Evolution) notifyEpoch() {
-	e.watchMu.Lock()
-	defer e.watchMu.Unlock()
-	for _, ch := range e.watchers {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // publishLocked is the one place an epoch becomes the published one:
-// counted, stored, watchers ticked. Callers hold mu.
+// counted and stored. Callers hold mu.
 func (e *Evolution) publishLocked(ep *routingEpoch) {
 	e.counters.Epoch()
 	e.epoch.Store(ep)
-	e.notifyEpoch()
 }
 
 // changeKind classifies a change; see change.

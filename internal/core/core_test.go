@@ -438,50 +438,3 @@ func TestHopLimitSufficientForLongBones(t *testing.T) {
 		t.Errorf("payload = %q", d.Payload)
 	}
 }
-
-func TestWatchEpochsTicksOnPublication(t *testing.T) {
-	n := world(t)
-	e := newEvo(t, n, Config{})
-	ch, cancel := e.WatchEpochs()
-	defer cancel()
-
-	members := n.DomainByName("T0").Routers
-	e.DeployRouter(members[0])
-	select {
-	case <-ch:
-	default:
-		t.Fatal("deploy published no epoch tick")
-	}
-
-	// Ticks coalesce into the one-slot buffer: a burst of mutations with
-	// no reader leaves exactly one pending tick, and mutators never block.
-	e.DeployRouter(members[1])
-	e.UndeployRouter(members[1])
-	select {
-	case <-ch:
-	default:
-		t.Fatal("burst left no pending tick")
-	}
-	select {
-	case <-ch:
-		t.Fatal("ticks did not coalesce")
-	default:
-	}
-
-	// Error epochs notify too — watchers must see them to degrade.
-	e.UndeployRouter(members[0])
-	select {
-	case <-ch:
-	default:
-		t.Fatal("error epoch published no tick")
-	}
-
-	// After cancel, publications stop reaching the channel.
-	cancel()
-	e.DeployRouter(members[0])
-	select {
-	case <-ch:
-		t.Fatal("cancelled watcher still ticked")
-	default:
-	}
-}

@@ -62,7 +62,7 @@ func LiveOverlay(seed int64) (*Table, error) {
 		return nil, err
 	}
 	routers[0].ServeAnycast(anycastAddr)
-	reg.SetAnycastMembers(anycastAddr, []addr.V4{routers[0].Underlay})
+	hostA.SetAnycastRoute(anycastAddr, routers[0].Underlay)
 	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
 	hostB.SetVNAddr(addr.SelfAddress(hostB.Underlay))
 	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)

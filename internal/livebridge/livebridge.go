@@ -1,24 +1,24 @@
 // Package livebridge turns a simulated Evolution into a running overlay:
 // one live UDP node per vN-Bone member and per endhost, with bone routes
-// derived from the simulator's BGPvN decisions and anycast resolution
-// delegated to the simulator's routing. The simulator is the control
-// plane; the overlay is the data plane. Every packet a bridged Send
-// delivers has crossed real sockets through the exact trajectory the
-// simulation predicts.
+// derived from the simulator's BGPvN decisions and each host's anycast
+// route led by the member the simulator's anycast resolution picks for
+// it. The simulator is the control plane; the overlay is the data plane.
+// Every packet a bridged Send delivers has crossed real sockets through
+// the exact trajectory the simulation predicts.
 //
 // The overlay tracks deployment changes in place: Reconcile diffs the
 // running overlay against the current routing epoch and applies only the
-// delta — spawning and retiring nodes, patching route tables and anycast
-// member lists — leaving unaffected nodes untouched. When a rebuild
-// publishes an error epoch, the overlay degrades to its last-good
-// configuration instead of tearing down. Each host node reports a
-// reliable send that exhausts its retransmission budget to the
-// simulator's flow-health layer (Evolution.ReportUnackedVN).
+// delta — spawning and retiring nodes, patching bone and anycast routes —
+// leaving unaffected nodes untouched. When a rebuild publishes an error
+// epoch, the overlay degrades to its last-good configuration instead of
+// tearing down. Each host node reports a reliable send that exhausts its
+// retransmission budget to the simulator's flow-health layer
+// (Evolution.ReportUnackedVN).
 package livebridge
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,9 +40,11 @@ type Overlay struct {
 
 	mu sync.Mutex
 	// lastRoutes caches each member's installed route table for diffing;
-	// hostVN caches each host node's assigned IPvN address.
-	lastRoutes map[topology.RouterID]map[addr.VNPrefix]addr.V4
-	hostVN     map[topology.HostID]addr.VN
+	// hostVN and hostAnycast cache each host node's assigned IPvN address
+	// and anycast route.
+	lastRoutes  map[topology.RouterID]map[addr.VNPrefix]addr.V4
+	hostVN      map[topology.HostID]addr.VN
+	hostAnycast map[topology.HostID][]addr.V4
 	// provisioned flips after the first successful reconcile; from then
 	// on error epochs degrade to last-good instead of failing.
 	provisioned bool
@@ -56,6 +58,10 @@ type desiredState struct {
 	routes map[topology.RouterID]map[addr.VNPrefix]addr.V4
 	// hosts maps each endhost to its IPvN address.
 	hosts map[topology.HostID]addr.VN
+	// anycast is each endhost's anycast route: the member the simulated
+	// anycast resolution from its attach router lands on, then every
+	// other member in router-id order.
+	anycast map[topology.HostID][]addr.V4
 }
 
 // desired computes the target shape from the Evolution's current epoch.
@@ -71,9 +77,13 @@ func (o *Overlay) desired() (*desiredState, error) {
 		members: map[topology.RouterID]addr.V4{},
 		routes:  map[topology.RouterID]map[addr.VNPrefix]addr.V4{},
 		hosts:   map[topology.HostID]addr.VN{},
+		anycast: map[topology.HostID][]addr.V4{},
 	}
-	for _, m := range bone.Members() {
-		d.members[m] = evo.Net.Router(m).Loopback
+	ids := bone.Members() // router-id order
+	loopbacks := make([]addr.V4, len(ids))
+	for i, m := range ids {
+		loopbacks[i] = evo.Net.Router(m).Loopback
+		d.members[m] = loopbacks[i]
 	}
 	for _, h := range evo.Net.Hosts {
 		v, err := evo.HostVNAddr(h)
@@ -81,6 +91,16 @@ func (o *Overlay) desired() (*desiredState, error) {
 			return nil, err
 		}
 		d.hosts[h.ID] = v
+		route := slices.Clone(loopbacks)
+		if res, err := evo.ResolveAnycast(h.Attach, evo.AnycastAddr()); err == nil {
+			if i := slices.Index(ids, res.Member); i > 0 {
+				// The nearest member moves to the front; the members
+				// before it shift back one, keeping router-id order.
+				copy(route[1:i+1], loopbacks[:i])
+				route[0] = loopbacks[i]
+			}
+		}
+		d.anycast[h.ID] = route
 	}
 	for m := range d.members {
 		table := map[addr.VNPrefix]addr.V4{}
@@ -108,36 +128,14 @@ func (o *Overlay) desired() (*desiredState, error) {
 // changes after provisioning are applied in place by Reconcile.
 func Provision(evo *core.Evolution) (*Overlay, error) {
 	o := &Overlay{
-		Reg:        overlaynet.NewRegistry(),
-		Members:    map[topology.RouterID]*overlaynet.Node{},
-		Hosts:      map[topology.HostID]*overlaynet.Node{},
-		evo:        evo,
-		lastRoutes: map[topology.RouterID]map[addr.VNPrefix]addr.V4{},
-		hostVN:     map[topology.HostID]addr.VN{},
+		Reg:         overlaynet.NewRegistry(),
+		Members:     map[topology.RouterID]*overlaynet.Node{},
+		Hosts:       map[topology.HostID]*overlaynet.Node{},
+		evo:         evo,
+		lastRoutes:  map[topology.RouterID]map[addr.VNPrefix]addr.V4{},
+		hostVN:      map[topology.HostID]addr.VN{},
+		hostAnycast: map[topology.HostID][]addr.V4{},
 	}
-
-	// Anycast resolution delegates to the simulator's routing: the
-	// ingress for a packet from src is whatever the simulated anycast
-	// trajectory says on the Evolution's current epoch (a unicast
-	// destination — every relay hop — is turned away at the door). A
-	// nominee the live plane has suspected dead is overridden by the
-	// Registry's proximity fallthrough.
-	o.Reg.SetResolver(func(src, anycastAddr addr.V4) (addr.V4, bool) {
-		var from topology.RouterID
-		if h := evo.Net.FindHost(src); h != nil {
-			from = h.Attach
-		} else if r := evo.Net.RouterByLoopback(src); r != nil {
-			from = r.ID
-		} else {
-			return 0, false
-		}
-		res, err := evo.ResolveAnycast(from, anycastAddr)
-		if err != nil {
-			return 0, false
-		}
-		return evo.Net.Router(res.Member).Loopback, true
-	})
-
 	if err := o.Reconcile(); err != nil {
 		o.Close()
 		return nil, err
@@ -147,12 +145,12 @@ func Provision(evo *core.Evolution) (*Overlay, error) {
 
 // Reconcile diffs the running overlay against the Evolution's current
 // routing epoch and applies the delta in place: retired members are
-// closed, new members spawned, changed route tables and host addresses
-// patched, and the Registry's anycast member list refreshed. Unaffected
-// nodes are never touched — their sockets, inboxes and counters carry
-// across epochs. On an error epoch a provisioned overlay keeps its
-// last-good configuration (counted as a reconcile fallback) and returns
-// the epoch's error; an unprovisioned one fails.
+// closed, new members spawned, and changed route tables, host addresses
+// and host anycast routes patched. Unaffected nodes are never touched —
+// their sockets, inboxes and counters carry across epochs. On an error
+// epoch a provisioned overlay keeps its last-good configuration (counted
+// as a reconcile fallback) and returns the epoch's error; an
+// unprovisioned one fails.
 func (o *Overlay) Reconcile() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -211,6 +209,7 @@ func (o *Overlay) Reconcile() error {
 			n.Close()
 			delete(o.Hosts, id)
 			delete(o.hostVN, id)
+			delete(o.hostAnycast, id)
 			deltas++
 		}
 	}
@@ -219,10 +218,16 @@ func (o *Overlay) Reconcile() error {
 		if !ok {
 			continue
 		}
+		route := d.anycast[h.ID]
 		if n, have := o.Hosts[h.ID]; have {
 			if o.hostVN[h.ID] != v {
 				n.SetVNAddr(v)
 				o.hostVN[h.ID] = v
+				deltas++
+			}
+			if !slices.Equal(o.hostAnycast[h.ID], route) {
+				n.SetAnycastRoute(o.evo.AnycastAddr(), route[0], route[1:]...)
+				o.hostAnycast[h.ID] = route
 				deltas++
 			}
 			continue
@@ -232,6 +237,8 @@ func (o *Overlay) Reconcile() error {
 			return err
 		}
 		n.SetVNAddr(v)
+		n.SetAnycastRoute(o.evo.AnycastAddr(), route[0], route[1:]...)
+		o.hostAnycast[h.ID] = route
 		// A reliable send that exhausts its retransmission budget is the
 		// live plane's per-flow delivery-failure signal: feed it back into
 		// the simulator's flow-health layer (a no-op when the Evolution's
@@ -240,20 +247,6 @@ func (o *Overlay) Reconcile() error {
 		o.Hosts[h.ID] = n
 		deltas++
 	}
-
-	// Refresh the anycast member list (deterministic order: router ID) so
-	// the Registry's proximity fallthrough has a live-member list even
-	// when the simulator's resolver nominates a suspected peer.
-	ids := make([]topology.RouterID, 0, len(d.members))
-	for id := range d.members {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	members := make([]addr.V4, len(ids))
-	for i, id := range ids {
-		members[i] = d.members[id]
-	}
-	o.Reg.SetAnycastMembers(o.evo.AnycastAddr(), members)
 
 	if deltas > 0 {
 		o.Reg.Counters().ReconcileDeltas(deltas)

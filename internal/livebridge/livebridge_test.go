@@ -211,9 +211,11 @@ func TestSendUnknownHost(t *testing.T) {
 	}
 }
 
-func TestReprovisionAfterFailureChangesTrajectory(t *testing.T) {
-	// Simulated failure → reconverged control plane → fresh data plane:
-	// the live trajectory follows the new prediction.
+// dualHomed builds customer C homed to providers P1 (the cheap uplink)
+// and P2 (the backup), both deployed and both customers of T; src sits in
+// C, dst in T.
+func dualHomed(t *testing.T) (*topology.Network, *core.Evolution, topology.RouterID, topology.RouterID, topology.RouterID, *topology.Host, *topology.Host) {
+	t.Helper()
 	b := topology.NewBuilder()
 	dP1 := b.AddDomain("P1")
 	dP2 := b.AddDomain("P2")
@@ -239,7 +241,13 @@ func TestReprovisionAfterFailureChangesTrajectory(t *testing.T) {
 	}
 	evo.DeployRouter(rP1)
 	evo.DeployRouter(rP2)
+	return net, evo, rP1, rP2, rC, src, dst
+}
 
+func TestReprovisionAfterFailureChangesTrajectory(t *testing.T) {
+	// Simulated failure → reconverged control plane → fresh data plane:
+	// the live trajectory follows the new prediction.
+	net, evo, rP1, rP2, rC, src, dst := dualHomed(t)
 	o1, err := Provision(evo)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +263,7 @@ func TestReprovisionAfterFailureChangesTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.DomainOf(sim1.Ingress.Member) != dP1.ASN {
+	if net.DomainOf(sim1.Ingress.Member) != net.DomainOf(rP1) {
 		t.Fatalf("precondition: ingress in AS%d", net.DomainOf(sim1.Ingress.Member))
 	}
 
@@ -272,7 +280,7 @@ func TestReprovisionAfterFailureChangesTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.DomainOf(sim2.Ingress.Member) != dP2.ASN {
+	if net.DomainOf(sim2.Ingress.Member) != net.DomainOf(rP2) {
 		t.Fatalf("post-failure ingress in AS%d, want P2", net.DomainOf(sim2.Ingress.Member))
 	}
 	got, err = o2.Send(src, dst, []byte("post"), timeout)
@@ -285,6 +293,50 @@ func TestReprovisionAfterFailureChangesTrajectory(t *testing.T) {
 	// The live ingress node that touched the packet is P2's member now.
 	if s := o2.Members[sim2.Ingress.Member].Stats(); s.Forwarded+s.Exited == 0 {
 		t.Error("new ingress node idle — live path did not follow the control plane")
+	}
+}
+
+// TestReconcileMovesIngress: a failure that moves a host's simulated
+// ingress moves its live one on Reconcile, in place: the host node keeps
+// its identity, P2's member carries the next packet and P1's carries none.
+func TestReconcileMovesIngress(t *testing.T) {
+	_, evo, rP1, rP2, rC, src, dst := dualHomed(t)
+	o, err := Provision(evo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if _, err := o.Send(src, dst, []byte("pre"), timeout); err != nil {
+		t.Fatal(err)
+	}
+	host := o.Hosts[src.ID]
+
+	if _, ok := evo.FailInterLink(rP1, rC); !ok {
+		t.Fatal("link not found")
+	}
+	if err := o.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	if o.Hosts[src.ID] != host {
+		t.Error("Reconcile restarted the host node")
+	}
+	carried := func(id topology.RouterID) uint64 {
+		s := o.Members[id].Stats()
+		return s.Forwarded + s.Exited
+	}
+	p1, p2 := carried(rP1), carried(rP2)
+	got, err := o.Send(src, dst, []byte("post"), timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Payload) != "post" {
+		t.Errorf("payload = %q", got.Payload)
+	}
+	if carried(rP2) == p2 {
+		t.Error("P2's member did not carry the packet")
+	}
+	if carried(rP1) != p1 {
+		t.Error("P1's member carried the packet")
 	}
 }
 
@@ -398,8 +450,8 @@ func TestReconcileFallsBackOnErrorEpoch(t *testing.T) {
 		t.Error("reconcile fallback not counted")
 	}
 
-	// Last-good delivery still works: the simulator's resolver fails (no
-	// members), so resolution rides the Registry's static member list.
+	// Last-good delivery still works: the host keeps the anycast route
+	// the last good epoch gave it.
 	src := net.HostsIn(net.DomainByName("S0.0").ASN)[0]
 	dst := net.HostsIn(net.DomainByName("S1.0").ASN)[0]
 	if got, err := o.Send(src, dst, []byte("degraded"), timeout); err != nil || string(got.Payload) != "degraded" {
@@ -504,11 +556,12 @@ func TestReliableSendOverBridge(t *testing.T) {
 	}
 }
 
-// TestLiveSendsBesideMembershipChurn: the live resolver asks the
-// Evolution's published epoch, so datagrams may flow while another
-// goroutine deploys and undeploys a router — no read of the registry the
-// mutator is editing (the race detector referees), and every delivery
-// still carries its own payload.
+// TestLiveSendsBesideMembershipChurn: a live send reads only the routes
+// the last Reconcile installed — the host's anycast route and the
+// members' bone routes — so datagrams may flow while another goroutine
+// deploys and undeploys a router: no read of what the mutator is editing
+// (the race detector referees), and every delivery still carries its own
+// payload.
 func TestLiveSendsBesideMembershipChurn(t *testing.T) {
 	net, evo := buildEvo(t, bgpvn.PathInformed)
 	o, err := Provision(evo)
@@ -519,8 +572,8 @@ func TestLiveSendsBesideMembershipChurn(t *testing.T) {
 
 	src := net.HostsIn(net.DomainByName("S0.0").ASN)[0]
 	dst := net.HostsIn(net.DomainByName("S0.1").ASN)[0]
-	// The overlay is not watching: the toggled router's node stays up, so
-	// whichever epoch the resolver reads, its nominee can take the packet.
+	// Nothing reconciles meanwhile: the toggled router's node stays up,
+	// and every route stays the one Provision installed.
 	victim := net.DomainByName("S1.0").Routers[1]
 	churned := make(chan struct{})
 	go func() {

@@ -194,7 +194,8 @@ func buildReliablePair(t *testing.T, seed int64, drop float64) (reg *Registry, h
 	}
 	ingA.ServeAnycast(any)
 	ingB.ServeAnycast(any)
-	reg.SetAnycastMembers(any, []addr.V4{ingA.Underlay, ingB.Underlay})
+	hostA.SetAnycastRoute(any, ingA.Underlay, ingB.Underlay)
+	hostB.SetAnycastRoute(any, ingA.Underlay, ingB.Underlay)
 	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
 	hostB.SetVNAddr(addr.SelfAddress(hostB.Underlay))
 	rel := ReliableConfig{
@@ -316,7 +317,7 @@ func TestReliableGivesUpWithoutReceiver(t *testing.T) {
 	defer ing.Close()
 	any, _ := addr.Option1Address(0)
 	ing.ServeAnycast(any)
-	reg.SetAnycastMembers(any, []addr.V4{ing.Underlay})
+	hostA.SetAnycastRoute(any, ing.Underlay)
 	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
 	hostA.EnableReliable(ReliableConfig{
 		AckVia:         any,

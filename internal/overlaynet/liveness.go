@@ -55,7 +55,7 @@ func (n *Node) addPeerLocked(p addr.V4) {
 // EnableLiveness starts keepalive probing of the node's peers: every
 // interval each peer is sent a nonce'd probe; an unanswered probe counts
 // a miss, SuspectAfter consecutive misses report the peer suspected dead
-// to the Registry (steering anycast resolution and relays around it),
+// to the Registry (steering senders' first hops and relays around it),
 // and a subsequent ack recovers it. Idempotent.
 func (n *Node) EnableLiveness(cfg LivenessConfig) {
 	n.mu.Lock()
@@ -123,8 +123,7 @@ func (n *Node) probeRound(st *livenessState) {
 
 // sendProbe emits a probe or probe-ack carrying the nonce. Probes go
 // through the normal wire path (including fault injection, unless
-// DataOnly) but bypass anycast resolution: a probe targets one concrete
-// peer.
+// DataOnly) but choose no route: a probe targets one concrete peer.
 func (n *Node) sendProbe(peer addr.V4, nonce uint64, ack bool) {
 	ep, ok := n.reg.Endpoint(peer)
 	if !ok {

@@ -33,73 +33,123 @@ func TestCloseRemovesFromAnycastMembers(t *testing.T) {
 	}
 	defer b.Close()
 	any, _ := addr.Option1Address(0)
-	reg.SetAnycastMembers(any, []addr.V4{a.Underlay, b.Underlay})
+	b.SetAnycastRoute(any, a.Underlay, b.Underlay)
 	// b has reported a suspected; a has reported b suspected. Closing a
 	// must clear both directions of its suspicion state.
 	reg.suspect(b.Underlay, a.Underlay)
 	reg.suspect(a.Underlay, b.Underlay)
 
 	a.Close()
-	members := reg.AnycastMembers(any)
-	if len(members) != 1 || members[0] != b.Underlay {
-		t.Errorf("members after close = %v, want [%s]", members, b.Underlay)
-	}
 	if reg.Suspected(a.Underlay) {
 		t.Error("suspicion about the closed node lingers")
 	}
 	if reg.Suspected(b.Underlay) {
 		t.Error("closed node's suspicion report about b lingers")
 	}
-	if m, ok := reg.ResolveAnycast(any); !ok || m != b.Underlay {
-		t.Errorf("resolve after close = %s ok %v", m, ok)
+	// A route that names the closed node skips it.
+	o, err := b.prepare(any, addr.SelfAddress(u(2)), nil, nil)
+	if err != nil || o.member != b.Underlay {
+		t.Fatalf("first hop after close = %s, %v; want %s", o.member, err, b.Underlay)
 	}
+	packet.PutSerializeBuffer(o.buf)
 }
 
-func TestResolveFromSkipsSuspectedNominee(t *testing.T) {
-	// The per-source resolver nominates m1; m1 is registered but suspected
-	// dead. Resolution must fall through to the proximity-ordered member
-	// list instead of honouring the stale nomination.
+// TestPrepareSkipsDeadPrimary: a sender's anycast route is [m1, m2]. Its
+// first hop is m1 while m1 is healthy, and m2 — counted as one anycast
+// failover — while m1 is suspected or closed. With every member
+// suspected, a member still takes the packet.
+func TestPrepareSkipsDeadPrimary(t *testing.T) {
 	reg := NewRegistry()
-	m1, err := NewNode(reg, u(11))
-	if err != nil {
-		t.Fatal(err)
+	mk := func(last byte) *Node {
+		n, err := NewNode(reg, u(last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
 	}
-	defer m1.Close()
-	m2, err := NewNode(reg, u(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
+	h, m1, m2 := mk(1), mk(11), mk(12)
 	any, _ := addr.Option1Address(0)
-	reg.SetAnycastMembers(any, []addr.V4{m1.Underlay, m2.Underlay})
-	reg.SetResolver(func(src, a addr.V4) (addr.V4, bool) { return m1.Underlay, true })
-
-	member, ep, err := reg.resolveFrom(u(1), any)
-	if err != nil || member != m1.Underlay || ep == nil {
-		t.Fatalf("healthy nominee not honoured: %s %v %v", member, ep, err)
+	h.SetAnycastRoute(any, m1.Underlay, m2.Underlay)
+	dst := addr.SelfAddress(u(2))
+	check := func(what string, want addr.V4, failovers uint64) {
+		t.Helper()
+		before := reg.Counters().Snapshot().FailoversAnycast
+		o, err := h.prepare(any, dst, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		packet.PutSerializeBuffer(o.buf)
+		if o.member != want {
+			t.Errorf("%s: first hop %s, want %s", what, o.member, want)
+		}
+		if got := reg.Counters().Snapshot().FailoversAnycast - before; got != failovers {
+			t.Errorf("%s: %d anycast failovers counted, want %d", what, got, failovers)
+		}
 	}
 
+	check("healthy", m1.Underlay, 0)
 	reg.suspect(u(99), m1.Underlay)
-	before := reg.Counters().Snapshot().FailoversAnycast
-	member, _, err = reg.resolveFrom(u(1), any)
+	check("m1 suspected", m2.Underlay, 1)
+
+	// With every member suspected, a possibly-dead ingress beats none.
+	reg.suspect(u(99), m2.Underlay)
+	o, err := h.prepare(any, dst, nil, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("all suspected: %v", err)
 	}
-	if member != m2.Underlay {
-		t.Errorf("resolved %s, want fallthrough to %s", member, m2.Underlay)
-	}
-	if after := reg.Counters().Snapshot().FailoversAnycast; after <= before {
-		t.Error("anycast failover not counted")
+	packet.PutSerializeBuffer(o.buf)
+	if o.member != m1.Underlay && o.member != m2.Underlay {
+		t.Errorf("all suspected: first hop is stranger %s", o.member)
 	}
 
-	// With every member suspected, the nominee is still better than
-	// nothing: resolution must not fail.
-	reg.suspect(u(99), m2.Underlay)
-	if member, _, err = reg.resolveFrom(u(1), any); err != nil {
-		t.Fatalf("all-suspected resolution failed: %v", err)
+	reg.unsuspect(u(99), m1.Underlay)
+	reg.unsuspect(u(99), m2.Underlay)
+	m1.Close()
+	check("m1 closed", m2.Underlay, 1)
+}
+
+// TestSetAnycastRouteBesideSends: a node's anycast route may change while
+// it sends (a bridged overlay reconciles beside its senders); every send
+// leaves through a member of one of the routes. Run under -race.
+func TestSetAnycastRouteBesideSends(t *testing.T) {
+	reg := NewRegistry()
+	mk := func(last byte) *Node {
+		n, err := NewNode(reg, u(last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
 	}
-	if member != m1.Underlay && member != m2.Underlay {
-		t.Errorf("all-suspected resolved to stranger %s", member)
+	h, m1, m2 := mk(1), mk(11), mk(12)
+	any, _ := addr.Option1Address(0)
+	h.SetAnycastRoute(any, m1.Underlay, m2.Underlay)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			if i%2 == 0 {
+				h.SetAnycastRoute(any, m2.Underlay, m1.Underlay)
+			} else {
+				h.SetAnycastRoute(any, m1.Underlay, m2.Underlay)
+			}
+		}
+	}()
+	for sending := true; sending; {
+		select {
+		case <-done:
+			sending = false
+		default:
+		}
+		o, err := h.prepare(any, addr.SelfAddress(u(2)), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packet.PutSerializeBuffer(o.buf)
+		if o.member != m1.Underlay && o.member != m2.Underlay {
+			t.Fatalf("first hop is stranger %s", o.member)
+		}
 	}
 }
 
@@ -160,7 +210,7 @@ func TestRouteFailoverToAlternate(t *testing.T) {
 	ingress, m1, m2 := mk(11), mk(12), mk(13)
 	any, _ := addr.Option1Address(0)
 	ingress.ServeAnycast(any)
-	reg.SetAnycastMembers(any, []addr.V4{ingress.Underlay})
+	hostA.SetAnycastRoute(any, ingress.Underlay)
 	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
 	hostB.SetVNAddr(addr.SelfAddress(hostB.Underlay))
 	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)

@@ -11,15 +11,16 @@
 // (internal/vncast computes group trees in the simulator).
 //
 // The Registry stands in for IPv(N-1) routing: it maps underlay addresses
-// to UDP endpoints and resolves anycast addresses to their current member
-// list (ordered by proximity, as the simulator's routing would). This is
-// the documented substitution for a real multi-ISP underlay (DESIGN.md
-// §2): the code paths above the socket layer are identical.
+// to UDP endpoints. Where an anycast packet enters is the sending node's
+// own route (SetAnycastRoute): the member unicast routing delivers its
+// packets to, then the alternates, as the simulator's routing orders
+// them. This is the documented substitution for a real multi-ISP underlay
+// (DESIGN.md §2): the code paths above the socket layer are identical.
 //
 // The data plane is self-healing (DESIGN.md §9): nodes probe their active
 // peers (EnableLiveness) and report suspected-dead peers to the Registry,
-// which routes anycast resolution and bone relays around them; SendVN
-// gains an opt-in acked/retransmitting mode (EnableReliable) with
+// and a sender's first hop and a relay's next hop route around them;
+// SendVN gains an opt-in acked/retransmitting mode (EnableReliable) with
 // receiver-side dedup; and a FaultTransport installed on the Registry
 // subjects every wire write to seeded drop/duplicate/delay/partition
 // faults so the live plane gets the same deterministic adversarial
@@ -48,8 +49,6 @@ import (
 var (
 	// ErrUnknownUnderlay: the registry has no endpoint for an address.
 	ErrUnknownUnderlay = errors.New("overlaynet: unknown underlay address")
-	// ErrNoAnycastMember: an anycast address has no registered members.
-	ErrNoAnycastMember = errors.New("overlaynet: anycast group empty")
 	// ErrClosed: the node has been shut down.
 	ErrClosed = errors.New("overlaynet: node closed")
 	// ErrNotAcked: an acked send exhausted its retransmission budget.
@@ -58,33 +57,23 @@ var (
 	ErrReliableDisabled = errors.New("overlaynet: reliable mode not enabled")
 )
 
-// Resolver answers "where does an anycast packet from src land" — the
-// hook through which a control plane (e.g. the simulator's routing)
-// drives per-source anycast resolution in the live overlay. It is asked
-// for the packets a node originates; a relay follows its route.
-type Resolver func(src, anycastAddr addr.V4) (addr.V4, bool)
-
 // Registry is the stand-in for global IPv(N-1) routing: underlay address →
-// UDP endpoint, anycast address → proximity-ordered member list, plus an
-// optional per-source Resolver that overrides the static ordering for
-// originated packets.
+// UDP endpoint.
 //
 // The Registry also carries the live plane's shared health state: peers
-// reported suspected-dead by nodes' liveness probing (resolution and
-// relays route around them), an optional FaultTransport every wire write
-// passes through, and the always-on live-plane counters.
+// reported suspected-dead by nodes' liveness probing (senders and relays
+// route around them), an optional FaultTransport every wire write passes
+// through, and the always-on live-plane counters.
 type Registry struct {
 	mu      sync.RWMutex
 	unicast map[addr.V4]*net.UDPAddr
-	anycast map[addr.V4][]addr.V4
 	// suspected maps a peer to the set of reporting nodes that currently
 	// consider it dead; a peer with any reporter is routed around.
 	suspected map[addr.V4]map[addr.V4]bool
 
-	// resolver and faults are installed once and read per datagram, so
-	// they sit outside mu: a send takes the lock once, for the tables.
-	resolver atomic.Pointer[Resolver]
-	faults   atomic.Pointer[FaultTransport]
+	// faults is installed once and read per datagram, so it sits outside
+	// mu: a send takes the lock once, for the tables.
+	faults atomic.Pointer[FaultTransport]
 
 	counters trace.Counters
 }
@@ -93,7 +82,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		unicast:   map[addr.V4]*net.UDPAddr{},
-		anycast:   map[addr.V4][]addr.V4{},
 		suspected: map[addr.V4]map[addr.V4]bool{},
 	}
 }
@@ -120,23 +108,12 @@ func (r *Registry) Register(a addr.V4, ep *net.UDPAddr) {
 }
 
 // RemoveNode erases every trace of a departed node: its unicast binding,
-// its membership in every anycast group, suspicion state about it, and
-// any suspicions it had reported about others. Without the anycast sweep
-// a closed node would linger in member lists as a stale resolver target,
-// black-holing traffic until process exit.
+// suspicion state about it, and any suspicions it had reported about
+// others. A route that still names it passes it over, as unregistered.
 func (r *Registry) RemoveNode(a addr.V4) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.unicast, a)
-	for any, members := range r.anycast {
-		kept := members[:0]
-		for _, m := range members {
-			if m != a {
-				kept = append(kept, m)
-			}
-		}
-		r.anycast[any] = kept
-	}
 	delete(r.suspected, a)
 	for peer, reporters := range r.suspected {
 		delete(reporters, a)
@@ -152,24 +129,6 @@ func (r *Registry) Endpoint(a addr.V4) (*net.UDPAddr, bool) {
 	defer r.mu.RUnlock()
 	ep, ok := r.unicast[a]
 	return ep, ok
-}
-
-// SetAnycastMembers installs the proximity-ordered member list for an
-// anycast address — the control-plane output of the simulated routing.
-func (r *Registry) SetAnycastMembers(a addr.V4, members []addr.V4) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.anycast[a] = append([]addr.V4(nil), members...)
-}
-
-// SetResolver installs a per-source anycast resolver; a nil resolver
-// reverts to the static member ordering.
-func (r *Registry) SetResolver(f Resolver) {
-	if f == nil {
-		r.resolver.Store(nil)
-		return
-	}
-	r.resolver.Store(&f)
 }
 
 // suspect records reporter's verdict that peer is dead.
@@ -201,96 +160,24 @@ func (r *Registry) aliveLocked(a addr.V4) bool {
 	return ok && len(r.suspected[a]) == 0
 }
 
-// resolveAnycastLocked returns the closest live member of the group per
-// the installed ordering: registered members suspected dead are skipped
-// (and the skip counted as an anycast failover). When every registered
-// member is suspected, the closest registered one is returned anyway —
-// suspicion is a hint, and a possibly-dead ingress beats a guaranteed
-// black hole. Callers hold mu (any mode).
-func (r *Registry) resolveAnycastLocked(a addr.V4) (addr.V4, bool) {
-	skipped := false
-	for _, m := range r.anycast[a] {
-		if _, ok := r.unicast[m]; !ok {
-			continue
-		}
-		if len(r.suspected[m]) > 0 {
-			skipped = true
-			continue
-		}
-		if skipped {
-			r.counters.FailoverAnycast()
-		}
-		return m, true
-	}
-	for _, m := range r.anycast[a] {
-		if _, ok := r.unicast[m]; ok {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
-// resolveFrom maps any destination (anycast or unicast) to its concrete
-// member address and UDP endpoint, consulting the per-source resolver
-// first. A resolver nomination wins only while the nominee is registered
-// and not suspected dead; otherwise resolution falls through to the
-// proximity-ordered member list, so a stale control-plane answer cannot
-// black-hole traffic the static ordering could still deliver. The resolver
-// runs outside the lock (it calls into the control plane); everything it
-// is checked against is read in one locked pass.
-func (r *Registry) resolveFrom(src, dst addr.V4) (addr.V4, *net.UDPAddr, error) {
-	var nominee addr.V4
-	nominated := false
-	if res := r.resolver.Load(); res != nil {
-		nominee, nominated = (*res)(src, dst)
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if nominated {
-		if r.aliveLocked(nominee) {
-			dst = nominee
-		} else if fallback, ok := r.resolveAnycastLocked(dst); ok {
-			if fallback != nominee {
-				r.counters.FailoverAnycast()
-			}
-			dst = fallback
-		} else if _, registered := r.unicast[nominee]; registered {
-			dst = nominee // nothing better on file; try the nominee anyway
-		}
-	}
-	return r.resolveLocked(dst)
-}
-
-// resolveLocked maps dst to its concrete member and UDP endpoint from the
-// registry's own tables: the static anycast order (suspicion included),
-// then the unicast binding. Callers hold mu (any mode).
-func (r *Registry) resolveLocked(dst addr.V4) (addr.V4, *net.UDPAddr, error) {
-	if m, ok := r.resolveAnycastLocked(dst); ok {
-		dst = m
-	}
-	ep, ok := r.unicast[dst]
-	if !ok {
-		return 0, nil, fmt.Errorf("%w: %s", ErrUnknownUnderlay, dst)
-	}
-	return dst, ep, nil
-}
-
-// relayTarget chooses a relay's next hop from a route's next-hop set and
-// resolves it, in one locked pass over the registry's own tables. The
-// per-source Resolver is not asked: it places a packet a host originates,
-// while a relayed packet's next hop is its route's. next is the first
-// registered, unsuspected candidate in primary-then-alternates order;
-// failing that, the first registered candidate; failing that, the primary
-// (which then does not resolve).
-func (r *Registry) relayTarget(nh nextHops) (next, member addr.V4, ep *net.UDPAddr, err error) {
+// target chooses the next hop from a next-hop set — a relay's bone route,
+// or the anycast route of a packet the node originates — and resolves its
+// endpoint, in one locked pass over the registry's tables.
+func (r *Registry) target(nh nextHops) (next addr.V4, ep *net.UDPAddr, err error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	next = r.pickLocked(nh)
-	member, ep, err = r.resolveLocked(next)
-	return next, member, ep, err
+	ep, ok := r.unicast[next]
+	if !ok {
+		return next, nil, fmt.Errorf("%w: %s", ErrUnknownUnderlay, next)
+	}
+	return next, ep, nil
 }
 
-// pickLocked is relayTarget's choice of next hop. Callers hold mu (any
+// pickLocked is target's choice: the first registered, unsuspected
+// candidate in order; failing that, the first registered one (suspicion
+// is a hint, and a possibly-dead hop beats a certain black hole); failing
+// that, the first, which then does not resolve. Callers hold mu (any
 // mode).
 func (r *Registry) pickLocked(nh nextHops) addr.V4 {
 	for _, c := range nh {
@@ -353,8 +240,8 @@ type outgoing struct {
 	buf    *packet.SerializeBuffer
 }
 
-// nextHops is one bone route's forwarding set, in order of preference:
-// the primary next hop, then the alternates used when it is dead or
+// nextHops is one route's forwarding set, in order of preference: the
+// primary next hop, then the alternates used when it is dead or
 // suspected. Never empty.
 type nextHops []addr.V4
 
@@ -367,8 +254,9 @@ type Node struct {
 	vnAddr addr.VN
 	served map[addr.V4]bool
 
-	mu     sync.RWMutex
-	routes rib.TableVN[nextHops] // IPvN prefix → next-hop set
+	mu      sync.RWMutex
+	routes  rib.TableVN[nextHops] // IPvN prefix → next-hop set
+	anycast map[addr.V4]nextHops  // anycast address → members, nearest first
 	// echoVia, when set, makes the node answer "ping:" payloads with
 	// "pong:" replies sent back through the given anycast address.
 	echoVia addr.V4
@@ -424,6 +312,7 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 		reg:      reg,
 		conn:     conn,
 		served:   map[addr.V4]bool{},
+		anycast:  map[addr.V4]nextHops{},
 		peers:    map[addr.V4]*peerState{},
 		Inbox:    make(chan Received, 256),
 		rx:       make(chan []byte, rxDepth),
@@ -438,9 +327,9 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 }
 
 // Close shuts the node down and removes it from the registry — unicast
-// binding, anycast memberships and suspicion state included, so a dead
-// node can never linger as a resolver target. Every packet a SendVN
-// accepted has been sent by the time Close returns.
+// binding and suspicion state included, so every route that names it
+// passes it over. Every packet a SendVN accepted has been sent by the
+// time Close returns.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		n.sending.Lock()
@@ -485,8 +374,8 @@ var (
 
 // EnableEcho makes the node answer payloads beginning with "ping:" by
 // sending "pong:" plus the rest back to the IPvN source, re-entering the
-// overlay through the given anycast address. Echoed pings are not
-// delivered to the Inbox.
+// overlay through the given anycast address (by the node's anycast route
+// for it). Echoed pings are not delivered to the Inbox.
 func (n *Node) EnableEcho(via addr.V4) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -506,6 +395,17 @@ func (n *Node) AddVNRoute(p addr.VNPrefix, via addr.V4, alts ...addr.V4) {
 	for _, a := range alts {
 		n.addPeerLocked(a)
 	}
+}
+
+// SetAnycastRoute installs the node's route toward an anycast address:
+// the member unicast routing delivers the node's packets to, then ordered
+// alternates used when it is dead or suspected. It replaces the address's
+// earlier route. A packet toward an address the node has no anycast route
+// for is sent to that address as unicast.
+func (n *Node) SetAnycastRoute(a, via addr.V4, alts ...addr.V4) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.anycast[a] = append(nextHops{via}, alts...)
 }
 
 // ClearVNRoutes drops the node's entire bone route table (epoch
@@ -545,10 +445,10 @@ func (n *Node) SendVN(anycastAddr addr.V4, dst addr.VN, payload []byte) error {
 	return n.sendVN(anycastAddr, dst, payload, nil)
 }
 
-// sendVN resolves the packet's first hop through the per-source Resolver
-// and serializes it on the caller, so a closed node or an unknown
-// destination is the call's error, then queues it for the handler, which
-// boards it on that hop's train as it would a relayed packet. The handler
+// sendVN chooses the packet's first hop and serializes it on the caller,
+// so a closed node or an unknown destination is the call's error, then
+// queues it for the handler, which boards it on that hop's train as it
+// would a relayed packet. The handler
 // never calls it: waiting on its own full queue, it would wait forever
 // (its sends go through replyVN).
 func (n *Node) sendVN(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *packet.Option) error {
@@ -581,9 +481,11 @@ func (n *Node) replyVN(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *
 	return nil
 }
 
-// prepare resolves an originated packet's first hop (a closed node
-// resolves nothing) and serializes the packet, with the extra option if
-// there is one, into a pooled buffer.
+// prepare chooses an originated packet's first hop from the node's
+// anycast route as a relay chooses from its bone route (a closed node
+// chooses nothing), and serializes the packet, with the extra option if
+// there is one, into a pooled buffer. Leaving through an alternate counts
+// as an anycast failover.
 // The header and its options stay on the stack, so a send allocates
 // nothing; an append that could grow the option slice would move them to
 // the heap.
@@ -591,9 +493,18 @@ func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *
 	if n.closed() {
 		return outgoing{}, ErrClosed
 	}
-	member, ep, err := n.reg.resolveFrom(n.Underlay, anycastAddr)
+	n.mu.RLock()
+	src, nh := n.vnAddr, n.anycast[anycastAddr]
+	n.mu.RUnlock()
+	if nh == nil {
+		nh = nextHops{anycastAddr}
+	}
+	next, ep, err := n.reg.target(nh)
 	if err != nil {
 		return outgoing{}, err
+	}
+	if next != nh[0] {
+		n.ctr().FailoverAnycast()
 	}
 	var opts [2]packet.Option
 	var underlay [4]byte
@@ -607,14 +518,14 @@ func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *
 		opts[k] = *extra
 		k++
 	}
-	hdr := packet.VNHeader{Version: 8, Src: n.VNAddr(), Dst: dst, Options: opts[:k]}
+	hdr := packet.VNHeader{Version: 8, Src: src, Dst: dst, Options: opts[:k]}
 	outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: n.Underlay, Dst: anycastAddr}
 	buf := packet.GetSerializeBuffer()
 	if err := packet.SerializeVN(buf, payload, &outer, &hdr); err != nil {
 		packet.PutSerializeBuffer(buf)
 		return outgoing{}, err
 	}
-	return outgoing{member: member, ep: ep.AddrPort(), buf: buf}, nil
+	return outgoing{member: next, ep: ep.AddrPort(), buf: buf}, nil
 }
 
 // originate boards an originated packet on the train toward its first hop
@@ -850,7 +761,7 @@ func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64) {
 		n.stats.dropped.Add(1)
 		return
 	}
-	next, member, ep, err := n.reg.relayTarget(nh)
+	next, ep, err := n.reg.target(nh)
 	packet.RewriteOuter(wire, n.Underlay, next)
 	if next != nh[0] {
 		n.ctr().FailoverRoute()
@@ -860,7 +771,7 @@ func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64) {
 		n.uncount(as)
 		return
 	}
-	n.board(member, ep.AddrPort(), wire)
+	n.board(next, ep.AddrPort(), wire)
 }
 
 // board appends wire to the train toward member, sending the train first

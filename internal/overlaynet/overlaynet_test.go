@@ -39,7 +39,8 @@ func buildChain(t *testing.T) (reg *Registry, hostA, hostB *Node, routers []*Nod
 		t.Fatal(err)
 	}
 	r1.ServeAnycast(anycastAddr)
-	reg.SetAnycastMembers(anycastAddr, []addr.V4{r1.Underlay})
+	hostA.SetAnycastRoute(anycastAddr, r1.Underlay)
+	hostB.SetAnycastRoute(anycastAddr, r1.Underlay)
 
 	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
 	hostB.SetVNAddr(addr.SelfAddress(hostB.Underlay))
@@ -95,7 +96,7 @@ func TestAnycastFailover(t *testing.T) {
 	r0.ServeAnycast(any)
 	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)
 	r0.AddVNRoute(selfAll, routers[1].Underlay)
-	reg.SetAnycastMembers(any, []addr.V4{r0.Underlay, routers[0].Underlay})
+	hostA.SetAnycastRoute(any, r0.Underlay, routers[0].Underlay)
 
 	if err := hostA.SendVN(any, hostB.VNAddr(), []byte("via r0")); err != nil {
 		t.Fatal(err)
@@ -204,7 +205,6 @@ func TestHopLimitStopsLoops(t *testing.T) {
 	defer b.Close()
 	loopAny, _ := addr.Option1Address(7)
 	a.ServeAnycast(loopAny)
-	reg.SetAnycastMembers(loopAny, []addr.V4{a.Underlay})
 	dst := addr.VN{Hi: 0x77} // no one owns it
 	p := addr.MakeVNPrefix(dst, 16)
 	a.AddVNRoute(p, b.Underlay)
@@ -215,6 +215,7 @@ func TestHopLimitStopsLoops(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
+	src.SetAnycastRoute(loopAny, a.Underlay)
 	src.SetVNAddr(addr.SelfAddress(src.Underlay))
 	if err := src.SendVN(loopAny, dst, []byte("loop")); err != nil {
 		t.Fatal(err)
@@ -234,9 +235,6 @@ func TestRegistryResolution(t *testing.T) {
 	if _, ok := reg.Endpoint(u(1)); ok {
 		t.Error("empty registry resolved")
 	}
-	if _, ok := reg.ResolveAnycast(u(99)); ok {
-		t.Error("empty anycast resolved")
-	}
 	n, err := NewNode(reg, u(1))
 	if err != nil {
 		t.Fatal(err)
@@ -245,12 +243,9 @@ func TestRegistryResolution(t *testing.T) {
 	if _, ok := reg.Endpoint(u(1)); !ok {
 		t.Error("registered node not resolvable")
 	}
-	any, _ := addr.Option1Address(1)
-	reg.SetAnycastMembers(any, []addr.V4{u(5), u(1)})
-	// u(5) is not registered; resolution falls through to u(1).
-	m, ok := reg.ResolveAnycast(any)
-	if !ok || m != u(1) {
-		t.Errorf("resolve = %s ok %v", m, ok)
+	// u(5) is not registered; the choice falls through to u(1).
+	if m, ep, err := reg.target(nextHops{u(5), u(1)}); err != nil || m != u(1) || ep == nil {
+		t.Errorf("target = %s %v %v", m, ep, err)
 	}
 }
 

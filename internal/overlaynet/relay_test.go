@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -329,40 +328,6 @@ func TestEchoBacklogBeyondQueue(t *testing.T) {
 	}
 	if s := e.Stats(); s.Delivered != pings || s.Dropped != 0 {
 		t.Errorf("stats = %+v, want %d delivered", s, pings)
-	}
-}
-
-// TestRelayAsksNoResolver: a relay resolves its route's next hop from the
-// registry's own tables. A per-source Resolver that would send every
-// packet elsewhere is not asked, and the packet leaves toward the route's
-// next hop.
-func TestRelayAsksNoResolver(t *testing.T) {
-	reg := NewRegistry()
-	r, err := NewNode(reg, u(58))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	next, decoy := u(59), u(60)
-	sink := wireSink(t, reg, next)
-	wireSink(t, reg, decoy)
-	var asked atomic.Int32
-	reg.SetResolver(func(src, dst addr.V4) (addr.V4, bool) {
-		asked.Add(1)
-		return decoy, true
-	})
-	dst := addr.SelfAddress(u(95))
-	r.AddVNRoute(addr.HostVNPrefix(dst), next)
-	wire, err := packet.EncapVN(packet.V4Header{Src: u(1), Dst: r.Underlay}, packet.VNHeader{Version: 8, Dst: dst}, []byte("hop"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.receive(wire)
-	if got := readWire(t, sink); len(got) != len(wire) {
-		t.Errorf("next hop read %d bytes, want the %d-byte packet", len(got), len(wire))
-	}
-	if n := asked.Load(); n != 0 {
-		t.Errorf("relaying one packet asked the Resolver %d times", n)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // mode.
 type ReliableConfig struct {
 	// AckVia is the anycast address the receiver's acks re-enter the
-	// overlay through (typically the same address senders use).
+	// overlay through (typically the same address senders use); the
+	// receiver needs an anycast route for it (SetAnycastRoute).
 	AckVia addr.V4
 	// RetransmitBase is the first retry's backoff; each subsequent retry
 	// doubles it up to RetransmitMax. Default 50ms.
@@ -112,8 +113,9 @@ func deliveryOpt(h packet.VNHeader, t uint8) (uint32, bool) {
 // that returns nil. The packet carries a per-sender sequence number; the
 // send retransmits on ack timeout with exponential backoff plus seeded
 // jitter, up to MaxAttempts transmissions, then fails with ErrNotAcked.
-// Each transmission re-resolves the anycast ingress, so a mid-flight
-// ingress death fails over instead of wedging the flow.
+// Each transmission picks its first hop from the node's anycast route
+// afresh, so a mid-flight ingress death fails over instead of wedging the
+// flow.
 func (n *Node) SendVNReliable(anycastAddr addr.V4, dst addr.VN, payload []byte) error {
 	rel := n.reliable()
 	if rel == nil {

@@ -54,7 +54,7 @@ func TestLiveSoakFailover(t *testing.T) {
 	}
 	// exit has no bone route: it leaves via the underlay option — both
 	// toward the receiver and for acks exiting back to each sender.
-	reg.SetAnycastMembers(any, []addr.V4{ingA.Underlay, ingB.Underlay})
+	receiver.SetAnycastRoute(any, ingA.Underlay, ingB.Underlay)
 
 	// The acked round trip crosses ~8 faulty writes, so one attempt
 	// fails with probability ≈ 1-0.9⁸ ≈ 0.57; the attempt budget has to
@@ -81,6 +81,7 @@ func TestLiveSoakFailover(t *testing.T) {
 		}
 		t.Cleanup(func() { n.Close() })
 		n.SetVNAddr(addr.SelfAddress(n.Underlay))
+		n.SetAnycastRoute(any, ingA.Underlay, ingB.Underlay)
 		n.EnableReliable(rel)
 		nodes[i] = n
 	}

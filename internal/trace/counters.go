@@ -327,9 +327,10 @@ func (c *Counters) PeerSuspected() { c.add(cPeersSuspected, 1) }
 // PeerRecovered counts one suspected peer answering a probe again.
 func (c *Counters) PeerRecovered() { c.add(cPeersRecovered, 1) }
 
-// FailoverAnycast counts one anycast resolution that skipped a dead or
-// suspected member (including a per-source resolver nomination that was
-// overridden) and landed on the next-closest live member.
+// FailoverAnycast counts one originated packet that left through an
+// alternate of its sender's anycast route because the route's preferred
+// member was unregistered or suspected — the rule FailoverRoute applies
+// to relays.
 func (c *Counters) FailoverAnycast() { c.add(cFailoverAny, 1) }
 
 // FailoverRoute counts one bone relay that bypassed a dead or suspected
