@@ -137,8 +137,20 @@ func main() {
 			len(bone.Links()), topName, topShare*100)
 		if *catchment {
 			w.Flush()
-			c := evo.Anycast.Catchment(evo.Dep)
-			for _, p := range evo.Dep.ParticipatingASes() {
+			// Each domain's anycast traffic, probed from its first
+			// router, lands in one participant's catchment.
+			c := map[evolve.ASN][]evolve.ASN{}
+			for _, asn := range net.ASNs() {
+				res, err := evo.ResolveAnycast(net.Domain(asn).Routers[0], evo.AnycastAddr())
+				if err == nil {
+					p := net.DomainOf(res.Member)
+					c[p] = append(c[p], asn)
+				}
+			}
+			for _, p := range net.ASNs() {
+				if !evo.Participates(p) {
+					continue
+				}
 				srcs := c[p]
 				names := ""
 				for i, a := range srcs {

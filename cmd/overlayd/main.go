@@ -32,6 +32,9 @@
 //
 // -hold keeps the nodes (and the debug server) alive after the workload
 // finishes so the endpoints can be inspected at leisure.
+//
+// overlayd exits 1 when the run is lost: with -reliable when any message
+// goes unacked, in ping mode when no ping is answered.
 package main
 
 import (
@@ -123,7 +126,7 @@ func main() {
 	// router exits via the carried underlay destination.
 	selfAll := evolve.VNPrefix{Addr: evolve.SelfAddress(0), Len: 1}
 	for i := 0; i+1 < len(bone); i++ {
-		bone[i].AddVNRoute(selfAll, bone[i+1].Underlay)
+		bone[i].SetVNRoutes(map[evolve.VNPrefix][]evolve.V4{selfAll: {bone[i+1].Underlay}})
 	}
 
 	if faulty {
@@ -287,7 +290,10 @@ func main() {
 		fmt.Printf("holding for %v (debug endpoints stay live; ^C to quit)\n", *hold)
 		time.Sleep(*hold)
 	}
-	if !*reliable && got == 0 && *messages > 0 {
+	switch {
+	case *reliable && got < *messages:
+		log.Fatalf("%d of %d messages went unacked", *messages-got, *messages)
+	case !*reliable && got == 0 && *messages > 0:
 		log.Fatal("no ping was answered: the run is lost")
 	}
 }

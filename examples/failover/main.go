@@ -93,8 +93,8 @@ func main() {
 
 	// One whole deploying ISP turns IPv8 off.
 	fmt.Println("\n*** T1 un-deploys IPv8 entirely ***")
-	for _, m := range evo.Dep.MembersIn(net.DomainByName("T1").ASN) {
-		evo.UndeployRouter(m)
+	for _, r := range net.DomainByName("T1").Routers {
+		evo.UndeployRouter(r)
 	}
 	report("after T1 withdrawal:")
 

@@ -370,27 +370,6 @@ func (s *Service) ResolveFromRouterVia(d *Deployment, from topology.RouterID) (R
 	}
 }
 
-// Catchment computes the deployment's capture map: for every domain in
-// the internet, which participant its anycast traffic lands in (probed
-// from the domain's first router). This is the geography behind
-// assumption A4's revenue flows — each participant's catchment is the
-// traffic it attracts. Domains whose resolution fails are reported under
-// ASN -1.
-func (s *Service) Catchment(d *Deployment) map[topology.ASN][]topology.ASN {
-	out := map[topology.ASN][]topology.ASN{}
-	for _, asn := range s.net.ASNs() {
-		dom := s.net.Domain(asn)
-		res, err := s.ResolveFromRouter(dom.Routers[0], d.Addr)
-		if err != nil {
-			out[-1] = append(out[-1], asn)
-			continue
-		}
-		p := s.net.DomainOf(res.Member)
-		out[p] = append(out[p], asn)
-	}
-	return out
-}
-
 // Bootstrap performs the §3.3.1 anycast bootstrap for a newly joining
 // participant: a resolution from one of asn's routers carried out as if
 // asn were still a non-participant, yielding some *other* participant's

@@ -389,31 +389,26 @@ func TestRestricted(t *testing.T) {
 	}
 }
 
+// TestCatchment: anycast traffic probed from each domain's first router
+// resolves, lands in a participant (D or Q), and from Z and Q lands in Q.
 func TestCatchment(t *testing.T) {
 	n, s, dep := figure2(t, false)
-	c := s.Catchment(dep)
-	if len(c[-1]) != 0 {
-		t.Errorf("unresolved domains: %v", c[-1])
-	}
 	dD := n.DomainByName("D").ASN
 	dQ := n.DomainByName("Q").ASN
-	// Every domain lands in D or Q; Z and Q land in Q.
-	var total int
-	for p, srcs := range c {
-		if p != dD && p != dQ {
-			t.Errorf("capture by non-participant AS%d", p)
+	for _, asn := range n.ASNs() {
+		dom := n.Domain(asn)
+		res, err := s.ResolveFromRouterVia(dep, dom.Routers[0])
+		if err != nil {
+			t.Errorf("%s unresolved: %v", dom.Name, err)
+			continue
 		}
-		total += len(srcs)
-	}
-	if total != len(n.ASNs()) {
-		t.Errorf("catchment covers %d/%d domains", total, len(n.ASNs()))
-	}
-	inQ := map[topology.ASN]bool{}
-	for _, a := range c[dQ] {
-		inQ[a] = true
-	}
-	if !inQ[n.DomainByName("Z").ASN] || !inQ[dQ] {
-		t.Errorf("Q's catchment = %v", c[dQ])
+		p := n.DomainOf(res.Member)
+		if p != dD && p != dQ {
+			t.Errorf("%s captured by non-participant AS%d", dom.Name, p)
+		}
+		if (dom.Name == "Z" || asn == dQ) && p != dQ {
+			t.Errorf("%s lands in AS%d, want Q", dom.Name, p)
+		}
 	}
 }
 

@@ -51,19 +51,14 @@ func TestScaleBarabasiAlbert(t *testing.T) {
 			t.Fatalf("nonpositive stretch %v", s)
 		}
 	}
-	// Catchment covers every domain.
-	c := evo.Anycast.Catchment(evo.Dep)
-	if len(c[-1]) != 0 {
-		t.Errorf("unresolved domains at scale: %v", c[-1])
-	}
-	total := 0
-	for p, srcs := range c {
-		if p >= 0 {
-			total += len(srcs)
+	// Every domain's anycast traffic lands in a participant.
+	for _, asn := range net.ASNs() {
+		res, err := evo.ResolveAnycast(net.Domain(asn).Routers[0], evo.AnycastAddr())
+		if err != nil {
+			t.Errorf("AS%d unresolved at scale: %v", asn, err)
+		} else if !evo.Participates(net.DomainOf(res.Member)) {
+			t.Errorf("AS%d captured by non-participant AS%d", asn, net.DomainOf(res.Member))
 		}
-	}
-	if total != len(net.ASNs()) {
-		t.Errorf("catchment covers %d/%d", total, len(net.ASNs()))
 	}
 }
 

@@ -108,8 +108,8 @@ func DefaultDomainDependence(seed int64) (*Table, error) {
 			okExpected = false // everyone must work while D serves
 		}
 		// The default domain withdraws entirely.
-		for _, m := range evo.Dep.MembersIn(dD.ASN) {
-			evo.UndeployRouter(m)
+		for _, r := range dD.Routers {
+			evo.UndeployRouter(r)
 		}
 		okN, failed := measure("no")
 		switch {

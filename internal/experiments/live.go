@@ -4,14 +4,18 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/evolvable-net/evolve/internal/addr"
-	"github.com/evolvable-net/evolve/internal/overlaynet"
+	"github.com/evolvable-net/evolve/internal/anycast"
+	"github.com/evolvable-net/evolve/internal/core"
+	"github.com/evolvable-net/evolve/internal/livebridge"
+	"github.com/evolvable-net/evolve/internal/topology"
 )
 
 // LiveOverlay is E11: the prototype demonstration — a vN-Bone of real
 // UDP nodes on localhost carries IPvN packets end-to-end through anycast
 // ingress, bone relays and an underlay exit, measuring delivery and
-// round-trip latency through the full encap/decap data path.
+// round-trip latency through the full encap/decap data path. The overlay
+// is provisioned through livebridge from a simulated line of domains, so
+// its ingress and bone routes are the simulator's.
 func LiveOverlay(seed int64) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
@@ -21,63 +25,46 @@ func LiveOverlay(seed int64) (*Table, error) {
 			"leg", "detail", "result",
 		},
 	}
-	reg := overlaynet.NewRegistry()
-	u := func(last byte) addr.V4 { return addr.V4FromOctets(10, 7, 0, last) }
-
-	var nodes []*overlaynet.Node
-	defer func() {
-		for _, n := range nodes {
-			n.Close()
-		}
-	}()
-	mk := func(last byte) (*overlaynet.Node, error) {
-		n, err := overlaynet.NewNode(reg, u(last))
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, n)
-		return n, nil
-	}
-
-	hostA, err := mk(1)
-	if err != nil {
-		return nil, err
-	}
-	hostB, err := mk(2)
-	if err != nil {
-		return nil, err
-	}
+	// Stub A, transits T1..T4 each the provider of the one before it, and
+	// stub B below T4; the transits deploy IPv8, the stubs do not, so both
+	// hosts are self-addressed.
 	const boneLen = 4
-	var routers []*overlaynet.Node
-	for i := 0; i < boneLen; i++ {
-		r, err := mk(byte(10 + i))
-		if err != nil {
-			return nil, err
-		}
-		routers = append(routers, r)
+	b := topology.NewBuilder()
+	dA := b.AddDomain("A")
+	prev := b.AddRouter(dA, "")
+	hA := b.AddHost(dA, prev, "a", 1)
+	var chain []topology.RouterID
+	for i := 1; i <= boneLen; i++ {
+		r := b.AddRouter(b.AddDomain(fmt.Sprintf("T%d", i)), "")
+		b.Provide(r, prev, 10)
+		chain = append(chain, r)
+		prev = r
 	}
-
-	anycastAddr, err := addr.Option1Address(0)
+	dB := b.AddDomain("B")
+	rB := b.AddRouter(dB, "")
+	b.Provide(prev, rB, 10)
+	hB := b.AddHost(dB, rB, "b", 1)
+	net, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	routers[0].ServeAnycast(anycastAddr)
-	hostA.SetAnycastRoute(anycastAddr, routers[0].Underlay)
-	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
-	hostB.SetVNAddr(addr.SelfAddress(hostB.Underlay))
-	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)
-	for i := 0; i+1 < boneLen; i++ {
-		routers[i].AddVNRoute(selfAll, routers[i+1].Underlay)
+	evo, err := core.New(net, core.Config{Option: anycast.Option1})
+	if err != nil {
+		return nil, err
 	}
-	// The last router exits via the carried underlay address.
+	evo.DeployRouters(chain)
+	o, err := livebridge.Provision(evo)
+	if err != nil {
+		return nil, err
+	}
+	defer o.Close()
+	anycastAddr := evo.AnycastAddr()
+	hostA, hostB := o.Hosts[hA.ID], o.Hosts[hB.ID]
 
 	// One-way delivery.
 	payload := []byte("hello over the vN-Bone")
 	start := time.Now()
-	if err := hostA.SendVN(anycastAddr, hostB.VNAddr(), payload); err != nil {
-		return nil, err
-	}
-	got, err := hostB.WaitInbox(5 * time.Second)
+	got, err := o.Send(hA, hB, payload, 5*time.Second)
 	oneWay := time.Since(start)
 	delivered := err == nil && string(got.Payload) == string(payload)
 	t.AddRow("A → anycast ingress → bone ×"+fmt.Sprint(boneLen)+" → exit → B",
@@ -107,8 +94,8 @@ func LiveOverlay(seed int64) (*Table, error) {
 	t.AddRow("burst", fmt.Sprintf("%d packets", burst), fmt.Sprintf("%d delivered", gotN))
 
 	// Forwarding counters confirm every router touched the packets.
-	for i, r := range routers {
-		s := r.Stats()
+	for i, r := range chain {
+		s := o.Members[r].Stats()
 		t.AddRow(fmt.Sprintf("router %d counters", i+1),
 			fmt.Sprintf("fwd=%d exit=%d drop=%d", s.Forwarded, s.Exited, s.Dropped),
 			"ok")

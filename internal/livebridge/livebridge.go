@@ -4,20 +4,24 @@
 // route led by the member the simulator's anycast resolution picks for
 // it. The simulator is the control plane; the overlay is the data plane.
 // Every packet a bridged Send delivers has crossed real sockets through
-// the exact trajectory the simulation predicts.
+// the exact trajectory the simulation predicts. An egress member holds a
+// route only to native hosts: a self-addressed packet leaves the bone by
+// the underlay address it carries (paper §3.3.2).
 //
 // The overlay tracks deployment changes in place: Reconcile diffs the
-// running overlay against the current routing epoch and applies only the
-// delta — spawning and retiring nodes, patching bone and anycast routes —
-// leaving unaffected nodes untouched. When a rebuild publishes an error
-// epoch, the overlay degrades to its last-good configuration instead of
-// tearing down. Each host node reports a reliable send that exhausts its
-// retransmission budget to the simulator's flow-health layer
+// current routing epoch against the one state it last applied and
+// installs only the delta — spawning and retiring members, swapping a
+// changed route table whole, re-addressing hosts — leaving unaffected
+// nodes untouched. When a rebuild publishes an error epoch, the overlay
+// degrades to its last-good configuration instead of tearing down. Each
+// host node reports a reliable send that exhausts its retransmission
+// budget to the simulator's flow-health layer
 // (Evolution.ReportUnackedVN).
 package livebridge
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -39,23 +43,20 @@ type Overlay struct {
 	evo *core.Evolution
 
 	mu sync.Mutex
-	// lastRoutes caches each member's installed route table for diffing;
-	// hostVN and hostAnycast cache each host node's assigned IPvN address
-	// and anycast route.
-	lastRoutes  map[topology.RouterID]map[addr.VNPrefix]addr.V4
-	hostVN      map[topology.HostID]addr.VN
-	hostAnycast map[topology.HostID][]addr.V4
-	// provisioned flips after the first successful reconcile; from then
-	// on error epochs degrade to last-good instead of failing.
-	provisioned bool
+	// applied is the state the last successful reconcile installed, nil
+	// until the first; from then on error epochs degrade to it instead of
+	// failing.
+	applied *desiredState
 }
 
 // desiredState is one epoch's target overlay shape.
 type desiredState struct {
 	// members maps each bone member to its loopback (the node underlay).
 	members map[topology.RouterID]addr.V4
-	// routes is each member's per-host /128 table: prefix → next hop.
-	routes map[topology.RouterID]map[addr.VNPrefix]addr.V4
+	// routes is each member's per-host /128 table: prefix → next hops. An
+	// egress member holds a route only to a native host; a self-addressed
+	// packet leaves by the underlay address it carries.
+	routes map[topology.RouterID]map[addr.VNPrefix][]addr.V4
 	// hosts maps each endhost to its IPvN address.
 	hosts map[topology.HostID]addr.VN
 	// anycast is each endhost's anycast route: the member the simulated
@@ -75,7 +76,7 @@ func (o *Overlay) desired() (*desiredState, error) {
 	}
 	d := &desiredState{
 		members: map[topology.RouterID]addr.V4{},
-		routes:  map[topology.RouterID]map[addr.VNPrefix]addr.V4{},
+		routes:  map[topology.RouterID]map[addr.VNPrefix][]addr.V4{},
 		hosts:   map[topology.HostID]addr.VN{},
 		anycast: map[topology.HostID][]addr.V4{},
 	}
@@ -103,7 +104,7 @@ func (o *Overlay) desired() (*desiredState, error) {
 		d.anycast[h.ID] = route
 	}
 	for m := range d.members {
-		table := map[addr.VNPrefix]addr.V4{}
+		table := map[addr.VNPrefix][]addr.V4{}
 		for _, h := range evo.Net.Hosts {
 			v := d.hosts[h.ID]
 			// The same decision Send's flow skeleton takes from this member.
@@ -111,11 +112,12 @@ func (o *Overlay) desired() (*desiredState, error) {
 			if err != nil {
 				return nil, fmt.Errorf("livebridge: route for %s from %d: %w", h.Name, m, err)
 			}
-			if dec.Member == m || len(dec.BonePath) < 2 {
+			switch {
+			case dec.Member != m && len(dec.BonePath) >= 2:
+				table[addr.HostVNPrefix(v)] = []addr.V4{evo.Net.Router(dec.BonePath[1]).Loopback}
+			case !v.IsSelf():
 				// This member is the egress: exit straight to the host.
-				table[addr.HostVNPrefix(v)] = h.Addr
-			} else {
-				table[addr.HostVNPrefix(v)] = o.evo.Net.Router(dec.BonePath[1]).Loopback
+				table[addr.HostVNPrefix(v)] = []addr.V4{h.Addr}
 			}
 		}
 		d.routes[m] = table
@@ -128,13 +130,10 @@ func (o *Overlay) desired() (*desiredState, error) {
 // changes after provisioning are applied in place by Reconcile.
 func Provision(evo *core.Evolution) (*Overlay, error) {
 	o := &Overlay{
-		Reg:         overlaynet.NewRegistry(),
-		Members:     map[topology.RouterID]*overlaynet.Node{},
-		Hosts:       map[topology.HostID]*overlaynet.Node{},
-		evo:         evo,
-		lastRoutes:  map[topology.RouterID]map[addr.VNPrefix]addr.V4{},
-		hostVN:      map[topology.HostID]addr.VN{},
-		hostAnycast: map[topology.HostID][]addr.V4{},
+		Reg:     overlaynet.NewRegistry(),
+		Members: map[topology.RouterID]*overlaynet.Node{},
+		Hosts:   map[topology.HostID]*overlaynet.Node{},
+		evo:     evo,
 	}
 	if err := o.Reconcile(); err != nil {
 		o.Close()
@@ -143,27 +142,32 @@ func Provision(evo *core.Evolution) (*Overlay, error) {
 	return o, nil
 }
 
-// Reconcile diffs the running overlay against the Evolution's current
-// routing epoch and applies the delta in place: retired members are
-// closed, new members spawned, and changed route tables, host addresses
-// and host anycast routes patched. Unaffected nodes are never touched —
-// their sockets, inboxes and counters carry across epochs. On an error
-// epoch a provisioned overlay keeps its last-good configuration (counted
-// as a reconcile fallback) and returns the epoch's error; an
-// unprovisioned one fails.
+// Reconcile diffs the Evolution's current routing epoch against the
+// state the last reconcile applied and installs the delta in place:
+// retired members are closed, new members and hosts spawned, and changed
+// route tables, host addresses and host anycast routes set whole.
+// Unaffected nodes are never touched — their sockets, inboxes and
+// counters carry across epochs — so a reconcile with nothing to change
+// counts no delta. On an error epoch a provisioned overlay keeps its
+// last-good configuration (counted as a reconcile fallback) and returns
+// the epoch's error; an unprovisioned one fails.
 func (o *Overlay) Reconcile() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
 	d, err := o.desired()
 	if err != nil {
-		if o.provisioned {
+		if o.applied != nil {
 			o.Reg.Counters().ReconcileFallback()
-			return err
 		}
 		return err
 	}
-
+	// A node this reconcile spawns is in no earlier record, so it is
+	// given all of its state.
+	var last desiredState
+	if o.applied != nil {
+		last = *o.applied
+	}
 	deltas := 0
 
 	// Retire members no longer in the bone.
@@ -171,7 +175,6 @@ func (o *Overlay) Reconcile() error {
 		if _, keep := d.members[id]; !keep {
 			n.Close()
 			delete(o.Members, id)
-			delete(o.lastRoutes, id)
 			deltas++
 		}
 	}
@@ -182,63 +185,46 @@ func (o *Overlay) Reconcile() error {
 		}
 		n, err := overlaynet.NewNode(o.Reg, loopback)
 		if err != nil {
+			// Some nodes may hold this epoch's state already: record
+			// nothing as installed, so the next reconcile sets them all.
+			o.applied = &desiredState{}
 			return err
 		}
 		n.ServeAnycast(o.evo.AnycastAddr())
 		o.Members[id] = n
 		deltas++
 	}
-	// Patch changed route tables wholesale (cheap: tables are small and
-	// the swap is atomic per prefix under the node's lock).
+	// Swap changed route tables whole.
 	for id, table := range d.routes {
-		if routesEqual(o.lastRoutes[id], table) {
+		if prev, ok := last.routes[id]; ok && maps.EqualFunc(prev, table, slices.Equal) {
 			continue
 		}
-		n := o.Members[id]
-		n.ClearVNRoutes()
-		for p, via := range table {
-			n.AddVNRoute(p, via)
-		}
-		o.lastRoutes[id] = table
+		o.Members[id].SetVNRoutes(table)
 		deltas++
 	}
 
-	// Hosts: spawn new, retire gone, re-address changed.
-	for id, n := range o.Hosts {
-		if _, keep := d.hosts[id]; !keep {
-			n.Close()
-			delete(o.Hosts, id)
-			delete(o.hostVN, id)
-			delete(o.hostAnycast, id)
-			deltas++
-		}
-	}
+	// Hosts: spawn new, re-address changed. Every topology host is in
+	// every usable epoch's desired state, so none retires.
 	for _, h := range o.evo.Net.Hosts {
-		v, ok := d.hosts[h.ID]
-		if !ok {
-			continue
-		}
-		route := d.anycast[h.ID]
+		v, route := d.hosts[h.ID], d.anycast[h.ID]
 		if n, have := o.Hosts[h.ID]; have {
-			if o.hostVN[h.ID] != v {
+			if last.hosts[h.ID] != v {
 				n.SetVNAddr(v)
-				o.hostVN[h.ID] = v
 				deltas++
 			}
-			if !slices.Equal(o.hostAnycast[h.ID], route) {
+			if !slices.Equal(last.anycast[h.ID], route) {
 				n.SetAnycastRoute(o.evo.AnycastAddr(), route[0], route[1:]...)
-				o.hostAnycast[h.ID] = route
 				deltas++
 			}
 			continue
 		}
 		n, err := overlaynet.NewNode(o.Reg, h.Addr)
 		if err != nil {
+			o.applied = &desiredState{}
 			return err
 		}
 		n.SetVNAddr(v)
 		n.SetAnycastRoute(o.evo.AnycastAddr(), route[0], route[1:]...)
-		o.hostAnycast[h.ID] = route
 		// A reliable send that exhausts its retransmission budget is the
 		// live plane's per-flow delivery-failure signal: feed it back into
 		// the simulator's flow-health layer (a no-op when the Evolution's
@@ -251,20 +237,8 @@ func (o *Overlay) Reconcile() error {
 	if deltas > 0 {
 		o.Reg.Counters().ReconcileDeltas(deltas)
 	}
-	o.provisioned = true
+	o.applied = d
 	return nil
-}
-
-func routesEqual(a, b map[addr.VNPrefix]addr.V4) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for p, v := range a {
-		if b[p] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Send delivers a payload from src to dst over the live overlay (host

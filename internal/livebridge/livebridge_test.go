@@ -340,6 +340,79 @@ func TestReconcileMovesIngress(t *testing.T) {
 	}
 }
 
+// TestNoopReconcileInstallsNothing: a Reconcile with no mutation since
+// the last one finds every node as the epoch wants it and counts no
+// delta.
+func TestNoopReconcileInstallsNothing(t *testing.T) {
+	net, err := topology.TransitStub(2, 2, 0.3, topology.GenConfig{
+		Seed: 5, RoutersPerDomain: 2, HostsPerDomain: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evo, err := core.New(net, core.Config{Option: anycast.Option1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evo.DeployDomain(net.DomainByName("T0").ASN, 0)
+	o, err := Provision(evo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	before := o.Reg.Counters().Snapshot().ReconcileDeltas
+	if err := o.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	if d := o.Reg.Counters().Snapshot().ReconcileDeltas - before; d != 0 {
+		t.Errorf("no-op reconcile counted %d deltas over %d hosts", d, len(net.Hosts))
+	}
+}
+
+// TestEgressExitsByCarriedAddress: the egress toward a self-addressed
+// host holds no route to it, so the packet leaves by the underlay address
+// it carries (counted as an exit); toward a native host the egress
+// forwards by its route.
+func TestEgressExitsByCarriedAddress(t *testing.T) {
+	net, evo := buildEvo(t, bgpvn.PathInformed)
+	o, err := Provision(evo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+
+	src := net.HostsIn(net.DomainByName("S0.0").ASN)[0]
+	for _, c := range []struct {
+		dst               *topology.Host
+		forwarded, exited uint64
+	}{
+		{net.HostsIn(net.DomainByName("S0.1").ASN)[0], 0, 1},
+		{net.HostsIn(net.DomainByName("S1.0").ASN)[0], 1, 0},
+	} {
+		v, err := evo.HostVNAddr(c.dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.IsSelf() != (c.exited == 1) {
+			t.Fatalf("precondition: %s self-addressed=%v", c.dst.Name, v.IsSelf())
+		}
+		sim, err := evo.Send(src, c.dst, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		egress := o.Members[sim.Egress.Member]
+		was := egress.Stats()
+		if _, err := o.Send(src, c.dst, []byte("exit"), timeout); err != nil {
+			t.Fatal(err)
+		}
+		s := egress.Stats()
+		if fwd, exit := s.Forwarded-was.Forwarded, s.Exited-was.Exited; fwd != c.forwarded || exit != c.exited {
+			t.Errorf("egress toward %s (%s): forwarded %d exited %d, want %d and %d",
+				c.dst.Name, v, fwd, exit, c.forwarded, c.exited)
+		}
+	}
+}
+
 func TestProvisionRequiresDeployment(t *testing.T) {
 	net, err := topology.TransitStub(2, 2, 0, topology.GenConfig{Seed: 6, HostsPerDomain: 1})
 	if err != nil {

@@ -95,7 +95,7 @@ func TestFaultTrainDropsMatchSingleWrites(t *testing.T) {
 		next := u(51)
 		sink := wireSink(t, reg, next)
 		dst := addr.SelfAddress(u(99))
-		r.AddVNRoute(addr.HostVNPrefix(dst), next)
+		r.SetVNRoutes(map[addr.VNPrefix][]addr.V4{addr.HostVNPrefix(dst): {next}})
 		reg.SetFaultTransport(NewFaultTransport(FaultConfig{Seed: 9, DropRate: 0.5}))
 
 		var train []byte

@@ -214,7 +214,7 @@ func TestRouteFailoverToAlternate(t *testing.T) {
 	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
 	hostB.SetVNAddr(addr.SelfAddress(hostB.Underlay))
 	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)
-	ingress.AddVNRoute(selfAll, m1.Underlay, m2.Underlay)
+	ingress.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {m1.Underlay, m2.Underlay}})
 	// m1 and m2 both exit via the underlay option (no further routes).
 
 	if err := hostA.SendVN(any, hostB.VNAddr(), []byte("via-primary")); err != nil {

@@ -6,6 +6,11 @@
 // the host toward the anycast address, decap/relay at each vN router,
 // exit toward self-addressed destinations — over genuine sockets.
 //
+// A node's bone table is set whole (SetVNRoutes). A packet its table has
+// no route for leaves the bone by the underlay address a self-addressed
+// destination carries in an option (paper §3.3.2), counted as an exit;
+// a native destination without a route is a drop.
+//
 // A node relays unicast IPvN packets only: it keeps no multicast group
 // state, so a packet addressed to an IPvN multicast group is dropped
 // (internal/vncast computes group trees in the simulator).
@@ -261,8 +266,8 @@ type Node struct {
 	// "pong:" replies sent back through the given anycast address.
 	echoVia addr.V4
 	echoOn  bool
-	// peers is the liveness probing target set, auto-populated from route
-	// next hops and extended explicitly with AddPeer.
+	// peers is the liveness probing target set: every next hop a bone
+	// route has named.
 	peers map[addr.V4]*peerState
 	live  *livenessState
 	rel   *reliableState
@@ -383,17 +388,29 @@ func (n *Node) EnableEcho(via addr.V4) {
 	n.echoOn = true
 }
 
-// AddVNRoute installs a bone route: IPvN prefix → next-hop member's
-// underlay address, with optional ordered alternates used when the
-// primary is dead or suspected. Every next hop becomes a liveness
-// probing peer.
-func (n *Node) AddVNRoute(p addr.VNPrefix, via addr.V4, alts ...addr.V4) {
+// SetVNRoutes replaces the node's bone route table: IPvN prefix → the
+// next-hop members' underlay addresses, the primary first, then ordered
+// alternates used when it is dead or suspected; a prefix with no next hop
+// gets no route. The table is built before the node's lock is taken and
+// swapped in whole, so a packet relayed meanwhile finds the old table or
+// the new one, never a part of either. Every next hop becomes a liveness
+// probing peer; peers the old table named are kept, their health history
+// surviving route churn. The node keeps the slices; the caller must not
+// modify them afterwards.
+func (n *Node) SetVNRoutes(routes map[addr.VNPrefix][]addr.V4) {
+	var table rib.TableVN[nextHops]
+	for p, hops := range routes {
+		if len(hops) > 0 {
+			table.Insert(p, hops)
+		}
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.routes.Insert(p, append(nextHops{via}, alts...))
-	n.addPeerLocked(via)
-	for _, a := range alts {
-		n.addPeerLocked(a)
+	n.routes = table
+	for _, hops := range routes {
+		for _, h := range hops {
+			n.addPeerLocked(h)
+		}
 	}
 }
 
@@ -406,15 +423,6 @@ func (n *Node) SetAnycastRoute(a, via addr.V4, alts ...addr.V4) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.anycast[a] = append(nextHops{via}, alts...)
-}
-
-// ClearVNRoutes drops the node's entire bone route table (epoch
-// reconciliation replaces tables wholesale). Probing peers are kept;
-// their health history survives route churn.
-func (n *Node) ClearVNRoutes() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.routes = rib.TableVN[nextHops]{}
 }
 
 // Stats returns a snapshot of the node's counters. Each field is read

@@ -47,8 +47,8 @@ func buildChain(t *testing.T) (reg *Registry, hostA, hostB *Node, routers []*Nod
 
 	// Bone routes: everything self-addressed rides R1→R2→R3.
 	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)
-	r1.AddVNRoute(selfAll, r2.Underlay)
-	r2.AddVNRoute(selfAll, r3.Underlay)
+	r1.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {r2.Underlay}})
+	r2.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {r3.Underlay}})
 	// R3 deliberately has no route: it exits via OptUnderlayDst.
 	return reg, hostA, hostB, routers, anycastAddr
 }
@@ -95,7 +95,7 @@ func TestAnycastFailover(t *testing.T) {
 	}
 	r0.ServeAnycast(any)
 	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)
-	r0.AddVNRoute(selfAll, routers[1].Underlay)
+	r0.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {routers[1].Underlay}})
 	hostA.SetAnycastRoute(any, r0.Underlay, routers[0].Underlay)
 
 	if err := hostA.SendVN(any, hostB.VNAddr(), []byte("via r0")); err != nil {
@@ -134,9 +134,9 @@ func TestNativeDeliveryViaBoneRoute(t *testing.T) {
 	nativeDst.SetVNAddr(v)
 	// Bone routes for domain 42's prefix down the chain to the dst node.
 	p := addr.DomainVNPrefix(42)
-	routers[0].AddVNRoute(p, routers[1].Underlay)
-	routers[1].AddVNRoute(p, routers[2].Underlay)
-	routers[2].AddVNRoute(p, nativeDst.Underlay)
+	routers[0].SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {routers[1].Underlay}})
+	routers[1].SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {routers[2].Underlay}})
+	routers[2].SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {nativeDst.Underlay}})
 
 	if err := hostA.SendVN(any, v, []byte("native")); err != nil {
 		t.Fatal(err)
@@ -147,6 +147,72 @@ func TestNativeDeliveryViaBoneRoute(t *testing.T) {
 	}
 	if string(got.Payload) != "native" {
 		t.Errorf("payload = %q", got.Payload)
+	}
+}
+
+// TestSetVNRoutesSwapsWhole: a relay whose two-prefix table another
+// goroutine re-installs in a loop forwards every packet crossing it. The
+// packets are native, so one that found no route would be dropped rather
+// than exit by a carried address: the table is swapped whole, never seen
+// empty or half-filled.
+func TestSetVNRoutesSwapsWhole(t *testing.T) {
+	reg := NewRegistry()
+	mk := func(last byte) *Node {
+		n, err := NewNode(reg, u(last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	src, r, dst := mk(1), mk(11), mk(20)
+	any, err := addr.Option1Address(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ServeAnycast(any)
+	src.SetAnycastRoute(any, r.Underlay)
+	v := addr.NativeVN(42, 0)
+	dst.SetVNAddr(v)
+	table := map[addr.VNPrefix][]addr.V4{
+		addr.DomainVNPrefix(42): {dst.Underlay},
+		addr.DomainVNPrefix(43): {dst.Underlay},
+	}
+	r.SetVNRoutes(table)
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.SetVNRoutes(table)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-stopped
+	}()
+
+	// In windows the inbox holds, so only the relay can lose a packet.
+	const total, window = 2000, 100
+	for sent := 0; sent < total; sent += window {
+		for i := 0; i < window; i++ {
+			if err := src.SendVN(any, v, []byte("swap")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < window; i++ {
+			if _, err := dst.WaitInbox(waitShort); err != nil {
+				t.Fatalf("packet %d lost: %v (relay %+v)", sent+i, err, r.Stats())
+			}
+		}
+	}
+	if s := r.Stats(); s.Dropped != 0 || s.Forwarded != total {
+		t.Errorf("relay stats %+v, want %d forwarded and none dropped", s, total)
 	}
 }
 
@@ -207,8 +273,8 @@ func TestHopLimitStopsLoops(t *testing.T) {
 	a.ServeAnycast(loopAny)
 	dst := addr.VN{Hi: 0x77} // no one owns it
 	p := addr.MakeVNPrefix(dst, 16)
-	a.AddVNRoute(p, b.Underlay)
-	b.AddVNRoute(p, a.Underlay)
+	a.SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {b.Underlay}})
+	b.SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {a.Underlay}})
 
 	src, err := NewNode(reg, u(33))
 	if err != nil {

@@ -80,7 +80,7 @@ func TestRelayMatchesPatchEncap(t *testing.T) {
 	next := u(51)
 	sink := wireSink(t, reg, next)
 	dst := addr.SelfAddress(u(99))
-	r.AddVNRoute(addr.HostVNPrefix(dst), next)
+	r.SetVNRoutes(map[addr.VNPrefix][]addr.V4{addr.HostVNPrefix(dst): {next}})
 
 	rng := rand.New(rand.NewSource(1))
 	ep := tunnel.NewEndpoint(r.Underlay)
@@ -161,7 +161,7 @@ func TestRelayCoalescesBacklog(t *testing.T) {
 	next := u(53)
 	sink := wireSink(t, reg, next)
 	dst := addr.SelfAddress(u(98))
-	r.AddVNRoute(addr.HostVNPrefix(dst), next)
+	r.SetVNRoutes(map[addr.VNPrefix][]addr.V4{addr.HostVNPrefix(dst): {next}})
 
 	// 184-byte packets, eight to a train; the backlog arrives as one
 	// datagram, which the handler walks exactly as it would the same

@@ -47,10 +47,10 @@ func TestLiveSoakFailover(t *testing.T) {
 	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)
 	for _, ing := range []*Node{ingA, ingB} {
 		ing.ServeAnycast(any)
-		ing.AddVNRoute(selfAll, m1.Underlay, m1b.Underlay)
+		ing.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {m1.Underlay, m1b.Underlay}})
 	}
 	for _, m := range []*Node{m1, m1b} {
-		m.AddVNRoute(selfAll, exit.Underlay)
+		m.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {exit.Underlay}})
 	}
 	// exit has no bone route: it leaves via the underlay option — both
 	// toward the receiver and for acks exiting back to each sender.
