@@ -259,9 +259,13 @@ type Node struct {
 	vnAddr addr.VN
 	served map[addr.V4]bool
 
+	// routes is the bone table, IPvN prefix → next-hop set. SetVNRoutes
+	// replaces it whole and never edits a published one, so a relay reads
+	// it without taking mu.
+	routes atomic.Pointer[rib.TableVN[nextHops]]
+
 	mu      sync.RWMutex
-	routes  rib.TableVN[nextHops] // IPvN prefix → next-hop set
-	anycast map[addr.V4]nextHops  // anycast address → members, nearest first
+	anycast map[addr.V4]nextHops // anycast address → members, nearest first
 	// echoVia, when set, makes the node answer "ping:" payloads with
 	// "pong:" replies sent back through the given anycast address.
 	echoVia addr.V4
@@ -324,6 +328,7 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 		tx:       make(chan outgoing, rxDepth),
 		done:     make(chan struct{}),
 	}
+	n.routes.Store(&rib.TableVN[nextHops]{})
 	reg.Register(underlay, conn.LocalAddr().(*net.UDPAddr))
 	n.wg.Add(2)
 	go n.readLoop()
@@ -391,14 +396,14 @@ func (n *Node) EnableEcho(via addr.V4) {
 // SetVNRoutes replaces the node's bone route table: IPvN prefix → the
 // next-hop members' underlay addresses, the primary first, then ordered
 // alternates used when it is dead or suspected; a prefix with no next hop
-// gets no route. The table is built before the node's lock is taken and
-// swapped in whole, so a packet relayed meanwhile finds the old table or
-// the new one, never a part of either. Every next hop becomes a liveness
-// probing peer; peers the old table named are kept, their health history
-// surviving route churn. The node keeps the slices; the caller must not
-// modify them afterwards.
+// gets no route. The table is built aside and swapped in whole, so a
+// packet relayed meanwhile finds the old table or the new one, never a
+// part of either. Every next hop becomes a liveness probing peer; peers
+// the old table named are kept, their health history surviving route
+// churn. The node keeps the slices; the caller must not modify them
+// afterwards.
 func (n *Node) SetVNRoutes(routes map[addr.VNPrefix][]addr.V4) {
-	var table rib.TableVN[nextHops]
+	table := &rib.TableVN[nextHops]{}
 	for p, hops := range routes {
 		if len(hops) > 0 {
 			table.Insert(p, hops)
@@ -406,7 +411,7 @@ func (n *Node) SetVNRoutes(routes map[addr.VNPrefix][]addr.V4) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.routes = table
+	n.routes.Store(table)
 	for _, hops := range routes {
 		for _, h := range hops {
 			n.addPeerLocked(h)
@@ -722,10 +727,7 @@ func (n *Node) handle(wire []byte) {
 	}
 
 	// Forward over the bone.
-	n.mu.RLock()
-	nh, _, haveRoute := n.routes.Lookup(inner.Dst)
-	n.mu.RUnlock()
-	if haveRoute {
+	if nh, _, haveRoute := n.routes.Load().Lookup(inner.Dst); haveRoute {
 		n.relay(nh, wire, &n.stats.forwarded)
 		return
 	}

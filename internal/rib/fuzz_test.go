@@ -7,9 +7,9 @@ import (
 	"github.com/evolvable-net/evolve/internal/addr"
 )
 
-// Fuzz targets: the binary-trie tables against a linear-scan oracle.
+// Fuzz targets: the per-length hash tables against a linear-scan oracle.
 // Arbitrary bytes are decoded into a route set (with deletions) plus
-// probe addresses; for every probe, trie Lookup must agree with the
+// probe addresses; for every probe, the table's Lookup must agree with the
 // obviously-correct oracle — same hit/miss, same matched prefix, same
 // value. Prefixes are canonicalized on decode exactly as MakePrefix
 // does, so last-insert-wins semantics line up between table and oracle.
@@ -123,16 +123,16 @@ func FuzzTable4Lookup(f *testing.F) {
 			}
 		}
 
-		// Drain: deleting every surviving route must return the trie to
-		// its empty baseline — prune-on-delete means no leaked interior
-		// nodes after insert+delete cycles.
+		// Drain: deleting every surviving route must return the table to
+		// its empty baseline — a level goes with its last route, so no
+		// insert+delete cycle leaves one behind.
 		for p := range oracle {
 			if !table.Delete(p) {
 				t.Fatalf("drain Delete(%v) missed a live route", p)
 			}
 		}
-		if table.Len() != 0 || table.NodeCount() != 0 {
-			t.Fatalf("after drain: Len=%d NodeCount=%d, want 0,0", table.Len(), table.NodeCount())
+		if table.Len() != 0 || table.Levels() != 0 {
+			t.Fatalf("after drain: Len=%d Levels=%d, want 0,0", table.Len(), table.Levels())
 		}
 	})
 }
@@ -203,15 +203,14 @@ func FuzzTableVNLookup(f *testing.F) {
 			}
 		}
 
-		// Drain to the empty baseline: prune-on-delete must leave no
-		// interior nodes behind.
+		// Drain to the empty baseline: no level may be left behind.
 		for p := range oracle {
 			if !table.Delete(p) {
 				t.Fatalf("drain Delete(%v) missed a live route", p)
 			}
 		}
-		if table.Len() != 0 || table.NodeCount() != 0 {
-			t.Fatalf("after drain: Len=%d NodeCount=%d, want 0,0", table.Len(), table.NodeCount())
+		if table.Len() != 0 || table.Levels() != 0 {
+			t.Fatalf("after drain: Len=%d Levels=%d, want 0,0", table.Len(), table.Levels())
 		}
 	})
 }

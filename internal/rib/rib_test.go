@@ -127,6 +127,82 @@ func TestTable4Walk(t *testing.T) {
 	}
 }
 
+// TestTableVNWalk is TestTable4Walk's twin over random IPvN tables: Walk
+// visits every route once with its value, ordered by (Addr, Len) — the
+// order BGP's convergeAllLocked relies on — and stops early.
+func TestTableVNWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 20; round++ {
+		var tbl TableVN[int]
+		want := map[addr.VNPrefix]int{}
+		for i := 0; i < 60; i++ {
+			// Few distinct high words, so prefixes nest and share
+			// addresses at different lengths.
+			a := addr.VN{Hi: uint64(rng.Intn(4)) << 60, Lo: rng.Uint64()}
+			p := addr.MakeVNPrefix(a, uint8(rng.Intn(129)))
+			tbl.Insert(p, i)
+			want[p] = i
+		}
+		var seen []addr.VNPrefix
+		tbl.Walk(func(p addr.VNPrefix, v int) bool {
+			if w, ok := want[p]; !ok || w != v {
+				t.Fatalf("walk visited %v=%d, want %d (present %v)", p, v, w, ok)
+			}
+			seen = append(seen, p)
+			return true
+		})
+		if len(seen) != len(want) {
+			t.Fatalf("walk visited %d routes, table has %d", len(seen), len(want))
+		}
+		for i := 1; i < len(seen); i++ {
+			a, b := seen[i-1], seen[i]
+			inOrder := a.Addr.Hi < b.Addr.Hi ||
+				a.Addr.Hi == b.Addr.Hi && (a.Addr.Lo < b.Addr.Lo || a.Addr.Lo == b.Addr.Lo && a.Len < b.Len)
+			if !inOrder {
+				t.Fatalf("walk not in (Addr, Len) order: %v then %v", a, b)
+			}
+		}
+		n := 0
+		tbl.Walk(func(addr.VNPrefix, int) bool { n++; return false })
+		if n != 1 {
+			t.Errorf("early stop visited %d", n)
+		}
+	}
+}
+
+// TestLookupAllocatesNothing: a lookup, a match chain and an exact probe
+// on either table allocate nothing, hit or miss.
+func TestLookupAllocatesNothing(t *testing.T) {
+	var t4 Table4[int]
+	t4.Insert(addr.MustParsePrefix("10.0.0.0/8"), 1)
+	t4.Insert(addr.MustParsePrefix("10.1.0.0/16"), 2)
+	var tvn TableVN[int]
+	host := addr.NativeVN(7, 3)
+	tvn.Insert(addr.DomainVNPrefix(7), 1)
+	tvn.Insert(addr.HostVNPrefix(host), 2)
+	a, miss := addr.MustParseV4("10.1.2.3"), addr.MustParseV4("11.0.0.1")
+	p16, p24 := addr.MustParsePrefix("10.1.0.0/16"), addr.MustParsePrefix("10.1.0.0/24")
+	n := 0
+	count := func(addr.Prefix, int) bool { n++; return true }
+	countVN := func(addr.VNPrefix, int) bool { n++; return true }
+	ops := map[string]func(){
+		"Table4.Lookup":   func() { t4.Lookup(a); t4.Lookup(miss) },
+		"Table4.Matches":  func() { t4.Matches(a, count) },
+		"Table4.Exact":    func() { t4.Exact(p16); t4.Exact(p24) },
+		"TableVN.Lookup":  func() { tvn.Lookup(host); tvn.Lookup(addr.NativeVN(8, 0)) },
+		"TableVN.Matches": func() { tvn.Matches(host, countVN) },
+		"TableVN.Exact":   func() { tvn.Exact(addr.HostVNPrefix(host)); tvn.Exact(addr.DomainVNPrefix(8)) },
+	}
+	for name, op := range ops {
+		if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", name, allocs)
+		}
+	}
+	if n == 0 {
+		t.Error("Matches visited nothing")
+	}
+}
+
 // linearTable is a brute-force longest-prefix-match oracle.
 type linearTable struct {
 	entries []struct {
@@ -266,32 +342,39 @@ func TestTableVNExactBitBoundary(t *testing.T) {
 
 func TestTable4PruneOnDelete(t *testing.T) {
 	var tbl Table4[int]
-	if tbl.NodeCount() != 0 {
-		t.Fatalf("empty NodeCount = %d", tbl.NodeCount())
+	if tbl.Levels() != 0 {
+		t.Fatalf("empty Levels = %d", tbl.Levels())
 	}
 	outer := addr.MustParsePrefix("10.0.0.0/8")
 	inner := addr.MustParsePrefix("10.1.2.0/24")
+	twin := addr.MustParsePrefix("10.1.3.0/24")
 	tbl.Insert(outer, 1)
-	after8 := tbl.NodeCount()
 	tbl.Insert(inner, 2)
-	if tbl.NodeCount() != after8+16 {
-		t.Fatalf("NodeCount = %d after /24 under /8, want %d", tbl.NodeCount(), after8+16)
+	tbl.Insert(twin, 3)
+	if tbl.Levels() != 2 {
+		t.Fatalf("Levels = %d after a /8 and two /24s, want 2", tbl.Levels())
 	}
-	// Deleting the /24 must prune the 16 interior nodes back to the /8.
+	// A level stays while it holds a route and goes with its last one.
+	if !tbl.Delete(twin) {
+		t.Fatal("delete failed")
+	}
+	if tbl.Levels() != 2 {
+		t.Fatalf("Levels = %d with one /24 left, want 2", tbl.Levels())
+	}
 	if !tbl.Delete(inner) {
 		t.Fatal("delete failed")
 	}
-	if tbl.NodeCount() != after8 {
-		t.Fatalf("NodeCount = %d after pruning /24, want %d", tbl.NodeCount(), after8)
+	if tbl.Levels() != 1 {
+		t.Fatalf("Levels = %d after deleting the last /24, want 1", tbl.Levels())
 	}
-	// Deleting the /8 empties the trie completely.
+	// Deleting the /8 empties the table completely.
 	if !tbl.Delete(outer) {
 		t.Fatal("delete failed")
 	}
-	if tbl.NodeCount() != 0 || tbl.Len() != 0 {
-		t.Fatalf("NodeCount = %d, Len = %d after full drain", tbl.NodeCount(), tbl.Len())
+	if tbl.Levels() != 0 || tbl.Len() != 0 {
+		t.Fatalf("Levels = %d, Len = %d after full drain", tbl.Levels(), tbl.Len())
 	}
-	// A set interior node must survive the deletion of its descendant.
+	// A more specific route must survive the deletion of its aggregate.
 	tbl.Insert(outer, 1)
 	tbl.Insert(inner, 2)
 	tbl.Delete(outer)
@@ -301,8 +384,8 @@ func TestTable4PruneOnDelete(t *testing.T) {
 }
 
 func TestTable4ChurnMemoryBounded(t *testing.T) {
-	// Sustained insert/delete churn must not grow the node count: this
-	// is the leak that made long-lived million-prefix tables impossible.
+	// Sustained insert/delete churn must leave no level behind: a table
+	// drained of its routes is back to zero levels.
 	rng := rand.New(rand.NewSource(42))
 	var tbl Table4[int]
 	resident := make([]addr.Prefix, 0, 256)
@@ -311,7 +394,6 @@ func TestTable4ChurnMemoryBounded(t *testing.T) {
 		tbl.Insert(p, i)
 		resident = append(resident, p)
 	}
-	baseline := tbl.NodeCount()
 	for cycle := 0; cycle < 50; cycle++ {
 		var churn []addr.Prefix
 		for i := 0; i < 512; i++ {
@@ -326,8 +408,8 @@ func TestTable4ChurnMemoryBounded(t *testing.T) {
 	for _, p := range resident {
 		tbl.Delete(p)
 	}
-	if got := tbl.NodeCount() + len(resident); tbl.NodeCount() != 0 {
-		t.Fatalf("NodeCount = %d after churn drain, want 0 (baseline with residents was %d, probe %d)", tbl.NodeCount(), baseline, got)
+	if tbl.Levels() != 0 || tbl.Len() != 0 {
+		t.Fatalf("Levels = %d, Len = %d after churn drain, want 0, 0", tbl.Levels(), tbl.Len())
 	}
 }
 
@@ -370,8 +452,8 @@ func TestTableVNPruneOnDelete(t *testing.T) {
 			t.Fatalf("delete asn %d failed", asn)
 		}
 	}
-	if tbl.NodeCount() != 0 || tbl.Len() != 0 {
-		t.Fatalf("NodeCount = %d, Len = %d after full drain", tbl.NodeCount(), tbl.Len())
+	if tbl.Levels() != 0 || tbl.Len() != 0 {
+		t.Fatalf("Levels = %d, Len = %d after full drain", tbl.Levels(), tbl.Len())
 	}
 }
 

@@ -679,7 +679,7 @@ func (s *System) Converge() {
 }
 
 func (s *System) convergeAllLocked() {
-	// Walk order (bit order over the index) is deterministic.
+	// Walk order ((Addr, Len) over the index) is deterministic.
 	var prefixes []addr.Prefix
 	s.index.Walk(func(p addr.Prefix, _ []topology.ASN) bool {
 		prefixes = append(prefixes, p)
@@ -820,7 +820,7 @@ type chainLink struct {
 // on. reindexLocked replaces both tables instead of editing them, and a
 // state is append-only and fills from the tables and originations it
 // captured, so a view answers from one consistent generation — with no
-// system lock and no trie walk — however the system changes after it was
+// system lock and no index lookup — however the system changes after it was
 // taken, and never indexes a state with a position from another table. A
 // walk resolves its destination once and asks the view at every AS hop.
 // The zero value is empty; System.Toward fills it. Not safe for
