@@ -1,7 +1,9 @@
-// Command overlayd runs a live vN-Bone demo on localhost: real UDP nodes
-// forming a chain of IPvN routers, two endhosts exchanging IPvN packets
+// Command overlayd runs a live vN-Bone demo on localhost. It provisions
+// E11's line of domains through the live bridge — stub A, then -routers
+// transits that each deploy IPvN, then stub B, under anycast option 1 —
+// so real UDP nodes carry IPvN packets between the two stubs' endhosts
 // through anycast ingress, bone relays and an underlay exit. It prints
-// each node's socket address and per-node forwarding counters.
+// each router's socket address and per-node forwarding counters.
 //
 // Usage:
 //
@@ -22,13 +24,15 @@
 //
 //	-drop-rate f     seeded probabilistic drop on every wire write
 //	-partition a-b   hard partition between two node underlays
-//	-kill-after d    close the preferred anycast ingress after d
+//	-kill-after d    close host A's anycast ingress after d
 //	-reliable        send the workload in acked/retransmitting mode
 //	-seed n          root for every fault and jitter PRNG
 //
-// When any fault flag is active the first two routers both serve the
-// anycast address, liveness probing runs between all bone neighbours,
-// and killing the preferred ingress demonstrates anycast failover.
+// Every router serves the anycast address. When any fault flag is
+// active, liveness probing runs between every node and its bone next
+// hops; after the kill, host A's sends fail over to the next router, and
+// a relay whose next hop died lets a self-addressed packet exit by the
+// underlay address it carries.
 //
 // -hold keeps the nodes (and the debug server) alive after the workload
 // finishes so the endpoints can be inspected at leisure.
@@ -53,13 +57,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("overlayd: ")
-	routers := flag.Int("routers", 4, "vN routers in the bone chain")
+	routers := flag.Int("routers", 4, "transit domains between the two stubs, each one vN router of the bone")
 	messages := flag.Int("messages", 10, "IPvN packets to send end to end")
 	debugAddr := flag.String("debug-addr", "", "serve live introspection on this HTTP address (/debug/counters, /debug/peers, /debug/vars, /debug/pprof/)")
 	hold := flag.Duration("hold", 0, "keep nodes and the debug server alive this long after the workload finishes")
 	dropRate := flag.Float64("drop-rate", 0, "seeded probabilistic drop rate on every wire write")
-	partition := flag.String("partition", "", "partition two nodes, e.g. 10.7.0.1-10.7.0.10")
-	killAfter := flag.Duration("kill-after", 0, "close the preferred anycast ingress this long into the workload")
+	partition := flag.String("partition", "", "partition two nodes, e.g. 0.1.0.2-0.2.0.1 (host A and router 1)")
+	killAfter := flag.Duration("kill-after", 0, "close host A's anycast ingress this long into the workload")
 	reliable := flag.Bool("reliable", false, "send the workload in acked/retransmitting mode")
 	seed := flag.Int64("seed", 1, "root seed for fault and jitter PRNGs")
 	flag.Parse()
@@ -71,62 +75,30 @@ func main() {
 		log.Fatal("fault flags need at least two routers (a backup ingress)")
 	}
 
-	reg := evolve.NewOverlayRegistry()
-	u := func(last byte) evolve.V4 {
-		a, err := evolve.ParseV4(fmt.Sprintf("10.7.0.%d", last))
-		if err != nil {
-			log.Fatal(err)
-		}
-		return a
-	}
-
-	hostA, err := evolve.NewOverlayNode(reg, u(1))
+	net, err := evolve.LineOfDomains(*routers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer hostA.Close()
-	hostB, err := evolve.NewOverlayNode(reg, u(2))
+	evo, err := evolve.New(net, evolve.Config{Option: evolve.Option1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer hostB.Close()
-
-	var bone []*evolve.OverlayNode
-	for i := 0; i < *routers; i++ {
-		n, err := evolve.NewOverlayNode(reg, u(byte(10+i)))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer n.Close()
-		bone = append(bone, n)
+	var chain []evolve.RouterID
+	for i := 1; i <= *routers; i++ {
+		chain = append(chain, net.DomainByName(fmt.Sprintf("T%d", i)).Routers...)
 	}
-
-	// The deployment's well-known anycast address; the first router is
-	// the preferred ingress, and under fault flags the second serves as
-	// the failover ingress.
-	anycastAddr, err := evolve.ParseV4("240.0.0.1")
+	evo.DeployRouters(chain)
+	o, err := evolve.ProvisionLiveOverlay(evo)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bone[0].ServeAnycast(anycastAddr)
-	members := []evolve.V4{bone[0].Underlay}
-	if faulty {
-		bone[1].ServeAnycast(anycastAddr)
-		members = append(members, bone[1].Underlay)
-	}
-	// The hosts send, echo and ack through the anycast address.
-	for _, h := range []*evolve.OverlayNode{hostA, hostB} {
-		h.SetAnycastRoute(anycastAddr, members[0], members[1:]...)
-	}
-
-	hostA.SetVNAddr(evolve.SelfAddress(hostA.Underlay))
-	hostB.SetVNAddr(evolve.SelfAddress(hostB.Underlay))
-
-	// Bone routes: all self-addressed traffic rides the chain; the last
-	// router exits via the carried underlay destination.
-	selfAll := evolve.VNPrefix{Addr: evolve.SelfAddress(0), Len: 1}
-	for i := 0; i+1 < len(bone); i++ {
-		bone[i].SetVNRoutes(map[evolve.VNPrefix][]evolve.V4{selfAll: {bone[i+1].Underlay}})
+	defer o.Close()
+	reg, anycastAddr := o.Reg, evo.AnycastAddr()
+	hA, hB := net.Hosts[0], net.Hosts[1]
+	hostA, hostB := o.Hosts[hA.ID], o.Hosts[hB.ID]
+	bone := make([]*evolve.OverlayNode, len(chain))
+	for i, r := range chain {
+		bone[i] = o.Members[r]
 	}
 
 	if faulty {
@@ -164,7 +136,7 @@ func main() {
 	}
 
 	fmt.Printf("anycast ingress %s (%d member(s)), %d bone routers, hosts %s ↔ %s\n",
-		anycastAddr, len(members), len(bone), hostA.Underlay, hostB.Underlay)
+		anycastAddr, len(o.Members), len(bone), hostA.Underlay, hostB.Underlay)
 	for i, n := range bone {
 		ep, _ := reg.Endpoint(n.Underlay)
 		fmt.Printf("  router %d: underlay %s udp %s\n", i+1, n.Underlay, ep)
@@ -224,9 +196,14 @@ func main() {
 	}
 
 	if *killAfter > 0 {
+		res, err := evo.ResolveAnycast(hA.Attach, anycastAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ingress := o.Members[res.Member]
 		time.AfterFunc(*killAfter, func() {
-			log.Printf("killing preferred ingress %s", bone[0].Underlay)
-			bone[0].Close()
+			log.Printf("killing host A's ingress %s", ingress.Underlay)
+			ingress.Close()
 		})
 	}
 

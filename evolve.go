@@ -219,6 +219,11 @@ func RingOfDomains(k int, cfg GenConfig) (*Network, error) {
 	return topology.RingOfDomains(k, cfg)
 }
 
+// LineOfDomains generates the live overlay demonstrations' world: stub
+// A, transits T1..Tn each the provider of the one before it, and stub B
+// below Tn, one router per domain; Hosts[0] is A's host, Hosts[1] B's.
+func LineOfDomains(n int) (*Network, error) { return topology.LineOfDomains(n) }
+
 // Waxman generates a random geometric AS graph.
 func Waxman(nDomains int, alpha, beta float64, cfg GenConfig) (*Network, error) {
 	return topology.Waxman(nDomains, alpha, beta, cfg)
@@ -243,14 +248,6 @@ func NewAdoptionModel(p AdoptionParams, net *Network) (*AdoptionModel, error) {
 // Summarize computes descriptive statistics of a sample (e.g. the
 // stretch sample from Evolution.StretchSample).
 func Summarize(xs []float64) Summary { return metrics.Summarize(xs) }
-
-// NewOverlayRegistry creates the live prototype's address registry.
-func NewOverlayRegistry() *OverlayRegistry { return overlaynet.NewRegistry() }
-
-// NewOverlayNode binds a live overlay node to a UDP socket on localhost.
-func NewOverlayNode(reg *OverlayRegistry, underlay V4) (*OverlayNode, error) {
-	return overlaynet.NewNode(reg, underlay)
-}
 
 // ProvisionLiveOverlay instantiates a live UDP overlay for an Evolution's
 // current deployment: one node per vN router and per host, routes and

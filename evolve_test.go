@@ -3,6 +3,7 @@ package evolve
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -121,17 +122,25 @@ func TestSummarizeFacade(t *testing.T) {
 }
 
 func TestOverlayFacade(t *testing.T) {
-	reg := NewOverlayRegistry()
-	a, err := ParseV4("10.9.0.1")
+	net, err := LineOfDomains(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewOverlayNode(reg, a)
+	evo, err := New(net, Config{Option: Option1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	if _, ok := reg.Endpoint(a); !ok {
-		t.Error("node not registered")
+	evo.DeployDomain(net.DomainByName("T1").ASN, 0)
+	o, err := ProvisionLiveOverlay(evo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	got, err := o.Send(net.Hosts[0], net.Hosts[1], []byte("hello live IPv8"), 3*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got.Payload) != "hello live IPv8" {
+		t.Errorf("payload = %q", got.Payload)
 	}
 }

@@ -3,10 +3,12 @@
 // working without touching a single endhost — the anycast address they
 // were configured with on day one keeps resolving.
 //
-// Act I replays the story on the simulator; act II replays it on the
-// live UDP overlay, where the failure is a real process-level kill of
-// the preferred ingress under a seeded 15% packet-drop schedule, and
-// the client's acked sends ride retransmission and anycast failover.
+// Act I replays the story on the simulator; act II provisions act I's
+// healed deployment onto the live UDP overlay, where the failure is a
+// real kill of the client's anycast ingress under a seeded 15%
+// packet-drop schedule, and the client's acked sends ride retransmission,
+// anycast failover and early exit past the dead router. The example
+// exits 1 when any acked send is lost.
 package main
 
 import (
@@ -106,87 +108,80 @@ func main() {
 
 	fmt.Println("\nthe client never reconfigured anything: same anycast address throughout.")
 
-	liveAct()
-}
-
-// liveAct replays the failover story on the live overlay: a client's
-// acked sends survive a seeded drop schedule and the death of the
-// preferred anycast ingress, with counter deltas printed per phase.
-func liveAct() {
-	fmt.Println("\n=== live overlay act ===")
-	reg := evolve.NewOverlayRegistry()
-	mk := func(s string) *evolve.OverlayNode {
-		a, err := evolve.ParseV4(s)
-		if err != nil {
-			log.Fatal(err)
-		}
-		n, err := evolve.NewOverlayNode(reg, a)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return n
-	}
-	client, server := mk("10.9.0.1"), mk("10.9.0.2")
-	ing1, ing2 := mk("10.9.0.11"), mk("10.9.0.12")
-	defer func() {
-		for _, n := range []*evolve.OverlayNode{client, server, ing2} {
-			n.Close()
-		}
-	}()
-
-	anycastAddr, err := evolve.ParseV4("240.0.0.1")
-	if err != nil {
+	if err := liveAct(evo, client, server); err != nil {
 		log.Fatal(err)
 	}
-	ing1.ServeAnycast(anycastAddr)
-	ing2.ServeAnycast(anycastAddr)
-	// The client sends and the server acks through the anycast address.
-	client.SetAnycastRoute(anycastAddr, ing1.Underlay, ing2.Underlay)
-	server.SetAnycastRoute(anycastAddr, ing1.Underlay, ing2.Underlay)
-	client.SetVNAddr(evolve.SelfAddress(client.Underlay))
-	server.SetVNAddr(evolve.SelfAddress(server.Underlay))
+}
 
+// liveAct replays the failover story on the live overlay: act I's healed
+// deployment is provisioned onto real sockets, and the client's acked
+// sends to the server survive a seeded drop schedule and the death of its
+// anycast ingress, with counter deltas printed per phase. It fails when
+// any send goes unacked.
+func liveAct(evo *evolve.Evolution, client, server *evolve.Host) error {
+	fmt.Println("\n=== live overlay act ===")
+	o, err := evolve.ProvisionLiveOverlay(evo)
+	if err != nil {
+		return err
+	}
+	defer o.Close()
+	anycastAddr := evo.AnycastAddr()
+	src, dst := o.Hosts[client.ID], o.Hosts[server.ID]
+	res, err := evo.ResolveAnycast(client.Attach, anycastAddr)
+	if err != nil {
+		return err
+	}
+	ingress := o.Members[res.Member]
+
+	// The client sends and the server acks through the anycast address.
 	rel := evolve.ReliableConfig{AckVia: anycastAddr, JitterSeed: 11}
-	client.EnableReliable(rel)
-	server.EnableReliable(rel)
+	src.EnableReliable(rel)
+	dst.EnableReliable(rel)
 	// Every wire write faces a 15% seeded drop lottery from here on.
-	reg.SetFaultTransport(evolve.NewFaultTransport(evolve.FaultConfig{
+	o.Reg.SetFaultTransport(evolve.NewFaultTransport(evolve.FaultConfig{
 		Seed: 11, DropRate: 0.15,
 	}))
 
+	lost := 0
 	send := func(phase string, n int) {
-		before := reg.Counters().Snapshot()
+		before := o.Reg.Counters().Snapshot()
 		acked := 0
 		for i := 0; i < n; i++ {
 			payload := []byte(fmt.Sprintf("%s:%d", phase, i))
-			if err := client.SendVNReliable(anycastAddr, server.VNAddr(), payload); err != nil {
+			if err := src.SendVNReliable(anycastAddr, dst.VNAddr(), payload); err != nil {
 				fmt.Printf("%-28s message %d lost for good: %v\n", phase, i, err)
 				continue
 			}
 			acked++
 		}
+		lost += n - acked
 		delivered := 0
 		for delivered < acked {
-			if _, err := server.WaitInbox(time.Second); err != nil {
+			if _, err := dst.WaitInbox(time.Second); err != nil {
 				break
 			}
 			delivered++
 		}
-		after := reg.Counters().Snapshot()
-		fmt.Printf("%-28s %d/%d acked, %d delivered  Δdropped=%d Δretransmits=%d Δdedup=%d\n",
+		after := o.Reg.Counters().Snapshot()
+		fmt.Printf("%-28s %d/%d acked, %d delivered  Δdropped=%d Δretransmits=%d Δdedup=%d Δroute failovers=%d\n",
 			phase+":", acked, n, delivered,
 			after.FaultDropped-before.FaultDropped,
 			after.Retransmits-before.Retransmits,
-			after.DedupDrops-before.DedupDrops)
+			after.DedupDrops-before.DedupDrops,
+			after.FailoversRoute-before.FailoversRoute)
 	}
 
 	send("lossy wire", 10)
 
-	fmt.Printf("\n*** killing preferred ingress %s ***\n", ing1.Underlay)
-	ing1.Close()
+	fmt.Printf("\n*** killing the client's ingress %s ***\n", ingress.Underlay)
+	ingress.Close()
 	send("after ingress kill", 10)
 
+	if lost > 0 {
+		return fmt.Errorf("%d messages went unacked", lost)
+	}
 	fmt.Println("\nsame anycast address, live sockets this time: drops were " +
 		"retransmitted, the dead ingress was routed around, nothing was " +
 		"delivered twice.")
+	return nil
 }

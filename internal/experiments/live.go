@@ -29,25 +29,15 @@ func LiveOverlay(seed int64) (*Table, error) {
 	// stub B below T4; the transits deploy IPv8, the stubs do not, so both
 	// hosts are self-addressed.
 	const boneLen = 4
-	b := topology.NewBuilder()
-	dA := b.AddDomain("A")
-	prev := b.AddRouter(dA, "")
-	hA := b.AddHost(dA, prev, "a", 1)
-	var chain []topology.RouterID
-	for i := 1; i <= boneLen; i++ {
-		r := b.AddRouter(b.AddDomain(fmt.Sprintf("T%d", i)), "")
-		b.Provide(r, prev, 10)
-		chain = append(chain, r)
-		prev = r
-	}
-	dB := b.AddDomain("B")
-	rB := b.AddRouter(dB, "")
-	b.Provide(prev, rB, 10)
-	hB := b.AddHost(dB, rB, "b", 1)
-	net, err := b.Build()
+	net, err := topology.LineOfDomains(boneLen)
 	if err != nil {
 		return nil, err
 	}
+	var chain []topology.RouterID
+	for i := 1; i <= boneLen; i++ {
+		chain = append(chain, net.DomainByName(fmt.Sprintf("T%d", i)).Routers...)
+	}
+	hA, hB := net.Hosts[0], net.Hosts[1]
 	evo, err := core.New(net, core.Config{Option: anycast.Option1})
 	if err != nil {
 		return nil, err

@@ -3,10 +3,12 @@
 // derived from the simulator's BGPvN decisions and each host's anycast
 // route led by the member the simulator's anycast resolution picks for
 // it. The simulator is the control plane; the overlay is the data plane.
-// Every packet a bridged Send delivers has crossed real sockets through
-// the exact trajectory the simulation predicts. An egress member holds a
-// route only to native hosts: a self-addressed packet leaves the bone by
-// the underlay address it carries (paper §3.3.2).
+// While the members on its path live, every packet a bridged Send
+// delivers has crossed real sockets through the exact trajectory the
+// simulation predicts. An egress member holds a route only to native
+// hosts: a self-addressed packet leaves the bone by the underlay address
+// it carries (paper §3.3.2), and so it does early, at the relay before a
+// dead member, until the next Reconcile.
 //
 // The overlay tracks deployment changes in place: Reconcile diffs the
 // current routing epoch against the one state it last applied and

@@ -674,3 +674,54 @@ func TestLiveSendsBesideMembershipChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestBridgedOverlaySurvivesMemberKill: on E11's line of domains, closing
+// host A's ingress member moves A's sends to the next member, and B's
+// acks, routed back through the dead member, leave the bone early by
+// A's carried address at the relay before it, so every reliable send is
+// acked without a Reconcile.
+func TestBridgedOverlaySurvivesMemberKill(t *testing.T) {
+	const transits, messages = 4, 10
+	net, err := topology.LineOfDomains(transits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evo, err := core.New(net, core.Config{Option: anycast.Option1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= transits; i++ {
+		evo.DeployRouters(net.DomainByName(fmt.Sprintf("T%d", i)).Routers)
+	}
+	o, err := Provision(evo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	enableReliable(o, overlaynet.ReliableConfig{
+		JitterSeed:     1,
+		MaxAttempts:    4,
+		RetransmitBase: 5 * time.Millisecond,
+		RetransmitMax:  20 * time.Millisecond,
+	})
+	a, b := net.Hosts[0], net.Hosts[1]
+	res, err := evo.ResolveAnycast(a.Attach, evo.AnycastAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Members[res.Member].Close()
+
+	for i := 0; i < messages; i++ {
+		payload := fmt.Sprintf("after kill %d", i)
+		got, err := sendReliable(o, a, b, []byte(payload), timeout)
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		if string(got.Payload) != payload {
+			t.Fatalf("message %d: payload = %q", i, got.Payload)
+		}
+	}
+	if s := o.Reg.Counters().Snapshot(); s.FailoversRoute == 0 {
+		t.Errorf("acks crossed no route failover: %+v", s)
+	}
+}

@@ -105,8 +105,8 @@ func FuzzDatagram(f *testing.F) {
 		if got := tally() - before; got != want {
 			t.Errorf("Stats moved by %d, want %d", got, want)
 		}
-		for len(n.Inbox) > 0 {
-			<-n.Inbox
+		for len(n.inbox) > 0 {
+			<-n.inbox
 		}
 	})
 }

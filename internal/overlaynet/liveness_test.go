@@ -247,6 +247,80 @@ func TestRouteFailoverToAlternate(t *testing.T) {
 	}
 }
 
+// TestRelayExitsPastDeadNextHops: a relay whose route has no live next
+// hop — its only one closed, or every one suspected — lets a
+// self-addressed packet leave the bone by the underlay address it
+// carries, counted as an exit and a route failover, while a native
+// destination routed past a closed next hop is still dropped.
+func TestRelayExitsPastDeadNextHops(t *testing.T) {
+	reg := NewRegistry()
+	mk := func(last byte) *Node {
+		n, err := NewNode(reg, u(last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	hostA, hostB, hostC := mk(1), mk(2), mk(3)
+	ingress, m1, m2, m3 := mk(11), mk(12), mk(13), mk(14)
+	any, _ := addr.Option1Address(0)
+	ingress.ServeAnycast(any)
+	hostA.SetAnycastRoute(any, ingress.Underlay)
+	for _, h := range []*Node{hostA, hostB, hostC} {
+		h.SetVNAddr(addr.SelfAddress(h.Underlay))
+	}
+	native := addr.NativeVN(42, 0)
+	ingress.SetVNRoutes(map[addr.VNPrefix][]addr.V4{
+		addr.HostVNPrefix(hostB.VNAddr()): {m1.Underlay},
+		addr.HostVNPrefix(hostC.VNAddr()): {m2.Underlay, m3.Underlay},
+		addr.DomainVNPrefix(42):           {m1.Underlay},
+	})
+	m1.Close()
+	reg.suspect(hostA.Underlay, m2.Underlay)
+	reg.suspect(hostA.Underlay, m3.Underlay)
+
+	for i, dst := range []*Node{hostB, hostC} {
+		was, failovers := ingress.Stats(), reg.Counters().Snapshot().FailoversRoute
+		if err := hostA.SendVN(any, dst.VNAddr(), []byte("exit")); err != nil {
+			t.Fatal(err)
+		}
+		got, err := dst.WaitInbox(waitShort)
+		if err != nil {
+			t.Fatalf("destination %d: %v", i, err)
+		}
+		if got.OuterSrc != ingress.Underlay {
+			t.Errorf("destination %d: outer src %s, want the ingress %s", i, got.OuterSrc, ingress.Underlay)
+		}
+		s := ingress.Stats()
+		if s.Exited != was.Exited+1 || s.Forwarded != was.Forwarded {
+			t.Errorf("destination %d: ingress %+v after %+v, want one exit", i, s, was)
+		}
+		if f := reg.Counters().Snapshot().FailoversRoute; f != failovers+1 {
+			t.Errorf("destination %d: %d route failovers counted, want 1", i, f-failovers)
+		}
+	}
+	if s := m2.Stats(); s != (Stats{}) {
+		t.Errorf("suspected m2 relayed: %+v", s)
+	}
+
+	was := ingress.Stats()
+	if err := hostA.SendVN(any, native, []byte("native")); err != nil {
+		t.Fatal(err)
+	}
+	// A drop taken back from a tally moves the drop first, so wait for
+	// the pair to settle.
+	want := was
+	want.Dropped++
+	deadline := time.Now().Add(waitShort)
+	for ingress.Stats() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("native packet past a closed next hop: ingress %+v, want %+v", ingress.Stats(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestUndecodableProbeDropped: a probe or ack too short to carry its nonce
 // is dropped and counted like any other undecodable datagram, and a short
 // ack does not clear suspicion of its sender.

@@ -7,9 +7,10 @@
 // exit toward self-addressed destinations — over genuine sockets.
 //
 // A node's bone table is set whole (SetVNRoutes). A packet its table has
-// no route for leaves the bone by the underlay address a self-addressed
-// destination carries in an option (paper §3.3.2), counted as an exit;
-// a native destination without a route is a drop.
+// no route for, or whose route has no live next hop, leaves the bone by
+// the underlay address a self-addressed destination carries in an option
+// (paper §3.3.2), counted as an exit; a native destination without a
+// route is a drop.
 //
 // A node relays unicast IPvN packets only: it keeps no multicast group
 // state, so a packet addressed to an IPvN multicast group is dropped
@@ -167,35 +168,25 @@ func (r *Registry) aliveLocked(a addr.V4) bool {
 
 // target chooses the next hop from a next-hop set — a relay's bone route,
 // or the anycast route of a packet the node originates — and resolves its
-// endpoint, in one locked pass over the registry's tables.
-func (r *Registry) target(nh nextHops) (next addr.V4, ep *net.UDPAddr, err error) {
+// endpoint, in one locked pass over the registry's tables: the first
+// registered, unsuspected candidate in order (live); failing that, the
+// first registered one (suspicion is a hint, and a possibly-dead hop
+// beats a certain black hole); failing that, the first, with a nil
+// endpoint.
+func (r *Registry) target(nh nextHops) (next addr.V4, ep *net.UDPAddr, live bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	next = r.pickLocked(nh)
-	ep, ok := r.unicast[next]
-	if !ok {
-		return next, nil, fmt.Errorf("%w: %s", ErrUnknownUnderlay, next)
-	}
-	return next, ep, nil
-}
-
-// pickLocked is target's choice: the first registered, unsuspected
-// candidate in order; failing that, the first registered one (suspicion
-// is a hint, and a possibly-dead hop beats a certain black hole); failing
-// that, the first, which then does not resolve. Callers hold mu (any
-// mode).
-func (r *Registry) pickLocked(nh nextHops) addr.V4 {
 	for _, c := range nh {
 		if r.aliveLocked(c) {
-			return c
+			return c, r.unicast[c], true
 		}
 	}
 	for _, c := range nh {
-		if _, ok := r.unicast[c]; ok {
-			return c
+		if ep, ok := r.unicast[c]; ok {
+			return c, ep, false
 		}
 	}
-	return nh[0]
+	return nh[0], nil, false
 }
 
 // Received is one payload delivered to a node as final destination.
@@ -279,9 +270,9 @@ type Node struct {
 	// retransmission budget (see SetSendFailureObserver).
 	sendFailObs func(dst addr.VN)
 
-	// Inbox receives payloads addressed to this node. Buffered; overflow
+	// inbox receives payloads addressed to this node. Buffered; overflow
 	// is dropped and counted.
-	Inbox chan Received
+	inbox chan Received
 
 	// stats holds the Stats tallies, one atomic cell each. A tally moves
 	// before its datagram leaves (or its inbox send wakes a reader):
@@ -323,7 +314,7 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 		served:   map[addr.V4]bool{},
 		anycast:  map[addr.V4]nextHops{},
 		peers:    map[addr.V4]*peerState{},
-		Inbox:    make(chan Received, 256),
+		inbox:    make(chan Received, 256),
 		rx:       make(chan []byte, rxDepth),
 		tx:       make(chan outgoing, rxDepth),
 		done:     make(chan struct{}),
@@ -512,9 +503,9 @@ func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *
 	if nh == nil {
 		nh = nextHops{anycastAddr}
 	}
-	next, ep, err := n.reg.target(nh)
-	if err != nil {
-		return outgoing{}, err
+	next, ep, _ := n.reg.target(nh)
+	if ep == nil {
+		return outgoing{}, fmt.Errorf("%w: %s", ErrUnknownUnderlay, next)
 	}
 	if next != nh[0] {
 		n.ctr().FailoverAnycast()
@@ -728,14 +719,14 @@ func (n *Node) handle(wire []byte) {
 
 	// Forward over the bone.
 	if nh, _, haveRoute := n.routes.Load().Lookup(inner.Dst); haveRoute {
-		n.relay(nh, wire, &n.stats.forwarded)
+		n.relay(nh, wire, &n.stats.forwarded, &inner)
 		return
 	}
 
 	// No bone route: exit toward the destination's underlay address
 	// (self-addressed destinations carry it).
 	if u, ok := inner.UnderlayDst(); ok {
-		n.relay(nextHops{u}, wire, &n.stats.exited)
+		n.relay(nextHops{u}, wire, &n.stats.exited, nil)
 		return
 	}
 	n.stats.dropped.Add(1)
@@ -745,7 +736,7 @@ func (n *Node) handle(wire []byte) {
 func (n *Node) deliver(rcv Received) bool {
 	n.stats.delivered.Add(1)
 	select {
-	case n.Inbox <- rcv:
+	case n.inbox <- rcv:
 		return true
 	default:
 		n.uncount(&n.stats.delivered)
@@ -759,25 +750,34 @@ func (n *Node) deliver(rcv Received) bool {
 // it on that hop's train: the same in-place hop as
 // tunnel.Endpoint.PatchEncap, no header re-serialized. The primary next
 // hop is preferred; a dead or suspected primary fails over to the first
-// live alternate (counted), and as a last resort any registered candidate
-// is tried in order.
+// live alternate (counted). Past a route with no live next hop, a
+// self-addressed destination leaves the bone by the underlay address its
+// header (inner, nil for that exit itself) carries, as where the table
+// has no route (paper §3.3.2), counted as an exit and a failover; any
+// other packet tries the registered candidates in order.
 //
 // relay owns the relay's counters: as — stats.forwarded for a hop further
 // along the bone, stats.exited for the exit toward an underlay address —
 // and a failover are counted before the packet boards its train, and as
 // is taken back as a drop if the next hop does not resolve.
-func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64) {
+func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64, inner *packet.VNHeader) {
 	if err := tunnel.DecrementHop(wire); err != nil {
 		n.stats.dropped.Add(1)
 		return
 	}
-	next, ep, err := n.reg.target(nh)
+	next, ep, live := n.reg.target(nh)
+	if !live && inner != nil {
+		if u, ok := inner.UnderlayDst(); ok {
+			next, ep, _ = n.reg.target(nextHops{u})
+			as = &n.stats.exited
+		}
+	}
 	packet.RewriteOuter(wire, n.Underlay, next)
 	if next != nh[0] {
 		n.ctr().FailoverRoute()
 	}
 	as.Add(1)
-	if err != nil || n.closed() {
+	if ep == nil || n.closed() {
 		n.uncount(as)
 		return
 	}
@@ -829,7 +829,7 @@ func (n *Node) sendTrain(t *train) {
 // examples.
 func (n *Node) WaitInbox(timeout time.Duration) (Received, error) {
 	select {
-	case r := <-n.Inbox:
+	case r := <-n.inbox:
 		return r, nil
 	default:
 	}
@@ -838,7 +838,7 @@ func (n *Node) WaitInbox(timeout time.Duration) (Received, error) {
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case r := <-n.Inbox:
+	case r := <-n.inbox:
 		return r, nil
 	case <-t.C:
 		return Received{}, fmt.Errorf("overlaynet: timeout waiting for delivery at %s", n.Underlay)

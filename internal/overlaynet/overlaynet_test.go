@@ -250,8 +250,8 @@ func TestForeignPacketDropped(t *testing.T) {
 			t.Errorf("%s packet: R1 stats = %+v, want %d drops and nothing else", c.name, s, i+1)
 		}
 	}
-	if len(routers[0].Inbox) != 0 {
-		t.Errorf("R1's inbox holds %d packets, want none", len(routers[0].Inbox))
+	if len(routers[0].inbox) != 0 {
+		t.Errorf("R1's inbox holds %d packets, want none", len(routers[0].inbox))
 	}
 }
 
@@ -310,8 +310,8 @@ func TestRegistryResolution(t *testing.T) {
 		t.Error("registered node not resolvable")
 	}
 	// u(5) is not registered; the choice falls through to u(1).
-	if m, ep, err := reg.target(nextHops{u(5), u(1)}); err != nil || m != u(1) || ep == nil {
-		t.Errorf("target = %s %v %v", m, ep, err)
+	if m, ep, live := reg.target(nextHops{u(5), u(1)}); !live || m != u(1) || ep == nil {
+		t.Errorf("target = %s %v %v", m, ep, live)
 	}
 }
 
@@ -364,7 +364,7 @@ func TestEchoPingPong(t *testing.T) {
 	}
 	// Pings are consumed by the echo service, not delivered to B's inbox.
 	select {
-	case r := <-hostB.Inbox:
+	case r := <-hostB.inbox:
 		t.Errorf("ping leaked to inbox: %q", r.Payload)
 	default:
 	}
@@ -395,7 +395,7 @@ func TestConcurrentSenders(t *testing.T) {
 	deadline := time.Now().Add(waitShort)
 	for got < msgs && time.Now().Before(deadline) {
 		select {
-		case <-hostB.Inbox:
+		case <-hostB.inbox:
 			got++
 		case <-time.After(50 * time.Millisecond):
 		}

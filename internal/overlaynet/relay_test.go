@@ -262,8 +262,8 @@ func TestRelayCoalescesBacklog(t *testing.T) {
 			t.Fatalf("delivery %d: %v %v", i, rcv.Payload, err)
 		}
 	}
-	if s := r.Stats(); s.Delivered != 2 || s.Dropped != 1 || len(r.Inbox) != 0 {
-		t.Errorf("stats = %+v with %d queued, want 2 delivered and 1 dropped", s, len(r.Inbox))
+	if s := r.Stats(); s.Delivered != 2 || s.Dropped != 1 || len(r.inbox) != 0 {
+		t.Errorf("stats = %+v with %d queued, want 2 delivered and 1 dropped", s, len(r.inbox))
 	}
 }
 
@@ -441,7 +441,7 @@ func TestWaitInboxReleasesTimer(t *testing.T) {
 	}
 	before := heap()
 	for i := 0; i < 10000; i++ {
-		n.Inbox <- Received{}
+		n.inbox <- Received{}
 		if _, err := n.WaitInbox(time.Minute); err != nil {
 			t.Fatal(err)
 		}

@@ -12,9 +12,10 @@
 // only, bgpvn's native table /40s, and BGP's origination index a /16 per
 // domain plus a /32 per option-1 anycast address. There a lookup is one or
 // two probes, where a bit-per-node trie walked one node per address bit
-// (128 for a live member's host route). A table spread over many lengths
-// pays for each of them: over 25 random lengths (BenchmarkTable4Lookup) a
-// lookup takes ≈ 1.1 µs, against ≈ 0.1 µs for that trie (2-vCPU Xeon).
+// (128 for a live member's host route): over BGP's index at cold_start
+// (BenchmarkTable4Lookup/one_length) a lookup takes ≈ 29 ns. A table
+// spread over many lengths pays for each of them: over 25 random lengths
+// (/25_lengths) ≈ 1.1 µs, against ≈ 0.1 µs for that trie (2-vCPU Xeon).
 package rib
 
 import (

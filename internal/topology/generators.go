@@ -160,6 +160,31 @@ func RingOfDomains(k int, cfg GenConfig) (*Network, error) {
 	return b.Build()
 }
 
+// LineOfDomains generates the live overlay demonstrations' world: stub
+// A, then transits T1..Tn each the provider of the one before it, then
+// stub B below Tn. Every domain has one router; A and B each hold one
+// host, Hosts[0] and Hosts[1]. Deploying the transits makes a bone the
+// path between them crosses end to end.
+func LineOfDomains(n int) (*Network, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("topology: line needs at least 1 transit")
+	}
+	b := NewBuilder()
+	dA := b.AddDomain("A")
+	prev := b.AddRouter(dA, "")
+	b.AddHost(dA, prev, "a", 1)
+	for i := 1; i <= n; i++ {
+		r := b.AddRouter(b.AddDomain(fmt.Sprintf("T%d", i)), "")
+		b.Provide(r, prev, 10)
+		prev = r
+	}
+	dB := b.AddDomain("B")
+	rB := b.AddRouter(dB, "")
+	b.Provide(prev, rB, 10)
+	b.AddHost(dB, rB, "b", 1)
+	return b.Build()
+}
+
 // TransitStub generates the classic two-tier internet: nTransit transit
 // providers in a full peering mesh, each with stubsPerTransit customer
 // stub domains (some multihomed to a second transit).
