@@ -29,10 +29,11 @@
 //	-seed n          root for every fault and jitter PRNG
 //
 // Every router serves the anycast address. When any fault flag is
-// active, liveness probing runs between every node and its bone next
-// hops; after the kill, host A's sends fail over to the next router, and
-// a relay whose next hop died lets a self-addressed packet exit by the
-// underlay address it carries.
+// active, every node probes the next hops its own routes name (a router
+// its bone next hops, a host its anycast route's members) and steers
+// around the ones it suspects; after the kill, host A's sends fail over
+// to the next router, and a relay whose next hop died lets a
+// self-addressed packet exit by the underlay address it carries.
 //
 // -hold keeps the nodes (and the debug server) alive after the workload
 // finishes so the endpoints can be inspected at leisure.
@@ -126,7 +127,7 @@ func main() {
 		}
 		reg.SetFaultTransport(ft)
 		for _, n := range append([]*evolve.OverlayNode{hostA, hostB}, bone...) {
-			n.EnableLiveness(evolve.LivenessConfig{Interval: 50 * time.Millisecond})
+			n.EnableLiveness()
 		}
 	}
 	if *reliable {

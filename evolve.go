@@ -167,8 +167,6 @@ type (
 	// FaultTransport is the fault layer every live wire write passes
 	// through once installed on an OverlayRegistry.
 	FaultTransport = overlaynet.FaultTransport
-	// LivenessConfig parameterises keepalive probing between live peers.
-	LivenessConfig = overlaynet.LivenessConfig
 	// ReliableConfig parameterises the acked/retransmitting SendVN mode.
 	ReliableConfig = overlaynet.ReliableConfig
 	// PeerStatus is one row of a live node's peer-health table.

@@ -1,6 +1,10 @@
 package overlaynet
 
-import "github.com/evolvable-net/evolve/internal/addr"
+import (
+	"time"
+
+	"github.com/evolvable-net/evolve/internal/addr"
+)
 
 // Heal restores a previously partitioned link.
 func (ft *FaultTransport) Heal(a, b addr.V4) {
@@ -9,18 +13,22 @@ func (ft *FaultTransport) Heal(a, b addr.V4) {
 	delete(ft.cut, pairKey(a, b))
 }
 
-// AddPeer adds an explicit liveness probing target (route next hops are
-// added automatically); no-op unless EnableLiveness has been or will be
-// called.
-func (n *Node) AddPeer(p addr.V4) {
+// setSuspected sets this node's own verdict on a peer its routes name, as
+// its prober would; the node steers around a peer it suspects.
+func (n *Node) setSuspected(peer addr.V4, on bool) {
+	ps := (*n.peers.Load())[peer]
+	if ps == nil {
+		panic("overlaynet: setSuspected on an address no route names")
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.addPeerLocked(p)
+	ps.suspected.Store(on)
 }
 
-// Suspected reports whether any node currently considers a dead.
-func (r *Registry) Suspected(a addr.V4) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.suspected[a]) > 0
+// enableLivenessEvery is EnableLiveness with a probe round every d.
+func (n *Node) enableLivenessEvery(d time.Duration) {
+	n.mu.Lock()
+	n.probeEvery = d
+	n.mu.Unlock()
+	n.EnableLiveness()
 }

@@ -22,7 +22,7 @@ func FuzzDatagram(f *testing.F) {
 	f.Cleanup(func() { n.Close() })
 	// Nothing may write to the node's own socket: its handler goroutine
 	// would then share the node's trains with this one.
-	reg.RemoveNode(n.Underlay)
+	reg.removeNode(n.Underlay)
 	sinkAddr := u(51)
 	wireSink(f, reg, sinkAddr)
 	me := addr.SelfAddress(n.Underlay)

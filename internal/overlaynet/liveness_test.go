@@ -1,6 +1,7 @@
 package overlaynet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -34,18 +35,8 @@ func TestCloseRemovesFromAnycastMembers(t *testing.T) {
 	defer b.Close()
 	any, _ := addr.Option1Address(0)
 	b.SetAnycastRoute(any, a.Underlay, b.Underlay)
-	// b has reported a suspected; a has reported b suspected. Closing a
-	// must clear both directions of its suspicion state.
-	reg.suspect(b.Underlay, a.Underlay)
-	reg.suspect(a.Underlay, b.Underlay)
 
 	a.Close()
-	if reg.Suspected(a.Underlay) {
-		t.Error("suspicion about the closed node lingers")
-	}
-	if reg.Suspected(b.Underlay) {
-		t.Error("closed node's suspicion report about b lingers")
-	}
 	// A route that names the closed node skips it.
 	o, err := b.prepare(any, addr.SelfAddress(u(2)), nil, nil)
 	if err != nil || o.member != b.Underlay {
@@ -56,8 +47,8 @@ func TestCloseRemovesFromAnycastMembers(t *testing.T) {
 
 // TestPrepareSkipsDeadPrimary: a sender's anycast route is [m1, m2]. Its
 // first hop is m1 while m1 is healthy, and m2 — counted as one anycast
-// failover — while m1 is suspected or closed. With every member
-// suspected, a member still takes the packet.
+// failover — while the sender suspects m1 or m1 is closed. With every
+// member suspected, a member still takes the packet.
 func TestPrepareSkipsDeadPrimary(t *testing.T) {
 	reg := NewRegistry()
 	mk := func(last byte) *Node {
@@ -89,11 +80,11 @@ func TestPrepareSkipsDeadPrimary(t *testing.T) {
 	}
 
 	check("healthy", m1.Underlay, 0)
-	reg.suspect(u(99), m1.Underlay)
+	h.setSuspected(m1.Underlay, true)
 	check("m1 suspected", m2.Underlay, 1)
 
 	// With every member suspected, a possibly-dead ingress beats none.
-	reg.suspect(u(99), m2.Underlay)
+	h.setSuspected(m2.Underlay, true)
 	o, err := h.prepare(any, dst, nil, nil)
 	if err != nil {
 		t.Fatalf("all suspected: %v", err)
@@ -103,8 +94,8 @@ func TestPrepareSkipsDeadPrimary(t *testing.T) {
 		t.Errorf("all suspected: first hop is stranger %s", o.member)
 	}
 
-	reg.unsuspect(u(99), m1.Underlay)
-	reg.unsuspect(u(99), m2.Underlay)
+	h.setSuspected(m1.Underlay, false)
+	h.setSuspected(m2.Underlay, false)
 	m1.Close()
 	check("m1 closed", m2.Underlay, 1)
 }
@@ -168,25 +159,29 @@ func TestLivenessSuspectsAndRecovers(t *testing.T) {
 
 	ft := NewFaultTransport(FaultConfig{})
 	reg.SetFaultTransport(ft)
-	a.AddPeer(b.Underlay)
-	a.EnableLiveness(LivenessConfig{Interval: 10 * time.Millisecond, SuspectAfter: 2})
+	any, _ := addr.Option1Address(0)
+	a.SetAnycastRoute(any, b.Underlay)
+	a.enableLivenessEvery(10 * time.Millisecond)
+	suspected := func() bool {
+		ph := a.PeerHealth()
+		return len(ph) == 1 && ph[0].Peer == b.Underlay && ph[0].Suspected
+	}
 
 	waitFor(t, "initial probes", func() bool {
 		return reg.Counters().Snapshot().ProbesSent >= 2
 	})
-	if reg.Suspected(b.Underlay) {
+	if suspected() {
 		t.Fatal("healthy peer suspected")
 	}
 
 	ft.Partition(a.Underlay, b.Underlay)
-	waitFor(t, "suspicion", func() bool { return reg.Suspected(b.Underlay) })
-	ph := a.PeerHealth()
-	if len(ph) != 1 || ph[0].Peer != b.Underlay || !ph[0].Suspected {
+	waitFor(t, "suspicion", suspected)
+	if ph := a.PeerHealth(); len(ph) != 1 || ph[0].Peer != b.Underlay || !ph[0].Suspected {
 		t.Errorf("peer health = %+v", ph)
 	}
 
 	ft.Heal(a.Underlay, b.Underlay)
-	waitFor(t, "recovery", func() bool { return !reg.Suspected(b.Underlay) })
+	waitFor(t, "recovery", func() bool { return !suspected() })
 	snap := reg.Counters().Snapshot()
 	if snap.PeersSuspected < 1 || snap.PeersRecovered < 1 || snap.ProbesMissed < 2 {
 		t.Errorf("counters = suspected %d recovered %d missed %d",
@@ -248,7 +243,7 @@ func TestRouteFailoverToAlternate(t *testing.T) {
 }
 
 // TestRelayExitsPastDeadNextHops: a relay whose route has no live next
-// hop — its only one closed, or every one suspected — lets a
+// hop — its only one closed, or every one suspected by the relay — lets a
 // self-addressed packet leave the bone by the underlay address it
 // carries, counted as an exit and a route failover, while a native
 // destination routed past a closed next hop is still dropped.
@@ -277,8 +272,8 @@ func TestRelayExitsPastDeadNextHops(t *testing.T) {
 		addr.DomainVNPrefix(42):           {m1.Underlay},
 	})
 	m1.Close()
-	reg.suspect(hostA.Underlay, m2.Underlay)
-	reg.suspect(hostA.Underlay, m3.Underlay)
+	ingress.setSuspected(m2.Underlay, true)
+	ingress.setSuspected(m3.Underlay, true)
 
 	for i, dst := range []*Node{hostB, hostC} {
 		was, failovers := ingress.Stats(), reg.Counters().Snapshot().FailoversRoute
@@ -332,9 +327,9 @@ func TestUndecodableProbeDropped(t *testing.T) {
 	}
 	defer n.Close()
 	peer := u(2)
-	n.mu.Lock()
-	n.peers[peer] = &peerState{suspected: true, misses: 3, outstanding: 7}
-	n.mu.Unlock()
+	any, _ := addr.Option1Address(0)
+	n.SetAnycastRoute(any, peer)
+	n.setSuspected(peer, true)
 
 	for i, proto := range []packet.Protocol{packet.ProtoProbe, packet.ProtoProbeAck} {
 		outer := packet.V4Header{Proto: proto, Src: peer, Dst: n.Underlay}
@@ -349,5 +344,128 @@ func TestUndecodableProbeDropped(t *testing.T) {
 	}
 	if ph := n.PeerHealth(); len(ph) != 1 || !ph[0].Suspected {
 		t.Errorf("short ack cleared suspicion: %+v", ph)
+	}
+}
+
+// TestSuspicionSteersOnlyItsHolder: hosts A and B share the anycast route
+// [M, M2], and each probes it. A is cut off from M and comes to suspect
+// it by its own probes; A then leaves through M2, while B, which
+// suspects nothing, still leaves through M as primary.
+func TestSuspicionSteersOnlyItsHolder(t *testing.T) {
+	reg := NewRegistry()
+	mk := func(last byte) *Node {
+		n, err := NewNode(reg, u(last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	a, b, m, m2 := mk(1), mk(2), mk(11), mk(12)
+	ft := NewFaultTransport(FaultConfig{})
+	ft.Partition(a.Underlay, m.Underlay)
+	reg.SetFaultTransport(ft)
+	any, _ := addr.Option1Address(0)
+	for _, h := range []*Node{a, b} {
+		h.SetAnycastRoute(any, m.Underlay, m2.Underlay)
+		h.enableLivenessEvery(5 * time.Millisecond)
+	}
+	waitFor(t, "A's suspicion of M", func() bool {
+		ph := a.PeerHealth()
+		return len(ph) == 2 && ph[0].Peer == m.Underlay && ph[0].Suspected
+	})
+
+	dst := addr.SelfAddress(u(3))
+	for _, c := range []struct {
+		h    *Node
+		want addr.V4
+	}{{a, m2.Underlay}, {b, m.Underlay}} {
+		o, err := c.h.prepare(any, dst, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packet.PutSerializeBuffer(o.buf)
+		if o.member != c.want {
+			t.Errorf("%s leaves through %s, want %s", c.h.Underlay, o.member, c.want)
+		}
+	}
+	for _, ps := range b.PeerHealth() {
+		if ps.Suspected {
+			t.Errorf("B suspects %s, which answers it", ps.Peer)
+		}
+	}
+}
+
+// TestDroppedPeerIsNoLongerProbed: a route table that stops naming a peer
+// drops it from the node's peer set — out of PeerHealth and no longer
+// probed — while a peer still named keeps its health history.
+func TestDroppedPeerIsNoLongerProbed(t *testing.T) {
+	reg := NewRegistry()
+	mk := func(last byte) *Node {
+		n, err := NewNode(reg, u(last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	a, b, c := mk(1), mk(2), mk(3)
+	// b never hears a's probes, so it gathers misses.
+	ft := NewFaultTransport(FaultConfig{})
+	ft.Partition(a.Underlay, b.Underlay)
+	reg.SetFaultTransport(ft)
+	toB, toC := addr.HostVNPrefix(addr.SelfAddress(u(20))), addr.HostVNPrefix(addr.SelfAddress(u(30)))
+	a.SetVNRoutes(map[addr.VNPrefix][]addr.V4{toB: {b.Underlay}, toC: {c.Underlay}})
+	if got := len(a.PeerHealth()); got != 2 {
+		t.Fatalf("%d peers, want 2", got)
+	}
+	a.probeRound()
+	a.probeRound()
+
+	a.SetVNRoutes(map[addr.VNPrefix][]addr.V4{toB: {b.Underlay}})
+	want := []PeerStatus{{Peer: b.Underlay, Misses: 1}}
+	if ph := a.PeerHealth(); !slices.Equal(ph, want) {
+		t.Fatalf("peer health after c's route went = %+v, want %+v", ph, want)
+	}
+	before := reg.Counters().Snapshot()
+	a.probeRound()
+	after := reg.Counters().Snapshot()
+	if sent := after.ProbesSent - before.ProbesSent; sent != 1 {
+		t.Errorf("%d probes sent after c's route went, want 1 (to b)", sent)
+	}
+	if missed := after.ProbesMissed - before.ProbesMissed; missed != 1 {
+		t.Errorf("%d probes missed after c's route went, want 1 (b's)", missed)
+	}
+}
+
+// TestDepartedPeerCountsNothing: a peer the node's routes still name but
+// that has left the address book is not probed, and its silence is no
+// miss: live.probes_sent and live.probes_missed stay flat, and the node
+// never comes to suspect it.
+func TestDepartedPeerCountsNothing(t *testing.T) {
+	reg := NewRegistry()
+	a, err := NewNode(reg, u(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewNode(reg, u(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetVNRoutes(map[addr.VNPrefix][]addr.V4{addr.HostVNPrefix(addr.SelfAddress(u(20))): {b.Underlay}})
+	a.probeRound()
+	b.Close()
+
+	before := reg.Counters().Snapshot()
+	for i := 0; i < 2*suspectAfter; i++ {
+		a.probeRound()
+	}
+	after := reg.Counters().Snapshot()
+	if sent, missed := after.ProbesSent-before.ProbesSent, after.ProbesMissed-before.ProbesMissed; sent != 0 || missed != 0 {
+		t.Errorf("departed peer: %d probes sent, %d missed, want 0 and 0", sent, missed)
+	}
+	if ph := a.PeerHealth(); len(ph) != 1 || ph[0].Suspected {
+		t.Errorf("peer health = %+v, want the departed peer unsuspected", ph)
 	}
 }

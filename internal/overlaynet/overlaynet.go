@@ -23,9 +23,10 @@
 // them. This is the documented substitution for a real multi-ISP underlay
 // (DESIGN.md §2): the code paths above the socket layer are identical.
 //
-// The data plane is self-healing (DESIGN.md §9): nodes probe their active
-// peers (EnableLiveness) and report suspected-dead peers to the Registry,
-// and a sender's first hop and a relay's next hop route around them;
+// The data plane is self-healing (DESIGN.md §9): a node probes the peers
+// its own routes name (EnableLiveness) and keeps the only record of their
+// health, and its first hops and next hops route around the peers it
+// suspects — no node acts on another's verdict;
 // SendVN gains an opt-in acked/retransmitting mode (EnableReliable) with
 // receiver-side dedup; and a FaultTransport installed on the Registry
 // subjects every wire write to seeded drop/duplicate/delay/partition
@@ -39,6 +40,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,21 +66,16 @@ var (
 )
 
 // Registry is the stand-in for global IPv(N-1) routing: underlay address →
-// UDP endpoint.
-//
-// The Registry also carries the live plane's shared health state: peers
-// reported suspected-dead by nodes' liveness probing (senders and relays
-// route around them), an optional FaultTransport every wire write passes
-// through, and the always-on live-plane counters.
+// UDP endpoint. Beside that address book it carries an optional
+// FaultTransport every wire write passes through and the always-on
+// live-plane counters. It holds no health state: each node keeps its own
+// view of its peers.
 type Registry struct {
 	mu      sync.RWMutex
 	unicast map[addr.V4]*net.UDPAddr
-	// suspected maps a peer to the set of reporting nodes that currently
-	// consider it dead; a peer with any reporter is routed around.
-	suspected map[addr.V4]map[addr.V4]bool
 
 	// faults is installed once and read per datagram, so it sits outside
-	// mu: a send takes the lock once, for the tables.
+	// mu: a send takes the lock once, for the address book.
 	faults atomic.Pointer[FaultTransport]
 
 	counters trace.Counters
@@ -86,10 +83,7 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		unicast:   map[addr.V4]*net.UDPAddr{},
-		suspected: map[addr.V4]map[addr.V4]bool{},
-	}
+	return &Registry{unicast: map[addr.V4]*net.UDPAddr{}}
 }
 
 // Counters returns the registry's live-plane counters (probes, failovers,
@@ -113,20 +107,12 @@ func (r *Registry) Register(a addr.V4, ep *net.UDPAddr) {
 	r.unicast[a] = ep
 }
 
-// RemoveNode erases every trace of a departed node: its unicast binding,
-// suspicion state about it, and any suspicions it had reported about
-// others. A route that still names it passes it over, as unregistered.
-func (r *Registry) RemoveNode(a addr.V4) {
+// removeNode withdraws a closing node's binding. A route that still names
+// it passes it over, as unregistered.
+func (r *Registry) removeNode(a addr.V4) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.unicast, a)
-	delete(r.suspected, a)
-	for peer, reporters := range r.suspected {
-		delete(reporters, a)
-		if len(reporters) == 0 {
-			delete(r.suspected, peer)
-		}
-	}
 }
 
 // Endpoint resolves an underlay address.
@@ -135,58 +121,6 @@ func (r *Registry) Endpoint(a addr.V4) (*net.UDPAddr, bool) {
 	defer r.mu.RUnlock()
 	ep, ok := r.unicast[a]
 	return ep, ok
-}
-
-// suspect records reporter's verdict that peer is dead.
-func (r *Registry) suspect(reporter, peer addr.V4) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := r.suspected[peer]
-	if set == nil {
-		set = map[addr.V4]bool{}
-		r.suspected[peer] = set
-	}
-	set[reporter] = true
-}
-
-// unsuspect withdraws reporter's verdict about peer.
-func (r *Registry) unsuspect(reporter, peer addr.V4) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := r.suspected[peer]
-	delete(set, reporter)
-	if len(set) == 0 {
-		delete(r.suspected, peer)
-	}
-}
-
-// aliveLocked: registered and not suspected. Callers hold mu (any mode).
-func (r *Registry) aliveLocked(a addr.V4) bool {
-	_, ok := r.unicast[a]
-	return ok && len(r.suspected[a]) == 0
-}
-
-// target chooses the next hop from a next-hop set — a relay's bone route,
-// or the anycast route of a packet the node originates — and resolves its
-// endpoint, in one locked pass over the registry's tables: the first
-// registered, unsuspected candidate in order (live); failing that, the
-// first registered one (suspicion is a hint, and a possibly-dead hop
-// beats a certain black hole); failing that, the first, with a nil
-// endpoint.
-func (r *Registry) target(nh nextHops) (next addr.V4, ep *net.UDPAddr, live bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range nh {
-		if r.aliveLocked(c) {
-			return c, r.unicast[c], true
-		}
-	}
-	for _, c := range nh {
-		if ep, ok := r.unicast[c]; ok {
-			return c, ep, false
-		}
-	}
-	return nh[0], nil, false
 }
 
 // Received is one payload delivered to a node as final destination.
@@ -254,18 +188,27 @@ type Node struct {
 	// replaces it whole and never edits a published one, so a relay reads
 	// it without taking mu.
 	routes atomic.Pointer[rib.TableVN[nextHops]]
+	// peers is the node's own record of its peers' health: exactly the
+	// next hops its bone table and anycast routes name. It is replaced
+	// whole under mu, so a relay reads its verdicts without taking mu.
+	peers atomic.Pointer[map[addr.V4]*peerState]
 
 	mu      sync.RWMutex
 	anycast map[addr.V4]nextHops // anycast address → members, nearest first
+	// boneHops is every distinct next hop of the bone table, kept so an
+	// anycast route change can recompute the peer set.
+	boneHops []addr.V4
 	// echoVia, when set, makes the node answer "ping:" payloads with
 	// "pong:" replies sent back through the given anycast address.
 	echoVia addr.V4
 	echoOn  bool
-	// peers is the liveness probing target set: every next hop a bone
-	// route has named.
-	peers map[addr.V4]*peerState
-	live  *livenessState
-	rel   *reliableState
+	// probing is set once EnableLiveness has started the prober, which
+	// numbers its probes with nonce. probeEvery, zero but in tests, is
+	// the round interval in place of probeInterval.
+	probing    bool
+	nonce      uint64
+	probeEvery time.Duration
+	rel        *reliableState
 	// sendFailObs, when set, hears every reliable send that exhausts its
 	// retransmission budget (see SetSendFailureObserver).
 	sendFailObs func(dst addr.VN)
@@ -313,13 +256,13 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 		conn:     conn,
 		served:   map[addr.V4]bool{},
 		anycast:  map[addr.V4]nextHops{},
-		peers:    map[addr.V4]*peerState{},
 		inbox:    make(chan Received, 256),
 		rx:       make(chan []byte, rxDepth),
 		tx:       make(chan outgoing, rxDepth),
 		done:     make(chan struct{}),
 	}
 	n.routes.Store(&rib.TableVN[nextHops]{})
+	n.peers.Store(&map[addr.V4]*peerState{})
 	reg.Register(underlay, conn.LocalAddr().(*net.UDPAddr))
 	n.wg.Add(2)
 	go n.readLoop()
@@ -327,16 +270,15 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 	return n, nil
 }
 
-// Close shuts the node down and removes it from the registry — unicast
-// binding and suspicion state included, so every route that names it
-// passes it over. Every packet a SendVN accepted has been sent by the
-// time Close returns.
+// Close shuts the node down and withdraws its address-book entry, so
+// every route that names it passes it over. Every packet a SendVN
+// accepted has been sent by the time Close returns.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		n.sending.Lock()
 		close(n.done)
 		n.sending.Unlock()
-		n.reg.RemoveNode(n.Underlay)
+		n.reg.removeNode(n.Underlay)
 	})
 	n.wg.Wait()
 	return nil
@@ -389,36 +331,67 @@ func (n *Node) EnableEcho(via addr.V4) {
 // alternates used when it is dead or suspected; a prefix with no next hop
 // gets no route. The table is built aside and swapped in whole, so a
 // packet relayed meanwhile finds the old table or the new one, never a
-// part of either. Every next hop becomes a liveness probing peer; peers
-// the old table named are kept, their health history surviving route
-// churn. The node keeps the slices; the caller must not modify them
-// afterwards.
+// part of either. The peer set is recomputed (see repeerLocked). The
+// node keeps the slices; the caller must not modify them afterwards.
 func (n *Node) SetVNRoutes(routes map[addr.VNPrefix][]addr.V4) {
 	table := &rib.TableVN[nextHops]{}
-	for p, hops := range routes {
-		if len(hops) > 0 {
-			table.Insert(p, hops)
+	var hops []addr.V4
+	for p, nh := range routes {
+		if len(nh) > 0 {
+			table.Insert(p, nh)
+		}
+		for _, h := range nh {
+			if !slices.Contains(hops, h) {
+				hops = append(hops, h)
+			}
 		}
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.routes.Store(table)
-	for _, hops := range routes {
-		for _, h := range hops {
-			n.addPeerLocked(h)
-		}
-	}
+	n.boneHops = hops
+	n.repeerLocked()
 }
 
 // SetAnycastRoute installs the node's route toward an anycast address:
 // the member unicast routing delivers the node's packets to, then ordered
 // alternates used when it is dead or suspected. It replaces the address's
 // earlier route. A packet toward an address the node has no anycast route
-// for is sent to that address as unicast.
+// for is sent to that address as unicast. The peer set is recomputed
+// (see repeerLocked).
 func (n *Node) SetAnycastRoute(a, via addr.V4, alts ...addr.V4) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.anycast[a] = append(nextHops{via}, alts...)
+	n.repeerLocked()
+}
+
+// repeerLocked recomputes the peer set whole: every next hop the bone
+// table and the anycast routes name, the node itself aside. A peer still
+// named keeps its record and so its health history; one no longer named
+// is dropped, and no longer probed. Callers hold mu.
+func (n *Node) repeerLocked() {
+	old := *n.peers.Load()
+	peers := make(map[addr.V4]*peerState, len(old))
+	name := func(p addr.V4) {
+		if p == n.Underlay || peers[p] != nil {
+			return
+		}
+		ps := old[p]
+		if ps == nil {
+			ps = &peerState{}
+		}
+		peers[p] = ps
+	}
+	for _, p := range n.boneHops {
+		name(p)
+	}
+	for _, nh := range n.anycast {
+		for _, p := range nh {
+			name(p)
+		}
+	}
+	n.peers.Store(&peers)
 }
 
 // Stats returns a snapshot of the node's counters. Each field is read
@@ -503,7 +476,7 @@ func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *
 	if nh == nil {
 		nh = nextHops{anycastAddr}
 	}
-	next, ep, _ := n.reg.target(nh)
+	next, ep, _ := n.target(nh)
 	if ep == nil {
 		return outgoing{}, fmt.Errorf("%w: %s", ErrUnknownUnderlay, next)
 	}
@@ -530,6 +503,31 @@ func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *
 		return outgoing{}, err
 	}
 	return outgoing{member: next, ep: ep.AddrPort(), buf: buf}, nil
+}
+
+// target chooses the next hop from a next-hop set — a relay's bone route,
+// or the anycast route of a packet the node originates — and resolves its
+// endpoint, in one locked pass over the registry's address book: the
+// first registered candidate this node does not suspect (live); failing
+// that, the first registered one (suspicion is a hint, and a
+// possibly-dead hop beats a certain black hole); failing that, the first,
+// with a nil endpoint. The node's verdicts are read without its lock.
+func (n *Node) target(nh nextHops) (next addr.V4, ep *net.UDPAddr, live bool) {
+	peers := *n.peers.Load()
+	r := n.reg
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, c := range nh {
+		if ep, ok := r.unicast[c]; ok && !peers[c].isSuspected() {
+			return c, ep, true
+		}
+	}
+	for _, c := range nh {
+		if ep, ok := r.unicast[c]; ok {
+			return c, ep, false
+		}
+	}
+	return nh[0], nil, false
 }
 
 // originate boards an originated packet on the train toward its first hop
@@ -658,7 +656,9 @@ func (n *Node) handle(wire []byte) {
 			n.handleProbeAck(outer)
 		default:
 			// Answer a keepalive with an ack echoing its nonce.
-			n.sendProbe(outer.Src, nonce, true)
+			if ep, ok := n.reg.Endpoint(outer.Src); ok {
+				n.sendProbe(outer.Src, ep.AddrPort(), nonce, true)
+			}
 		}
 		return
 	case packet.ProtoVNEncap:
@@ -765,10 +765,10 @@ func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64, inner *packet.
 		n.stats.dropped.Add(1)
 		return
 	}
-	next, ep, live := n.reg.target(nh)
+	next, ep, live := n.target(nh)
 	if !live && inner != nil {
 		if u, ok := inner.UnderlayDst(); ok {
-			next, ep, _ = n.reg.target(nextHops{u})
+			next, ep, _ = n.target(nextHops{u})
 			as = &n.stats.exited
 		}
 	}
@@ -883,9 +883,10 @@ type PeerStatus struct {
 func (n *Node) PeerHealth() []PeerStatus {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	out := make([]PeerStatus, 0, len(n.peers))
-	for p, st := range n.peers {
-		out = append(out, PeerStatus{Peer: p, Suspected: st.suspected, Misses: st.misses})
+	peers := *n.peers.Load()
+	out := make([]PeerStatus, 0, len(peers))
+	for p, st := range peers {
+		out = append(out, PeerStatus{Peer: p, Suspected: st.suspected.Load(), Misses: st.misses})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out

@@ -310,7 +310,7 @@ func TestRegistryResolution(t *testing.T) {
 		t.Error("registered node not resolvable")
 	}
 	// u(5) is not registered; the choice falls through to u(1).
-	if m, ep, live := reg.target(nextHops{u(5), u(1)}); !live || m != u(1) || ep == nil {
+	if m, ep, live := n.target(nextHops{u(5), u(1)}); !live || m != u(1) || ep == nil {
 		t.Errorf("target = %s %v %v", m, ep, live)
 	}
 }

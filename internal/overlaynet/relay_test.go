@@ -398,7 +398,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.EnableLiveness(LivenessConfig{Interval: time.Millisecond})
+	a.enableLivenessEvery(time.Millisecond)
 	bVN := addr.SelfAddress(b.Underlay)
 	b.SetVNAddr(bVN)
 	if err := a.SendVN(b.Underlay, bVN, []byte("x")); err != nil {
