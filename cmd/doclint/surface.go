@@ -26,8 +26,6 @@ import (
 var surfaceAllow = map[string]string{
 	"internal/addr.MustParseV4":                 "tests of eight packages spell constant addresses with it",
 	"internal/addr.MustParseVN":                 "addr's and packet's tests spell constant IPvN addresses with it",
-	"internal/packet.EncapVN":                   "the two-layer serializer overlaynet's and packet's tests build wire packets with",
-	"internal/packet.DecapVN":                   "the copying decoder tunnel's, overlaynet's and packet's tests read wire packets with",
 	"internal/rib.TableVN.Delete":               "Table4.Delete's twin; bgpvn's tests withdraw native routes through it",
 	"internal/topology.LoadASRelationshipsFile": "the real-topology loader ROADMAP item 12 keeps as the door for CAIDA data",
 	"internal/econ.SettlementRevenue":           "ROADMAP item 10 makes it E9's one revenue rule",

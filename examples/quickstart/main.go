@@ -48,8 +48,10 @@ func main() {
 
 	// Send an IPv8 packet: encapsulated toward the anycast address,
 	// captured by T0's closest IPv8 router, carried over the vN-Bone,
-	// tunnelled the rest of the way over IPv4.
-	d, err := evo.Send(src, dst, []byte("hello, next generation"))
+	// tunnelled the rest of the way over IPv4. A trace recorder attached
+	// to this one send captures every leg of it.
+	rec := evolve.NewTraceRecorder()
+	d, err := evo.SendTraced(src, dst, []byte("hello, next generation"), rec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,5 +63,5 @@ func main() {
 	fmt.Printf("  total %d vs direct IPv4 %d → stretch %.2f\n",
 		d.TotalCost, d.BaselineCost, d.Stretch)
 
-	fmt.Printf("\nfull trace:\n%s", evo.DescribeDelivery(d))
+	fmt.Printf("\nfull trace:\n%s", evo.FormatTrace(rec.Events()))
 }

@@ -303,13 +303,11 @@ func (s *Service) AdvertiseToNeighbors(d *Deployment, asn topology.ASN, neighbor
 // Resolution describes where an anycast packet lands and how it got there.
 type Resolution struct {
 	Member topology.RouterID
-	// RouterPath is the full router-level trajectory from the source
-	// router to the member, inclusive.
-	RouterPath []topology.RouterID
 	// ASPath is the domain-level trajectory, starting at the source's
 	// domain and ending at the member's.
 	ASPath []topology.ASN
-	// Cost is the summed underlay link cost of RouterPath.
+	// Cost is the summed underlay link cost from the source router to
+	// the member.
 	Cost int64
 }
 
@@ -340,8 +338,8 @@ func (s *Service) ResolveFromRouterVia(d *Deployment, from topology.RouterID) (R
 			if m, _, ok := s.igp.ClosestIn(w.At(), members); ok {
 				s.fwd.Intra(w, m)
 				// The resolution outlives the walk (the redirect cache keeps
-				// it): exact-size copies.
-				return Resolution{Member: m, RouterPath: forward.Exact(w.Routers), ASPath: forward.Exact(w.ASPath), Cost: w.Cost}, nil
+				// it): an exact-size copy.
+				return Resolution{Member: m, ASPath: forward.Exact(w.ASPath), Cost: w.Cost}, nil
 			}
 		}
 

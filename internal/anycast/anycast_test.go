@@ -2,6 +2,7 @@ package anycast
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -319,23 +320,29 @@ func TestOption1WithdrawOnLastMember(t *testing.T) {
 
 func TestResolutionPathIsConnected(t *testing.T) {
 	n, s, dep := figure2(t, false)
-	g := n.RouterGraph()
+	adj := n.AllNeighbors()
+	longest := 0
 	for _, h := range n.Hosts {
 		res, err := s.ResolveFromHost(h, dep.Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.RouterPath[0] != h.Attach {
-			t.Errorf("path starts at %d, want attach %d", res.RouterPath[0], h.Attach)
+		if res.ASPath[0] != h.Domain {
+			t.Errorf("path starts at AS%d, want the host's AS%d", res.ASPath[0], h.Domain)
 		}
-		if res.RouterPath[len(res.RouterPath)-1] != res.Member {
-			t.Error("path does not end at member")
+		if last, want := res.ASPath[len(res.ASPath)-1], n.DomainOf(res.Member); last != want {
+			t.Errorf("path ends at AS%d, want the member's AS%d", last, want)
 		}
-		for i := 0; i+1 < len(res.RouterPath); i++ {
-			if !g.HasEdge(int(res.RouterPath[i]), int(res.RouterPath[i+1])) {
-				t.Errorf("path hop %d→%d is not a link", res.RouterPath[i], res.RouterPath[i+1])
+		for i := 0; i+1 < len(res.ASPath); i++ {
+			a, b := res.ASPath[i], res.ASPath[i+1]
+			if !slices.ContainsFunc(adj[a], func(nb topology.ASNeighbor) bool { return nb.ASN == b }) {
+				t.Errorf("path hop AS%d→AS%d is not an adjacency", a, b)
 			}
 		}
+		longest = max(longest, len(res.ASPath))
+	}
+	if longest < 2 {
+		t.Errorf("longest resolution crosses %d domains; no figure 2 host sits in a deploying domain", longest)
 	}
 }
 

@@ -274,15 +274,15 @@ func (ci *conserveInvariant) Check(c *CheckContext) (f *Failure) {
 // live world's current epoch must answer everything an epoch answers as a
 // from-scratch oracle of the same present state does. Both are usable or
 // neither is; every router resolves the shared anycast address and every
-// provider's address to the same Resolution (the redirect decision of
-// §3.1, read through the redirect cache Send uses, carried entries
-// included); provider choices and members agree; and, on a usable epoch,
-// every host has the same IPvN address and Route gives the same member,
-// bone cost, rule and error from every bone member to every host. It
-// catches stale IGP/BGP state, stale carried redirects and stale
-// registrant origins even for hosts that never send. A multicast tree is
-// a function of the bone and of anycast resolution, which this and bone
-// already compare.
+// provider's address to the same Resolution — member, AS path and cost:
+// the redirect decision of §3.1, read through the redirect cache Send
+// uses, carried entries included; provider choices and members agree;
+// and, on a usable epoch, every host has the same IPvN address and Route
+// gives the same member, bone cost, rule and error from every bone member
+// to every host. It catches stale IGP/BGP state, stale carried redirects
+// and stale registrant origins even for hosts that never send. A
+// multicast tree is a function of the bone and of anycast resolution,
+// which this and bone already compare.
 func checkOracle(c *CheckContext) *Failure {
 	live := c.W.Evo
 	oracle, err := c.Oracle()

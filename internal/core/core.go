@@ -690,38 +690,6 @@ func (e *Evolution) FormatTrace(events []trace.Event) string {
 	})
 }
 
-// DescribeDelivery renders a delivery as a human-readable hop-by-hop
-// trace: the anycast leg, the vN-Bone leg and the final tail, with router
-// names and per-leg costs.
-func (e *Evolution) DescribeDelivery(d Delivery) string {
-	name := func(id topology.RouterID) string { return e.Net.Router(id).Name }
-	pathStr := func(p []topology.RouterID) string {
-		s := ""
-		for i, r := range p {
-			if i > 0 {
-				s += " → "
-			}
-			s += name(r)
-		}
-		return s
-	}
-	out := fmt.Sprintf("%s → %s (stretch %.2f)\n", d.SrcVN, d.DstVN, d.Stretch)
-	out += fmt.Sprintf("  anycast leg (cost %d): %s\n", d.Ingress.Cost, pathStr(d.Ingress.RouterPath))
-	if d.VNHops > 0 {
-		out += fmt.Sprintf("  vN-Bone leg (%d hops, cost %d, %s): %s\n",
-			d.VNHops, d.Egress.BoneCost, d.Egress.Policy, pathStr(d.Egress.BonePath))
-	} else {
-		out += fmt.Sprintf("  vN-Bone leg: exits at ingress %s (%s)\n", name(d.Egress.Member), d.Egress.Policy)
-	}
-	if len(d.TailPath) > 1 {
-		out += fmt.Sprintf("  tail leg (cost %d): %s\n", d.TailCost, pathStr(d.TailPath))
-	} else {
-		out += fmt.Sprintf("  tail leg (cost %d): local delivery\n", d.TailCost)
-	}
-	out += fmt.Sprintf("  total %d vs baseline %d\n", d.TotalCost, d.BaselineCost)
-	return out
-}
-
 // FailIntraLink injects an intra-domain link failure; only the affected
 // domain reconverges (IGP SPTs, bone intra mesh). It reports whether the
 // link existed.

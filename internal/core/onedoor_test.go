@@ -163,7 +163,7 @@ func TestResolveAnycastReadsTheEpoch(t *testing.T) {
 	}
 	for i := 0; i < 300; i++ {
 		r := evo.Net.Routers[i%len(evo.Net.Routers)]
-		if res, err := evo.ResolveAnycast(r.ID, a); err == nil && len(res.RouterPath) == 0 {
+		if res, err := evo.ResolveAnycast(r.ID, a); err == nil && len(res.ASPath) == 0 {
 			t.Errorf("r%d: resolved to r%d with an empty path", r.ID, res.Member)
 		}
 	}

@@ -122,37 +122,3 @@ func TestCostDecompositionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestDescribeDelivery(t *testing.T) {
-	net, err := topology.TransitStub(2, 2, 0.3, topology.GenConfig{
-		Seed: 3, RoutersPerDomain: 2, HostsPerDomain: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evo, err := New(net, Config{Option: anycast.Option1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evo.DeployDomain(net.DomainByName("T0").ASN, 0)
-	evo.DeployDomain(net.DomainByName("T1").ASN, 0)
-	d, err := evo.Send(net.Hosts[0], net.Hosts[len(net.Hosts)-1], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := evo.DescribeDelivery(d)
-	for _, want := range []string{"anycast leg", "vN-Bone leg", "tail leg", "total"} {
-		if !containsStr(out, want) {
-			t.Errorf("Describe missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

@@ -10,7 +10,6 @@ import (
 
 	"github.com/evolvable-net/evolve/internal/addr"
 	"github.com/evolvable-net/evolve/internal/anycast"
-	"github.com/evolvable-net/evolve/internal/forward"
 	"github.com/evolvable-net/evolve/internal/metrics"
 	"github.com/evolvable-net/evolve/internal/packet"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
@@ -43,9 +42,6 @@ type Delivery struct {
 	Payload []byte
 	// VNHops is the number of vN-Bone virtual hops traversed.
 	VNHops int
-	// TailPath is the router-level path of the final leg, from the
-	// egress member to the destination's attach router.
-	TailPath []topology.RouterID
 	// TraceTag is the per-delivery random tag stamped into the header
 	// options at the source and verified at the destination.
 	TraceTag uint32
@@ -54,7 +50,7 @@ type Delivery struct {
 	// (because the flow was in the fallback state, the vN attempt was
 	// rescued in-line, or the routing epoch was an error epoch). TotalCost
 	// then equals BaselineCost, Stretch is 1 and the vN-Bone fields
-	// (Ingress, Egress, VNHops, TailCost, TailPath) are zero.
+	// (Ingress, Egress, VNHops, TailCost) are zero.
 	Fallback bool
 }
 
@@ -243,7 +239,6 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 		BaselineCost: fe.baseline,
 		Stretch:      metrics.Stretch(total, fe.baseline),
 		VNHops:       fe.vnHops,
-		TailPath:     fe.tailPath,
 	}
 
 	// Leg 1 — universal access: the host encapsulates toward the
@@ -762,11 +757,10 @@ func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingre
 		if _, err := e.Fwd.Deliver(w, dst.Addr, dst); err != nil {
 			return nil, trace.DropTail, fmt.Errorf("core: tail: %w", err)
 		}
-		fe.tailCost, fe.tailPath = w.Cost, forward.Exact(w.Routers)
+		fe.tailCost = w.Cost
 	} else {
 		// Egress is in dst's own (participating) domain: IGP delivers.
 		fe.tailCost = e.IGP.IntraDist(eg.Member, dst.Attach) + dst.AccessLatency
-		fe.tailPath = e.IGP.IntraPath(eg.Member, dst.Attach)
 	}
 
 	if fe.baseline, err = e.Fwd.BaselineCostOn(w, src, dst); err != nil {

@@ -174,8 +174,9 @@ type flowKey struct {
 // deterministic within an epoch, so the skeleton is exact, not a
 // heuristic; a flow-cache hit re-runs only the wire-level
 // encapsulation path and skips all path computation. Entries are
-// immutable once stored (BonePath/TailPath slices included — deliveries
-// share them read-only), but for mat.
+// immutable once stored (the ASPath and BonePath slices included —
+// deliveries share them read-only), but for mat. The tail leg and the
+// baseline are kept as costs only: no decision reads their routers.
 type flowEntry struct {
 	srcVN, dstVN addr.VN
 	ing          anycast.Resolution
@@ -184,11 +185,10 @@ type flowEntry struct {
 	egDetail     string
 	vnHops       int
 	tailCost     int64
-	tailPath     []topology.RouterID
 	baseline     int64
 	// mat is the skeleton materialized for the wire (see flow), nil until
 	// the first send that finds this entry in the flow cache publishes it:
-	// a flow sent on once holds nothing here. The pointer fills the 8
-	// bytes the entry had spare in its 224-byte allocation class.
+	// a flow sent on once holds nothing here. The entry with the pointer
+	// is 176 bytes, its allocation class exactly.
 	mat atomic.Pointer[flow]
 }

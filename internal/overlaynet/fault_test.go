@@ -100,7 +100,7 @@ func TestFaultTrainDropsMatchSingleWrites(t *testing.T) {
 
 		var train []byte
 		for i := 0; i < n; i++ {
-			wire, err := packet.EncapVN(packet.V4Header{Src: u(1), Dst: r.Underlay}, packet.VNHeader{Version: 8, Dst: dst}, []byte{byte(i)})
+			wire, err := encapVN(packet.V4Header{Src: u(1), Dst: r.Underlay}, packet.VNHeader{Version: 8, Dst: dst}, []byte{byte(i)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestFaultTrainDropsMatchSingleWrites(t *testing.T) {
 			for len(dg) > 0 {
 				var pkt []byte
 				pkt, dg = packet.NextInTrain(dg)
-				_, _, payload, err := packet.DecapVN(pkt)
+				_, _, payload, err := packet.DecapVNShared(pkt, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

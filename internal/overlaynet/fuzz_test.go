@@ -61,7 +61,7 @@ func FuzzDatagram(f *testing.F) {
 
 	encap := func(dst addr.VN, hdr packet.VNHeader, payload string) []byte {
 		hdr.Version, hdr.Dst = 8, dst
-		wire, err := packet.EncapVN(packet.V4Header{Src: sinkAddr, Dst: n.Underlay}, hdr, []byte(payload))
+		wire, err := encapVN(packet.V4Header{Src: sinkAddr, Dst: n.Underlay}, hdr, []byte(payload))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -14,6 +14,18 @@ const waitShort = 2 * time.Second
 
 func u(last byte) addr.V4 { return addr.V4FromOctets(10, 0, 0, last) }
 
+// encapVN builds a vn-encap wire packet, V4Header{Proto:
+// ProtoVNEncap}(VNHeader(payload)), into a slice of its own: what a
+// sender puts on the underlay.
+func encapVN(outer packet.V4Header, inner packet.VNHeader, payload []byte) ([]byte, error) {
+	outer.Proto = packet.ProtoVNEncap
+	b := packet.NewSerializeBuffer()
+	if err := packet.SerializeVN(b, payload, &outer, &inner); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
 // buildChain wires host A → routers R1,R2,R3 → host B:
 //   - R1 serves the anycast address (ingress);
 //   - bone routes for B's address: R1→R2→R3;
@@ -436,7 +448,7 @@ func TestCloseSendsAcceptedPackets(t *testing.T) {
 			for dg := buf[:sz]; len(dg) > 0; got++ {
 				var pkt []byte
 				pkt, dg = packet.NextInTrain(dg)
-				_, _, payload, err := packet.DecapVN(pkt)
+				_, _, payload, err := packet.DecapVNShared(pkt, nil)
 				if err != nil {
 					return
 				}

@@ -59,7 +59,7 @@ func randomEncap(t *testing.T, rng *rand.Rand, outerDst addr.V4, dst addr.VN, ho
 	}
 	payload := make([]byte, rng.Intn(1400))
 	rng.Read(payload)
-	wire, err := packet.EncapVN(packet.V4Header{Src: addr.V4(rng.Uint32()), Dst: outerDst, TTL: uint8(rng.Intn(256))}, inner, payload)
+	wire, err := encapVN(packet.V4Header{Src: addr.V4(rng.Uint32()), Dst: outerDst, TTL: uint8(rng.Intn(256))}, inner, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRelayAllocatesNothing(t *testing.T) {
 	for i := 0; i < pkts; i++ {
 		dst := addr.NativeVN(42, uint64(i))
 		routes[addr.HostVNPrefix(dst)] = []addr.V4{u(byte(61 + i%2))}
-		wire, err := packet.EncapVN(packet.V4Header{Src: u(1), Dst: r.Underlay, TTL: 64},
+		wire, err := encapVN(packet.V4Header{Src: u(1), Dst: r.Underlay, TTL: 64},
 			packet.VNHeader{Version: 8, HopLimit: 64, Src: addr.SelfAddress(u(1)), Dst: dst}, make([]byte, 64))
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +176,7 @@ func readPayloads(t *testing.T, c *net.UDPConn) [][]byte {
 		for len(dg) > 0 {
 			var pkt []byte
 			pkt, dg = packet.NextInTrain(dg)
-			_, _, payload, err := packet.DecapVN(pkt)
+			_, _, payload, err := packet.DecapVNShared(pkt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +215,7 @@ func TestRelayCoalescesBacklog(t *testing.T) {
 			payload = make([]byte, trainCap) // the one that travels alone
 		}
 		payload[0] = byte(i)
-		wire, err := packet.EncapVN(packet.V4Header{Src: u(1), Dst: r.Underlay}, packet.VNHeader{Version: 8, HopLimit: 9, Dst: dst}, payload)
+		wire, err := encapVN(packet.V4Header{Src: u(1), Dst: r.Underlay}, packet.VNHeader{Version: 8, HopLimit: 9, Dst: dst}, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestRelayCoalescesBacklog(t *testing.T) {
 	r.SetVNAddr(me)
 	in = nil
 	for i := 0; i < 4; i++ {
-		wire, err := packet.EncapVN(packet.V4Header{Src: u(1), Dst: r.Underlay}, packet.VNHeader{Version: 8, Dst: me}, []byte{byte(i)})
+		wire, err := encapVN(packet.V4Header{Src: u(1), Dst: r.Underlay}, packet.VNHeader{Version: 8, Dst: me}, []byte{byte(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ func TestEchoBacklogBeyondQueue(t *testing.T) {
 	const pings = 2 * rxDepth
 	var in []byte
 	for i := 0; i < pings; i++ {
-		wire, err := packet.EncapVN(packet.V4Header{Src: u(1), Dst: e.Underlay}, packet.VNHeader{Version: 8, Src: addr.SelfAddress(u(96)), Dst: me}, append([]byte("ping:"), byte(i)))
+		wire, err := encapVN(packet.V4Header{Src: u(1), Dst: e.Underlay}, packet.VNHeader{Version: 8, Src: addr.SelfAddress(u(96)), Dst: me}, append([]byte("ping:"), byte(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

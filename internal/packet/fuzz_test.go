@@ -23,7 +23,7 @@ func seedWires(f *testing.F) {
 
 	vn := VNHeader{Version: 8, HopLimit: 5, Src: addr.SelfAddress(7), Dst: addr.VN{Hi: 1, Lo: 2}}
 	vn = vn.WithUnderlayDst(0x14000001)
-	wire, err := EncapVN(V4Header{Src: 1, Dst: 2}, vn, []byte("payload"))
+	wire, err := encapVN(V4Header{Src: 1, Dst: 2}, vn, []byte("payload"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func seedWires(f *testing.F) {
 	// A fallback-marked delivery (the graceful-degradation wire form).
 	fb := VNHeader{Version: 8, HopLimit: 9, Src: addr.SelfAddress(3), Dst: addr.SelfAddress(4)}
 	fb.Options = []Option{{Type: OptFallback, Value: []byte{FallbackMarkState}}}
-	fbw, err := EncapVN(V4Header{Src: 3, Dst: 4}, fb, []byte("degraded"))
+	fbw, err := encapVN(V4Header{Src: 3, Dst: 4}, fb, []byte("degraded"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -104,16 +104,19 @@ func FuzzDecodeVN(f *testing.F) {
 func FuzzDecapVN(f *testing.F) {
 	seedWires(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		outer, inner, payload, err := DecapVN(data)
+		outer, inner, payload, err := decapVN(data)
+		if _, _, _, errShared := DecapVNShared(data, nil); (err == nil) != (errShared == nil) {
+			t.Fatalf("copying decap err %v, shared decap err %v", err, errShared)
+		}
 		if err != nil {
 			return
 		}
 		// Re-encapsulate; semantics must survive.
-		wire, err := EncapVN(outer, inner, payload)
+		wire, err := encapVN(outer, inner, payload)
 		if err != nil {
 			t.Fatalf("re-encap: %v", err)
 		}
-		o2, i2, p2, err := DecapVN(wire)
+		o2, i2, p2, err := decapVN(wire)
 		if err != nil {
 			t.Fatalf("re-decap: %v", err)
 		}

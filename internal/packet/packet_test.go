@@ -167,11 +167,11 @@ func TestEncapDecapRoundTrip(t *testing.T) {
 	outer := V4Header{Src: addr.MustParseV4("10.0.0.1"), Dst: addr.MustParseV4("240.0.0.1"), TTL: 32}
 	inner := VNHeader{Version: 8, Src: addr.SelfAddress(addr.MustParseV4("10.0.0.1")), Dst: addr.VN{Hi: 5, Lo: 6}}
 	payload := []byte("tunnelled")
-	wire, err := EncapVN(outer, inner, payload)
+	wire, err := encapVN(outer, inner, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotOuter, gotInner, gotPayload, err := DecapVN(wire)
+	gotOuter, gotInner, gotPayload, err := decapVN(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestDecapRejectsNonEncap(t *testing.T) {
 	if err := Serialize(b, []byte("plain"), &h); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := DecapVN(b.Bytes()); err == nil {
+	if _, _, _, err := DecapVNShared(b.Bytes(), nil); err == nil {
 		t.Error("plain packet decapped without error")
 	}
 }
@@ -308,12 +308,13 @@ func TestChecksumKnownValues(t *testing.T) {
 }
 
 func BenchmarkEncapVN(b *testing.B) {
-	outer := V4Header{Src: 1, Dst: 2}
+	outer := V4Header{Proto: ProtoVNEncap, Src: 1, Dst: 2}
 	inner := VNHeader{Version: 8, Src: addr.VN{Hi: 1}, Dst: addr.VN{Hi: 2}}
 	payload := make([]byte, 512)
+	buf := NewSerializeBuffer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncapVN(outer, inner, payload); err != nil {
+		if err := SerializeVN(buf, payload, &outer, &inner); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -322,13 +323,14 @@ func BenchmarkEncapVN(b *testing.B) {
 func BenchmarkDecapVN(b *testing.B) {
 	outer := V4Header{Src: 1, Dst: 2}
 	inner := VNHeader{Version: 8, Src: addr.VN{Hi: 1}, Dst: addr.VN{Hi: 2}}
-	wire, err := EncapVN(outer, inner, make([]byte, 512))
+	wire, err := encapVN(outer, inner, make([]byte, 512))
 	if err != nil {
 		b.Fatal(err)
 	}
+	scratch := make([]Option, 0, 4)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := DecapVN(wire); err != nil {
+		if _, _, _, err := DecapVNShared(wire, scratch[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,21 +18,21 @@ func buildWire(t *testing.T) []byte {
 			{Type: OptTraceTag, Value: []byte{0xde, 0xad, 0xbe, 0xef}},
 		},
 	}
-	wire, err := EncapVN(V4Header{Src: 0x0a000001, Dst: 0x0a000002}, inner, []byte("payload-bytes"))
+	wire, err := encapVN(V4Header{Src: 0x0a000001, Dst: 0x0a000002}, inner, []byte("payload-bytes"))
 	if err != nil {
-		t.Fatalf("EncapVN: %v", err)
+		t.Fatalf("encapVN: %v", err)
 	}
 	return wire
 }
 
 // TestDecapVNSharedEquivalence verifies the zero-copy decode returns
-// byte-identical headers, options and payload to the copying DecapVN.
+// byte-identical headers, options and payload to the copying decapVN.
 func TestDecapVNSharedEquivalence(t *testing.T) {
 	wire := buildWire(t)
 
-	o1, i1, p1, err := DecapVN(wire)
+	o1, i1, p1, err := decapVN(wire)
 	if err != nil {
-		t.Fatalf("DecapVN: %v", err)
+		t.Fatalf("decapVN: %v", err)
 	}
 	scratch := make([]Option, 0, 4)
 	o2, i2, p2, err := DecapVNShared(wire, scratch[:0])
@@ -85,7 +85,7 @@ func TestDecapVNSharedZeroAlloc(t *testing.T) {
 func TestDecapVNSharedTruncation(t *testing.T) {
 	wire := buildWire(t)
 	for cut := 1; cut < len(wire); cut += 7 {
-		_, _, _, errCopy := DecapVN(wire[:cut])
+		_, _, _, errCopy := decapVN(wire[:cut])
 		_, _, _, errShared := DecapVNShared(wire[:cut], nil)
 		if (errCopy == nil) != (errShared == nil) {
 			t.Fatalf("cut %d: copy err %v, shared err %v", cut, errCopy, errShared)

@@ -205,33 +205,12 @@ func decodeVN(data []byte, scratch []Option, own bool) (VNHeader, []byte, error)
 	return h, data[VNHeaderLen+optLen : total], nil
 }
 
-// EncapVN builds the full on-the-wire form of an IPvN packet tunnelled
-// inside an underlay packet: V4Header{Proto: ProtoVNEncap}(VNHeader(payload)).
-// This is the packet an endhost emits toward the anycast address, and the
-// packet vN-Bone tunnels carry between IPvN routers.
-func EncapVN(outer V4Header, inner VNHeader, payload []byte) ([]byte, error) {
-	outer.Proto = ProtoVNEncap
-	b := GetSerializeBuffer()
-	defer PutSerializeBuffer(b)
-	if err := Serialize(b, payload, &outer, &inner); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), b.Bytes()...), nil
-}
-
-// DecapVN unwraps an encapsulated IPvN packet, returning outer header,
-// inner header (owning its option values, like DecodeVN's) and innermost
-// payload.
-func DecapVN(wire []byte) (V4Header, VNHeader, []byte, error) { return decapVN(wire, nil, true) }
-
-// DecapVNShared is the zero-copy form of DecapVN: the inner header's
-// option values and the returned payload alias wire, and the Options
+// DecapVNShared unwraps an encapsulated IPvN packet,
+// V4Header{Proto: ProtoVNEncap}(VNHeader(payload)), returning outer
+// header, inner header and innermost payload without copying: the inner
+// header's option values and the payload alias wire, and the Options
 // slice appends to scratch. See DecodeVNShared for the aliasing contract.
 func DecapVNShared(wire []byte, scratch []Option) (V4Header, VNHeader, []byte, error) {
-	return decapVN(wire, scratch, false)
-}
-
-func decapVN(wire []byte, scratch []Option, own bool) (V4Header, VNHeader, []byte, error) {
 	outer, inner, err := DecodeV4(wire)
 	if err != nil {
 		return V4Header{}, VNHeader{}, nil, err
@@ -239,7 +218,7 @@ func decapVN(wire []byte, scratch []Option, own bool) (V4Header, VNHeader, []byt
 	if outer.Proto != ProtoVNEncap {
 		return V4Header{}, VNHeader{}, nil, fmt.Errorf("packet: protocol %s is not vn-encap", outer.Proto)
 	}
-	vn, payload, err := decodeVN(inner, scratch, own)
+	vn, payload, err := DecodeVNShared(inner, scratch)
 	if err != nil {
 		return V4Header{}, VNHeader{}, nil, err
 	}

@@ -90,8 +90,8 @@ type Egress struct {
 
 // System answers routing questions over one constructed bone.
 //
-// Concurrency: the Route*/Select*/Participates queries may run from any
-// number of goroutines. AdvertiseNative and WithdrawNative need external
+// Concurrency: the Route*/SelectEgress queries may run from any number
+// of goroutines. AdvertiseNative, the one writer, needs external
 // serialization, and a System other goroutines query must not be written.
 type System struct {
 	bone *vnbone.Bone

@@ -127,7 +127,7 @@ func TestHopLimitExpiresAcrossRelays(t *testing.T) {
 		t.Fatalf("relay stands at %s after forwarding to %s", relay.Local, locC)
 	}
 	// Every leg is a fresh, valid underlay packet.
-	outer, inner, payload, err := packet.DecapVN(wire)
+	outer, inner, payload, err := packet.DecapVNShared(wire, nil)
 	if err != nil {
 		t.Fatalf("patched wire no longer parses: %v", err)
 	}
