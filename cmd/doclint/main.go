@@ -5,7 +5,7 @@
 // identifier (functions, methods on exported types, and each exported
 // type, const and var spec). CI runs it as
 //
-//	go run ./cmd/doclint -exported internal/core,internal/trace,internal/redirect internal cmd .
+//	go run ./cmd/doclint -exported internal/core,internal/trace,internal/redirect,internal/forward,internal/underlay,internal/anycast internal cmd .
 //
 // and fails the build listing each violation. Package comments are the
 // map from code to the paper (each internal package states which section

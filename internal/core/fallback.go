@@ -22,12 +22,12 @@ func (e *Evolution) fallbackBaseline(h *flowHealth, ep *routingEpoch, src, dst *
 		return c, nil
 	}
 	h.mu.Unlock()
-	cost, err := e.Fwd.BaselineCost(src, dst)
+	cost, err := e.Fwd.HostToHost(src, dst)
 	if err != nil && e.mutSeq.Load() != ep.seq {
 		// Torn by a mutation in flight (see flowSkeleton): once more with
 		// mutators locked out.
 		e.mu.Lock()
-		cost, err = e.Fwd.BaselineCost(src, dst)
+		cost, err = e.Fwd.HostToHost(src, dst)
 		e.mu.Unlock()
 	}
 	if err != nil {

@@ -41,11 +41,11 @@ func TestBrokerReferralIsCheapest(t *testing.T) {
 			for _, h := range net.Hosts {
 				cheapest := int64(-1)
 				for _, m := range directory {
-					p, err := fwd.FromRouter(h.Attach, net.Router(m).Loopback)
+					c, err := fwd.FromRouter(h.Attach, net.Router(m).Loopback)
 					if err != nil {
 						continue
 					}
-					if c := p.Cost + h.AccessLatency; cheapest < 0 || c < cheapest {
+					if c += h.AccessLatency; cheapest < 0 || c < cheapest {
 						cheapest = c
 					}
 				}

@@ -264,7 +264,7 @@ func Fig3EgressSelection(seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		total := eg.BoneCost + tail.Cost
+		total := eg.BoneCost + tail
 		totals[i] = total
 		egressNames[i] = net.Router(eg.Member).Name
 		label := "BGPvN only"
@@ -274,7 +274,7 @@ func Fig3EgressSelection(seed int64) (*Table, error) {
 		t.AddRow(label, egressNames[i],
 			fmt.Sprintf("%d", len(eg.BonePath)-1),
 			fmt.Sprintf("%d", eg.BoneCost),
-			fmt.Sprintf("%d", tail.Cost),
+			fmt.Sprintf("%d", tail),
 			fmt.Sprintf("%d", total))
 	}
 
@@ -367,11 +367,11 @@ func Fig4AdvByProxy(seed int64) (*Table, error) {
 			}
 			pathStr += net.Domain(net.DomainOf(p)).Name
 		}
-		totals[i] = eg.BoneCost + tail.Cost
+		totals[i] = eg.BoneCost + tail
 		egress[i] = net.Domain(net.DomainOf(eg.Member)).Name
 		t.AddRow(m.label, egress[i], pathStr,
 			fmt.Sprintf("%d", rem),
-			fmt.Sprintf("%d", tail.Cost),
+			fmt.Sprintf("%d", tail),
 			fmt.Sprintf("%d", totals[i]))
 	}
 

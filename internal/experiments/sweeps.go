@@ -209,7 +209,7 @@ func RedirectorComparison(seed int64) (*Table, error) {
 		&redirect.AnycastRedirector{Svc: svc, Dep: dep},
 		brokerFull,
 		brokerHalf,
-		&redirect.ISPLookupRedirector{Svc: svc, Dep: dep, Net: net, Igp: igp},
+		&redirect.ISPLookupRedirector{Dep: dep, Igp: igp},
 	}
 
 	measure := func(phase string) map[string]float64 {

@@ -33,24 +33,9 @@ var (
 	ErrUnreachable = errors.New("forward: destination unreachable over failed links")
 )
 
-// Path is a simulated unicast trajectory.
-type Path struct {
-	// Routers is the router-level path, from the source router to the
-	// destination's attachment (or the destination router itself).
-	Routers []topology.RouterID
-	// ASPath is the domain-level trajectory.
-	ASPath []topology.ASN
-	// Cost is the summed link cost, including the destination host's
-	// access link when the destination is a host address.
-	Cost int64
-	// DstHost is set when the destination address belongs to a host.
-	DstHost *topology.Host
-	// DstRouter is the final router (the host's attach, or the addressed
-	// router).
-	DstRouter topology.RouterID
-}
-
-// Engine computes unicast paths.
+// Engine prices unicast paths: every trajectory is a Walk, which keeps
+// the decisions (where the packet stands, the domains it crossed) and the
+// summed cost, never the IPv(N-1) routers in between.
 type Engine struct {
 	net *topology.Network
 	bgp *bgp.System
@@ -64,25 +49,22 @@ func NewEngine(net *topology.Network, bgpSys *bgp.System, igp *underlay.View) *E
 	return &Engine{net: net, bgp: bgpSys, igp: igp, walks: sync.Pool{New: func() any { return new(Walk) }}}
 }
 
-// Walk is a unicast trajectory under construction. Hop and Intra are the
-// only two ways a packet moves, so every trajectory in the simulator —
-// baseline unicast here, anycast redirection in internal/anycast, which is
-// this walk with a capture test at each domain entry (§3.2: "unicast
-// routing delivers them to the closest IPvN router") — is priced and
-// loop-checked by the same code. Its buffers are pooled: what outlives End
-// is a copy (Exact).
+// Walk is a unicast trajectory under construction, its cost summed as it
+// goes. Hop and Intra are the only two ways a packet moves, so every
+// trajectory in the simulator — baseline unicast here, anycast
+// redirection in internal/anycast, which is this walk with a capture test
+// at each domain entry (§3.2: "unicast routing delivers them to the
+// closest IPvN router") — is costed and loop-checked by the same code. It
+// records where the packet stands and the domains it crossed, not the
+// routers inside them. Its ASPath buffer is pooled: what outlives End is
+// a copy (Exact).
 type Walk struct {
-	// Routers is the router-level path so far, from the source router;
-	// empty on a priced walk, which makes every decision and keeps Cost
-	// and ASPath but records no router.
-	Routers []topology.RouterID
 	// ASPath is the domain-level path so far.
 	ASPath []topology.ASN
 	// Cost is the summed link cost so far.
 	Cost int64
 
-	at     topology.RouterID
-	priced bool
+	at topology.RouterID
 	// toward is BGP's routing toward the destination, resolved by the
 	// first Hop and again whenever a Hop names another destination.
 	toward bgp.Toward
@@ -108,19 +90,16 @@ func Exact[T any](s []T) []T { return append(make([]T, 0, len(s)), s...) }
 // Begin opens a walk at router from. End it when done.
 func (e *Engine) Begin(from topology.RouterID) *Walk {
 	w := e.walks.Get().(*Walk)
-	e.open(w, from, false)
+	e.open(w, from)
 	return w
 }
 
 // open starts w over at router from. It keeps w's BGP view, which holds
 // for any walk toward the same destination, and drops the plan, which
 // was read at another AS.
-func (e *Engine) open(w *Walk, from topology.RouterID, priced bool) {
-	w.Routers, w.ASPath = w.Routers[:0], append(w.ASPath[:0], e.net.DomainOf(from))
-	if !priced {
-		w.Routers = append(w.Routers, from)
-	}
-	w.Cost, w.at, w.priced = 0, from, priced
+func (e *Engine) open(w *Walk, from topology.RouterID) {
+	w.ASPath = append(w.ASPath[:0], e.net.DomainOf(from))
+	w.Cost, w.at = 0, from
 	w.plan, w.planned = nil, false
 }
 
@@ -172,9 +151,6 @@ func (e *Engine) Hop(w *Walk, dst addr.V4) (local bool, err error) {
 		return false, ErrLoop
 	}
 	w.Cost += d + link.Latency
-	if !w.priced {
-		w.Routers = append(e.igp.AppendIntraPath(w.Routers, w.at, link.From), link.To)
-	}
 	w.at = link.To
 	w.ASPath = append(w.ASPath, next)
 	w.plan = w.plan[1:]
@@ -190,9 +166,6 @@ func (e *Engine) Intra(w *Walk, to topology.RouterID) bool {
 		return false
 	}
 	w.Cost += d
-	if !w.priced {
-		w.Routers = e.igp.AppendIntraPath(w.Routers, w.at, to)
-	}
 	w.at = to
 	return true
 }
@@ -233,47 +206,31 @@ func (e *Engine) Deliver(w *Walk, dst addr.V4, host *topology.Host) (*topology.H
 	return host, nil
 }
 
-// path walks from a router to dst (see Deliver for host) and returns the
-// trajectory in storage of its own.
-func (e *Engine) path(from topology.RouterID, dst addr.V4, host *topology.Host) (Path, error) {
+// FromRouter prices a packet from a router to dst, a router loopback or
+// a host address (the host's access link included).
+func (e *Engine) FromRouter(from topology.RouterID, dst addr.V4) (int64, error) {
 	w := e.Begin(from)
 	defer e.End(w)
-	host, err := e.Deliver(w, dst, host)
-	if err != nil {
-		return Path{}, err
+	if _, err := e.Deliver(w, dst, nil); err != nil {
+		return 0, err
 	}
-	return Path{Routers: Exact(w.Routers), ASPath: Exact(w.ASPath), Cost: w.Cost, DstHost: host, DstRouter: w.at}, nil
+	return w.Cost, nil
 }
 
-// FromRouter traces a packet from a router to the destination address.
-func (e *Engine) FromRouter(from topology.RouterID, dst addr.V4) (Path, error) {
-	return e.path(from, dst, nil)
-}
-
-// HostToHost traces a packet between two hosts, including both access
+// HostToHost prices a packet between two hosts, including both access
 // links. This is the baseline against which IPvN path stretch is measured.
-func (e *Engine) HostToHost(src, dst *topology.Host) (Path, error) {
-	p, err := e.path(src.Attach, dst.Addr, dst)
-	if err == nil {
-		p.Cost += src.AccessLatency
-	}
-	return p, err
-}
-
-// BaselineCost is HostToHost's Cost from a priced walk: the same
-// decisions and errors, no path built.
-func (e *Engine) BaselineCost(src, dst *topology.Host) (int64, error) {
+func (e *Engine) HostToHost(src, dst *topology.Host) (int64, error) {
 	w := e.walks.Get().(*Walk)
 	defer e.End(w)
 	return e.BaselineCostOn(w, src, dst)
 }
 
-// BaselineCostOn is BaselineCost on w, reopened at src's attach router as
-// a priced walk. w keeps the BGP view it holds, so a walk that has just
-// delivered to dst (a flow's tail) prices the flow's baseline without
-// resolving dst again. w stays the caller's to End.
+// BaselineCostOn is HostToHost on w, reopened at src's attach router. w
+// keeps the BGP view it holds, so a walk that has just delivered to dst
+// (a flow's tail) prices the flow's baseline without resolving dst again.
+// w stays the caller's to End.
 func (e *Engine) BaselineCostOn(w *Walk, src, dst *topology.Host) (int64, error) {
-	e.open(w, src.Attach, true)
+	e.open(w, src.Attach)
 	if _, err := e.Deliver(w, dst.Addr, dst); err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package forward
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -34,33 +35,52 @@ func world(t *testing.T) (*topology.Network, *Engine) {
 	return n, NewEngine(n, bgp.NewSystem(n), underlay.NewView(n))
 }
 
+// walked is what a finished walk shows: where the packet stands, the
+// domains it crossed, its cost and the host it was delivered to.
+type walked struct {
+	at     topology.RouterID
+	asPath []topology.ASN
+	cost   int64
+	host   *topology.Host
+}
+
+// walkTo delivers a fresh walk from a router to dst (see Deliver for
+// host) and returns what it shows.
+func walkTo(e *Engine, from topology.RouterID, dst addr.V4, host *topology.Host) (walked, error) {
+	w := e.Begin(from)
+	defer e.End(w)
+	h, err := e.Deliver(w, dst, host)
+	if err != nil {
+		return walked{}, err
+	}
+	return walked{at: w.At(), asPath: slices.Clone(w.ASPath), cost: w.Cost, host: h}, nil
+}
+
 func TestHostToHost(t *testing.T) {
 	n, e := world(t)
 	hx := n.HostsIn(n.DomainByName("X").ASN)[0]
 	hy := n.HostsIn(n.DomainByName("Y").ASN)[0]
-	p, err := e.HostToHost(hx, hy)
+	cost, err := e.HostToHost(hx, hy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// hx access 1 + X: r1→r0 (3) + 10 + T: r0→r1 (2) + 10 + Y: r0→r1 (3) + hy access 2
-	if p.Cost != 1+3+10+2+10+3+2 {
-		t.Errorf("cost = %d, want 31", p.Cost)
+	if cost != 1+3+10+2+10+3+2 {
+		t.Errorf("cost = %d, want 31", cost)
 	}
-	if p.DstHost == nil || p.DstHost.Name != "hy" {
-		t.Errorf("DstHost = %+v", p.DstHost)
+	p, err := walkTo(e, hx.Attach, hy.Addr, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(p.ASPath) != 3 {
-		t.Errorf("ASPath = %v", p.ASPath)
+	if p.host != hy || p.at != hy.Attach {
+		t.Errorf("delivered to %+v at r%d, want hy at r%d", p.host, p.at, hy.Attach)
 	}
-	// Path continuity.
-	g := n.RouterGraph()
-	for i := 0; i+1 < len(p.Routers); i++ {
-		if !g.HasEdge(int(p.Routers[i]), int(p.Routers[i+1])) {
-			t.Errorf("hop %d→%d not a link", p.Routers[i], p.Routers[i+1])
-		}
+	want := []topology.ASN{n.DomainByName("X").ASN, n.DomainByName("T").ASN, n.DomainByName("Y").ASN}
+	if !slices.Equal(p.asPath, want) {
+		t.Errorf("ASPath = %v, want %v", p.asPath, want)
 	}
-	if p.Routers[len(p.Routers)-1] != hy.Attach {
-		t.Error("path does not end at destination attach router")
+	if cost != p.cost+hx.AccessLatency {
+		t.Errorf("HostToHost = %d, walk %d + access %d", cost, p.cost, hx.AccessLatency)
 	}
 }
 
@@ -68,15 +88,15 @@ func TestIntraDomainDelivery(t *testing.T) {
 	n, e := world(t)
 	dX := n.DomainByName("X")
 	hx := n.HostsIn(dX.ASN)[0]
-	p, err := e.FromRouter(dX.Routers[0], hx.Addr)
+	cost, err := e.FromRouter(dX.Routers[0], hx.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cost != 3+1 {
-		t.Errorf("cost = %d", p.Cost)
+	if cost != 3+1 {
+		t.Errorf("cost = %d", cost)
 	}
-	if len(p.ASPath) != 1 {
-		t.Errorf("ASPath = %v", p.ASPath)
+	if p, _ := walkTo(e, dX.Routers[0], hx.Addr, nil); len(p.asPath) != 1 {
+		t.Errorf("ASPath = %v", p.asPath)
 	}
 }
 
@@ -84,12 +104,12 @@ func TestRouterLoopbackDelivery(t *testing.T) {
 	n, e := world(t)
 	dY := n.DomainByName("Y")
 	target := n.Router(dY.Routers[1])
-	p, err := e.FromRouter(n.DomainByName("X").Routers[0], target.Loopback)
+	p, err := walkTo(e, n.DomainByName("X").Routers[0], target.Loopback, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DstRouter != target.ID || p.DstHost != nil {
-		t.Errorf("dst = %d host %v", p.DstRouter, p.DstHost)
+	if p.at != target.ID || p.host != nil {
+		t.Errorf("dst = %d host %v", p.at, p.host)
 	}
 }
 
@@ -147,13 +167,13 @@ func TestBaselineMatchesGroundTruthOnTree(t *testing.T) {
 	igp := underlay.NewView(n)
 	hx := n.HostsIn(n.DomainByName("X").ASN)[0]
 	hy := n.HostsIn(n.DomainByName("Y").ASN)[0]
-	p, err := e.HostToHost(hx, hy)
+	cost, err := e.HostToHost(hx, hy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := igp.GroundTruthDist(hx.Attach, hy.Attach) + hx.AccessLatency + hy.AccessLatency
-	if p.Cost != want {
-		t.Errorf("policy cost %d != ground truth %d", p.Cost, want)
+	if cost != want {
+		t.Errorf("policy cost %d != ground truth %d", cost, want)
 	}
 }
 
@@ -173,7 +193,7 @@ func TestSeveredBorder(t *testing.T) {
 	if _, err := e.Hop(w, hy.Addr); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("hop toward a severed border: err = %v, want ErrUnreachable", err)
 	}
-	if w.At() != rX[1] || len(w.Routers) != 1 || len(w.ASPath) != 1 || w.Cost != 0 {
+	if w.At() != rX[1] || len(w.ASPath) != 1 || w.Cost != 0 {
 		t.Errorf("failed hop moved the walk: %+v", w)
 	}
 	if _, err := e.FromRouter(rX[1], hy.Addr); !errors.Is(err, ErrUnreachable) {

@@ -33,28 +33,27 @@ func TestHotPotatoPicksNearestBorder(t *testing.T) {
 	igp := underlay.NewView(net)
 	e := NewEngine(net, bgp.NewSystem(net), igp)
 
-	// From the west host, the path must cross the west link (second hop
-	// is rB[0] directly).
-	pw, err := e.HostToHost(hostW, dstW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pw.Routers[1] != rB[0] {
-		t.Errorf("west path = %v, want exit via west border", pw.Routers)
-	}
-	// From the east host, the nearest border is the east one even though
-	// the destination sits at B's west router.
-	pe, err := e.HostToHost(hostE, dstW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pe.Routers[1] != rB[1] {
-		t.Errorf("east path = %v, want exit via east border", pe.Routers)
+	// The first hop lands on the far end of the border link it crossed:
+	// from the west host, the west link (rB[0]); from the east host, the
+	// east one (rB[1]) even though the destination sits at B's west router.
+	for _, c := range []struct {
+		name string
+		from *topology.Host
+		want topology.RouterID
+	}{{"west", hostW, rB[0]}, {"east", hostE, rB[1]}} {
+		w := e.Begin(c.from.Attach)
+		if local, err := e.Hop(w, dstW.Addr); err != nil || local {
+			t.Fatalf("%s: first hop: local %v, err %v", c.name, local, err)
+		}
+		if w.At() != c.want {
+			t.Errorf("%s: first hop landed at r%d, want exit via r%d", c.name, w.At(), c.want)
+		}
+		e.End(w)
 	}
 	// Hot potato: the east host's cost is access(1) + link(5) + B intra
 	// (10) + access(1) = 17, cheaper than hauling across A first (26).
-	if pe.Cost != 17 {
-		t.Errorf("east cost = %d, want 17", pe.Cost)
+	if cost, err := e.HostToHost(hostE, dstW); err != nil || cost != 17 {
+		t.Errorf("east cost = %d, %v; want 17", cost, err)
 	}
 }
 

@@ -14,11 +14,12 @@ import (
 )
 
 // refWalk is the walk as it was before the walk kept its BGP view and
-// route, and before AppendIntraPath: every hop asks BGP and the IGP
-// afresh — a route lookup, a view of its own for the border links, Exit
-// for the link and IntraDist for the way to it — and builds its intra leg
-// as a slice of its own. It is the reference TestWalkMatchesReference
-// holds the engine's walk to.
+// route, and while it still recorded routers: every hop asks BGP and the
+// IGP afresh — a route lookup, a view of its own for the border links,
+// Exit for the link and IntraDist for the way to it — and appends its
+// intra leg, built with IntraPath, to a router list of its own, whose
+// last router is where the packet stands. It is the reference
+// TestWalkMatchesReference holds the engine's walk to.
 type refWalk struct {
 	routers []topology.RouterID
 	asPath  []topology.ASN
@@ -70,34 +71,34 @@ func (e *Engine) refHop(w *refWalk, dst addr.V4) (local bool, err error) {
 
 // referenceWalk is the old FromRouter: refHop until local, then the old
 // finish, which looks dst up by address (loopback first, then host).
-func (e *Engine) referenceWalk(from topology.RouterID, dst addr.V4) (Path, error) {
+func (e *Engine) referenceWalk(from topology.RouterID, dst addr.V4) (walked, error) {
 	w := e.refBegin(from)
 	for {
 		local, err := e.refHop(w, dst)
 		if err != nil {
-			return Path{}, err
+			return walked{}, err
 		}
 		if local {
 			break
 		}
 	}
 	asn := w.domain()
-	p := Path{}
+	var to topology.RouterID
+	var host *topology.Host
 	var access int64
 	if r := e.net.RouterByLoopback(dst); r != nil && r.Domain == asn {
-		p.DstRouter = r.ID
+		to = r.ID
 	} else if h := e.net.FindHost(dst); h != nil && h.Domain == asn {
-		p.DstRouter, p.DstHost, access = h.Attach, h, h.AccessLatency
+		to, host, access = h.Attach, h, h.AccessLatency
 	} else {
-		return Path{}, ErrHostNotFound
+		return walked{}, ErrHostNotFound
 	}
-	d := e.igp.IntraDist(w.at(), p.DstRouter)
+	d := e.igp.IntraDist(w.at(), to)
 	if d >= graph.Inf {
-		return Path{}, ErrUnreachable
+		return walked{}, ErrUnreachable
 	}
-	p.Routers = refAppendPath(w.routers, e.igp.IntraPath(w.at(), p.DstRouter))
-	p.ASPath, p.Cost = w.asPath, w.cost+d+access
-	return p, nil
+	w.routers = refAppendPath(w.routers, e.igp.IntraPath(w.at(), to))
+	return walked{at: w.at(), asPath: w.asPath, cost: w.cost + d + access, host: host}, nil
 }
 
 // sameErr: both nil, or the same sentinel, or (for the one formatted
@@ -146,52 +147,35 @@ func intraLatency(t *testing.T, n *topology.Network, a, b topology.RouterID) int
 	return 0
 }
 
-// compare holds FromRouter to the reference, and the priced walk to
-// FromRouter, for one (router, destination) pair. host is the
-// destination's host when the caller holds one.
+// compare holds the walk to the reference for one (router, destination)
+// pair, with and without the destination's host handed in (host is nil
+// for a loopback), and FromRouter to the walk.
 func (w *walkWorld) compare(label string, from topology.RouterID, dst addr.V4, host *topology.Host) {
 	w.t.Helper()
 	e := w.e
 	want, wantErr := e.referenceWalk(from, dst)
-	got, err := e.FromRouter(from, dst)
-	if !sameErr(err, wantErr) {
-		w.t.Fatalf("%s: r%d→%s: err = %v, reference %v", label, from, dst, err, wantErr)
-	}
 	for _, s := range []error{ErrNoRoute, ErrHostNotFound, ErrLoop, ErrUnreachable} {
-		if errors.Is(err, s) {
+		if errors.Is(wantErr, s) {
 			w.seen[s]++
 		}
 	}
-	if !slices.Equal(got.Routers, want.Routers) || !slices.Equal(got.ASPath, want.ASPath) ||
-		got.Cost != want.Cost || got.DstRouter != want.DstRouter || got.DstHost != want.DstHost {
-		w.t.Fatalf("%s: r%d→%s:\n got %+v\nwant %+v", label, from, dst, got, want)
-	}
-	if err == nil && (cap(got.Routers) != len(got.Routers) || cap(got.ASPath) != len(got.ASPath)) {
-		w.t.Fatalf("%s: returned path is not exact-size: %d/%d, %d/%d", label,
-			len(got.Routers), cap(got.Routers), len(got.ASPath), cap(got.ASPath))
-	}
-
-	// The priced walk: same verdict, same cost, no router recorded; with
-	// and without the host handed through.
 	for _, h := range []*topology.Host{nil, host} {
-		pw := e.walks.Get().(*Walk)
-		e.open(pw, from, true)
-		dh, perr := e.Deliver(pw, dst, h)
-		if !sameErr(perr, err) {
-			w.t.Fatalf("%s: r%d→%s: priced err = %v, walk %v", label, from, dst, perr, err)
+		got, err := walkTo(e, from, dst, h)
+		if !sameErr(err, wantErr) {
+			w.t.Fatalf("%s: r%d→%s: err = %v, reference %v", label, from, dst, err, wantErr)
 		}
-		if err == nil && (pw.Cost != got.Cost || pw.At() != got.DstRouter || dh != got.DstHost || !slices.Equal(pw.ASPath, got.ASPath)) {
-			w.t.Fatalf("%s: r%d→%s: priced (cost %d at r%d %v) != walk %+v", label, from, dst, pw.Cost, pw.At(), pw.ASPath, got)
+		if err == nil && (got.at != want.at || !slices.Equal(got.asPath, want.asPath) || got.cost != want.cost || got.host != want.host) {
+			w.t.Fatalf("%s: r%d→%s:\n got %+v\nwant %+v", label, from, dst, got, want)
 		}
-		if len(pw.Routers) != 0 {
-			w.t.Fatalf("%s: priced walk recorded routers %v", label, pw.Routers)
-		}
-		e.End(pw)
+	}
+	cost, err := e.FromRouter(from, dst)
+	if !sameErr(err, wantErr) || err == nil && cost != want.cost {
+		w.t.Fatalf("%s: r%d→%s: FromRouter = %d, %v; reference %+v, %v", label, from, dst, cost, err, want, wantErr)
 	}
 }
 
 // sweep compares a deterministic sample of (router, host) and (router,
-// loopback) pairs, and HostToHost against BaselineCost for host pairs.
+// loopback) pairs, and HostToHost against the reference for host pairs.
 func (w *walkWorld) sweep(label string) {
 	w.t.Helper()
 	rs, hs := w.net.Routers, w.net.Hosts
@@ -205,10 +189,10 @@ func (w *walkWorld) sweep(label string) {
 	}
 	for i := 0; i < len(hs); i += 3 {
 		src, dst := hs[i], hs[(i*7+5)%len(hs)]
-		p, err := w.e.HostToHost(src, dst)
-		c, cerr := w.e.BaselineCost(src, dst)
-		if !sameErr(err, cerr) || c != p.Cost {
-			w.t.Fatalf("%s: %s→%s: BaselineCost = %d, %v; HostToHost = %d, %v", label, src.Name, dst.Name, c, cerr, p.Cost, err)
+		want, wantErr := w.e.referenceWalk(src.Attach, dst.Addr)
+		c, err := w.e.HostToHost(src, dst)
+		if !sameErr(err, wantErr) || err == nil && c != want.cost+src.AccessLatency {
+			w.t.Fatalf("%s: %s→%s: HostToHost = %d, %v; reference %d, %v", label, src.Name, dst.Name, c, err, want.cost+src.AccessLatency, wantErr)
 		}
 	}
 }
@@ -222,9 +206,9 @@ func (w *walkWorld) expect(label string, sentinel error) {
 }
 
 // TestWalkMatchesReference holds the engine's walk — one BGP view per
-// destination, one IGP probe per hop, the intra leg written in place — to
-// the per-hop reference on path, cost and error, and the priced walk to
-// the path-building one, through every state a walk can meet.
+// destination, one IGP probe per hop, no router recorded — to the
+// per-hop reference on where it ends, AS path, cost, delivered host and
+// error, through every state a walk can meet.
 func TestWalkMatchesReference(t *testing.T) {
 	for _, rpd := range []int{2, 3} {
 		for _, seed := range []int64{1, 2, 3} {
@@ -326,9 +310,9 @@ func TestWalkMatchesReference(t *testing.T) {
 						fellBack = true
 					}
 					if rl != gl || !sameErr(rerr, gerr) || got.Cost != ref.cost || got.At() != ref.at() ||
-						!slices.Equal(got.Routers, ref.routers) || !slices.Equal(got.ASPath, ref.asPath) {
-						t.Fatalf("%s: from r%d step %d: walk (%v %v %v %v %d) != reference (%v %v %+v)",
-							label("gia"), r.ID, step, gl, gerr, got.Routers, got.ASPath, got.Cost, rl, rerr, ref)
+						!slices.Equal(got.ASPath, ref.asPath) {
+						t.Fatalf("%s: from r%d step %d: walk (%v %v r%d %v %d) != reference (%v %v %+v)",
+							label("gia"), r.ID, step, gl, gerr, got.At(), got.ASPath, got.Cost, rl, rerr, ref)
 					}
 					if rl || rerr != nil {
 						break

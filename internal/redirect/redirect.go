@@ -131,7 +131,9 @@ type BrokerRedirector struct {
 	// coverage is the fraction of participant ISPs that share deployment
 	// data with this broker.
 	coverage float64
-	rng      *rand.Rand
+	// rng is the broker's own source, never the global math/rand, so its
+	// behaviour stays deterministic and free of cross-instance contention.
+	rng *rand.Rand
 
 	// snapshot is the broker's (possibly stale) member directory.
 	snapshot []topology.RouterID
@@ -141,13 +143,6 @@ type BrokerRedirector struct {
 // fixes which ISPs cooperate. Call Refresh to take the initial directory
 // snapshot.
 func NewBroker(net *topology.Network, fwd *forward.Engine, dep *anycast.Deployment, coverage float64, seed int64) *BrokerRedirector {
-	return NewBrokerWithRand(net, fwd, dep, coverage, rand.New(rand.NewSource(seed)))
-}
-
-// NewBrokerWithRand is NewBroker with the randomness source injected —
-// never the global math/rand, so broker behaviour stays deterministic and
-// free of cross-instance contention.
-func NewBrokerWithRand(net *topology.Network, fwd *forward.Engine, dep *anycast.Deployment, coverage float64, rng *rand.Rand) *BrokerRedirector {
 	if coverage < 0 {
 		coverage = 0
 	}
@@ -159,7 +154,7 @@ func NewBrokerWithRand(net *topology.Network, fwd *forward.Engine, dep *anycast.
 		fwd:      fwd,
 		net:      net,
 		coverage: coverage,
-		rng:      rng,
+		rng:      rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -208,11 +203,11 @@ func (b *BrokerRedirector) Redirect(h *topology.Host) (Result, error) {
 	}
 	best := cand{member: -1}
 	for _, m := range b.snapshot {
-		p, err := b.fwd.FromRouter(h.Attach, b.net.Router(m).Loopback)
+		cost, err := b.fwd.FromRouter(h.Attach, b.net.Router(m).Loopback)
 		if err != nil {
 			continue
 		}
-		if cost := p.Cost + h.AccessLatency; best.member < 0 || cost < best.cost {
+		if cost += h.AccessLatency; best.member < 0 || cost < best.cost {
 			best = cand{member: m, cost: cost}
 		}
 	}
@@ -238,9 +233,7 @@ func (b *BrokerRedirector) Redirect(h *topology.Host) (Result, error) {
 // ISPLookupRedirector models each ISP running its own lookup service for
 // its customers — available only where the ISP participates.
 type ISPLookupRedirector struct {
-	Svc *anycast.Service
 	Dep *anycast.Deployment
-	Net *topology.Network
 	Igp interface {
 		ClosestIn(topology.RouterID, []topology.RouterID) (topology.RouterID, int64, bool)
 	}

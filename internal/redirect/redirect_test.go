@@ -2,7 +2,6 @@ package redirect
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/anycast"
@@ -64,7 +63,7 @@ func TestAnycastAlwaysSucceeds(t *testing.T) {
 
 func TestISPLookupFailsOutsideParticipants(t *testing.T) {
 	e := world(t)
-	r := &ISPLookupRedirector{Svc: e.svc, Dep: e.dep, Net: e.net, Igp: e.igp}
+	r := &ISPLookupRedirector{Dep: e.dep, Igp: e.igp}
 	if r.Name() != "isp-lookup" {
 		t.Error("name wrong")
 	}
@@ -236,20 +235,5 @@ func TestBrokerDeterministicAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("same seed diverged at host %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestBrokerWithInjectedRand(t *testing.T) {
-	e := world(t)
-	b1 := NewBrokerWithRand(e.net, e.fwd, e.dep, 0.5, rand.New(rand.NewSource(99)))
-	b2 := NewBroker(e.net, e.fwd, e.dep, 0.5, 99)
-	b1.Refresh()
-	b2.Refresh()
-	if len(b1.snapshot) != len(b2.snapshot) {
-		t.Errorf("injected rng built a different directory: %d vs %d",
-			len(b1.snapshot), len(b2.snapshot))
-	}
-	if NewBrokerWithRand(e.net, e.fwd, e.dep, -1, rand.New(rand.NewSource(1))).coverage != 0 {
-		t.Error("negative coverage not clamped")
 	}
 }

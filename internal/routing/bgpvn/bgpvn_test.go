@@ -122,7 +122,7 @@ func TestFigure3TotalCostImproves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs[i] = eg.BoneCost + tail.Cost
+		costs[i] = eg.BoneCost + tail
 	}
 	if costs[1] > costs[0] {
 		t.Errorf("path-informed total %d worse than exit-early %d", costs[1], costs[0])

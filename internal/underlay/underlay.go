@@ -183,37 +183,24 @@ func (v *View) IntraDist(a, b topology.RouterID) int64 {
 	return t.Dist[v.local[b]]
 }
 
-// IntraPath returns the intra-domain router path a..b, or nil.
+// IntraPath returns the intra-domain router path a..b in exact-size
+// storage, written straight from the tree's parent array, or nil when b
+// is unreachable or in another domain.
 func (v *View) IntraPath(a, b topology.RouterID) []topology.RouterID {
-	return v.AppendIntraPath(nil, a, b)
-}
-
-// AppendIntraPath appends the intra-domain router path a..b to path,
-// written straight from the tree's parent array; a is dropped when path
-// already ends at it. path comes back untouched when b is unreachable or
-// in another domain. A nil path gets exact-size storage: callers retain it.
-func (v *View) AppendIntraPath(path []topology.RouterID, a, b topology.RouterID) []topology.RouterID {
 	if v.net.DomainOf(a) != v.net.DomainOf(b) {
-		return path
+		return nil
 	}
 	dg, t := v.intraFor(a)
 	lb := int(v.local[b])
 	if t.Dist[lb] >= graph.Inf {
-		return path
+		return nil
 	}
 	n := 1
 	for li := lb; t.Parent[li] >= 0; li = t.Parent[li] {
 		n++
 	}
-	if len(path) > 0 && path[len(path)-1] == a {
-		n--
-	}
-	if path == nil {
-		path = make([]topology.RouterID, 0, n)
-	}
-	end := len(path) + n
-	path = slices.Grow(path, n)[:end]
-	for li, k := lb, end-1; k >= end-n; li, k = t.Parent[li], k-1 {
+	path := make([]topology.RouterID, n)
+	for li, k := lb, n-1; k >= 0; li, k = t.Parent[li], k-1 {
 		path[k] = dg.ids[li]
 	}
 	return path
