@@ -131,7 +131,7 @@ func main() {
 		}
 	}
 	if *reliable {
-		rel := evolve.ReliableConfig{AckVia: anycastAddr, JitterSeed: *seed}
+		rel := evolve.ReliableConfig{JitterSeed: *seed}
 		hostA.EnableReliable(rel)
 		hostB.EnableReliable(rel)
 	}
@@ -229,7 +229,7 @@ func main() {
 			got, *messages, elapsed.Round(time.Millisecond), meanRTT(rttSum, got))
 	} else {
 		// Host B answers pings; RTTs traverse the bone twice.
-		hostB.EnableEcho(anycastAddr)
+		hostB.EnableEcho()
 		for i := 0; i < *messages; i++ {
 			payload := []byte(fmt.Sprintf("ping:%d", i))
 			sent := time.Now()

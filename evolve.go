@@ -167,7 +167,7 @@ type (
 	// FaultTransport is the fault layer every live wire write passes
 	// through once installed on an OverlayRegistry.
 	FaultTransport = overlaynet.FaultTransport
-	// ReliableConfig parameterises the acked/retransmitting SendVN mode.
+	// ReliableConfig parameterises the acked mode; acks take the receiver's anycast route.
 	ReliableConfig = overlaynet.ReliableConfig
 	// PeerStatus is one row of a live node's peer-health table.
 	PeerStatus = overlaynet.PeerStatus

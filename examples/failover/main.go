@@ -133,8 +133,8 @@ func liveAct(evo *evolve.Evolution, client, server *evolve.Host) error {
 	}
 	ingress := o.Members[res.Member]
 
-	// The client sends and the server acks through the anycast address.
-	rel := evolve.ReliableConfig{AckVia: anycastAddr, JitterSeed: 11}
+	// Each host sends, or acks, through its own anycast route.
+	rel := evolve.ReliableConfig{JitterSeed: 11}
 	src.EnableReliable(rel)
 	dst.EnableReliable(rel)
 	// Every wire write faces a 15% seeded drop lottery from here on.

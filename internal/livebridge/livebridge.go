@@ -55,10 +55,10 @@ type Overlay struct {
 type desiredState struct {
 	// members maps each bone member to its loopback (the node underlay).
 	members map[topology.RouterID]addr.V4
-	// routes is each member's per-host /128 table: prefix → next hops. An
+	// routes is each member's per-host /128 table: prefix → next hop. An
 	// egress member holds a route only to a native host; a self-addressed
 	// packet leaves by the underlay address it carries.
-	routes map[topology.RouterID]map[addr.VNPrefix][]addr.V4
+	routes map[topology.RouterID]map[addr.VNPrefix]addr.V4
 	// hosts maps each endhost to its IPvN address.
 	hosts map[topology.HostID]addr.VN
 	// anycast is each endhost's anycast route: the member the simulated
@@ -78,7 +78,7 @@ func (o *Overlay) desired() (*desiredState, error) {
 	}
 	d := &desiredState{
 		members: map[topology.RouterID]addr.V4{},
-		routes:  map[topology.RouterID]map[addr.VNPrefix][]addr.V4{},
+		routes:  map[topology.RouterID]map[addr.VNPrefix]addr.V4{},
 		hosts:   map[topology.HostID]addr.VN{},
 		anycast: map[topology.HostID][]addr.V4{},
 	}
@@ -106,7 +106,7 @@ func (o *Overlay) desired() (*desiredState, error) {
 		d.anycast[h.ID] = route
 	}
 	for m := range d.members {
-		table := map[addr.VNPrefix][]addr.V4{}
+		table := map[addr.VNPrefix]addr.V4{}
 		for _, h := range evo.Net.Hosts {
 			v := d.hosts[h.ID]
 			// The same decision Send's flow skeleton takes from this member.
@@ -116,10 +116,10 @@ func (o *Overlay) desired() (*desiredState, error) {
 			}
 			switch {
 			case dec.Member != m && len(dec.BonePath) >= 2:
-				table[addr.HostVNPrefix(v)] = []addr.V4{evo.Net.Router(dec.BonePath[1]).Loopback}
+				table[addr.HostVNPrefix(v)] = evo.Net.Router(dec.BonePath[1]).Loopback
 			case !v.IsSelf():
 				// This member is the egress: exit straight to the host.
-				table[addr.HostVNPrefix(v)] = []addr.V4{h.Addr}
+				table[addr.HostVNPrefix(v)] = h.Addr
 			}
 		}
 		d.routes[m] = table
@@ -198,7 +198,7 @@ func (o *Overlay) Reconcile() error {
 	}
 	// Swap changed route tables whole.
 	for id, table := range d.routes {
-		if prev, ok := last.routes[id]; ok && maps.EqualFunc(prev, table, slices.Equal) {
+		if prev, ok := last.routes[id]; ok && maps.Equal(prev, table) {
 			continue
 		}
 		o.Members[id].SetVNRoutes(table)

@@ -16,9 +16,8 @@ import (
 const timeout = 3 * time.Second
 
 // enableReliable turns on the acked/retransmitting mode on every host
-// node of o, acknowledging through the deployment's anycast address.
+// node of o; each acknowledges through its anycast route.
 func enableReliable(o *Overlay, cfg overlaynet.ReliableConfig) {
-	cfg.AckVia = o.evo.AnycastAddr()
 	for _, n := range o.Hosts {
 		n.EnableReliable(cfg)
 	}

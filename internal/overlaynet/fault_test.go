@@ -95,7 +95,7 @@ func TestFaultTrainDropsMatchSingleWrites(t *testing.T) {
 		next := u(51)
 		sink := wireSink(t, reg, next)
 		dst := addr.SelfAddress(u(99))
-		r.SetVNRoutes(map[addr.VNPrefix][]addr.V4{addr.HostVNPrefix(dst): {next}})
+		r.SetVNRoutes(map[addr.VNPrefix]addr.V4{addr.HostVNPrefix(dst): next})
 		reg.SetFaultTransport(NewFaultTransport(FaultConfig{Seed: 9, DropRate: 0.5}))
 
 		var train []byte
@@ -199,7 +199,6 @@ func buildReliablePair(t *testing.T, seed int64, drop float64) (reg *Registry, h
 	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
 	hostB.SetVNAddr(addr.SelfAddress(hostB.Underlay))
 	rel := ReliableConfig{
-		AckVia: any,
 		// Loopback RTT is microseconds; a generous timeout means every
 		// retransmission is caused by an injected drop, never by timing —
 		// the counter schedule depends only on the seed.
@@ -320,7 +319,6 @@ func TestReliableGivesUpWithoutReceiver(t *testing.T) {
 	hostA.SetAnycastRoute(any, ing.Underlay)
 	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
 	hostA.EnableReliable(ReliableConfig{
-		AckVia:         any,
 		RetransmitBase: 5 * time.Millisecond,
 		MaxAttempts:    3,
 	})

@@ -33,7 +33,7 @@ func FuzzDatagram(f *testing.F) {
 	}
 	n.ServeAnycast(anycast)
 	relayed := addr.SelfAddress(sinkAddr)
-	n.SetVNRoutes(map[addr.VNPrefix][]addr.V4{addr.HostVNPrefix(relayed): {sinkAddr}})
+	n.SetVNRoutes(map[addr.VNPrefix]addr.V4{addr.HostVNPrefix(relayed): sinkAddr})
 
 	control := func(pkt []byte) bool {
 		outer, rest, err := packet.DecodeV4(pkt)

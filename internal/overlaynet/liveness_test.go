@@ -1,6 +1,7 @@
 package overlaynet
 
 import (
+	"net"
 	"slices"
 	"testing"
 	"time"
@@ -100,6 +101,90 @@ func TestPrepareSkipsDeadPrimary(t *testing.T) {
 	check("m1 closed", m2.Underlay, 1)
 }
 
+// TestOneAnycastRoute: a node holds one anycast route. Without one it
+// answers no ping and counts it dropped. A second SetAnycastRoute, toward
+// another address, replaces the first: the first route's members leave
+// PeerHealth, and a send to the old address goes out as unicast. An echo
+// reply and an ack leave through the route's preferred member, and
+// through the next member once the node suspects the first, each counted
+// as one anycast failover.
+func TestOneAnycastRoute(t *testing.T) {
+	reg := NewRegistry()
+	e, err := NewNode(reg, u(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	me, peer := addr.SelfAddress(e.Underlay), addr.SelfAddress(u(2))
+	e.SetVNAddr(me)
+	e.EnableEcho()
+	e.EnableReliable(ReliableConfig{})
+	// inject hands e a packet from peer as its receive goroutine would.
+	inject := func(payload []byte, opts ...packet.Option) {
+		t.Helper()
+		wire, err := encapVN(packet.V4Header{Src: u(2), Dst: e.Underlay}, packet.VNHeader{Version: 8, Src: peer, Dst: me, Options: opts}, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.rx <- wire
+	}
+
+	inject([]byte("ping:0"))
+	waitFor(t, "the unanswered ping's drop", func() bool { return e.Stats() == Stats{Dropped: 1} })
+
+	oldAny, _ := addr.Option1Address(0)
+	newAny, _ := addr.Option1Address(1)
+	oldSink := wireSink(t, reg, oldAny)
+	m1, m2, m3 := u(11), u(12), u(13)
+	sinks := map[addr.V4]*net.UDPConn{m2: wireSink(t, reg, m2), m3: wireSink(t, reg, m3)}
+	e.SetAnycastRoute(oldAny, m1)
+	e.SetAnycastRoute(newAny, m2, m3)
+	if ph, want := e.PeerHealth(), []PeerStatus{{Peer: m2}, {Peer: m3}}; !slices.Equal(ph, want) {
+		t.Errorf("peer health after the second route = %+v, want %+v", ph, want)
+	}
+	if err := e.SendVN(oldAny, peer, []byte("unicast")); err != nil {
+		t.Fatal(err)
+	}
+	if outer, _, _, err := packet.DecapVNShared(readWire(t, oldSink), nil); err != nil || outer.Dst != oldAny {
+		t.Errorf("send to the old address: outer dst %s, %v; want %s", outer.Dst, err, oldAny)
+	}
+
+	// replies checks that a ping's pong and a seq-marked packet's ack
+	// leave through member toward newAny, each counting failovers.
+	seq := uint32(0)
+	replies := func(member addr.V4, failovers uint64) {
+		t.Helper()
+		before := reg.Counters().Snapshot().FailoversAnycast
+		read := func(what string, n uint64) (packet.VNHeader, []byte) {
+			t.Helper()
+			outer, inner, payload, err := packet.DecapVNShared(readWire(t, sinks[member]), nil)
+			if err != nil || outer.Dst != newAny || inner.Dst != peer {
+				t.Fatalf("%s via %s: outer dst %s, inner dst %s, %v", what, member, outer.Dst, inner.Dst, err)
+			}
+			if got := reg.Counters().Snapshot().FailoversAnycast - before; got != n*failovers {
+				t.Errorf("%s via %s: %d anycast failovers counted, want %d", what, member, got, n*failovers)
+			}
+			return inner, payload
+		}
+		inject([]byte("ping:1"))
+		if _, payload := read("pong", 1); string(payload) != "pong:1" {
+			t.Errorf("pong via %s carries %q", member, payload)
+		}
+		seq++
+		inject([]byte("data"), seqOption(packet.OptDeliverySeq, seq))
+		ack, _ := read("ack", 2)
+		if got, ok := deliveryOpt(ack, packet.OptDeliveryAck); !ok || got != seq {
+			t.Errorf("ack via %s acknowledges %d (%v), want %d", member, got, ok, seq)
+		}
+		if _, err := e.WaitInbox(waitShort); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replies(m2, 0)
+	e.setSuspected(m2, true)
+	replies(m3, 1)
+}
+
 // TestSetAnycastRouteBesideSends: a node's anycast route may change while
 // it sends (a bridged overlay reconciles beside its senders); every send
 // leaves through a member of one of the routes. Run under -race.
@@ -189,64 +274,11 @@ func TestLivenessSuspectsAndRecovers(t *testing.T) {
 	}
 }
 
-func TestRouteFailoverToAlternate(t *testing.T) {
-	// Ingress routes the self prefix to m1 with m2 as alternate. m1 dies;
-	// the relay must fail over to m2 without any control-plane help.
-	reg := NewRegistry()
-	mk := func(last byte) *Node {
-		n, err := NewNode(reg, u(last))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		return n
-	}
-	hostA, hostB := mk(1), mk(2)
-	ingress, m1, m2 := mk(11), mk(12), mk(13)
-	any, _ := addr.Option1Address(0)
-	ingress.ServeAnycast(any)
-	hostA.SetAnycastRoute(any, ingress.Underlay)
-	hostA.SetVNAddr(addr.SelfAddress(hostA.Underlay))
-	hostB.SetVNAddr(addr.SelfAddress(hostB.Underlay))
-	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)
-	ingress.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {m1.Underlay, m2.Underlay}})
-	// m1 and m2 both exit via the underlay option (no further routes).
-
-	if err := hostA.SendVN(any, hostB.VNAddr(), []byte("via-primary")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hostB.WaitInbox(waitShort); err != nil {
-		t.Fatal(err)
-	}
-	if s := m1.Stats(); s.Exited != 1 {
-		t.Errorf("primary not used: %+v", s)
-	}
-
-	m1.Close()
-	before := reg.Counters().Snapshot().FailoversRoute
-	if err := hostA.SendVN(any, hostB.VNAddr(), []byte("via-alt")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := hostB.WaitInbox(waitShort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Payload) != "via-alt" {
-		t.Errorf("payload = %q", got.Payload)
-	}
-	if s := m2.Stats(); s.Exited != 1 {
-		t.Errorf("alternate not used: %+v", s)
-	}
-	if after := reg.Counters().Snapshot().FailoversRoute; after <= before {
-		t.Error("route failover not counted")
-	}
-}
-
-// TestRelayExitsPastDeadNextHops: a relay whose route has no live next
-// hop — its only one closed, or every one suspected by the relay — lets a
-// self-addressed packet leave the bone by the underlay address it
-// carries, counted as an exit and a route failover, while a native
-// destination routed past a closed next hop is still dropped.
+// TestRelayExitsPastDeadNextHops: a relay whose next hop is not live —
+// closed, or suspected by the relay — lets a self-addressed packet leave
+// the bone by the underlay address it carries, counted as an exit and a
+// route failover, while a native destination routed past a closed next
+// hop is still dropped.
 func TestRelayExitsPastDeadNextHops(t *testing.T) {
 	reg := NewRegistry()
 	mk := func(last byte) *Node {
@@ -258,7 +290,7 @@ func TestRelayExitsPastDeadNextHops(t *testing.T) {
 		return n
 	}
 	hostA, hostB, hostC := mk(1), mk(2), mk(3)
-	ingress, m1, m2, m3 := mk(11), mk(12), mk(13), mk(14)
+	ingress, m1, m2 := mk(11), mk(12), mk(13)
 	any, _ := addr.Option1Address(0)
 	ingress.ServeAnycast(any)
 	hostA.SetAnycastRoute(any, ingress.Underlay)
@@ -266,14 +298,13 @@ func TestRelayExitsPastDeadNextHops(t *testing.T) {
 		h.SetVNAddr(addr.SelfAddress(h.Underlay))
 	}
 	native := addr.NativeVN(42, 0)
-	ingress.SetVNRoutes(map[addr.VNPrefix][]addr.V4{
-		addr.HostVNPrefix(hostB.VNAddr()): {m1.Underlay},
-		addr.HostVNPrefix(hostC.VNAddr()): {m2.Underlay, m3.Underlay},
-		addr.DomainVNPrefix(42):           {m1.Underlay},
+	ingress.SetVNRoutes(map[addr.VNPrefix]addr.V4{
+		addr.HostVNPrefix(hostB.VNAddr()): m1.Underlay,
+		addr.HostVNPrefix(hostC.VNAddr()): m2.Underlay,
+		addr.DomainVNPrefix(42):           m1.Underlay,
 	})
 	m1.Close()
 	ingress.setSuspected(m2.Underlay, true)
-	ingress.setSuspected(m3.Underlay, true)
 
 	for i, dst := range []*Node{hostB, hostC} {
 		was, failovers := ingress.Stats(), reg.Counters().Snapshot().FailoversRoute
@@ -415,14 +446,14 @@ func TestDroppedPeerIsNoLongerProbed(t *testing.T) {
 	ft.Partition(a.Underlay, b.Underlay)
 	reg.SetFaultTransport(ft)
 	toB, toC := addr.HostVNPrefix(addr.SelfAddress(u(20))), addr.HostVNPrefix(addr.SelfAddress(u(30)))
-	a.SetVNRoutes(map[addr.VNPrefix][]addr.V4{toB: {b.Underlay}, toC: {c.Underlay}})
+	a.SetVNRoutes(map[addr.VNPrefix]addr.V4{toB: b.Underlay, toC: c.Underlay})
 	if got := len(a.PeerHealth()); got != 2 {
 		t.Fatalf("%d peers, want 2", got)
 	}
 	a.probeRound()
 	a.probeRound()
 
-	a.SetVNRoutes(map[addr.VNPrefix][]addr.V4{toB: {b.Underlay}})
+	a.SetVNRoutes(map[addr.VNPrefix]addr.V4{toB: b.Underlay})
 	want := []PeerStatus{{Peer: b.Underlay, Misses: 1}}
 	if ph := a.PeerHealth(); !slices.Equal(ph, want) {
 		t.Fatalf("peer health after c's route went = %+v, want %+v", ph, want)
@@ -453,7 +484,7 @@ func TestDepartedPeerCountsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetVNRoutes(map[addr.VNPrefix][]addr.V4{addr.HostVNPrefix(addr.SelfAddress(u(20))): {b.Underlay}})
+	a.SetVNRoutes(map[addr.VNPrefix]addr.V4{addr.HostVNPrefix(addr.SelfAddress(u(20))): b.Underlay})
 	a.probeRound()
 	b.Close()
 

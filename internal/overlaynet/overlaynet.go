@@ -6,22 +6,23 @@
 // the host toward the anycast address, decap/relay at each vN router,
 // exit toward self-addressed destinations — over genuine sockets.
 //
-// A node's bone table is set whole (SetVNRoutes). A packet its table has
-// no route for, or whose route has no live next hop, leaves the bone by
-// the underlay address a self-addressed destination carries in an option
-// (paper §3.3.2), counted as an exit; a native destination without a
-// route is a drop.
+// A node's bone table is set whole (SetVNRoutes), one next hop per
+// prefix. A packet its table has no route for, or whose next hop is not
+// live, leaves the bone by the underlay address a self-addressed
+// destination carries in an option (paper §3.3.2), counted as an exit; a
+// native destination without a route is a drop.
 //
 // A node relays unicast IPvN packets only: it keeps no multicast group
 // state, so a packet addressed to an IPvN multicast group is dropped
 // (internal/vncast computes group trees in the simulator).
 //
 // The Registry stands in for IPv(N-1) routing: it maps underlay addresses
-// to UDP endpoints. Where an anycast packet enters is the sending node's
-// own route (SetAnycastRoute): the member unicast routing delivers its
-// packets to, then the alternates, as the simulator's routing orders
-// them. This is the documented substitution for a real multi-ISP underlay
-// (DESIGN.md §2): the code paths above the socket layer are identical.
+// to UDP endpoints. Where an anycast packet (or an echo reply or ack)
+// enters is the sending node's one anycast route (SetAnycastRoute): the
+// member unicast routing delivers its packets to, then the alternates, as
+// the simulator's routing orders them. This is the documented
+// substitution for a real multi-ISP underlay (DESIGN.md §2): the code
+// paths above the socket layer are identical.
 //
 // The data plane is self-healing (DESIGN.md §9): a node probes the peers
 // its own routes name (EnableLiveness) and keeps the only record of their
@@ -40,7 +41,6 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -170,10 +170,16 @@ type outgoing struct {
 	buf    *packet.SerializeBuffer
 }
 
-// nextHops is one route's forwarding set, in order of preference: the
-// primary next hop, then the alternates used when it is dead or
-// suspected. Never empty.
+// nextHops is an anycast route's members in order of preference: the
+// member unicast routing delivers to, then the alternates used when it is
+// dead or suspected. Never empty.
 type nextHops []addr.V4
+
+// anycastRoute is a node's one anycast route: its address and members.
+type anycastRoute struct {
+	to  addr.V4
+	via nextHops
+}
 
 // Node is one live overlay participant (vN router or endhost).
 type Node struct {
@@ -184,24 +190,21 @@ type Node struct {
 	vnAddr addr.VN
 	served map[addr.V4]bool
 
-	// routes is the bone table, IPvN prefix → next-hop set. SetVNRoutes
+	// routes is the bone table, IPvN prefix → next hop. SetVNRoutes
 	// replaces it whole and never edits a published one, so a relay reads
 	// it without taking mu.
-	routes atomic.Pointer[rib.TableVN[nextHops]]
+	routes atomic.Pointer[rib.TableVN[addr.V4]]
 	// peers is the node's own record of its peers' health: exactly the
-	// next hops its bone table and anycast routes name. It is replaced
+	// next hops its bone table and anycast route name. It is replaced
 	// whole under mu, so a relay reads its verdicts without taking mu.
 	peers atomic.Pointer[map[addr.V4]*peerState]
 
 	mu      sync.RWMutex
-	anycast map[addr.V4]nextHops // anycast address → members, nearest first
-	// boneHops is every distinct next hop of the bone table, kept so an
-	// anycast route change can recompute the peer set.
-	boneHops []addr.V4
-	// echoVia, when set, makes the node answer "ping:" payloads with
-	// "pong:" replies sent back through the given anycast address.
-	echoVia addr.V4
-	echoOn  bool
+	anycast anycastRoute
+	// boneHops is the bone table's next-hop set, kept for repeerLocked.
+	boneHops map[addr.V4]bool
+	// echoOn makes the node answer "ping:" payloads with "pong:" replies.
+	echoOn bool
 	// probing is set once EnableLiveness has started the prober, which
 	// numbers its probes with nonce. probeEvery, zero but in tests, is
 	// the round interval in place of probeInterval.
@@ -255,13 +258,12 @@ func NewNode(reg *Registry, underlay addr.V4) (*Node, error) {
 		reg:      reg,
 		conn:     conn,
 		served:   map[addr.V4]bool{},
-		anycast:  map[addr.V4]nextHops{},
 		inbox:    make(chan Received, 256),
 		rx:       make(chan []byte, rxDepth),
 		tx:       make(chan outgoing, rxDepth),
 		done:     make(chan struct{}),
 	}
-	n.routes.Store(&rib.TableVN[nextHops]{})
+	n.routes.Store(&rib.TableVN[addr.V4]{})
 	n.peers.Store(&map[addr.V4]*peerState{})
 	reg.Register(underlay, conn.LocalAddr().(*net.UDPAddr))
 	n.wg.Add(2)
@@ -315,36 +317,26 @@ var (
 	pongMagic = []byte("pong:")
 )
 
-// EnableEcho makes the node answer payloads beginning with "ping:" by
-// sending "pong:" plus the rest back to the IPvN source, re-entering the
-// overlay through the given anycast address (by the node's anycast route
-// for it). Echoed pings are not delivered to the Inbox.
-func (n *Node) EnableEcho(via addr.V4) {
+// EnableEcho makes the node answer a payload beginning with "ping:", not
+// delivered to the Inbox, with "pong:" plus the rest, sent to the IPvN
+// source through the node's anycast route (no route: counted dropped).
+func (n *Node) EnableEcho() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.echoVia = via
 	n.echoOn = true
 }
 
 // SetVNRoutes replaces the node's bone route table: IPvN prefix → the
-// next-hop members' underlay addresses, the primary first, then ordered
-// alternates used when it is dead or suspected; a prefix with no next hop
-// gets no route. The table is built aside and swapped in whole, so a
-// packet relayed meanwhile finds the old table or the new one, never a
-// part of either. The peer set is recomputed (see repeerLocked). The
-// node keeps the slices; the caller must not modify them afterwards.
-func (n *Node) SetVNRoutes(routes map[addr.VNPrefix][]addr.V4) {
-	table := &rib.TableVN[nextHops]{}
-	var hops []addr.V4
-	for p, nh := range routes {
-		if len(nh) > 0 {
-			table.Insert(p, nh)
-		}
-		for _, h := range nh {
-			if !slices.Contains(hops, h) {
-				hops = append(hops, h)
-			}
-		}
+// underlay address of its one next hop. The table is built aside and
+// swapped in whole, so a packet relayed meanwhile finds the old table or
+// the new one, never a part of either. The peer set is recomputed (see
+// repeerLocked).
+func (n *Node) SetVNRoutes(routes map[addr.VNPrefix]addr.V4) {
+	table := &rib.TableVN[addr.V4]{}
+	hops := map[addr.V4]bool{}
+	for p, next := range routes {
+		table.Insert(p, next)
+		hops[next] = true
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -353,21 +345,21 @@ func (n *Node) SetVNRoutes(routes map[addr.VNPrefix][]addr.V4) {
 	n.repeerLocked()
 }
 
-// SetAnycastRoute installs the node's route toward an anycast address:
-// the member unicast routing delivers the node's packets to, then ordered
-// alternates used when it is dead or suspected. It replaces the address's
-// earlier route. A packet toward an address the node has no anycast route
-// for is sent to that address as unicast. The peer set is recomputed
-// (see repeerLocked).
+// SetAnycastRoute replaces the node's one anycast route, whatever address
+// it was toward, with one toward a: the member unicast routing delivers
+// the node's packets to, then ordered alternates used when it is dead or
+// suspected. Echo replies and acks leave through it; a packet toward any
+// other address goes as unicast. The peer set is recomputed (see
+// repeerLocked).
 func (n *Node) SetAnycastRoute(a, via addr.V4, alts ...addr.V4) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.anycast[a] = append(nextHops{via}, alts...)
+	n.anycast = anycastRoute{to: a, via: append(nextHops{via}, alts...)}
 	n.repeerLocked()
 }
 
 // repeerLocked recomputes the peer set whole: every next hop the bone
-// table and the anycast routes name, the node itself aside. A peer still
+// table and the anycast route name, the node itself aside. A peer still
 // named keeps its record and so its health history; one no longer named
 // is dropped, and no longer probed. Callers hold mu.
 func (n *Node) repeerLocked() {
@@ -383,13 +375,11 @@ func (n *Node) repeerLocked() {
 		}
 		peers[p] = ps
 	}
-	for _, p := range n.boneHops {
+	for p := range n.boneHops {
 		name(p)
 	}
-	for _, nh := range n.anycast {
-		for _, p := range nh {
-			name(p)
-		}
+	for _, p := range n.anycast.via {
+		name(p)
 	}
 	n.peers.Store(&peers)
 }
@@ -425,9 +415,8 @@ func (n *Node) SendVN(anycastAddr addr.V4, dst addr.VN, payload []byte) error {
 // sendVN chooses the packet's first hop and serializes it on the caller,
 // so a closed node or an unknown destination is the call's error, then
 // queues it for the handler, which boards it on that hop's train as it
-// would a relayed packet. The handler
-// never calls it: waiting on its own full queue, it would wait forever
-// (its sends go through replyVN).
+// would a relayed packet. The handler never calls it: waiting on its own
+// full queue, it would wait forever (its sends go through replyVN).
 func (n *Node) sendVN(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *packet.Option) error {
 	o, err := n.prepare(anycastAddr, dst, payload, extra)
 	if err != nil {
@@ -448,39 +437,51 @@ func (n *Node) sendVN(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *p
 }
 
 // replyVN is sendVN for the handler's own sends, echo replies and acks:
-// the packet boards its train at once.
-func (n *Node) replyVN(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *packet.Option) error {
-	o, err := n.prepare(anycastAddr, dst, payload, extra)
-	if err != nil {
-		return err
+// the packet boards its train at once, through the node's anycast route
+// whatever its address. It reports whether the packet left.
+func (n *Node) replyVN(dst addr.VN, payload []byte, extra *packet.Option) bool {
+	n.mu.RLock()
+	src, route := n.vnAddr, n.anycast
+	n.mu.RUnlock()
+	if route.via == nil {
+		return false
 	}
-	n.originate(o)
-	return nil
+	o, err := n.encap(src, route, dst, payload, extra)
+	if err == nil {
+		n.originate(o)
+	}
+	return err == nil
 }
 
-// prepare chooses an originated packet's first hop from the node's
-// anycast route as a relay chooses from its bone route (a closed node
-// chooses nothing), and serializes the packet, with the extra option if
-// there is one, into a pooled buffer. Leaving through an alternate counts
-// as an anycast failover.
+// prepare encapsulates a packet toward anycastAddr (see encap) through
+// the node's anycast route if the route is toward that address, and as
+// unicast to that address if not.
+func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *packet.Option) (outgoing, error) {
+	n.mu.RLock()
+	src, route := n.vnAddr, n.anycast
+	n.mu.RUnlock()
+	if route.to != anycastAddr || route.via == nil {
+		route = anycastRoute{to: anycastAddr, via: nextHops{anycastAddr}}
+	}
+	return n.encap(src, route, dst, payload, extra)
+}
+
+// encap chooses an originated packet's first hop from an anycast route
+// (a closed node chooses nothing) and serializes the packet, with the
+// extra option if there is one, into a pooled buffer. Leaving through an
+// alternate counts as an anycast failover.
 // The header and its options stay on the stack, so a send allocates
 // nothing; an append that could grow the option slice would move them to
 // the heap.
-func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *packet.Option) (outgoing, error) {
+func (n *Node) encap(src addr.VN, route anycastRoute, dst addr.VN, payload []byte, extra *packet.Option) (outgoing, error) {
 	if n.closed() {
 		return outgoing{}, ErrClosed
 	}
-	n.mu.RLock()
-	src, nh := n.vnAddr, n.anycast[anycastAddr]
-	n.mu.RUnlock()
-	if nh == nil {
-		nh = nextHops{anycastAddr}
-	}
-	next, ep, _ := n.target(nh)
+	next, ep, _ := n.target(route.via)
 	if ep == nil {
 		return outgoing{}, fmt.Errorf("%w: %s", ErrUnknownUnderlay, next)
 	}
-	if next != nh[0] {
+	if next != route.via[0] {
 		n.ctr().FailoverAnycast()
 	}
 	var opts [2]packet.Option
@@ -496,7 +497,7 @@ func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *
 		k++
 	}
 	hdr := packet.VNHeader{Version: 8, Src: src, Dst: dst, Options: opts[:k]}
-	outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: n.Underlay, Dst: anycastAddr}
+	outer := packet.V4Header{Proto: packet.ProtoVNEncap, Src: n.Underlay, Dst: route.to}
 	buf := packet.GetSerializeBuffer()
 	if err := packet.SerializeVN(buf, payload, &outer, &hdr); err != nil {
 		packet.PutSerializeBuffer(buf)
@@ -505,8 +506,8 @@ func (n *Node) prepare(anycastAddr addr.V4, dst addr.VN, payload []byte, extra *
 	return outgoing{member: next, ep: ep.AddrPort(), buf: buf}, nil
 }
 
-// target chooses the next hop from a next-hop set — a relay's bone route,
-// or the anycast route of a packet the node originates — and resolves its
+// target chooses the next hop from a next-hop set — the members of an
+// anycast route, or the one next hop of a relay — and resolves its
 // endpoint, in one locked pass over the registry's address book: the
 // first registered candidate this node does not suspect (live); failing
 // that, the first registered one (suspicion is a hint, and a
@@ -676,7 +677,7 @@ func (n *Node) handle(wire []byte) {
 	n.opts = inner.Options[:0]
 	n.mu.RLock()
 	acceptable := outer.Dst == n.Underlay || n.served[outer.Dst]
-	self := n.vnAddr
+	self, echoOn := n.vnAddr, n.echoOn
 	n.mu.RUnlock()
 	if !acceptable {
 		n.stats.dropped.Add(1)
@@ -702,13 +703,10 @@ func (n *Node) handle(wire []byte) {
 			n.handleSeqDelivery(inner, payload, outer.Src, seq)
 			return
 		}
-		n.mu.RLock()
-		echoOn, echoVia := n.echoOn, n.echoVia
-		n.mu.RUnlock()
 		if echoOn && len(payload) >= len(pingMagic) && string(payload[:len(pingMagic)]) == string(pingMagic) {
 			reply := append(append([]byte(nil), pongMagic...), payload[len(pingMagic):]...)
 			n.stats.delivered.Add(1)
-			if err := n.replyVN(echoVia, inner.Src, reply, nil); err != nil {
+			if !n.replyVN(inner.Src, reply, nil) {
 				n.uncount(&n.stats.delivered)
 			}
 			return
@@ -718,15 +716,15 @@ func (n *Node) handle(wire []byte) {
 	}
 
 	// Forward over the bone.
-	if nh, _, haveRoute := n.routes.Load().Lookup(inner.Dst); haveRoute {
-		n.relay(nh, wire, &n.stats.forwarded, &inner)
+	if next, _, haveRoute := n.routes.Load().Lookup(inner.Dst); haveRoute {
+		n.relay(next, wire, &n.stats.forwarded, &inner)
 		return
 	}
 
 	// No bone route: exit toward the destination's underlay address
 	// (self-addressed destinations carry it).
 	if u, ok := inner.UnderlayDst(); ok {
-		n.relay(nextHops{u}, wire, &n.stats.exited, nil)
+		n.relay(u, wire, &n.stats.exited, nil)
 		return
 	}
 	n.stats.dropped.Add(1)
@@ -746,36 +744,33 @@ func (n *Node) deliver(rcv Received) bool {
 
 // relay spends the one IPvN hop wire — a packet of the datagram the
 // handler owns — costs at this node, dropping it (counted) when none is
-// left, then re-addresses it toward the next live underlay hop and puts
-// it on that hop's train: the same in-place hop as
-// tunnel.Endpoint.PatchEncap, no header re-serialized. The primary next
-// hop is preferred; a dead or suspected primary fails over to the first
-// live alternate (counted). Past a route with no live next hop, a
-// self-addressed destination leaves the bone by the underlay address its
-// header (inner, nil for that exit itself) carries, as where the table
-// has no route (paper §3.3.2), counted as an exit and a failover; any
-// other packet tries the registered candidates in order.
+// left, then re-addresses it toward its next hop and puts it on that
+// hop's train: the same in-place hop as tunnel.Endpoint.PatchEncap, no
+// header re-serialized. A live next hop (registered, and not suspected by
+// this node) gets the packet. Failing that, a self-addressed destination
+// leaves the bone by the underlay address its header (inner, nil for that
+// exit itself) carries, as where the table has no route (paper §3.3.2),
+// counted as an exit and a route failover; any other packet goes to the
+// next hop if it is registered.
 //
 // relay owns the relay's counters: as — stats.forwarded for a hop further
 // along the bone, stats.exited for the exit toward an underlay address —
 // and a failover are counted before the packet boards its train, and as
 // is taken back as a drop if the next hop does not resolve.
-func (n *Node) relay(nh nextHops, wire []byte, as *atomic.Uint64, inner *packet.VNHeader) {
+func (n *Node) relay(next addr.V4, wire []byte, as *atomic.Uint64, inner *packet.VNHeader) {
 	if err := tunnel.DecrementHop(wire); err != nil {
 		n.stats.dropped.Add(1)
 		return
 	}
-	next, ep, live := n.target(nh)
+	_, ep, live := n.target(nextHops{next})
 	if !live && inner != nil {
 		if u, ok := inner.UnderlayDst(); ok {
-			next, ep, _ = n.target(nextHops{u})
-			as = &n.stats.exited
+			next, as = u, &n.stats.exited
+			_, ep, _ = n.target(nextHops{u})
+			n.ctr().FailoverRoute()
 		}
 	}
 	packet.RewriteOuter(wire, n.Underlay, next)
-	if next != nh[0] {
-		n.ctr().FailoverRoute()
-	}
 	as.Add(1)
 	if ep == nil || n.closed() {
 		n.uncount(as)

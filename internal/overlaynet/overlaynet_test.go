@@ -59,8 +59,8 @@ func buildChain(t *testing.T) (reg *Registry, hostA, hostB *Node, routers []*Nod
 
 	// Bone routes: everything self-addressed rides R1→R2→R3.
 	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)
-	r1.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {r2.Underlay}})
-	r2.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {r3.Underlay}})
+	r1.SetVNRoutes(map[addr.VNPrefix]addr.V4{selfAll: r2.Underlay})
+	r2.SetVNRoutes(map[addr.VNPrefix]addr.V4{selfAll: r3.Underlay})
 	// R3 deliberately has no route: it exits via OptUnderlayDst.
 	return reg, hostA, hostB, routers, anycastAddr
 }
@@ -107,7 +107,7 @@ func TestAnycastFailover(t *testing.T) {
 	}
 	r0.ServeAnycast(any)
 	selfAll := addr.MakeVNPrefix(addr.SelfAddress(0), 1)
-	r0.SetVNRoutes(map[addr.VNPrefix][]addr.V4{selfAll: {routers[1].Underlay}})
+	r0.SetVNRoutes(map[addr.VNPrefix]addr.V4{selfAll: routers[1].Underlay})
 	hostA.SetAnycastRoute(any, r0.Underlay, routers[0].Underlay)
 
 	if err := hostA.SendVN(any, hostB.VNAddr(), []byte("via r0")); err != nil {
@@ -146,9 +146,9 @@ func TestNativeDeliveryViaBoneRoute(t *testing.T) {
 	nativeDst.SetVNAddr(v)
 	// Bone routes for domain 42's prefix down the chain to the dst node.
 	p := addr.DomainVNPrefix(42)
-	routers[0].SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {routers[1].Underlay}})
-	routers[1].SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {routers[2].Underlay}})
-	routers[2].SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {nativeDst.Underlay}})
+	routers[0].SetVNRoutes(map[addr.VNPrefix]addr.V4{p: routers[1].Underlay})
+	routers[1].SetVNRoutes(map[addr.VNPrefix]addr.V4{p: routers[2].Underlay})
+	routers[2].SetVNRoutes(map[addr.VNPrefix]addr.V4{p: nativeDst.Underlay})
 
 	if err := hostA.SendVN(any, v, []byte("native")); err != nil {
 		t.Fatal(err)
@@ -186,9 +186,9 @@ func TestSetVNRoutesSwapsWhole(t *testing.T) {
 	src.SetAnycastRoute(any, r.Underlay)
 	v := addr.NativeVN(42, 0)
 	dst.SetVNAddr(v)
-	table := map[addr.VNPrefix][]addr.V4{
-		addr.DomainVNPrefix(42): {dst.Underlay},
-		addr.DomainVNPrefix(43): {dst.Underlay},
+	table := map[addr.VNPrefix]addr.V4{
+		addr.DomainVNPrefix(42): dst.Underlay,
+		addr.DomainVNPrefix(43): dst.Underlay,
 	}
 	r.SetVNRoutes(table)
 
@@ -285,8 +285,8 @@ func TestHopLimitStopsLoops(t *testing.T) {
 	a.ServeAnycast(loopAny)
 	dst := addr.VN{Hi: 0x77} // no one owns it
 	p := addr.MakeVNPrefix(dst, 16)
-	a.SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {b.Underlay}})
-	b.SetVNRoutes(map[addr.VNPrefix][]addr.V4{p: {a.Underlay}})
+	a.SetVNRoutes(map[addr.VNPrefix]addr.V4{p: b.Underlay})
+	b.SetVNRoutes(map[addr.VNPrefix]addr.V4{p: a.Underlay})
 
 	src, err := NewNode(reg, u(33))
 	if err != nil {
@@ -360,7 +360,7 @@ func TestEchoPingPong(t *testing.T) {
 	// B's reply re-enters via the anycast ingress, whose self-route chain
 	// leads back out at R3 toward A's underlay address.
 	_, hostA, hostB, _, any := buildChain(t)
-	hostB.EnableEcho(any)
+	hostB.EnableEcho()
 	if err := hostA.SendVN(any, hostB.VNAddr(), []byte("ping:rtt-1")); err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestRelayMatchesPatchEncap(t *testing.T) {
 	next := u(51)
 	sink := wireSink(t, reg, next)
 	dst := addr.SelfAddress(u(99))
-	r.SetVNRoutes(map[addr.VNPrefix][]addr.V4{addr.HostVNPrefix(dst): {next}})
+	r.SetVNRoutes(map[addr.VNPrefix]addr.V4{addr.HostVNPrefix(dst): next})
 
 	rng := rand.New(rand.NewSource(1))
 	ep := tunnel.NewEndpoint(r.Underlay)
@@ -122,11 +122,11 @@ func TestRelayAllocatesNothing(t *testing.T) {
 	}
 	defer r.Close()
 	const pkts = 4
-	routes := map[addr.VNPrefix][]addr.V4{}
+	routes := map[addr.VNPrefix]addr.V4{}
 	var train []byte
 	for i := 0; i < pkts; i++ {
 		dst := addr.NativeVN(42, uint64(i))
-		routes[addr.HostVNPrefix(dst)] = []addr.V4{u(byte(61 + i%2))}
+		routes[addr.HostVNPrefix(dst)] = u(byte(61 + i%2))
 		wire, err := encapVN(packet.V4Header{Src: u(1), Dst: r.Underlay, TTL: 64},
 			packet.VNHeader{Version: 8, HopLimit: 64, Src: addr.SelfAddress(u(1)), Dst: dst}, make([]byte, 64))
 		if err != nil {
@@ -201,7 +201,7 @@ func TestRelayCoalescesBacklog(t *testing.T) {
 	next := u(53)
 	sink := wireSink(t, reg, next)
 	dst := addr.SelfAddress(u(98))
-	r.SetVNRoutes(map[addr.VNPrefix][]addr.V4{addr.HostVNPrefix(dst): {next}})
+	r.SetVNRoutes(map[addr.VNPrefix]addr.V4{addr.HostVNPrefix(dst): next})
 
 	// 184-byte packets, eight to a train; the backlog arrives as one
 	// datagram, which the handler walks exactly as it would the same
@@ -344,7 +344,9 @@ func TestEchoBacklogBeyondQueue(t *testing.T) {
 	e.SetVNAddr(me)
 	via := u(57)
 	sink := wireSink(t, reg, via)
-	e.EnableEcho(via)
+	any, _ := addr.Option1Address(0)
+	e.SetAnycastRoute(any, via)
+	e.EnableEcho()
 
 	const pings = 2 * rxDepth
 	var in []byte
@@ -448,5 +450,51 @@ func TestWaitInboxReleasesTimer(t *testing.T) {
 	}
 	if after := heap(); after > before+512<<10 {
 		t.Errorf("heap grew %d KiB over 10k answered WaitInbox calls", (after-before)>>10)
+	}
+}
+
+// TestReliableSendReleasesTimer: an acked SendVNReliable must not leave
+// its backoff timer behind. With time.After the runtime held one per send
+// until RetransmitBase, a minute here, elapsed.
+func TestReliableSendReleasesTimer(t *testing.T) {
+	reg := NewRegistry()
+	mk := func(last byte) *Node {
+		n, err := NewNode(reg, u(last))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		n.SetVNAddr(addr.SelfAddress(n.Underlay))
+		n.EnableReliable(ReliableConfig{RetransmitBase: time.Minute})
+		return n
+	}
+	s, r := mk(72), mk(73)
+	// s sends to r as unicast; r acks through a route whose address and
+	// only member are s.
+	r.SetAnycastRoute(s.Underlay, s.Underlay)
+	send := func(k int) {
+		for i := 0; i < k; i++ {
+			if err := s.SendVNReliable(r.Underlay, r.VNAddr(), nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.WaitInbox(waitShort); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	// The receiver's dedup window fills first, so that it holds no more
+	// below.
+	send(dedupWindow)
+	before := heap()
+	const sends = 4000
+	send(sends)
+	if after := heap(); after > before+256<<10 {
+		t.Errorf("heap grew %d KiB over %d acked reliable sends", (after-before)>>10, sends)
 	}
 }

@@ -12,12 +12,8 @@ import (
 )
 
 // ReliableConfig parameterizes the opt-in acked/retransmitting SendVN
-// mode.
+// mode. A receiver's acks leave through its anycast route.
 type ReliableConfig struct {
-	// AckVia is the anycast address the receiver's acks re-enter the
-	// overlay through (typically the same address senders use); the
-	// receiver needs an anycast route for it (SetAnycastRoute).
-	AckVia addr.V4
 	// RetransmitBase is the first retry's backoff; each subsequent retry
 	// doubles it up to RetransmitMax. Default 50ms.
 	RetransmitBase time.Duration
@@ -71,7 +67,7 @@ type reliableState struct {
 
 // EnableReliable switches on the node's reliability layer: SendVNReliable
 // becomes available, and incoming seq-marked packets are deduplicated and
-// acknowledged through cfg.AckVia. Idempotent.
+// acknowledged through the node's anycast route. Idempotent.
 func (n *Node) EnableReliable(cfg ReliableConfig) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -136,6 +132,11 @@ func (n *Node) SendVNReliable(anycastAddr addr.V4, dst addr.VN, payload []byte) 
 
 	opt := seqOption(packet.OptDeliverySeq, seq)
 	backoff := rel.cfg.RetransmitBase
+	// One timer for every attempt, stopped on return: under the module's
+	// pre-1.23 timer semantics, time.After's lives until it fires.
+	wait := time.NewTimer(time.Hour)
+	wait.Stop()
+	defer wait.Stop()
 	for attempt := 0; attempt < rel.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			n.ctr().Retransmit()
@@ -151,12 +152,13 @@ func (n *Node) SendVNReliable(anycastAddr addr.V4, dst addr.VN, payload []byte) 
 		rel.mu.Lock()
 		jit := time.Duration(rel.jitter.Int63n(int64(backoff)/4 + 1))
 		rel.mu.Unlock()
+		wait.Reset(backoff + jit) // stopped, or fired and read: safe to reuse
 		select {
 		case <-acked:
 			return nil
 		case <-n.done:
 			return ErrClosed
-		case <-time.After(backoff + jit):
+		case <-wait.C:
 		}
 		backoff *= 2
 		if backoff > rel.cfg.RetransmitMax {
@@ -202,7 +204,7 @@ func (n *Node) handleSeqDelivery(inner packet.VNHeader, payload []byte, outerSrc
 	rel.mu.Unlock()
 	if dup {
 		n.ctr().DedupDrop()
-		n.sendAck(inner.Src, seq, rel)
+		n.sendAck(inner.Src, seq)
 		return
 	}
 	if !n.deliver(Received{From: inner.Src, To: inner.Dst, Payload: payload, OuterSrc: outerSrc}) {
@@ -219,15 +221,16 @@ func (n *Node) handleSeqDelivery(inner packet.VNHeader, payload []byte, outerSrc
 		}
 	}
 	rel.mu.Unlock()
-	n.sendAck(inner.Src, seq, rel)
+	n.sendAck(inner.Src, seq)
 }
 
 // sendAck answers a seq-marked delivery with an empty OptDeliveryAck
-// packet routed back through the configured anycast address. It runs on
-// the handler, so the ack boards its train directly.
-func (n *Node) sendAck(to addr.VN, seq uint32, rel *reliableState) {
+// packet sent through the node's anycast route; a node with no route
+// counts the ack dropped. It runs on the handler, so the ack boards its
+// train directly.
+func (n *Node) sendAck(to addr.VN, seq uint32) {
 	ack := seqOption(packet.OptDeliveryAck, seq)
-	if err := n.replyVN(rel.cfg.AckVia, to, nil, &ack); err != nil {
+	if !n.replyVN(to, nil, &ack) {
 		n.stats.dropped.Add(1)
 	}
 }

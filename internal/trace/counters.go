@@ -327,14 +327,14 @@ func (c *Counters) PeerSuspected() { c.add(cPeersSuspected, 1) }
 // PeerRecovered counts one suspected peer answering a probe again.
 func (c *Counters) PeerRecovered() { c.add(cPeersRecovered, 1) }
 
-// FailoverAnycast counts one originated packet that left through an
-// alternate of its sender's anycast route because the route's preferred
-// member was unregistered or suspected — the rule FailoverRoute applies
-// to relays.
+// FailoverAnycast counts one originated packet — a send, an echo reply or
+// an ack — that left through an alternate of its sender's anycast route
+// because the route's preferred member was unregistered or suspected.
 func (c *Counters) FailoverAnycast() { c.add(cFailoverAny, 1) }
 
-// FailoverRoute counts one bone relay that bypassed a dead or suspected
-// primary next-hop via an alternate.
+// FailoverRoute counts one self-addressed packet a bone relay sent out of
+// the bone by its carried underlay address because the route's one next
+// hop was unregistered or suspected (also counted as an exit).
 func (c *Counters) FailoverRoute() { c.add(cFailoverRoute, 1) }
 
 // Retransmit counts one retransmission attempt of an acked send.
