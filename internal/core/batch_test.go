@@ -98,7 +98,7 @@ func TestSendBatchDifferential(t *testing.T) {
 		{"churn/shards=4", Config{}, 4, true},
 		// The graceful-degradation arms: the health layer's decisions are a
 		// pure function of the flow's history and the epoch sequence, so the
-		// batch≡loop contract must extend to suspect transitions, rescues
+		// batch≡loop contract must extend to health transitions, rescues
 		// and fallback-state sends. (No churn arm here: a mid-batch epoch
 		// republish legitimately diverges probe timing between the pinned
 		// batch epoch and the loop's per-send reload.)

@@ -5,7 +5,7 @@ import "github.com/evolvable-net/evolve/internal/topology"
 // FlowHealthInfo is the inspectable health of one delivery flow.
 type FlowHealthInfo struct {
 	// State is the flow's position in the degradation state machine.
-	State HealthState
+	State healthState
 	// Fails is the current consecutive vN failure count.
 	Fails int
 	// OkRun is the consecutive success count while in probation.

@@ -10,18 +10,23 @@ import (
 	"github.com/evolvable-net/evolve/internal/trace"
 )
 
-// fallbackBaseline returns the flow's IPv(N-1) baseline cost, memoised in
-// the health record per routing epoch (the baseline is deterministic
-// within an epoch, so steady-state fallback sends recompute nothing). The
-// store is gated on the mutation sequence exactly like the flow cache.
-func (e *Evolution) fallbackBaseline(h *flowHealth, ep *routingEpoch, src, dst *topology.Host) (int64, error) {
-	h.mu.Lock()
-	if h.fbOK && h.fbSeq == ep.seq {
-		c := h.fbCost
-		h.mu.Unlock()
-		return c, nil
-	}
-	h.mu.Unlock()
+// deliverFallback runs one delivery over the IPv(N-1) baseline: a direct
+// tunnel from the source host to the destination host's underlay address,
+// carrying the IPvN header marked with OptFallback, serialized and parsed
+// through the layer serializers. It is the wire path of every degradation
+// mode — fallback-state sends, in-line rescues of failed vN attempts, and
+// error-epoch sends — run on the send's own context, so tallies and span
+// events land where the vN path's do. vnReason carries the vN failure
+// that triggered a rescue (DropNone for state sends) and detail names the
+// mode, which fixes the OptFallback mark: a state send carries
+// FallbackMarkState, a rescue or error-epoch send FallbackMarkRescue. On
+// failure the drop reason is returned for the caller's drop and out is
+// untouched, on success out is overwritten whole.
+func (e *Evolution) deliverFallback(
+	bc *batchCtx, ep *routingEpoch, src, dst *topology.Host, payload []byte, out *Delivery,
+	seq uint32, vnReason trace.DropReason, detail string, tr trace.Tracer,
+) (trace.DropReason, error) {
+	cb := &bc.counters
 	cost, err := e.Fwd.HostToHost(src, dst)
 	if err != nil && e.mutSeq.Load() != ep.seq {
 		// Torn by a mutation in flight (see flowSkeleton): once more with
@@ -30,33 +35,6 @@ func (e *Evolution) fallbackBaseline(h *flowHealth, ep *routingEpoch, src, dst *
 		cost, err = e.Fwd.HostToHost(src, dst)
 		e.mu.Unlock()
 	}
-	if err != nil {
-		return 0, err
-	}
-	if e.mutSeq.Load() == ep.seq {
-		h.mu.Lock()
-		h.fbSeq, h.fbOK, h.fbCost = ep.seq, true, cost
-		h.mu.Unlock()
-	}
-	return cost, nil
-}
-
-// deliverFallback runs one delivery over the IPv(N-1) baseline: a direct
-// tunnel from the source host to the destination host's underlay address,
-// carrying the IPvN header marked with OptFallback, serialized and parsed
-// through the layer serializers. It is the wire path of every degradation
-// mode — fallback-state sends, in-line rescues of failed vN attempts, and
-// error-epoch sends — run on the send's own context, so tallies and span
-// events land where the vN path's do. vnReason carries the vN failure
-// that triggered a rescue (DropNone for state sends); on failure the drop
-// reason is returned for the caller's drop and out is untouched, on
-// success out is overwritten whole.
-func (e *Evolution) deliverFallback(
-	bc *batchCtx, ep *routingEpoch, h *flowHealth, src, dst *topology.Host, payload []byte, out *Delivery,
-	seq uint32, vnReason trace.DropReason, detail string, mark uint8, tr trace.Tracer,
-) (trace.DropReason, error) {
-	cb := &bc.counters
-	cost, err := e.fallbackBaseline(h, ep, src, dst)
 	if err != nil {
 		return trace.DropNoBaseline, fmt.Errorf("core: baseline: %w", err)
 	}
@@ -68,6 +46,10 @@ func (e *Evolution) deliverFallback(
 		Version: e.cfg.Version,
 		Src:     ep.addrOf(src),
 		Dst:     ep.addrOf(dst),
+	}
+	mark := packet.FallbackMarkRescue
+	if detail == trace.DetailFallbackState {
+		mark = packet.FallbackMarkState
 	}
 	bc.markBuf[0] = mark
 	opts := append(bc.hdrOpts[:0], packet.Option{Type: packet.OptFallback, Value: bc.markBuf[:]})

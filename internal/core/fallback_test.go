@@ -53,8 +53,8 @@ func newFBWorld(t *testing.T, fallback bool) *fbWorld {
 }
 
 // TestFallbackCycleAndCounters walks one flow through the full
-// degradation cycle — healthy → suspect → fallback → probation → healthy
-// — and pins the Snapshot.Sub deltas at every checkpoint.
+// degradation cycle — healthy → fallback → probation → healthy — and pins
+// the Snapshot.Sub deltas at every checkpoint.
 func TestFallbackCycleAndCounters(t *testing.T) {
 	w := newFBWorld(t, true)
 	e := w.e
@@ -71,7 +71,7 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 		t.Errorf("ingress member %d, want %d", d.Ingress.Member, w.rP)
 	}
 	info, ok := e.FlowHealth(w.src(), w.dst())
-	if !ok || info.State != HealthHealthy {
+	if !ok || info.State != healthHealthy {
 		t.Fatalf("flow health = %+v, %v, want healthy", info, ok)
 	}
 
@@ -81,9 +81,10 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 		t.Fatal("uplink not found")
 	}
 
-	// Three rescued sends walk the flow healthy → suspect → fallback.
+	// Three rescued sends walk the flow healthy → fallback: the first two
+	// leave it healthy, counting failures toward fallbackAfter.
 	before := e.Snapshot()
-	for i, want := range []HealthState{HealthSuspect, HealthSuspect, HealthFallback} {
+	for i, want := range []healthState{healthHealthy, healthHealthy, healthFallback} {
 		d, err := e.Send(w.src(), w.dst(), []byte("down"))
 		if err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -104,9 +105,9 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 		t.Errorf("fallback sends/rescues = %d/%d, want 3/3",
 			delta.DeliveryFallbackSends, delta.DeliveryFallbackRescues)
 	}
-	if delta.HealthSuspects != 1 || delta.HealthFallbacks != 1 {
-		t.Errorf("suspect/fallback transitions = %d/%d, want 1/1",
-			delta.HealthSuspects, delta.HealthFallbacks)
+	if delta.HealthFallbacks != 1 || delta.HealthRecovered != 0 {
+		t.Errorf("fallback/recovered transitions = %d/%d, want 1/0",
+			delta.HealthFallbacks, delta.HealthRecovered)
 	}
 	if delta.Deliveries != 3 || delta.Drops != 0 {
 		t.Errorf("deliveries/drops = %d/%d, want 3/0", delta.Deliveries, delta.Drops)
@@ -146,7 +147,7 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 		t.Error("post-repair probe still rode the baseline")
 	}
 	info, _ = e.FlowHealth(w.src(), w.dst())
-	if info.State != HealthProbation {
+	if info.State != healthProbation {
 		t.Fatalf("post-probe state %v, want probation", info.State)
 	}
 	for i := 0; i < probationSends-1; i++ {
@@ -155,7 +156,7 @@ func TestFallbackCycleAndCounters(t *testing.T) {
 		}
 	}
 	info, _ = e.FlowHealth(w.src(), w.dst())
-	if info.State != HealthHealthy {
+	if info.State != healthHealthy {
 		t.Fatalf("post-probation state %v, want healthy", info.State)
 	}
 	delta = e.Snapshot().Sub(before)
@@ -247,7 +248,7 @@ func TestFlowHealthInspector(t *testing.T) {
 		t.Fatal(err)
 	}
 	info, ok := w.e.FlowHealth(w.src(), w.dst())
-	if !ok || info.State != HealthHealthy || info.Fails != 0 {
+	if !ok || info.State != healthHealthy || info.Fails != 0 {
 		t.Errorf("flow health = %+v, %v, want a healthy record", info, ok)
 	}
 	if _, ok := w.e.FlowHealth(w.srcs[1], w.dst()); ok {
@@ -265,7 +266,10 @@ func TestFlowHealthInspector(t *testing.T) {
 
 // TestReportUnackedVN pins the external delivery-failure signal: matching
 // flows take failures exactly as if their sends had failed, non-matching
-// destinations and ablated worlds are no-ops.
+// destinations and ablated worlds are no-ops. A flow matches by its
+// destination host's address in the current epoch: every source's flow
+// to that host is signalled, and a destination that turned native since
+// the flow's last send matches by its new address, not its old one.
 func TestReportUnackedVN(t *testing.T) {
 	w := newFBWorld(t, true)
 	e := w.e
@@ -286,12 +290,49 @@ func TestReportUnackedVN(t *testing.T) {
 		}
 	}
 	info, _ := e.FlowHealth(w.src(), w.dst())
-	if info.State != HealthFallback {
+	if info.State != healthFallback {
 		t.Errorf("state after 3 unacked signals = %v, want fallback", info.State)
 	}
 	delta := e.Snapshot().Sub(before)
 	if delta.HealthSignals != 3 {
 		t.Errorf("health signals = %d, want 3", delta.HealthSignals)
+	}
+
+	// Two sources to one destination: both flows match; a flow to the
+	// other destination does not.
+	for _, p := range [][2]*topology.Host{{w.srcs[1], w.dst()}, {w.src(), w.dsts[1]}} {
+		if _, err := e.Send(p[0], p[1], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := e.ReportUnackedVN(v); n != 2 {
+		t.Errorf("signal to a destination of two flows matched %d, want 2", n)
+	}
+	if info, _ := e.FlowHealth(w.src(), w.dsts[1]); info.Fails != 0 {
+		t.Errorf("flow to the other destination took %d failures, want 0", info.Fails)
+	}
+
+	// The destination's domain deploys and no flow sends since: the new
+	// native address matches, the old self-address matches nothing.
+	wd := newFBWorld(t, true)
+	if _, err := wd.e.Send(wd.src(), wd.dst(), nil); err != nil {
+		t.Fatal(err)
+	}
+	old, err := wd.e.HostVNAddr(wd.dst())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd.e.DeployRouter(wd.rB)
+	cur, err := wd.e.HostVNAddr(wd.dst())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur == old {
+		t.Fatalf("deploying the destination's domain left its address %v", cur)
+	}
+	nNew, nOld := wd.e.ReportUnackedVN(cur), wd.e.ReportUnackedVN(old)
+	if nNew != 1 || nOld != 0 {
+		t.Errorf("after the destination's domain deployed: new address matched %d, old %d; want 1, 0", nNew, nOld)
 	}
 
 	wa := newFBWorld(t, false)
@@ -306,8 +347,8 @@ func TestReportUnackedVN(t *testing.T) {
 
 // TestFallbackSendZeroAlloc pins the degraded steady state: with the
 // layer enabled, neither the healthy path (health bookkeeping engaged)
-// nor the fallback-state path (baseline plan memoised) allocates per
-// send. The fallback window opens on a probe at the capped backoff, so
+// nor the fallback-state path (the baseline priced afresh by a pooled
+// walk) allocates per send. The fallback window opens on a probe at the capped backoff, so
 // no probe (a vN attempt, which allocates its error) falls inside it.
 func TestFallbackSendZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -342,7 +383,7 @@ func TestFallbackSendZeroAlloc(t *testing.T) {
 			t.Fatalf("degraded send %d: %v", i, err)
 		}
 		info, _ := e.FlowHealth(w.src(), w.dst())
-		if info.State == HealthFallback && info.ProbeEvery == probeMax && info.SinceProbe == 0 {
+		if info.State == healthFallback && info.ProbeEvery == probeMax && info.SinceProbe == 0 {
 			break
 		}
 		if i > 4*probeMax {
@@ -462,8 +503,8 @@ func TestHealthCountersMonotonicRace(t *testing.T) {
 		t.Errorf("probation entries %d exceed fallback entries %d",
 			delta.HealthProbations, delta.HealthFallbacks)
 	}
-	if delta.HealthRecovered > delta.HealthProbations+delta.HealthSuspects {
-		t.Errorf("recoveries %d exceed probation+suspect entries %d+%d",
-			delta.HealthRecovered, delta.HealthProbations, delta.HealthSuspects)
+	if delta.HealthRecovered > delta.HealthProbations {
+		t.Errorf("recoveries %d exceed probation entries %d",
+			delta.HealthRecovered, delta.HealthProbations)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"github.com/evolvable-net/evolve/internal/addr"
@@ -12,8 +11,6 @@ import (
 // intervals count sends of the flow, not wall-clock time, so twin worlds
 // replaying the same sends stay deterministic.
 const (
-	// suspectAfter consecutive vN failures make a healthy flow suspect.
-	suspectAfter = 1
 	// fallbackAfter consecutive vN failures put a flow in fallback: every
 	// send rides the baseline until a probe heals it.
 	fallbackAfter = 3
@@ -26,39 +23,22 @@ const (
 	probationSends = 3
 )
 
-// HealthState is one flow's position in the degradation state machine:
-// healthy → suspect → fallback → probation → healthy.
-type HealthState uint8
+// healthState is one flow's position in the degradation state machine:
+// healthy → fallback → probation → healthy.
+type healthState uint8
 
 const (
-	// HealthHealthy: the flow delivers over the vN path.
-	HealthHealthy HealthState = iota
-	// HealthSuspect: recent vN failures, still attempting the vN path.
-	HealthSuspect
-	// HealthFallback: the flow rides the IPv(N-1) baseline and probes
+	// healthHealthy: the flow attempts the vN path, and a failed attempt
+	// is rescued in-line and counts toward fallbackAfter.
+	healthHealthy healthState = iota
+	// healthFallback: the flow rides the IPv(N-1) baseline and probes
 	// the vN path on a seeded-jitter backoff schedule.
-	HealthFallback
-	// HealthProbation: a probe succeeded; the flow is back on the vN
+	healthFallback
+	// healthProbation: a probe succeeded; the flow is back on the vN
 	// path but must string together probationSends successes before it
 	// counts as healthy.
-	HealthProbation
+	healthProbation
 )
-
-// String names the state the way counters and traces print it.
-func (s HealthState) String() string {
-	switch s {
-	case HealthHealthy:
-		return "healthy"
-	case HealthSuspect:
-		return "suspect"
-	case HealthFallback:
-		return "fallback"
-	case HealthProbation:
-		return "probation"
-	default:
-		return fmt.Sprintf("state(%d)", uint8(s))
-	}
-}
 
 // flowHealth is the health record of one delivery flow. It lives on the
 // Evolution (not the epoch — flow caches are rebuilt every epoch, health
@@ -67,7 +47,7 @@ func (s HealthState) String() string {
 // per-flow, never globally.
 type flowHealth struct {
 	mu    sync.Mutex
-	state HealthState
+	state healthState
 	// fails counts consecutive vN failures; okRun counts consecutive vN
 	// successes while in probation.
 	fails, okRun int
@@ -80,15 +60,6 @@ type flowHealth struct {
 	// failure: a flow in fallback probes immediately when the epoch has
 	// changed since, because new routing state is the likeliest cure.
 	lastSeq uint64
-	// dstVN is the flow's destination IPvN address as of its last send,
-	// for matching external unacked-delivery signals.
-	dstVN addr.VN
-	// fbCost memoises the flow's baseline plan per routing epoch (fbSeq
-	// is the epoch sequence it was computed against, fbOK its validity),
-	// so steady-state fallback sends recompute nothing.
-	fbSeq  uint64
-	fbOK   bool
-	fbCost int64
 }
 
 // jitterSeed hashes a flow's identity into the flow's initial jitter
@@ -118,15 +89,6 @@ func (h *flowHealth) nextJitter(span int) int {
 	return int(x % uint64(span))
 }
 
-// observeDst refreshes the record's destination IPvN address for
-// external-signal matching; the error-epoch path calls it because it
-// never runs decide (which refreshes it on the healthy path).
-func (h *flowHealth) observeDst(v addr.VN) {
-	h.mu.Lock()
-	h.dstVN = v
-	h.mu.Unlock()
-}
-
 // healthEvent emits a KindHealth transition event.
 func healthEvent(tr trace.Tracer, seq uint32, detail string) {
 	if tr != nil {
@@ -136,15 +98,13 @@ func healthEvent(tr trace.Tracer, seq uint32, detail string) {
 
 // decide makes the per-send health decision for this flow: whether to
 // attempt the vN path at all, and whether that attempt is a probe out of
-// the fallback state. dstVN refreshes the record's signal-matching
-// identity. The decision depends only on the flow's state, the epoch
-// sequence and the flow's own send count, so twin worlds replaying the
-// same sends decide identically.
-func (h *flowHealth) decide(epSeq uint64, dstVN addr.VN, cb *trace.CounterBatch) (attemptVN, probe bool) {
+// the fallback state. The decision depends only on the flow's state, the
+// epoch sequence and the flow's own send count, so twin worlds replaying
+// the same sends decide identically.
+func (h *flowHealth) decide(epSeq uint64, cb *trace.CounterBatch) (attemptVN, probe bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.dstVN = dstVN
-	if h.state != HealthFallback {
+	if h.state != healthFallback {
 		return true, false
 	}
 	h.sinceProbe++
@@ -160,36 +120,32 @@ func (h *flowHealth) decide(epSeq uint64, dstVN addr.VN, cb *trace.CounterBatch)
 	return false, false
 }
 
-// noteSuccess records a successful vN delivery: probes enter probation,
-// probation accumulates toward healthy, suspicion clears.
+// noteSuccess records a successful vN delivery: failures clear, probes
+// enter probation, and probation accumulates toward healthy.
 func (h *flowHealth) noteSuccess(probe bool, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.fails = 0
 	switch {
-	case probe && h.state == HealthFallback:
-		h.state = HealthProbation
+	case probe && h.state == healthFallback:
+		h.state = healthProbation
 		h.okRun = 1
 		cb.HealthProbation()
 		healthEvent(tr, seq, trace.DetailHealthProbation)
-	case h.state == HealthProbation:
+	case h.state == healthProbation:
 		h.okRun++
 		if h.okRun >= probationSends {
-			h.state = HealthHealthy
+			h.state = healthHealthy
 			h.okRun = 0
 			cb.HealthRecovered()
 			healthEvent(tr, seq, trace.DetailHealthRecovered)
 		}
-	case h.state == HealthSuspect:
-		h.state = HealthHealthy
-		cb.HealthRecovered()
-		healthEvent(tr, seq, trace.DetailHealthRecovered)
 	}
 }
 
 // noteFailure records a vN failure (a delivery error, an error epoch, or
-// an external signal): suspicion accumulates, and past fallbackAfter the
-// flow enters fallback with a fresh probe schedule.
+// an external signal): failures accumulate, and at fallbackAfter the flow
+// enters fallback with a fresh probe schedule.
 func (h *flowHealth) noteFailure(epSeq uint64, cb *trace.CounterBatch, tr trace.Tracer, seq uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -197,9 +153,9 @@ func (h *flowHealth) noteFailure(epSeq uint64, cb *trace.CounterBatch, tr trace.
 	h.fails++
 	h.okRun = 0
 	switch h.state {
-	case HealthFallback:
+	case healthFallback:
 		// A failed probe: stay in fallback, backoff already advanced.
-	case HealthProbation:
+	case healthProbation:
 		// Relapse: straight back to fallback.
 		h.enterFallbackLocked()
 		cb.HealthFallback()
@@ -209,10 +165,6 @@ func (h *flowHealth) noteFailure(epSeq uint64, cb *trace.CounterBatch, tr trace.
 			h.enterFallbackLocked()
 			cb.HealthFallback()
 			healthEvent(tr, seq, trace.DetailHealthFallback)
-		} else if h.state == HealthHealthy && h.fails >= suspectAfter {
-			h.state = HealthSuspect
-			cb.HealthSuspect()
-			healthEvent(tr, seq, trace.DetailHealthSuspect)
 		}
 	}
 }
@@ -220,7 +172,7 @@ func (h *flowHealth) noteFailure(epSeq uint64, cb *trace.CounterBatch, tr trace.
 // enterFallbackLocked moves the flow into the fallback state with a
 // fresh probe schedule. Callers hold h.mu.
 func (h *flowHealth) enterFallbackLocked() {
-	h.state = HealthFallback
+	h.state = healthFallback
 	h.fails = 0
 	h.okRun = 0
 	h.sinceProbe = 0
@@ -229,25 +181,23 @@ func (h *flowHealth) enterFallbackLocked() {
 }
 
 // ReportUnackedVN feeds an external delivery-failure signal into the
-// health layer: every flow whose destination IPvN address matches dst
-// takes one failure, exactly as if a send had failed. The live overlay's
-// reliability layer calls this when SendVNReliable exhausts its attempts
-// (ErrNotAcked) — a failure mode the in-process wire path never sees. It
-// returns the number of flows signalled; a no-op (0) when the fallback
-// layer is disabled.
+// health layer: every flow whose destination host has the IPvN address
+// dst in the current epoch — the address a reconciled overlay has
+// installed on that host's node — takes one failure, exactly as if a send
+// had failed. The live overlay's reliability layer calls this when
+// SendVNReliable exhausts its attempts (ErrNotAcked) — a failure mode the
+// in-process wire path never sees. It returns the number of flows
+// signalled; a no-op (0) when the fallback layer is disabled.
 func (e *Evolution) ReportUnackedVN(dst addr.VN) int {
 	if e.health == nil {
 		return 0
 	}
-	epSeq := e.epoch.Load().seq
+	ep := e.epoch.Load()
 	var cb trace.CounterBatch
 	n := 0
-	e.health.each(func(_ int, _ flowKey, h *flowHealth) {
-		h.mu.Lock()
-		match := h.dstVN == dst
-		h.mu.Unlock()
-		if match {
-			h.noteFailure(epSeq, &cb, nil, 0)
+	e.health.each(func(_ int, k flowKey, h *flowHealth) {
+		if ep.addrOf(e.Net.Hosts[k.dst]) == dst {
+			h.noteFailure(ep.seq, &cb, nil, 0)
 			n++
 		}
 	})

@@ -421,12 +421,11 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 	h := e.health.loadOrCreate(uint32(src.ID), flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr}, func(k flowKey) *flowHealth {
 		return &flowHealth{jstate: jitterSeed(k)}
 	})
-	vnReason, detail, mark := trace.DropNone, trace.DetailFallbackState, packet.FallbackMarkState
+	vnReason, detail := trace.DropNone, trace.DetailFallbackState
 	if ep.err != nil {
-		h.observeDst(ep.addrOf(dst))
 		h.noteFailure(ep.seq, cb, tr, seq)
-		vnReason, detail, mark = trace.DropNotDeployed, trace.DetailFallbackErrEpoch, packet.FallbackMarkRescue
-	} else if attempt, probe := h.decide(ep.seq, ep.addrOf(dst), cb); attempt {
+		vnReason, detail = trace.DropNotDeployed, trace.DetailFallbackErrEpoch
+	} else if attempt, probe := h.decide(ep.seq, cb); attempt {
 		reason, err := e.deliverVN(bc, ep, src, dst, payload, out, tr, seq)
 		if err == nil {
 			h.noteSuccess(probe, cb, tr, seq)
@@ -438,9 +437,9 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 			return bc.drop(tr, seq, reason, err)
 		}
 		h.noteFailure(ep.seq, cb, tr, seq)
-		vnReason, detail, mark = reason, trace.DetailFallbackRescue, packet.FallbackMarkRescue
+		vnReason, detail = reason, trace.DetailFallbackRescue
 	}
-	if reason, err := e.deliverFallback(bc, ep, h, src, dst, payload, out, seq, vnReason, detail, mark, tr); err != nil {
+	if reason, err := e.deliverFallback(bc, ep, src, dst, payload, out, seq, vnReason, detail, tr); err != nil {
 		return bc.drop(tr, seq, reason, err)
 	}
 	return nil

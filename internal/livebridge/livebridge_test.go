@@ -593,7 +593,7 @@ func TestUnackedFlowEntersFallback(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("flow never entered fallback: %d unacked signals, %d suspect transitions", d.HealthSignals, d.HealthSuspects)
+			t.Fatalf("flow never entered fallback: %d unacked signals", d.HealthSignals)
 		}
 	}
 

@@ -89,16 +89,14 @@ func (b *CounterBatch) FallbackRescue() { b.n[cFallbackRescues]++ }
 // FallbackProbe counts one vN probe attempted by a flow in fallback.
 func (b *CounterBatch) FallbackProbe() { b.n[cFallbackProbes]++ }
 
-// HealthSuspect counts one flow transitioning healthy → suspect.
-func (b *CounterBatch) HealthSuspect() { b.n[cHealthSuspect]++ }
-
 // HealthFallback counts one flow transitioning into the fallback state.
 func (b *CounterBatch) HealthFallback() { b.n[cHealthFallback]++ }
 
 // HealthProbation counts one flow entering probation.
 func (b *CounterBatch) HealthProbation() { b.n[cHealthProbation]++ }
 
-// HealthRecovered counts one flow returning to the healthy state.
+// HealthRecovered counts one flow completing probation: probation →
+// healthy.
 func (b *CounterBatch) HealthRecovered() { b.n[cHealthRecovered]++ }
 
 // Ingress counts one delivery entering the deployment in domain as.

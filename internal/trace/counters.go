@@ -97,7 +97,6 @@ const (
 	cFallbackSends
 	cFallbackRescues
 	cFallbackProbes
-	cHealthSuspect
 	cHealthFallback
 	cHealthProbation
 	cHealthRecovered
@@ -161,7 +160,6 @@ var counterTable = [numCounters]counterRow{
 	{cFallbackSends, "delivery.fallback_sends", func(s *Snapshot) *uint64 { return &s.DeliveryFallbackSends }},
 	{cFallbackRescues, "delivery.fallback_rescues", func(s *Snapshot) *uint64 { return &s.DeliveryFallbackRescues }},
 	{cFallbackProbes, "health.probes", func(s *Snapshot) *uint64 { return &s.HealthProbes }},
-	{cHealthSuspect, "health.suspect", func(s *Snapshot) *uint64 { return &s.HealthSuspects }},
 	{cHealthFallback, "health.fallback", func(s *Snapshot) *uint64 { return &s.HealthFallbacks }},
 	{cHealthProbation, "health.probation", func(s *Snapshot) *uint64 { return &s.HealthProbations }},
 	{cHealthRecovered, "health.recovered", func(s *Snapshot) *uint64 { return &s.HealthRecovered }},
@@ -245,8 +243,8 @@ func (c *Counters) Redirect(hit bool) {
 // tail, baseline) was served from the epoch's flow cache.
 func (c *Counters) FlowHit() { c.add(cFlowHits, 1) }
 
-// HealthSignal counts n external failure signals (unacked reliable
-// sends, overlay peer suspicion) applied to flow-health records.
+// HealthSignal counts n flow-health records signalled by an unacked
+// reliable send on the live plane.
 func (c *Counters) HealthSignal(n int) {
 	if n > 0 {
 		c.add(cHealthSignals, uint64(n))
@@ -404,10 +402,10 @@ type Snapshot struct {
 	// the subset that were in-line rescues of a failed vN attempt.
 	DeliveryFallbackSends, DeliveryFallbackRescues uint64
 	// HealthProbes counts vN probes attempted by flows in the fallback
-	// state; HealthSuspects/HealthFallbacks/HealthProbations/
-	// HealthRecovered count flow-health state transitions; HealthSignals
-	// counts external failure signals fed in by the live plane.
-	HealthProbes, HealthSuspects, HealthFallbacks, HealthProbations, HealthRecovered, HealthSignals uint64
+	// state; HealthFallbacks/HealthProbations/HealthRecovered count
+	// flow-health state transitions; HealthSignals counts flows signalled
+	// by the live plane's unacked deliveries.
+	HealthProbes, HealthFallbacks, HealthProbations, HealthRecovered, HealthSignals uint64
 	// BoneRebuilds counts successful vN-Bone reconstructions;
 	// RebuildsFailed counts attempts that errored and left the previous
 	// routing state live.

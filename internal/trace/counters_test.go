@@ -37,7 +37,6 @@ var bumps = map[string]func(*Counters){
 	"delivery.fallback_sends":   viaBatch((*CounterBatch).FallbackSend),
 	"delivery.fallback_rescues": viaBatch((*CounterBatch).FallbackRescue),
 	"health.probes":             viaBatch((*CounterBatch).FallbackProbe),
-	"health.suspect":            viaBatch((*CounterBatch).HealthSuspect),
 	"health.fallback":           viaBatch((*CounterBatch).HealthFallback),
 	"health.probation":          viaBatch((*CounterBatch).HealthProbation),
 	"health.recovered":          viaBatch((*CounterBatch).HealthRecovered),
@@ -190,7 +189,6 @@ func TestCounterBatchDifferential(t *testing.T) {
 		{cFallbackSends, func(b *CounterBatch, _ int) { b.FallbackSend() }, false},
 		{cFallbackRescues, func(b *CounterBatch, _ int) { b.FallbackRescue() }, false},
 		{cFallbackProbes, func(b *CounterBatch, _ int) { b.FallbackProbe() }, false},
-		{cHealthSuspect, func(b *CounterBatch, _ int) { b.HealthSuspect() }, false},
 		{cHealthFallback, func(b *CounterBatch, _ int) { b.HealthFallback() }, false},
 		{cHealthProbation, func(b *CounterBatch, _ int) { b.HealthProbation() }, false},
 		{cHealthRecovered, func(b *CounterBatch, _ int) { b.HealthRecovered() }, false},

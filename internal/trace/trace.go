@@ -66,8 +66,8 @@ const (
 	// the vN failure that triggered a rescue (DropNone for state sends).
 	KindFallback
 	// KindHealth marks a flow-health state transition observed on the
-	// send path; Detail names the state entered (DetailHealthSuspect,
-	// DetailHealthFallback, DetailHealthProbation, DetailHealthRecovered).
+	// send path; Detail names the state entered (DetailHealthFallback,
+	// DetailHealthProbation, DetailHealthRecovered).
 	KindHealth
 )
 
@@ -122,8 +122,6 @@ const (
 	// DetailFallbackErrEpoch: the routing state was an error epoch
 	// (failed rebuild or undeployment) and the delivery rode the baseline.
 	DetailFallbackErrEpoch = "fallback-error-epoch"
-	// DetailHealthSuspect: the flow entered the suspect state.
-	DetailHealthSuspect = "health-suspect"
 	// DetailHealthFallback: the flow entered the fallback state.
 	DetailHealthFallback = "health-fallback"
 	// DetailHealthProbation: a fallback probe succeeded and the flow

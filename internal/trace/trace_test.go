@@ -153,7 +153,6 @@ delivery.batch_packets 0
 delivery.fallback_sends 0
 delivery.fallback_rescues 0
 health.probes 0
-health.suspect 0
 health.fallback 0
 health.probation 0
 health.recovered 0
