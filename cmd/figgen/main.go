@@ -5,16 +5,11 @@
 //
 //	figgen [-seed N] [-e E3]        # all experiments, or just one
 //	figgen -list                    # list experiment ids
-//	figgen -e E5 -trace-sample 3    # + 3 per-hop path traces
 //
 // Experiments run one after another on one goroutine; only E11, which
 // drives a live UDP overlay, starts goroutines of its own. All 21 take
-// well under a second.
-//
-// -trace-sample N makes the trace-aware experiments (E5, E6, E14, E15)
-// replay up to N cross-AS deliveries with a recorder attached and print
-// the per-hop path traces after each table; see OBSERVABILITY.md for how
-// to read one. Tables themselves are byte-identical with or without it.
+// well under a second. Every table is a function of its id and seed:
+// two runs at one seed print the same bytes.
 package main
 
 import (
@@ -31,9 +26,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	md := flag.Bool("md", false, "emit GitHub-flavoured markdown (for EXPERIMENTS.md)")
 	seeds := flag.Int("seeds", 1, "run each experiment across N seeds and report PASS rates")
-	traceN := flag.Int("trace-sample", 0, "print N sampled per-hop path traces after each trace-aware experiment (0 = off)")
 	flag.Parse()
-	evolve.SetTraceSample(*traceN)
 
 	if *list {
 		for _, id := range evolve.Experiments() {
@@ -83,9 +76,6 @@ func main() {
 			fmt.Println(tbl.Markdown())
 		} else {
 			fmt.Println(tbl)
-		}
-		for _, tr := range tbl.Traces {
-			fmt.Println(tr)
 		}
 		if !tbl.OK {
 			failed++

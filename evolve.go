@@ -276,11 +276,6 @@ func ParseV4(s string) (V4, error) { return addr.ParseV4(s) }
 // Evolution.SendTraced.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
-// SetTraceSample makes trace-aware experiments sample up to n per-hop
-// path traces into Table.Traces (figgen's -trace-sample flag; 0
-// disables, the default). Tables' rows and verdicts are unaffected.
-func SetTraceSample(n int) { experiments.SetTraceSample(n) }
-
 // Experiments lists every reproduction experiment (DESIGN.md §4) in id
 // order.
 func Experiments() []string {

@@ -136,6 +136,58 @@ func ExampleTracer() {
 	// counters: sends=1 deliveries=1 drops=0
 }
 
+// SendTraced with FormatTrace renders one delivery as a numbered per-hop
+// listing, in E14's Figure-3 world: src in participant M, destination C
+// in non-participant NC behind participant O, C registered as a /128.
+// OBSERVABILITY.md reads this listing line by line.
+func ExampleEvolution_SendTraced() {
+	b := evolve.NewBuilder()
+	m := b.AddDomain("M")
+	o := b.AddDomain("O")
+	nc := b.AddDomain("NC")
+	rM := b.AddRouters(m, 2)
+	rO := b.AddRouters(o, 2)
+	rNC := b.AddRouter(nc, "")
+	b.IntraLink(rM[0], rM[1], 1)
+	b.IntraLink(rO[0], rO[1], 1)
+	b.Peer(rM[1], rO[0], 10)
+	b.Provide(rO[1], rNC, 10)
+	src := b.AddHost(m, rM[0], "src", 1)
+	c := b.AddHost(nc, rNC, "C", 1)
+	net, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	evo, err := evolve.New(net, evolve.Config{Option: evolve.Option1, Egress: evolve.ExitEarly})
+	if err != nil {
+		panic(err)
+	}
+	evo.DeployRouter(rM[0])
+	evo.DeployRouter(rO[1])
+	if err := evo.RegisterEndhost(c); err != nil {
+		panic(err)
+	}
+	rec := evolve.NewTraceRecorder()
+	d, err := evo.SendTraced(src, c, []byte("x"), rec)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("src → C: cost %d, stretch %.3f, vN hops %d\n", d.TotalCost, d.Stretch, d.VNHops)
+	fmt.Print(evo.FormatTrace(rec.Events()))
+	// Output:
+	// src → C: cost 24, stretch 1.000, vN hops 1
+	//    0  send     M-r0 (AS1)
+	//    1  encap    outer 0.1.0.3 → 240.0.0.1
+	//    2  redirect M-r0 (AS1) cost=1
+	//    3  egress   O-r1 (AS2) cost=12 [registered-/128]
+	//    4  encap    outer 0.1.0.1 → 0.2.0.2
+	//    5  decap    outer 0.1.0.1 → 0.2.0.2
+	//    6  bone-hop O-r1 (AS2) cost=12
+	//    7  encap    outer 0.2.0.2 → 0.3.0.2
+	//    8  decap    outer 0.2.0.2 → 0.3.0.2
+	//    9  deliver  NC-r0 (AS3) cost=24
+}
+
 // RunExperiment regenerates any of the paper-reproduction tables.
 func ExampleRunExperiment() {
 	tbl, err := evolve.RunExperiment("E1", 42)

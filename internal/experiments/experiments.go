@@ -30,13 +30,6 @@ type Table struct {
 	Verdict string
 	// OK reports whether the claim held.
 	OK bool
-	// Traces holds sampled per-hop path traces when trace sampling is on
-	// (SetTraceSample > 0); empty otherwise. Deliberately NOT rendered by
-	// String/Markdown — the tabular output stays byte-identical whether
-	// or not sampling ran, so regenerated EXPERIMENTS.md and the
-	// determinism checks are unaffected. cmd/figgen prints them after
-	// each table under -trace-sample.
-	Traces []string
 }
 
 // AddRow appends one formatted row.

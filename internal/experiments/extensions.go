@@ -85,19 +85,6 @@ func EndhostRegistration(seed int64) (*Table, error) {
 	} else {
 		t.fail("costs: %v", costs)
 	}
-	// Under -trace-sample, rebuild the registered-/128 configuration and
-	// record its deliveries — the egress line then shows the registered
-	// route rather than a policy fallback.
-	if TraceSample() > 0 {
-		evo, err := core.New(net, core.Config{Option: anycast.Option1, Egress: bgpvn.ExitEarly})
-		if err == nil {
-			evo.DeployRouter(rM[0])
-			evo.DeployRouter(rO[1])
-			if evo.RegisterEndhost(c) == nil {
-				sampleTraces(t, "E14 registered /128", evo, net)
-			}
-		}
-	}
 	return t, nil
 }
 
@@ -182,6 +169,5 @@ func ProviderChoice(seed int64) (*Table, error) {
 		t.fail("ingress pattern unexpected: %v/%v/%v",
 			runs["network picks (default)"].ingress, runs["user picks P1"].ingress, runs["user picks P2"].ingress)
 	}
-	sampleTraces(t, "E15 default provider selection", evo, net)
 	return t, nil
 }

@@ -11,7 +11,6 @@ import (
 	"github.com/evolvable-net/evolve/internal/redirect"
 	"github.com/evolvable-net/evolve/internal/routing/bgp"
 	"github.com/evolvable-net/evolve/internal/topology"
-	"github.com/evolvable-net/evolve/internal/trace"
 	"github.com/evolvable-net/evolve/internal/underlay"
 	"github.com/evolvable-net/evolve/internal/vnbone"
 )
@@ -157,18 +156,6 @@ func UAStretchVsDeployment(seed int64) (*Table, error) {
 	} else {
 		t.fail("a delivery failed or stretch grew with deployment (mid ingress: %v)", meansAtMid)
 	}
-	// Under -trace-sample, replay a few cross-AS deliveries through a
-	// representative cell (option 2, full deployment) with a per-delivery
-	// recorder attached. The sweep itself is untouched.
-	if TraceSample() > 0 {
-		evo, err := core.New(net, core.Config{Option: anycast.Option2, DefaultAS: order[0]})
-		if err == nil {
-			for _, asn := range order {
-				evo.DeployDomain(asn, 0)
-			}
-			sampleTraces(t, "E5 option 2, full deployment", evo, net)
-		}
-	}
 	return t, nil
 }
 
@@ -251,21 +238,6 @@ func RedirectorComparison(seed int64) (*Table, error) {
 		t.pass("anycast 100%% in both phases; stale broker dropped to %.1f%%; ISP lookup only %.1f%%", brokerAfter, ispEver)
 	} else {
 		t.fail("rates: anycast %.1f/%.1f broker-after %.1f isp %.1f", anyBefore, anyAfter, brokerAfter, ispEver)
-	}
-	// Under -trace-sample, re-run a few anycast redirect decisions through
-	// the redirect.Traced decorator so the ingress choices show up as
-	// trace events and counters.
-	if n := TraceSample(); n > 0 {
-		var c trace.Counters
-		rec := trace.NewRecorder()
-		rd := redirect.Traced(&redirect.AnycastRedirector{Svc: svc, Dep: dep}, rec, &c, net)
-		for i := 0; i < n && i < len(net.Hosts); i++ {
-			rd.Redirect(net.Hosts[i]) //nolint:errcheck // failures become drop events
-		}
-		t.Traces = append(t.Traces, fmt.Sprintf(
-			"E6 anycast redirect decisions (post-churn deployment):\n%scounters:\n%s",
-			trace.Format(rec.Events(), func(r topology.RouterID) string { return net.Router(r).Name }),
-			c.Snapshot()))
 	}
 	return t, nil
 }

@@ -25,7 +25,6 @@ import (
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/forward"
 	"github.com/evolvable-net/evolve/internal/topology"
-	"github.com/evolvable-net/evolve/internal/trace"
 )
 
 // Errors.
@@ -54,54 +53,6 @@ type Redirector interface {
 	Redirect(h *topology.Host) (Result, error)
 	// Name identifies the design in experiment output.
 	Name() string
-}
-
-// Traced wraps a Redirector with observability: every decision is
-// tallied in c (successful redirects, failures as DropNoIngress, per-AS
-// ingress load when net is non-nil) and, when tr is non-nil, emitted as
-// a KindRedirect trace event. c may be nil to trace without counting.
-func Traced(r Redirector, tr trace.Tracer, c *trace.Counters, net *topology.Network) Redirector {
-	return &tracedRedirector{r: r, tr: tr, c: c, net: net}
-}
-
-type tracedRedirector struct {
-	r   Redirector
-	tr  trace.Tracer
-	c   *trace.Counters
-	net *topology.Network
-}
-
-// Name implements Redirector by delegation.
-func (t *tracedRedirector) Name() string { return t.r.Name() }
-
-// Redirect implements Redirector, observing the wrapped decision.
-func (t *tracedRedirector) Redirect(h *topology.Host) (Result, error) {
-	res, err := t.r.Redirect(h)
-	if err != nil {
-		if t.c != nil {
-			t.c.Drop(trace.DropNoIngress)
-		}
-		if t.tr != nil {
-			t.tr.Event(trace.Event{Kind: trace.KindDrop, Router: -1, Reason: trace.DropNoIngress})
-		}
-		return res, err
-	}
-	var as topology.ASN
-	if t.net != nil {
-		as = t.net.DomainOf(res.Member)
-	}
-	if t.c != nil {
-		t.c.Redirect(false)
-		if as != 0 {
-			t.c.Ingress(as)
-		}
-	}
-	if t.tr != nil {
-		t.tr.Event(trace.Event{
-			Kind: trace.KindRedirect, Router: res.Member, AS: as, Cost: res.Cost,
-		})
-	}
-	return res, nil
 }
 
 // AnycastRedirector is network-level redirection (§2.3/§3.1).

@@ -222,14 +222,6 @@ func (c *Counters) Send() { c.add(cSends, 1) }
 // Deliver counts one successful end-to-end delivery.
 func (c *Counters) Deliver() { c.add(cDeliveries, 1) }
 
-// Drop counts one failed delivery under its reason.
-func (c *Counters) Drop(r DropReason) {
-	if r == DropNone || r >= numDropReasons {
-		return
-	}
-	c.add(dropCell(r), 1)
-}
-
 // Redirect counts one anycast redirect resolution; hit reports whether
 // it was served from the redirect cache.
 func (c *Counters) Redirect(hit bool) {

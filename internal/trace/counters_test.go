@@ -146,11 +146,18 @@ func TestCounterTable(t *testing.T) {
 	}
 }
 
+// countDrop counts one failed delivery into c the way the send path
+// does: through a CounterBatch flushed into c.
+func countDrop(c *Counters, r DropReason) {
+	var b CounterBatch
+	b.Drop(r)
+	b.FlushTo(c)
+}
+
 // sink is what a CounterBatch and a Counters both offer the send path.
 type sink interface {
 	Send()
 	Deliver()
-	Drop(DropReason)
 	Redirect(hit bool)
 	FlowHit()
 	FlowMiss()
@@ -164,12 +171,12 @@ type sink interface {
 // TestCounterBatchDifferential drives one random op sequence through
 // CounterBatches (flushed and reset at random points) and through
 // Counters directly: the two snapshots must be equal. The batch-only
-// counters have no direct method, so the direct side adds to their cell.
+// counters and the drops have no direct method, so the direct side adds
+// to their cell.
 func TestCounterBatchDifferential(t *testing.T) {
 	shared := []func(sink, int){
 		func(s sink, _ int) { s.Send() },
 		func(s sink, _ int) { s.Deliver() },
-		func(s sink, n int) { s.Drop(DropReason(n % 12)) },
 		func(s sink, n int) { s.Redirect(n%2 == 0) },
 		func(s sink, _ int) { s.FlowHit() },
 		func(s sink, _ int) { s.FlowMiss() },
@@ -193,8 +200,8 @@ func TestCounterBatchDifferential(t *testing.T) {
 		{cHealthProbation, func(b *CounterBatch, _ int) { b.HealthProbation() }, false},
 		{cHealthRecovered, func(b *CounterBatch, _ int) { b.HealthRecovered() }, false},
 	}
-	if len(shared)+len(batchOnly)-1 != int(numBatched) { // Redirect moves two
-		t.Fatalf("ops cover %d of the %d batched counters", len(shared)+len(batchOnly)-1, numBatched)
+	if len(shared)+len(batchOnly) != int(numBatched) { // Redirect moves two, Ingress none
+		t.Fatalf("ops cover %d of the %d batched counters", len(shared)+len(batchOnly), numBatched)
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -202,16 +209,23 @@ func TestCounterBatchDifferential(t *testing.T) {
 		var b CounterBatch
 		for i := 0; i < 500; i++ {
 			n := rng.Intn(100)
-			if k := rng.Intn(len(shared) + len(batchOnly)); k < len(shared) {
+			switch k := rng.Intn(len(shared) + len(batchOnly) + 1); {
+			case k < len(shared):
 				shared[k](&b, n)
 				shared[k](&direct, n)
-			} else {
+			case k < len(shared)+len(batchOnly):
 				o := batchOnly[k-len(shared)]
 				o.batch(&b, n)
 				if o.byArg {
 					direct.add(o.id, uint64(n))
 				} else {
 					direct.add(o.id, 1)
+				}
+			default: // one drop, under a reason that may not count
+				r := DropReason(n % 12)
+				b.Drop(r)
+				if r != DropNone && r < numDropReasons {
+					direct.add(dropCell(r), 1)
 				}
 			}
 			if rng.Intn(40) == 0 {

@@ -60,7 +60,7 @@ func TestStripedCountersExact(t *testing.T) {
 				c.FlowHit()
 				c.FlowMiss()
 				c.PayloadBytes(10)
-				c.Drop(DropTail)
+				countDrop(&c, DropTail)
 				c.Ingress(7)
 			}
 		}()
@@ -118,7 +118,7 @@ func TestStripedCountersMonotonicUnderLoad(t *testing.T) {
 				c.Redirect(true)
 				c.BoneHops(2)
 				c.PayloadBytes(4)
-				c.Drop(DropRelay)
+				countDrop(&c, DropRelay)
 			}
 		}()
 		go func() {

@@ -98,10 +98,10 @@ func TestCountersSnapshot(t *testing.T) {
 	c.Send()
 	c.Send()
 	c.Send()
-	c.Drop(DropNoIngress)
-	c.Drop(DropTail)
-	c.Drop(DropNone)        // never counted
-	c.Drop(DropReason(200)) // out of range: ignored
+	countDrop(&c, DropNoIngress)
+	countDrop(&c, DropTail)
+	countDrop(&c, DropNone)        // never counted
+	countDrop(&c, DropReason(200)) // out of range: ignored
 	c.Ingress(topology.ASN(3))
 	c.Ingress(topology.ASN(3))
 	c.Ingress(topology.ASN(9))
@@ -137,7 +137,7 @@ func TestSnapshotString(t *testing.T) {
 	var c Counters
 	c.Send()
 	c.Deliver()
-	c.Drop(DropTail)
+	countDrop(&c, DropTail)
 	c.Ingress(topology.ASN(2))
 	const want = `sends 1
 deliveries 1
@@ -223,7 +223,7 @@ func TestSnapshotSub(t *testing.T) {
 	prev := c.Snapshot()
 
 	c.Send()
-	c.Drop(DropTail)
+	countDrop(&c, DropTail)
 	c.Redirect(true)
 	c.Ingress(7)
 	c.Ingress(9)
