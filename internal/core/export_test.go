@@ -22,7 +22,7 @@ func (e *Evolution) FlowHealth(src, dst *topology.Host) (FlowHealthInfo, bool) {
 	if e.health == nil {
 		return FlowHealthInfo{}, false
 	}
-	h, ok := e.health.load(uint32(src.ID), flowKey{src: src.ID, dst: dst.ID, dep: e.Dep.Addr})
+	h, ok := e.health.load(uint32(src.ID), keyOf(src, dst, e.Dep.Addr))
 	if !ok {
 		return FlowHealthInfo{}, false
 	}

@@ -121,7 +121,8 @@ func (b *BatchError) Error() string {
 // flow is one flow skeleton materialized: the memoised routing decisions
 // (fe) plus everything else that is a function of the flow and the epoch
 // and not of the packet — the Delivery prototype, the serialized header
-// template and the underlay loopback of every bone hop. flowFor builds it
+// template, the underlay loopback of every bone hop and what a send counts
+// and traces. A send reads it, never fe. flowFor builds it
 // and nothing writes it afterwards, so one flow serves any number of
 // concurrent sends read-only: a flow the shared cache answers a second
 // time is published on its entry (flowEntry.mat) and every later send to
@@ -137,13 +138,18 @@ type flow struct {
 	// span events are read from it.
 	bone *vnbone.Bone
 	// hops[0] is the ingress member's loopback; hops[1:] follow
-	// fe.eg.BonePath[1:]. The relay pass walks it with ForwardShared.
+	// proto.Egress.BonePath[1:]. The relay pass walks it with
+	// ForwardShared.
 	hops []addr.V4
+	// ingressAS is the ingress member's domain, counted per send.
+	ingressAS topology.ASN
 	// final is the leg-3 outer destination (the destination host's
 	// underlay address in both the self-addressed and native cases);
 	// self distinguishes the two for drop-error fidelity.
 	final addr.V4
 	self  bool
+	// rule labels the KindEgress span (egressRule.label).
+	rule egressRule
 }
 
 // batchCtx is the pooled working set of the send engine, one per Send or
@@ -205,7 +211,10 @@ func getBatchCtx(ingress *anycast.Deployment) *batchCtx {
 // flowFor makes fe the send's flow and returns it materialized: the
 // Delivery prototype, the header template (serialized once through the
 // real layer serializers, then patched per packet) and the bone path's
-// loopback addresses. shared says
+// loopback addresses. Everything fe does not hold is derived here from
+// its decisions and ep: both hosts' addresses, the ingress leg with the
+// source's access link, the egress's bone path (the bone's shared copy)
+// and cost, the hop count, the ingress domain. shared says
 // fe came out of the epoch's flow cache: the form published on it is used
 // as is, and when there is none yet — this is the flow's first reuse — one
 // is built on the heap and published with one compare-and-swap (a racing
@@ -224,21 +233,33 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 	} else {
 		f = &bc.scratch
 	}
+	srcVN, dstVN := ep.addrOf(src), ep.addrOf(dst)
+	ing := *fe.ing
+	ing.Cost += src.AccessLatency
+	m := topology.RouterID(fe.egress)
+	eg := bgpvn.Egress{
+		Member:   m,
+		BonePath: ep.bone.Path(ing.Member, m),
+		BoneCost: ep.bone.Dist(ing.Member, m),
+		Policy:   bgpvn.EgressPolicy(fe.policy),
+	}
 	f.fe = fe
 	f.bone = ep.bone
-	f.self = fe.dstVN.IsSelf()
+	f.ingressAS = e.Net.DomainOf(ing.Member)
+	f.self = dstVN.IsSelf()
+	f.rule = fe.rule
 	f.final = dst.Addr
-	total := fe.ing.Cost + fe.eg.BoneCost + fe.tailCost
+	total := ing.Cost + eg.BoneCost + fe.tailCost
 	f.proto = Delivery{
-		SrcVN:        fe.srcVN,
-		DstVN:        fe.dstVN,
-		Ingress:      fe.ing,
-		Egress:       fe.eg,
+		SrcVN:        srcVN,
+		DstVN:        dstVN,
+		Ingress:      ing,
+		Egress:       eg,
 		TailCost:     fe.tailCost,
 		TotalCost:    total,
 		BaselineCost: fe.baseline,
 		Stretch:      metrics.Stretch(total, fe.baseline),
-		VNHops:       fe.vnHops,
+		VNHops:       max(len(eg.BonePath)-1, 0),
 	}
 
 	// Leg 1 — universal access: the host encapsulates toward the
@@ -249,8 +270,8 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 	hdr := packet.VNHeader{
 		Version:  e.cfg.Version,
 		HopLimit: packet.DefaultHopLimit - 1,
-		Src:      fe.srcVN,
-		Dst:      fe.dstVN,
+		Src:      srcVN,
+		Dst:      dstVN,
 	}
 	opts := bc.hdrOpts[:0]
 	if f.self {
@@ -269,9 +290,9 @@ func (bc *batchCtx) flowFor(e *Evolution, ep *routingEpoch, src, dst *topology.H
 		return nil, err
 	}
 
-	hops := append(slices.Grow(f.hops[:0], max(1, len(fe.eg.BonePath))), e.Net.Router(fe.ing.Member).Loopback)
-	for j := 1; j < len(fe.eg.BonePath); j++ {
-		hops = append(hops, e.Net.Router(fe.eg.BonePath[j]).Loopback)
+	hops := append(slices.Grow(f.hops[:0], max(1, len(eg.BonePath))), e.Net.Router(ing.Member).Loopback)
+	for j := 1; j < len(eg.BonePath); j++ {
+		hops = append(hops, e.Net.Router(eg.BonePath[j]).Loopback)
 	}
 	f.hops = hops
 	if shared && !fe.mat.CompareAndSwap(nil, f) {
@@ -418,7 +439,7 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 		return nil
 	}
 
-	h := e.health.loadOrCreate(uint32(src.ID), flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr}, func(k flowKey) *flowHealth {
+	h := e.health.loadOrCreate(uint32(src.ID), keyOf(src, dst, bc.ingress.Addr), func(k flowKey) *flowHealth {
 		return &flowHealth{jstate: jitterSeed(k)}
 	})
 	vnReason, detail := trace.DropNone, trace.DetailFallbackState
@@ -462,8 +483,8 @@ func (e *Evolution) sendOne(bc *batchCtx, ep *routingEpoch, src, dst *topology.H
 // flow cache answered (true) or the skeleton is this send's own.
 func (e *Evolution) flowSkeleton(bc *batchCtx, ep *routingEpoch, src, dst *topology.Host) (*flowEntry, *routingEpoch, bool, trace.DropReason, error) {
 	cb := &bc.counters
-	fk := flowKey{src: src.ID, dst: dst.ID, dep: bc.ingress.Addr}
-	if fe, ok := ep.flow.load(uint32(fk.src), fk); ok {
+	fk := keyOf(src, dst, bc.ingress.Addr)
+	if fe, ok := ep.flow.load(fk.src, fk); ok {
 		cb.FlowHit()
 		// A flow hit is served entirely from memoised state, redirect
 		// decision included — count it so the redirect hit-rate stays
@@ -490,7 +511,7 @@ func (e *Evolution) flowSkeleton(bc *batchCtx, ep *routingEpoch, src, dst *topol
 		return nil, ep, false, reason, err
 	}
 	if e.mutSeq.Load() == ep.seq {
-		ep.flow.store(uint32(fk.src), fk, fe)
+		ep.flow.store(fk.src, fk, fe)
 	}
 	return fe, ep, false, trace.DropNone, nil
 }
@@ -534,9 +555,9 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 			return trace.DropEncap, err
 		}
 	}
-	fe := bf.fe
-	cb.Ingress(fe.ingressAS)
-	cb.BoneHops(fe.vnHops)
+	d := &bf.proto
+	cb.Ingress(bf.ingressAS)
+	cb.BoneHops(d.VNHops)
 
 	// Leg 1 — emit from the template: header prefix plus payload, with
 	// lengths, trace tag and checksum patched. Byte-identical to
@@ -555,7 +576,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 		})
 		tr.Event(trace.Event{
 			Kind: trace.KindRedirect, Seq: seq,
-			Router: fe.ing.Member, AS: fe.ingressAS, Cost: fe.ing.Cost,
+			Router: d.Ingress.Member, AS: bf.ingressAS, Cost: d.Ingress.Cost,
 		})
 		// The ingress accepts anycast-addressed packets and decapsulates
 		// there. That decap is valid by construction (the template's outer
@@ -563,8 +584,8 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 		// nor traced.
 		tr.Event(trace.Event{
 			Kind: trace.KindEgress, Seq: seq,
-			Router: fe.eg.Member, AS: e.Net.DomainOf(fe.eg.Member),
-			Cost: fe.eg.BoneCost, Detail: fe.egDetail,
+			Router: d.Egress.Member, AS: e.Net.DomainOf(d.Egress.Member),
+			Cost: d.Egress.BoneCost, Detail: bf.rule.label(d.Egress.Policy),
 		})
 	}
 
@@ -574,7 +595,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	// EncapToShared/DecapShared pair.
 	bc.ep.Local = bf.hops[0]
 	bc.ep.Observe(tr, nil, seq)
-	path := fe.eg.BonePath
+	path := d.Egress.BonePath
 	for j := 1; j < len(bf.hops); j++ {
 		if err := bc.ep.ForwardShared(wire, bf.hops[j]); err != nil {
 			return trace.DropRelay, fmt.Errorf("core: bone relay %d: %w", j, err)
@@ -619,7 +640,7 @@ func (e *Evolution) deliverVN(bc *batchCtx, ep *routingEpoch, src, dst *topology
 	if err := checkArrival(inner.Options, rpl, payload, seq); err != nil {
 		return trace.DropIntegrity, err
 	}
-	*out = bf.proto
+	*out = *d
 	out.Payload = payload
 	out.TraceTag = seq
 	cb.PayloadBytes(len(payload))
@@ -682,20 +703,6 @@ func (e *Evolution) resolveAt(ep *routingEpoch, d *anycast.Deployment, r topolog
 	return &walked, false, nil
 }
 
-// resolveIngress is the redirect decision of the send path: src's attach
-// router's resolution toward d's address plus src's own access link: one
-// walk per router instead of one per host.
-func (e *Evolution) resolveIngress(ep *routingEpoch, d *anycast.Deployment, src *topology.Host, cb *trace.CounterBatch) (anycast.Resolution, error) {
-	v, hit, err := e.resolveAt(ep, d, src.Attach, true)
-	if err != nil {
-		return anycast.Resolution{}, err
-	}
-	cb.Redirect(hit)
-	res := *v
-	res.Cost += src.AccessLatency
-	return res, nil
-}
-
 // route is the vN routing decision on ep for dst, addressed dstVN, from
 // ingress member ingress: bgpvn's one Route, handed a registered
 // self-addressed destination's origin — the domain its attach router's
@@ -721,38 +728,35 @@ func (e *Evolution) route(ep *routingEpoch, ingress topology.RouterID, dst *topo
 }
 
 // computeFlow computes one flow's delivery skeleton against ep: the
-// redirect resolution (leg 1, memoised separately in the redirect
-// cache), the vN-Bone egress pick (leg 2, bgpvn's one Route decision),
-// the tail leg (leg 3) and the IPv(N-1) baseline. Every path computation
-// of a send happens here and none of the wire-level work; see flowEntry.
+// redirect resolution (leg 1: src's attach router's, one walk per router
+// instead of one per host, memoised separately in the redirect cache),
+// the vN-Bone egress pick (leg 2, bgpvn's one Route decision), the tail
+// leg (leg 3) and the IPv(N-1) baseline. Every path computation of a send
+// happens here and none of the wire-level work; see flowEntry.
 func (e *Evolution) computeFlow(ep *routingEpoch, src, dst *topology.Host, ingressDep *anycast.Deployment, cb *trace.CounterBatch) (*flowEntry, trace.DropReason, error) {
-	fe := &flowEntry{
-		srcVN: ep.addrOf(src),
-		dstVN: ep.addrOf(dst),
-	}
-	ing, err := e.resolveIngress(ep, ingressDep, src, cb)
+	ing, hit, err := e.resolveAt(ep, ingressDep, src.Attach, true)
 	if err != nil {
 		return nil, trace.DropNoIngress, fmt.Errorf("core: ingress: %w", err)
 	}
-	fe.ing = ing
-	fe.ingressAS = e.Net.DomainOf(ing.Member)
+	cb.Redirect(hit)
 
-	eg, egDetail, err := e.route(ep, ing.Member, dst, fe.dstVN)
+	dstVN := ep.addrOf(dst)
+	eg, label, err := e.route(ep, ing.Member, dst, dstVN)
 	if err != nil {
 		return nil, trace.DropNoVNRoute, fmt.Errorf("core: vn routing: %w", err)
 	}
-	fe.eg = eg
-	fe.egDetail = egDetail
-	fe.vnHops = len(eg.BonePath) - 1
-	if fe.vnHops < 0 {
-		fe.vnHops = 0
+	fe := &flowEntry{
+		ing:    ing,
+		egress: int32(eg.Member),
+		policy: uint8(eg.Policy),
+		rule:   ruleOf(label),
 	}
 
 	// One walk toward dst serves the tail and the baseline: reopened at
 	// the source, it keeps the BGP view the tail resolved.
 	w := e.Fwd.Begin(eg.Member)
 	defer e.Fwd.End(w)
-	if fe.dstVN.IsSelf() {
+	if dstVN.IsSelf() {
 		if _, err := e.Fwd.Deliver(w, dst.Addr, dst); err != nil {
 			return nil, trace.DropTail, fmt.Errorf("core: tail: %w", err)
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/evolvable-net/evolve/internal/anycast"
 	"github.com/evolvable-net/evolve/internal/routing/bgpvn"
 	"github.com/evolvable-net/evolve/internal/topology"
+	"github.com/evolvable-net/evolve/internal/trace"
 )
 
 // deliveryShards is the shard count of the send path's tables: the
@@ -162,33 +163,76 @@ func carryResolved(prev *striped[resolveKey, *anycast.Resolution], evict map[top
 
 // flowKey identifies one delivery flow: source, destination, and the
 // ingress deployment (the shared anycast address or a provider-specific
-// one) the sender encapsulates toward.
+// one) the sender encapsulates toward. Host ids are held as uint32, so a
+// key is 12 bytes.
 type flowKey struct {
-	src, dst topology.HostID
+	src, dst uint32
 	dep      addr.V4
 }
 
-// flowEntry is the memoised delivery skeleton of one flow: every routing
-// decision of a send — the redirect resolution, the egress pick with its
-// bone path, the tail leg and the IPv(N-1) baseline. Routing is
-// deterministic within an epoch, so the skeleton is exact, not a
-// heuristic; a flow-cache hit re-runs only the wire-level
-// encapsulation path and skips all path computation. Entries are
-// immutable once stored (the ASPath and BonePath slices included —
-// deliveries share them read-only), but for mat. The tail leg and the
+// keyOf returns the key of the src → dst flow through the deployment at
+// dep.
+func keyOf(src, dst *topology.Host, dep addr.V4) flowKey {
+	return flowKey{src: uint32(src.ID), dst: uint32(dst.ID), dep: dep}
+}
+
+// egressRule is what decided a flow's egress (bgpvn.System.Route's rule),
+// one byte on the entry instead of its label string.
+type egressRule uint8
+
+const (
+	ruleNative egressRule = iota
+	ruleRegistered
+	rulePolicy
+)
+
+// ruleOf returns the rule Route named by its label.
+func ruleOf(label string) egressRule {
+	switch label {
+	case trace.EgressNative:
+		return ruleNative
+	case trace.EgressRegistered:
+		return ruleRegistered
+	}
+	return rulePolicy
+}
+
+// label is the rule's KindEgress trace label, p the egress's policy.
+func (r egressRule) label(p bgpvn.EgressPolicy) string {
+	switch r {
+	case ruleNative:
+		return trace.EgressNative
+	case ruleRegistered:
+		return trace.EgressRegistered
+	}
+	return p.String()
+}
+
+// flowEntry is the memoised delivery skeleton of one flow: the routing
+// decisions of a send and their costs — the redirect resolution, the
+// egress pick with the rule and policy that made it, the tail leg and the
+// IPv(N-1) baseline. Routing is deterministic within an epoch, so the
+// skeleton is exact, not a heuristic; a flow-cache hit re-runs only the
+// wire-level encapsulation path and skips all path computation. Entries
+// are immutable once stored, but for mat. Everything else a send reports
+// is a function of these decisions and the epoch, derived once per flow
+// by flowFor: the hosts' addresses, the access link's cost, the bone path
+// and its cost, the hop count and the egress label. The tail leg and the
 // baseline are kept as costs only: no decision reads their routers.
 type flowEntry struct {
-	srcVN, dstVN addr.VN
-	ing          anycast.Resolution
-	ingressAS    topology.ASN
-	eg           bgpvn.Egress
-	egDetail     string
-	vnHops       int
-	tailCost     int64
-	baseline     int64
+	// ing is the redirect cache's entry for the source's attach router,
+	// shared and read-only: its cost has no access link.
+	ing      *anycast.Resolution
+	tailCost int64
+	baseline int64
 	// mat is the skeleton materialized for the wire (see flow), nil until
 	// the first send that finds this entry in the flow cache publishes it:
-	// a flow sent on once holds nothing here. The entry with the pointer
-	// is 176 bytes, its allocation class exactly.
+	// a flow sent on once holds nothing here.
 	mat atomic.Pointer[flow]
+	// egress is the member where the packet leaves the bone, policy the
+	// Egress.Policy Route reported and rule what decided. The entry is 40
+	// bytes, in the 48-byte allocation class.
+	egress int32
+	policy uint8
+	rule   egressRule
 }

@@ -211,7 +211,7 @@ func TestSendZeroAlloc(t *testing.T) {
 // one value that won; and a hit — the per-packet probe — allocates nothing.
 func TestStriped(t *testing.T) {
 	key := func(i int) flowKey {
-		return flowKey{src: topology.HostID(i), dst: topology.HostID(i * 7), dep: 1}
+		return flowKey{src: uint32(i), dst: uint32(i * 7), dep: 1}
 	}
 	for _, width := range []int{1, 4, 16} {
 		t.Run(fmt.Sprintf("shards=%d", width), func(t *testing.T) {

@@ -46,7 +46,7 @@ func newSharedFlowWorld(t *testing.T) *sharedFlowWorld {
 // entry returns the flow cache's entry for src → dst through the
 // deployment at dep, nil when the current epoch holds none.
 func (w *sharedFlowWorld) entry(dst *topology.Host, dep addr.V4) *flowEntry {
-	fe, _ := w.e.epoch.Load().flow.load(uint32(w.src.ID), flowKey{src: w.src.ID, dst: dst.ID, dep: dep})
+	fe, _ := w.e.epoch.Load().flow.load(uint32(w.src.ID), keyOf(w.src, dst, dep))
 	return fe
 }
 

@@ -56,6 +56,8 @@ const (
 	ProxyInformed
 )
 
+// String names the policy; Route returns the name as the KindEgress trace
+// label of an egress the policy decided.
 func (p EgressPolicy) String() string {
 	switch p {
 	case ExitEarly:
@@ -80,7 +82,8 @@ var (
 type Egress struct {
 	// Member is the router where the packet leaves the vN-Bone.
 	Member topology.RouterID
-	// BonePath is the member-level path from ingress to Member.
+	// BonePath is the member-level path from ingress to Member: the
+	// bone's shared copy (vnbone.Bone.Path), read-only.
 	BonePath []topology.RouterID
 	// BoneCost is the underlay cost of BonePath.
 	BoneCost int64
@@ -88,7 +91,8 @@ type Egress struct {
 	Policy EgressPolicy
 }
 
-// System answers routing questions over one constructed bone.
+// System answers routing questions over one constructed bone. Every
+// query's ingress is a member of that bone, as an anycast resolution's is.
 //
 // Concurrency: the Route*/SelectEgress queries may run from any number
 // of goroutines. AdvertiseNative, the one writer, needs external
@@ -212,7 +216,7 @@ func (s *System) SelectEgress(ingress topology.RouterID, dstV4 addr.V4, policy E
 	case ExitEarly:
 		return Egress{
 			Member:   ingress,
-			BonePath: []topology.RouterID{ingress},
+			BonePath: s.bone.Path(ingress, ingress),
 			Policy:   ExitEarly,
 		}, nil
 	case PathInformed:
@@ -231,7 +235,7 @@ func (s *System) pathInformed(ingress topology.RouterID, dstV4 addr.V4) (Egress,
 	if !ok {
 		// No underlay route at all: exiting early lets the underlay
 		// produce the authoritative error.
-		return Egress{Member: ingress, BonePath: []topology.RouterID{ingress}, Policy: PathInformed}, nil
+		return Egress{Member: ingress, BonePath: s.bone.Path(ingress, ingress), Policy: PathInformed}, nil
 	}
 	lastParticipant := topology.ASN(-1)
 	for _, asn := range asPath {
@@ -240,13 +244,13 @@ func (s *System) pathInformed(ingress topology.RouterID, dstV4 addr.V4) (Egress,
 		}
 	}
 	if lastParticipant == -1 || lastParticipant == s.net.DomainOf(ingress) {
-		return Egress{Member: ingress, BonePath: []topology.RouterID{ingress}, Policy: PathInformed}, nil
+		return Egress{Member: ingress, BonePath: s.bone.Path(ingress, ingress), Policy: PathInformed}, nil
 	}
 	best := s.closestIn(ingress, lastParticipant)
 	if best.Member < 0 {
 		// The bone cannot reach that domain (partition): degrade to
 		// exit-early rather than blackholing.
-		return Egress{Member: ingress, BonePath: []topology.RouterID{ingress}, Policy: PathInformed}, nil
+		return Egress{Member: ingress, BonePath: s.bone.Path(ingress, ingress), Policy: PathInformed}, nil
 	}
 	best.Policy = PathInformed
 	best.BonePath = s.bone.Path(ingress, best.Member)
@@ -275,7 +279,7 @@ func (s *System) proxyInformed(ingress topology.RouterID, dstV4 addr.V4) (Egress
 		}
 	}
 	if best.Member < 0 {
-		return Egress{Member: ingress, BonePath: []topology.RouterID{ingress}, Policy: ProxyInformed}, nil
+		return Egress{Member: ingress, BonePath: s.bone.Path(ingress, ingress), Policy: ProxyInformed}, nil
 	}
 	best.BonePath = s.bone.Path(ingress, best.Member)
 	return best, nil

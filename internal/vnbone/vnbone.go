@@ -43,6 +43,7 @@ const (
 	KindBootstrap
 )
 
+// String names the kind for printing: "intra", "tunnel" or "bootstrap".
 func (k LinkKind) String() string {
 	switch k {
 	case KindIntra:
@@ -101,11 +102,19 @@ type Bone struct {
 	links   []Link
 	g       *graph.Graph
 	cfg     Config
-	// spt is the lazily-populated SPT cache, one slot per member (by idx).
-	// A bone is immutable once built, so lock-free lazy fills are safe:
-	// concurrent Sends may duplicate a Dijkstra but always agree on the
-	// result.
-	spt []atomic.Pointer[graph.SPT]
+	// spt is the lazily-populated tree cache, one slot per member (by
+	// idx). A bone is immutable once built, so lock-free lazy fills are
+	// safe: concurrent Sends may duplicate a Dijkstra but always agree on
+	// the result, and the first tree stored is the one every caller keeps.
+	spt []atomic.Pointer[tree]
+}
+
+// tree is one member's shortest-path tree over the bone with the paths
+// asked of it: paths[i] is the member-level path to member i, written on
+// its first request and shared read-only after.
+type tree struct {
+	*graph.SPT
+	paths []atomic.Pointer[[]topology.RouterID]
 }
 
 // BuildStats reports how much of an incremental build was carried over
@@ -477,7 +486,7 @@ func (b *Bone) rebuildGraph() {
 	for _, l := range b.links {
 		b.g.AddBiEdge(b.idx[l.A], b.idx[l.B], l.Cost)
 	}
-	b.spt = make([]atomic.Pointer[graph.SPT], len(b.members))
+	b.spt = make([]atomic.Pointer[tree], len(b.members))
 }
 
 // Members returns the bone's member routers in id order.
@@ -505,7 +514,7 @@ func (b *Bone) Components() [][]topology.RouterID {
 	return out
 }
 
-func (b *Bone) sptFrom(m topology.RouterID) (*graph.SPT, bool) {
+func (b *Bone) sptFrom(m topology.RouterID) (*tree, bool) {
 	i, ok := b.idx[m]
 	if !ok {
 		return nil, false
@@ -514,9 +523,11 @@ func (b *Bone) sptFrom(m topology.RouterID) (*graph.SPT, bool) {
 		return t, true
 	}
 	// Concurrent fills may race and both run Dijkstra; the trees are
-	// equal, so last-store-wins is harmless.
-	t := b.g.Dijkstra(i)
-	b.spt[i].Store(t)
+	// equal, and the loser adopts the winner's so paths are kept once.
+	t := &tree{SPT: b.g.Dijkstra(i), paths: make([]atomic.Pointer[[]topology.RouterID], len(b.members))}
+	if !b.spt[i].CompareAndSwap(nil, t) {
+		t = b.spt[i].Load()
+	}
 	return t, true
 }
 
@@ -533,8 +544,11 @@ func (b *Bone) Dist(x, y topology.RouterID) int64 {
 	return t.Dist[iy]
 }
 
-// Path returns the member-level bone path x..y, or nil: written straight
-// from the tree's parent array into one exact-size slice.
+// Path returns the member-level bone path x..y, or nil when either is not
+// a member or y is unreachable. The path is shared and read-only: the
+// first request for the pair writes it from the tree's parent array into
+// one exact-size slice kept on x's tree, and every later one returns that
+// slice without allocating.
 func (b *Bone) Path(x, y topology.RouterID) []topology.RouterID {
 	t, ok := b.sptFrom(x)
 	if !ok {
@@ -544,6 +558,9 @@ func (b *Bone) Path(x, y topology.RouterID) []topology.RouterID {
 	if !ok || t.Dist[iy] >= graph.Inf {
 		return nil
 	}
+	if p := t.paths[iy].Load(); p != nil {
+		return *p
+	}
 	n := 1
 	for i := iy; t.Parent[i] >= 0; i = t.Parent[i] {
 		n++
@@ -551,6 +568,9 @@ func (b *Bone) Path(x, y topology.RouterID) []topology.RouterID {
 	out := make([]topology.RouterID, n)
 	for i, k := iy, n-1; k >= 0; i, k = t.Parent[i], k-1 {
 		out[k] = b.members[i]
+	}
+	if !t.paths[iy].CompareAndSwap(nil, &out) {
+		return *t.paths[iy].Load()
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/evolvable-net/evolve/internal/anycast"
@@ -497,5 +498,158 @@ func TestBuildIncrementalReusesUntouchedDomains(t *testing.T) {
 	}
 	if got, want := inc.Links(), scratch.Links(); !reflect.DeepEqual(got, want) {
 		t.Errorf("incremental links differ from scratch in order or content:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// refPath is the bone path x..y as graph's own parent walk gives it from
+// a fresh tree, mapped to member routers: the reference Path's shared
+// copies are held to.
+func refPath(b *Bone, x, y topology.RouterID) []topology.RouterID {
+	ix, okX := b.idx[x]
+	iy, okY := b.idx[y]
+	if !okX || !okY {
+		return nil
+	}
+	var out []topology.RouterID
+	for _, i := range b.g.Dijkstra(ix).PathTo(iy) {
+		out = append(out, b.members[i])
+	}
+	return out
+}
+
+// seededBones builds bones over seeded transit-stub internets where every
+// other domain participates with all but its last router, each with and
+// without the anycast bootstrap: the bootstrap-free bones keep islands,
+// so some member pairs are unreachable.
+func seededBones(t *testing.T) (bones []*Bone, outsiders []topology.RouterID) {
+	t.Helper()
+	for _, seed := range []int64{1, 2, 3} {
+		n, err := topology.TransitStub(3, 4, 0.3, topology.GenConfig{Seed: seed, RoutersPerDomain: 4, Intra: topology.IntraRandom})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newEnv(t, n)
+		dep, err := e.svc.DeployOption1(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, asn := range n.ASNs() {
+			rs := n.Domain(asn).Routers
+			if i%2 == 1 {
+				outsiders = append(outsiders, rs[0])
+				continue
+			}
+			for _, r := range rs[:len(rs)-1] {
+				e.svc.AddMember(dep, r)
+			}
+			outsiders = append(outsiders, rs[len(rs)-1])
+		}
+		for _, cfg := range []Config{{}, {disableBootstrap: true}} {
+			b, err := Build(e.svc, e.igp, dep, cfg)
+			if err != nil {
+				t.Fatalf("seed %d %+v: %v", seed, cfg, err)
+			}
+			bones = append(bones, b)
+		}
+	}
+	return bones, outsiders
+}
+
+// TestPathMatchesParentWalk holds Path's shared copies to a parent walk on
+// a fresh tree for every member pair of seeded bones: [x] from x to
+// itself, nil toward an unreachable member or from or to a non-member,
+// no spare capacity, and a repeat call handing back the same backing
+// array without allocating.
+func TestPathMatchesParentWalk(t *testing.T) {
+	bones, outsiders := seededBones(t)
+	unreachable := 0
+	for bi, b := range bones {
+		first := map[[2]topology.RouterID][]topology.RouterID{}
+		for _, x := range b.members {
+			for _, y := range b.members {
+				got, want := b.Path(x, y), refPath(b, x, y)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("bone %d: Path(%d, %d) = %v, parent walk %v", bi, x, y, got, want)
+				}
+				if x == y && !reflect.DeepEqual(got, []topology.RouterID{x}) {
+					t.Errorf("bone %d: Path(%d, %d) = %v, want [%d]", bi, x, x, got, x)
+				}
+				if got == nil {
+					unreachable++
+					if b.Dist(x, y) < graph.Inf {
+						t.Errorf("bone %d: Path(%d, %d) nil at distance %d", bi, x, y, b.Dist(x, y))
+					}
+					continue
+				}
+				if cap(got) != len(got) {
+					t.Errorf("bone %d: Path(%d, %d) len %d cap %d", bi, x, y, len(got), cap(got))
+				}
+				first[[2]topology.RouterID{x, y}] = got
+			}
+		}
+		for pair, p := range first {
+			if again := b.Path(pair[0], pair[1]); &again[0] != &p[0] {
+				t.Errorf("bone %d: Path%v returned a new array on repeat", bi, pair)
+			}
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			for _, x := range b.members {
+				for _, y := range b.members {
+					b.Path(x, y)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("bone %d: repeat Path calls allocate %.1f objects per pass, want 0", bi, allocs)
+		}
+		for _, o := range outsiders {
+			if p := b.Path(o, b.members[0]); p != nil {
+				t.Errorf("bone %d: Path from non-member %d = %v", bi, o, p)
+			}
+			if p := b.Path(b.members[0], o); p != nil {
+				t.Errorf("bone %d: Path to non-member %d = %v", bi, o, p)
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no seeded bone has an unreachable member pair")
+	}
+}
+
+// TestConcurrentFirstPathsAgree races first requests on fresh bones:
+// whichever call writes a pair's path, every caller gets that one array,
+// equal to the parent walk.
+func TestConcurrentFirstPathsAgree(t *testing.T) {
+	bones, _ := seededBones(t)
+	const callers = 8
+	for bi, b := range bones {
+		n := len(b.members)
+		got := make([][][]topology.RouterID, callers)
+		var wg sync.WaitGroup
+		for g := range got {
+			got[g] = make([][]topology.RouterID, n*n)
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Each caller walks the pairs from its own starting point.
+				for k := range n * n {
+					i := (k + g*n*n/callers) % (n * n)
+					got[g][i] = b.Path(b.members[i/n], b.members[i%n])
+				}
+			}(g)
+		}
+		wg.Wait()
+		for i := range n * n {
+			want := refPath(b, b.members[i/n], b.members[i%n])
+			for g := range got {
+				p := got[g][i]
+				if !reflect.DeepEqual(p, want) {
+					t.Fatalf("bone %d caller %d: Path(%d, %d) = %v, parent walk %v", bi, g, b.members[i/n], b.members[i%n], p, want)
+				}
+				if p != nil && &p[0] != &got[0][i][0] {
+					t.Errorf("bone %d: callers 0 and %d hold different arrays for Path(%d, %d)", bi, g, b.members[i/n], b.members[i%n])
+				}
+			}
+		}
 	}
 }
